@@ -4,14 +4,13 @@ All machine-readable output is a single JSON report on stdout with a fixed
 field order, so identical command lines produce byte-identical reports
 (the version stamp changes only with the package version).  Human-readable
 tables go to stderr.  Exit codes: 0 success, 1 mathematical-check failure,
-2 usage or schema error.
+2 usage, file-schema or OS error.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from typing import Optional, Sequence
 
@@ -21,7 +20,6 @@ from . import maxclass as mc
 from . import reconstruct as rec
 from . import subfield as sf
 from .errors import (
-    InvalidPresentation,
     NotPrime,
     PreconditionFailed,
     ReduciblePolynomial,
@@ -49,10 +47,10 @@ def _emit(command: str, inputs: dict, results: dict) -> None:
     sys.stdout.write(_report(command, inputs, results))
 
 
-def _load(path: str) -> mc.MaxClassPresentation:
+def _load(path: str, check: bool = True) -> mc.MaxClassPresentation:
     with open(path, "r", encoding="utf-8") as fh:
         obj = json.load(fh)
-    return mc.from_json(obj, check=True)
+    return mc.from_json(obj, check=check)
 
 
 def _save(path: str, pres: mc.MaxClassPresentation) -> None:
@@ -77,16 +75,6 @@ def _parse_gen(field, text: str):
 
 def _pair_from_args(field, xs: str, ys: str) -> sf.GeneratorPair:
     return sf.pair_from_ints(field, _parse_gen(field, xs), _parse_gen(field, ys))
-
-
-def _workers() -> Optional[int]:
-    raw = os.environ.get("THINLIE_THREADS")
-    if not raw:
-        return None
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return None
 
 
 # -- subcommands ---------------------------------------------------------------
@@ -125,9 +113,7 @@ def cmd_build(args) -> int:
 
 
 def cmd_check(args) -> int:
-    with open(args.file, "r", encoding="utf-8") as fh:
-        obj = json.load(fh)
-    pres = mc.from_json(obj, check=False)
+    pres = _load(args.file, check=False)
     report = mc.validate(pres)
     _emit(
         "check",
@@ -207,7 +193,7 @@ def cmd_roundtrip(args) -> int:
 
 def cmd_scan(args) -> int:
     pres = _load(args.file)
-    table = sf.scan(pres, args.window, raw=args.raw, max_workers=_workers())
+    table = sf.scan(pres, args.window, raw=args.raw)
     results = {
         "window": table.window,
         "mode": table.mode,
@@ -322,18 +308,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (SchemaError, ValueError, FileNotFoundError, PreconditionFailed) as exc:
+    except (SchemaError, ValueError, OSError, PreconditionFailed) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except InvalidPresentation as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_MATH
     except ThinLieError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_MATH
-    except json.JSONDecodeError as exc:
-        print(f"error: malformed JSON: {exc}", file=sys.stderr)
-        return EXIT_USAGE
 
 
 if __name__ == "__main__":

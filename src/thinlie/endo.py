@@ -27,7 +27,7 @@ from .errors import (
     NotCommutative,
     OutOfWindow,
 )
-from .gf import BaseField, EElem, Matrix, RowSpace, rref
+from .gf import EElem, Matrix, RowSpace, quadratic_is_irreducible, rref, solve, span
 from .subfield import SubalgebraAnalysis, ad_gen
 
 Coords = Tuple[int, ...]
@@ -63,19 +63,6 @@ def _gen_images(analysis: SubalgebraAnalysis, degree: int) -> List[Tuple[int, in
             img = ad_gen(analysis.pres, degree, row, gen)
             out.append((r_idx, g_idx, analysis.express(degree + 1, img)))
     return out
-
-
-def _invert_small(p: int, rows: Sequence[Coords]) -> List[Coords]:
-    """Inverse of a small invertible matrix over GF(p), as rows."""
-    n = len(rows)
-    aug = Matrix(
-        BaseField(p),
-        [list(r) + [1 if i == j else 0 for j in range(n)] for i, r in enumerate(rows)],
-    )
-    res = rref(aug)
-    if res.rank != n or res.pivots != tuple(range(n)):
-        raise ValueError("matrix not invertible")
-    return [tuple(r[n:]) for r in res.reduced.rows]
 
 
 def _solve_graded_maps(
@@ -128,7 +115,7 @@ def _solve_graded_maps(
                 f"[L_{i}, L_1] does not span L_{i + 1}; propagation is not forced"
             )
         sel_rows = [pairs[idx][0] for idx in selected]
-        inv = _invert_small(p, sel_rows)
+        inv = [solve(Fb, sel_rows, _lf_unit(d_next, j)) for j in range(d_next)]
         f_next: List[List[Coords]] = []
         for j in range(d_next):
             acc = [_lf_zero(n_unk)] * d_next_tgt
@@ -179,18 +166,7 @@ class EndoRing:
         return self.analysis.field
 
     def element_flat(self, coords: Coords) -> Coords:
-        p = self.field.p
-        n = len(self.basis[0])
-        acc = [0] * n
-        for c, vec in zip(coords, self.basis):
-            if c:
-                for j, x in enumerate(vec):
-                    acc[j] = (acc[j] + c * x) % p
-        return tuple(acc)
-
-    def coords_of_flat(self, flat: Sequence[int]) -> Coords:
-        """Coordinates of a flattened bottom matrix in the ring basis."""
-        return _express_in_rows(self.field.p, self.basis, flat)
+        return tuple(Matrix(self.field.base, self.basis).apply(coords))
 
     def matrix_at(self, coords: Coords, degree: int) -> List[List[int]]:
         """The element's concrete matrix on V_degree."""
@@ -206,52 +182,26 @@ class EndoRing:
 
     def compose(self, e1: Coords, e2: Coords) -> Coords:
         """Coordinates of e1 o e2 (apply e2 first)."""
-        p = self.field.p
+        Fb = self.field.base
         d = self.analysis.dim(self.k0)
-        m1 = _unflatten(self.element_flat(e1), d)
-        m2 = _unflatten(self.element_flat(e2), d)
-        prod = _matmul_modp(p, m2, m1)  # row-vector convention: v . M2 . M1
-        return _express_in_rows(p, self.basis, _flatten(prod))
+        prod = _compose_flat(Fb, d, self.element_flat(e1), self.element_flat(e2))
+        return _ring_coords(Fb, self.basis, prod)
 
 
-def _flatten(m: Sequence[Sequence[int]]) -> Coords:
-    return tuple(x for row in m for x in row)
+def _compose_flat(Fb, d: int, flat1: Sequence[int], flat2: Sequence[int]) -> Coords:
+    """Flattened bottom matrix of e1 o e2; row vectors, so v . M2 . M1."""
+    m1, m2 = (
+        Matrix(Fb, [f[r * d : (r + 1) * d] for r in range(d)]) for f in (flat1, flat2)
+    )
+    return tuple(x for row in m2.mul(m1).rows for x in row)
 
 
-def _unflatten(flat: Sequence[int], d: int) -> List[List[int]]:
-    return [list(flat[r * d : (r + 1) * d]) for r in range(len(flat) // d)]
-
-
-def _matmul_modp(p: int, a, b) -> List[List[int]]:
-    n, m, k = len(a), len(b[0]), len(b)
-    return [
-        [sum(a[i][t] * b[t][j] for t in range(k)) % p for j in range(m)]
-        for i in range(n)
-    ]
-
-
-def _express_in_rows(p: int, basis: Sequence[Coords], vec: Sequence[int]) -> Coords:
-    """Solve sum c_k basis[k] = vec over GF(p); raises if unsolvable."""
-    from .gf import BaseField
-
-    Fb = BaseField(p)
-    n = len(vec)
-    cols = len(basis)
-    aug = Matrix(Fb, [[basis[k][j] for k in range(cols)] + [vec[j] % p] for j in range(n)])
-    res = rref(aug)
-    coords = [0] * cols
-    for r_idx, pc in enumerate(res.pivots):
-        if pc == cols:
-            raise DimensionAnomaly("vector not in the span of the ring basis")
-        coords[pc] = res.reduced.rows[r_idx][cols]
-    # verify
-    acc = [0] * n
-    for c, b in zip(coords, basis):
-        for j, x in enumerate(b):
-            acc[j] = (acc[j] + c * x) % p
-    if acc != [v % p for v in vec]:
-        raise DimensionAnomaly("vector not in the span of the ring basis")
-    return tuple(coords)
+def _ring_coords(Fb, basis: Sequence[Coords], flat: Sequence[int]) -> Coords:
+    """Coordinates of a flattened bottom matrix in the ring basis."""
+    try:
+        return tuple(solve(Fb, basis, flat))
+    except ValueError:
+        raise DimensionAnomaly("vector not in the span of the ring basis") from None
 
 
 def compute_grend0(
@@ -268,18 +218,16 @@ def compute_grend0(
     kernel_rows, symbolic = _solve_graded_maps(analysis, 0, k0, window)
     dim = len(kernel_rows)
     d = analysis.dim(k0)
-    p = analysis.field.p
-    identity_flat = _flatten([[1 if i == j else 0 for j in range(d)] for i in range(d)])
-    identity = _express_in_rows(p, kernel_rows, identity_flat)
-    table = []
-    for i in range(dim):
-        row = []
-        for j in range(dim):
-            mi = _unflatten(kernel_rows[i], d)
-            mj = _unflatten(kernel_rows[j], d)
-            prod = _matmul_modp(p, mj, mi)
-            row.append(_express_in_rows(p, kernel_rows, _flatten(prod)))
-        table.append(tuple(row))
+    Fb = analysis.field.base
+    identity_flat = [x for row in Matrix.identity(Fb, d).rows for x in row]
+    identity = _ring_coords(Fb, kernel_rows, identity_flat)
+    table = [
+        tuple(
+            _ring_coords(Fb, kernel_rows, _compose_flat(Fb, d, ki, kj))
+            for kj in kernel_rows
+        )
+        for ki in kernel_rows
+    ]
     ring = EndoRing(
         analysis=analysis,
         k0=k0,
@@ -298,22 +246,18 @@ def _crosscheck_composition(ring: EndoRing) -> None:
     """Recompute the table one degree up; guards against propagation bugs."""
     if ring.k0 + 1 > ring.window:
         return
-    p = ring.field.p
+    Fb = ring.field.base
     deg = ring.k0 + 1
     for i in range(ring.dim):
         for j in range(ring.dim):
-            mi = ring.matrix_at(_unit(ring.dim, i), deg)
-            mj = ring.matrix_at(_unit(ring.dim, j), deg)
-            direct = _matmul_modp(p, mj, mi)
+            mi = Matrix(Fb, ring.matrix_at(_lf_unit(ring.dim, i), deg))
+            mj = Matrix(Fb, ring.matrix_at(_lf_unit(ring.dim, j), deg))
+            direct = mj.mul(mi).rows
             via_table = ring.matrix_at(ring.mult_table[i][j], deg)
             if direct != via_table:
                 raise DimensionAnomaly(
                     f"composition at degree {deg} disagrees with the bottom table"
                 )
-
-
-def _unit(n: int, k: int) -> Coords:
-    return tuple(1 if i == k else 0 for i in range(n))
 
 
 # -- field identification ------------------------------------------------------
@@ -352,19 +296,13 @@ def _scalar_of_action(ring: EndoRing, coords: Coords) -> EElem:
     against every basis row.
     """
     F = ring.field
-    an = ring.analysis
     mat = ring.matrix_at(coords, ring.k0)
-    rows = an.basis(ring.k0)
-    p = F.p
+    rows = ring.analysis.basis(ring.k0)
+    on_rows = Matrix(F.base, rows)
     sigma = None
-    for idx, w in enumerate(rows):
-        img = [0, 0]
-        for s, c in enumerate(mat[idx]):
-            img[0] = (img[0] + c * rows[s][0]) % p
-            img[1] = (img[1] + c * rows[s][1]) % p
-        w_e: EElem = (w[0], w[1])
-        img_e: EElem = (img[0], img[1])
-        cand = F.div(img_e, w_e)
+    for w, m_row in zip(rows, mat):
+        img = on_rows.apply(m_row)
+        cand = F.div((img[0], img[1]), (w[0], w[1]))
         if sigma is None:
             sigma = cand
         elif sigma != cand:
@@ -384,6 +322,7 @@ def identify_field(ring: EndoRing) -> FieldId:
     which a distinguished root of the ambient quadratic acts.
     """
     F = ring.field
+    Fb = F.base
     p = F.p
     for i in range(ring.dim):
         for j in range(i + 1, ring.dim):
@@ -394,11 +333,12 @@ def identify_field(ring: EndoRing) -> FieldId:
     # Schur invertibility on every degree
     exhaustive = p**ring.dim <= SCHUR_EXHAUSTIVE_LIMIT
     elements = list(_ring_elements(ring)) if exhaustive else [
-        _unit(ring.dim, k) for k in range(ring.dim)
+        _lf_unit(ring.dim, k) for k in range(ring.dim)
     ]
     for coords in elements:
         for degree in range(ring.k0, ring.window + 1):
-            if _det_modp(p, ring.matrix_at(coords, degree)) == 0:
+            mat = ring.matrix_at(coords, degree)
+            if span(Fb, mat, len(mat)).dim < len(mat):
                 raise NotAField(
                     f"nonzero element {coords} is singular on degree {degree}"
                 )
@@ -417,7 +357,7 @@ def identify_field(ring: EndoRing) -> FieldId:
     # canonical generator: first basis element outside F*identity
     gen = None
     for k in range(ring.dim):
-        cand = _unit(ring.dim, k)
+        cand = _lf_unit(ring.dim, k)
         if not _proportional(p, cand, ring.identity):
             gen = cand
             break
@@ -425,12 +365,11 @@ def identify_field(ring: EndoRing) -> FieldId:
         raise NotAField("ring has no element outside F*identity")
     # minimal polynomial of the generator: g^2 = m1*1 + m2*g
     g2 = ring.compose(gen, gen)
-    m1, m2 = _solve_2x2(p, ring.identity, gen, g2)
+    m1, m2 = solve(Fb, [ring.identity, gen], g2)
     c1 = (-m2) % p
     c0 = (-m1) % p
-    for t in range(p):
-        if (t * t + c1 * t + c0) % p == 0:
-            raise NotAField(f"minimal polynomial t^2 + {c1}t + {c0} is reducible")
+    if not quadratic_is_irreducible(p, m2, m1):
+        raise NotAField(f"minimal polynomial t^2 + {c1}t + {c0} is reducible")
     # locate a root of the ambient quadratic t^2 - u t - v inside the ring
     mu_abs = None
     for coords in _ring_elements(ring):
@@ -468,30 +407,11 @@ def identify_field(ring: EndoRing) -> FieldId:
     )
 
 
-def _det_modp(p: int, m: Sequence[Sequence[int]]) -> int:
-    if len(m) == 1:
-        return m[0][0] % p
-    if len(m) == 2:
-        return (m[0][0] * m[1][1] - m[0][1] * m[1][0]) % p
-    raise ValueError("components have dimension at most 2")
-
-
 def _proportional(p: int, a: Coords, b: Coords) -> bool:
     n = len(a)
     return all(
         (a[i] * b[j] - a[j] * b[i]) % p == 0 for i in range(n) for j in range(i + 1, n)
     )
-
-
-def _solve_2x2(p: int, b1: Coords, b2: Coords, target: Coords) -> Tuple[int, int]:
-    """Solve c1*b1 + c2*b2 = target for 2-dimensional coordinate vectors."""
-    det = (b1[0] * b2[1] - b1[1] * b2[0]) % p
-    if det == 0:
-        raise ValueError("basis vectors are dependent")
-    dinv = pow(det, p - 2, p)
-    c1 = ((target[0] * b2[1] - target[1] * b2[0]) * dinv) % p
-    c2 = ((b1[0] * target[1] - b1[1] * target[0]) * dinv) % p
-    return c1, c2
 
 
 # -- actions and shifted dimensions --------------------------------------------
@@ -501,14 +421,7 @@ def scalar_action(
     ring: EndoRing, e: Coords, degree: int, vec: Sequence[int]
 ) -> Coords:
     """Apply a ring element to a module vector given in the L-basis coords."""
-    p = ring.field.p
-    mat = ring.matrix_at(e, degree)
-    out = [0] * len(mat[0])
-    for c, row in zip(vec, mat):
-        if c:
-            for j, x in enumerate(row):
-                out[j] = (out[j] + c * x) % p
-    return tuple(out)
+    return tuple(Matrix(ring.field.base, ring.matrix_at(e, degree)).apply(vec))
 
 
 @dataclass

@@ -37,6 +37,17 @@ def is_prime(n: int) -> bool:
     return True
 
 
+def quadratic_is_irreducible(p: int, u: int, v: int) -> bool:
+    """Whether t^2 - u*t - v has no root mod the prime p.
+
+    For odd p the roots exist iff the discriminant u^2 + 4v is a square,
+    which Euler's criterion decides; for p = 2 both candidates are tried.
+    """
+    if p == 2:
+        return all((t * t - u * t - v) % 2 for t in (0, 1))
+    return pow(u * u + 4 * v, (p - 1) // 2, p) == p - 1
+
+
 class BaseField:
     """The prime field GF(p).  Elements are ints reduced mod p."""
 
@@ -100,11 +111,8 @@ class ExtField:
         p = base.p
         u %= p
         v %= p
-        for t in range(p):
-            if (t * t - u * t - v) % p == 0:
-                raise ReduciblePolynomial(
-                    f"t^2 - {u}*t - {v} has root {t} mod {p}"
-                )
+        if not quadratic_is_irreducible(p, u, v):
+            raise ReduciblePolynomial(f"t^2 - {u}*t - {v} has a root mod {p}")
         self.base = base
         self.p = p
         self.u = u
@@ -196,9 +204,6 @@ class ExtField:
         """Total order used for canonical enumeration (0 first)."""
         return a[1] * self.p + a[0]
 
-    def to_json(self) -> dict:
-        return {"p": self.p, "ext_min_poly": [self.v, self.u]}
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, ExtField)
@@ -217,11 +222,6 @@ class ExtField:
 def make_ext_field(p: int, u: int, v: int) -> ExtField:
     """Build GF(p^2) with mu^2 = u*mu + v, rejecting bad parameters."""
     return ExtField(BaseField(p), u, v)
-
-
-def ext_field_from_json(obj: dict) -> ExtField:
-    v, u = obj["ext_min_poly"]
-    return make_ext_field(int(obj["p"]), int(u), int(v))
 
 
 # ---------------------------------------------------------------------------
@@ -257,13 +257,6 @@ class Matrix:
     def zeros(cls, field, nrows: int, ncols: int) -> "Matrix":
         z = field.zero
         return cls(field, [[z] * ncols for _ in range(nrows)], ncols=ncols)
-
-    def copy(self) -> "Matrix":
-        return Matrix(self.field, self.rows, ncols=self.ncols)
-
-    def stack(self, other: "Matrix") -> "Matrix":
-        assert other.ncols == self.ncols and other.field == self.field
-        return Matrix(self.field, self.rows + other.rows, ncols=self.ncols)
 
     def mul(self, other: "Matrix") -> "Matrix":
         F = self.field
@@ -361,6 +354,19 @@ def rref(m: Matrix) -> RrefResult:
     return RrefResult(rank=r, reduced=reduced, pivots=tuple(pivots), kernel=kernel)
 
 
+def solve(field, rows: Sequence[Sequence], vec: Sequence) -> list:
+    """Coordinates c with c . rows = vec, for independent rows.
+
+    Raises ValueError when the rows are dependent or vec is not in their span.
+    """
+    n = len(rows)
+    aug = Matrix(field, [[r[j] for r in rows] + [x] for j, x in enumerate(vec)])
+    res = rref(aug)
+    if res.pivots != tuple(range(n)):
+        raise ValueError("rows are dependent or the vector is outside their span")
+    return [res.reduced.rows[i][n] for i in range(n)]
+
+
 class RowSpace:
     """A subspace of F^n kept in reduced echelon form under insertion.
 
@@ -390,6 +396,17 @@ class RowSpace:
     def contains(self, vec: Sequence) -> bool:
         F = self.field
         return all(F.is_zero(x) for x in self.reduce(vec))
+
+    def coords(self, vec: Sequence) -> list:
+        """Coordinates of vec in the stored basis, read off at the pivots.
+
+        The basis is fully reduced, so the coefficient of each row is the
+        entry of vec at that row's pivot.  Raises ValueError when vec is
+        not in the space.
+        """
+        if not self.contains(vec):
+            raise ValueError(f"vector {list(vec)} not in the row space")
+        return [self.field.coerce(vec[pc]) for pc in self._pivots]
 
     def insert(self, vec: Sequence) -> bool:
         """Insert a vector; returns True if the dimension grew."""

@@ -29,12 +29,14 @@ from typing import Dict, List, Optional, Tuple
 from .errors import (
     BadBound,
     InvalidPresentation,
+    NotPrime,
     NotStandardForm,
+    ReduciblePolynomial,
     SchemaError,
     WindowTooLarge,
     ZeroPair,
 )
-from .gf import EElem, ExtField, Matrix, ext_field_from_json
+from .gf import EElem, ExtField, Matrix, make_ext_field
 
 Pair = Tuple[EElem, EElem]
 Point = Tuple[EElem, EElem]  # normalized projective point (alpha : beta) of M_1
@@ -603,13 +605,21 @@ def to_json(pres: MaxClassPresentation) -> dict:
     }
 
 
+def _json_int(x) -> int:
+    """A JSON integer; floats, strings and booleans are refused."""
+    if type(x) is not int:
+        raise TypeError(f"expected an integer, got {x!r}")
+    return x
+
+
 def from_json(obj: dict, check: bool = True) -> MaxClassPresentation:
     """Parse an algebra file; validates by default (loader contract)."""
     try:
-        field = ext_field_from_json(obj)
-        class_n = int(obj["class"])
+        v, u = obj["ext_min_poly"]
+        field = make_ext_field(_json_int(obj["p"]), _json_int(u), _json_int(v))
+        class_n = _json_int(obj["class"])
         adjoint_raw = obj["adjoint"]
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, NotPrime, ReduciblePolynomial) as exc:
         raise SchemaError(f"malformed algebra file: {exc}") from exc
     if not isinstance(adjoint_raw, list) or len(adjoint_raw) != class_n - 2:
         raise SchemaError(
@@ -620,7 +630,9 @@ def from_json(obj: dict, check: bool = True) -> MaxClassPresentation:
     for entry in adjoint_raw:
         try:
             (a0, a1), (b0, b1) = entry
-            pairs.append(((int(a0), int(a1)), (int(b0), int(b1))))
+            pairs.append(
+                ((_json_int(a0), _json_int(a1)), (_json_int(b0), _json_int(b1)))
+            )
         except (TypeError, ValueError) as exc:
             raise SchemaError(f"malformed adjoint pair {entry!r}") from exc
     try:

@@ -29,7 +29,7 @@ from .errors import (
     WindowTooLargeForBruteForce,
     WindowTooSmall,
 )
-from .gf import EElem, ExtField, Matrix, RowSpace
+from .gf import EElem, ExtField, Matrix, RowSpace, solve, span
 from .maxclass import (
     MaxClassPresentation,
     quotient,
@@ -249,10 +249,7 @@ def _check_rep(rep: RhoRep) -> None:
                 c = m.get(s, F.zero)
                 flat.extend(c)
             rows.append(flat)
-        sp = RowSpace(F.base, len(rows[0]))
-        for row in rows:
-            sp.insert(row)
-        if sp.dim != an.dim(d):
+        if span(F.base, rows, len(rows[0])).dim != an.dim(d):
             raise NotFaithful(f"representation has a kernel in degree {d}")
     # homomorphism: rho([t, t']) equals the commutator of the images
     for d1 in range(1, cap + 1):
@@ -363,9 +360,6 @@ def build_rho_prime(analysis: SubalgebraAnalysis, ring: EndoRing, field_id: Fiel
     _check_e_structure(an, 3, window)
     X4 = deg1_to_f4(an.pair.X)
     Y4 = deg1_to_f4(an.pair.Y)
-    gen_space = RowSpace(F.base, 4)
-    gen_space.insert(X4)
-    gen_space.insert(Y4)
     yx = bracket_vec(pres, 1, Y4, 1, X4)  # spans T_2
     slots_min = 1
     max_degree = window - 1
@@ -374,7 +368,12 @@ def build_rho_prime(analysis: SubalgebraAnalysis, ring: EndoRing, field_id: Fiel
         for r, t in enumerate(an.basis(d)):
             m: ShiftMap = {}
             if d == 1:
-                alpha, _ = _coords_in_pair(F.base, X4, Y4, t)
+                try:
+                    alpha, _ = solve(F.base, [X4, Y4], t)
+                except ValueError:
+                    raise DimensionAnomaly(
+                        "degree-1 vector outside the span of the generators"
+                    ) from None
                 m[1] = F.embed(alpha)
             else:
                 if 1 + d <= window:
@@ -398,16 +397,6 @@ def build_rho_prime(analysis: SubalgebraAnalysis, ring: EndoRing, field_id: Fiel
     )
     _check_rep(rep)
     return rep
-
-
-def _coords_in_pair(Fb, X4, Y4, vec) -> Tuple[int, int]:
-    """Solve vec = a*X + b*Y over GF(p) in the degree-1 coordinates."""
-    p = Fb.p
-    for a in range(p):
-        for b in range(p):
-            if all((a * x + b * y - v) % p == 0 for x, y, v in zip(X4, Y4, vec)):
-                return a, b
-    raise DimensionAnomaly("degree-1 vector outside the span of the generators")
 
 
 # ---------------------------------------------------------------------------

@@ -15,8 +15,7 @@ the generators with the two-step centralizer line.
 from __future__ import annotations
 
 import itertools
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dc_field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .errors import (
@@ -26,7 +25,7 @@ from .errors import (
     NotStandardForm,
     WindowTooLargeForBruteForce,
 )
-from .gf import EElem, ExtField, Matrix, RowSpace
+from .gf import EElem, ExtField, Matrix, RowSpace, span
 from .maxclass import (
     CentralizerSequence,
     MaxClassPresentation,
@@ -163,6 +162,9 @@ class SubalgebraAnalysis:
     D0: Optional[Tuple[int, ...]]
     verdict: Verdict
     centralizers: CentralizerSequence
+    _spaces: Dict[int, RowSpace] = dc_field(
+        default_factory=dict, repr=False, compare=False
+    )
 
     @property
     def field(self) -> ExtField:
@@ -178,41 +180,21 @@ class SubalgebraAnalysis:
         return self.d[degree - 2]
 
     def space(self, degree: int) -> RowSpace:
-        ncols = 4 if degree == 1 else 2
-        sp = RowSpace(self.field.base, ncols)
-        for r in self.basis(degree):
-            sp.insert(r)
-        return sp
+        """L_degree as a row space; built once and shared, so never insert into it."""
+        if degree not in self._spaces:
+            ncols = 4 if degree == 1 else 2
+            self._spaces[degree] = span(self.field.base, self.basis(degree), ncols)
+        return self._spaces[degree]
 
     def express(self, degree: int, vec: Sequence[int]) -> Tuple[int, ...]:
         """Coordinates of an ambient vector in the canonical L_degree basis."""
-        B = self.basis(degree)
-        Fb = self.field.base
-        # rref rows: the pivot coordinates determine the combination
-        pivots = [next(j for j, x in enumerate(r) if x != 0) for r in B]
-        coords = tuple(vec[p] % Fb.p for p in pivots)
-        recon = [0] * len(vec)
-        for c, r in zip(coords, B):
-            for j, x in enumerate(r):
-                recon[j] = (recon[j] + c * x) % Fb.p
-        if list(recon) != [v % Fb.p for v in vec]:
-            raise ValueError(f"vector {vec} not in L_{degree}")
-        return coords
+        return tuple(self.space(degree).coords(vec))
 
 
 def _nonzero_coeff_vectors(p: int, dim: int) -> Iterable[Tuple[int, ...]]:
     for coeffs in itertools.product(range(p), repeat=dim):
         if any(coeffs):
             yield coeffs
-
-
-def _combine(Fb, coeffs, rows, ncols) -> Tuple[int, ...]:
-    out = [0] * ncols
-    for c, r in zip(coeffs, rows):
-        if c:
-            for j, x in enumerate(r):
-                out[j] = (out[j] + c * x) % Fb.p
-    return tuple(out)
 
 
 def d_sequence(
@@ -351,11 +333,10 @@ def verify_covering(
     g = analysis.pair
     _brute_force_guard(Fb.p, analysis.window)
     for i in range(1, analysis.window):
-        rows = analysis.basis(i)
-        ncols = 4 if i == 1 else 2
+        rows = Matrix(Fb, analysis.basis(i), ncols=4 if i == 1 else 2)
         target = analysis.space(i + 1)
-        for coeffs in _nonzero_coeff_vectors(Fb.p, len(rows)):
-            u = _combine(Fb, coeffs, rows, ncols)
+        for coeffs in _nonzero_coeff_vectors(Fb.p, rows.nrows):
+            u = rows.apply(coeffs)
             img = RowSpace(Fb, 2)
             img.insert(ad_gen(pres, i, u, g.X))
             img.insert(ad_gen(pres, i, u, g.Y))
@@ -416,10 +397,9 @@ def verify_ideal_sandwich(
     Fb = pres.field.base
     _brute_force_guard(Fb.p, analysis.window)
     for i in range(1, analysis.window - r + 1):
-        rows = analysis.basis(i)
-        ncols = 4 if i == 1 else 2
-        for coeffs in _nonzero_coeff_vectors(Fb.p, len(rows)):
-            l = _combine(Fb, coeffs, rows, ncols)
+        rows = Matrix(Fb, analysis.basis(i), ncols=4 if i == 1 else 2)
+        for coeffs in _nonzero_coeff_vectors(Fb.p, rows.nrows):
+            l = rows.apply(coeffs)
             spans = ideal_closure(pres, analysis, i, l)
             for h in range(i + r, analysis.window + 1):
                 target = analysis.basis(h)
@@ -658,7 +638,6 @@ def scan(
     pres: MaxClassPresentation,
     window: Optional[int] = None,
     raw: bool = False,
-    max_workers: Optional[int] = None,
 ) -> ScanTable:
     """Classify every canonical generator pair and tabulate the verdicts.
 
@@ -671,20 +650,13 @@ def scan(
     window = pres.class_n if window is None else window
     pairs = list(raw_pairs(F)) if raw else normalized_pairs(F)
 
-    def verdict_of(g: GeneratorPair) -> Verdict:
-        if g.is_degenerate(F):
-            return Verdict(kind="degenerate")
-        return generate_subalgebra(pres, g, window).verdict
-
-    if max_workers and max_workers > 1:
-        with ThreadPoolExecutor(max_workers=max_workers) as ex:
-            verdicts = list(ex.map(verdict_of, pairs))
-    else:
-        verdicts = [verdict_of(g) for g in pairs]
-
     counts = {"thin": 0, "maximal": 0, "rconstrained": 0, "degenerate": 0}
     gaps: Dict[str, int] = {}
-    for v in verdicts:
+    for g in pairs:
+        if g.is_degenerate(F):
+            v = Verdict(kind="degenerate")
+        else:
+            v = generate_subalgebra(pres, g, window).verdict
         counts[v.kind] += 1
         if v.kind == "rconstrained":
             key = str(v.r_observed) if v.r_observed is not None else "unobserved"

@@ -1,11 +1,15 @@
 """Command-line interface: exit codes, report schemas, determinism."""
 
 import json
+import re
+import shlex
+from pathlib import Path
 
 import pytest
 
 from thinlie import maxclass as mc
 from thinlie.cli import main
+from thinlie.gf import make_ext_field
 
 
 def run(capsys, *argv):
@@ -92,6 +96,41 @@ class TestCheck:
         assert code == 2
 
 
+class TestBadInput:
+    """OS and file-schema errors exit 2 in every subcommand that loads a file."""
+
+    @pytest.mark.parametrize("command", ["check", "stats", "scan"])
+    def test_directory_exits_2(self, tmp_path, capsys, command):
+        code, out, err = run(capsys, command, str(tmp_path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ")
+
+    @pytest.mark.parametrize("command", ["check", "stats", "scan"])
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            pytest.param("p", 3.9, id="p-float"),
+            pytest.param("p", "3", id="p-string"),
+            pytest.param("p", True, id="p-bool"),
+            pytest.param("p", 4, id="p-not-prime"),
+            pytest.param("ext_min_poly", [1, 0], id="ext-reducible"),
+            pytest.param("ext_min_poly", [2.0, 0], id="ext-float"),
+            pytest.param("class", 6.0, id="class-float"),
+            pytest.param("adjoint", [[[1, 0], [0, False]]] * 4, id="adjoint-bool"),
+            pytest.param("adjoint", [[[1, 0], [0, "0"]]] * 4, id="adjoint-string"),
+        ],
+    )
+    def test_schema_violations_exit_2(self, tmp_path, capsys, command, field, value):
+        doc = mc.to_json(mc.make_metabelian(make_ext_field(3, 0, 2), 6))
+        doc[field] = value
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        code, out, _ = run(capsys, command, str(path))
+        assert code == 2
+        assert out == ""
+
+
 class TestAnalyze:
     def test_thin(self, met_file, capsys):
         code, out, err = run(
@@ -162,13 +201,6 @@ class TestScan:
         assert res["agree"] is True
         assert res["thin_direct"] == res["thin_by_lines"] == 72
 
-    def test_thread_env_var(self, met_file, capsys, monkeypatch):
-        _, serial, _ = run(capsys, "scan", met_file, "--window", "10")
-        monkeypatch.setenv("THINLIE_THREADS", "3")
-        code, threaded, _ = run(capsys, "scan", met_file, "--window", "10")
-        assert code == 0
-        assert threaded == serial
-
 
 class TestStats:
     def test_metabelian(self, met_file, capsys):
@@ -182,13 +214,39 @@ class TestStats:
 
 class TestDeterminism:
     def test_byte_identical_reports(self, met_file, capsys):
-        argv = ["analyze", met_file, "--X", "1,0,1,0", "--Y", "0,1,1,1",
-                "--window", "10"]
-        _, out1, _ = run(capsys, *argv)
-        _, out2, _ = run(capsys, *argv)
-        assert out1 == out2
+        for argv in (
+            ["analyze", met_file, "--X", "1,0,1,0", "--Y", "0,1,1,1", "--window", "10"],
+            ["scan", met_file, "--window", "10"],
+        ):
+            _, out1, _ = run(capsys, *argv)
+            _, out2, _ = run(capsys, *argv)
+            assert out1 == out2
 
     def test_save_load_roundtrip(self, met_file):
         with open(met_file, "r", encoding="utf-8") as fh:
             obj = json.load(fh)
         assert mc.to_json(mc.from_json(obj)) == obj
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def readme_cli_examples():
+    """Every `thinlie ...` line of the README's shell blocks, as argv lists."""
+    blocks = re.findall(r"```sh\n(.*?)```", README.read_text(encoding="utf-8"), re.S)
+    return [
+        shlex.split(line)[1:]
+        for block in blocks
+        for line in block.splitlines()
+        if line.startswith("thinlie ")
+    ]
+
+
+def test_readme_examples_run(tmp_path, capsys, monkeypatch):
+    examples = readme_cli_examples()
+    assert len(examples) >= 8
+    monkeypatch.chdir(tmp_path)
+    for argv in examples:
+        code, out, err = run(capsys, *argv)
+        assert code == 0, (argv, err)
+        assert out_json(out)["command"] == argv[0]

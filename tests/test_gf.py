@@ -1,11 +1,21 @@
 """Field arithmetic and exact linear algebra."""
 
+import itertools
 import random
 
 import pytest
 
 from thinlie.errors import DivisionByZero, NotPrime, ReduciblePolynomial
-from thinlie.gf import BaseField, Matrix, RowSpace, make_ext_field, rref
+from thinlie.gf import (
+    BaseField,
+    Matrix,
+    RowSpace,
+    make_ext_field,
+    quadratic_is_irreducible,
+    rref,
+    solve,
+    span,
+)
 
 PRIMES = [2, 3, 5]
 
@@ -29,6 +39,14 @@ class TestConstruction:
     def test_f4(self):
         f = make_ext_field(2, 1, 1)
         assert f.mul(f.mu, f.mu) == (1, 1)  # mu^2 = mu + 1
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
+    def test_irreducibility_matches_root_scan(self, p):
+        # the O(p) root scan the field constructor used to run, as an oracle
+        for u in range(p):
+            for v in range(p):
+                has_root = any((t * t - u * t - v) % p == 0 for t in range(p))
+                assert quadratic_is_irreducible(p, u, v) == (not has_root)
 
     def test_not_prime(self):
         with pytest.raises(NotPrime):
@@ -153,3 +171,108 @@ class TestRowSpace:
         sp.insert([0, 1, 1])
         assert sp.contains([1, 0, 1])  # (1,2,0) - 2*(0,1,1) = (1,0,-2) = (1,0,1)
         assert not sp.contains([0, 0, 1])
+
+
+# -- the solve kernel against exhaustive enumeration ---------------------------
+
+KERNEL_FIELDS = {
+    "GF(2)": BaseField(2),
+    "GF(3)": BaseField(3),
+    "GF(5)": BaseField(5),
+    "GF(3^2)": make_ext_field(3, 0, 2),
+}
+
+
+def _combination(field, coeffs, rows):
+    out = [field.zero] * len(rows[0])
+    for c, row in zip(coeffs, rows):
+        out = [field.add(o, field.mul(c, x)) for o, x in zip(out, row)]
+    return out
+
+
+def _coords_by_enumeration(field, rows, vec):
+    """Every c with c . rows = vec, found by trying all |F|^n coefficient vectors.
+
+    For two rows this is the p^2 pair loop once used to solve vec = a*X + b*Y.
+    """
+    vec = [field.coerce(x) for x in vec]
+    return [
+        list(c)
+        for c in itertools.product(list(field.elements()), repeat=len(rows))
+        if _combination(field, c, rows) == vec
+    ]
+
+
+def _independent_rows(field, rng, n, ncols):
+    elems = list(field.elements())
+    while True:
+        rows = [[rng.choice(elems) for _ in range(ncols)] for _ in range(n)]
+        zero = [field.zero] * ncols
+        if _coords_by_enumeration(field, rows, zero) == [[field.zero] * n]:
+            return rows
+
+
+class TestSolveKernel:
+    @pytest.mark.parametrize("name", sorted(KERNEL_FIELDS))
+    def test_solve_matches_enumeration(self, name):
+        field = KERNEL_FIELDS[name]
+        rng = random.Random(f"solve-{name}")
+        elems = list(field.elements())
+        outside = 0
+        for _ in range(30):
+            n = rng.randint(1, 3)
+            ncols = rng.randint(n, 4)
+            rows = _independent_rows(field, rng, n, ncols)
+            inside = _combination(field, [rng.choice(elems) for _ in range(n)], rows)
+            random_vec = [rng.choice(elems) for _ in range(ncols)]
+            for vec in (inside, random_vec):
+                found = _coords_by_enumeration(field, rows, vec)
+                if found:
+                    assert [solve(field, rows, vec)] == found
+                else:
+                    outside += 1
+                    with pytest.raises(ValueError):
+                        solve(field, rows, vec)
+        assert outside > 0
+
+    @pytest.mark.parametrize("name", sorted(KERNEL_FIELDS))
+    def test_pivot_coords_match_enumeration(self, name):
+        field = KERNEL_FIELDS[name]
+        rng = random.Random(f"coords-{name}")
+        elems = list(field.elements())
+        outside = 0
+        for _ in range(30):
+            n = rng.randint(1, 3)
+            ncols = rng.randint(n, 4)
+            sp = span(field, _independent_rows(field, rng, n, ncols), ncols)
+            basis = [list(r) for r in sp.basis()]
+            inside = _combination(field, [rng.choice(elems) for _ in range(n)], basis)
+            random_vec = [rng.choice(elems) for _ in range(ncols)]
+            for vec in (inside, random_vec):
+                found = _coords_by_enumeration(field, basis, vec)
+                if found:
+                    assert [sp.coords(vec)] == found
+                else:
+                    outside += 1
+                    with pytest.raises(ValueError):
+                        sp.coords(vec)
+        assert outside > 0
+
+    @pytest.mark.parametrize("name", sorted(KERNEL_FIELDS))
+    def test_dependent_rows_rejected(self, name):
+        field = KERNEL_FIELDS[name]
+        row = [field.one, field.zero, field.one]
+        with pytest.raises(ValueError):
+            solve(field, [row, row], row)
+
+    @pytest.mark.parametrize("name", sorted(KERNEL_FIELDS))
+    def test_inverse_times_matrix_is_identity(self, name):
+        # an inverse is one solve per unit row, as in the endomorphism solver
+        field = KERNEL_FIELDS[name]
+        rng = random.Random(f"inverse-{name}")
+        for _ in range(20):
+            n = rng.randint(1, 3)
+            rows = _independent_rows(field, rng, n, n)
+            ident = Matrix.identity(field, n)
+            inv = Matrix(field, [solve(field, rows, unit) for unit in ident.rows])
+            assert inv.mul(Matrix(field, rows)) == ident
