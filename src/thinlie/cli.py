@@ -4,7 +4,8 @@ All machine-readable output is a single JSON report on stdout with a fixed
 field order, so identical command lines produce byte-identical reports
 (the version stamp changes only with the package version).  Human-readable
 tables go to stderr.  Exit codes: 0 success, 1 mathematical-check failure,
-2 usage, file-schema or OS error.
+2 usage (including an out-of-range class or window bound), file-schema or
+OS error.
 """
 
 from __future__ import annotations
@@ -20,11 +21,13 @@ from . import maxclass as mc
 from . import reconstruct as rec
 from . import subfield as sf
 from .errors import (
+    BadBound,
     NotPrime,
     PreconditionFailed,
     ReduciblePolynomial,
     SchemaError,
     ThinLieError,
+    WindowTooLarge,
 )
 from .gf import make_ext_field
 
@@ -308,7 +311,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (SchemaError, ValueError, OSError, PreconditionFailed) as exc:
+    except (
+        SchemaError, ValueError, OSError, PreconditionFailed, BadBound, WindowTooLarge
+    ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except ThinLieError as exc:

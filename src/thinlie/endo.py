@@ -172,13 +172,7 @@ class EndoRing:
         """The element's concrete matrix on V_degree."""
         if not self.k0 <= degree <= self.window:
             raise OutOfWindow(f"degree {degree} outside [{self.k0}, {self.window}]")
-        p = self.field.p
-        u = self.element_flat(coords)
-        sym = self._symbolic[degree]
-        return [
-            [sum(a * b for a, b in zip(form, u)) % p for form in row]
-            for row in sym
-        ]
+        return _eval_forms(self.field.p, self._symbolic[degree], self.element_flat(coords))
 
     def compose(self, e1: Coords, e2: Coords) -> Coords:
         """Coordinates of e1 o e2 (apply e2 first)."""
@@ -186,6 +180,11 @@ class EndoRing:
         d = self.analysis.dim(self.k0)
         prod = _compose_flat(Fb, d, self.element_flat(e1), self.element_flat(e2))
         return _ring_coords(Fb, self.basis, prod)
+
+
+def _eval_forms(p: int, sym: List[List[Coords]], flat: Coords) -> List[List[int]]:
+    """A propagated matrix of linear forms evaluated at a flattened bottom matrix."""
+    return [[sum(a * b for a, b in zip(form, flat)) % p for form in row] for row in sym]
 
 
 def _compose_flat(Fb, d: int, flat1: Sequence[int], flat2: Sequence[int]) -> Coords:
@@ -336,8 +335,9 @@ def identify_field(ring: EndoRing) -> FieldId:
         _lf_unit(ring.dim, k) for k in range(ring.dim)
     ]
     for coords in elements:
+        flat = ring.element_flat(coords)
         for degree in range(ring.k0, ring.window + 1):
-            mat = ring.matrix_at(coords, degree)
+            mat = _eval_forms(p, ring._symbolic[degree], flat)
             if span(Fb, mat, len(mat)).dim < len(mat):
                 raise NotAField(
                     f"nonzero element {coords} is singular on degree {degree}"

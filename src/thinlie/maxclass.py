@@ -14,11 +14,13 @@ Conventions used throughout the package:
   a_i = 1 or (a_i, b_i) = (0, 1);
 * the whole multiplication table is scalar: [v_i, v_j] = c_{ij}*v_{i+j}
   for a single coefficient in GF(p^2).  The validator derives all c_{ij}
-  from the adjoint pairs and then checks the Jacobi identity on every
-  basis triple inside the window.  (The operator identity
-  ad([w,g]) = [ad w, ad g] evaluated at a basis element u *is* the
-  Jacobi identity for (u, w, g), so the exhaustive triple loop covers
-  the homomorphism property of the adjoint model as well.)
+  from the adjoint pairs and then checks the Jacobi identity on the
+  basis triples that contain a generator x or y.  That is enough, by
+  the generator lemma: in an anticommutative algebra the set
+  D = {a : J(a, ., .) = 0} is a subalgebra (for a in D, ad a is a
+  derivation and ad[a, b] = [ad a, ad b]; so for a, b in D, ad[a, b] is
+  a derivation too), and the truncation is generated by x and y, so
+  D containing them is everything.
 """
 
 from __future__ import annotations
@@ -261,12 +263,14 @@ class _Structure:
     # -- checks ---------------------------------------------------------------
 
     def check_new(self):
-        """Jacobi on all basis triples of total degree == top.
+        """Jacobi on the basis triples of total degree == top with a generator.
 
         Returns (first_failing_triple_labels_or_None, number_checked).
         Triples of lower total degree were checked by earlier pushes, and
         triples with a repeated element vanish identically by the built-in
-        antisymmetry of the tables.
+        antisymmetry of the tables.  Triples (v_i, v_j, v_k) need no check:
+        once every triple with x or y passes, Jacobi holds on all of them
+        by the generator lemma (module docstring).
         """
         F = self.field
         T = self.top
@@ -288,19 +292,14 @@ class _Structure:
                 checked += 1
                 if not F.is_zero(self.jacobi(i, j, g)):
                     return (label(j), label(i), label(g)), checked
-        for i in range(2, T):
-            for j in range(i + 1, T):
-                k = T - i - j
-                if k <= j:
-                    break
-                checked += 1
-                if not F.is_zero(self.jacobi(i, j, k)):
-                    return (label(k), label(j), label(i)), checked
         return None, checked
 
 
 def validate(pres: MaxClassPresentation) -> JacobiReport:
-    """Derive the full multiplication table and check Jacobi exhaustively.
+    """Derive the full multiplication table and check Jacobi on it.
+
+    Jacobi is checked on the triples with a generator, which implies it
+    on every triple (see ``_Structure.check_new``).
 
     Raises ZeroPair when some adjoint pair is (0, 0).  On success the
     derived table is cached on the presentation for later bracket calls.

@@ -12,6 +12,10 @@ from thinlie.cli import main
 from thinlie.gf import make_ext_field
 
 
+PAIR = ["--X", "1,0,1,0", "--Y", "0,1,1,1"]
+EXT = ["--p", "3", "--ext", "2,0"]
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -97,7 +101,7 @@ class TestCheck:
 
 
 class TestBadInput:
-    """OS and file-schema errors exit 2 in every subcommand that loads a file."""
+    """OS, file-schema and out-of-range bound errors exit 2 (usage)."""
 
     @pytest.mark.parametrize("command", ["check", "stats", "scan"])
     def test_directory_exits_2(self, tmp_path, capsys, command):
@@ -129,6 +133,29 @@ class TestBadInput:
         code, out, _ = run(capsys, command, str(path))
         assert code == 2
         assert out == ""
+
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            pytest.param(["analyze", "{f}", *PAIR, "--window", "3"], id="analyze-window-3"),
+            pytest.param(["endo", "{f}", *PAIR, "--window", "2"], id="endo-window-2"),
+            pytest.param(["scan", "{f}", "--window", "50"], id="scan-window-50"),
+            pytest.param(["roundtrip", "{f}", *PAIR, "--window", "60"], id="roundtrip-window-60"),
+            pytest.param(["build", "metabelian", *EXT, "--class", "3", "-o", "{o}"], id="build-class-3"),
+            pytest.param(["build", "search", *EXT, "--class", "30", "-o", "{o}"], id="build-class-30"),
+        ],
+    )
+    def test_bound_out_of_range_exits_2(self, tmp_path, capsys, argv):
+        path = tmp_path / "m20.json"
+        mc_file = mc.to_json(mc.make_metabelian(make_ext_field(3, 0, 2), 20))
+        path.write_text(json.dumps(mc_file))
+        argv = [a.format(f=path, o=tmp_path / "out") for a in argv]
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ")
+        assert list(tmp_path.iterdir()) == [path]
 
 
 class TestAnalyze:

@@ -1,0 +1,336 @@
+"""The generator lemma against the all-pairs loops it replaced.
+
+Jacobi (``maxclass``), the rho homomorphism (``reconstruct._check_rep``),
+the round-trip phi map (``reconstruct._phi_failure``) and the graded
+isomorphism of ``iso_search`` (``reconstruct._extends``) are checked only
+on pairs and triples with a degree-1 generator.  The all-pairs loops they
+replaced are kept here as oracles, and each fast path must give the same
+verdict, the same first failure and the same message on seeded valid and
+perturbed inputs.
+"""
+
+import random
+
+import pytest
+
+from thinlie import endo
+from thinlie import maxclass as mc
+from thinlie import reconstruct as rec
+from thinlie import subfield as sf
+from thinlie.errors import DimensionAnomaly, NotFaithful, ThinLieError
+from thinlie.gf import span
+
+
+def _label(i: int) -> str:
+    return "x" if i == 0 else "y" if i == 1 else f"v{i}"
+
+
+def _random_nonzero(field, rng):
+    elems = list(field.elements())
+    while True:
+        e = rng.choice(elems)
+        if not field.is_zero(e):
+            return e
+
+
+# -- oracles: the all-pairs loops ----------------------------------------------
+
+
+def oracle_check_new(st):
+    """Jacobi on every basis triple of total degree == top."""
+    F = st.field
+    T = st.top
+    checked = 0
+    m = T - 2
+    if m >= 2:
+        checked += 1
+        if not F.is_zero(st.jacobi(m, 0, 1)):
+            return (_label(m), "x", "y"), checked
+    for i in range(2, (T + 1) // 2):
+        j = T - 1 - i
+        if j <= i:
+            break
+        for g in (0, 1):
+            checked += 1
+            if not F.is_zero(st.jacobi(i, j, g)):
+                return (_label(j), _label(i), _label(g)), checked
+    for i in range(2, T):
+        for j in range(i + 1, T):
+            k = T - i - j
+            if k <= j:
+                break
+            checked += 1
+            if not F.is_zero(st.jacobi(i, j, k)):
+                return (_label(k), _label(j), _label(i)), checked
+    return None, checked
+
+
+def oracle_validate(pres):
+    """(ok, first_failure, triples_checked) of the exhaustive validator."""
+    st = mc._Structure(pres.field, pres.class_n)
+    checked = 0
+    for d in range(2, pres.class_n):
+        st.extend(d, pres.pair(d))
+        fail, cnt = oracle_check_new(st)
+        checked += cnt
+        if fail is not None:
+            return False, fail, checked
+    return True, None, checked
+
+
+def oracle_check_rep(rep):
+    """Faithfulness, then the homomorphism property on all basis pairs."""
+    an = rep.analysis
+    F = an.field
+    pres = an.pres
+    cap = rep.window - rep.k
+    for d in range(1, cap + 1):
+        rows = []
+        for r in range(an.dim(d)):
+            m = rep.image(d, r)
+            flat = []
+            for s in range(rep.slots_min, rep.window + 1):
+                flat.extend(m.get(s, F.zero))
+            rows.append(flat)
+        if span(F.base, rows, len(rows[0])).dim != an.dim(d):
+            raise NotFaithful(f"representation has a kernel in degree {d}")
+    for d1 in range(1, cap + 1):
+        for d2 in range(d1, cap + 1):
+            if d1 + d2 > cap:
+                continue
+            for r1 in range(an.dim(d1)):
+                for r2 in range(an.dim(d2)):
+                    if d1 == d2 and r2 <= r1:
+                        continue
+                    lie = sf.bracket_vec(pres, d1, an.basis(d1)[r1], d2, an.basis(d2)[r2])
+                    coords = an.express(d1 + d2, lie)
+                    want = {}
+                    for c, idx in zip(coords, range(an.dim(d1 + d2))):
+                        if c:
+                            want = rec._map_add(
+                                F, want, rec._map_scale(F, F.embed(c), rep.image(d1 + d2, idx))
+                            )
+                    got = rec._commutator(
+                        F, rep.slots_min, rep.window,
+                        rep.image(d1, r1), d1, rep.image(d2, r2), d2,
+                    )
+                    for s in range(rep.slots_min, rep.window - d1 - d2 + 1):
+                        if want.get(s, F.zero) != got.get(s, F.zero):
+                            raise DimensionAnomaly(
+                                f"rho([t,t']) != [rho(t), rho(t')] at degrees "
+                                f"({d1},{d2}), slot {s}"
+                            )
+
+
+def oracle_phi_failure(st, rep, usable, phi):
+    """The first basis pair (s, t), s before t, on which phi is not a homomorphism."""
+    F = st.field
+    basis_ids = [0, 1] + list(range(2, usable + 1))
+    for n1, s in enumerate(basis_ids):
+        for t in basis_ids[n1 + 1 :]:
+            ds, dt = max(s, 1), max(t, 1)
+            if ds + dt > usable:
+                continue
+            res = st.bk(s, t)
+            want = {}
+            if res is not None and not F.is_zero(res[0]):
+                coeff, tgt = res
+                want = rec._map_scale(F, coeff, phi[tgt])
+            got = rec._commutator(F, rep.slots_min, rep.window, phi[s], ds, phi[t], dt)
+            for sl in range(rep.slots_min, rep.window - ds - dt + 1):
+                if want.get(sl, F.zero) != got.get(sl, F.zero):
+                    return f"phi([{_label(s)},{_label(t)}]) mismatch at slot {sl}"
+    return None
+
+
+def oracle_extends(F, sta, stb, window, a1, b1, a2, b2):
+    """The generator relations, then the certification on all v-v pairs."""
+    s2 = F.sub(F.mul(b2, a1), F.mul(a2, b1))
+    scales = {2: s2}
+    for i in range(2, window):
+        ai, bi = sta.coeff_a(i), sta.coeff_b(i)
+        px = F.mul(scales[i], F.add(F.mul(a1, stb.coeff_a(i)), F.mul(b1, stb.coeff_b(i))))
+        py = F.mul(scales[i], F.add(F.mul(a2, stb.coeff_a(i)), F.mul(b2, stb.coeff_b(i))))
+        if not F.is_zero(ai):
+            if F.is_zero(px):
+                return False
+            scales[i + 1] = F.div(px, ai)
+        else:
+            if F.is_zero(py):
+                return False
+            scales[i + 1] = F.div(py, bi)
+        if px != F.mul(ai, scales[i + 1]) or py != F.mul(bi, scales[i + 1]):
+            return False
+    for i in range(2, window):
+        for j in range(i + 1, window - i + 1):
+            lhs = F.mul(sta.get_vv(i, j), scales.get(i + j, F.zero))
+            rhs = F.mul(F.mul(scales[i], scales[j]), stb.get_vv(i, j))
+            if lhs != rhs:
+                return False
+    return True
+
+
+# -- the validator -------------------------------------------------------------
+
+
+def _mutations(pres, rng, count):
+    F = pres.field
+    elems = list(F.elements())
+    out = []
+    for _ in range(count):
+        pairs = list(pres.adjoint)
+        for _ in range(rng.choice((1, 1, 2))):
+            d = rng.randrange(len(pairs))
+            pair = (rng.choice(elems), rng.choice(elems))
+            while F.is_zero(pair[0]) and F.is_zero(pair[1]):
+                pair = (rng.choice(elems), rng.choice(elems))
+            pairs[d] = pair
+        out.append(mc.MaxClassPresentation(F, pres.class_n, tuple(pairs)))
+    return out
+
+
+@pytest.mark.parametrize("found", ["search4_12", "search9_12", "search25_12"])
+def test_validate_matches_exhaustive(request, found):
+    rng = random.Random(f"validate-{found}")
+    failures = 0
+    for pres in request.getfixturevalue(found):
+        for cand in [pres] + _mutations(pres, rng, 3):
+            fresh = mc.MaxClassPresentation(cand.field, cand.class_n, cand.adjoint)
+            report = mc.validate(fresh)
+            ok, first_failure, triples = oracle_validate(cand)
+            assert (report.ok, report.first_failure) == (ok, first_failure), cand.adjoint
+            assert report.triples_checked <= triples
+            failures += not ok
+    assert failures > 0
+
+
+def test_search_prefixes_match_exhaustive(f9):
+    """Every push of a class-14 GF(9) search: same verdict as all triples."""
+    reps = mc.projective_pairs(f9)
+    st = mc._Structure(f9, 14)
+    pushes = 0
+
+    def dfs(d):
+        nonlocal pushes
+        if d == 14:
+            return
+        for pair in reps:
+            added = st.extend(d, pair)
+            fail, _ = st.check_new()
+            pushes += 1
+            assert fail == oracle_check_new(st)[0]
+            if fail is None:
+                dfs(d + 1)
+            st.retract(d, added)
+
+    dfs(2)
+    assert pushes > 1000
+
+
+# -- rho and rho' --------------------------------------------------------------
+
+
+def _rep(pres, pair):
+    an = sf.generate_subalgebra(pres, pair, pres.class_n)
+    ring = endo.compute_grend0(an)
+    fid = endo.identify_field(ring)
+    flags = rec.detect_structure(an)
+    if flags.metabelian:
+        return rec.build_rho_prime(an, ring, fid)
+    return rec.build_rho(an, ring, fid, flags)
+
+
+def _outcome(fn, *args):
+    try:
+        return ("ok", fn(*args))
+    except ThinLieError as exc:
+        return (type(exc).__name__, str(exc))
+
+
+@pytest.mark.parametrize("which", ["dev9_14", "metabelian9_14"])
+def test_check_rep_matches_all_pairs(request, f9, thin_pair_f9, which):
+    pres = (
+        mc.make_metabelian(f9, 14) if which == "metabelian9_14"
+        else request.getfixturevalue(which)
+    )
+    rep = _rep(pres, thin_pair_f9)
+    assert _outcome(rec._check_rep, rep) == _outcome(oracle_check_rep, rep) == ("ok", None)
+    rng = random.Random(f"check-rep-{which}")
+    keys = sorted(rep.images)
+    stages = set()
+    for _ in range(300):
+        images = {key: dict(m) for key, m in rep.images.items()}
+        for _ in range(rng.choice((1, 1, 2))):
+            m = images[rng.choice(keys)]
+            if m:
+                s = rng.choice(sorted(m))
+                m[s] = f9.add(m[s], _random_nonzero(f9, rng))
+        bad = rec.RhoRep(
+            branch=rep.branch, k=rep.k, window=rep.window, slots_min=rep.slots_min,
+            analysis=rep.analysis, images=images, max_degree=rep.max_degree,
+        )
+        got = _outcome(rec._check_rep, bad)
+        assert got == _outcome(oracle_check_rep, bad)
+        stages.add(got[0])
+    assert "DimensionAnomaly" in stages
+
+
+# -- the round-trip phi map ----------------------------------------------------
+
+
+def _phi_args(monkeypatch, pres, pair):
+    """The arguments verify_roundtrip passes to the phi check."""
+    seen = []
+    real = rec._phi_failure
+
+    def spy(*args):
+        seen.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(rec, "_phi_failure", spy)
+    assert rec.verify_roundtrip(pres, pair).iso
+    monkeypatch.undo()
+    (args,) = seen
+    return args
+
+
+@pytest.mark.parametrize("which", ["dev9_14", "metabelian9_14"])
+def test_phi_check_matches_all_pairs(request, monkeypatch, f9, thin_pair_f9, which):
+    pres = (
+        mc.make_metabelian(f9, 14) if which == "metabelian9_14"
+        else request.getfixturevalue(which)
+    )
+    st, rep, usable, phi = _phi_args(monkeypatch, pres, thin_pair_f9)
+    assert rec._phi_failure(st, rep, usable, phi) is None
+    assert oracle_phi_failure(st, rep, usable, phi) is None
+    rng = random.Random(f"phi-{which}")
+    failures = 0
+    for _ in range(300):
+        wrong = {idx: dict(m) for idx, m in phi.items()}
+        idx = rng.choice(sorted(wrong))
+        if rng.random() < 0.5:
+            s = rng.choice(sorted(wrong[idx]))
+            wrong[idx][s] = f9.add(wrong[idx][s], _random_nonzero(f9, rng))
+        else:
+            wrong[idx] = rec._map_scale(f9, _random_nonzero(f9, rng), wrong[idx])
+        got = rec._phi_failure(st, rep, usable, wrong)
+        assert got == oracle_phi_failure(st, rep, usable, wrong)
+        failures += got is not None
+    assert failures > 0
+
+
+# -- iso_search ----------------------------------------------------------------
+
+
+def test_iso_search_matches_all_pairs(monkeypatch, f9, search9_12):
+    rng = random.Random("iso-search")
+    pairs = [tuple(rng.sample(search9_12, 2)) for _ in range(20)]
+    for pres in rng.sample(search9_12, 10):
+        pairs.append((pres, mc.standard_generators(pres).presentation))
+    fast = [rec.iso_search(a, b) for a, b in pairs]
+    monkeypatch.setattr(rec, "_extends", oracle_extends)
+    slow = [rec.iso_search(a, b) for a, b in pairs]
+    for f, s in zip(fast, slow):
+        assert f.found == s.found
+        assert (f.transform.rows if f.found else None) == (s.transform.rows if s.found else None)
+    assert any(f.found for f in fast) and not all(f.found for f in fast)
