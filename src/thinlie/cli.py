@@ -4,8 +4,8 @@ All machine-readable output is a single JSON report on stdout with a fixed
 field order, so identical command lines produce byte-identical reports
 (the version stamp changes only with the package version).  Human-readable
 tables go to stderr.  Exit codes: 0 success, 1 mathematical-check failure,
-2 usage (including an out-of-range class or window bound), file-schema or
-OS error.
+2 usage (including an out-of-range class or window bound, a search limit
+below 1 and a scan over its budget), file-schema or OS error.
 """
 
 from __future__ import annotations

@@ -294,6 +294,24 @@ class _Structure:
                     return (label(j), label(i), label(g)), checked
         return None, checked
 
+    def jacobi_forms(self) -> List[EElem]:
+        """The Jacobi coefficients of the triples ``check_new`` inspects, in its order.
+
+        ``check_new`` stops at the first nonzero one; the search needs them
+        all, so this loop does not stop (``search_sequences``).
+        """
+        T = self.top
+        forms = []
+        if T - 2 >= 2:
+            forms.append(self.jacobi(T - 2, 0, 1))
+        for i in range(2, (T + 1) // 2):
+            j = T - 1 - i
+            if j <= i:
+                break
+            forms.append(self.jacobi(i, j, 0))
+            forms.append(self.jacobi(i, j, 1))
+        return forms
+
 
 def validate(pres: MaxClassPresentation) -> JacobiReport:
     """Derive the full multiplication table and check Jacobi on it.
@@ -537,7 +555,7 @@ def centralizer_stats(pres: MaxClassPresentation) -> DiagnosticsReport:
 
 
 # ---------------------------------------------------------------------------
-# Search oracle
+# Search
 # ---------------------------------------------------------------------------
 
 
@@ -548,15 +566,50 @@ def projective_pairs(field: ExtField) -> List[Pair]:
     return reps
 
 
+def projective_kernel(
+    field: ExtField, at_x: List[EElem], at_y: List[EElem], reps: List[Pair]
+) -> List[Pair]:
+    """The points (a : b) of ``reps`` with a*at_x + b*at_y = 0, in their order.
+
+    ``at_x`` and ``at_y`` are the columns of a k x 2 matrix over E, so the
+    kernel is all of ``reps`` (rank 0), one point (rank 1) or empty (rank 2).
+    The one candidate point, normalized as in ``projective_pairs``,
+    annihilates the first nonzero row; it is in the kernel only if it
+    annihilates every row.
+    """
+    F = field
+    rows = list(zip(at_x, at_y))
+    first = next((r for r in rows if not (F.is_zero(r[0]) and F.is_zero(r[1]))), None)
+    if first is None:
+        return reps
+    s, t = first
+    a, b = (F.zero, F.one) if F.is_zero(t) else (F.one, F.neg(F.div(s, t)))
+    if all(F.is_zero(F.add(F.mul(a, u), F.mul(b, w))) for u, w in rows):
+        return [(a, b)]
+    return []
+
+
 def search_sequences(
     field: ExtField, class_n: int, limit: int
 ) -> List[MaxClassPresentation]:
     """Depth-first enumeration of Jacobi-consistent adjoint sequences.
 
-    Explores canonical projective representatives per degree, pruning any
-    prefix whose visible Jacobi checks fail; a failed prefix can never be
-    completed, because extending a presentation only adds checks.  Output
-    is in lexicographic order, so the metabelian presentation comes first.
+    Each node solves for its admissible pairs instead of trying all of
+    P^1(E).  Linearity lemma: with the pairs of degrees < d fixed, every
+    Jacobi coefficient that ``check_new`` inspects after pushing (a_d, b_d)
+    is a homogeneous E-linear form in (a_d, b_d).  Each new cell [v_i, v_j]
+    of total degree d+1 is linear in the pair of degree d or in a cell of
+    the same total degree derived before it, and its scalar c^{-1} and
+    every cell of lower total degree are fixed by the prefix; each term of
+    a Jacobi coefficient multiplies one such fixed scalar by one such
+    linear entry.  So the forms are evaluated at (1, 0) and at (0, 1), and
+    the admissible pairs are the projective kernel of that k x 2 matrix:
+    empty, one point, or all of P^1(E).  The search branches only over
+    that kernel, in ``projective_pairs`` order, so the output is in
+    lexicographic order and the metabelian presentation comes first.  A
+    pair outside the kernel fails a check, and a failed prefix can never
+    be completed, because extending a presentation only adds checks.
+    At most ``limit`` (>= 1) presentations are returned.
     """
     if class_n < 4:
         raise BadBound(f"class bound {class_n} < 4")
@@ -564,26 +617,32 @@ def search_sequences(
         raise WindowTooLarge(
             f"search window {class_n} exceeds soft limit {SEARCH_CLASS_LIMIT}"
         )
+    if limit < 1:
+        raise BadBound(f"search limit {limit} < 1")
     reps = projective_pairs(field)
     st = _Structure(field, class_n)
     stack: List[Pair] = []
     out: List[MaxClassPresentation] = []
 
+    def forms_at(d: int, pair: Pair) -> List[EElem]:
+        added = st.extend(d, pair)
+        forms = st.jacobi_forms()
+        st.retract(d, added)
+        return forms
+
     def dfs(d: int) -> None:
-        if len(out) >= limit:
-            return
         if d == class_n:
             out.append(MaxClassPresentation(field, class_n, tuple(stack)))
             return
-        for pair in reps:
+        at_x = forms_at(d, ex_point(field))
+        at_y = forms_at(d, ey_point(field))
+        for pair in projective_kernel(field, at_x, at_y, reps):
             if len(out) >= limit:
                 return
             added = st.extend(d, pair)
-            fail, _ = st.check_new()
-            if fail is None:
-                stack.append(pair)
-                dfs(d + 1)
-                stack.pop()
+            stack.append(pair)
+            dfs(d + 1)
+            stack.pop()
             st.retract(d, added)
 
     dfs(2)

@@ -23,6 +23,7 @@ from .errors import (
     DegenerateGenerators,
     DimensionAnomaly,
     NotStandardForm,
+    WindowTooLarge,
     WindowTooLargeForBruteForce,
 )
 from .gf import EElem, ExtField, Matrix, RowSpace, span
@@ -39,6 +40,9 @@ from .maxclass import (
 EPair = Tuple[EElem, EElem]  # coordinates (A, B) of A*x + B*y
 
 BRUTE_FORCE_LIMIT = 200_000
+# Pairs x window a scan may classify: above every scan the tests and the
+# benchmark run (the largest is a raw GF(9) scan, 6560 pairs x window 14).
+SCAN_BUDGET = 200_000
 
 
 @dataclass(frozen=True)
@@ -643,11 +647,20 @@ def scan(
 
     In normalized mode the direct thin count is cross-checked against the
     independent line-avoidance count; the two totals must agree exactly.
+    Raises WindowTooLarge, before any pair is built, when the number of
+    pairs (q^2 normalized, q^4 - 1 raw) times the window exceeds
+    SCAN_BUDGET.
     """
     F = pres.field
     if not is_standard(pres):
         raise NotStandardForm("scan expects a standard-form presentation")
     window = pres.class_n if window is None else window
+    q = F.order
+    count = q**4 - 1 if raw else q * q
+    if count * window > SCAN_BUDGET:
+        raise WindowTooLarge(
+            f"scan of {count} pairs x window {window} exceeds budget {SCAN_BUDGET}"
+        )
     pairs = list(raw_pairs(F)) if raw else normalized_pairs(F)
 
     counts = {"thin": 0, "maximal": 0, "rconstrained": 0, "degenerate": 0}
@@ -669,7 +682,7 @@ def scan(
     return ScanTable(
         window=window,
         mode="raw" if raw else "normalized",
-        total=len(pairs),
+        total=count,
         counts=counts,
         rconstrained_gaps=dict(sorted(gaps.items())),
         thin_direct=counts["thin"],

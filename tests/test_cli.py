@@ -3,13 +3,14 @@
 import json
 import re
 import shlex
+import time
 from pathlib import Path
 
 import pytest
 
 from thinlie import maxclass as mc
 from thinlie.cli import main
-from thinlie.gf import make_ext_field
+from thinlie.gf import ExtField, make_ext_field
 
 
 PAIR = ["--X", "1,0,1,0", "--Y", "0,1,1,1"]
@@ -144,6 +145,8 @@ class TestBadInput:
             pytest.param(["roundtrip", "{f}", *PAIR, "--window", "60"], id="roundtrip-window-60"),
             pytest.param(["build", "metabelian", *EXT, "--class", "3", "-o", "{o}"], id="build-class-3"),
             pytest.param(["build", "search", *EXT, "--class", "30", "-o", "{o}"], id="build-class-30"),
+            pytest.param(["build", "search", *EXT, "--class", "8", "--limit", "0", "-o", "{o}"], id="build-limit-0"),
+            pytest.param(["build", "search", *EXT, "--class", "8", "--limit", "-1", "-o", "{o}"], id="build-limit--1"),
         ],
     )
     def test_bound_out_of_range_exits_2(self, tmp_path, capsys, argv):
@@ -156,6 +159,25 @@ class TestBadInput:
         assert out == ""
         assert err.startswith("error: ")
         assert list(tmp_path.iterdir()) == [path]
+
+    @pytest.mark.parametrize("raw", [False, True], ids=["normalized", "raw"])
+    def test_scan_over_budget_exits_2(self, tmp_path, capsys, monkeypatch, raw):
+        # Enumerating E = GF(1000003^2) would exhaust memory, so any
+        # enumeration fails the test instead of running.
+        def refuse(field):
+            raise AssertionError("scan enumerated E before checking its budget")
+
+        monkeypatch.setattr(ExtField, "elements", refuse)
+        p = 1000003
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps(mc.to_json(mc.make_metabelian(make_ext_field(p, 0, p - 1), 6))))
+        q = p * p
+        start = time.perf_counter()
+        code, out, err = run(capsys, "scan", str(path), *(["--raw"] if raw else []))
+        assert time.perf_counter() - start < 1.0
+        assert code == 2
+        assert out == ""
+        assert f"scan of {q**4 - 1 if raw else q * q} pairs x window 6" in err
 
 
 class TestAnalyze:

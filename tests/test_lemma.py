@@ -1,4 +1,4 @@
-"""The generator lemma against the all-pairs loops it replaced.
+"""The generator and linearity lemmas against the loops they replaced.
 
 Jacobi (``maxclass``), the rho homomorphism (``reconstruct._check_rep``),
 the round-trip phi map (``reconstruct._phi_failure``) and the graded
@@ -7,6 +7,10 @@ on pairs and triples with a degree-1 generator.  The all-pairs loops they
 replaced are kept here as oracles, and each fast path must give the same
 verdict, the same first failure and the same message on seeded valid and
 perturbed inputs.
+
+``search_sequences`` solves for the admissible pairs of each degree (the
+projective kernel of its Jacobi forms) instead of trying every point of
+P^1(E); the trial-push search it replaced is kept here as an oracle.
 """
 
 import random
@@ -18,7 +22,7 @@ from thinlie import maxclass as mc
 from thinlie import reconstruct as rec
 from thinlie import subfield as sf
 from thinlie.errors import DimensionAnomaly, NotFaithful, ThinLieError
-from thinlie.gf import span
+from thinlie.gf import make_ext_field, span
 
 
 def _label(i: int) -> str:
@@ -63,6 +67,34 @@ def oracle_check_new(st):
             if not F.is_zero(st.jacobi(i, j, k)):
                 return (_label(k), _label(j), _label(i)), checked
     return None, checked
+
+
+def oracle_search_sequences(field, class_n, limit):
+    """Depth-first search that pushes every point of P^1(E) and checks it."""
+    reps = mc.projective_pairs(field)
+    st = mc._Structure(field, class_n)
+    stack = []
+    out = []
+
+    def dfs(d):
+        if len(out) >= limit:
+            return
+        if d == class_n:
+            out.append(mc.MaxClassPresentation(field, class_n, tuple(stack)))
+            return
+        for pair in reps:
+            if len(out) >= limit:
+                return
+            added = st.extend(d, pair)
+            fail, _ = st.check_new()
+            if fail is None:
+                stack.append(pair)
+                dfs(d + 1)
+                stack.pop()
+            st.retract(d, added)
+
+    dfs(2)
+    return out
 
 
 def oracle_validate(pres):
@@ -225,6 +257,73 @@ def test_search_prefixes_match_exhaustive(f9):
 
     dfs(2)
     assert pushes > 1000
+
+
+# -- the search ----------------------------------------------------------------
+
+
+def test_jacobi_forms_linear_in_new_pair(f9):
+    """At every node of the class-12 GF(9) search, and for every (a : b):
+
+    the forms after pushing (a, b) are a*f(1, 0) + b*f(0, 1), they are the
+    coefficients check_new inspects, and (a : b) passes check_new exactly
+    when it lies in the projective kernel.
+    """
+    F = f9
+    reps = mc.projective_pairs(F)
+    st = mc._Structure(F, 12)
+    kinds = set()
+
+    def forms_at(d, pair):
+        added = st.extend(d, pair)
+        forms = st.jacobi_forms()
+        return added, forms
+
+    def dfs(d):
+        if d == 12:
+            return
+        added, at_x = forms_at(d, mc.ex_point(F))
+        st.retract(d, added)
+        added, at_y = forms_at(d, mc.ey_point(F))
+        st.retract(d, added)
+        admissible = []
+        for a, b in reps:
+            added, forms = forms_at(d, (a, b))
+            assert forms == [F.add(F.mul(a, s), F.mul(b, t)) for s, t in zip(at_x, at_y)]
+            fail, checked = st.check_new()
+            zeros = [F.is_zero(f) for f in forms]
+            assert (fail is None) == all(zeros)
+            assert checked == (len(forms) if fail is None else zeros.index(False) + 1)
+            if fail is None:
+                admissible.append((a, b))
+                dfs(d + 1)
+            st.retract(d, added)
+        assert mc.projective_kernel(F, at_x, at_y, reps) == admissible
+        kinds.add(len(admissible))
+
+    dfs(2)
+    assert kinds == {0, 1, len(reps)}
+
+
+@pytest.mark.parametrize(
+    "p, u, v, class_n",
+    [(2, 1, 1, 12), (2, 1, 1, 14), (3, 0, 2, 12), (3, 0, 2, 14), (5, 0, 2, 12), (7, 0, 3, 8)],
+    ids=["4_12", "4_14", "9_12", "9_14", "25_12", "49_8"],
+)
+def test_search_matches_trial_push(p, u, v, class_n):
+    """Same list in the same order, full and cut off at a limit.
+
+    The full search gets a limit one above the oracle's count, so a search
+    that admits too much stops there instead of running on.
+    """
+    field = make_ext_field(p, u, v)
+    for limit in (1, 7, 50):
+        assert mc.search_sequences(field, class_n, limit) == oracle_search_sequences(
+            field, class_n, limit
+        )
+    full = oracle_search_sequences(field, class_n, 10**9)
+    assert len(full) >= 50
+    assert mc.search_sequences(field, class_n, len(full) + 1) == full
 
 
 # -- rho and rho' --------------------------------------------------------------

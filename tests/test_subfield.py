@@ -10,6 +10,7 @@ from thinlie import subfield as sf
 from thinlie.errors import (
     DegenerateGenerators,
     NotStandardForm,
+    WindowTooLarge,
     WindowTooLargeForBruteForce,
 )
 from thinlie.gf import Matrix, RowSpace
@@ -257,6 +258,15 @@ class TestScan:
         t_dev = sf.scan(dev9_12, 12)
         assert t_dev.agree
         assert t_dev.counts["thin"] < t_met.counts["thin"]
+
+    def test_budget_covers_existing_scans(self, f9):
+        # (q, raw, window): the largest scans of the tests and the benchmark
+        for q, raw, window in ((25, False, 40), (49, False, 20), (25, False, 14), (9, True, 14)):
+            assert (q**4 - 1 if raw else q * q) * window <= sf.SCAN_BUDGET
+        m = mc.make_metabelian(f9, 40)
+        over = sf.SCAN_BUDGET // (9**4 - 1) + 1
+        with pytest.raises(WindowTooLarge, match=f"scan of 6560 pairs x window {over}"):
+            sf.scan(m, over, raw=True)
 
     def test_raw_mode_cross_validation(self, f4):
         # on the metabelian algebra a raw pair is thin iff the x-parts of the
