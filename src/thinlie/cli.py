@@ -5,7 +5,8 @@ field order, so identical command lines produce byte-identical reports
 (the version stamp changes only with the package version).  Human-readable
 tables go to stderr.  Exit codes: 0 success, 1 mathematical-check failure,
 2 usage (including an out-of-range class or window bound, a search limit
-below 1 and a scan over its budget), file-schema or OS error.
+below 1, a scan over its budget, a coordinate outside [0, p) and p >= 2^64),
+file-schema or OS error.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from .errors import (
     ThinLieError,
     WindowTooLarge,
 )
-from .gf import make_ext_field
+from .gf import make_ext_field, residue
 
 EXIT_OK = 0
 EXIT_MATH = 1
@@ -70,7 +71,7 @@ def _parse_ext(text: str) -> tuple:
 
 
 def _parse_gen(field, text: str):
-    parts = [int(x) for x in text.split(",")]
+    parts = [residue(field.p, int(x)) for x in text.split(",")]
     if len(parts) != 4:
         raise ValueError("generator coordinates are a0,a1,b0,b1")
     return parts
@@ -84,6 +85,8 @@ def _pair_from_args(field, xs: str, ys: str) -> sf.GeneratorPair:
 
 
 def cmd_build(args) -> int:
+    for c in args.ext:
+        residue(args.p, c)
     try:
         field = make_ext_field(args.p, args.ext[1], args.ext[0])
     except (NotPrime, ReduciblePolynomial) as exc:

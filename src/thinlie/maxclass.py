@@ -38,7 +38,7 @@ from .errors import (
     WindowTooLarge,
     ZeroPair,
 )
-from .gf import EElem, ExtField, Matrix, make_ext_field
+from .gf import EElem, ExtField, Matrix, make_ext_field, residue
 
 Pair = Tuple[EElem, EElem]
 Point = Tuple[EElem, EElem]  # normalized projective point (alpha : beta) of M_1
@@ -671,13 +671,19 @@ def _json_int(x) -> int:
 
 
 def from_json(obj: dict, check: bool = True) -> MaxClassPresentation:
-    """Parse an algebra file; validates by default (loader contract)."""
+    """Parse an algebra file; validates by default (loader contract).
+
+    Field values must be residues in [0, p): nothing is reduced mod p.
+    """
     try:
         v, u = obj["ext_min_poly"]
-        field = make_ext_field(_json_int(obj["p"]), _json_int(u), _json_int(v))
+        p = _json_int(obj["p"])
+        field = make_ext_field(p, residue(p, _json_int(u)), residue(p, _json_int(v)))
         class_n = _json_int(obj["class"])
         adjoint_raw = obj["adjoint"]
-    except (KeyError, TypeError, ValueError, NotPrime, ReduciblePolynomial) as exc:
+    except (
+        KeyError, TypeError, ValueError, BadBound, NotPrime, ReduciblePolynomial
+    ) as exc:
         raise SchemaError(f"malformed algebra file: {exc}") from exc
     if not isinstance(adjoint_raw, list) or len(adjoint_raw) != class_n - 2:
         raise SchemaError(
@@ -687,12 +693,10 @@ def from_json(obj: dict, check: bool = True) -> MaxClassPresentation:
     pairs = []
     for entry in adjoint_raw:
         try:
-            (a0, a1), (b0, b1) = entry
-            pairs.append(
-                ((_json_int(a0), _json_int(a1)), (_json_int(b0), _json_int(b1)))
-            )
+            (a0, a1), (b0, b1) = [[residue(p, _json_int(c)) for c in e] for e in entry]
+            pairs.append(((a0, a1), (b0, b1)))
         except (TypeError, ValueError) as exc:
-            raise SchemaError(f"malformed adjoint pair {entry!r}") from exc
+            raise SchemaError(f"malformed adjoint pair {entry!r}: {exc}") from exc
     try:
         pres = MaxClassPresentation(field, class_n, tuple(pairs))
     except (BadBound, ValueError) as exc:

@@ -39,6 +39,7 @@ from .maxclass import (
     validate,
 )
 from .subfield import (
+    BRUTE_FORCE_LIMIT,
     GeneratorPair,
     SubalgebraAnalysis,
     bracket_vec,
@@ -49,9 +50,6 @@ from .subfield import (
 from .endo import EndoRing, FieldId, compute_grend0, identify_field
 
 ShiftMap = Dict[int, EElem]  # source degree -> coefficient; target = source + d
-
-ISO_SEARCH_FIELD_LIMIT = 9
-ISO_SEARCH_WINDOW_LIMIT = 20
 
 
 # ---------------------------------------------------------------------------
@@ -596,7 +594,7 @@ def _label(idx: int) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Brute-force graded isomorphism search
+# Graded isomorphism search by standard forms
 # ---------------------------------------------------------------------------
 
 
@@ -611,48 +609,63 @@ def iso_search(
     pres_b: MaxClassPresentation,
     window: Optional[int] = None,
 ) -> IsoResult:
-    """Brute-force search for a graded isomorphism between two presentations.
+    """Search for a graded isomorphism between two presentations.
 
-    Degree-1 base changes are enumerated projectively (the first nonzero
-    coordinate normalized to 1); each candidate is extended degree by
-    degree through the canonical chains and certified on the generator
-    relations (see ``_extends``).
+    Centralizer lemma: C_i = C_{L_1}(L_i) is defined by the algebra
+    alone, so a graded isomorphism A -> B maps each C_i(A) onto C_i(B).
+    In standard coordinates (``standard_generators``: C_2 = Ey and, if a
+    degree in the window deviates, the first deviation is Ex) it
+    therefore fixes Ey, and also Ex when a degree deviates.  Scaling
+    degree i by c^i is a graded automorphism, so the image of x may be
+    taken with x-coordinate 1.  Two candidate families remain:
+
+    * some degree of A deviates: psi = [[1, 0], [0, b2]], q - 1
+      candidates;
+    * none does (A is metabelian, and so is any B isomorphic to it, and
+      x may pick up any multiple of y): psi = [[1, b1], [0, b2]],
+      q(q - 1) candidates.
+
+    Each candidate is mapped back as Phi = T_A^{-1} psi T_B (T_A, T_B the
+    standard-form transforms), its first nonzero entry normalized to 1,
+    and certified on the generator relations (``_extends``).  The result
+    is the certified Phi least in ``F.key`` order, entry by entry: the
+    first one an enumeration of all degree-1 maps in ``F.elements()``
+    order would find.  Raises WindowTooLargeForBruteForce, before any
+    candidate is built, when candidates x window exceeds
+    BRUTE_FORCE_LIMIT.
     """
     if pres_a.field != pres_b.field:
         raise PreconditionFailed("presentations live over different fields")
     F = pres_a.field
     window = min(pres_a.class_n, pres_b.class_n) if window is None else window
-    if F.order > ISO_SEARCH_FIELD_LIMIT and window > ISO_SEARCH_WINDOW_LIMIT:
-        raise WindowTooLargeForBruteForce(
-            f"|E| = {F.order} with window {window} exceeds the search budget"
-        )
     A = quotient(pres_a, window) if pres_a.class_n != window else pres_a
     B = quotient(pres_b, window) if pres_b.class_n != window else pres_b
+    deviates = bool(two_step_centralizers(A).deviations())
+    count = (F.order - 1) * (1 if deviates else F.order)
+    if count * window > BRUTE_FORCE_LIMIT:
+        raise WindowTooLargeForBruteForce(
+            f"{count} candidates x window {window} exceed limit {BRUTE_FORCE_LIMIT}"
+        )
+    t_a = standard_generators(A).transform
+    t_b = standard_generators(B).transform
+    t_a_inv = Matrix(F, [solve(F, t_a.rows, e) for e in Matrix.identity(F, 2).rows])
     sta, stb = tables(A), tables(B)
-    elems = list(F.elements())
-
-    def is_canonical(quad) -> bool:
-        for c in quad:
-            if not F.is_zero(c):
-                return c == F.one
-        return False
-
-    for a1 in elems:
-        for b1 in elems:
-            for a2 in elems:
-                for b2 in elems:
-                    quad = (a1, b1, a2, b2)
-                    if not is_canonical(quad):
-                        continue
-                    det = F.sub(F.mul(a1, b2), F.mul(b1, a2))
-                    if F.is_zero(det):
-                        continue
-                    if _extends(F, sta, stb, window, a1, b1, a2, b2):
-                        return IsoResult(
-                            found=True,
-                            transform=Matrix(F, [[a1, b1], [a2, b2]]),
-                        )
-    return IsoResult(found=False, transform=None)
+    best = None
+    for b1 in [F.zero] if deviates else F.elements():
+        for b2 in F.elements():
+            if F.is_zero(b2):
+                continue
+            phi = t_a_inv.mul(Matrix(F, [[F.one, b1], [F.zero, b2]])).mul(t_b)
+            quad = phi.rows[0] + phi.rows[1]
+            lead = F.inv(next(c for c in quad if not F.is_zero(c)))
+            quad = [F.mul(lead, c) for c in quad]
+            key = [F.key(c) for c in quad]
+            if (best is None or key < best[0]) and _extends(F, sta, stb, window, *quad):
+                best = (key, quad)
+    if best is None:
+        return IsoResult(found=False, transform=None)
+    a1, b1, a2, b2 = best[1]
+    return IsoResult(found=True, transform=Matrix(F, [[a1, b1], [a2, b2]]))
 
 
 def _extends(F, sta, stb, window, a1, b1, a2, b2) -> bool:

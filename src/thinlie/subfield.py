@@ -209,17 +209,17 @@ def d_sequence(
     if g.is_degenerate(F):
         raise DegenerateGenerators("X and Y are E-linearly dependent")
     window = pres.class_n if window is None else window
-    seq = two_step_centralizers(pres)
-    l1 = RowSpace(F.base, 4)
-    l1.insert(deg1_to_f4(g.X))
-    l1.insert(deg1_to_f4(g.Y))
+    l1 = span(F.base, [deg1_to_f4(g.X), deg1_to_f4(g.Y)], 4)
+    return _d_values(l1, two_step_centralizers(pres), window)
+
+
+def _d_values(
+    l1: RowSpace, seq: CentralizerSequence, window: int
+) -> Tuple[int, ...]:
+    """d_i = dim_F(C_i \\cap l1) for i = 2 .. window - 1."""
     out = []
     for i in range(2, window):
-        sp = RowSpace(F.base, 4)
-        for r in l1.basis():
-            sp.insert(r)
-        for r in point_rows_f4(F, seq.point(i)):
-            sp.insert(r)
+        sp = span(l1.field, l1.basis() + point_rows_f4(seq.field, seq.point(i)), 4)
         out.append(4 - sp.dim)
     return tuple(out)
 
@@ -294,7 +294,7 @@ def generate_subalgebra(
         bases.append(tuple(nxt.basis()))
         prev = nxt
     dims = tuple(len(b) for b in bases)
-    d = d_sequence(pres, g, window)
+    d = _d_values(l1, seq, window)
     D0 = tuple(i for i, x in zip(range(2, window), d) if x == 0)
     verdict = _classify(d, dims, window)
     return SubalgebraAnalysis(

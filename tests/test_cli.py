@@ -102,7 +102,7 @@ class TestCheck:
 
 
 class TestBadInput:
-    """OS, file-schema and out-of-range bound errors exit 2 (usage)."""
+    """OS, file-schema and out-of-range bound or residue errors exit 2 (usage)."""
 
     @pytest.mark.parametrize("command", ["check", "stats", "scan"])
     def test_directory_exits_2(self, tmp_path, capsys, command):
@@ -124,6 +124,10 @@ class TestBadInput:
             pytest.param("class", 6.0, id="class-float"),
             pytest.param("adjoint", [[[1, 0], [0, False]]] * 4, id="adjoint-bool"),
             pytest.param("adjoint", [[[1, 0], [0, "0"]]] * 4, id="adjoint-string"),
+            pytest.param("p", 2**64 + 13, id="p-beyond-2-64"),
+            pytest.param("ext_min_poly", [5, 0], id="ext-not-residue"),
+            pytest.param("adjoint", [[[4, 0], [0, 0]]] * 4, id="adjoint-not-residue"),
+            pytest.param("adjoint", [[[1, 0], [-2, 0]]] * 4, id="adjoint-negative"),
         ],
     )
     def test_schema_violations_exit_2(self, tmp_path, capsys, command, field, value):
@@ -147,6 +151,10 @@ class TestBadInput:
             pytest.param(["build", "search", *EXT, "--class", "30", "-o", "{o}"], id="build-class-30"),
             pytest.param(["build", "search", *EXT, "--class", "8", "--limit", "0", "-o", "{o}"], id="build-limit-0"),
             pytest.param(["build", "search", *EXT, "--class", "8", "--limit", "-1", "-o", "{o}"], id="build-limit--1"),
+            pytest.param(["analyze", "{f}", "--X", "7,0,1,0", "--Y", "0,1,1,1"], id="analyze-X-not-residue"),
+            pytest.param(["endo", "{f}", "--X", "1,0,1,0", "--Y", "0,3,1,1"], id="endo-Y-not-residue"),
+            pytest.param(["build", "metabelian", "--p", "3", "--ext", "5,0", "--class", "6", "-o", "{o}"], id="build-ext-not-residue"),
+            pytest.param(["build", "metabelian", "--p", str(2**64 + 13), "--ext", "2,0", "--class", "6", "-o", "{o}"], id="build-p-beyond-2-64"),
         ],
     )
     def test_bound_out_of_range_exits_2(self, tmp_path, capsys, argv):
@@ -159,6 +167,37 @@ class TestBadInput:
         assert out == ""
         assert err.startswith("error: ")
         assert list(tmp_path.iterdir()) == [path]
+
+    @pytest.mark.parametrize("command", ["build", "check"])
+    def test_p_bound_named(self, tmp_path, capsys, command):
+        p = 2**64 + 13
+        path = tmp_path / "huge.json"
+        doc = mc.to_json(mc.make_metabelian(make_ext_field(3, 0, 2), 6))
+        path.write_text(json.dumps(dict(doc, p=p)))
+        argv = (
+            ["build", "metabelian", "--p", str(p), "--ext", "2,0", "--class", "6", "-o", str(tmp_path / "o.json")]
+            if command == "build" else ["check", str(path)]
+        )
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert "not below 2^64" in err
+
+    @pytest.mark.parametrize("command", ["build", "check"])
+    def test_large_prime_is_fast(self, tmp_path, capsys, command):
+        p = 2**61 - 1  # -1 is a non-square mod p, as p = 3 mod 4
+        path = tmp_path / "m.json"
+        start = time.perf_counter()
+        code, _, _ = run(
+            capsys, "build", "metabelian", "--p", str(p), "--ext", f"{p - 1},0",
+            "--class", "6", "-o", str(path),
+        )
+        assert code == 0
+        if command == "check":
+            start = time.perf_counter()
+            code, out, _ = run(capsys, "check", str(path))
+            assert code == 0 and out_json(out)["results"]["ok"] is True
+        assert time.perf_counter() - start < 1.0
 
     @pytest.mark.parametrize("raw", [False, True], ids=["normalized", "raw"])
     def test_scan_over_budget_exits_2(self, tmp_path, capsys, monkeypatch, raw):

@@ -2,14 +2,16 @@
 
 import itertools
 import random
+import time
 
 import pytest
 
-from thinlie.errors import DivisionByZero, NotPrime, ReduciblePolynomial
+from thinlie.errors import BadBound, DivisionByZero, NotPrime, ReduciblePolynomial
 from thinlie.gf import (
     BaseField,
     Matrix,
     RowSpace,
+    is_prime,
     make_ext_field,
     quadratic_is_irreducible,
     rref,
@@ -53,6 +55,41 @@ class TestConstruction:
             BaseField(4)
         with pytest.raises(NotPrime):
             make_ext_field(1, 0, 1)
+
+
+def _is_prime_by_trial_division(n):
+    """The trial division ``is_prime`` used before Miller-Rabin, as an oracle."""
+    if n < 2:
+        return False
+    f = 2
+    while f * f <= n:
+        if n % f == 0:
+            return False
+        f += 1
+    return True
+
+
+class TestIsPrime:
+    def test_matches_trial_division_below_1e5(self):
+        sieve = [_is_prime_by_trial_division(n) for n in range(10**5)]
+        assert [is_prime(n) for n in range(10**5)] == sieve
+
+    @pytest.mark.parametrize("n", [3215031751, 3825123056546413051, 2**64 - 1])
+    def test_strong_pseudoprimes_rejected(self, n):
+        # 3215031751 = 151*751*28351 fools the bases 2, 3, 5, 7;
+        # 3825123056546413051 = 149491*747451*34233211 fools 2 .. 23
+        assert not is_prime(n)
+
+    def test_large_prime_is_fast(self):
+        start = time.perf_counter()
+        assert is_prime(2**61 - 1) and is_prime(2**64 - 59)
+        assert time.perf_counter() - start < 1.0
+
+    def test_beyond_2_64_refused(self):
+        with pytest.raises(BadBound, match="2\\^64"):
+            is_prime(2**64 + 13)
+        with pytest.raises(BadBound):
+            BaseField(2**89 - 1)
 
 
 class TestArithmetic:

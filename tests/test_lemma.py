@@ -11,6 +11,11 @@ perturbed inputs.
 ``search_sequences`` solves for the admissible pairs of each degree (the
 projective kernel of its Jacobi forms) instead of trying every point of
 P^1(E); the trial-push search it replaced is kept here as an oracle.
+
+``iso_search`` tries only the degree-1 maps that fix the centralizer
+lines of the standard forms (the centralizer lemma in its docstring);
+the brute force over every projective degree-1 map is kept here as an
+oracle.
 """
 
 import random
@@ -21,8 +26,8 @@ from thinlie import endo
 from thinlie import maxclass as mc
 from thinlie import reconstruct as rec
 from thinlie import subfield as sf
-from thinlie.errors import DimensionAnomaly, NotFaithful, ThinLieError
-from thinlie.gf import make_ext_field, span
+from thinlie.errors import DimensionAnomaly, NotFaithful, PreconditionFailed, ThinLieError
+from thinlie.gf import Matrix, make_ext_field, span
 
 
 def _label(i: int) -> str:
@@ -421,15 +426,100 @@ def test_phi_check_matches_all_pairs(request, monkeypatch, f9, thin_pair_f9, whi
 # -- iso_search ----------------------------------------------------------------
 
 
-def test_iso_search_matches_all_pairs(monkeypatch, f9, search9_12):
-    rng = random.Random("iso-search")
-    pairs = [tuple(rng.sample(search9_12, 2)) for _ in range(20)]
-    for pres in rng.sample(search9_12, 10):
+def oracle_iso_search(pres_a, pres_b, window=None):
+    """The brute force ``iso_search`` replaced: every projective degree-1 map.
+
+    Maps are enumerated with the first nonzero coordinate normalized to 1,
+    in ``F.elements()`` order, and the first one ``_extends`` certifies is
+    returned.
+    """
+    if pres_a.field != pres_b.field:
+        raise PreconditionFailed("presentations live over different fields")
+    F = pres_a.field
+    window = min(pres_a.class_n, pres_b.class_n) if window is None else window
+    A = mc.quotient(pres_a, window) if pres_a.class_n != window else pres_a
+    B = mc.quotient(pres_b, window) if pres_b.class_n != window else pres_b
+    sta, stb = mc.tables(A), mc.tables(B)
+    elems = list(F.elements())
+
+    def is_canonical(quad) -> bool:
+        for c in quad:
+            if not F.is_zero(c):
+                return c == F.one
+        return False
+
+    for a1 in elems:
+        for b1 in elems:
+            for a2 in elems:
+                for b2 in elems:
+                    quad = (a1, b1, a2, b2)
+                    if not is_canonical(quad):
+                        continue
+                    det = F.sub(F.mul(a1, b2), F.mul(b1, a2))
+                    if F.is_zero(det):
+                        continue
+                    if rec._extends(F, sta, stb, window, a1, b1, a2, b2):
+                        return rec.IsoResult(
+                            found=True,
+                            transform=Matrix(F, [[a1, b1], [a2, b2]]),
+                        )
+    return rec.IsoResult(found=False, transform=None)
+
+
+def _degree1_change(pres, rng):
+    """pres after a random invertible degree-1 base change."""
+    F = pres.field
+    elems = list(F.elements())
+    while True:
+        xp = (rng.choice(elems), rng.choice(elems))
+        yp = (rng.choice(elems), rng.choice(elems))
+        if not F.is_zero(F.sub(F.mul(xp[0], yp[1]), F.mul(xp[1], yp[0]))):
+            return mc.apply_degree1_change(pres, xp, yp)
+
+
+def _iso_pairs(found, dev, rng, n_random, n):
+    """Random pairs, (P, standard form of P), P against a base change of P
+    on either side, the first (metabelian) presentation against random P,
+    and base changes of the deviating oracle ``dev``."""
+    pairs = [tuple(rng.sample(found, 2)) for _ in range(n_random)]
+    for pres in rng.sample(found, n):
         pairs.append((pres, mc.standard_generators(pres).presentation))
-    fast = [rec.iso_search(a, b) for a, b in pairs]
+    for pres in rng.sample(found, n):
+        pairs.append((pres, _degree1_change(pres, rng)))
+        pairs.append((_degree1_change(pres, rng), pres))
+    pairs += [(found[0], pres) for pres in rng.sample(found[1:], n)]
+    if dev is not None:
+        pairs.append((dev, _degree1_change(dev, rng)))
+        pairs.append((_degree1_change(dev, rng), _degree1_change(dev, rng)))
+    return pairs
+
+
+def test_iso_search_matches_all_pairs(request, monkeypatch):
+    """Standard-form candidates against the brute force with all-pairs certification.
+
+    The oracle tries every degree-1 map and certifies it with the v-v
+    pairs too (``oracle_extends``); ``iso_search`` must give the same
+    ``found`` and the same transform, with isomorphic and non-isomorphic
+    pairs over every field.
+    """
+    cases = [  # (fixture, deviating oracle, random pairs, pairs of each other kind)
+        ("search9_12", None, 20, 10),
+        ("search4_12", None, 10, 6),
+        ("search9_14", "dev9_14", 10, 5),
+        ("search25_12", "dev25_12", 2, 2),
+    ]
+    inputs = []
+    for name, dev, n_random, n in cases:
+        rng = random.Random("iso-search" if name == "search9_12" else f"iso-{name}")
+        dev = request.getfixturevalue(dev) if dev else None
+        inputs.append(_iso_pairs(request.getfixturevalue(name), dev, rng, n_random, n))
+    fast = [[rec.iso_search(a, b) for a, b in pairs] for pairs in inputs]
     monkeypatch.setattr(rec, "_extends", oracle_extends)
-    slow = [rec.iso_search(a, b) for a, b in pairs]
-    for f, s in zip(fast, slow):
-        assert f.found == s.found
-        assert (f.transform.rows if f.found else None) == (s.transform.rows if s.found else None)
-    assert any(f.found for f in fast) and not all(f.found for f in fast)
+    for pairs, results in zip(inputs, fast):
+        for (a, b), f in zip(pairs, results):
+            s = oracle_iso_search(a, b)
+            assert f.found == s.found, (a.adjoint, b.adjoint)
+            assert (f.transform.rows if f.found else None) == (
+                s.transform.rows if s.found else None
+            ), (a.adjoint, b.adjoint)
+        assert any(f.found for f in results) and not all(f.found for f in results)

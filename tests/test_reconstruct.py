@@ -13,6 +13,7 @@ from thinlie.errors import (
     PreconditionFailed,
     WindowTooLargeForBruteForce,
 )
+from thinlie.gf import ExtField, Matrix, make_ext_field
 
 
 @pytest.fixture(scope="module")
@@ -228,10 +229,25 @@ class TestIsoSearch:
         )
         assert res.found
 
-    def test_brute_force_guard(self, f25):
-        a = mc.make_metabelian(f25, 22)
-        with pytest.raises(WindowTooLargeForBruteForce):
+    def test_brute_force_guard(self, monkeypatch):
+        # metabelian GF(121) at class 24: 121*120 candidates x 24 > 200,000,
+        # refused before any field element is enumerated
+        a = mc.make_metabelian(make_ext_field(11, 0, 10), 24)
+
+        def refuse(field):
+            raise AssertionError("iso_search enumerated E before checking its budget")
+
+        monkeypatch.setattr(ExtField, "elements", refuse)
+        with pytest.raises(WindowTooLargeForBruteForce, match="14520 candidates x window 24"):
             rec.iso_search(a, a)
+
+    @pytest.mark.parametrize("p, u, v, class_n", [(5, 0, 2, 22), (7, 0, 3, 24)], ids=["25_22", "49_24"])
+    def test_metabelian_identity(self, p, u, v, class_n):
+        field = make_ext_field(p, u, v)
+        a = mc.make_metabelian(field, class_n)
+        res = rec.iso_search(a, a)
+        assert res.found
+        assert res.transform == Matrix.identity(field, 2)
 
     def test_field_mismatch(self, f9, f4):
         with pytest.raises(PreconditionFailed):

@@ -71,6 +71,19 @@ class TestDSequence:
         with pytest.raises(DegenerateGenerators):
             sf.d_sequence(m, g, 12)
 
+    def test_generate_computes_centralizers_once(self, monkeypatch, dev9_14, rc_pair):
+        calls = []
+        real = sf.two_step_centralizers
+
+        def counting(pres):
+            calls.append(pres)
+            return real(pres)
+
+        monkeypatch.setattr(sf, "two_step_centralizers", counting)
+        an = sf.generate_subalgebra(dev9_14, rc_pair, 14)
+        assert len(calls) == 1
+        assert an.d == sf.d_sequence(dev9_14, rc_pair, 14)
+
 
 class TestClassify:
     def test_rc_structure(self, dev9_14, rc_pair):
