@@ -5,11 +5,22 @@ M_1 = F^4 via the basis (x, mu*x, y, mu*y) and M_i = F^2 via (v_i, mu*v_i)
 for i >= 2.  An extension scalar (c0, c1) therefore *is* the coordinate
 vector of (c0 + c1*mu)*v_i, which keeps all conversions trivial.
 
-Given two generators X, Y in M_1, the subalgebra L they generate is
-computed degreewise as L_{i+1} = span([L_i, X] + [L_i, Y]); this is the
-whole of [L_i, L_1] because L is generated in degree 1.  The classifying
-invariant is d_i = dim_F(C_i \\cap L_1), the intersection of the span of
-the generators with the two-step centralizer line.
+Given two generators X, Y in M_1, the subalgebra L they generate has
+L_{i+1} = [L_i, X] + [L_i, Y], because L is generated in degree 1.  The
+classifying invariant is d_i = dim_F(C_i \\cap U) for U = L_1 = span_F{X, Y},
+the intersection of U with the two-step centralizer line C_i.  L is read
+off the d-values by the dimension lemma.  Let phi_i(alpha, beta) =
+alpha*a_i + beta*b_i; it is E-linear with kernel C_i, and
+[c*v_i, u] = c*phi_i(u)*v_{i+1}.  So, for E-independent X and Y:
+
+* L_2 = F*det(X, Y)*v_2;
+* if L_i = M_i, then L_{i+1} = M_{i+1};
+* if L_i = F*c*v_i, then L_{i+1} = c*phi_i(U)*v_{i+1}, of dimension 2 - d_i.
+
+Each d_i depends only on U and the point C_i, so it is computed once per
+distinct point (a metabelian algebra has one).  L depends only on U, so
+a raw scan classifies the F-planes of F^4 rather than the generator
+pairs; each plane has |GL_2(F)| ordered bases.
 """
 
 from __future__ import annotations
@@ -30,6 +41,7 @@ from .gf import EElem, ExtField, Matrix, RowSpace, span
 from .maxclass import (
     CentralizerSequence,
     MaxClassPresentation,
+    Point,
     apply_degree1_change,
     ey_point,
     is_standard,
@@ -209,19 +221,42 @@ def d_sequence(
     if g.is_degenerate(F):
         raise DegenerateGenerators("X and Y are E-linearly dependent")
     window = pres.class_n if window is None else window
-    l1 = span(F.base, [deg1_to_f4(g.X), deg1_to_f4(g.Y)], 4)
-    return _d_values(l1, two_step_centralizers(pres), window)
+    return _d_values(_Ambient(pres, window), g)
 
 
-def _d_values(
-    l1: RowSpace, seq: CentralizerSequence, window: int
-) -> Tuple[int, ...]:
-    """d_i = dim_F(C_i \\cap l1) for i = 2 .. window - 1."""
-    out = []
-    for i in range(2, window):
-        sp = span(l1.field, l1.basis() + point_rows_f4(seq.field, seq.point(i)), 4)
-        out.append(4 - sp.dim)
-    return tuple(out)
+class _Ambient:
+    """What the analysis of any pair reads from the presentation and window.
+
+    Built once per scan: the centralizer sequence, its distinct points
+    C_i for i = 2 .. window - 1, and the index of each C_i among them.
+    """
+
+    def __init__(self, pres: MaxClassPresentation, window: int):
+        if not 4 <= window <= pres.class_n:
+            raise BadBound(f"window {window} not in [4, {pres.class_n}]")
+        self.pres = pres
+        self.window = window
+        self.centralizers = two_step_centralizers(pres)  # validates pres via tables()
+        self.points: List[Point] = []
+        self.slots: List[int] = []
+        for i in range(2, window):
+            pt = self.centralizers.point(i)
+            if pt not in self.points:
+                self.points.append(pt)
+            self.slots.append(self.points.index(pt))
+
+
+def _d_values(amb: _Ambient, g: GeneratorPair) -> Tuple[int, ...]:
+    """d_i = dim_F(C_i \\cap span_F{X, Y}) for i = 2 .. window - 1.
+
+    One rank per distinct point C_i, not one per degree.
+    """
+    F = amb.pres.field
+    rows = [deg1_to_f4(g.X), deg1_to_f4(g.Y)]
+    per_point = [
+        4 - span(F.base, rows + point_rows_f4(F, pt), 4).dim for pt in amb.points
+    ]
+    return tuple(per_point[k] for k in amb.slots)
 
 
 def _classify(d: Sequence[int], dims: Sequence[int], window: int) -> Verdict:
@@ -257,18 +292,24 @@ def classify(analysis: SubalgebraAnalysis) -> Verdict:
 def generate_subalgebra(
     pres: MaxClassPresentation, g: GeneratorPair, window: Optional[int] = None
 ) -> SubalgebraAnalysis:
-    """Generate L = <X, Y> degree by degree and classify it within the window."""
-    F = pres.field
-    Fb = F.base
+    """Build L = <X, Y> from its d-values and classify it within the window."""
     window = pres.class_n if window is None else window
-    if not 4 <= window <= pres.class_n:
-        raise BadBound(f"window {window} not in [4, {pres.class_n}]")
-    tables(pres)
-    seq = two_step_centralizers(pres)
+    return _analyse(_Ambient(pres, window), g)
 
-    l1 = RowSpace(Fb, 4)
-    l1.insert(deg1_to_f4(g.X))
-    l1.insert(deg1_to_f4(g.Y))
+
+def _line(field: ExtField, c: EElem) -> Tuple[int, ...]:
+    """The rref basis row of F*c*v_i: c scaled so its first nonzero entry is 1."""
+    c0, c1 = c
+    if c0 == 0:
+        return (0, 1)
+    return (1, field.base.mul(c1, field.base.inv(c0)))
+
+
+def _analyse(amb: _Ambient, g: GeneratorPair) -> SubalgebraAnalysis:
+    """The dimension lemma of the module docstring, degree by degree."""
+    pres, window = amb.pres, amb.window
+    F = pres.field
+    l1 = span(F.base, [deg1_to_f4(g.X), deg1_to_f4(g.Y)], 4)
     if g.is_degenerate(F):
         bases = [tuple(l1.basis())] + [tuple()] * (window - 1)
         dims = tuple([l1.dim] + [0] * (window - 1))
@@ -281,20 +322,25 @@ def generate_subalgebra(
             d=None,
             D0=None,
             verdict=Verdict(kind="degenerate"),
-            centralizers=seq,
+            centralizers=amb.centralizers,
         )
 
-    bases: List[Tuple[Tuple[int, ...], ...]] = [tuple(l1.basis())]
-    prev = l1
-    for i in range(1, window):
-        nxt = RowSpace(Fb, 2)
-        for r in prev.basis():
-            for gen in (g.X, g.Y):
-                nxt.insert(ad_gen(pres, i, r, gen))
-        bases.append(tuple(nxt.basis()))
-        prev = nxt
+    d = _d_values(amb, g)
+    full = ((1, 0), (0, 1))
+    c = _line(F, g.det(F))
+    bases: List[Tuple[Tuple[int, ...], ...]] = [tuple(l1.basis()), (c,)]
+    for i, d_i in zip(range(2, window), d):
+        if len(bases[-1]) == 2 or d_i == 0:
+            bases.append(full)
+            continue
+        a, b = pres.pair(i)
+        # d_i = 1: phi_i(U) is the F-line of whichever of phi_i(X), phi_i(Y) is nonzero
+        phi = F.add(F.mul(g.X[0], a), F.mul(g.X[1], b))
+        if F.is_zero(phi):
+            phi = F.add(F.mul(g.Y[0], a), F.mul(g.Y[1], b))
+        c = _line(F, F.mul(c, phi))
+        bases.append((c,))
     dims = tuple(len(b) for b in bases)
-    d = _d_values(l1, seq, window)
     D0 = tuple(i for i, x in zip(range(2, window), d) if x == 0)
     verdict = _classify(d, dims, window)
     return SubalgebraAnalysis(
@@ -306,7 +352,7 @@ def generate_subalgebra(
         d=d,
         D0=D0,
         verdict=verdict,
-        centralizers=seq,
+        centralizers=amb.centralizers,
     )
 
 
@@ -592,6 +638,25 @@ def raw_pairs(field: ExtField) -> Iterable[GeneratorPair]:
                     yield GeneratorPair((al, be), (ga, de))
 
 
+def f_planes(field: ExtField) -> List[GeneratorPair]:
+    """Every F-plane of M_1 = F^4 once, as the pair of its two rref rows.
+
+    A plane with pivot columns j < k has free entries in row X at the
+    columns after j other than k, and in row Y at the columns after k.
+    """
+    out = []
+    for j, k in itertools.combinations(range(4), 2):
+        free = [(0, c) for c in range(j + 1, 4) if c != k]
+        free += [(1, c) for c in range(k + 1, 4)]
+        for values in itertools.product(range(field.p), repeat=len(free)):
+            rows = [[0] * 4, [0] * 4]
+            rows[0][j] = rows[1][k] = 1
+            for (r, c), x in zip(free, values):
+                rows[r][c] = x
+            out.append(GeneratorPair(f4_to_deg1(rows[0]), f4_to_deg1(rows[1])))
+    return out
+
+
 @dataclass
 class ScanTable:
     window: int
@@ -647,9 +712,11 @@ def scan(
 
     In normalized mode the direct thin count is cross-checked against the
     independent line-avoidance count; the two totals must agree exactly.
-    Raises WindowTooLarge, before any pair is built, when the number of
-    pairs (q^2 normalized, q^4 - 1 raw) times the window exceeds
-    SCAN_BUDGET.
+    In raw mode each F-plane is classified once and counted |GL_2(F)|
+    times, once per ordered basis (X, Y); the E-dependent pairs make up
+    the rest of the q^4 - 1.  Raises WindowTooLarge, before any pair is
+    built, when the number of pairs (q^2 normalized, q^4 - 1 raw) times
+    the window exceeds SCAN_BUDGET.
     """
     F = pres.field
     if not is_standard(pres):
@@ -661,19 +728,22 @@ def scan(
         raise WindowTooLarge(
             f"scan of {count} pairs x window {window} exceeds budget {SCAN_BUDGET}"
         )
-    pairs = list(raw_pairs(F)) if raw else normalized_pairs(F)
+    amb = _Ambient(pres, window)
+    pairs = f_planes(F) if raw else normalized_pairs(F)
+    # in raw mode |GL_2(F)|, the number of ordered bases of a plane
+    weight = (q - 1) * (q - F.p) if raw else 1
 
-    counts = {"thin": 0, "maximal": 0, "rconstrained": 0, "degenerate": 0}
+    counts = {"thin": 0, "maximal": 0, "rconstrained": 0}
     gaps: Dict[str, int] = {}
     for g in pairs:
         if g.is_degenerate(F):
-            v = Verdict(kind="degenerate")
-        else:
-            v = generate_subalgebra(pres, g, window).verdict
-        counts[v.kind] += 1
+            continue
+        v = _analyse(amb, g).verdict
+        counts[v.kind] += weight
         if v.kind == "rconstrained":
             key = str(v.r_observed) if v.r_observed is not None else "unobserved"
-            gaps[key] = gaps.get(key, 0) + 1
+            gaps[key] = gaps.get(key, 0) + weight
+    counts["degenerate"] = count - sum(counts.values())
     thin_by_lines = None
     agree = None
     if not raw:

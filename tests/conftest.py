@@ -48,6 +48,11 @@ def search25_12(f25):
     return mc.search_sequences(f25, 12, 10**9)
 
 
+@pytest.fixture(scope="session")
+def search25_14(f25):
+    return mc.search_sequences(f25, 14, 10**9)
+
+
 def _standard_all_ex_deviating(field, found):
     """Standard-form presentations whose deviations are all Ex, most devs first."""
     out = []
@@ -89,6 +94,14 @@ def dev25_12(f25, search25_12):
     cands = _standard_all_ex_deviating(f25, search25_12)
     assert cands
     return cands[0]
+
+
+@pytest.fixture(scope="session")
+def dev25_14(f25, search25_14):
+    """Class-14 presentation over GF(25) deviating at 10 (Ex)."""
+    best = _standard_all_ex_deviating(f25, search25_14)[0]
+    assert mc.two_step_centralizers(best).deviations() == [10]
+    return best
 
 
 @pytest.fixture(scope="session")

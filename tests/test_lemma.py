@@ -16,6 +16,12 @@ P^1(E); the trial-push search it replaced is kept here as an oracle.
 lines of the standard forms (the centralizer lemma in its docstring);
 the brute force over every projective degree-1 map is kept here as an
 oracle.
+
+``subfield.generate_subalgebra`` reads L = <X, Y> off the d-values by the
+dimension lemma (the ``subfield`` module docstring), and a raw ``scan``
+classifies each F-plane of L_1 once, weighted by |GL_2(F)|.  The
+degree-by-degree RowSpace generation and the pair-by-pair raw scan they
+replaced are kept here as oracles.
 """
 
 import random
@@ -26,8 +32,15 @@ from thinlie import endo
 from thinlie import maxclass as mc
 from thinlie import reconstruct as rec
 from thinlie import subfield as sf
-from thinlie.errors import DimensionAnomaly, NotFaithful, PreconditionFailed, ThinLieError
-from thinlie.gf import Matrix, make_ext_field, span
+from thinlie.errors import (
+    BadBound,
+    DimensionAnomaly,
+    NotFaithful,
+    NotStandardForm,
+    PreconditionFailed,
+    ThinLieError,
+)
+from thinlie.gf import Matrix, RowSpace, make_ext_field, span
 
 
 def _label(i: int) -> str:
@@ -523,3 +536,177 @@ def test_iso_search_matches_all_pairs(request, monkeypatch):
                 s.transform.rows if s.found else None
             ), (a.adjoint, b.adjoint)
         assert any(f.found for f in results) and not all(f.found for f in results)
+
+
+# -- the subalgebra <X, Y> and the raw scan ------------------------------------
+
+
+def oracle_d_values(l1, seq, window):
+    """d_i = dim_F(C_i \\cap l1) for i = 2 .. window - 1, one span per degree."""
+    out = []
+    for i in range(2, window):
+        sp = span(l1.field, l1.basis() + sf.point_rows_f4(seq.field, seq.point(i)), 4)
+        out.append(4 - sp.dim)
+    return tuple(out)
+
+
+def oracle_generate_subalgebra(pres, g, window=None):
+    """Generate L = <X, Y> degree by degree and classify it within the window."""
+    F = pres.field
+    Fb = F.base
+    window = pres.class_n if window is None else window
+    if not 4 <= window <= pres.class_n:
+        raise BadBound(f"window {window} not in [4, {pres.class_n}]")
+    mc.tables(pres)
+    seq = mc.two_step_centralizers(pres)
+
+    l1 = RowSpace(Fb, 4)
+    l1.insert(sf.deg1_to_f4(g.X))
+    l1.insert(sf.deg1_to_f4(g.Y))
+    if g.is_degenerate(F):
+        bases = [tuple(l1.basis())] + [tuple()] * (window - 1)
+        dims = tuple([l1.dim] + [0] * (window - 1))
+        return sf.SubalgebraAnalysis(
+            pres=pres,
+            pair=g,
+            window=window,
+            bases=tuple(bases),
+            dims=dims,
+            d=None,
+            D0=None,
+            verdict=sf.Verdict(kind="degenerate"),
+            centralizers=seq,
+        )
+
+    bases = [tuple(l1.basis())]
+    prev = l1
+    for i in range(1, window):
+        nxt = RowSpace(Fb, 2)
+        for r in prev.basis():
+            for gen in (g.X, g.Y):
+                nxt.insert(sf.ad_gen(pres, i, r, gen))
+        bases.append(tuple(nxt.basis()))
+        prev = nxt
+    dims = tuple(len(b) for b in bases)
+    d = oracle_d_values(l1, seq, window)
+    D0 = tuple(i for i, x in zip(range(2, window), d) if x == 0)
+    verdict = sf._classify(d, dims, window)
+    return sf.SubalgebraAnalysis(
+        pres=pres,
+        pair=g,
+        window=window,
+        bases=tuple(bases),
+        dims=dims,
+        d=d,
+        D0=D0,
+        verdict=verdict,
+        centralizers=seq,
+    )
+
+
+def oracle_scan(pres, window=None, raw=False):
+    """Classify every generator pair one by one and tabulate the verdicts."""
+    F = pres.field
+    if not mc.is_standard(pres):
+        raise NotStandardForm("scan expects a standard-form presentation")
+    window = pres.class_n if window is None else window
+    q = F.order
+    count = q**4 - 1 if raw else q * q
+    pairs = list(sf.raw_pairs(F)) if raw else sf.normalized_pairs(F)
+
+    counts = {"thin": 0, "maximal": 0, "rconstrained": 0, "degenerate": 0}
+    gaps = {}
+    for g in pairs:
+        if g.is_degenerate(F):
+            v = sf.Verdict(kind="degenerate")
+        else:
+            v = sf.generate_subalgebra(pres, g, window).verdict
+        counts[v.kind] += 1
+        if v.kind == "rconstrained":
+            key = str(v.r_observed) if v.r_observed is not None else "unobserved"
+            gaps[key] = gaps.get(key, 0) + 1
+    thin_by_lines = None
+    agree = None
+    if not raw:
+        thin_by_lines = sf.count_thin_by_line_avoidance(pres, window)
+        agree = thin_by_lines == counts["thin"]
+    return sf.ScanTable(
+        window=window,
+        mode="raw" if raw else "normalized",
+        total=count,
+        counts=counts,
+        rconstrained_gaps=dict(sorted(gaps.items())),
+        thin_direct=counts["thin"],
+        thin_by_lines=thin_by_lines,
+        agree=agree,
+    )
+
+
+def _analysis_key(an):
+    return an.bases, an.dims, an.d, an.D0, an.verdict
+
+
+@pytest.mark.parametrize(
+    "which, raw, windows",
+    [
+        ("dev9_14", True, (4, 9, 14)),
+        ("dev25_14", False, (14,)),
+        ("dev4_12", True, (12,)),
+        ("metabelian9_12", True, (12,)),
+    ],
+    ids=["dev9_14-raw", "dev25_14-normalized", "dev4_12-raw", "metabelian9_12-raw"],
+)
+def test_generate_matches_rowspace(request, f9, which, raw, windows):
+    """The closed form against the degree-by-degree RowSpace generation.
+
+    Same bases, dims, d, D0 and verdict for every pair, degenerate ones
+    included; every verdict kind occurs on the deviating inputs.
+    """
+    pres = (
+        mc.make_metabelian(f9, 12) if which == "metabelian9_12"
+        else request.getfixturevalue(which)
+    )
+    F = pres.field
+    pairs = list(sf.raw_pairs(F)) if raw else sf.normalized_pairs(F)
+    kinds = set()
+    for window in windows:
+        for g in pairs:
+            an = sf.generate_subalgebra(pres, g, window)
+            assert _analysis_key(an) == _analysis_key(
+                oracle_generate_subalgebra(pres, g, window)
+            ), (g, window)
+            kinds.add(an.verdict.kind)
+    assert "thin" in kinds and "degenerate" in kinds
+    if which in ("dev9_14", "dev4_12"):
+        assert kinds == {"thin", "maximal", "rconstrained", "degenerate"}
+
+
+@pytest.mark.parametrize(
+    "which, window",
+    [("dev9_14", 6), ("dev9_14", 14), ("dev4_12", 12), ("metabelian4_6", 6)],
+    ids=["dev9_14-6", "dev9_14-14", "dev4_12-12", "metabelian4_6-6"],
+)
+def test_raw_scan_matches_pairs(request, f4, which, window):
+    """Planes weighted by |GL_2(F)| against the pair-by-pair raw scan."""
+    pres = (
+        mc.make_metabelian(f4, 6) if which == "metabelian4_6"
+        else request.getfixturevalue(which)
+    )
+    assert sf.scan(pres, window, raw=True) == oracle_scan(pres, window, raw=True)
+
+
+@pytest.mark.parametrize("p, u, v", [(2, 1, 1), (3, 0, 2), (5, 0, 2)], ids=["4", "9", "25"])
+def test_f_planes(p, u, v):
+    """Distinct rref planes, as many as Gr(2, F^4) has; the E-independent
+    ones, times |GL_2(F)| ordered bases each, are the |GL_2(E)| raw pairs
+    that are not degenerate."""
+    F = make_ext_field(p, u, v)
+    planes = sf.f_planes(F)
+    rows = [(sf.deg1_to_f4(g.X), sf.deg1_to_f4(g.Y)) for g in planes]
+    assert len(set(rows)) == len(rows)
+    for pair in rows:
+        assert tuple(span(F.base, pair, 4).basis()) == pair
+    assert len(planes) == (p**4 - 1) * (p**4 - p) // ((p**2 - 1) * (p**2 - p))
+    q = p * p
+    independent = sum(1 for g in planes if not g.is_degenerate(F))
+    assert independent * (p**2 - 1) * (p**2 - p) == (q**2 - 1) * (q**2 - q)

@@ -84,6 +84,23 @@ class TestDSequence:
         assert len(calls) == 1
         assert an.d == sf.d_sequence(dev9_14, rc_pair, 14)
 
+    def test_one_span_per_point(self, monkeypatch, f9, thin_pair_f9, dev9_14, rc_pair):
+        calls = []
+        real = sf.span
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(sf, "span", counting)
+        m = mc.make_metabelian(f9, 40)  # 38 degrees, all at the point Ey
+        assert sf.d_sequence(m, thin_pair_f9, 40) == (0,) * 38
+        assert len(calls) == 1
+        del calls[:]
+        d = sf.d_sequence(dev9_14, rc_pair, 14)  # the points Ey and Ex
+        assert len(calls) == 2
+        assert [i for i, x in zip(range(2, 14), d) if x == 0] == [6, 9, 12]
+
 
 class TestClassify:
     def test_rc_structure(self, dev9_14, rc_pair):
@@ -280,6 +297,21 @@ class TestScan:
         over = sf.SCAN_BUDGET // (9**4 - 1) + 1
         with pytest.raises(WindowTooLarge, match=f"scan of 6560 pairs x window {over}"):
             sf.scan(m, over, raw=True)
+
+    def test_raw_dev9_14_pinned(self, f9, dev9_14):
+        # the raw counts recorded at the seed commit, where every pair was
+        # generated; thin planes are those the line criterion accepts
+        t = sf.scan(dev9_14, 14, raw=True)
+        assert t.total == 9**4 - 1
+        assert t.counts == {"thin": 1920, "maximal": 768, "rconstrained": 3072, "degenerate": 800}
+        assert t.rconstrained_gaps == {"2": 1536, "3": 1536}
+        assert t.thin_by_lines is None and t.agree is None
+        avoiding = sum(
+            1
+            for g in sf.f_planes(f9)
+            if not g.is_degenerate(f9) and sf.thin_line_criterion(dev9_14, g, 14).avoided
+        )
+        assert t.counts["thin"] == (3**2 - 1) * (3**2 - 3) * avoiding
 
     def test_raw_mode_cross_validation(self, f4):
         # on the metabelian algebra a raw pair is thin iff the x-parts of the
