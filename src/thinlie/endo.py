@@ -15,7 +15,6 @@ constraint vacuously.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -27,11 +26,10 @@ from .errors import (
     NotCommutative,
     OutOfWindow,
 )
-from .gf import EElem, Matrix, RowSpace, quadratic_is_irreducible, rref, solve, span
+from .gf import EElem, Matrix, RowSpace, quadratic_is_irreducible, rref, solve
 from .subfield import SubalgebraAnalysis, ad_gen
 
 Coords = Tuple[int, ...]
-SCHUR_EXHAUSTIVE_LIMIT = 4096
 
 # -- linear forms over GF(p) --------------------------------------------------
 
@@ -281,13 +279,6 @@ class FieldId:
         }
 
 
-def _ring_elements(ring: EndoRing):
-    p = ring.field.p
-    for coords in itertools.product(range(p), repeat=ring.dim):
-        if any(coords):
-            yield coords
-
-
 def _scalar_of_action(ring: EndoRing, coords: Coords) -> EElem:
     """The extension scalar by which an element acts on V_{k0}.
 
@@ -312,13 +303,24 @@ def _scalar_of_action(ring: EndoRing, coords: Coords) -> EElem:
 def identify_field(ring: EndoRing) -> FieldId:
     """Verify the ring is a (commutative) field and name its isomorphism type.
 
-    Commutativity comes from the multiplication table; invertibility is
-    Schur's lemma made testable: every nonzero element must act with
-    nonzero determinant on every component in the window.  A ring of
+    Commutativity comes from the multiplication table.  Invertibility is
+    Schur's lemma made testable without enumerating the ring: on every
+    component in the window the identity must act as I, and the
+    generator's matrix G must satisfy the generator's minimal polynomial,
+    G^2 = m2*G + m1*I.  That polynomial is irreducible over GF(p), so G has
+    no eigenvalue in GF(p) and a*I + b*G is invertible for every nonzero
+    (a, b): no nonzero element is singular on any component.  A ring of
     dimension 2 with an irreducible quadratic minimal polynomial is the
-    field GF(p^2); the Galois-conjugate ambiguity of its identification
-    with the ambient extension is resolved by reading off the scalar by
-    which a distinguished root of the ambient quadratic acts.
+    field GF(p^2).
+
+    The generator acts on V_{k0} by an extension scalar sigma, which embeds
+    the ring in the ambient extension.  So the root of the ambient quadratic
+    t^2 - u t - v that acts as mu is mu_hat = a*1 + b*gen with
+    a + b*sigma = mu (one solve over GF(p)), and its Galois conjugate is
+    u*1 - mu_hat.  The Galois-conjugate ambiguity is resolved by which of
+    the two roots comes first in lexicographic coordinate order, the root a
+    scan of the ring would meet first: "mu" when mu_hat does, "mu_conj"
+    when its conjugate does.
     """
     F = ring.field
     Fb = F.base
@@ -329,19 +331,13 @@ def identify_field(ring: EndoRing) -> FieldId:
                 raise NotCommutative(
                     f"basis elements {i} and {j} do not commute"
                 )
-    # Schur invertibility on every degree
-    exhaustive = p**ring.dim <= SCHUR_EXHAUSTIVE_LIMIT
-    elements = list(_ring_elements(ring)) if exhaustive else [
-        _lf_unit(ring.dim, k) for k in range(ring.dim)
-    ]
-    for coords in elements:
-        flat = ring.element_flat(coords)
-        for degree in range(ring.k0, ring.window + 1):
-            mat = _eval_forms(p, ring._symbolic[degree], flat)
-            if span(Fb, mat, len(mat)).dim < len(mat):
-                raise NotAField(
-                    f"nonzero element {coords} is singular on degree {degree}"
-                )
+    if ring.dim not in (1, 2):
+        raise NotAField(f"unexpected ring dimension {ring.dim}")
+    degrees = range(ring.k0, ring.window + 1)
+    for degree in degrees:
+        one = ring.matrix_at(ring.identity, degree)
+        if one != Matrix.identity(Fb, len(one)).rows:
+            raise NotAField(f"the identity does not act as I on degree {degree}")
     if ring.dim == 1:
         return FieldId(
             dim=1,
@@ -352,8 +348,6 @@ def identify_field(ring: EndoRing) -> FieldId:
             mu_hat=None,
             sigma=None,
         )
-    if ring.dim != 2:
-        raise NotAField(f"unexpected ring dimension {ring.dim}")
     # canonical generator: first basis element outside F*identity
     gen = None
     for k in range(ring.dim):
@@ -370,40 +364,33 @@ def identify_field(ring: EndoRing) -> FieldId:
     c0 = (-m1) % p
     if not quadratic_is_irreducible(p, m2, m1):
         raise NotAField(f"minimal polynomial t^2 + {c1}t + {c0} is reducible")
-    # locate a root of the ambient quadratic t^2 - u t - v inside the ring
-    mu_abs = None
-    for coords in _ring_elements(ring):
-        if _proportional(p, coords, ring.identity):
-            continue
-        sq = ring.compose(coords, coords)
-        want = tuple(
-            (F.u * a + F.v * b) % p for a, b in zip(coords, ring.identity)
-        )
-        if sq == want:
-            mu_abs = coords
-            break
-    if mu_abs is None:
-        raise NotAField("no root of the ambient quadratic inside the ring")
-    sigma = _scalar_of_action(ring, mu_abs)
-    if sigma == F.mu:
-        embedding = "mu"
-        mu_hat = mu_abs
-    elif sigma == F.conj(F.mu):
-        embedding = "mu_conj"
-        mu_hat = tuple(
-            (F.u * i - a) % p for a, i in zip(mu_abs, ring.identity)
-        )
-    else:
-        raise DimensionAnomaly(f"root acts by {sigma}, not a conjugate of mu")
-    gen_sigma = _scalar_of_action(ring, gen)
+    for degree in degrees:
+        G = Matrix(Fb, ring.matrix_at(gen, degree))
+        want = [
+            [(m2 * a + m1 * (r == c)) % p for c, a in enumerate(row)]
+            for r, row in enumerate(G.rows)
+        ]
+        if G.mul(G).rows != want:
+            raise NotAField(
+                f"generator misses t^2 + {c1}t + {c0} on degree {degree}"
+            )
+    # the root acting as mu, from the embedding gen -> sigma
+    sigma = _scalar_of_action(ring, gen)
+    a, b = solve(Fb, [F.one, sigma], F.mu)
+    mu_hat = tuple((a * i + b * g) % p for i, g in zip(ring.identity, gen))
+    conj = tuple((F.u * i - m) % p for m, i in zip(mu_hat, ring.identity))
+    if ring.compose(mu_hat, mu_hat) != tuple(
+        (F.u * m + F.v * i) % p for m, i in zip(mu_hat, ring.identity)
+    ):
+        raise DimensionAnomaly("mu_hat is not a root of the ambient quadratic")
     return FieldId(
         dim=2,
         min_poly=(c0, c1, 1),
         is_field=True,
-        embedding=embedding,
+        embedding="mu" if mu_hat < conj else "mu_conj",
         generator=gen,
         mu_hat=mu_hat,
-        sigma=gen_sigma,
+        sigma=sigma,
     )
 
 

@@ -52,8 +52,9 @@ from .maxclass import (
 EPair = Tuple[EElem, EElem]  # coordinates (A, B) of A*x + B*y
 
 BRUTE_FORCE_LIMIT = 200_000
-# Pairs x window a scan may classify: above every scan the tests and the
-# benchmark run (the largest is a raw GF(9) scan, 6560 pairs x window 14).
+# Classifications x window a scan may make: normalized pairs, or F-planes in
+# a raw scan.  Above every scan the tests and the benchmark run (the largest
+# is a normalized GF(49) scan, 2401 pairs x window 20).
 SCAN_BUDGET = 200_000
 
 
@@ -715,23 +716,24 @@ def scan(
     In raw mode each F-plane is classified once and counted |GL_2(F)|
     times, once per ordered basis (X, Y); the E-dependent pairs make up
     the rest of the q^4 - 1.  Raises WindowTooLarge, before any pair is
-    built, when the number of pairs (q^2 normalized, q^4 - 1 raw) times
-    the window exceeds SCAN_BUDGET.
+    built, when the number of classifications (q^2 pairs normalized,
+    (p^2 + 1)(p^2 + p + 1) planes raw) times the window exceeds SCAN_BUDGET.
     """
     F = pres.field
     if not is_standard(pres):
         raise NotStandardForm("scan expects a standard-form presentation")
     window = pres.class_n if window is None else window
-    q = F.order
+    p, q = F.p, F.order
     count = q**4 - 1 if raw else q * q
-    if count * window > SCAN_BUDGET:
+    cost, unit = ((p * p + 1) * (p * p + p + 1), "planes") if raw else (count, "pairs")
+    if cost * window > SCAN_BUDGET:
         raise WindowTooLarge(
-            f"scan of {count} pairs x window {window} exceeds budget {SCAN_BUDGET}"
+            f"scan of {cost} {unit} x window {window} exceeds budget {SCAN_BUDGET}"
         )
     amb = _Ambient(pres, window)
     pairs = f_planes(F) if raw else normalized_pairs(F)
     # in raw mode |GL_2(F)|, the number of ordered bases of a plane
-    weight = (q - 1) * (q - F.p) if raw else 1
+    weight = (q - 1) * (q - p) if raw else 1
 
     counts = {"thin": 0, "maximal": 0, "rconstrained": 0}
     gaps: Dict[str, int] = {}

@@ -1,13 +1,17 @@
 """Command-line interface: exit codes, report schemas, determinism."""
 
 import json
+import os
 import re
 import shlex
+import subprocess
+import sys
 import time
 from pathlib import Path
 
 import pytest
 
+import thinlie
 from thinlie import maxclass as mc
 from thinlie.cli import main
 from thinlie.gf import ExtField, make_ext_field
@@ -216,7 +220,56 @@ class TestBadInput:
         assert time.perf_counter() - start < 1.0
         assert code == 2
         assert out == ""
-        assert f"scan of {q**4 - 1 if raw else q * q} pairs x window 6" in err
+        # a raw scan is charged by the F-planes it classifies
+        unit = f"{(p * p + 1) * (p * p + p + 1)} planes" if raw else f"{q * q} pairs"
+        assert f"scan of {unit} x window 6" in err
+
+
+def thinlie_process(*argv, timeout=10):
+    """Run the CLI in a child process, killed after `timeout` seconds."""
+    src = str(Path(thinlie.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    return subprocess.run(
+        [sys.executable, "-m", "thinlie.cli", *argv],
+        capture_output=True, text=True, timeout=timeout, env=env,
+    )
+
+
+class TestLargePrime:
+    """Every command on a class-8 metabelian algebra over GF(1000003^2)
+    answers, or refuses before enumerating, within 10 s."""
+
+    @pytest.fixture(scope="class")
+    def big_file(self, tmp_path_factory):
+        path = tmp_path_factory.mktemp("large-prime") / "big.json"
+        proc = thinlie_process(
+            "build", "metabelian", "--p", "1000003", "--ext", "4,1", "--class", "8", "-o", str(path)
+        )
+        assert proc.returncode == 0, proc.stderr
+        return str(path)
+
+    @pytest.mark.parametrize(
+        "argv, code",
+        [
+            (["check"], 0),
+            (["stats"], 0),
+            (["analyze", *PAIR], 0),
+            (["endo", *PAIR], 0),
+            (["roundtrip", *PAIR], 0),
+            (["scan"], 2),
+            (["scan", "--raw"], 2),
+        ],
+        ids=["check", "stats", "analyze", "endo", "roundtrip", "scan", "scan-raw"],
+    )
+    def test_answers_within_timeout(self, big_file, argv, code):
+        proc = thinlie_process(argv[0], big_file, *argv[1:])
+        assert proc.returncode == code, proc.stderr
+        if code == 0:
+            assert out_json(proc.stdout)["command"] == argv[0]
+        else:
+            assert proc.stdout == ""
+            assert "exceeds budget" in proc.stderr
 
 
 class TestAnalyze:

@@ -8,7 +8,7 @@ import pytest
 from thinlie import endo
 from thinlie import maxclass as mc
 from thinlie import subfield as sf
-from thinlie.errors import OutOfWindow
+from thinlie.errors import DimensionAnomaly, OutOfWindow
 
 
 @pytest.fixture(scope="module")
@@ -110,6 +110,16 @@ class TestScalarAction:
                     amb[0] = (amb[0] + c * r[0]) % 3
                     amb[1] = (amb[1] + c * r[1]) % 3
                 assert tuple(amb) == f9.mul(f9.mu, (row[0], row[1]))
+
+    def test_root_check_refuses_a_wrong_scalar(self, thin_ring, f9, monkeypatch):
+        # mu_hat is solved from the scalar of the generator; one composition
+        # confirms it squares like mu, so a scalar off by one is caught
+        scalar = endo._scalar_of_action
+        monkeypatch.setattr(
+            endo, "_scalar_of_action", lambda ring, e: f9.add(scalar(ring, e), f9.one)
+        )
+        with pytest.raises(DimensionAnomaly, match="not a root"):
+            endo.identify_field(thin_ring)
 
     def test_generator_acts_by_sigma(self, thin_ring, thin_fid, f9):
         # sigma-consistency: the scalar is the same in every degree

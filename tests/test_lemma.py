@@ -22,8 +22,15 @@ dimension lemma (the ``subfield`` module docstring), and a raw ``scan``
 classifies each F-plane of L_1 once, weighted by |GL_2(F)|.  The
 degree-by-degree RowSpace generation and the pair-by-pair raw scan they
 replaced are kept here as oracles.
+
+``endo.identify_field`` checks Schur invertibility on the identity and the
+generator only and reads the root of the ambient quadratic off the scalar
+by which the generator acts (the lemma in its docstring); the version that
+enumerated the ring is kept here as an oracle.
 """
 
+import dataclasses
+import itertools
 import random
 
 import pytest
@@ -35,12 +42,14 @@ from thinlie import subfield as sf
 from thinlie.errors import (
     BadBound,
     DimensionAnomaly,
+    NotAField,
+    NotCommutative,
     NotFaithful,
     NotStandardForm,
     PreconditionFailed,
     ThinLieError,
 )
-from thinlie.gf import Matrix, RowSpace, make_ext_field, span
+from thinlie.gf import Matrix, RowSpace, make_ext_field, quadratic_is_irreducible, solve, span
 
 
 def _label(i: int) -> str:
@@ -710,3 +719,232 @@ def test_f_planes(p, u, v):
     q = p * p
     independent = sum(1 for g in planes if not g.is_degenerate(F))
     assert independent * (p**2 - 1) * (p**2 - p) == (q**2 - 1) * (q**2 - q)
+
+
+# -- the endomorphism field ------------------------------------------------------
+
+SCHUR_EXHAUSTIVE_LIMIT = 4096
+
+
+def _ring_elements(ring):
+    p = ring.field.p
+    for coords in itertools.product(range(p), repeat=ring.dim):
+        if any(coords):
+            yield coords
+
+
+def oracle_identify_field(ring):
+    """Verify the ring is a (commutative) field and name its isomorphism type.
+
+    Commutativity comes from the multiplication table; invertibility is
+    Schur's lemma made testable: every nonzero element must act with
+    nonzero determinant on every component in the window.  A ring of
+    dimension 2 with an irreducible quadratic minimal polynomial is the
+    field GF(p^2); the Galois-conjugate ambiguity of its identification
+    with the ambient extension is resolved by reading off the scalar by
+    which a distinguished root of the ambient quadratic acts.
+    """
+    F = ring.field
+    Fb = F.base
+    p = F.p
+    for i in range(ring.dim):
+        for j in range(i + 1, ring.dim):
+            if ring.mult_table[i][j] != ring.mult_table[j][i]:
+                raise NotCommutative(
+                    f"basis elements {i} and {j} do not commute"
+                )
+    # Schur invertibility on every degree
+    exhaustive = p**ring.dim <= SCHUR_EXHAUSTIVE_LIMIT
+    elements = list(_ring_elements(ring)) if exhaustive else [
+        endo._lf_unit(ring.dim, k) for k in range(ring.dim)
+    ]
+    for coords in elements:
+        flat = ring.element_flat(coords)
+        for degree in range(ring.k0, ring.window + 1):
+            mat = endo._eval_forms(p, ring._symbolic[degree], flat)
+            if span(Fb, mat, len(mat)).dim < len(mat):
+                raise NotAField(
+                    f"nonzero element {coords} is singular on degree {degree}"
+                )
+    if ring.dim == 1:
+        return endo.FieldId(
+            dim=1,
+            min_poly=None,
+            is_field=True,
+            embedding="n/a",
+            generator=None,
+            mu_hat=None,
+            sigma=None,
+        )
+    if ring.dim != 2:
+        raise NotAField(f"unexpected ring dimension {ring.dim}")
+    # canonical generator: first basis element outside F*identity
+    gen = None
+    for k in range(ring.dim):
+        cand = endo._lf_unit(ring.dim, k)
+        if not endo._proportional(p, cand, ring.identity):
+            gen = cand
+            break
+    if gen is None:
+        raise NotAField("ring has no element outside F*identity")
+    # minimal polynomial of the generator: g^2 = m1*1 + m2*g
+    g2 = ring.compose(gen, gen)
+    m1, m2 = solve(Fb, [ring.identity, gen], g2)
+    c1 = (-m2) % p
+    c0 = (-m1) % p
+    if not quadratic_is_irreducible(p, m2, m1):
+        raise NotAField(f"minimal polynomial t^2 + {c1}t + {c0} is reducible")
+    # locate a root of the ambient quadratic t^2 - u t - v inside the ring
+    mu_abs = None
+    for coords in _ring_elements(ring):
+        if endo._proportional(p, coords, ring.identity):
+            continue
+        sq = ring.compose(coords, coords)
+        want = tuple(
+            (F.u * a + F.v * b) % p for a, b in zip(coords, ring.identity)
+        )
+        if sq == want:
+            mu_abs = coords
+            break
+    if mu_abs is None:
+        raise NotAField("no root of the ambient quadratic inside the ring")
+    sigma = endo._scalar_of_action(ring, mu_abs)
+    if sigma == F.mu:
+        embedding = "mu"
+        mu_hat = mu_abs
+    elif sigma == F.conj(F.mu):
+        embedding = "mu_conj"
+        mu_hat = tuple(
+            (F.u * i - a) % p for a, i in zip(mu_abs, ring.identity)
+        )
+    else:
+        raise DimensionAnomaly(f"root acts by {sigma}, not a conjugate of mu")
+    gen_sigma = endo._scalar_of_action(ring, gen)
+    return endo.FieldId(
+        dim=2,
+        min_poly=(c0, c1, 1),
+        is_field=True,
+        embedding=embedding,
+        generator=gen,
+        mu_hat=mu_hat,
+        sigma=gen_sigma,
+    )
+
+
+# (p, u, v, class) of the metabelian algebras; the others are fixtures
+_METABELIAN = {
+    "metabelian4_10": (2, 1, 1, 10),
+    "metabelian9_10": (3, 0, 2, 10),
+    "metabelian9b_10": (3, 1, 1, 10),
+    "metabelian25_10": (5, 0, 2, 10),
+}
+
+
+def _presentation(request, which):
+    if which in _METABELIAN:
+        p, u, v, class_n = _METABELIAN[which]
+        return mc.make_metabelian(make_ext_field(p, u, v), class_n)
+    return request.getfixturevalue(which)
+
+
+@pytest.mark.parametrize(
+    "which, embeddings",
+    [
+        ("metabelian4_10", {"n/a", "mu_conj"}),
+        ("metabelian9_10", {"mu_conj"}),  # mu^2 = 2
+        ("metabelian9b_10", {"mu"}),  # mu^2 = mu + 1
+        ("metabelian25_10", {"mu"}),
+        ("dev9_14", {"mu_conj"}),
+        ("dev25_14", {"mu"}),
+    ],
+)
+def test_identify_field_matches_enumeration(request, which, embeddings):
+    """The closed form against the ring enumeration: equal FieldId on the
+    ring of every non-degenerate normalized pair (every raw pair over
+    GF(4), so that the dimension-1 rings of maximal pairs occur too)."""
+    pres = _presentation(request, which)
+    F = pres.field
+    pairs = sf.raw_pairs(F) if F.p == 2 else sf.normalized_pairs(F)
+    seen = set()
+    for g in pairs:
+        if g.is_degenerate(F):
+            continue
+        ring = endo.compute_grend0(sf.generate_subalgebra(pres, g))
+        fid = endo.identify_field(ring)
+        assert fid == oracle_identify_field(ring), g
+        seen.add(fid.embedding)
+    assert seen == embeddings
+
+
+def _perturbed(ring, rng):
+    """The ring with one product or one propagated form replaced."""
+    p = ring.field.p
+    if rng.random() < 0.2:
+        i, j = rng.sample(range(ring.dim), 2)
+        table = [list(row) for row in ring.mult_table]
+        table[i][j] = tuple(rng.randrange(p) for _ in range(ring.dim))
+        return dataclasses.replace(ring, mult_table=tuple(map(tuple, table)))
+    degree = rng.randint(ring.k0, ring.window)
+    sym = [list(row) for row in ring._symbolic[degree]]
+    r, c = rng.randrange(len(sym)), rng.randrange(len(sym[0]))
+    sym[r][c] = tuple(rng.randrange(p) for _ in sym[r][c])
+    return dataclasses.replace(ring, _symbolic={**ring._symbolic, degree: sym})
+
+
+@pytest.mark.parametrize("which", ["metabelian9_10", "dev9_14"])
+def test_identify_field_failures_match(request, thin_pair_f9, which):
+    """Wherever the enumeration finds a zero divisor or a non-commuting
+    pair, so does the closed form; where it accepts, the closed form gives
+    the same FieldId or refuses an identity that does not act as I or a
+    generator that misses its minimal polynomial."""
+    pres = _presentation(request, which)
+    ring = endo.compute_grend0(sf.generate_subalgebra(pres, thin_pair_f9))
+    rng = random.Random(f"identify-field-{which}")
+    kinds = set()
+    for _ in range(300):
+        bad = _perturbed(ring, rng)
+        want = _outcome(oracle_identify_field, bad)
+        got = _outcome(endo.identify_field, bad)
+        kinds.add(want[0])
+        if want[0] in ("NotAField", "NotCommutative"):
+            assert got[0] == want[0], (want, got)
+        elif want[0] == "ok":
+            assert got == want or got[0] == "NotAField", (want, got)
+    assert {"NotAField", "NotCommutative", "ok"} <= kinds
+
+
+def test_schur_sees_non_basis_elements():
+    """At p = 67 the enumeration checked only the basis elements e0, e1;
+    the closed form also refuses a singular e1 - e0."""
+    F = make_ext_field(67, 0, 66)
+    p = F.p
+    pair = sf.GeneratorPair(((1, 0), (1, 0)), ((0, 1), (1, 1)))
+    ring = endo.compute_grend0(sf.generate_subalgebra(mc.make_metabelian(F, 6), pair))
+    assert ring.dim == 2
+    # forms phi_k on bottom matrices with phi_k(basis_j) = [k == j]
+    b0, b1 = ring.basis
+    i, j = next(
+        (i, j) for i, j in itertools.combinations(range(len(b0)), 2)
+        if (b0[i] * b1[j] - b0[j] * b1[i]) % p
+    )
+
+    def dual(target):
+        form = [0] * len(b0)
+        form[i], form[j] = solve(F.base, [(b0[i], b1[i]), (b0[j], b1[j])], target)
+        return form
+
+    phi0, phi1 = dual((1, 0)), dual((0, 1))
+    # e0 acts as I and e1 as diag(1, 2) on one degree, so e1 - e0 is singular
+    A, B = ((1, 0), (0, 1)), ((1, 0), (0, 2))
+    degree = ring.k0 + 1
+    sym = [
+        [tuple((a * x + b * y) % p for x, y in zip(phi0, phi1)) for a, b in zip(ra, rb)]
+        for ra, rb in zip(A, B)
+    ]
+    bad = dataclasses.replace(ring, _symbolic={**ring._symbolic, degree: sym})
+    assert bad.matrix_at((1, 0), degree) == [[1, 0], [0, 1]]
+    assert bad.matrix_at((0, 1), degree) == [[1, 0], [0, 2]]
+    assert bad.matrix_at((p - 1, 1), degree) == [[0, 0], [0, 1]]
+    assert _outcome(oracle_identify_field, bad)[0] == "ok"
+    with pytest.raises(NotAField):
+        endo.identify_field(bad)

@@ -13,7 +13,7 @@ from thinlie.errors import (
     WindowTooLarge,
     WindowTooLargeForBruteForce,
 )
-from thinlie.gf import Matrix, RowSpace
+from thinlie.gf import Matrix, RowSpace, make_ext_field
 
 
 class TestGenerate:
@@ -289,14 +289,24 @@ class TestScan:
         assert t_dev.agree
         assert t_dev.counts["thin"] < t_met.counts["thin"]
 
-    def test_budget_covers_existing_scans(self, f9):
-        # (q, raw, window): the largest scans of the tests and the benchmark
-        for q, raw, window in ((25, False, 40), (49, False, 20), (25, False, 14), (9, True, 14)):
-            assert (q**4 - 1 if raw else q * q) * window <= sf.SCAN_BUDGET
-        m = mc.make_metabelian(f9, 40)
-        over = sf.SCAN_BUDGET // (9**4 - 1) + 1
-        with pytest.raises(WindowTooLarge, match=f"scan of 6560 pairs x window {over}"):
-            sf.scan(m, over, raw=True)
+    def test_budget_covers_existing_scans(self):
+        # (p, raw, window): the largest scans of the tests and the benchmark;
+        # a raw scan classifies the (p^2 + 1)(p^2 + p + 1) F-planes
+        scans = ((5, False, 40), (7, False, 20), (5, False, 14), (3, True, 14), (5, True, 6))
+        for p, raw, window in scans:
+            cost = (p * p + 1) * (p * p + p + 1) if raw else p**4
+            assert cost * window <= sf.SCAN_BUDGET
+        m = mc.make_metabelian(make_ext_field(11, 0, 10), 13)
+        assert sf.SCAN_BUDGET // 16226 + 1 == 13
+        with pytest.raises(WindowTooLarge, match="scan of 16226 planes x window 13"):
+            sf.scan(m, 13, raw=True)
+
+    def test_raw_f25_within_budget(self, f25):
+        # 806 planes x 6 fit the budget; 390624 pairs x 6 would not
+        t = sf.scan(mc.make_metabelian(f25, 6), 6, raw=True)
+        q = 25
+        assert t.total == q**4 - 1
+        assert t.counts["degenerate"] == q**4 - (q * q - 1) * (q * q - q) - 1 == 16224
 
     def test_raw_dev9_14_pinned(self, f9, dev9_14):
         # the raw counts recorded at the seed commit, where every pair was
