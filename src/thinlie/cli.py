@@ -53,7 +53,10 @@ def _emit(command: str, inputs: dict, results: dict) -> None:
 
 def _load(path: str, check: bool = True) -> mc.MaxClassPresentation:
     with open(path, "r", encoding="utf-8") as fh:
-        obj = json.load(fh)
+        try:
+            obj = json.load(fh)
+        except RecursionError:
+            raise SchemaError("malformed algebra file: JSON nested too deeply") from None
     return mc.from_json(obj, check=check)
 
 
@@ -297,10 +300,17 @@ def build_parser() -> argparse.ArgumentParser:
     add_pair_args(r)
     r.set_defaults(func=cmd_roundtrip)
 
-    s = sub.add_parser("scan", help="classify all normalized generator pairs")
+    s = sub.add_parser(
+        "scan", help="classify all normalized generator pairs (--raw: every F-plane of L_1)"
+    )
     s.add_argument("file")
     s.add_argument("--window", type=int, default=None)
-    s.add_argument("--raw", action="store_true", help="enumerate raw pairs instead")
+    s.add_argument(
+        "--raw",
+        action="store_true",
+        help="classify each F-plane of L_1 once and weight it by |GL_2(F)|, "
+        "its number of ordered bases (X, Y), instead of the normalized pairs",
+    )
     s.set_defaults(func=cmd_scan)
 
     t = sub.add_parser("stats", help="centralizer occurrence diagnostics")

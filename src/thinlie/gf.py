@@ -459,9 +459,6 @@ class RowSpace:
     def basis(self) -> List[tuple]:
         return [tuple(r) for r in self._rows]
 
-    def matrix(self) -> Matrix:
-        return Matrix(self.field, self._rows, ncols=self.ncols)
-
     def equals(self, other: "RowSpace") -> bool:
         return self.dim == other.dim and all(self.contains(r) for r in other._rows)
 

@@ -26,6 +26,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
+from functools import lru_cache
 from typing import Dict, List, Optional, Tuple
 
 from .errors import (
@@ -84,17 +85,6 @@ class MaxClassPresentation:
         return hash((self.field, self.class_n, self.adjoint))
 
 
-@dataclass(frozen=True)
-class HomElem:
-    """A homogeneous element: coordinates in (x, y) if degree 1, in v_d else."""
-
-    degree: int
-    coords: Tuple[EElem, ...]
-
-    def is_zero(self, field: ExtField) -> bool:
-        return all(field.is_zero(c) for c in self.coords)
-
-
 @dataclass
 class JacobiReport:
     ok: bool
@@ -119,6 +109,10 @@ class CentralizerSequence:
         """Degrees whose centralizer differs from C_2."""
         c2 = self.points[0]
         return [d for d in self.degrees() if self.point(d) != c2]
+
+    def distinct(self, window: int) -> List[Point]:
+        """The distinct C_i for i = 2 .. window - 1, in order of first occurrence."""
+        return list(dict.fromkeys(self.points[: window - 2]))
 
 
 def ey_point(field: ExtField) -> Point:
@@ -159,6 +153,11 @@ class _Structure:
 
     def coeff_b(self, k: int) -> EElem:
         return self.b.get(k, self.field.zero)
+
+    def phi(self, d: int, gen: Pair) -> EElem:
+        """phi_d(alpha, beta) = alpha*a_d + beta*b_d: [v_d, alpha*x + beta*y] = phi_d*v_{d+1}."""
+        F = self.field
+        return F.add(F.mul(gen[0], self.coeff_a(d)), F.mul(gen[1], self.coeff_b(d)))
 
     def get_vv(self, i: int, j: int) -> EElem:
         """Coefficient of [v_i, v_j] in v_{i+j} (0 on overflow)."""
@@ -265,34 +264,16 @@ class _Structure:
     def check_new(self):
         """Jacobi on the basis triples of total degree == top with a generator.
 
-        Returns (first_failing_triple_labels_or_None, number_checked).
-        Triples of lower total degree were checked by earlier pushes, and
-        triples with a repeated element vanish identically by the built-in
-        antisymmetry of the tables.  Triples (v_i, v_j, v_k) need no check:
-        once every triple with x or y passes, Jacobi holds on all of them
-        by the generator lemma (module docstring).
+        Returns (first_failing_triple_labels_or_None, number_checked); a
+        triple (u, w, g) is labelled with u, w in descending order, so
+        (v_m, x, y) and (v_j, v_i, g) for i < j.
         """
         F = self.field
-        T = self.top
-        checked = 0
-
-        def label(i: int) -> str:
-            return "x" if i == 0 else "y" if i == 1 else f"v{i}"
-
-        m = T - 2
-        if m >= 2:
-            checked += 1
-            if not F.is_zero(self.jacobi(m, 0, 1)):
-                return (label(m), "x", "y"), checked
-        for i in range(2, (T + 1) // 2):
-            j = T - 1 - i
-            if j <= i:
-                break
-            for g in (0, 1):
-                checked += 1
-                if not F.is_zero(self.jacobi(i, j, g)):
-                    return (label(j), label(i), label(g)), checked
-        return None, checked
+        triples = new_triples(self.top)
+        for n, (u, w, g) in enumerate(triples, 1):
+            if not F.is_zero(self.jacobi(u, w, g)):
+                return (label(max(u, w)), label(min(u, w)), label(g)), n
+        return None, len(triples)
 
     def jacobi_forms(self) -> List[EElem]:
         """The Jacobi coefficients of the triples ``check_new`` inspects, in its order.
@@ -300,24 +281,37 @@ class _Structure:
         ``check_new`` stops at the first nonzero one; the search needs them
         all, so this loop does not stop (``search_sequences``).
         """
-        T = self.top
-        forms = []
-        if T - 2 >= 2:
-            forms.append(self.jacobi(T - 2, 0, 1))
-        for i in range(2, (T + 1) // 2):
-            j = T - 1 - i
-            if j <= i:
-                break
-            forms.append(self.jacobi(i, j, 0))
-            forms.append(self.jacobi(i, j, 1))
-        return forms
+        jacobi = self.jacobi
+        return [jacobi(*t) for t in new_triples(self.top)]
+
+
+@lru_cache(maxsize=None)
+def new_triples(top: int) -> Tuple[Tuple[int, int, int], ...]:
+    """The Jacobi triples that become visible when the top degree reaches ``top``.
+
+    These are the basis triples (ids: 0 = x, 1 = y, k = v_k) of total
+    degree top with a generator: (v_{top-2}, x, y), then (v_i, v_j, g) for
+    2 <= i < j = top - 1 - i and g = x, y.  Triples of lower total degree
+    were checked by earlier pushes, and triples with a repeated element
+    vanish identically by the built-in antisymmetry of the tables.
+    Triples (v_i, v_j, v_k) need no check: once every triple with x or y
+    passes, Jacobi holds on all of them by the generator lemma (module
+    docstring).
+    """
+    head = ((top - 2, 0, 1),) if top >= 4 else ()
+    return head + tuple((i, top - 1 - i, g) for i in range(2, top // 2) for g in (0, 1))
+
+
+def label(idx: int) -> str:
+    """The name of a basis id: 0 = x, 1 = y, k = v_k."""
+    return "x" if idx == 0 else "y" if idx == 1 else f"v{idx}"
 
 
 def validate(pres: MaxClassPresentation) -> JacobiReport:
     """Derive the full multiplication table and check Jacobi on it.
 
     Jacobi is checked on the triples with a generator, which implies it
-    on every triple (see ``_Structure.check_new``).
+    on every triple (see ``new_triples``).
 
     Raises ZeroPair when some adjoint pair is (0, 0).  On success the
     derived table is cached on the presentation for later bracket calls.
@@ -363,36 +357,6 @@ def quotient(pres: MaxClassPresentation, class_n: int) -> MaxClassPresentation:
     if not 4 <= class_n <= pres.class_n:
         raise BadBound(f"quotient bound {class_n} not in [4, {pres.class_n}]")
     return MaxClassPresentation(pres.field, class_n, pres.adjoint[: class_n - 2])
-
-
-def bracket(pres: MaxClassPresentation, u: HomElem, w: HomElem) -> HomElem:
-    """Lie bracket of two homogeneous elements (zero past the class bound)."""
-    F = pres.field
-    st = tables(pres)
-    d = u.degree + w.degree
-    if d > pres.class_n:
-        return HomElem(d, (F.zero,))
-    if u.degree == 1 and w.degree == 1:
-        A, B = u.coords
-        al, be = w.coords
-        coeff = F.sub(F.mul(B, al), F.mul(A, be))
-        return HomElem(2, (coeff,))
-    if u.degree == 1:
-        A, B = u.coords
-        (c,) = w.coords
-        k = w.degree
-        coeff = F.neg(F.add(F.mul(A, st.coeff_a(k)), F.mul(B, st.coeff_b(k))))
-        return HomElem(d, (F.mul(c, coeff),))
-    if w.degree == 1:
-        (c,) = u.coords
-        al, be = w.coords
-        i = u.degree
-        coeff = F.add(F.mul(al, st.coeff_a(i)), F.mul(be, st.coeff_b(i)))
-        return HomElem(d, (F.mul(c, coeff),))
-    (cu,) = u.coords
-    (cw,) = w.coords
-    coeff = st.get_vv(u.degree, w.degree)
-    return HomElem(d, (F.mul(F.mul(cu, cw), coeff),))
 
 
 def two_step_centralizers(pres: MaxClassPresentation) -> CentralizerSequence:
@@ -442,9 +406,8 @@ def apply_degree1_change(
     s = det
     new_pairs = []
     for d in range(2, pres.class_n):
-        ad, bd = st.coeff_a(d), st.coeff_b(d)
-        p = F.mul(s, F.add(F.mul(a1, ad), F.mul(b1, bd)))
-        q = F.mul(s, F.add(F.mul(a2, ad), F.mul(b2, bd)))
+        p = F.mul(s, st.phi(d, xp))
+        q = F.mul(s, st.phi(d, yp))
         if not F.is_zero(p):
             new_pairs.append((F.one, F.div(q, p)))
             s = p
@@ -528,17 +491,9 @@ def centralizer_stats(pres: MaxClassPresentation) -> DiagnosticsReport:
         raise NotStandardForm("centralizer_stats needs a standard-form presentation")
     seq = two_step_centralizers(pres)
     p = pres.field.p
-    by_point: Dict[Point, List[int]] = {}
-    order: List[Point] = []
-    for d in seq.degrees():
-        pt = seq.point(d)
-        if pt not in by_point:
-            by_point[pt] = []
-            order.append(pt)
-        by_point[pt].append(d)
     entries = []
-    for pt in order:
-        occ = by_point[pt]
+    for pt in seq.distinct(pres.class_n):
+        occ = [d for d in seq.degrees() if seq.point(d) == pt]
         gaps = [b - a for a, b in zip(occ, occ[1:])]
         max_gap = max(gaps) if gaps else None
         entries.append(

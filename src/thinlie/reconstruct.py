@@ -32,6 +32,7 @@ from .errors import (
 from .gf import EElem, ExtField, Matrix, RowSpace, solve, span
 from .maxclass import (
     MaxClassPresentation,
+    label,
     quotient,
     standard_generators,
     tables,
@@ -80,34 +81,28 @@ def detect_structure(
     if analysis.verdict.kind != "thin":
         raise PreconditionFailed("structure detection expects a thin subalgebra")
     window = analysis.window if window is None else window
-    F = analysis.field
     st = tables(analysis.pres)
-
-    def tail_abelian(k: int) -> bool:
-        for i in range(k, window):
-            for j in range(i + 1, window - i + 1):
-                if not F.is_zero(st.get_vv(i, j)):
-                    return False
-        return True
-
-    if tail_abelian(2):
+    if _tail_abelian(st, 2, window):
         return StructureFlags(metabelian=True, k=2, z_degree=1, detection="metabelian")
     for k in range(3, (window - 1) // 2 + 1):
-        if tail_abelian(k):
+        if _tail_abelian(st, k, window):
             return StructureFlags(
                 metabelian=False, k=k, z_degree=k - 1, detection="abelian-window"
             )
-    witnessed = any(
-        not F.is_zero(st.get_vv(i, j))
-        for i in range(3, window)
-        for j in range(i + 1, window - i + 1)
-    )
-    if witnessed:
+    if not _tail_abelian(st, 3, window):  # a nonzero bracket witnessed in T^3
         return StructureFlags(
             metabelian=False, k=3, z_degree=2, detection="insoluble-or-undetected"
         )
     raise WindowTooSmall(
         "no abelian tail confirmed and no nonzero bracket witnessed in T^3"
+    )
+
+
+def _tail_abelian(st, k: int, window: int) -> bool:
+    """[v_i, v_j] = 0 for all k <= i < j with i + j <= window."""
+    F = st.field
+    return all(
+        F.is_zero(st.get_vv(i, j)) for i in range(k, window) for j in range(i + 1, window - i + 1)
     )
 
 
@@ -288,24 +283,18 @@ def build_rho(
     if field_id.dim != 2:
         raise PreconditionFailed("construction needs a quadratic endomorphism field")
     an = analysis
-    F = an.field
     window = an.window
     k = flags.k
     _check_e_structure(an, k, window)
-    z = an.basis(k - 1)[0]
-    slots_min = k - 1
+    slots_min = k - 1  # the slot of z = basis(k - 1)[0], then T^k
     max_degree = window - slots_min
     images: Dict[Tuple[int, int], ShiftMap] = {}
     for d in range(1, max_degree + 1):
         for r, t in enumerate(an.basis(d)):
-            m: ShiftMap = {}
-            if (k - 1) + d <= window:
-                img = bracket_vec(an.pres, k - 1, z, d, t)
-                m[k - 1] = _e_of(an, k - 1 + d, img)
-            for s in range(k, window - d + 1):
-                img = bracket_vec(an.pres, s, an.basis(s)[0], d, t)
-                m[s] = _e_of(an, s + d, img)
-            images[(d, r)] = m
+            images[(d, r)] = {
+                s: _e_of(an, s + d, bracket_vec(an.pres, s, an.basis(s)[0], d, t))
+                for s in range(slots_min, window - d + 1)
+            }
     rep = RhoRep(
         branch="rho",
         k=k,
@@ -330,13 +319,7 @@ def build_rho_prime(analysis: SubalgebraAnalysis, ring: EndoRing, field_id: Fiel
     F = an.field
     pres = an.pres
     window = an.window
-    st = tables(pres)
-    non_ab = any(
-        not F.is_zero(st.get_vv(i, j))
-        for i in range(2, window)
-        for j in range(i + 1, window - i + 1)
-    )
-    if non_ab:
+    if not _tail_abelian(tables(pres), 2, window):
         raise NotMetabelian("T has a nonzero bracket in T^2 within the window")
     if field_id.dim != 2:
         raise PreconditionFailed("construction needs a quadratic endomorphism field")
@@ -413,8 +396,9 @@ def assemble_N(rep: RhoRep) -> ReconstructedAlgebra:
     if usable < 4:
         raise WindowTooSmall(f"usable window {usable} is below the minimum class 4")
     dims: Dict[int, int] = {}
+    spaces: Dict[int, RowSpace] = {}
     for d in range(1, usable + 1):
-        sp = RowSpace(F, rep.window - rep.slots_min + 1)
+        sp = spaces[d] = RowSpace(F, rep.window - rep.slots_min + 1)
         for r in range(an.dim(d)):
             sp.insert(_flatten_map(F, rep, rep.image(d, r)))
         dims[d] = sp.dim
@@ -427,9 +411,7 @@ def assemble_N(rep: RhoRep) -> ReconstructedAlgebra:
     x_map = rep.image(1, 0)
     y_map = rep.image(1, 1)
     for d in range(1, usable):
-        target = RowSpace(F, rep.window - rep.slots_min + 1)
-        for r in range(an.dim(d + 1)):
-            target.insert(_flatten_map(F, rep, rep.image(d + 1, r)))
+        target = spaces[d + 1]
         got = RowSpace(F, rep.window - rep.slots_min + 1)
         for r in range(an.dim(d)):
             for gen_map in (x_map, y_map):
@@ -585,12 +567,8 @@ def _phi_failure(st, rep: RhoRep, usable: int, phi: Dict[int, ShiftMap]) -> Opti
             got = _commutator(F, rep.slots_min, rep.window, phi[s], 1, phi[t], t)
             for sl in range(rep.slots_min, rep.window - t):
                 if want.get(sl, F.zero) != got.get(sl, F.zero):
-                    return f"phi([{_label(s)},{_label(t)}]) mismatch at slot {sl}"
+                    return f"phi([{label(s)},{label(t)}]) mismatch at slot {sl}"
     return None
-
-
-def _label(idx: int) -> str:
-    return "x" if idx == 0 else "y" if idx == 1 else f"v{idx}"
 
 
 # ---------------------------------------------------------------------------
@@ -681,8 +659,8 @@ def _extends(F, sta, stb, window, a1, b1, a2, b2) -> bool:
     for i in range(2, window):
         ai, bi = sta.coeff_a(i), sta.coeff_b(i)
         # images of [phi(v_i), phi(x)] and [phi(v_i), phi(y)] in B
-        px = F.mul(scales[i], F.add(F.mul(a1, stb.coeff_a(i)), F.mul(b1, stb.coeff_b(i))))
-        py = F.mul(scales[i], F.add(F.mul(a2, stb.coeff_a(i)), F.mul(b2, stb.coeff_b(i))))
+        px = F.mul(scales[i], stb.phi(i, (a1, b1)))
+        py = F.mul(scales[i], stb.phi(i, (a2, b2)))
         if not F.is_zero(ai):
             if F.is_zero(px):
                 return False

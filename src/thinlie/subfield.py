@@ -41,7 +41,6 @@ from .gf import EElem, ExtField, Matrix, RowSpace, span
 from .maxclass import (
     CentralizerSequence,
     MaxClassPresentation,
-    Point,
     apply_degree1_change,
     ey_point,
     is_standard,
@@ -113,17 +112,12 @@ def ad_gen(
     Returns F^2 coordinates in degree + 1 (the zero vector past the bound).
     """
     F = pres.field
-    st = tables(pres)
-    al, be = gen
     if degree + 1 > pres.class_n:
         return (0, 0)
     if degree == 1:
-        A, B = f4_to_deg1(vec)
-        c = F.sub(F.mul(B, al), F.mul(A, be))  # [Ax+By, alpha x + beta y]
-        return c
-    c = (vec[0], vec[1])
-    coeff = F.add(F.mul(al, st.coeff_a(degree)), F.mul(be, st.coeff_b(degree)))
-    return F.mul(c, coeff)
+        (A, B), (al, be) = f4_to_deg1(vec), gen
+        return F.sub(F.mul(B, al), F.mul(A, be))  # [Ax+By, alpha x + beta y]
+    return F.mul((vec[0], vec[1]), tables(pres).phi(degree, gen))
 
 
 def bracket_vec(
@@ -228,8 +222,9 @@ def d_sequence(
 class _Ambient:
     """What the analysis of any pair reads from the presentation and window.
 
-    Built once per scan: the centralizer sequence, its distinct points
-    C_i for i = 2 .. window - 1, and the index of each C_i among them.
+    Built once per scan: the structure tables, the centralizer sequence,
+    its distinct points C_i for i = 2 .. window - 1, and the index of each
+    C_i among them.
     """
 
     def __init__(self, pres: MaxClassPresentation, window: int):
@@ -237,14 +232,10 @@ class _Ambient:
             raise BadBound(f"window {window} not in [4, {pres.class_n}]")
         self.pres = pres
         self.window = window
-        self.centralizers = two_step_centralizers(pres)  # validates pres via tables()
-        self.points: List[Point] = []
-        self.slots: List[int] = []
-        for i in range(2, window):
-            pt = self.centralizers.point(i)
-            if pt not in self.points:
-                self.points.append(pt)
-            self.slots.append(self.points.index(pt))
+        self.st = tables(pres)
+        self.centralizers = two_step_centralizers(pres)
+        self.points = self.centralizers.distinct(window)
+        self.slots = [self.points.index(self.centralizers.point(i)) for i in range(2, window)]
 
 
 def _d_values(amb: _Ambient, g: GeneratorPair) -> Tuple[int, ...]:
@@ -334,11 +325,10 @@ def _analyse(amb: _Ambient, g: GeneratorPair) -> SubalgebraAnalysis:
         if len(bases[-1]) == 2 or d_i == 0:
             bases.append(full)
             continue
-        a, b = pres.pair(i)
         # d_i = 1: phi_i(U) is the F-line of whichever of phi_i(X), phi_i(Y) is nonzero
-        phi = F.add(F.mul(g.X[0], a), F.mul(g.X[1], b))
+        phi = amb.st.phi(i, g.X)
         if F.is_zero(phi):
-            phi = F.add(F.mul(g.Y[0], a), F.mul(g.Y[1], b))
+            phi = amb.st.phi(i, g.Y)
         c = _line(F, F.mul(c, phi))
         bases.append((c,))
     dims = tuple(len(b) for b in bases)
@@ -584,19 +574,10 @@ def thin_line_criterion(
     if not is_standard(pres):
         raise NotStandardForm("criterion expects a standard-form presentation")
     window = pres.class_n if window is None else window
-    seq = two_step_centralizers(pres)
-    ey = ey_point(F)
-    script_l = []
-    ey_occurs = False
-    seen = set()
-    for i in range(2, window):
-        pt = seq.point(i)
-        if pt == ey:
-            ey_occurs = True
-        elif pt not in seen:
-            seen.add(pt)
-            script_l.append(pt[1])  # normalized (1 : lambda)
-    script_l.sort(key=F.key)
+    points = two_step_centralizers(pres).distinct(window)
+    ey_occurs = ey_point(F) in points
+    # the others are normalized (1 : lambda)
+    script_l = sorted((pt[1] for pt in points if pt != ey_point(F)), key=F.key)
     (al, be), (ga, de) = g.X, g.Y
     visible, meets_ey = visible_lambdas(F, g)
     affine = None
@@ -683,14 +664,8 @@ def count_thin_by_line_avoidance(
     """
     F = pres.field
     window = pres.class_n if window is None else window
-    seq = two_step_centralizers(pres)
-    lams = []
-    seen = set()
-    for i in range(2, window):
-        pt = seq.point(i)
-        if pt != ey_point(F) and pt not in seen:
-            seen.add(pt)
-            lams.append(pt[1])
+    points = two_step_centralizers(pres).distinct(window)
+    lams = [pt[1] for pt in points if pt != ey_point(F)]
     count = 0
     for be in F.elements():
         for de in F.elements():

@@ -115,6 +115,19 @@ class TestBadInput:
         assert out == ""
         assert err.startswith("error: ")
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["check"], ["stats"], ["scan"], ["analyze", *PAIR], ["endo", *PAIR], ["roundtrip", *PAIR]],
+        ids=lambda argv: argv[0],
+    )
+    def test_deeply_nested_json_exits_2(self, tmp_path, capsys, argv):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 200000 + "]" * 200000)
+        code, out, err = run(capsys, argv[0], str(path), *argv[1:])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ")
+
     @pytest.mark.parametrize("command", ["check", "stats", "scan"])
     @pytest.mark.parametrize(
         "field, value",

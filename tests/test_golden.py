@@ -1,0 +1,116 @@
+"""Report bytes against a recorded copy.
+
+``test_byte_identical_reports`` compares two runs of the same code; this
+module compares stdout, the exit code and every written file with the
+bytes recorded in ``tests/golden/``, so a refactor that changes a report
+is caught.  The commands are every README example, ``build search`` over
+GF(9) at class 12 with its default limit, and ``check`` on two invalid
+files (one per label shape of ``first_failure``).  They run in a fresh
+directory with relative file names, because reports echo the input path.
+
+After a declared report-schema change, rewrite the recorded copy with
+``PYTHONPATH=src python tests/test_golden.py``.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import os
+import shutil
+import sys
+import tempfile
+from pathlib import Path
+
+from test_cli import readme_cli_examples
+from thinlie.cli import main
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+WRITTEN = GOLDEN / "written"
+
+# input files copied into the working directory before the cases run
+INPUTS = ["bad6.json", "bad10.json"]
+
+PAIR = ["--X", "1,0,1,0", "--Y", "0,1,1,1"]
+
+# (name, argv, exit code); earlier cases write the files later ones read
+CASES = [
+    ("build-metabelian", ["build", "metabelian", "--p", "3", "--ext", "2,0", "--class", "40", "-o", "m.json"], 0),
+    ("build-search-limit5", ["build", "search", "--p", "3", "--ext", "2,0", "--class", "12", "--limit", "5", "-o", "found"], 0),
+    ("build-search", ["build", "search", "--p", "3", "--ext", "2,0", "--class", "12"], 0),
+    ("check", ["check", "m.json"], 0),
+    ("analyze", ["analyze", "m.json", *PAIR, "--window", "12"], 0),
+    ("endo", ["endo", "m.json", *PAIR, "--window", "12"], 0),
+    ("roundtrip", ["roundtrip", "m.json", *PAIR], 0),
+    ("scan", ["scan", "m.json", "--window", "12"], 0),
+    ("stats", ["stats", "m.json"], 0),
+    # first_failure ["v2", "x", "y"]: the class-6 file of TestCheck
+    ("check-bad6", ["check", "bad6.json"], 1),
+    # first_failure ["v4", "v3", "x"]: metabelian GF(9) class 10, degree-7 pair (1, 2)
+    ("check-bad10", ["check", "bad10.json"], 1),
+]
+
+
+def run_cases(workdir: Path) -> dict:
+    """Run every case in ``workdir``: {name: (exit code, stdout)}."""
+    for name in INPUTS:
+        shutil.copy(GOLDEN / name, workdir / name)
+    results = {}
+    cwd = os.getcwd()
+    os.chdir(workdir)
+    try:
+        for name, argv, _ in CASES:
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+                code = main(argv)
+            results[name] = (code, out.getvalue())
+    finally:
+        os.chdir(cwd)
+    return results
+
+
+def written_files(workdir: Path) -> dict:
+    """{name: bytes} of every file the cases wrote."""
+    return {
+        p.name: p.read_bytes()
+        for p in sorted(workdir.iterdir())
+        if p.name not in INPUTS
+    }
+
+
+def test_cases_cover_readme():
+    argvs = [argv for _, argv, _ in CASES]
+    for argv in readme_cli_examples():
+        assert argv in argvs
+
+
+def test_reports_match_golden(tmp_path):
+    results = run_cases(tmp_path)
+    for name, _, code in CASES:
+        got_code, got_out = results[name]
+        assert got_code == code, name
+        assert got_out.encode("utf-8") == (GOLDEN / f"{name}.stdout").read_bytes(), name
+    want = {p.name: p.read_bytes() for p in sorted(WRITTEN.iterdir())}
+    got = written_files(tmp_path)
+    assert sorted(got) == sorted(want)
+    for name, data in got.items():
+        assert data == want[name], name
+
+
+def _record() -> None:
+    with tempfile.TemporaryDirectory() as tmp:
+        workdir = Path(tmp)
+        results = run_cases(workdir)
+        for name, _, code in CASES:
+            got_code, out = results[name]
+            if got_code != code:
+                sys.exit(f"{name}: exit {got_code}, expected {code}")
+            (GOLDEN / f"{name}.stdout").write_bytes(out.encode("utf-8"))
+        shutil.rmtree(WRITTEN, ignore_errors=True)
+        WRITTEN.mkdir()
+        for name, data in written_files(workdir).items():
+            (WRITTEN / name).write_bytes(data)
+
+
+if __name__ == "__main__":
+    _record()

@@ -5,6 +5,7 @@ import random
 import pytest
 
 from thinlie import maxclass as mc
+from thinlie import subfield as sf
 from thinlie.errors import (
     BadBound,
     InvalidPresentation,
@@ -14,7 +15,10 @@ from thinlie.errors import (
     ZeroPair,
 )
 from thinlie.gf import Matrix, make_ext_field, rref
-from thinlie.maxclass import HomElem
+
+# F-coordinate vectors (``subfield`` conventions): degree 1 in F^4 over
+# (x, mu*x, y, mu*y), higher degrees in F^2 over (v_i, mu*v_i)
+X4, MU_X4, Y4 = (1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0)
 
 
 def _mutated(f9):
@@ -36,9 +40,7 @@ class TestMetabelian:
 
     def test_v2_y_bracket_zero(self, f9):
         m = mc.make_metabelian(f9, 10)
-        v2 = HomElem(2, (f9.one,))
-        y = HomElem(1, (f9.zero, f9.one))
-        assert mc.bracket(m, v2, y).is_zero(f9)
+        assert sf.bracket_vec(m, 2, f9.one, 1, Y4) == f9.zero
 
 
 class TestValidate:
@@ -69,41 +71,32 @@ class TestValidate:
 
 
 class TestBracket:
+    """``subfield.bracket_vec`` is the one bracket of homogeneous elements."""
+
     def test_defining_relation(self, f9):
         m = mc.make_metabelian(f9, 10)
-        y = HomElem(1, (f9.zero, f9.one))
-        x = HomElem(1, (f9.one, f9.zero))
-        assert mc.bracket(m, y, x) == HomElem(2, (f9.one,))
+        assert sf.bracket_vec(m, 1, Y4, 1, X4) == f9.one
 
     def test_bilinearity_mu(self, f9):
         m = mc.make_metabelian(f9, 10)
-        v3 = HomElem(3, (f9.one,))
-        mu_x = HomElem(1, (f9.mu, f9.zero))
-        assert mc.bracket(m, v3, mu_x) == HomElem(4, (f9.mu,))
+        assert sf.bracket_vec(m, 3, f9.one, 1, MU_X4) == f9.mu
 
     def test_derived_subalgebra_abelian(self, f9):
         m = mc.make_metabelian(f9, 10)
-        v3 = HomElem(3, (f9.one,))
-        v4 = HomElem(4, (f9.one,))
-        assert mc.bracket(m, v3, v4).is_zero(f9)
+        assert sf.bracket_vec(m, 3, f9.one, 4, f9.one) == f9.zero
 
     def test_antisymmetry_exhaustive(self, f9, dev9_12):
         f = f9
-        basis = [HomElem(1, (f.one, f.zero)), HomElem(1, (f.zero, f.one))] + [
-            HomElem(d, (f.one,)) for d in range(2, 13)
-        ]
-        for u in basis:
-            for w in basis:
-                uw = mc.bracket(dev9_12, u, w)
-                wu = mc.bracket(dev9_12, w, u)
-                neg = HomElem(wu.degree, tuple(f.neg(c) for c in wu.coords))
-                assert uw == neg
+        basis = [(1, X4), (1, Y4)] + [(d, f.one) for d in range(2, 13)]
+        for du, u in basis:
+            for dw, w in basis:
+                uw = sf.bracket_vec(dev9_12, du, u, dw, w)
+                wu = sf.bracket_vec(dev9_12, dw, w, du, u)
+                assert uw == f.neg(wu)
 
     def test_truncation(self, f9):
         m = mc.make_metabelian(f9, 10)
-        v6 = HomElem(6, (f9.one,))
-        v5 = HomElem(5, (f9.mu,))
-        assert mc.bracket(m, v6, v5).is_zero(f9)
+        assert sf.bracket_vec(m, 6, f9.one, 5, f9.mu) == f9.zero
 
 
 class TestCentralizers:
@@ -123,6 +116,12 @@ class TestCentralizers:
         seq = mc.two_step_centralizers(dev9_14)
         assert dev9_14.pair(6) == (f.zero, f.one)
         assert seq.point(6) == mc.ex_point(f)
+
+    def test_distinct_in_first_occurrence_order(self, dev9_14):
+        f = dev9_14.field
+        seq = mc.two_step_centralizers(dev9_14)
+        assert seq.distinct(6) == [mc.ey_point(f)]  # C_2 .. C_5; C_6 = Ex is outside
+        assert seq.distinct(7) == seq.distinct(14) == [mc.ey_point(f), mc.ex_point(f)]
 
     def test_dimension_one(self, dev9_14):
         f = dev9_14.field
