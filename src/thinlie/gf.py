@@ -14,7 +14,7 @@ therefore a canonical reduced row-echelon basis.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, List, Sequence, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 from .errors import BadBound, DivisionByZero, NotPrime, ReduciblePolynomial
 
@@ -218,6 +218,64 @@ class ExtField:
 
     def is_zero(self, a: EElem) -> bool:
         return a[0] % self.p == 0 and a[1] % self.p == 0
+
+    def is_square(self, a: EElem) -> bool:
+        """Euler's criterion on the norm: a^((q-1)/2) = N(a)^((p-1)/2) for odd p."""
+        p = self.p
+        return p == 2 or self.is_zero(a) or pow(self.norm(a), (p - 1) // 2, p) == 1
+
+    def sqrt(self, a: EElem) -> Optional[EElem]:
+        """A square root of a, or None when a is not a square.
+
+        For p = 2 squaring is a bijection and the root is a^(q/2).  For odd
+        p this is Tonelli-Shanks in the cyclic group of order q - 1 = 2^s*r,
+        with the non-square found by ``is_square`` among mu, 1 + mu, ...
+        Every element of GF(p) is a square in GF(p^2), but the norm
+        c^2 + u*c - v of c + mu is a non-residue for (p+1)/2 values of c.
+        """
+        if self.p == 2 or self.is_zero(a):
+            return self.pow(a, self.order // 2)
+        if not self.is_square(a):
+            return None
+        r, s = self.order - 1, 0
+        while r % 2 == 0:
+            r //= 2
+            s += 1
+        z = next(e for e in ((c0, 1) for c0 in range(self.p)) if not self.is_square(e))
+        c, t, root = self.pow(z, r), self.pow(a, r), self.pow(a, (r + 1) // 2)
+        while t != self.one:
+            i, t2 = 0, t
+            while t2 != self.one:
+                t2 = self.mul(t2, t2)
+                i += 1
+            b = self.pow(c, 1 << (s - i - 1))
+            s, c = i, self.mul(b, b)
+            t, root = self.mul(t, c), self.mul(root, b)
+        return root
+
+    def quadratic_roots(self, c2: EElem, c1: EElem, c0: EElem) -> List[EElem]:
+        """The distinct roots of c2*t^2 + c1*t + c0 in ``key`` order.
+
+        The polynomial must not be zero (ValueError).  For odd p by the quadratic formula with ``sqrt``; for p = 2, where
+        it does not apply, by trying the four elements of GF(4).
+        """
+        if self.is_zero(c2) and self.is_zero(c1):
+            if self.is_zero(c0):
+                raise ValueError("every element is a root of the zero polynomial")
+            return []
+        if self.p == 2:
+            return [
+                t for t in self.elements()
+                if self.is_zero(self.add(self.mul(self.add(self.mul(c2, t), c1), t), c0))
+            ]
+        if self.is_zero(c2):
+            return [self.neg(self.div(c0, c1))]
+        root = self.sqrt(self.sub(self.mul(c1, c1), self.scale(4, self.mul(c2, c0))))
+        if root is None:
+            return []
+        half = self.inv(self.scale(2, c2))
+        roots = {self.mul(self.sub(sign, c1), half) for sign in (root, self.neg(root))}
+        return sorted(roots, key=self.key)
 
     def elements(self) -> Iterator[EElem]:
         for c1 in range(self.p):

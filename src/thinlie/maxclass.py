@@ -27,7 +27,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 from functools import lru_cache
-from typing import Dict, List, Optional, Tuple
+from itertools import chain
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from .errors import (
     BadBound,
@@ -514,34 +515,66 @@ def centralizer_stats(pres: MaxClassPresentation) -> DiagnosticsReport:
 # ---------------------------------------------------------------------------
 
 
-def projective_pairs(field: ExtField) -> List[Pair]:
-    """Canonical representatives of P^1(E): (1 : b) for all b, then (0 : 1)."""
-    reps = [(field.one, e) for e in field.elements()]
-    reps.append((field.zero, field.one))
-    return reps
+Columns = Tuple[List[EElem], List[EElem]]  # a degree's forms at (1, 0) and at (0, 1)
 
 
 def projective_kernel(
-    field: ExtField, at_x: List[EElem], at_y: List[EElem], reps: List[Pair]
-) -> List[Pair]:
-    """The points (a : b) of ``reps`` with a*at_x + b*at_y = 0, in their order.
+    field: ExtField, at_x: List[EElem], at_y: List[EElem]
+) -> Optional[List[Pair]]:
+    """The points (a : b) of P^1(E) with a*at_x + b*at_y = 0; None for all of them.
 
     ``at_x`` and ``at_y`` are the columns of a k x 2 matrix over E, so the
-    kernel is all of ``reps`` (rank 0), one point (rank 1) or empty (rank 2).
-    The one candidate point, normalized as in ``projective_pairs``,
-    annihilates the first nonzero row; it is in the kernel only if it
-    annihilates every row.
+    kernel is all of P^1(E) (rank 0), one point (rank 1) or empty (rank 2).
+    The one candidate point, normalized to (1 : t) or (0 : 1), annihilates
+    the first nonzero row; it is in the kernel only if it annihilates
+    every row.
     """
     F = field
     rows = list(zip(at_x, at_y))
     first = next((r for r in rows if not (F.is_zero(r[0]) and F.is_zero(r[1]))), None)
     if first is None:
-        return reps
+        return None
     s, t = first
     a, b = (F.zero, F.one) if F.is_zero(t) else (F.one, F.neg(F.div(s, t)))
     if all(F.is_zero(F.add(F.mul(a, u), F.mul(b, w))) for u, w in rows):
         return [(a, b)]
     return []
+
+
+def free_children(field: ExtField, A: Columns, B: Columns) -> Iterator[Tuple[Pair, Columns]]:
+    """The children of a free node that can have a next pair, with their columns.
+
+    A and B are the next-degree columns of the children (1 : 0) and
+    (0 : 1).  By the bilinearity lemma (``search_sequences``) child (1 : t)
+    has columns A + t*B, and it has a next pair only if that k x 2 matrix
+    has rank <= 1, that is if every 2 x 2 minor vanishes at t.  The first
+    minor that is not identically zero is a polynomial of degree <= 2 in t
+    and its roots are the only candidates; if every minor vanishes
+    identically, every t is one.  Candidates (1 : t) come in ``F.key``
+    order, then (0 : 1) with columns B.
+    """
+    F = field
+    (ax, ay), (bx, by) = A, B
+    rows = [r for r in zip(ax, ay, bx, by) if not all(F.is_zero(e) for e in r)]
+
+    def minor(r, s):
+        # det [[ax_r + t*bx_r, ay_r + t*by_r], [ax_s + t*bx_s, ay_s + t*by_s]]
+        def cross(f, g):
+            return F.sub(F.mul(r[f], s[g]), F.mul(s[f], r[g]))
+
+        return cross(2, 3), F.add(cross(0, 3), cross(2, 1)), cross(0, 1)
+
+    nonzero = (
+        m for i, r in enumerate(rows) for s in rows[i + 1:] for m in (minor(r, s),)
+        if not all(F.is_zero(c) for c in m)
+    )
+    first = next(nonzero, None)
+    for t in F.elements() if first is None else F.quadratic_roots(*first):
+        yield (F.one, t), (
+            [F.add(x, F.mul(t, y)) for x, y in zip(ax, bx)],
+            [F.add(x, F.mul(t, y)) for x, y in zip(ay, by)],
+        )
+    yield (F.zero, F.one), B
 
 
 def search_sequences(
@@ -557,14 +590,41 @@ def search_sequences(
     the same total degree derived before it, and its scalar c^{-1} and
     every cell of lower total degree are fixed by the prefix; each term of
     a Jacobi coefficient multiplies one such fixed scalar by one such
-    linear entry.  So the forms are evaluated at (1, 0) and at (0, 1), and
-    the admissible pairs are the projective kernel of that k x 2 matrix:
-    empty, one point, or all of P^1(E).  The search branches only over
-    that kernel, in ``projective_pairs`` order, so the output is in
-    lexicographic order and the metabelian presentation comes first.  A
-    pair outside the kernel fails a check, and a failed prefix can never
-    be completed, because extending a presentation only adds checks.
-    At most ``limit`` (>= 1) presentations are returned.
+    linear entry.  So the forms are evaluated at (1, 0) and at (0, 1) (the
+    node's columns), and the admissible pairs are the projective kernel of
+    that k x 2 matrix: empty, one point, or all of P^1(E) (a free node).
+
+    Bilinearity lemma: with the pairs of degrees < d fixed, the forms at
+    top degree d+2 (after pushing P_d = (a_d, b_d) and P_{d+1}) are
+    bilinear in (P_d, P_{d+1}).  Proof, over the cells of total degree
+    d+2 in the order ``_Structure.extend`` derives them: the i = 2 cell is
+    a_d*b_{d+1} - b_d*a_{d+1}.  Every other cell is
+    c^{-1}([v_{i-1}, v_j]*g_{d+1} - g_j*[v_{i-1}, v_{j+1}]) with
+    j = d+2-i <= d-1; its scalar c and its branch (g = x or y) come from
+    degree i-1 < d, and g_j from degree j < d, so they are fixed by the
+    prefix.  [v_{i-1}, v_j] has total degree d+1, so it is linear in P_d
+    (linearity lemma) and g_{d+1} is linear in P_{d+1}; [v_{i-1}, v_{j+1}]
+    is a cell of total degree d+2 derived before, bilinear by induction.
+    Each term of a Jacobi coefficient at top d+2 is a product of two
+    bracket coefficients.  Either the inner bracket has total degree <= d,
+    and then it is a fixed scalar and the outer one a cell of total degree
+    d+2; or it has total degree d+1 (a pair entry of degree d or a cell of
+    total degree d+1, linear in P_d) and the outer one is a pair entry of
+    degree d+1, linear in P_{d+1}.  Both products are bilinear.
+    So at a free node the search pushes only (1 : 0) and (0 : 1) to read
+    their next-degree columns A and B; child (1 : t) has columns A + t*B,
+    and only the children that can have a next pair are visited
+    (``free_children``), each with its columns, which it does not
+    recompute.  A free node whose children are leaves visits all of them.
+    E is enumerated only lazily, when every child of a free node is a
+    candidate or a leaf, so ``limit`` bounds the work at any q.
+
+    Children are visited in the order (1 : t) by ``F.key`` of t, then
+    (0 : 1), so the output is in lexicographic order and the metabelian
+    presentation comes first.  A pair outside the kernel fails a check,
+    and a failed prefix can never be completed, because extending a
+    presentation only adds checks.  At most ``limit`` (>= 1)
+    presentations are returned.
     """
     if class_n < 4:
         raise BadBound(f"class bound {class_n} < 4")
@@ -574,7 +634,7 @@ def search_sequences(
         )
     if limit < 1:
         raise BadBound(f"search limit {limit} < 1")
-    reps = projective_pairs(field)
+    F = field
     st = _Structure(field, class_n)
     stack: List[Pair] = []
     out: List[MaxClassPresentation] = []
@@ -585,22 +645,38 @@ def search_sequences(
         st.retract(d, added)
         return forms
 
-    def dfs(d: int) -> None:
+    def columns(d: int) -> Columns:
+        return forms_at(d, ex_point(F)), forms_at(d, ey_point(F))
+
+    def next_columns(d: int, pair: Pair) -> Columns:
+        added = st.extend(d, pair)
+        cols = columns(d + 1)
+        st.retract(d, added)
+        return cols
+
+    def children(d: int, cols: Columns) -> Iterator[Tuple[Pair, Optional[Columns]]]:
+        kernel = projective_kernel(F, *cols)
+        if kernel is not None:
+            return ((pair, None) for pair in kernel)
+        if d + 1 == class_n:
+            leaves = chain(((F.one, t) for t in F.elements()), [ey_point(F)])
+            return ((pair, None) for pair in leaves)
+        return free_children(F, next_columns(d, ex_point(F)), next_columns(d, ey_point(F)))
+
+    def dfs(d: int, cols: Optional[Columns]) -> None:
         if d == class_n:
             out.append(MaxClassPresentation(field, class_n, tuple(stack)))
             return
-        at_x = forms_at(d, ex_point(field))
-        at_y = forms_at(d, ey_point(field))
-        for pair in projective_kernel(field, at_x, at_y, reps):
+        for pair, child_cols in children(d, columns(d) if cols is None else cols):
             if len(out) >= limit:
                 return
             added = st.extend(d, pair)
             stack.append(pair)
-            dfs(d + 1)
+            dfs(d + 1, child_cols)
             stack.pop()
             st.retract(d, added)
 
-    dfs(2)
+    dfs(2, None)
     return out
 
 

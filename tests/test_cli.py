@@ -251,7 +251,8 @@ def thinlie_process(*argv, timeout=10):
 
 class TestLargePrime:
     """Every command on a class-8 metabelian algebra over GF(1000003^2)
-    answers, or refuses before enumerating, within 10 s."""
+    answers, or refuses before enumerating, within 10 s; so does
+    ``build search`` over that field at a small limit."""
 
     @pytest.fixture(scope="class")
     def big_file(self, tmp_path_factory):
@@ -283,6 +284,16 @@ class TestLargePrime:
         else:
             assert proc.stdout == ""
             assert "exceeds budget" in proc.stderr
+
+    @pytest.mark.parametrize("class_n, limit", [(6, 1), (8, 5)], ids=["class6", "class8"])
+    def test_search_within_timeout(self, tmp_path, class_n, limit):
+        # hung while listing all of P^1(E) before free nodes solved for their children
+        proc = thinlie_process(
+            "build", "search", "--p", "1000003", "--ext", "2,0", "--class", str(class_n),
+            "--limit", str(limit), "-o", str(tmp_path / "found"),
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert out_json(proc.stdout)["results"]["count"] == limit
 
 
 class TestAnalyze:

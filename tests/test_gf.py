@@ -313,3 +313,88 @@ class TestSolveKernel:
             ident = Matrix.identity(field, n)
             inv = Matrix(field, [solve(field, rows, unit) for unit in ident.rows])
             assert inv.mul(Matrix(field, rows)) == ident
+
+
+def _roots_by_enumeration(field, c2, c1, c0):
+    return [
+        t for t in field.elements()
+        if field.is_zero(field.add(field.add(field.mul(c2, field.mul(t, t)), field.mul(c1, t)), c0))
+    ]
+
+
+# every irreducible t^2 - u*t - v over GF(3), and two over GF(5) and GF(7)
+ROOT_FIELDS = {
+    "4": (2, 1, 1),
+    "9_u0v2": (3, 0, 2),
+    "9_u1v1": (3, 1, 1),
+    "9_u2v1": (3, 2, 1),
+    "25_u0v2": (5, 0, 2),
+    "25_u1v3": (5, 1, 3),
+    "49_u0v3": (7, 0, 3),
+    "49_u1v4": (7, 1, 4),
+}
+
+
+class TestRoots:
+    @pytest.mark.parametrize("name", sorted(ROOT_FIELDS))
+    def test_sqrt_matches_enumeration(self, name):
+        field = make_ext_field(*ROOT_FIELDS[name])
+        squares = {field.mul(e, e) for e in field.elements()}
+        for a in field.elements():
+            root = field.sqrt(a)
+            assert (root is not None) == (a in squares) == field.is_square(a), a
+            if root is not None:
+                assert field.mul(root, root) == a
+
+    @pytest.mark.parametrize("name", sorted(ROOT_FIELDS))
+    def test_quadratic_roots_match_enumeration(self, name):
+        """Every triple over GF(4) and GF(9); 2,000 seeded ones over GF(25), GF(49)."""
+        field = make_ext_field(*ROOT_FIELDS[name])
+        elems = list(field.elements())
+        if field.p <= 3:
+            triples = itertools.product(elems, repeat=3)
+        else:
+            rng = random.Random(f"roots-{name}")
+            triples = ([rng.choice(elems) for _ in range(3)] for _ in range(2000))
+        counts = set()
+        for c2, c1, c0 in triples:
+            if all(field.is_zero(c) for c in (c2, c1, c0)):
+                with pytest.raises(ValueError):
+                    field.quadratic_roots(c2, c1, c0)
+                continue
+            roots = field.quadratic_roots(c2, c1, c0)
+            assert roots == _roots_by_enumeration(field, c2, c1, c0), (c2, c1, c0)
+            counts.add(len(roots))
+        assert counts == {0, 1, 2}
+
+    def test_large_prime(self):
+        """At p = 1000003 every root is one, and there is none exactly when
+        the norm of the discriminant is a non-residue mod p."""
+        field = make_ext_field(1000003, 0, 2)
+        p = field.p
+        rng = random.Random("roots-large")
+
+        def elem():
+            return (rng.randrange(p), rng.randrange(p))
+
+        def value(c2, c1, c0, t):
+            return field.add(field.add(field.mul(c2, field.mul(t, t)), field.mul(c1, t)), c0)
+
+        rootless = 0
+        for _ in range(300):
+            c2, c1, c0 = elem(), elem(), elem()
+            if field.is_zero(c2):
+                continue
+            roots = field.quadratic_roots(c2, c1, c0)
+            disc = field.sub(field.mul(c1, c1), field.scale(4, field.mul(c2, c0)))
+            nonresidue = pow(field.norm(disc), (p - 1) // 2, p) == p - 1
+            assert (roots == []) == nonresidue
+            rootless += nonresidue
+            assert all(field.is_zero(value(c2, c1, c0, t)) for t in roots)
+            assert roots == sorted(set(roots), key=field.key)
+        assert 0 < rootless < 300
+        # (t - r)(t - s) and (t - r)^2 for chosen r, s
+        r, s = elem(), elem()
+        c1 = field.neg(field.add(r, s))
+        assert field.quadratic_roots(field.one, c1, field.mul(r, s)) == sorted({r, s}, key=field.key)
+        assert field.quadratic_roots(field.one, field.scale(2, field.neg(r)), field.mul(r, r)) == [r]

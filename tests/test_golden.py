@@ -4,7 +4,8 @@
 module compares stdout, the exit code and every written file with the
 bytes recorded in ``tests/golden/``, so a refactor that changes a report
 is caught.  The commands are every README example, ``build search`` over
-GF(9) at class 12 with its default limit, and ``check`` on two invalid
+GF(9) at class 12 with its default limit and over GF(49) at class 8 with
+limit 7, and ``check`` on two invalid
 files (one per label shape of ``first_failure``).  They run in a fresh
 directory with relative file names, because reports echo the input path.
 
@@ -38,6 +39,8 @@ CASES = [
     ("build-metabelian", ["build", "metabelian", "--p", "3", "--ext", "2,0", "--class", "40", "-o", "m.json"], 0),
     ("build-search-limit5", ["build", "search", "--p", "3", "--ext", "2,0", "--class", "12", "--limit", "5", "-o", "found"], 0),
     ("build-search", ["build", "search", "--p", "3", "--ext", "2,0", "--class", "12"], 0),
+    # GF(49), where most nodes of the search are free
+    ("build-search-g49", ["build", "search", "--p", "7", "--ext", "3,0", "--class", "8", "--limit", "7", "-o", "g49"], 0),
     ("check", ["check", "m.json"], 0),
     ("analyze", ["analyze", "m.json", *PAIR, "--window", "12"], 0),
     ("endo", ["endo", "m.json", *PAIR, "--window", "12"], 0),

@@ -10,7 +10,10 @@ perturbed inputs.
 
 ``search_sequences`` solves for the admissible pairs of each degree (the
 projective kernel of its Jacobi forms) instead of trying every point of
-P^1(E); the trial-push search it replaced is kept here as an oracle.
+P^1(E), and at a free node derives its children's next-degree forms by
+the bilinearity lemma (its docstring) instead of pushing every child.
+The trial-push search and the one-level search (which pushes every child
+of a free node) it replaced are kept here as oracles.
 
 ``iso_search`` tries only the degree-1 maps that fix the centralizer
 lines of the standard forms (the centralizer lemma in its docstring);
@@ -96,9 +99,16 @@ def oracle_check_new(st):
     return None, checked
 
 
+def projective_pairs(field):
+    """Canonical representatives of P^1(E): (1 : b) for all b, then (0 : 1)."""
+    reps = [(field.one, e) for e in field.elements()]
+    reps.append((field.zero, field.one))
+    return reps
+
+
 def oracle_search_sequences(field, class_n, limit):
     """Depth-first search that pushes every point of P^1(E) and checks it."""
-    reps = mc.projective_pairs(field)
+    reps = projective_pairs(field)
     st = mc._Structure(field, class_n)
     stack = []
     out = []
@@ -118,6 +128,40 @@ def oracle_search_sequences(field, class_n, limit):
                 stack.append(pair)
                 dfs(d + 1)
                 stack.pop()
+            st.retract(d, added)
+
+    dfs(2)
+    return out
+
+
+def oracle_one_level_search(field, class_n, limit):
+    """Depth-first search over each node's projective kernel, pushing every
+    child of a free node (the search before the bilinearity lemma)."""
+    reps = projective_pairs(field)
+    st = mc._Structure(field, class_n)
+    stack = []
+    out = []
+
+    def forms_at(d, pair):
+        added = st.extend(d, pair)
+        forms = st.jacobi_forms()
+        st.retract(d, added)
+        return forms
+
+    def dfs(d):
+        if d == class_n:
+            out.append(mc.MaxClassPresentation(field, class_n, tuple(stack)))
+            return
+        at_x = forms_at(d, mc.ex_point(field))
+        at_y = forms_at(d, mc.ey_point(field))
+        kernel = mc.projective_kernel(field, at_x, at_y)
+        for pair in reps if kernel is None else kernel:
+            if len(out) >= limit:
+                return
+            added = st.extend(d, pair)
+            stack.append(pair)
+            dfs(d + 1)
+            stack.pop()
             st.retract(d, added)
 
     dfs(2)
@@ -265,7 +309,7 @@ def test_validate_matches_exhaustive(request, found):
 
 def test_search_prefixes_match_exhaustive(f9):
     """Every push of a class-14 GF(9) search: same verdict as all triples."""
-    reps = mc.projective_pairs(f9)
+    reps = projective_pairs(f9)
     st = mc._Structure(f9, 14)
     pushes = 0
 
@@ -297,7 +341,7 @@ def test_jacobi_forms_linear_in_new_pair(f9):
     when it lies in the projective kernel.
     """
     F = f9
-    reps = mc.projective_pairs(F)
+    reps = projective_pairs(F)
     st = mc._Structure(F, 12)
     kinds = set()
 
@@ -325,7 +369,8 @@ def test_jacobi_forms_linear_in_new_pair(f9):
                 admissible.append((a, b))
                 dfs(d + 1)
             st.retract(d, added)
-        assert mc.projective_kernel(F, at_x, at_y, reps) == admissible
+        kernel = mc.projective_kernel(F, at_x, at_y)
+        assert (reps if kernel is None else kernel) == admissible
         kinds.add(len(admissible))
 
     dfs(2)
@@ -350,6 +395,118 @@ def test_search_matches_trial_push(p, u, v, class_n):
         )
     full = oracle_search_sequences(field, class_n, 10**9)
     assert len(full) >= 50
+    assert mc.search_sequences(field, class_n, len(full) + 1) == full
+
+
+def _columns(st, d):
+    """The degree-d forms at (1, 0) and at (0, 1)."""
+    out = []
+    for pair in (mc.ex_point(st.field), mc.ey_point(st.field)):
+        added = st.extend(d, pair)
+        out.append(st.jacobi_forms())
+        st.retract(d, added)
+    return tuple(out)
+
+
+def _next_columns(st, d, pair):
+    """The degree-(d+1) forms at (1, 0) and at (0, 1) after pushing ``pair`` at d."""
+    added = st.extend(d, pair)
+    cols = _columns(st, d + 1)
+    st.retract(d, added)
+    return cols
+
+
+def free_nodes(field, class_n):
+    """Every free node of the search whose children have a next degree.
+
+    Yields (st, d, A, B) with ``st`` holding the node's prefix (top d), and
+    A, B the next-degree columns of its children (1 : 0) and (0 : 1).
+    """
+    reps = projective_pairs(field)
+    st = mc._Structure(field, class_n)
+
+    def walk(d):
+        if d == class_n:
+            return
+        kernel = mc.projective_kernel(field, *_columns(st, d))
+        if kernel is None and d + 1 < class_n:
+            ex, ey = mc.ex_point(field), mc.ey_point(field)
+            yield st, d, _next_columns(st, d, ex), _next_columns(st, d, ey)
+        for pair in reps if kernel is None else kernel:
+            added = st.extend(d, pair)
+            yield from walk(d + 1)
+            st.retract(d, added)
+
+    yield from walk(2)
+
+
+FREE_NODE_SEARCHES = pytest.mark.parametrize(
+    "p, u, v, class_n",
+    [(2, 1, 1, 14), (3, 0, 2, 14), (5, 0, 2, 12), (7, 0, 3, 8)],
+    ids=["4_14", "9_14", "25_12", "49_8"],
+)
+
+
+@FREE_NODE_SEARCHES
+def test_children_columns_bilinear(p, u, v, class_n):
+    """At a free node, child (a : b) pushed directly has columns a*A + b*B."""
+    F = make_ext_field(p, u, v)
+    nodes = 0
+    for st, d, (ax, ay), (bx, by) in free_nodes(F, class_n):
+        nodes += 1
+        for a, b in projective_pairs(F):
+            want = tuple(
+                [F.add(F.mul(a, s), F.mul(b, t)) for s, t in zip(col_a, col_b)]
+                for col_a, col_b in ((ax, bx), (ay, by))
+            )
+            assert _next_columns(st, d, (a, b)) == want, (d, a, b)
+    assert nodes > 10
+
+
+@FREE_NODE_SEARCHES
+def test_free_children_cover_survivors(p, u, v, class_n):
+    """Every child of a free node with a nonempty next kernel is a candidate.
+
+    The candidates come in P^1(E) order with the columns the child has when
+    pushed directly.  Both branches are exercised: some free node has fewer
+    candidates than children (roots of a minor) and, over GF(4) and GF(9),
+    some has all of them (every minor vanishes identically).
+    """
+    F = make_ext_field(p, u, v)
+    reps = projective_pairs(F)
+    sizes = set()
+    for st, d, A, B in free_nodes(F, class_n):
+        cands = list(mc.free_children(F, A, B))
+        pairs = [pair for pair, _ in cands]
+        assert pairs == [pair for pair in reps if pair in pairs]
+        for pair, cols in cands:
+            assert cols == _next_columns(st, d, pair)
+        for pair in reps:
+            if mc.projective_kernel(F, *_next_columns(st, d, pair)) != []:
+                assert pair in pairs, (d, pair)
+        sizes.add(len(pairs) == len(reps))
+    assert False in sizes
+    if p <= 3:
+        assert True in sizes
+
+
+@pytest.mark.parametrize(
+    "p, u, v, class_n",
+    [(5, 0, 2, 14), (7, 0, 3, 10), (3, 0, 2, 13), (7, 0, 3, 9)],
+    ids=["25_14", "49_10", "9_13", "49_9"],
+)
+def test_search_matches_one_level(p, u, v, class_n):
+    """Same list in the same order as the one-level search, cut off and full.
+
+    Free nodes sit at even degrees, so only an odd class has free nodes
+    whose children are leaves.
+    """
+    field = make_ext_field(p, u, v)
+    for limit in (1, 7):
+        assert mc.search_sequences(field, class_n, limit) == oracle_one_level_search(
+            field, class_n, limit
+        )
+    full = oracle_one_level_search(field, class_n, 10**9)
     assert mc.search_sequences(field, class_n, len(full) + 1) == full
 
 
