@@ -146,19 +146,15 @@ class _Structure:
         self.a: Dict[int, EElem] = {}
         self.b: Dict[int, EElem] = {}
         self.vv: Dict[Tuple[int, int], EElem] = {}
+        # degree d -> (c^{-1}, g's coefficients) with v_{d+1} = c^{-1}*[v_d, g]
+        self.step: Dict[int, Tuple[EElem, Dict[int, EElem]]] = {}
 
     # -- coefficient lookups ------------------------------------------------
-
-    def coeff_a(self, k: int) -> EElem:
-        return self.a.get(k, self.field.zero)
-
-    def coeff_b(self, k: int) -> EElem:
-        return self.b.get(k, self.field.zero)
 
     def phi(self, d: int, gen: Pair) -> EElem:
         """phi_d(alpha, beta) = alpha*a_d + beta*b_d: [v_d, alpha*x + beta*y] = phi_d*v_{d+1}."""
         F = self.field
-        return F.add(F.mul(gen[0], self.coeff_a(d)), F.mul(gen[1], self.coeff_b(d)))
+        return F.add(F.mul(gen[0], self.a[d]), F.mul(gen[1], self.b[d]))
 
     def get_vv(self, i: int, j: int) -> EElem:
         """Coefficient of [v_i, v_j] in v_{i+j} (0 on overflow)."""
@@ -171,7 +167,12 @@ class _Structure:
     # -- incremental construction -------------------------------------------
 
     def extend(self, d: int, pair: Pair) -> List[Tuple[int, int]]:
-        """Push the adjoint pair of degree d; derive cells of total d+1."""
+        """Push the adjoint pair of degree d; derive cells of total d+1.
+
+        The chain is canonical: v_{d+1} = c^{-1}*[v_d, g] with g = x and
+        c = a_d when a_d != 0, else g = y and c = b_d.  That choice is made
+        here once and read by the cells of later degrees.
+        """
         F = self.field
         a, b = F.coerce(pair[0]), F.coerce(pair[1])
         if F.is_zero(a) and F.is_zero(b):
@@ -179,8 +180,10 @@ class _Structure:
         assert d == self.top, "pairs must be pushed in degree order"
         self.a[d] = a
         self.b[d] = b
+        self.step[d] = (F.inv(a), self.a) if not F.is_zero(a) else (F.inv(b), self.b)
         self.top = d + 1
         total = self.top
+        get_vv = self.get_vv
         added: List[Tuple[int, int]] = []
         for i in range(2, (total + 1) // 2):
             j = total - i
@@ -188,22 +191,17 @@ class _Structure:
                 # [v_2, v_j] from v_2 = [y, x]:
                 # [[y,x],v_j] = -[[x,v_j],y] - [[v_j,y],x]
                 val = F.sub(
-                    F.mul(self.coeff_a(j), self.coeff_b(j + 1)),
-                    F.mul(self.coeff_b(j), self.coeff_a(j + 1)),
+                    F.mul(self.a[j], self.b[j + 1]), F.mul(self.b[j], self.a[j + 1])
                 )
             else:
                 # expand v_i = c^{-1} [v_{i-1}, g]:
                 # [v_i, v_j] = c^{-1}( [v_{i-1},v_j]*g_{i+j-1} - g_j*[v_{i-1},v_{j+1}] )
-                am = self.coeff_a(i - 1)
-                if not F.is_zero(am):
-                    c, gk = am, self.coeff_a
-                else:
-                    c, gk = self.coeff_b(i - 1), self.coeff_b
+                c_inv, g = self.step[i - 1]
                 val = F.mul(
-                    F.inv(c),
+                    c_inv,
                     F.sub(
-                        F.mul(self.get_vv(i - 1, j), gk(total - 1)),
-                        F.mul(gk(j), self.get_vv(i - 1, j + 1)),
+                        F.mul(get_vv(i - 1, j), g[total - 1]),
+                        F.mul(g[j], get_vv(i - 1, j + 1)),
                     ),
                 )
             self.vv[(i, j)] = val
@@ -215,50 +213,35 @@ class _Structure:
             del self.vv[key]
         del self.a[d]
         del self.b[d]
+        del self.step[d]
         self.top = d
 
-    # -- brackets of basis elements ------------------------------------------
+    def jacobi(self, u: int, w: int, g: int) -> EElem:
+        """Coefficient of J(u,w,g) = [[u,w],g] + [[w,g],u] + [[g,u],w] in v_top.
 
-    def bk(self, s: int, t: int):
-        """Bracket of basis elements (ids: 0 = x, 1 = y, k = v_k).
+        Valid for the triples of ``new_triples(top)`` (ids: 0 = x, 1 = y,
+        k = v_k), which have two shapes.  With [v_t, x] = a_t*v_{t+1},
+        [v_t, y] = b_t*v_{t+1}, so [x, v_t] = -a_t*v_{t+1}, and
+        [x, y] = -v_2:
 
-        Returns (coefficient, target degree) or None when structurally zero
-        (equal arguments or overflow past the current top degree).
+        * J(v_m, x, y) = [a_m*v_{m+1}, y] + [-v_2, v_m] + [-b_m*v_{m+1}, x]
+          = a_m*b_{m+1} - [v_2, v_m] - b_m*a_{m+1};
+        * J(v_i, v_j, g), i < j and g_t = a_t for g = x or b_t for g = y:
+          [v_i, v_j]*g_{i+j} + [g_j*v_{j+1}, v_i] + [-g_i*v_{i+1}, v_j]
+          = [v_i, v_j]*g_{i+j} - g_j*[v_i, v_{j+1}] - g_i*[v_{i+1}, v_j].
         """
         F = self.field
-        if s == t:
-            return None
-        if s <= 1 and t <= 1:
-            if 2 > self.top:
-                return None
-            return (F.one, 2) if s == 1 else (F.neg(F.one), 2)
-        if s <= 1:
-            if t + 1 > self.top:
-                return None
-            c = self.coeff_a(t) if s == 0 else self.coeff_b(t)
-            return (F.neg(c), t + 1)
-        if t <= 1:
-            if s + 1 > self.top:
-                return None
-            c = self.coeff_a(s) if t == 0 else self.coeff_b(s)
-            return (c, s + 1)
-        if s + t > self.top:
-            return None
-        return (self.get_vv(s, t), s + t)
-
-    def jacobi(self, u: int, w: int, g: int) -> EElem:
-        """Coefficient of J(u,w,g) = [[u,w],g] + [[w,g],u] + [[g,u],w]."""
-        F = self.field
-        acc = F.zero
-        for p, q, r in ((u, w, g), (w, g, u), (g, u, w)):
-            first = self.bk(p, q)
-            if first is None or F.is_zero(first[0]):
-                continue
-            second = self.bk(first[1], r)
-            if second is None:
-                continue
-            acc = F.add(acc, F.mul(first[0], second[0]))
-        return acc
+        get_vv = self.get_vv
+        if w == 0:
+            a, b = self.a, self.b
+            return F.sub(
+                F.sub(F.mul(a[u], b[u + 1]), F.mul(b[u], a[u + 1])), get_vv(2, u)
+            )
+        gk = self.a if g == 0 else self.b
+        return F.sub(
+            F.mul(get_vv(u, w), gk[u + w]),
+            F.add(F.mul(gk[w], get_vv(u, w + 1)), F.mul(gk[u], get_vv(u + 1, w))),
+        )
 
     # -- checks ---------------------------------------------------------------
 

@@ -32,6 +32,7 @@ from .errors import (
 from .gf import EElem, ExtField, Matrix, RowSpace, solve, span
 from .maxclass import (
     MaxClassPresentation,
+    apply_degree1_change,
     label,
     quotient,
     standard_generators,
@@ -557,13 +558,11 @@ def _phi_failure(st, rep: RhoRep, usable: int, phi: Dict[int, ShiftMap]) -> Opti
     ``_check_rep``): the class-`usable` truncation is generated by x and y.
     """
     F = st.field
-    for s in (0, 1):
+    for s, gen in ((0, (F.one, F.zero)), (1, (F.zero, F.one))):
         for t in range(s + 1, usable):  # t has degree max(t, 1) = t
-            res = st.bk(s, t)
-            want: ShiftMap = {}
-            if res is not None and not F.is_zero(res[0]):
-                coeff, tgt = res
-                want = _map_scale(F, coeff, phi[tgt])
+            # [x, y] = -v_2 and [g, v_t] = -phi_t(g)*v_{t+1}
+            coeff = F.neg(F.one if t == 1 else st.phi(t, gen))
+            want = _map_scale(F, coeff, phi[t + 1])
             got = _commutator(F, rep.slots_min, rep.window, phi[s], 1, phi[t], t)
             for sl in range(rep.slots_min, rep.window - t):
                 if want.get(sl, F.zero) != got.get(sl, F.zero):
@@ -605,12 +604,26 @@ def iso_search(
 
     Each candidate is mapped back as Phi = T_A^{-1} psi T_B (T_A, T_B the
     standard-form transforms), its first nonzero entry normalized to 1,
-    and certified on the generator relations (``_extends``).  The result
-    is the certified Phi least in ``F.key`` order, entry by entry: the
-    first one an enumeration of all degree-1 maps in ``F.elements()``
-    order would find.  Raises WindowTooLargeForBruteForce, before any
-    candidate is built, when candidates x window exceeds
-    BRUTE_FORCE_LIMIT.
+    and certified: Phi = (a1, b1, a2, b2), meaning x -> a1 x + b1 y and
+    y -> a2 x + b2 y, is a graded isomorphism iff
+    ``apply_degree1_change(B, (a1, b1), (a2, b2))`` equals A's canonical
+    chain ``apply_degree1_change(A, (1, 0), (0, 1))``.  Proof: [y, x] = v_2
+    forces Phi(v_2) = s_2 v_2 with s_2 = a1*b2 - b1*a2 != 0, and along A's
+    chain Phi(v_{i+1}) = s_{i+1} v_{i+1}.  Phi transports [v_i, x] =
+    a_i v_{i+1} and [v_i, y] = b_i v_{i+1} iff
+    s_i*(phi_i(a1, b1), phi_i(a2, b2)) = s_{i+1}*(a_i, b_i) in B for some
+    s_{i+1} != 0, that is iff the point (phi_i(a1, b1) : phi_i(a2, b2)) of
+    B equals the point (a_i : b_i) of A in P^1(E).  The running scale s of
+    ``apply_degree1_change`` differs from s_i by a nonzero factor, so its
+    pair of degree i is the first point in normalized form, and A's
+    canonical pair is the second one in normalized form.  Once the
+    generator relations transport, Phi is a homomorphism on all pairs by
+    the generator lemma (see ``_check_rep``): both truncations are Lie
+    algebras generated by x and y.  The result is the certified Phi least
+    in ``F.key`` order, entry by entry: the first one an enumeration of
+    all degree-1 maps in ``F.elements()`` order would find.  Raises
+    WindowTooLargeForBruteForce, before any candidate is built, when
+    candidates x window exceeds BRUTE_FORCE_LIMIT.
     """
     if pres_a.field != pres_b.field:
         raise PreconditionFailed("presentations live over different fields")
@@ -627,7 +640,7 @@ def iso_search(
     t_a = standard_generators(A).transform
     t_b = standard_generators(B).transform
     t_a_inv = Matrix(F, [solve(F, t_a.rows, e) for e in Matrix.identity(F, 2).rows])
-    sta, stb = tables(A), tables(B)
+    target = apply_degree1_change(A, (F.one, F.zero), (F.zero, F.one)).adjoint
     best = None
     for b1 in [F.zero] if deviates else F.elements():
         for b2 in F.elements():
@@ -638,38 +651,12 @@ def iso_search(
             lead = F.inv(next(c for c in quad if not F.is_zero(c)))
             quad = [F.mul(lead, c) for c in quad]
             key = [F.key(c) for c in quad]
-            if (best is None or key < best[0]) and _extends(F, sta, stb, window, *quad):
+            if (best is None or key < best[0]) and apply_degree1_change(
+                B, (quad[0], quad[1]), (quad[2], quad[3])
+            ).adjoint == target:
                 best = (key, quad)
     if best is None:
         return IsoResult(found=False, transform=None)
     a1, b1, a2, b2 = best[1]
     return IsoResult(found=True, transform=Matrix(F, [[a1, b1], [a2, b2]]))
 
-
-def _extends(F, sta, stb, window, a1, b1, a2, b2) -> bool:
-    """Try to extend x -> a1 x + b1 y, y -> a2 x + b2 y to a graded iso.
-
-    phi(v_i) = s_i v_i is fixed by [y, x] = v_2 and the canonical chain.
-    Once the relations [v_i, x] and [v_i, y] transport for every i, phi
-    is a homomorphism on all pairs by the generator lemma (see
-    ``_check_rep``): both truncations are Lie algebras generated by x, y.
-    """
-    s2 = F.sub(F.mul(b2, a1), F.mul(a2, b1))
-    scales = {2: s2}
-    for i in range(2, window):
-        ai, bi = sta.coeff_a(i), sta.coeff_b(i)
-        # images of [phi(v_i), phi(x)] and [phi(v_i), phi(y)] in B
-        px = F.mul(scales[i], stb.phi(i, (a1, b1)))
-        py = F.mul(scales[i], stb.phi(i, (a2, b2)))
-        if not F.is_zero(ai):
-            if F.is_zero(px):
-                return False
-            scales[i + 1] = F.div(px, ai)
-        else:
-            if F.is_zero(py):
-                return False
-            scales[i + 1] = F.div(py, bi)
-        # both generator relations must transport
-        if px != F.mul(ai, scales[i + 1]) or py != F.mul(bi, scales[i + 1]):
-            return False
-    return True

@@ -5,8 +5,11 @@ module compares stdout, the exit code and every written file with the
 bytes recorded in ``tests/golden/``, so a refactor that changes a report
 is caught.  The commands are every README example, ``build search`` over
 GF(9) at class 12 with its default limit and over GF(49) at class 8 with
-limit 7, and ``check`` on two invalid
-files (one per label shape of ``first_failure``).  They run in a fresh
+limit 7, ``check`` on two invalid
+files (one per label shape of ``first_failure``), and ``check`` and
+``roundtrip`` on a presentation whose pairs are not canonical (every a_i
+is 0 or mu, not 0 or 1) and ``check`` on a copy of it that fails at a y
+triple.  They run in a fresh
 directory with relative file names, because reports echo the input path.
 
 After a declared report-schema change, rewrite the recorded copy with
@@ -30,7 +33,7 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
 WRITTEN = GOLDEN / "written"
 
 # input files copied into the working directory before the cases run
-INPUTS = ["bad6.json", "bad10.json"]
+INPUTS = ["bad6.json", "bad10.json", "dev9mu.json", "dev9mu-bad.json"]
 
 PAIR = ["--X", "1,0,1,0", "--Y", "0,1,1,1"]
 
@@ -51,6 +54,11 @@ CASES = [
     ("check-bad6", ["check", "bad6.json"], 1),
     # first_failure ["v4", "v3", "x"]: metabelian GF(9) class 10, degree-7 pair (1, 2)
     ("check-bad10", ["check", "bad10.json"], 1),
+    # bench/data/dev9_14.json with every pair multiplied by mu
+    ("check-dev9mu", ["check", "dev9mu.json"], 0),
+    ("roundtrip-dev9mu", ["roundtrip", "dev9mu.json", *PAIR], 0),
+    # first_failure ["v8", "v2", "y"]: dev9mu.json with b_10 raised by 1
+    ("check-dev9mu-bad", ["check", "dev9mu-bad.json"], 1),
 ]
 
 

@@ -2,11 +2,20 @@
 
 Jacobi (``maxclass``), the rho homomorphism (``reconstruct._check_rep``),
 the round-trip phi map (``reconstruct._phi_failure``) and the graded
-isomorphism of ``iso_search`` (``reconstruct._extends``) are checked only
-on pairs and triples with a degree-1 generator.  The all-pairs loops they
-replaced are kept here as oracles, and each fast path must give the same
-verdict, the same first failure and the same message on seeded valid and
-perturbed inputs.
+isomorphism of ``iso_search`` (certified by the base-changed canonical
+chain, ``maxclass.apply_degree1_change``) are checked only on pairs and
+triples with a degree-1 generator.  The all-pairs loops they replaced are
+kept here as oracles, and each fast path must give the same verdict, the
+same first failure and the same message on seeded valid and perturbed
+inputs.
+
+``_Structure.jacobi`` evaluates each Jacobi triple with a generator by
+one of two closed formulas (its docstring), ``_phi_failure`` reads the
+brackets with a generator off ``_Structure.phi``, and ``_Structure.extend``
+decides the chain (c^{-1} and g with v_{d+1} = c^{-1}*[v_d, g]) once per
+pushed degree.  The generic bracket of basis ids, the three-term Jacobi
+sum over it, the per-cell choice of c^{-1} and the scale-by-scale
+isomorphism certification are kept here as oracles.
 
 ``search_sequences`` solves for the admissible pairs of each degree (the
 projective kernel of its Jacobi forms) instead of trying every point of
@@ -67,7 +76,76 @@ def _random_nonzero(field, rng):
             return e
 
 
-# -- oracles: the all-pairs loops ----------------------------------------------
+# -- oracles: the generic bracket and the all-pairs loops ----------------------
+
+
+def oracle_bracket(st, s, t):
+    """Bracket of basis elements (ids: 0 = x, 1 = y, k = v_k).
+
+    Returns (coefficient, target degree) or None when structurally zero
+    (equal arguments or overflow past the current top degree).
+    """
+    F = st.field
+    if s == t:
+        return None
+    if s <= 1 and t <= 1:
+        if 2 > st.top:
+            return None
+        return (F.one, 2) if s == 1 else (F.neg(F.one), 2)
+    if s <= 1:
+        if t + 1 > st.top:
+            return None
+        c = st.a.get(t, F.zero) if s == 0 else st.b.get(t, F.zero)
+        return (F.neg(c), t + 1)
+    if t <= 1:
+        if s + 1 > st.top:
+            return None
+        c = st.a.get(s, F.zero) if t == 0 else st.b.get(s, F.zero)
+        return (c, s + 1)
+    if s + t > st.top:
+        return None
+    return (st.get_vv(s, t), s + t)
+
+
+def oracle_jacobi(st, u, w, g):
+    """Coefficient of J(u,w,g) = [[u,w],g] + [[w,g],u] + [[g,u],w], term by term."""
+    F = st.field
+    acc = F.zero
+    for p, q, r in ((u, w, g), (w, g, u), (g, u, w)):
+        first = oracle_bracket(st, p, q)
+        if first is None or F.is_zero(first[0]):
+            continue
+        second = oracle_bracket(st, first[1], r)
+        if second is None:
+            continue
+        acc = F.add(acc, F.mul(first[0], second[0]))
+    return acc
+
+
+def oracle_cells(st):
+    """The cells [v_i, v_j] of st's pairs, choosing g and inverting c per cell."""
+    F = st.field
+    a, b = st.a, st.b
+    vv = {}
+
+    def get(i, j):
+        return F.neg(vv[(j, i)]) if i > j else vv.get((i, j), F.zero)
+
+    for total in range(5, st.top + 1):
+        for i in range(2, (total + 1) // 2):
+            j = total - i
+            if i == 2:
+                vv[(i, j)] = F.sub(F.mul(a[j], b[j + 1]), F.mul(b[j], a[j + 1]))
+                continue
+            if not F.is_zero(a[i - 1]):
+                c, gk = a[i - 1], a
+            else:
+                c, gk = b[i - 1], b
+            vv[(i, j)] = F.mul(
+                F.inv(c),
+                F.sub(F.mul(get(i - 1, j), gk[total - 1]), F.mul(gk[j], get(i - 1, j + 1))),
+            )
+    return vv
 
 
 def oracle_check_new(st):
@@ -78,7 +156,7 @@ def oracle_check_new(st):
     m = T - 2
     if m >= 2:
         checked += 1
-        if not F.is_zero(st.jacobi(m, 0, 1)):
+        if not F.is_zero(oracle_jacobi(st, m, 0, 1)):
             return (_label(m), "x", "y"), checked
     for i in range(2, (T + 1) // 2):
         j = T - 1 - i
@@ -86,7 +164,7 @@ def oracle_check_new(st):
             break
         for g in (0, 1):
             checked += 1
-            if not F.is_zero(st.jacobi(i, j, g)):
+            if not F.is_zero(oracle_jacobi(st, i, j, g)):
                 return (_label(j), _label(i), _label(g)), checked
     for i in range(2, T):
         for j in range(i + 1, T):
@@ -94,7 +172,7 @@ def oracle_check_new(st):
             if k <= j:
                 break
             checked += 1
-            if not F.is_zero(st.jacobi(i, j, k)):
+            if not F.is_zero(oracle_jacobi(st, i, j, k)):
                 return (_label(k), _label(j), _label(i)), checked
     return None, checked
 
@@ -234,7 +312,7 @@ def oracle_phi_failure(st, rep, usable, phi):
             ds, dt = max(s, 1), max(t, 1)
             if ds + dt > usable:
                 continue
-            res = st.bk(s, t)
+            res = oracle_bracket(st, s, t)
             want = {}
             if res is not None and not F.is_zero(res[0]):
                 coeff, tgt = res
@@ -251,9 +329,9 @@ def oracle_extends(F, sta, stb, window, a1, b1, a2, b2):
     s2 = F.sub(F.mul(b2, a1), F.mul(a2, b1))
     scales = {2: s2}
     for i in range(2, window):
-        ai, bi = sta.coeff_a(i), sta.coeff_b(i)
-        px = F.mul(scales[i], F.add(F.mul(a1, stb.coeff_a(i)), F.mul(b1, stb.coeff_b(i))))
-        py = F.mul(scales[i], F.add(F.mul(a2, stb.coeff_a(i)), F.mul(b2, stb.coeff_b(i))))
+        ai, bi = sta.a[i], sta.b[i]
+        px = F.mul(scales[i], F.add(F.mul(a1, stb.a[i]), F.mul(b1, stb.b[i])))
+        py = F.mul(scales[i], F.add(F.mul(a2, stb.a[i]), F.mul(b2, stb.b[i])))
         if not F.is_zero(ai):
             if F.is_zero(px):
                 return False
@@ -328,6 +406,52 @@ def test_search_prefixes_match_exhaustive(f9):
 
     dfs(2)
     assert pushes > 1000
+
+
+def _random_pair(field, rng):
+    """A nonzero pair whose entries are 0 about 30% of the time, else random."""
+    elems = list(field.elements())
+    while True:
+        pair = tuple(field.zero if rng.random() < 0.3 else rng.choice(elems) for _ in "ab")
+        if not all(field.is_zero(e) for e in pair):
+            return pair
+
+
+@pytest.mark.parametrize(
+    "p, u, v", [(2, 1, 1), (3, 0, 2), (5, 0, 2), (7, 0, 3)], ids=["4", "9", "25", "49"]
+)
+def test_closed_form_matches_generic_bracket(p, u, v):
+    """At every push of random tables, classes 4-16, pairs with zero and
+    non-one entries, a probe push retracted before each kept push: the
+    closed-form Jacobi coefficients and ``check_new`` equal the three-term
+    sums over the generic bracket, and the cells equal those built with a
+    per-cell choice of c^{-1}."""
+    F = make_ext_field(p, u, v)
+    rng = random.Random(f"closed-form-{p}")
+    pushes = nonzero = passed = 0
+    for _ in range(300):
+        class_n = rng.randint(4, 16)
+        st = mc._Structure(F, class_n)
+        for d in range(2, class_n):
+            for keep in (False, True):
+                added = st.extend(d, _random_pair(F, rng))
+                triples = mc.new_triples(st.top)
+                forms = [oracle_jacobi(st, *t) for t in triples]
+                assert st.jacobi_forms() == forms
+                bad = [n for n, f in enumerate(forms, 1) if not F.is_zero(f)]
+                if bad:
+                    u_, w_, g_ = triples[bad[0] - 1]
+                    want = (_label(max(u_, w_)), _label(min(u_, w_)), _label(g_)), bad[0]
+                else:
+                    want = None, len(triples)
+                assert st.check_new() == want
+                assert st.vv == oracle_cells(st)
+                pushes += 1
+                nonzero += bool(bad)
+                passed += not bad
+                if not keep:
+                    st.retract(d, added)
+    assert pushes > 4000 and nonzero > 1000 and passed > 1000
 
 
 # -- the search ----------------------------------------------------------------
@@ -609,8 +733,8 @@ def oracle_iso_search(pres_a, pres_b, window=None):
     """The brute force ``iso_search`` replaced: every projective degree-1 map.
 
     Maps are enumerated with the first nonzero coordinate normalized to 1,
-    in ``F.elements()`` order, and the first one ``_extends`` certifies is
-    returned.
+    in ``F.elements()`` order, and the first one ``oracle_extends``
+    certifies is returned.
     """
     if pres_a.field != pres_b.field:
         raise PreconditionFailed("presentations live over different fields")
@@ -637,7 +761,7 @@ def oracle_iso_search(pres_a, pres_b, window=None):
                     det = F.sub(F.mul(a1, b2), F.mul(b1, a2))
                     if F.is_zero(det):
                         continue
-                    if rec._extends(F, sta, stb, window, a1, b1, a2, b2):
+                    if oracle_extends(F, sta, stb, window, a1, b1, a2, b2):
                         return rec.IsoResult(
                             found=True,
                             transform=Matrix(F, [[a1, b1], [a2, b2]]),
@@ -656,10 +780,23 @@ def _degree1_change(pres, rng):
             return mc.apply_degree1_change(pres, xp, yp)
 
 
+def _rescaled(pres, rng):
+    """pres with each pair multiplied by a random nonzero scalar: the same
+    algebra on the basis v_{i+1} rescaled, but with a non-canonical chain."""
+    F = pres.field
+    pairs = []
+    for a, b in pres.adjoint:
+        c = _random_nonzero(F, rng)
+        pairs.append((F.mul(c, a), F.mul(c, b)))
+    return mc.MaxClassPresentation(F, pres.class_n, tuple(pairs))
+
+
 def _iso_pairs(found, dev, rng, n_random, n):
     """Random pairs, (P, standard form of P), P against a base change of P
     on either side, the first (metabelian) presentation against random P,
-    and base changes of the deviating oracle ``dev``."""
+    base changes of the deviating oracle ``dev``, neighbours in search order
+    cut just above their first difference (so they differ in the last pair
+    only), and rescaled (non-canonical) presentations on either side."""
     pairs = [tuple(rng.sample(found, 2)) for _ in range(n_random)]
     for pres in rng.sample(found, n):
         pairs.append((pres, mc.standard_generators(pres).presentation))
@@ -670,10 +807,18 @@ def _iso_pairs(found, dev, rng, n_random, n):
     if dev is not None:
         pairs.append((dev, _degree1_change(dev, rng)))
         pairs.append((_degree1_change(dev, rng), _degree1_change(dev, rng)))
+    for a, b in list(zip(found, found[1:]))[:n]:
+        top = next(d for d in range(2, a.class_n) if a.pair(d) != b.pair(d)) + 1
+        if top >= 4:
+            pairs.append((mc.quotient(a, top), mc.quotient(b, top)))
+    for a, b in pairs[:n_random] + [(found[0], found[0])] + ([(dev, dev)] if dev else []):
+        pairs.append((_rescaled(a, rng), b))
+        pairs.append((a, _rescaled(b, rng)))
+        pairs.append((_rescaled(a, rng), _rescaled(_degree1_change(b, rng), rng)))
     return pairs
 
 
-def test_iso_search_matches_all_pairs(request, monkeypatch):
+def test_iso_search_matches_all_pairs(request):
     """Standard-form candidates against the brute force with all-pairs certification.
 
     The oracle tries every degree-1 map and certifies it with the v-v
@@ -693,7 +838,6 @@ def test_iso_search_matches_all_pairs(request, monkeypatch):
         dev = request.getfixturevalue(dev) if dev else None
         inputs.append(_iso_pairs(request.getfixturevalue(name), dev, rng, n_random, n))
     fast = [[rec.iso_search(a, b) for a, b in pairs] for pairs in inputs]
-    monkeypatch.setattr(rec, "_extends", oracle_extends)
     for pairs, results in zip(inputs, fast):
         for (a, b), f in zip(pairs, results):
             s = oracle_iso_search(a, b)
