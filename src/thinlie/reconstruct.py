@@ -18,6 +18,7 @@ one-dimensional extension line.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice, product
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import (
@@ -26,13 +27,11 @@ from .errors import (
     NotFaithful,
     NotMetabelian,
     PreconditionFailed,
-    WindowTooLargeForBruteForce,
     WindowTooSmall,
 )
-from .gf import EElem, ExtField, Matrix, RowSpace, solve, span
+from .gf import EElem, ExtField, Matrix, RowSpace, rref, solve, span
 from .maxclass import (
     MaxClassPresentation,
-    apply_degree1_change,
     label,
     quotient,
     standard_generators,
@@ -41,7 +40,6 @@ from .maxclass import (
     validate,
 )
 from .subfield import (
-    BRUTE_FORCE_LIMIT,
     GeneratorPair,
     SubalgebraAnalysis,
     bracket_vec,
@@ -571,7 +569,7 @@ def _phi_failure(st, rep: RhoRep, usable: int, phi: Dict[int, ShiftMap]) -> Opti
 
 
 # ---------------------------------------------------------------------------
-# Graded isomorphism search by standard forms
+# Graded isomorphism search by one linear solve
 # ---------------------------------------------------------------------------
 
 
@@ -588,42 +586,40 @@ def iso_search(
 ) -> IsoResult:
     """Search for a graded isomorphism between two presentations.
 
-    Centralizer lemma: C_i = C_{L_1}(L_i) is defined by the algebra
-    alone, so a graded isomorphism A -> B maps each C_i(A) onto C_i(B).
-    In standard coordinates (``standard_generators``: C_2 = Ey and, if a
-    degree in the window deviates, the first deviation is Ex) it
-    therefore fixes Ey, and also Ex when a degree deviates.  Scaling
-    degree i by c^i is a graded automorphism, so the image of x may be
-    taken with x-coordinate 1.  Two candidate families remain:
+    Certification lemma: Phi = (a1, b1, a2, b2), meaning x -> a1 x + b1 y
+    and y -> a2 x + b2 y, is a graded isomorphism iff it is nonsingular
+    and, at every degree i in [2, window - 1], the point
+    (phi_i(a1, b1) : phi_i(a2, b2)) of B equals the point (a_i : b_i) of A
+    in P^1(E).  Proof: [y, x] = v_2 forces Phi(v_2) = s_2 v_2 with
+    s_2 = a1*b2 - b1*a2 != 0, and along A's chain Phi(v_{i+1}) =
+    s_{i+1} v_{i+1}.  Phi transports [v_i, x] = a_i v_{i+1} and [v_i, y] =
+    b_i v_{i+1} iff s_i*(phi_i(a1, b1), phi_i(a2, b2)) = s_{i+1}*(a_i, b_i)
+    in B for some s_{i+1} != 0, that is iff the two points are equal.
+    Once the generator relations transport, Phi is a homomorphism on all
+    pairs by the generator lemma (see ``_check_rep``): both truncations are
+    Lie algebras generated by x and y.
 
-    * some degree of A deviates: psi = [[1, 0], [0, b2]], q - 1
-      candidates;
-    * none does (A is metabelian, and so is any B isomorphic to it, and
-      x may pick up any multiple of y): psi = [[1, b1], [0, b2]],
-      q(q - 1) candidates.
+    Both points are nonzero vectors: A has no zero pair, and a nonsingular
+    Phi maps B's pair (p_i, q_i) to a nonzero one.  So they are equal iff
+    phi_i(a1, b1)*b_i - phi_i(a2, b2)*a_i = 0, one linear equation in Phi
+    per degree, and the certified maps are the nonsingular elements of the
+    kernel W of the window x 4 system.  The degree-2 row is the tensor of
+    the nonzero vectors (p_2, q_2) and (b_2, -a_2), so dim W <= 3.
 
-    Each candidate is mapped back as Phi = T_A^{-1} psi T_B (T_A, T_B the
-    standard-form transforms), its first nonzero entry normalized to 1,
-    and certified: Phi = (a1, b1, a2, b2), meaning x -> a1 x + b1 y and
-    y -> a2 x + b2 y, is a graded isomorphism iff
-    ``apply_degree1_change(B, (a1, b1), (a2, b2))`` equals A's canonical
-    chain ``apply_degree1_change(A, (1, 0), (0, 1))``.  Proof: [y, x] = v_2
-    forces Phi(v_2) = s_2 v_2 with s_2 = a1*b2 - b1*a2 != 0, and along A's
-    chain Phi(v_{i+1}) = s_{i+1} v_{i+1}.  Phi transports [v_i, x] =
-    a_i v_{i+1} and [v_i, y] = b_i v_{i+1} iff
-    s_i*(phi_i(a1, b1), phi_i(a2, b2)) = s_{i+1}*(a_i, b_i) in B for some
-    s_{i+1} != 0, that is iff the point (phi_i(a1, b1) : phi_i(a2, b2)) of
-    B equals the point (a_i : b_i) of A in P^1(E).  The running scale s of
-    ``apply_degree1_change`` differs from s_i by a nonzero factor, so its
-    pair of degree i is the first point in normalized form, and A's
-    canonical pair is the second one in normalized form.  Once the
-    generator relations transport, Phi is a homomorphism on all pairs by
-    the generator lemma (see ``_check_rep``): both truncations are Lie
-    algebras generated by x and y.  The result is the certified Phi least
-    in ``F.key`` order, entry by entry: the first one an enumeration of
-    all degree-1 maps in ``F.elements()`` order would find.  Raises
-    WindowTooLargeForBruteForce, before any candidate is built, when
-    candidates x window exceeds BRUTE_FORCE_LIMIT.
+    Walk lemma: the result is the certified Phi whose first nonzero entry
+    is 1, least in ``F.key`` order entry by entry (the first one an
+    enumeration of all degree-1 maps in ``F.elements()`` order would find).
+    Let W's RREF basis be r_1..r_k with pivots j_1 < ... < j_k.  The
+    normalized vectors led at j_m are r_m + sum_{l>m} t_l r_l, and among
+    them the key order is the lexicographic key order of (t_{m+1}, ...):
+    each entry before j_{l+1} depends on t_{m+1}..t_l only.  A later pivot
+    means more leading zeros, and 0 has the least key, so the levels are
+    walked from m = k down to 1.  On a level, det is a polynomial of degree
+    <= 2 in at most 2 variables.  If it is not identically zero, at most 2
+    values of the first t make it vanish for every second t, and for any
+    other first t it has at most 2 roots.  So the 3 least-key elements of E
+    (q >= 4) reach the least nonsingular vector of every level that has
+    one, and E is never enumerated further.
     """
     if pres_a.field != pres_b.field:
         raise PreconditionFailed("presentations live over different fields")
@@ -631,32 +627,20 @@ def iso_search(
     window = min(pres_a.class_n, pres_b.class_n) if window is None else window
     A = quotient(pres_a, window) if pres_a.class_n != window else pres_a
     B = quotient(pres_b, window) if pres_b.class_n != window else pres_b
-    deviates = bool(two_step_centralizers(A).deviations())
-    count = (F.order - 1) * (1 if deviates else F.order)
-    if count * window > BRUTE_FORCE_LIMIT:
-        raise WindowTooLargeForBruteForce(
-            f"{count} candidates x window {window} exceed limit {BRUTE_FORCE_LIMIT}"
-        )
-    t_a = standard_generators(A).transform
-    t_b = standard_generators(B).transform
-    t_a_inv = Matrix(F, [solve(F, t_a.rows, e) for e in Matrix.identity(F, 2).rows])
-    target = apply_degree1_change(A, (F.one, F.zero), (F.zero, F.one)).adjoint
-    best = None
-    for b1 in [F.zero] if deviates else F.elements():
-        for b2 in F.elements():
-            if F.is_zero(b2):
-                continue
-            phi = t_a_inv.mul(Matrix(F, [[F.one, b1], [F.zero, b2]])).mul(t_b)
-            quad = phi.rows[0] + phi.rows[1]
-            lead = F.inv(next(c for c in quad if not F.is_zero(c)))
-            quad = [F.mul(lead, c) for c in quad]
-            key = [F.key(c) for c in quad]
-            if (best is None or key < best[0]) and apply_degree1_change(
-                B, (quad[0], quad[1]), (quad[2], quad[3])
-            ).adjoint == target:
-                best = (key, quad)
-    if best is None:
-        return IsoResult(found=False, transform=None)
-    a1, b1, a2, b2 = best[1]
-    return IsoResult(found=True, transform=Matrix(F, [[a1, b1], [a2, b2]]))
-
+    tables(A)
+    tables(B)
+    rows = []
+    for i in range(2, window):
+        (a, b), (p, q) = A.pair(i), B.pair(i)
+        rows.append([F.mul(p, b), F.mul(q, b), F.neg(F.mul(p, a)), F.neg(F.mul(q, a))])
+    basis = span(F, rref(Matrix(F, rows)).kernel.rows, 4).basis()
+    small = list(islice(F.elements(), 3))
+    for m in reversed(range(len(basis))):
+        for ts in product(small, repeat=len(basis) - 1 - m):
+            quad = basis[m]
+            for t, row in zip(ts, basis[m + 1:]):
+                quad = [F.add(c, F.mul(t, r)) for c, r in zip(quad, row)]
+            a1, b1, a2, b2 = quad
+            if not F.is_zero(F.sub(F.mul(a1, b2), F.mul(b1, a2))):
+                return IsoResult(found=True, transform=Matrix(F, [[a1, b1], [a2, b2]]))
+    return IsoResult(found=False, transform=None)

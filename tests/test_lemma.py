@@ -2,12 +2,11 @@
 
 Jacobi (``maxclass``), the rho homomorphism (``reconstruct._check_rep``),
 the round-trip phi map (``reconstruct._phi_failure``) and the graded
-isomorphism of ``iso_search`` (certified by the base-changed canonical
-chain, ``maxclass.apply_degree1_change``) are checked only on pairs and
-triples with a degree-1 generator.  The all-pairs loops they replaced are
-kept here as oracles, and each fast path must give the same verdict, the
-same first failure and the same message on seeded valid and perturbed
-inputs.
+isomorphism of ``iso_search`` (one point equation per degree) are checked
+only on pairs and triples with a degree-1 generator.  The all-pairs loops
+they replaced are kept here as oracles, and each fast path must give the
+same verdict, the same first failure and the same message on seeded valid
+and perturbed inputs.
 
 ``_Structure.jacobi`` evaluates each Jacobi triple with a generator by
 one of two closed formulas (its docstring), ``_phi_failure`` reads the
@@ -24,10 +23,13 @@ the bilinearity lemma (its docstring) instead of pushing every child.
 The trial-push search and the one-level search (which pushes every child
 of a free node) it replaced are kept here as oracles.
 
-``iso_search`` tries only the degree-1 maps that fix the centralizer
-lines of the standard forms (the centralizer lemma in its docstring);
-the brute force over every projective degree-1 map is kept here as an
-oracle.
+``iso_search`` solves one linear system for the degree-1 maps that carry
+B's point onto A's at every degree and reads the key-least nonsingular
+one off the kernel's reduced basis, trying at most 3 elements of E per
+free coordinate (the certification and walk lemmas in its docstring).
+The brute force over every projective degree-1 map, and the loop over
+the degree-1 maps that fix the centralizer lines of the standard forms,
+certified by the base-changed canonical chain, are kept here as oracles.
 
 ``subfield.generate_subalgebra`` reads L = <X, Y> off the d-values by the
 dimension lemma (the ``subfield`` module docstring), and a raw ``scan``
@@ -61,7 +63,15 @@ from thinlie.errors import (
     PreconditionFailed,
     ThinLieError,
 )
-from thinlie.gf import Matrix, RowSpace, make_ext_field, quadratic_is_irreducible, solve, span
+from thinlie.gf import (
+    Matrix,
+    RowSpace,
+    make_ext_field,
+    quadratic_is_irreducible,
+    rref,
+    solve,
+    span,
+)
 
 
 def _label(i: int) -> str:
@@ -769,6 +779,47 @@ def oracle_iso_search(pres_a, pres_b, window=None):
     return rec.IsoResult(found=False, transform=None)
 
 
+def oracle_iso_standard(pres_a, pres_b, window=None):
+    """The standard-form ``iso_search`` replaced, without its budget.
+
+    In standard coordinates a graded isomorphism fixes Ey, and also Ex when
+    a degree of A deviates (the centralizer lemma).  Each candidate
+    psi = [[1, b1], [0, b2]] (b1 = 0 when A deviates) is mapped back as
+    T_A^{-1} psi T_B, normalized, and certified by comparing the
+    base-changed chain of B with A's canonical chain; the key-least
+    certified map is returned.
+    """
+    if pres_a.field != pres_b.field:
+        raise PreconditionFailed("presentations live over different fields")
+    F = pres_a.field
+    window = min(pres_a.class_n, pres_b.class_n) if window is None else window
+    A = mc.quotient(pres_a, window) if pres_a.class_n != window else pres_a
+    B = mc.quotient(pres_b, window) if pres_b.class_n != window else pres_b
+    deviates = bool(mc.two_step_centralizers(A).deviations())
+    t_a = mc.standard_generators(A).transform
+    t_b = mc.standard_generators(B).transform
+    t_a_inv = Matrix(F, [solve(F, t_a.rows, e) for e in Matrix.identity(F, 2).rows])
+    target = mc.apply_degree1_change(A, (F.one, F.zero), (F.zero, F.one)).adjoint
+    best = None
+    for b1 in [F.zero] if deviates else F.elements():
+        for b2 in F.elements():
+            if F.is_zero(b2):
+                continue
+            phi = t_a_inv.mul(Matrix(F, [[F.one, b1], [F.zero, b2]])).mul(t_b)
+            quad = phi.rows[0] + phi.rows[1]
+            lead = F.inv(next(c for c in quad if not F.is_zero(c)))
+            quad = [F.mul(lead, c) for c in quad]
+            key = [F.key(c) for c in quad]
+            if (best is None or key < best[0]) and mc.apply_degree1_change(
+                B, (quad[0], quad[1]), (quad[2], quad[3])
+            ).adjoint == target:
+                best = (key, quad)
+    if best is None:
+        return rec.IsoResult(found=False, transform=None)
+    a1, b1, a2, b2 = best[1]
+    return rec.IsoResult(found=True, transform=Matrix(F, [[a1, b1], [a2, b2]]))
+
+
 def _degree1_change(pres, rng):
     """pres after a random invertible degree-1 base change."""
     F = pres.field
@@ -846,6 +897,73 @@ def test_iso_search_matches_all_pairs(request):
                 s.transform.rows if s.found else None
             ), (a.adjoint, b.adjoint)
         assert any(f.found for f in results) and not all(f.found for f in results)
+
+
+def test_iso_search_matches_standard_forms():
+    """The linear solve against the standard-form loop over GF(49), where the
+    brute force is too slow: search results at class 16 (one metabelian,
+    the rest deviating at 14), their degree-1 changes and rescaled forms."""
+    F = make_ext_field(7, 0, 3)
+    found = mc.search_sequences(F, 16, 10**9)
+    pairs = _iso_pairs(found, None, random.Random("iso-49"), 10, 5)
+    results = [rec.iso_search(a, b) for a, b in pairs]
+    for (a, b), f in zip(pairs, results):
+        s = oracle_iso_standard(a, b)
+        assert f.found == s.found, (a.adjoint, b.adjoint)
+        assert (f.transform.rows if f.found else None) == (
+            s.transform.rows if s.found else None
+        ), (a.adjoint, b.adjoint)
+    assert any(f.found for f in results) and not all(f.found for f in results)
+
+
+def _iso_kernel(pres_a, pres_b):
+    """RREF basis and pivots of W: the maps Phi = (a1, b1, a2, b2) under which
+    B's point (phi_i(a1, b1) : phi_i(a2, b2)) is proportional to A's point
+    (a_i : b_i) at every degree i, each row read off the unit maps."""
+    F = pres_a.field
+    window = min(pres_a.class_n, pres_b.class_n)
+    sta = mc.tables(mc.quotient(pres_a, window))
+    stb = mc.tables(mc.quotient(pres_b, window))
+    units = Matrix.identity(F, 4).rows
+    rows = []
+    for i in range(2, window):
+        row = []
+        for a1, b1, a2, b2 in units:
+            px, py = stb.phi(i, (a1, b1)), stb.phi(i, (a2, b2))
+            row.append(F.sub(F.mul(px, sta.b[i]), F.mul(py, sta.a[i])))
+        rows.append(row)
+    res = rref(Matrix(F, rows))
+    basis = span(F, res.kernel.rows, 4)
+    rows = basis.basis()
+    return rows, [next(j for j, c in enumerate(r) if not F.is_zero(c)) for r in rows]
+
+
+@pytest.mark.parametrize(
+    "name, dev",
+    [("search4_12", "dev4_12"), ("search9_12", "dev9_12"), ("search25_12", "dev25_12")],
+    ids=["4", "9", "25"],
+)
+def test_iso_walk_bound(request, name, dev):
+    """Whenever W holds a nonsingular map, the result's entries at W's pivots
+    (the free coordinates t, the leading 1 and the zeros before it) lie
+    among the 3 least-key elements of E; the seeded inputs reach dim W = 3
+    and a nonzero W whose every element is singular."""
+    found = request.getfixturevalue(name)
+    F = found[0].field
+    small = list(itertools.islice(F.elements(), 3))
+    rng = random.Random(f"walk-{name}")
+    dims, all_singular = set(), 0
+    for a, b in _iso_pairs(found, request.getfixturevalue(dev), rng, 10, 5):
+        basis, pivots = _iso_kernel(a, b)
+        res = rec.iso_search(a, b)
+        assert res.found == oracle_iso_standard(a, b).found, (a.adjoint, b.adjoint)
+        dims.add(len(basis))
+        if res.found:
+            quad = res.transform.rows[0] + res.transform.rows[1]
+            assert all(quad[j] in small for j in pivots), (a.adjoint, b.adjoint)
+        elif basis:
+            all_singular += 1
+    assert 3 in dims and all_singular
 
 
 # -- the subalgebra <X, Y> and the raw scan ------------------------------------

@@ -1,6 +1,9 @@
 """Structure detection, the two representations, assembly, and round trips."""
 
+import json
 import random
+import re
+from pathlib import Path
 
 import pytest
 
@@ -8,12 +11,24 @@ from thinlie import endo
 from thinlie import maxclass as mc
 from thinlie import reconstruct as rec
 from thinlie import subfield as sf
-from thinlie.errors import (
-    NotMetabelian,
-    PreconditionFailed,
-    WindowTooLargeForBruteForce,
-)
+from thinlie.errors import InvalidPresentation, NotMetabelian, PreconditionFailed
 from thinlie.gf import ExtField, Matrix, make_ext_field
+
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+def _three_elements(monkeypatch):
+    """Make ExtField.elements fail when asked for a 4th element."""
+    elements = ExtField.elements
+
+    def capped(field):
+        for n, e in enumerate(elements(field)):
+            if n == 3:
+                raise AssertionError("iso_search enumerated a 4th element of E")
+            yield e
+
+    monkeypatch.setattr(ExtField, "elements", capped)
 
 
 @pytest.fixture(scope="module")
@@ -229,17 +244,49 @@ class TestIsoSearch:
         )
         assert res.found
 
-    def test_brute_force_guard(self, monkeypatch):
-        # metabelian GF(121) at class 24: 121*120 candidates x 24 > 200,000,
-        # refused before any field element is enumerated
-        a = mc.make_metabelian(make_ext_field(11, 0, 10), 24)
+    def test_no_budget(self, monkeypatch):
+        # metabelian GF(121) at class 24: 121*120 candidates x 24 once exceeded
+        # the 200,000 budget; the walk enumerates 3 elements of E
+        field = make_ext_field(11, 0, 10)
+        a = mc.make_metabelian(field, 24)
+        _three_elements(monkeypatch)
+        res = rec.iso_search(a, a)
+        assert res.found
+        assert res.transform == Matrix.identity(field, 2)
 
-        def refuse(field):
-            raise AssertionError("iso_search enumerated E before checking its budget")
+    def test_large_prime(self, monkeypatch):
+        # GF(1000003^2): metabelian class 24 against itself and its x/y swap,
+        # and search results against a degree-1 change of each
+        met_field = make_ext_field(1000003, 1, 4)
+        met = mc.make_metabelian(met_field, 24)
+        swapped = mc.MaxClassPresentation(
+            met_field, 24, tuple((met_field.zero, met_field.one) for _ in range(22))
+        )
+        field = make_ext_field(1000003, 0, 2)
+        found = mc.search_sequences(field, 8, 3)
+        changed = [mc.apply_degree1_change(p, ((2, 1), (3, 0)), ((5, 7), (1, 0))) for p in found]
+        _three_elements(monkeypatch)
+        assert rec.iso_search(met, met).transform == Matrix.identity(met_field, 2)
+        assert rec.iso_search(met, swapped).transform.rows == [
+            [met_field.zero, met_field.one],
+            [met_field.one, met_field.zero],
+        ]
+        for p, q in zip(found, changed):
+            res = rec.iso_search(p, q)
+            assert res.found
+            (a1, b1), (a2, b2) = res.transform.rows
+            assert mc.apply_degree1_change(q, (a1, b1), (a2, b2)).adjoint == (
+                mc.apply_degree1_change(p, (field.one, field.zero), (field.zero, field.one)).adjoint
+            )
 
-        monkeypatch.setattr(ExtField, "elements", refuse)
-        with pytest.raises(WindowTooLargeForBruteForce, match="14520 candidates x window 24"):
-            rec.iso_search(a, a)
+    def test_invalid_presentation(self, f9):
+        bad = mc.from_json(json.loads((GOLDEN / "bad6.json").read_text()), check=False)
+        good = mc.make_metabelian(f9, 6)
+        for a, b in ((bad, good), (good, bad)):
+            with pytest.raises(
+                InvalidPresentation, match=re.escape("Jacobi identity fails at triple ('v2', 'x', 'y')")
+            ):
+                rec.iso_search(a, b)
 
     @pytest.mark.parametrize("p, u, v, class_n", [(5, 0, 2, 22), (7, 0, 3, 24)], ids=["25_22", "49_24"])
     def test_metabelian_identity(self, p, u, v, class_n):
