@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Optional, Sequence
 
 from . import __version__
 from . import endo as endo_mod
@@ -31,6 +30,10 @@ from .errors import (
     WindowTooLarge,
 )
 from .gf import make_ext_field, residue
+
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    from typing import Optional, Sequence
 
 EXIT_OK = 0
 EXIT_MATH = 1

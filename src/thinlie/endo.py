@@ -15,9 +15,7 @@ constraint vacuously.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
-
+from ._record import record
 from .errors import (
     CoveringFails,
     DegenerateGenerators,
@@ -26,10 +24,16 @@ from .errors import (
     NotCommutative,
     OutOfWindow,
 )
-from .gf import EElem, Matrix, RowSpace, quadratic_is_irreducible, rref, solve
+from .gf import Matrix, RowSpace, quadratic_is_irreducible, rref, solve
 from .subfield import SubalgebraAnalysis, ad_gen
 
-Coords = Tuple[int, ...]
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    from typing import Dict, List, Optional, Sequence, Tuple
+
+    from .gf import EElem
+
+    Coords = Tuple[int, ...]
 
 # -- linear forms over GF(p) --------------------------------------------------
 
@@ -148,7 +152,7 @@ def _solve_graded_maps(
 # -- the degree-0 ring --------------------------------------------------------
 
 
-@dataclass
+@record
 class EndoRing:
     analysis: SubalgebraAnalysis
     k0: int
@@ -260,7 +264,7 @@ def _crosscheck_composition(ring: EndoRing) -> None:
 # -- field identification ------------------------------------------------------
 
 
-@dataclass
+@record
 class FieldId:
     dim: int
     min_poly: Optional[Tuple[int, int, int]]  # (c0, c1, 1) for t^2 + c1 t + c0
@@ -411,7 +415,7 @@ def scalar_action(
     return tuple(Matrix(ring.field.base, ring.matrix_at(e, degree)).apply(vec))
 
 
-@dataclass
+@record
 class GrendDim:
     shift: int
     dim: int

@@ -13,13 +13,16 @@ therefore a canonical reduced row-echelon basis.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator, List, Optional, Sequence, Tuple
-
+from ._record import record
 from .errors import BadBound, DivisionByZero, NotPrime, ReduciblePolynomial
 
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    from typing import Iterator, List, Optional, Sequence, Tuple
+
+    EElem = Tuple[int, int]
+
 FElem = int
-EElem = Tuple[int, int]
 
 
 def is_prime(n: int) -> bool:
@@ -381,7 +384,7 @@ class Matrix:
         return f"Matrix({self.field}, {self.rows})"
 
 
-@dataclass
+@record
 class RrefResult:
     rank: int
     reduced: Matrix

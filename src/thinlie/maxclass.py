@@ -25,11 +25,10 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
 from functools import lru_cache
 from itertools import chain
-from typing import Dict, Iterator, List, Optional, Tuple
 
+from ._record import cache, record
 from .errors import (
     BadBound,
     InvalidPresentation,
@@ -40,24 +39,29 @@ from .errors import (
     WindowTooLarge,
     ZeroPair,
 )
-from .gf import EElem, ExtField, Matrix, make_ext_field, residue
+from .gf import ExtField, Matrix, make_ext_field, residue
 
-Pair = Tuple[EElem, EElem]
-Point = Tuple[EElem, EElem]  # normalized projective point (alpha : beta) of M_1
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    from typing import Dict, Iterator, List, Optional, Tuple
+
+    from .gf import EElem
+
+    Pair = Tuple[EElem, EElem]
+    Point = Tuple[EElem, EElem]  # normalized projective point (alpha : beta) of M_1
+    Columns = Tuple[List[EElem], List[EElem]]  # a degree's forms at (1, 0) and at (0, 1)
 
 SEARCH_CLASS_LIMIT = 24
 
 
-@dataclass
+@record
 class MaxClassPresentation:
     """A class-n truncation given by its per-degree adjoint pairs."""
 
     field: ExtField
     class_n: int
     adjoint: Tuple[Pair, ...]
-    _structure: Optional["_Structure"] = dc_field(
-        default=None, repr=False, compare=False
-    )
+    _structure: Optional[_Structure] = cache()
 
     def __post_init__(self):
         if self.class_n < 4:
@@ -74,26 +78,18 @@ class MaxClassPresentation:
     def pair(self, degree: int) -> Pair:
         return self.adjoint[degree - 2]
 
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, MaxClassPresentation)
-            and other.field == self.field
-            and other.class_n == self.class_n
-            and other.adjoint == self.adjoint
-        )
-
     def __hash__(self):
         return hash((self.field, self.class_n, self.adjoint))
 
 
-@dataclass
+@record
 class JacobiReport:
     ok: bool
     first_failure: Optional[Tuple[str, str, str]]
     triples_checked: int
 
 
-@dataclass
+@record
 class CentralizerSequence:
     """Normalized two-step centralizers C_i for i = 2 .. class_n - 1."""
 
@@ -401,7 +397,7 @@ def apply_degree1_change(
     return MaxClassPresentation(F, pres.class_n, tuple(new_pairs))
 
 
-@dataclass
+@record
 class StandardForm:
     presentation: MaxClassPresentation
     transform: Matrix  # rows: new x and new y in the old (x, y) coordinates
@@ -439,7 +435,7 @@ def standard_generators(pres: MaxClassPresentation) -> StandardForm:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+@record
 class CentralizerStats:
     point: Point
     first_occurrence: int
@@ -449,7 +445,7 @@ class CentralizerStats:
     gap_within_first: Optional[bool]
 
 
-@dataclass
+@record
 class DiagnosticsReport:
     class_n: int
     entries: Tuple[CentralizerStats, ...]
@@ -496,9 +492,6 @@ def centralizer_stats(pres: MaxClassPresentation) -> DiagnosticsReport:
 # ---------------------------------------------------------------------------
 # Search
 # ---------------------------------------------------------------------------
-
-
-Columns = Tuple[List[EElem], List[EElem]]  # a degree's forms at (1, 0) and at (0, 1)
 
 
 def projective_kernel(

@@ -17,10 +17,9 @@ one-dimensional extension line.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import islice, product
-from typing import Dict, List, Optional, Sequence, Tuple
 
+from ._record import record
 from .errors import (
     DimensionAnomaly,
     NotEStable,
@@ -29,7 +28,7 @@ from .errors import (
     PreconditionFailed,
     WindowTooSmall,
 )
-from .gf import EElem, ExtField, Matrix, RowSpace, rref, solve, span
+from .gf import ExtField, Matrix, RowSpace, rref, solve, span
 from .maxclass import (
     MaxClassPresentation,
     label,
@@ -49,7 +48,13 @@ from .subfield import (
 )
 from .endo import EndoRing, FieldId, compute_grend0, identify_field
 
-ShiftMap = Dict[int, EElem]  # source degree -> coefficient; target = source + d
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    from typing import Dict, List, Optional, Sequence, Tuple
+
+    from .gf import EElem
+
+    ShiftMap = Dict[int, EElem]  # source degree -> coefficient; target = source + d
 
 
 # ---------------------------------------------------------------------------
@@ -57,7 +62,7 @@ ShiftMap = Dict[int, EElem]  # source degree -> coefficient; target = source + d
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+@record
 class StructureFlags:
     metabelian: bool
     k: int  # T^k is the ideal the representation acts on
@@ -183,7 +188,7 @@ def _proportionality(
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+@record
 class RhoRep:
     branch: str  # "rho" | "rho_prime"
     k: int
@@ -369,7 +374,7 @@ def build_rho_prime(analysis: SubalgebraAnalysis, ring: EndoRing, field_id: Fiel
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+@record
 class ReconstructedAlgebra:
     rep: RhoRep
     usable_window: int
@@ -452,7 +457,7 @@ def assemble_N(rep: RhoRep) -> ReconstructedAlgebra:
     )
 
 
-@dataclass
+@record
 class RoundtripReport:
     branch: str
     k: int
@@ -573,7 +578,7 @@ def _phi_failure(st, rep: RhoRep, usable: int, phi: Dict[int, ShiftMap]) -> Opti
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+@record
 class IsoResult:
     found: bool
     transform: Optional[Matrix]  # degree-1 base change, rows over the extension

@@ -26,9 +26,8 @@ pairs; each plane has |GL_2(F)| ordered bases.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field as dc_field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
+from ._record import cache, record
 from .errors import (
     BadBound,
     DegenerateGenerators,
@@ -37,7 +36,7 @@ from .errors import (
     WindowTooLarge,
     WindowTooLargeForBruteForce,
 )
-from .gf import EElem, ExtField, Matrix, RowSpace, span
+from .gf import ExtField, Matrix, RowSpace, span
 from .maxclass import (
     CentralizerSequence,
     MaxClassPresentation,
@@ -48,7 +47,13 @@ from .maxclass import (
     two_step_centralizers,
 )
 
-EPair = Tuple[EElem, EElem]  # coordinates (A, B) of A*x + B*y
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+
+    from .gf import EElem
+
+    EPair = Tuple[EElem, EElem]  # coordinates (A, B) of A*x + B*y
 
 BRUTE_FORCE_LIMIT = 200_000
 # Classifications x window a scan may make: normalized pairs, or F-planes in
@@ -57,7 +62,7 @@ BRUTE_FORCE_LIMIT = 200_000
 SCAN_BUDGET = 200_000
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class GeneratorPair:
     """Two degree-1 elements X = alpha*x + beta*y and Y = gamma*x + delta*y."""
 
@@ -149,7 +154,7 @@ def bracket_vec(
 # -- analysis ----------------------------------------------------------------
 
 
-@dataclass
+@record
 class Verdict:
     kind: str  # "thin" | "maximal" | "rconstrained" | "degenerate"
     r_observed: Optional[int] = None
@@ -162,7 +167,7 @@ class Verdict:
         return self.kind
 
 
-@dataclass
+@record
 class SubalgebraAnalysis:
     pres: MaxClassPresentation
     pair: GeneratorPair
@@ -173,9 +178,7 @@ class SubalgebraAnalysis:
     D0: Optional[Tuple[int, ...]]
     verdict: Verdict
     centralizers: CentralizerSequence
-    _spaces: Dict[int, RowSpace] = dc_field(
-        default_factory=dict, repr=False, compare=False
-    )
+    _spaces: Dict[int, RowSpace] = cache(dict)
 
     @property
     def field(self) -> ExtField:
@@ -350,7 +353,7 @@ def _analyse(amb: _Ambient, g: GeneratorPair) -> SubalgebraAnalysis:
 # -- brute-force verifiers ---------------------------------------------------
 
 
-@dataclass
+@record
 class CoveringReport:
     ok: bool
     first_failure: Optional[Tuple[int, Tuple[int, ...]]]  # (degree, coefficients)
@@ -386,7 +389,7 @@ def verify_covering(
     return CoveringReport(ok=True, first_failure=None)
 
 
-@dataclass
+@record
 class SandwichReport:
     ok: bool
     r: int
@@ -452,7 +455,7 @@ def verify_ideal_sandwich(
 # -- normal form -------------------------------------------------------------
 
 
-@dataclass
+@record
 class NormalizationResult:
     pair: GeneratorPair
     presentation: MaxClassPresentation
@@ -520,7 +523,7 @@ def normalize_generators(
 # -- the line criterion and the scan ------------------------------------------
 
 
-@dataclass
+@record
 class LineCriterionResult:
     script_l: Tuple[EElem, ...]  # lambdas of centralizers E(x + lambda*y) in window
     ey_occurs: bool
@@ -639,7 +642,7 @@ def f_planes(field: ExtField) -> List[GeneratorPair]:
     return out
 
 
-@dataclass
+@record
 class ScanTable:
     window: int
     mode: str  # "normalized" | "raw"

@@ -43,7 +43,6 @@ by which the generator acts (the lemma in its docstring); the version that
 enumerated the ring is kept here as an oracle.
 """
 
-import dataclasses
 import itertools
 import random
 
@@ -1295,6 +1294,11 @@ def test_identify_field_matches_enumeration(request, which, embeddings):
     assert seen == embeddings
 
 
+def _replaced(record, **changes):
+    """A copy of ``record`` with the named fields changed."""
+    return type(record)(**{**vars(record), **changes})
+
+
 def _perturbed(ring, rng):
     """The ring with one product or one propagated form replaced."""
     p = ring.field.p
@@ -1302,12 +1306,12 @@ def _perturbed(ring, rng):
         i, j = rng.sample(range(ring.dim), 2)
         table = [list(row) for row in ring.mult_table]
         table[i][j] = tuple(rng.randrange(p) for _ in range(ring.dim))
-        return dataclasses.replace(ring, mult_table=tuple(map(tuple, table)))
+        return _replaced(ring, mult_table=tuple(map(tuple, table)))
     degree = rng.randint(ring.k0, ring.window)
     sym = [list(row) for row in ring._symbolic[degree]]
     r, c = rng.randrange(len(sym)), rng.randrange(len(sym[0]))
     sym[r][c] = tuple(rng.randrange(p) for _ in sym[r][c])
-    return dataclasses.replace(ring, _symbolic={**ring._symbolic, degree: sym})
+    return _replaced(ring, _symbolic={**ring._symbolic, degree: sym})
 
 
 @pytest.mark.parametrize("which", ["metabelian9_10", "dev9_14"])
@@ -1360,7 +1364,7 @@ def test_schur_sees_non_basis_elements():
         [tuple((a * x + b * y) % p for x, y in zip(phi0, phi1)) for a, b in zip(ra, rb)]
         for ra, rb in zip(A, B)
     ]
-    bad = dataclasses.replace(ring, _symbolic={**ring._symbolic, degree: sym})
+    bad = _replaced(ring, _symbolic={**ring._symbolic, degree: sym})
     assert bad.matrix_at((1, 0), degree) == [[1, 0], [0, 1]]
     assert bad.matrix_at((0, 1), degree) == [[1, 0], [0, 2]]
     assert bad.matrix_at((p - 1, 1), degree) == [[0, 0], [0, 1]]

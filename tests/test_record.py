@@ -1,0 +1,146 @@
+"""Record semantics the package relies on, and what ``import thinlie.cli`` loads.
+
+The records (``RrefResult``, ``GeneratorPair``, ``MaxClassPresentation``,
+``Verdict``, ...) are plain classes with generated ``__init__``,
+``__eq__`` and ``__repr__``.  These tests pin what the rest of the code
+uses of them: construction, defaults, the presentation gate, equality and
+repr without the cache fields, and which records are hashable.
+"""
+
+import os
+import subprocess
+import sys
+
+import pytest
+
+from thinlie import endo
+from thinlie import maxclass as mc
+from thinlie import reconstruct as rec
+from thinlie import subfield as sf
+from thinlie.errors import BadBound
+from thinlie.gf import Matrix, RrefResult, rref
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
+
+def test_positional_keyword_and_defaults(f9):
+    v = sf.Verdict("thin")
+    assert (v.kind, v.r_observed, v.t1, v.r_bound_ok) == ("thin", None, None, None)
+    assert sf.Verdict("rconstrained", 3, 5, True) == sf.Verdict(
+        kind="rconstrained", r_bound_ok=True, t1=5, r_observed=3
+    )
+    assert sf.Verdict("thin", t1=4).t1 == 4
+    m = Matrix(f9, [[f9.one, f9.zero]])
+    r = rref(m)
+    assert rec.IsoResult(True, m) == rec.IsoResult(found=True, transform=m)
+    assert RrefResult(r.rank, r.reduced, r.pivots, r.kernel) == r
+    assert RrefResult(rank=r.rank, reduced=r.reduced, pivots=r.pivots, kernel=r.kernel) == r
+    with pytest.raises(TypeError):
+        sf.Verdict()
+    with pytest.raises(TypeError):
+        sf.Verdict("thin", nonsense=1)
+    with pytest.raises(TypeError):
+        rec.IsoResult(True, m, None)
+
+
+def test_default_factory_is_fresh(f9):
+    pres = mc.make_metabelian(f9, 8)
+    pair = sf.GeneratorPair((f9.one, f9.zero), (f9.zero, f9.one))
+    a = sf.generate_subalgebra(pres, pair)
+    args = (a.pres, a.pair, a.window, a.bases, a.dims, a.d, a.D0, a.verdict, a.centralizers)
+    b, c = sf.SubalgebraAnalysis(*args), sf.SubalgebraAnalysis(*args)
+    assert b._spaces == {} and c._spaces == {}
+    assert b._spaces is not c._spaces
+    assert mc.MaxClassPresentation(f9, 4, pres.adjoint[:2])._structure is None
+
+
+def test_presentation_gate(f9):
+    pairs = ((f9.one, f9.zero),) * 2
+    with pytest.raises(BadBound):
+        mc.MaxClassPresentation(f9, 3, pairs[:1])
+    with pytest.raises(ValueError):
+        mc.MaxClassPresentation(f9, 5, pairs)
+    # __post_init__ coerces the pairs into the field's element form
+    pres = mc.MaxClassPresentation(f9, 4, [[(1, 0), (0, 0)], [(1, 0), (0, 0)]])
+    assert isinstance(pres.adjoint, tuple) and pres.adjoint == pairs
+
+
+def test_cache_fields_not_compared_or_shown(f9):
+    a = mc.make_metabelian(f9, 8)
+    b = mc.make_metabelian(f9, 8)
+    mc.tables(a)
+    assert a._structure is not None and b._structure is None
+    assert a == b and hash(a) == hash(b)
+    assert repr(a) == repr(b)
+    assert "_structure" not in repr(a)
+    assert repr(a).startswith("MaxClassPresentation(field=")
+    assert "class_n=8" in repr(a)
+
+    pair = sf.GeneratorPair((f9.one, f9.zero), (f9.zero, f9.one))
+    s = sf.generate_subalgebra(a, pair)
+    t = sf.generate_subalgebra(a, pair)
+    s._spaces[99] = "cached"
+    assert s == t
+    assert repr(s) == repr(t) and "_spaces" not in repr(s)
+    assert s != sf.generate_subalgebra(a, sf.GeneratorPair(pair.Y, pair.X))
+
+
+def test_equality_is_by_class_and_fields():
+    assert sf.Verdict("thin") == sf.Verdict("thin")
+    assert sf.Verdict("thin") != sf.Verdict("maximal")
+    assert sf.Verdict("thin") != ("thin", None, None, None)
+    assert mc.JacobiReport(True, None, 3) != sf.CoveringReport(True, None)
+    assert repr(sf.Verdict("thin", t1=2)) == (
+        "Verdict(kind='thin', r_observed=None, t1=2, r_bound_ok=None)"
+    )
+    assert str(sf.Verdict("thin")) != repr(sf.Verdict("thin"))
+
+
+def test_generator_pair_frozen_and_hashable(f9):
+    g = sf.GeneratorPair((f9.one, f9.zero), (f9.zero, f9.one))
+    h = sf.GeneratorPair(X=(f9.one, f9.zero), Y=(f9.zero, f9.one))
+    with pytest.raises(AttributeError):
+        g.X = (f9.zero, f9.one)
+    with pytest.raises(AttributeError):
+        del g.Y
+    assert g.X == (f9.one, f9.zero)
+    assert g == h and hash(g) == hash(h)
+    assert hash(g) == hash((g.X, g.Y))
+    assert len({g, h}) == 1
+    assert {g: 1}[h] == 1
+    assert g != sf.GeneratorPair(g.Y, g.X)
+    assert repr(g) == f"GeneratorPair(X={g.X!r}, Y={g.Y!r})"
+
+
+def test_mutable_records_unhashable(f9):
+    records = [
+        sf.Verdict("thin"),
+        mc.JacobiReport(True, None, 0),
+        rec.IsoResult(False, None),
+        endo.GrendDim(0, 1, 2),
+        sf.CoveringReport(True, None),
+    ]
+    for r in records:
+        with pytest.raises(TypeError):
+            hash(r)
+    v = records[0]
+    v.t1 = 7
+    assert v == sf.Verdict("thin", t1=7)
+    pres = mc.make_metabelian(f9, 6)
+    assert hash(pres) == hash((pres.field, pres.class_n, pres.adjoint))
+    assert {pres: 1}[mc.make_metabelian(f9, 6)] == 1
+
+
+def test_cli_import_skips_heavy_modules():
+    """``import thinlie.cli`` in a fresh isolated interpreter loads none of
+    the modules that ``dataclasses`` and ``typing`` would pull in."""
+    code = (
+        "import sys; sys.path.insert(0, sys.argv[1]); import thinlie.cli; "
+        "print(' '.join(sorted(m for m in sys.argv[2:] if m in sys.modules)))"
+    )
+    heavy = ["dataclasses", "inspect", "ast", "dis", "typing"]
+    out = subprocess.run(
+        [sys.executable, "-I", "-S", "-c", code, SRC, *heavy],
+        capture_output=True, text=True, check=True,
+    )
+    assert out.stdout.strip() == ""
