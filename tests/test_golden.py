@@ -5,7 +5,9 @@ module compares stdout, the exit code and every written file with the
 bytes recorded in ``tests/golden/``, so a refactor that changes a report
 is caught.  The commands are every README example, ``build search`` over
 GF(9) at class 12 with its default limit and over GF(49) at class 8 with
-limit 7, ``check`` on two invalid
+limit 7, ``roundtrip`` of the README file at window 10 (so the usable
+window is below the window and the window below the class), ``check`` on
+two invalid
 files (one per label shape of ``first_failure``), and ``check`` and
 ``roundtrip`` on a presentation whose pairs are not canonical (every a_i
 is 0 or mu, not 0 or 1) and ``check`` on a copy of it that fails at a y
@@ -48,6 +50,8 @@ CASES = [
     ("analyze", ["analyze", "m.json", *PAIR, "--window", "12"], 0),
     ("endo", ["endo", "m.json", *PAIR, "--window", "12"], 0),
     ("roundtrip", ["roundtrip", "m.json", *PAIR], 0),
+    # usable window 7 < window 10 < class 40
+    ("roundtrip-window10", ["roundtrip", "m.json", *PAIR, "--window", "10"], 0),
     ("scan", ["scan", "m.json", "--window", "12"], 0),
     ("stats", ["stats", "m.json"], 0),
     # first_failure ["v2", "x", "y"]: the class-6 file of TestCheck

@@ -37,6 +37,15 @@ classifies each F-plane of L_1 once, weighted by |GL_2(F)|.  The
 degree-by-degree RowSpace generation and the pair-by-pair raw scan they
 replaced are kept here as oracles.
 
+``reconstruct`` reads each image entry rho(t)(s), s >= 2, off the
+structure table (``_table_images``) instead of one ``bracket_vec`` and
+one inversion per entry, and ``assemble_N`` takes [N_d, N_1] = N_{d+1}
+from ``_check_rep`` instead of comparing spans.  The per-entry image
+construction and the span comparison are kept here as oracles.
+``maxclass.quotient`` slices a validated parent's table and
+``apply_degree1_change`` derives its result's table without Jacobi
+checks; both tables are compared with ``validate``'s.
+
 ``endo.identify_field`` checks Schur invertibility on the identity and the
 generator only and reads the root of the ambient quadratic off the scalar
 by which the generator acts (the lemma in its docstring); the version that
@@ -394,6 +403,29 @@ def test_validate_matches_exhaustive(request, found):
     assert failures > 0
 
 
+def _table_key(st):
+    """Everything a table holds; a chain step by its scalar and branch."""
+    steps = {d: (c_inv, g is st.a) for d, (c_inv, g) in st.step.items()}
+    return st.class_n, st.top, st.a, st.b, st.vv, steps
+
+
+@pytest.mark.parametrize("found", ["search4_12", "search9_12", "search25_12"])
+def test_derived_tables_match_validate(request, found):
+    """Sliced quotient tables and extend-built base-changed tables equal the
+    tables ``validate`` derives for the same pairs, which pass."""
+    rng = random.Random(f"tables-{found}")
+    for pres in request.getfixturevalue(found):
+        parent = mc.MaxClassPresentation(pres.field, pres.class_n, pres.adjoint)
+        assert mc.validate(parent).ok
+        derived = [mc.quotient(parent, m) for m in range(4, parent.class_n + 1)]
+        derived += [_degree1_change(parent, rng) for _ in range(2)]
+        derived.append(_degree1_change(derived[rng.randrange(len(derived))], rng))
+        for pres_d in derived:
+            fresh = mc.MaxClassPresentation(pres_d.field, pres_d.class_n, pres_d.adjoint)
+            assert mc.validate(fresh).ok
+            assert _table_key(pres_d._structure) == _table_key(fresh._structure)
+
+
 def test_search_prefixes_match_exhaustive(f9):
     """Every push of a class-14 GF(9) search: same verdict as all triples."""
     reps = projective_pairs(f9)
@@ -646,8 +678,65 @@ def test_search_matches_one_level(p, u, v, class_n):
 # -- rho and rho' --------------------------------------------------------------
 
 
-def _rep(pres, pair):
-    an = sf.generate_subalgebra(pres, pair, pres.class_n)
+def oracle_rho_images(an, k):
+    """The images of ``build_rho`` (k >= 3) or ``build_rho_prime`` (k = 2),
+    one ``bracket_vec`` and one ``_e_of`` per entry."""
+    F = an.field
+    pres = an.pres
+    window = an.window
+
+    def entry(s, row, d, t):
+        return rec._e_of(an, s + d, sf.bracket_vec(pres, s, row, d, t))
+
+    images = {}
+    if k > 2:
+        for d in range(1, window - k + 2):
+            for r, t in enumerate(an.basis(d)):
+                images[(d, r)] = {
+                    s: entry(s, an.basis(s)[0], d, t) for s in range(k - 1, window - d + 1)
+                }
+        return images
+    X4, Y4 = sf.deg1_to_f4(an.pair.X), sf.deg1_to_f4(an.pair.Y)
+    yx = sf.bracket_vec(pres, 1, Y4, 1, X4)
+    for d in range(1, window):
+        for r, t in enumerate(an.basis(d)):
+            m = {}
+            if d == 1:
+                m[1] = F.embed(solve(F.base, [X4, Y4], t)[0])
+            elif 1 + d <= window:
+                m[1] = entry(1, Y4, d, t)
+            if 2 + d <= window:
+                m[2] = entry(2, yx, d, t)
+            for s in range(3, window - d + 1):
+                m[s] = entry(s, an.basis(s)[0], d, t)
+            images[(d, r)] = m
+    return images
+
+
+def oracle_generation_check(rep):
+    """[N_d, N_1] = N_{d+1} for d < usable, by comparing E-spans."""
+    an = rep.analysis
+    F = an.field
+    ncols = rep.window - rep.slots_min + 1
+    x_map, y_map = rep.image(1, 0), rep.image(1, 1)
+
+    def flat(m):
+        return rec._flatten_map(F, rep, m)
+
+    for d in range(1, rep.window - rep.k - 1):
+        target = span(F, [flat(rep.image(d + 1, r)) for r in range(an.dim(d + 1))], ncols)
+        got = RowSpace(F, ncols)
+        for r in range(an.dim(d)):
+            for gen_map in (x_map, y_map):
+                got.insert(flat(rec._commutator(
+                    F, rep.slots_min, rep.window, rep.image(d, r), d, gen_map, 1
+                )))
+        if not (got.dim == target.dim and target.contains_space(got)):
+            raise DimensionAnomaly(f"[N_{d}, N_1] != N_{d + 1}")
+
+
+def _rep(pres, pair, window=None):
+    an = sf.generate_subalgebra(pres, pair, pres.class_n if window is None else window)
     ring = endo.compute_grend0(an)
     fid = endo.identify_field(ring)
     flags = rec.detect_structure(an)
@@ -674,6 +763,7 @@ def test_check_rep_matches_all_pairs(request, f9, thin_pair_f9, which):
     rng = random.Random(f"check-rep-{which}")
     keys = sorted(rep.images)
     stages = set()
+    generation_failures = 0
     for _ in range(300):
         images = {key: dict(m) for key, m in rep.images.items()}
         for _ in range(rng.choice((1, 1, 2))):
@@ -688,7 +778,56 @@ def test_check_rep_matches_all_pairs(request, f9, thin_pair_f9, which):
         got = _outcome(rec._check_rep, bad)
         assert got == _outcome(oracle_check_rep, bad)
         stages.add(got[0])
+        if _outcome(oracle_generation_check, bad)[0] != "ok":
+            # assemble_N no longer checks [N_d, N_1] = N_{d+1}
+            assert got[0] != "ok"
+            generation_failures += 1
     assert "DimensionAnomaly" in stages
+    assert generation_failures > 0
+
+
+@pytest.mark.parametrize(
+    "which, branch, windows",
+    [
+        ("metabelian9_14", "rho_prime", (14, 10)),
+        ("metabelian25_14", "rho_prime", (14, 10)),
+        ("dev9_14", "rho", (14, 12)),
+        ("dev25_14", "rho", (14, 12)),
+    ],
+    ids=["metabelian9_14", "metabelian25_14", "dev9_14", "dev25_14"],
+)
+def test_images_and_generation_match_oracles(request, thin_pair_f9, which, branch, windows):
+    """The table images equal the per-entry ones on both branches, and the
+    [N_d, N_1] = N_{d+1} check that assemble_N dropped passes."""
+    pres = _presentation(request, which)
+    for window in windows:
+        rep = _rep(pres, thin_pair_f9, window)
+        assert rep.branch == branch
+        assert rep.images == oracle_rho_images(rep.analysis, rep.k)
+        oracle_generation_check(rep)
+
+
+@pytest.mark.parametrize("found", ["search4_12", "search25_12"])
+def test_images_match_oracle_with_scaled_rows(request, found):
+    """The same on searched presentations, with X = x + y, Y = mu*x + 2mu*y:
+    det(X, Y) = mu, so the basis row of T_2 is mu*v_2, not v_2.  The rho
+    branch with k = 3 reads that row in slot 2 and as the argument t."""
+    pres_list = request.getfixturevalue(found)
+    F = pres_list[0].field
+    pair = sf.GeneratorPair((F.one, F.one), (F.mu, F.coerce((0, 2))))
+    reps = []
+    for pres in pres_list:
+        try:
+            reps.append(_rep(pres, pair))
+        except ThinLieError:
+            continue
+        if len(reps) == 8:
+            break
+    assert {"rho", "rho_prime"} == {rep.branch for rep in reps}
+    assert any(rep.slots_min == 2 and rep.analysis.basis(2) == ((0, 1),) for rep in reps)
+    for rep in reps:
+        assert rep.images == oracle_rho_images(rep.analysis, rep.k)
+        oracle_generation_check(rep)
 
 
 # -- the round-trip phi map ----------------------------------------------------
@@ -1255,6 +1394,8 @@ _METABELIAN = {
     "metabelian9_10": (3, 0, 2, 10),
     "metabelian9b_10": (3, 1, 1, 10),
     "metabelian25_10": (5, 0, 2, 10),
+    "metabelian9_14": (3, 0, 2, 14),
+    "metabelian25_14": (5, 0, 2, 14),
 }
 
 

@@ -262,6 +262,38 @@ class TestQuotient:
     def test_valid(self, dev9_14):
         assert mc.validate(mc.quotient(dev9_14, 9)).ok
 
+    def test_unvalidated_gate(self, f9, dev9_14):
+        """The quotient of an unvalidated presentation is not validated, and
+        its tables fail exactly when the first failing Jacobi triple lies at
+        total degree <= the quotient bound."""
+        rng = random.Random("quotient-gate")
+        elems = list(f9.elements())
+        bad = [_mutated(f9)]
+        for _ in range(40):
+            pairs = list(dev9_14.adjoint)
+            pair = (f9.zero, f9.zero)
+            while pair == (f9.zero, f9.zero):
+                pair = (rng.choice(elems), rng.choice(elems))
+            pairs[rng.randrange(len(pairs))] = pair
+            bad.append(mc.MaxClassPresentation(f9, 14, tuple(pairs)))
+        failing = 0
+        for pres in bad:
+            report = mc.validate(mc.MaxClassPresentation(f9, pres.class_n, pres.adjoint))
+            # v_m counts m, x and y count 1
+            top = None if report.ok else sum(
+                1 if name in ("x", "y") else int(name[1:]) for name in report.first_failure
+            )
+            failing += top is not None
+            for m in range(4, pres.class_n + 1):
+                q = mc.quotient(pres, m)
+                assert q._structure is None
+                if top is not None and top <= m:
+                    with pytest.raises(InvalidPresentation):
+                        mc.tables(q)
+                else:
+                    assert mc.tables(q) is q._structure
+        assert failing > 10
+
     def test_bad_bound(self, f9):
         with pytest.raises(BadBound):
             mc.quotient(mc.make_metabelian(f9, 10), 3)

@@ -204,6 +204,32 @@ class TestRoundtrip:
         assert report.branch == "rho"
         assert report.iso and report.centralizers_match
 
+    @pytest.mark.parametrize("which", ["metabelian9_14", "dev9_14"])
+    def test_validates_only_the_extraction(self, request, monkeypatch, f9, thin_pair_f9, which):
+        """After the loader's check, the only Jacobi checks a round trip runs
+        are the extracted presentation's: the quotient and the standard
+        forms reuse tables already proved."""
+        src = mc.make_metabelian(f9, 14) if which == "metabelian9_14" else request.getfixturevalue(which)
+        pres = mc.MaxClassPresentation(f9, src.class_n, src.adjoint)
+        assert mc.validate(pres).ok
+        checked, built = [], []
+        check_new, assemble_N = mc._Structure.check_new, rec.assemble_N
+
+        def spy_check(st):
+            checked.append(st)
+            return check_new(st)
+
+        def spy_assemble(rep):
+            built.append(assemble_N(rep))
+            return built[-1]
+
+        monkeypatch.setattr(mc._Structure, "check_new", spy_check)
+        monkeypatch.setattr(rec, "assemble_N", spy_assemble)
+        assert rec.verify_roundtrip(pres, thin_pair_f9).centralizers_match
+        (recon,) = built
+        assert all(st is recon.presentation._structure for st in checked)
+        assert len(checked) == recon.usable_window - 2
+
     def test_maximal_pair_refused(self, f9, maximal_pair):
         m = mc.make_metabelian(f9, 14)
         with pytest.raises(PreconditionFailed):
