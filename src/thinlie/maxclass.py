@@ -179,7 +179,7 @@ class _Structure:
         self.step[d] = (F.inv(a), self.a) if not F.is_zero(a) else (F.inv(b), self.b)
         self.top = d + 1
         total = self.top
-        get_vv = self.get_vv
+        vv = self.vv
         added: List[Tuple[int, int]] = []
         for i in range(2, (total + 1) // 2):
             j = total - i
@@ -191,16 +191,14 @@ class _Structure:
                 )
             else:
                 # expand v_i = c^{-1} [v_{i-1}, g]:
-                # [v_i, v_j] = c^{-1}( [v_{i-1},v_j]*g_{i+j-1} - g_j*[v_{i-1},v_{j+1}] )
+                # [v_i, v_j] = c^{-1}( [v_{i-1},v_j]*g_{i+j-1} - g_j*[v_{i-1},v_{j+1}] ),
+                # where [v_{i-1}, v_{j+1}] is the cell derived just before (val)
                 c_inv, g = self.step[i - 1]
                 val = F.mul(
                     c_inv,
-                    F.sub(
-                        F.mul(get_vv(i - 1, j), g[total - 1]),
-                        F.mul(g[j], get_vv(i - 1, j + 1)),
-                    ),
+                    F.sub(F.mul(vv[(i - 1, j)], g[total - 1]), F.mul(g[j], val)),
                 )
-            self.vv[(i, j)] = val
+            vv[(i, j)] = val
             added.append((i, j))
         return added
 
@@ -258,35 +256,64 @@ class _Structure:
                 F.sub(F.mul(a[u], b[u + 1]), F.mul(b[u], a[u + 1])), get_vv(2, u)
             )
         gk = self.a if g == 0 else self.b
+        vv = self.vv  # u < w, and every cell read has total degree top - 1 or top
         return F.sub(
-            F.mul(get_vv(u, w), gk[u + w]),
-            F.add(F.mul(gk[w], get_vv(u, w + 1)), F.mul(gk[u], get_vv(u + 1, w))),
+            F.mul(vv[(u, w)], gk[u + w]),
+            F.add(F.mul(gk[w], vv[(u, w + 1)]), F.mul(gk[u], get_vv(u + 1, w))),
         )
 
     # -- checks ---------------------------------------------------------------
+
+    def open_triples(self) -> List[Tuple[int, int, int, int]]:
+        """The triples of ``new_triples(top)`` the table does not prove, in order.
+
+        Each entry is (n, u, w, g) with n the 1-based position of (u, w, g)
+        in ``new_triples(top)``.  By the chain lemma (``new_triples``) they
+        are (v_2, x, y) at top = 4 only, then per 2 <= i < j = top - 1 - i
+        both generators if j = i + 1, else the generator that is not the
+        chain generator of degree i.
+        """
+        top = self.top
+        out = [(1, 2, 0, 1)] if top == 4 else []
+        b, step = self.b, self.step
+        for i in range(2, top // 2):
+            j, n = top - 1 - i, 2 * i - 2
+            if j == i + 1:
+                out += ((n, i, j, 0), (n + 1, i, j, 1))
+            else:
+                g = 0 if step[i][1] is b else 1
+                out.append((n + g, i, j, g))
+        return out
 
     def check_new(self):
         """Jacobi on the basis triples of total degree == top with a generator.
 
         Returns (first_failing_triple_labels_or_None, number_checked); a
         triple (u, w, g) is labelled with u, w in descending order, so
-        (v_m, x, y) and (v_j, v_i, g) for i < j.
+        (v_m, x, y) and (v_j, v_i, g) for i < j.  Only the open triples
+        (``open_triples``) are evaluated: the others are zero by the chain
+        lemma (``new_triples``), so the first failure and its position in
+        ``new_triples(top)`` are those of the full list, and a pass counts
+        the whole list as checked.
         """
         F = self.field
-        triples = new_triples(self.top)
-        for n, (u, w, g) in enumerate(triples, 1):
-            if not F.is_zero(self.jacobi(u, w, g)):
+        jacobi = self.jacobi
+        for n, u, w, g in self.open_triples():
+            if not F.is_zero(jacobi(u, w, g)):
                 return (label(max(u, w)), label(min(u, w)), label(g)), n
-        return None, len(triples)
+        return None, len(new_triples(self.top))
 
     def jacobi_forms(self) -> List[EElem]:
-        """The Jacobi coefficients of the triples ``check_new`` inspects, in its order.
+        """The Jacobi coefficients of the open triples, in ``open_triples`` order.
 
-        ``check_new`` stops at the first nonzero one; the search needs them
-        all, so this loop does not stop (``search_sequences``).
+        These are all the coefficients that can be nonzero: the triples of
+        ``new_triples(top)`` proved by the chain lemma are left out, not
+        padded with zeros.  ``check_new`` stops at the first nonzero one;
+        the search needs them all, so this loop does not stop
+        (``search_sequences``).
         """
         jacobi = self.jacobi
-        return [jacobi(*t) for t in new_triples(self.top)]
+        return [jacobi(u, w, g) for _, u, w, g in self.open_triples()]
 
 
 @lru_cache(maxsize=None)
@@ -301,6 +328,22 @@ def new_triples(top: int) -> Tuple[Tuple[int, int, int], ...]:
     Triples (v_i, v_j, v_k) need no check: once every triple with x or y
     passes, Jacobi holds on all of them by the generator lemma (module
     docstring).
+
+    Chain lemma: about half of these are zero by construction of the
+    cells of total degree top (``_Structure.extend``), whatever the pairs.
+
+    * J(v_m, x, y) = a_m*b_{m+1} - b_m*a_{m+1} - [v_2, v_m]
+      (``_Structure.jacobi``), and for m = top - 2 >= 3 the cell [v_2, v_m]
+      is defined as exactly a_m*b_{m+1} - b_m*a_{m+1}.  So J = 0.
+    * Let g be the chain generator of degree u, v_{u+1} = c^{-1}*[v_u, g]
+      with c = g_u, and w = top - 1 - u > u + 1.  The cell [v_{u+1}, v_w]
+      is defined as c^{-1}*([v_u, v_w]*g_{u+w} - g_w*[v_u, v_{w+1}]), so
+      J(v_u, v_w, g) = [v_u, v_w]*g_{u+w} - g_w*[v_u, v_{w+1}]
+      - c*[v_{u+1}, v_w] = 0 exactly.
+
+    The bound matters: with w = u + 1 the cell [v_{u+1}, v_{u+1}] is 0
+    and not defined that way, and both generators can fail there.  The
+    triples left are the open ones (``_Structure.open_triples``).
     """
     head = ((top - 2, 0, 1),) if top >= 4 else ()
     return head + tuple((i, top - 1 - i, g) for i in range(2, top // 2) for g in (0, 1))
@@ -315,7 +358,9 @@ def validate(pres: MaxClassPresentation) -> JacobiReport:
     """Derive the full multiplication table and check Jacobi on it.
 
     Jacobi is checked on the triples with a generator, which implies it
-    on every triple (see ``new_triples``).
+    on every triple (see ``new_triples``).  Only the open ones are
+    evaluated, but ``triples_checked`` counts the triples the chain lemma
+    proves as checked too (``_Structure.check_new``).
 
     Raises ZeroPair when some adjoint pair is (0, 0).  On success the
     derived table is cached on the presentation for later bracket calls.
@@ -608,16 +653,22 @@ def search_sequences(
     """Depth-first enumeration of Jacobi-consistent adjoint sequences.
 
     Each node solves for its admissible pairs instead of trying all of
-    P^1(E).  Linearity lemma: with the pairs of degrees < d fixed, every
-    Jacobi coefficient that ``check_new`` inspects after pushing (a_d, b_d)
-    is a homogeneous E-linear form in (a_d, b_d).  Each new cell [v_i, v_j]
-    of total degree d+1 is linear in the pair of degree d or in a cell of
-    the same total degree derived before it, and its scalar c^{-1} and
-    every cell of lower total degree are fixed by the prefix; each term of
-    a Jacobi coefficient multiplies one such fixed scalar by one such
-    linear entry.  So the forms are evaluated at (1, 0) and at (0, 1) (the
-    node's columns), and the admissible pairs are the projective kernel of
-    that k x 2 matrix: empty, one point, or all of P^1(E) (a free node).
+    P^1(E).  Its forms are the Jacobi coefficients of the open triples
+    only (``_Structure.jacobi_forms``); the others are zero by the chain
+    lemma (``new_triples``).  Which triples are open at top d+1 or d+2
+    depends on the chain steps of degrees below (d+2)/2 only, so it is
+    fixed by the prefix and every pair of the node has its forms on the
+    same triples.  Linearity lemma: with the pairs of degrees < d fixed,
+    every Jacobi coefficient that ``check_new`` inspects after pushing
+    (a_d, b_d) is a homogeneous E-linear form in (a_d, b_d).  Each new
+    cell [v_i, v_j] of total degree d+1 is linear in the pair of degree d
+    or in a cell of the same total degree derived before it, and its
+    scalar c^{-1} and every cell of lower total degree are fixed by the
+    prefix; each term of a Jacobi coefficient multiplies one such fixed
+    scalar by one such linear entry.  So the forms are evaluated at (1, 0)
+    and at (0, 1) (the node's columns), and the admissible pairs are the
+    projective kernel of that k x 2 matrix: empty, one point, or all of
+    P^1(E) (a free node).
 
     Bilinearity lemma: with the pairs of degrees < d fixed, the forms at
     top degree d+2 (after pushing P_d = (a_d, b_d) and P_{d+1}) are
@@ -642,7 +693,9 @@ def search_sequences(
     (``free_children``), each with its columns, which it does not
     recompute.  A free node whose children are leaves visits all of them.
     E is enumerated only lazily, when every child of a free node is a
-    candidate or a leaf, so ``limit`` bounds the work at any q.
+    candidate or a leaf, so ``limit`` bounds the work at any q.  A leaf
+    (a pair of degree class_n - 1) is not pushed: it is appended from the
+    stack, which is all it reads.
 
     Children are visited in the order (1 : t) by ``F.key`` of t, then
     (0 : 1), so the output is in lexicographic order and the metabelian
@@ -661,7 +714,6 @@ def search_sequences(
         raise BadBound(f"search limit {limit} < 1")
     F = field
     st = _Structure(field, class_n)
-    stack: List[Pair] = []
     out: List[MaxClassPresentation] = []
 
     def forms_at(d: int, pair: Pair) -> List[EElem]:
@@ -688,20 +740,18 @@ def search_sequences(
             return ((pair, None) for pair in leaves)
         return free_children(F, next_columns(d, ex_point(F)), next_columns(d, ey_point(F)))
 
-    def dfs(d: int, cols: Optional[Columns]) -> None:
-        if d == class_n:
-            out.append(MaxClassPresentation(field, class_n, tuple(stack)))
-            return
+    def dfs(d: int, stack: Tuple[Pair, ...], cols: Optional[Columns]) -> None:
         for pair, child_cols in children(d, columns(d) if cols is None else cols):
             if len(out) >= limit:
                 return
+            if d + 1 == class_n:
+                out.append(MaxClassPresentation(field, class_n, stack + (pair,)))
+                continue
             added = st.extend(d, pair)
-            stack.append(pair)
-            dfs(d + 1, child_cols)
-            stack.pop()
+            dfs(d + 1, stack + (pair,), child_cols)
             st.retract(d, added)
 
-    dfs(2, None)
+    dfs(2, (), None)
     return out
 
 

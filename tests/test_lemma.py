@@ -14,7 +14,11 @@ brackets with a generator off ``_Structure.phi``, and ``_Structure.extend``
 decides the chain (c^{-1} and g with v_{d+1} = c^{-1}*[v_d, g]) once per
 pushed degree.  The generic bracket of basis ids, the three-term Jacobi
 sum over it, the per-cell choice of c^{-1} and the scale-by-scale
-isomorphism certification are kept here as oracles.
+isomorphism certification are kept here as oracles.  ``check_new`` and
+``jacobi_forms`` evaluate only the triples the chain lemma does not prove
+(``new_triples``); the full list of closed forms is kept here as the
+oracle ``oracle_jacobi_forms``, and the lemma itself is checked by the
+generic bracket.
 
 ``search_sequences`` solves for the admissible pairs of each degree (the
 projective kernel of its Jacobi forms) instead of trying every point of
@@ -138,6 +142,11 @@ def oracle_jacobi(st, u, w, g):
             continue
         acc = F.add(acc, F.mul(first[0], second[0]))
     return acc
+
+
+def oracle_jacobi_forms(st):
+    """The closed-form Jacobi coefficients of every triple of ``new_triples(top)``."""
+    return [st.jacobi(*t) for t in mc.new_triples(st.top)]
 
 
 def oracle_cells(st):
@@ -458,41 +467,85 @@ def _random_pair(field, rng):
             return pair
 
 
-@pytest.mark.parametrize(
-    "p, u, v", [(2, 1, 1), (3, 0, 2), (5, 0, 2), (7, 0, 3)], ids=["4", "9", "25", "49"]
-)
-def test_closed_form_matches_generic_bracket(p, u, v):
-    """At every push of random tables, classes 4-16, pairs with zero and
-    non-one entries, a probe push retracted before each kept push: the
-    closed-form Jacobi coefficients and ``check_new`` equal the three-term
-    sums over the generic bracket, and the cells equal those built with a
-    per-cell choice of c^{-1}."""
-    F = make_ext_field(p, u, v)
-    rng = random.Random(f"closed-form-{p}")
-    pushes = nonzero = passed = 0
+def random_pushes(F, seed):
+    """Random tables, classes 4-16, pairs with zero and non-one entries.
+
+    Yields the table after every push; a probe push, retracted after its
+    yield, comes before each kept push.
+    """
+    rng = random.Random(seed)
     for _ in range(300):
         class_n = rng.randint(4, 16)
         st = mc._Structure(F, class_n)
         for d in range(2, class_n):
             for keep in (False, True):
                 added = st.extend(d, _random_pair(F, rng))
-                triples = mc.new_triples(st.top)
-                forms = [oracle_jacobi(st, *t) for t in triples]
-                assert st.jacobi_forms() == forms
-                bad = [n for n, f in enumerate(forms, 1) if not F.is_zero(f)]
-                if bad:
-                    u_, w_, g_ = triples[bad[0] - 1]
-                    want = (_label(max(u_, w_)), _label(min(u_, w_)), _label(g_)), bad[0]
-                else:
-                    want = None, len(triples)
-                assert st.check_new() == want
-                assert st.vv == oracle_cells(st)
-                pushes += 1
-                nonzero += bool(bad)
-                passed += not bad
+                yield st
                 if not keep:
                     st.retract(d, added)
+
+
+RANDOM_TABLE_FIELDS = pytest.mark.parametrize(
+    "p, u, v", [(2, 1, 1), (3, 0, 2), (5, 0, 2), (7, 0, 3)], ids=["4", "9", "25", "49"]
+)
+
+
+@RANDOM_TABLE_FIELDS
+def test_closed_form_matches_generic_bracket(p, u, v):
+    """At every push of random tables (``random_pushes``): the closed-form
+    Jacobi coefficients of every triple and ``check_new`` equal the
+    three-term sums over the generic bracket, ``jacobi_forms`` is that of
+    the open triples in order, and the cells equal those built with a
+    per-cell choice of c^{-1}."""
+    F = make_ext_field(p, u, v)
+    pushes = nonzero = passed = 0
+    for st in random_pushes(F, f"closed-form-{p}"):
+        triples = mc.new_triples(st.top)
+        forms = [oracle_jacobi(st, *t) for t in triples]
+        assert oracle_jacobi_forms(st) == forms
+        opened = st.open_triples()
+        assert [t[1:] for t in opened] == [triples[n - 1] for n, *_ in opened]
+        assert st.jacobi_forms() == [forms[n - 1] for n, *_ in opened]
+        bad = [n for n, f in enumerate(forms, 1) if not F.is_zero(f)]
+        if bad:
+            u_, w_, g_ = triples[bad[0] - 1]
+            want = (_label(max(u_, w_)), _label(min(u_, w_)), _label(g_)), bad[0]
+        else:
+            want = None, len(triples)
+        assert st.check_new() == want
+        assert st.vv == oracle_cells(st)
+        pushes += 1
+        nonzero += bool(bad)
+        passed += not bad
     assert pushes > 4000 and nonzero > 1000 and passed > 1000
+
+
+@RANDOM_TABLE_FIELDS
+def test_proved_triples_vanish(p, u, v):
+    """The chain lemma (``_Structure.open_triples``) at every push of random
+    tables, valid or not: J(v_m, x, y) = 0 for m >= 3, and J(v_u, v_w, g) = 0
+    for w > u + 1 and g the chain generator of degree u (x when a_u != 0,
+    else y), by the generic bracket.  Every other triple is open, and some
+    open triple with w = u + 1 is nonzero, so the bound matters."""
+    F = make_ext_field(p, u, v)
+    proved = adjacent_nonzero = 0
+    for st in random_pushes(F, f"closed-form-{p}"):
+        opened = []
+        for n, (u_, w_, g_) in enumerate(mc.new_triples(st.top), 1):
+            if w_ == 0:
+                is_proved = u_ >= 3
+            else:
+                chain_gen = 0 if not F.is_zero(st.a[u_]) else 1
+                is_proved = w_ > u_ + 1 and g_ == chain_gen
+            if is_proved:
+                assert F.is_zero(oracle_jacobi(st, u_, w_, g_)), (st.a, st.b, u_, w_, g_)
+                proved += 1
+            else:
+                opened.append((n, u_, w_, g_))
+                if w_ == u_ + 1:
+                    adjacent_nonzero += not F.is_zero(oracle_jacobi(st, u_, w_, g_))
+        assert st.open_triples() == opened
+    assert proved > 1000 and adjacent_nonzero > 0
 
 
 # -- the search ----------------------------------------------------------------
@@ -502,8 +555,9 @@ def test_jacobi_forms_linear_in_new_pair(f9):
     """At every node of the class-12 GF(9) search, and for every (a : b):
 
     the forms after pushing (a, b) are a*f(1, 0) + b*f(0, 1), they are the
-    coefficients check_new inspects, and (a : b) passes check_new exactly
-    when it lies in the projective kernel.
+    coefficients of the open triples, check_new reports the position of
+    the first nonzero coefficient of all triples, and (a : b) passes
+    check_new exactly when it lies in the projective kernel.
     """
     F = f9
     reps = projective_pairs(F)
@@ -527,9 +581,11 @@ def test_jacobi_forms_linear_in_new_pair(f9):
             added, forms = forms_at(d, (a, b))
             assert forms == [F.add(F.mul(a, s), F.mul(b, t)) for s, t in zip(at_x, at_y)]
             fail, checked = st.check_new()
-            zeros = [F.is_zero(f) for f in forms]
-            assert (fail is None) == all(zeros)
-            assert checked == (len(forms) if fail is None else zeros.index(False) + 1)
+            full = oracle_jacobi_forms(st)
+            assert forms == [full[n - 1] for n, *_ in st.open_triples()]
+            nonzero = [n for n, f in enumerate(full, 1) if not F.is_zero(f)]
+            assert (fail is None) == all(F.is_zero(f) for f in forms) == (not nonzero)
+            assert checked == (len(full) if fail is None else nonzero[0])
             if fail is None:
                 admissible.append((a, b))
                 dfs(d + 1)

@@ -69,6 +69,32 @@ class TestValidate:
         with pytest.raises(InvalidPresentation):
             mc.tables(_mutated(f9))
 
+    def test_evaluates_only_open_triples(self, monkeypatch, f9):
+        """Only the triples the chain step does not prove are evaluated
+        (``_Structure.open_triples``): on the metabelian table (chain
+        generator x) that is (v_2, x, y) at top 4, (v_i, v_j, y) for
+        j > i + 1 and both generators for j = i + 1, about half of the
+        685 triples still reported as checked."""
+        calls = []
+        jacobi = mc._Structure.jacobi
+
+        def spy(st, u, w, g):
+            calls.append((st.top, u, w, g))
+            return jacobi(st, u, w, g)
+
+        monkeypatch.setattr(mc._Structure, "jacobi", spy)
+        report = mc.validate(mc.make_metabelian(f9, 40))
+        tops = range(3, 41)
+        assert report.triples_checked == sum(len(mc.new_triples(t)) for t in tops) == 685
+        want = [
+            (t, u, w, g)
+            for t in tops
+            for u, w, g in mc.new_triples(t)
+            if (t == 4 if w == 0 else w == u + 1 or g == 1)
+        ]
+        assert calls == want
+        assert len(calls) == 343
+
 
 class TestBracket:
     """``subfield.bracket_vec`` is the one bracket of homogeneous elements."""
@@ -242,6 +268,21 @@ class TestSearch:
 
     def test_limit_respected(self, f9):
         assert len(mc.search_sequences(f9, 12, 7)) == 7
+
+    def test_leaves_are_not_pushed(self, monkeypatch, f9):
+        """At the last degree the search pushes only the probes (1, 0) and
+        (0, 1) that read a node's columns; a leaf is appended from the stack."""
+        pushed = []
+        extend = mc._Structure.extend
+
+        def spy(st, d, pair):
+            if d == 11:
+                pushed.append(tuple(pair))
+            return extend(st, d, pair)
+
+        monkeypatch.setattr(mc._Structure, "extend", spy)
+        assert len(mc.search_sequences(f9, 12, 10**9)) == 100
+        assert pushed and set(pushed) == {mc.ex_point(f9), mc.ey_point(f9)}
 
     def test_window_cap(self, f9):
         with pytest.raises(WindowTooLarge):
