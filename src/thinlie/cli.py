@@ -93,11 +93,7 @@ def _pair_from_args(field, xs: str, ys: str) -> sf.GeneratorPair:
 def cmd_build(args) -> int:
     for c in args.ext:
         residue(args.p, c)
-    try:
-        field = make_ext_field(args.p, args.ext[1], args.ext[0])
-    except (NotPrime, ReduciblePolynomial) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    field = make_ext_field(args.p, args.ext[1], args.ext[0])
     inputs = {
         "kind": args.kind,
         "p": args.p,
@@ -328,7 +324,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         return args.func(args)
     except (
-        SchemaError, ValueError, OSError, PreconditionFailed, BadBound, WindowTooLarge
+        SchemaError, ValueError, OSError, PreconditionFailed, BadBound, WindowTooLarge,
+        NotPrime, ReduciblePolynomial,
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

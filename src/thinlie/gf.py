@@ -5,10 +5,11 @@ Scalars carry no wrapper objects: a prime-field element is an int in
 ``c0 + c1*mu`` where ``mu**2 = u*mu + v``.  The field objects own the
 arithmetic, so the matrix routines below run unchanged over either field.
 
-Row reduction is fully deterministic: pivots are the first nonzero entry
-in column order, leading entries are normalized to 1, and elimination is
-carried above and below the pivot.  Every basis this package reports is
-therefore a canonical reduced row-echelon basis.
+Rows are eliminated in one place, ``RowSpace.insert``: pivots are the
+first nonzero entry in column order, leading entries are normalized to 1,
+and elimination is carried above and below the pivot.  ``rref`` and
+``solve`` read their results off a ``RowSpace``, so every basis this
+package reports is the canonical reduced row-echelon basis of its span.
 """
 
 from __future__ import annotations
@@ -393,38 +394,22 @@ class RrefResult:
 
 
 def rref(m: Matrix) -> RrefResult:
-    """Reduced row-echelon form with deterministic pivoting.
+    """Reduced row-echelon form of m, read off the canonical ``RowSpace``.
 
-    The pivot of each step is the first nonzero entry in column order;
-    leading entries are normalized to 1 and cleared above and below.
-    The kernel basis has one vector per free column j, in column order:
-    entry 1 at j and -reduced[r][j] at the pivot column of row r.
+    A row space has exactly one reduced echelon basis (pivots the first
+    nonzero entries, normalized to 1 and cleared from every other row),
+    so the result does not depend on the order in which the rows are
+    inserted: it is the basis of ``span(m.rows)`` followed by
+    nrows - rank zero rows.  The kernel basis has one vector per free
+    column j, in column order: entry 1 at j and -reduced[r][j] at the
+    pivot column of row r.
     """
     F = m.field
-    rows = [list(r) for r in m.rows]
-    nrows, ncols = m.nrows, m.ncols
-    pivots: List[int] = []
-    r = 0
-    for c in range(ncols):
-        sel = None
-        for i in range(r, nrows):
-            if not F.is_zero(rows[i][c]):
-                sel = i
-                break
-        if sel is None:
-            continue
-        rows[r], rows[sel] = rows[sel], rows[r]
-        inv = F.inv(rows[r][c])
-        rows[r] = [F.mul(inv, x) for x in rows[r]]
-        for i in range(nrows):
-            if i != r and not F.is_zero(rows[i][c]):
-                f = rows[i][c]
-                rows[i] = [F.sub(x, F.mul(f, y)) for x, y in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    reduced = Matrix(F, rows, ncols=ncols)
+    ncols = m.ncols
+    sp = span(F, m.rows, ncols)
+    rows = sp._rows
+    pivots = sp._pivots
+    reduced = Matrix(F, rows + [[F.zero] * ncols for _ in range(m.nrows - sp.dim)], ncols=ncols)
     pivot_set = set(pivots)
     kernel_rows = []
     for j in range(ncols):
@@ -436,20 +421,22 @@ def rref(m: Matrix) -> RrefResult:
             vec[pc] = F.neg(rows[ri][j])
         kernel_rows.append(vec)
     kernel = Matrix(F, kernel_rows, ncols=ncols)
-    return RrefResult(rank=r, reduced=reduced, pivots=tuple(pivots), kernel=kernel)
+    return RrefResult(rank=sp.dim, reduced=reduced, pivots=tuple(pivots), kernel=kernel)
 
 
 def solve(field, rows: Sequence[Sequence], vec: Sequence) -> list:
     """Coordinates c with c . rows = vec, for independent rows.
 
-    Raises ValueError when the rows are dependent or vec is not in their span.
+    The span of the augmented columns (r_1[j], ..., r_n[j], vec[j]) has
+    pivots 0..n-1 exactly when the rows are independent and vec is in
+    their span; its reduced basis then carries c in the last column.
+    Raises ValueError otherwise.
     """
     n = len(rows)
-    aug = Matrix(field, [[r[j] for r in rows] + [x] for j, x in enumerate(vec)])
-    res = rref(aug)
-    if res.pivots != tuple(range(n)):
+    sp = span(field, [[r[j] for r in rows] + [x] for j, x in enumerate(vec)], n + 1)
+    if sp._pivots != list(range(n)):
         raise ValueError("rows are dependent or the vector is outside their span")
-    return [res.reduced.rows[i][n] for i in range(n)]
+    return [row[n] for row in sp._rows]
 
 
 class RowSpace:

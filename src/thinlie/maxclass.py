@@ -595,9 +595,9 @@ def projective_kernel(
 
     ``at_x`` and ``at_y`` are the columns of a k x 2 matrix over E, so the
     kernel is all of P^1(E) (rank 0), one point (rank 1) or empty (rank 2).
-    The one candidate point, normalized to (1 : t) or (0 : 1), annihilates
-    the first nonzero row; it is in the kernel only if it annihilates
-    every row.
+    The rank is 1 iff every row (u, w) lies in E*(s, t), the first nonzero
+    row, that is iff s*w = t*u; the point is then the one annihilating
+    (s, t): (1 : -s/t), or (0 : 1) when t = 0.
     """
     F = field
     rows = list(zip(at_x, at_y))
@@ -605,10 +605,9 @@ def projective_kernel(
     if first is None:
         return None
     s, t = first
-    a, b = (F.zero, F.one) if F.is_zero(t) else (F.one, F.neg(F.div(s, t)))
-    if all(F.is_zero(F.add(F.mul(a, u), F.mul(b, w))) for u, w in rows):
-        return [(a, b)]
-    return []
+    if any(F.mul(s, w) != F.mul(t, u) for u, w in rows):
+        return []
+    return [(F.zero, F.one) if F.is_zero(t) else (F.one, F.neg(F.div(s, t)))]
 
 
 def free_children(field: ExtField, A: Columns, B: Columns) -> Iterator[Tuple[Pair, Columns]]:

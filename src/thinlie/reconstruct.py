@@ -81,19 +81,26 @@ def detect_structure(
     without such a k, a witnessed nonzero bracket in T^3 selects the
     insoluble surrogate k = 3, and with no witness either way the window
     is declared too small.
+
+    All of it is read off m, the largest i with a nonzero cell
+    [v_i, v_j], i < j, i + j <= window (``_top_bracket``).  The tail T^k
+    is abelian in the window iff every such cell with i >= k vanishes,
+    that is iff k > m.  So T is metabelian iff m < 2; otherwise the least
+    k >= 3 with an abelian tail is m + 1, and a bracket in T^3 is
+    witnessed iff m >= 3.
     """
     if analysis.verdict.kind != "thin":
         raise PreconditionFailed("structure detection expects a thin subalgebra")
     window = analysis.window if window is None else window
-    st = tables(analysis.pres)
-    if _tail_abelian(st, 2, window):
+    m = _top_bracket(tables(analysis.pres), window)
+    if m < 2:
         return StructureFlags(metabelian=True, k=2, z_degree=1, detection="metabelian")
-    for k in range(3, (window - 1) // 2 + 1):
-        if _tail_abelian(st, k, window):
-            return StructureFlags(
-                metabelian=False, k=k, z_degree=k - 1, detection="abelian-window"
-            )
-    if not _tail_abelian(st, 3, window):  # a nonzero bracket witnessed in T^3
+    k = m + 1
+    if 2 * k + 1 <= window:
+        return StructureFlags(
+            metabelian=False, k=k, z_degree=k - 1, detection="abelian-window"
+        )
+    if m >= 3:  # a nonzero bracket witnessed in T^3
         return StructureFlags(
             metabelian=False, k=3, z_degree=2, detection="insoluble-or-undetected"
         )
@@ -102,11 +109,11 @@ def detect_structure(
     )
 
 
-def _tail_abelian(st, k: int, window: int) -> bool:
-    """[v_i, v_j] = 0 for all k <= i < j with i + j <= window."""
+def _top_bracket(st, window: int) -> int:
+    """The largest i with [v_i, v_j] != 0, i < j, i + j <= window; 1 if none."""
     F = st.field
-    return all(
-        F.is_zero(st.get_vv(i, j)) for i in range(k, window) for j in range(i + 1, window - i + 1)
+    return max(
+        (i for (i, j), c in st.vv.items() if i + j <= window and not F.is_zero(c)), default=1
     )
 
 
@@ -362,7 +369,7 @@ def build_rho_prime(analysis: SubalgebraAnalysis, ring: EndoRing, field_id: Fiel
     F = an.field
     pres = an.pres
     window = an.window
-    if not _tail_abelian(tables(pres), 2, window):
+    if _top_bracket(tables(pres), window) >= 2:
         raise NotMetabelian("T has a nonzero bracket in T^2 within the window")
     if field_id.dim != 2:
         raise PreconditionFailed("construction needs a quadratic endomorphism field")
@@ -418,8 +425,6 @@ class ReconstructedAlgebra:
     usable_window: int
     dims: Dict[int, int]  # dim_E N_d within the usable window
     presentation: MaxClassPresentation  # extracted, class = usable_window
-    x_map: ShiftMap
-    y_map: ShiftMap
 
 
 def _flatten_map(field: ExtField, rep: RhoRep, m: ShiftMap) -> List[EElem]:
@@ -487,8 +492,6 @@ def assemble_N(rep: RhoRep) -> ReconstructedAlgebra:
         usable_window=usable,
         dims=dims,
         presentation=extracted,
-        x_map=x_map,
-        y_map=y_map,
     )
 
 
@@ -521,6 +524,10 @@ def verify_roundtrip(
     homomorphism onto N within the usable window.  The homomorphism check
     reads the pairs whose first element is x or y (``_phi_failure``); by
     the generator lemma that covers every pair.
+
+    The degree-1 solve cannot fail: a thin pair is E-independent, and the
+    F-basis rows r1, r2 of L_1 span the same F-plane as X and Y, so they
+    are E-independent too and x, y are E-combinations of them.
     """
     window = pres.class_n if window is None else window
     analysis = generate_subalgebra(pres, g, window)
@@ -541,21 +548,14 @@ def verify_roundtrip(
     F = pres.field
     usable = recon.usable_window
 
-    # phi on degree 1: solve x and y as extension combinations of the rows
-    r1, r2 = analysis.basis(1)
-    (a1, b1), (a2, b2) = f4_to_deg1(r1), f4_to_deg1(r2)
-    det = F.sub(F.mul(a1, b2), F.mul(b1, a2))
-    det_inv = F.inv(det)
+    # phi on degree 1: x and y as extension combinations of the rows r1, r2
+    rows = [f4_to_deg1(r) for r in analysis.basis(1)]
     rho1 = rep.image(1, 0)
     rho2 = rep.image(1, 1)
-
-    def comb(e1: EElem, e2: EElem) -> ShiftMap:
-        return _map_add(F, _map_scale(F, e1, rho1), _map_scale(F, e2, rho2))
-
-    phi: Dict[int, ShiftMap] = {
-        0: comb(F.mul(b2, det_inv), F.neg(F.mul(b1, det_inv))),
-        1: comb(F.neg(F.mul(a2, det_inv)), F.mul(a1, det_inv)),
-    }
+    phi: Dict[int, ShiftMap] = {}
+    for s, unit in enumerate(((F.one, F.zero), (F.zero, F.one))):
+        e1, e2 = solve(F, rows, unit)
+        phi[s] = _map_add(F, _map_scale(F, e1, rho1), _map_scale(F, e2, rho2))
     for i in range(2, usable + 1):
         l_i = analysis.basis(i)[0]
         eps = (l_i[0], l_i[1])

@@ -75,6 +75,16 @@ class TestBuild:
         assert code == 2
         assert "prime" in err
 
+    def test_reducible_ext_exits_2(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run(
+            capsys, "build", "metabelian", "--p", "3", "--ext", "1,0", "--class", "10"
+        )
+        assert code == 2
+        assert "has a root" in err
+        assert out == ""
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestCheck:
     def test_valid(self, met_file, capsys):

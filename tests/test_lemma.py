@@ -54,6 +54,11 @@ checks; both tables are compared with ``validate``'s.
 generator only and reads the root of the ambient quadratic off the scalar
 by which the generator acts (the lemma in its docstring); the version that
 enumerated the ring is kept here as an oracle.
+
+``reconstruct.detect_structure`` reads the largest degree i with a nonzero
+bracket [v_i, v_j] in the window once, and ``gf.rref`` and ``gf.solve``
+are read off the canonical ``RowSpace``.  The scan per tail T^k and the
+Gauss-Jordan elimination they replaced are kept here as oracles.
 """
 
 import itertools
@@ -74,10 +79,12 @@ from thinlie.errors import (
     NotStandardForm,
     PreconditionFailed,
     ThinLieError,
+    WindowTooSmall,
 )
 from thinlie.gf import (
     Matrix,
     RowSpace,
+    RrefResult,
     make_ext_field,
     quadratic_is_irreducible,
     rref,
@@ -886,6 +893,53 @@ def test_images_match_oracle_with_scaled_rows(request, found):
         oracle_generation_check(rep)
 
 
+def oracle_detect_structure(analysis, window=None):
+    """``detect_structure`` by one scan of the window per tail T^k."""
+    if analysis.verdict.kind != "thin":
+        raise PreconditionFailed("structure detection expects a thin subalgebra")
+    window = analysis.window if window is None else window
+    st = mc.tables(analysis.pres)
+    F = st.field
+
+    def tail_abelian(k):
+        return all(
+            F.is_zero(st.get_vv(i, j))
+            for i in range(k, window) for j in range(i + 1, window - i + 1)
+        )
+
+    if tail_abelian(2):
+        return rec.StructureFlags(metabelian=True, k=2, z_degree=1, detection="metabelian")
+    for k in range(3, (window - 1) // 2 + 1):
+        if tail_abelian(k):
+            return rec.StructureFlags(
+                metabelian=False, k=k, z_degree=k - 1, detection="abelian-window"
+            )
+    if not tail_abelian(3):
+        return rec.StructureFlags(
+            metabelian=False, k=3, z_degree=2, detection="insoluble-or-undetected"
+        )
+    raise WindowTooSmall(
+        "no abelian tail confirmed and no nonzero bracket witnessed in T^3"
+    )
+
+
+def test_detect_structure_matches_tail_scans(search4_12, search9_12, thin_pair_f9, rc_pair):
+    """The largest nonzero bracket degree against one scan per tail, on
+    two pairs at every window; all five outcomes occur."""
+    outcomes = set()
+    for pres in search4_12 + search9_12:
+        for pair in (thin_pair_f9, rc_pair):
+            for window in range(4, pres.class_n + 1):
+                an = sf.generate_subalgebra(pres, pair, window)
+                got = _outcome(rec.detect_structure, an)
+                assert got == _outcome(oracle_detect_structure, an), (pres.adjoint, pair, window)
+                outcomes.add(got[1].detection if got[0] == "ok" else got[0])
+    assert outcomes == {
+        "metabelian", "abelian-window", "insoluble-or-undetected",
+        "WindowTooSmall", "PreconditionFailed",
+    }
+
+
 # -- the round-trip phi map ----------------------------------------------------
 
 
@@ -1568,3 +1622,121 @@ def test_schur_sees_non_basis_elements():
     assert _outcome(oracle_identify_field, bad)[0] == "ok"
     with pytest.raises(NotAField):
         endo.identify_field(bad)
+
+
+# -- gf: one row reduction -----------------------------------------------------
+
+
+def oracle_rref(m):
+    """Gauss-Jordan elimination of the whole matrix, pivot by pivot."""
+    F = m.field
+    rows = [list(r) for r in m.rows]
+    nrows, ncols = m.nrows, m.ncols
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        sel = None
+        for i in range(r, nrows):
+            if not F.is_zero(rows[i][c]):
+                sel = i
+                break
+        if sel is None:
+            continue
+        rows[r], rows[sel] = rows[sel], rows[r]
+        inv = F.inv(rows[r][c])
+        rows[r] = [F.mul(inv, x) for x in rows[r]]
+        for i in range(nrows):
+            if i != r and not F.is_zero(rows[i][c]):
+                f = rows[i][c]
+                rows[i] = [F.sub(x, F.mul(f, y)) for x, y in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+        if r == nrows:
+            break
+    reduced = Matrix(F, rows, ncols=ncols)
+    pivot_set = set(pivots)
+    kernel_rows = []
+    for j in range(ncols):
+        if j in pivot_set:
+            continue
+        vec = [F.zero] * ncols
+        vec[j] = F.one
+        for ri, pc in enumerate(pivots):
+            vec[pc] = F.neg(rows[ri][j])
+        kernel_rows.append(vec)
+    kernel = Matrix(F, kernel_rows, ncols=ncols)
+    return RrefResult(rank=r, reduced=reduced, pivots=tuple(pivots), kernel=kernel)
+
+
+def oracle_solve(field, rows, vec):
+    """Coordinates read off the Gauss-Jordan form of the augmented columns."""
+    n = len(rows)
+    aug = Matrix(field, [[r[j] for r in rows] + [x] for j, x in enumerate(vec)])
+    res = oracle_rref(aug)
+    if res.pivots != tuple(range(n)):
+        raise ValueError("rows are dependent or the vector is outside their span")
+    return [res.reduced.rows[i][n] for i in range(n)]
+
+
+def _solve_outcome(fn, field, rows, vec):
+    try:
+        return ("ok", fn(field, rows, vec))
+    except ValueError as exc:
+        return ("ValueError", str(exc))
+
+
+_EXT = {2: (1, 1), 3: (0, 2), 5: (0, 2), 7: (0, 3)}
+
+
+def _random_matrix(field, rng, nrows, ncols):
+    """Sparse random rows, a low-rank product, or rows with zero and
+    duplicate rows mixed in."""
+    elems = list(field.elements())
+
+    def entry():
+        return field.zero if rng.random() < 0.4 else rng.choice(elems)
+
+    shape = rng.randrange(3)
+    if shape == 0:
+        return Matrix(field, [[entry() for _ in range(ncols)] for _ in range(nrows)])
+    rank = rng.randint(0, min(nrows, ncols))
+    if shape == 1:
+        left = Matrix(field, [[entry() for _ in range(rank)] for _ in range(nrows)], ncols=rank)
+        right = Matrix(field, [[entry() for _ in range(ncols)] for _ in range(rank)], ncols=ncols)
+        return left.mul(right)
+    rows = [[entry() for _ in range(ncols)] for _ in range(rank)]
+    while len(rows) < nrows:
+        duplicate = rows and rng.random() < 0.5
+        rows.append(list(rng.choice(rows)) if duplicate else [field.zero] * ncols)
+    rng.shuffle(rows)
+    return Matrix(field, rows)
+
+
+@pytest.mark.parametrize(
+    "p, ext",
+    [(2, False), (3, False), (7, False), (2, True), (3, True), (5, True), (7, True)],
+    ids=["2", "3", "7", "4", "9", "25", "49"],
+)
+def test_rref_and_solve_match_gauss_jordan(p, ext):
+    """``rref`` and ``solve``, read off ``RowSpace``, against the
+    elimination they replaced: equal ``RrefResult``, and equal coordinates
+    or the same ValueError, on every shape 1-6 x 1-6 and a tall 40 x 4."""
+    field = make_ext_field(p, *_EXT[p])
+    field = field if ext else field.base
+    rng = random.Random(f"gf-rref-{field}")
+    shapes = [(r, c) for r in range(1, 7) for c in range(1, 7)] + [(40, 4)]
+    solved = set()
+    for nrows, ncols in shapes:
+        for _ in range(6):
+            m = _random_matrix(field, rng, nrows, ncols)
+            assert rref(m) == oracle_rref(m), m
+            rows = m.rows[: rng.randint(1, nrows)]
+            if rng.random() < 0.5:
+                coeffs = [rng.choice(list(field.elements())) for _ in rows]
+                vec = Matrix(field, rows).apply(coeffs)
+            else:
+                vec = _random_matrix(field, rng, 1, ncols).rows[0]
+            got = _solve_outcome(solve, field, rows, vec)
+            assert got == _solve_outcome(oracle_solve, field, rows, vec), (rows, vec)
+            solved.add(got[0])
+    assert solved == {"ok", "ValueError"}
