@@ -6,7 +6,8 @@ field order, so identical command lines produce byte-identical reports
 tables go to stderr.  Exit codes: 0 success, 1 mathematical-check failure,
 2 usage (including an out-of-range class or window bound, a search limit
 below 1, a scan over its budget, a coordinate outside [0, p) and p >= 2^64),
-file-schema or OS error.
+file-schema or OS error (including a closed, broken or full stdout), or an
+interrupt.
 """
 
 from __future__ import annotations
@@ -51,7 +52,12 @@ def _report(command: str, inputs: dict, results: dict) -> str:
 
 
 def _emit(command: str, inputs: dict, results: dict) -> None:
+    """Write the report and flush, so a closed, broken or full stdout raises
+    OSError here, inside ``main``, and not at interpreter exit."""
+    if sys.stdout is None:  # fd 1 was not open at start-up
+        raise OSError("stdout is closed")
     sys.stdout.write(_report(command, inputs, results))
+    sys.stdout.flush()
 
 
 def _load(path: str, check: bool = True) -> mc.MaxClassPresentation:
@@ -332,6 +338,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except ThinLieError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_MATH
+    except KeyboardInterrupt:
+        print("error: interrupted", file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

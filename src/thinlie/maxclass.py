@@ -167,7 +167,8 @@ class _Structure:
 
         The chain is canonical: v_{d+1} = c^{-1}*[v_d, g] with g = x and
         c = a_d when a_d != 0, else g = y and c = b_d.  That choice is made
-        here once and read by the cells of later degrees.
+        here once and read by the cells of later degrees.  Every pair the
+        search pushes is (1 : t) or (0 : 1), so c = 1 needs no inversion.
         """
         F = self.field
         a, b = F.coerce(pair[0]), F.coerce(pair[1])
@@ -176,7 +177,8 @@ class _Structure:
         assert d == self.top, "pairs must be pushed in degree order"
         self.a[d] = a
         self.b[d] = b
-        self.step[d] = (F.inv(a), self.a) if not F.is_zero(a) else (F.inv(b), self.b)
+        c, g = (a, self.a) if not F.is_zero(a) else (b, self.b)
+        self.step[d] = (c if c == F.one else F.inv(c), g)
         self.top = d + 1
         total = self.top
         vv = self.vv

@@ -12,14 +12,17 @@ The representation objects here are "shift maps": a homogeneous element
 of degree d acts on slots indexed by degree, sending the slot of degree s
 to the slot of degree s + d with a single extension coefficient.  That is
 the whole content of the block matrices, because every slot is a
-one-dimensional extension line.
+one-dimensional extension line.  From a fixed slot on, a representation
+is the adjoint action of the ambient algebra, read off its validated
+structure table (the slot lemma, ``RhoRep``); only the slots below are
+stored and compared, so a round trip compares O(1) entries per degree.
 """
 
 from __future__ import annotations
 
 from itertools import islice, product
 
-from ._record import record
+from ._record import cache, record
 from .errors import (
     DimensionAnomaly,
     NotEStable,
@@ -28,15 +31,13 @@ from .errors import (
     PreconditionFailed,
     WindowTooSmall,
 )
-from .gf import ExtField, Matrix, RowSpace, rref, solve, span
+from .gf import ExtField, Matrix, rref, solve, span
 from .maxclass import (
     MaxClassPresentation,
+    apply_degree1_change,
     label,
     quotient,
-    standard_generators,
     tables,
-    two_step_centralizers,
-    validate,
 )
 from .subfield import (
     GeneratorPair,
@@ -50,9 +51,10 @@ from .endo import EndoRing, FieldId, compute_grend0, identify_field
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:
-    from typing import Dict, List, Optional, Sequence, Tuple
+    from typing import Callable, Dict, List, Optional, Sequence
 
     from .gf import EElem
+    from .maxclass import Pair
 
     ShiftMap = Dict[int, EElem]  # source degree -> coefficient; target = source + d
 
@@ -118,142 +120,136 @@ def _top_bracket(st, window: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Shift-map helpers
-# ---------------------------------------------------------------------------
-
-
-def _map_scale(field: ExtField, e: EElem, m: ShiftMap) -> ShiftMap:
-    return {s: field.mul(e, c) for s, c in m.items()}
-
-def _map_add(field: ExtField, m1: ShiftMap, m2: ShiftMap) -> ShiftMap:
-    out = dict(m1)
-    for s, c in m2.items():
-        out[s] = field.add(out.get(s, field.zero), c)
-    return out
-
-
-def _map_is_zero(field: ExtField, m: ShiftMap) -> bool:
-    return all(field.is_zero(c) for c in m.values())
-
-
-def _commutator(
-    field: ExtField,
-    slots_min: int,
-    window: int,
-    m1: ShiftMap,
-    d1: int,
-    m2: ShiftMap,
-    d2: int,
-) -> ShiftMap:
-    """The matrix commutator [m1, m2] of two shift maps.
-
-    Shift maps record the right adjoint action w -> [w, t], which is a
-    Lie homomorphism in the row-vector convention: the product m1*m2
-    applies m1 first.  Entry at slot s is therefore
-    m1[s]*m2[s+d1] - m2[s]*m1[s+d2].
-    """
-    out: ShiftMap = {}
-    for s in range(slots_min, window - d1 - d2 + 1):
-        first = field.zero
-        c1 = m1.get(s)
-        if c1 is not None:
-            c2 = m2.get(s + d1)
-            if c2 is not None:
-                first = field.mul(c1, c2)
-        second = field.zero
-        c2 = m2.get(s)
-        if c2 is not None:
-            c1b = m1.get(s + d2)
-            if c1b is not None:
-                second = field.mul(c2, c1b)
-        out[s] = field.sub(first, second)
-    return out
-
-
-def _proportionality(
-    field: ExtField, m1: ShiftMap, m2: ShiftMap
-) -> Optional[EElem]:
-    """e with m2 = e*m1 on the common domain, or None if m1 is zero."""
-    ref = None
-    for s in sorted(m1):
-        if not field.is_zero(m1[s]):
-            ref = s
-            break
-    if ref is None:
-        return None
-    e = field.div(m2.get(ref, field.zero), m1[ref])
-    for s in sorted(set(m1) | set(m2)):
-        lhs = m2.get(s, field.zero)
-        rhs = field.mul(e, m1.get(s, field.zero))
-        if lhs != rhs:
-            raise DimensionAnomaly("maps are not proportional over the extension")
-    return e
-
-
-# ---------------------------------------------------------------------------
 # The representations
 # ---------------------------------------------------------------------------
 
 
+def _commutator(
+    field: ExtField, slots: range, m1: Callable[[int], EElem], d1: int,
+    m2: Callable[[int], EElem], d2: int,
+) -> ShiftMap:
+    """The matrix commutator [m1, m2] of two shift maps, on ``slots``.
+
+    Shift maps record the right adjoint action w -> [w, t], which is a
+    Lie homomorphism in the row-vector convention: the product m1*m2
+    applies m1 first.  m1 and m2 read an entry by source slot, and the
+    entry at slot s is m1(s)*m2(s+d1) - m2(s)*m1(s+d2); ``slots`` ends by
+    window - d1 - d2, so every entry read lies inside the maps.
+    """
+    mul = field.mul
+    return {s: field.sub(mul(m1(s), m2(s + d1)), mul(m2(s), m1(s + d2))) for s in slots}
+
+
 @record
 class RhoRep:
+    """A representation on the slots [slots_min, window], stored below ``lo``.
+
+    Maps are named by basis ids: 0 and 1 are the rows r1, r2 of T_1, and
+    d >= 2 is v_d.  Each entry of both constructions is E-linear in t for
+    t in M_d, d >= 2, so the image of a row e*v_d of T_d is e*rho(v_d);
+    rho(v_d) is that E-linear extension, also when v_d is not in T_d.
+
+    Slot lemma.  Let lo = k - 1 on rho and lo = 3 on rho'.  A slot s >= lo
+    is the line M_s with basis row eps_s*v_s, and there both constructions
+    give rho(t) as the right adjoint action of M: rho(t)(s) =
+    eps_s*c*eps_{s+d}^{-1} where [v_s, t] = c*v_{s+d} (``entry``).  Maps
+    only raise slots, so the slots >= lo span an invariant subspace, and on
+    it rho is diag(eps)*ad*diag(eps)^{-1}, F-linear in t.  For g in T_1 and
+    t in T_d the entry of [rho(g), rho(t)] - rho([g, t]) at a slot s >= lo
+    is therefore an eps-multiple of the coefficient of
+    [[v_s, g], t] - [[v_s, t], g] - [v_s, [g, t]], a Jacobi triple of M of
+    total degree s + 1 + d <= window, which is zero because the loader
+    validated the table (``tables``).  Only the slots below lo -- slots 1
+    and 2 on rho', none on rho -- hold entries that the table does not
+    prove, and ``images`` holds exactly those: images[i][s] for s < lo.
+    """
+
     branch: str  # "rho" | "rho_prime"
     k: int
     window: int
     slots_min: int  # slots are the contiguous degrees [slots_min, window]
+    lo: int  # the slots >= lo are read off the structure table
     analysis: SubalgebraAnalysis
-    images: Dict[Tuple[int, int], ShiftMap]  # (degree, basis row index) -> map
-    max_degree: int  # largest t-degree with stored images
+    images: Dict[int, ShiftMap]  # basis id -> entries on the slots below lo
+    eps: Dict[int, EElem] = cache()  # basis(s)[0] = eps_s*v_s for lo <= s <= window
+    inv: Dict[int, EElem] = cache()  # eps_s^{-1}, one inversion per degree
 
-    def image(self, degree: int, row: int) -> ShiftMap:
-        return self.images[(degree, row)]
+    def __post_init__(self):
+        F = self.analysis.field
+        self.eps = {s: _row_scalar(self.analysis, s) for s in range(self.lo, self.window + 1)}
+        self.inv = {s: F.inv(e) for s, e in self.eps.items()}
+
+    def image(self, d: int, r: int) -> ShiftMap:
+        """rho of the basis row r of T_d on every slot it reaches."""
+        F = self.analysis.field
+        entry = _reader(self, _rows(self.analysis), self.images)
+        slots = range(self.slots_min, self.window - d + 1)
+        if d == 1:
+            return {s: entry(r, s) for s in slots}
+        e = _row_scalar(self.analysis, d, r)
+        return {s: F.mul(e, entry(d, s)) for s in slots}
 
 
-def _e_of(analysis: SubalgebraAnalysis, degree: int, vec: Sequence[int]) -> EElem:
-    """Extension coefficient of an ambient vector against the chosen w-basis.
+def _row_scalar(an: SubalgebraAnalysis, degree: int, r: int = 0) -> EElem:
+    """e with basis(degree)[r] = e*v_degree, for degree >= 2."""
+    row = an.basis(degree)[r]
+    return (row[0], row[1])
 
-    Components of degree >= 3 of a thin subalgebra fill the whole ambient
-    line, which is one-dimensional over the extension, so any vector is an
-    extension multiple of the first basis row.
+
+def _rows(an: SubalgebraAnalysis) -> List[Pair]:
+    """The rows r1, r2 of T_1 as extension pairs (alpha, beta): alpha*x + beta*y."""
+    return [f4_to_deg1(row) for row in an.basis(1)]
+
+
+def _reader(rep: RhoRep, gens: Sequence[Pair], low: Dict[int, ShiftMap]) -> Callable[[int, int], EElem]:
+    """entry(i, s): the entry at slot s of the map of basis id i.
+
+    Below rep.lo it is low[i][s].  From lo on it is read off the structure
+    table (slot lemma, ``RhoRep``): the map of id 0 or 1 acts as the
+    degree-1 element gens[i], so its entry is eps_s*phi_s(gens[i])*
+    eps_{s+1}^{-1}, and the map of id i >= 2 acts as v_i, with entry
+    eps_s*[v_s, v_i]*eps_{s+i}^{-1}; no bracket_vec and no inversion per
+    entry.
     """
-    F = analysis.field
-    w = analysis.basis(degree)[0]
-    return F.div((vec[0], vec[1]), (w[0], w[1]))
+    F = rep.analysis.field
+    st = tables(rep.analysis.pres)
+    lo, eps, inv, mul = rep.lo, rep.eps, rep.inv, F.mul
+
+    def entry(i: int, s: int) -> EElem:
+        if s < lo:
+            return low[i][s]
+        if i < 2:
+            return mul(mul(eps[s], st.phi(s, gens[i])), inv[s + 1])
+        return mul(mul(eps[s], st.get_vv(s, i)), inv[s + i])
+
+    return entry
 
 
-def _table_images(
-    an: SubalgebraAnalysis,
-    lo: int,
-    d: int,
-    t: Sequence[int],
-    eps: Dict[int, EElem],
-    inv: Dict[int, EElem],
-) -> ShiftMap:
-    """rho(t) on the slots s >= lo >= 2, read off the structure table.
+def _low_mismatch(rep: RhoRep, gens: Sequence[Pair], entry: Callable[[int, int], EElem]):
+    """mismatch(g, t): the first slot below rep.lo where the map of the
+    bracket [g, w_t] differs from the commutator of the maps, or None.
 
-    The chosen basis row of degree s >= 2 is eps_s*v_s (``eps``; ``inv``
-    holds each eps^{-1}, one inversion per degree).  For t in T_1 with
-    E-coordinates g, [eps_s*v_s, t] = eps_s*phi_s(g)*v_{s+1}; for
-    t = eps_t*v_d, it is eps_s*eps_t*[v_s, v_d]; and the coefficient of a
-    vector c*v_{s+d} against the row eps_{s+d}*v_{s+d} is c*eps_{s+d}^{-1}
-    (``_e_of``).  So the entry is that product, with no bracket_vec call
-    and no inversion per entry.
+    The maps are read by ``entry`` (``_reader`` over gens).  g is 0 or 1
+    and w_t is gens[1] for t = 1, else v_t (ids as in ``RhoRep``).  The
+    bracket is read off the table: [gens[0], gens[1]] = (b1*a2 - a1*b2)*v_2,
+    because [x, y] = -v_2, and [g, v_t] = -phi_t(g)*v_{t+1}.  Slots s with
+    s + 1 + t > window are outside the commutator.  By the slot lemma the
+    slots >= lo cannot differ.
     """
-    F = an.field
-    st = tables(an.pres)
-    slots = range(lo, an.window - d + 1)
-    if d == 1:
-        g = f4_to_deg1(t)
-        return {s: F.mul(F.mul(eps[s], st.phi(s, g)), inv[s + 1]) for s in slots}
-    e_t = (t[0], t[1])
-    return {s: F.mul(F.mul(F.mul(eps[s], e_t), st.get_vv(s, d)), inv[s + d]) for s in slots}
+    F = rep.analysis.field
+    st = tables(rep.analysis.pres)
+    (a1, b1), (a2, b2) = gens
+    det = F.sub(F.mul(b1, a2), F.mul(a1, b2))
 
+    def mismatch(g: int, t: int) -> Optional[int]:
+        slots = range(rep.slots_min, min(rep.lo, rep.window - t))
+        if not slots:
+            return None
+        coeff = det if t == 1 else F.neg(st.phi(t, gens[g]))
+        got = _commutator(F, slots, lambda s: entry(g, s), 1, lambda s: entry(t, s), t)
+        return next((s for s in slots if got[s] != F.mul(coeff, entry(t + 1, s))), None)
 
-def _row_scalars(an: SubalgebraAnalysis, lo: int) -> Tuple[Dict[int, EElem], Dict[int, EElem]]:
-    """eps_s with basis(s)[0] = eps_s*v_s, and eps_s^{-1}, for lo <= s <= window."""
-    F = an.field
-    eps = {s: (an.basis(s)[0][0], an.basis(s)[0][1]) for s in range(lo, an.window + 1)}
-    return eps, {s: F.inv(e) for s, e in eps.items()}
+    return mismatch
 
 
 def _check_e_structure(analysis: SubalgebraAnalysis, lo: int, window: int) -> None:
@@ -272,54 +268,49 @@ def _check_rep(rep: RhoRep) -> None:
     """Per-degree faithfulness, and the homomorphism property on generators.
 
     Both checks stop at window - k: beyond that the maps act through so
-    few visible slots that truncation alone can fake a kernel.  The
-    homomorphism is checked on the pairs (g, t) with g in T_1 only.  That
-    is enough by the generator lemma: T is a Lie algebra generated by T_1,
-    so if rho([t, g]) = [rho(t), rho(g)] for every t and every g in T_1,
-    induction on degree with Jacobi in T and in the matrices gives
+    few visible slots that truncation alone can fake a kernel.
+
+    Faithfulness: in degree 1 the two images, flattened over every slot,
+    must be F-independent.  In degree d >= 2 the rows of T_d are e*v_d for
+    F-independent e, so their images e*rho(v_d) are F-independent iff
+    rho(v_d) has one nonzero entry.
+
+    The homomorphism is checked on the pairs (g, t) with g in T_1 only.
+    That is enough by the generator lemma: T is a Lie algebra generated by
+    T_1, so if rho([t, g]) = [rho(t), rho(g)] for every t and every g in
+    T_1, induction on degree with Jacobi in T and in the matrices gives
     rho([t, t']) = [rho(t), rho(t')] for all t, t'.  The commutator of
     shift maps of degrees d1, d2 reads only slots <= window - min(d1, d2),
-    so the induction stays inside total degree <= window - k.
+    so the induction stays inside total degree <= window - k.  By
+    E-linearity t runs over r2 in degree 1 and over v_d above, and by the
+    slot lemma (``RhoRep``) only the slots below lo are compared: O(1)
+    per pair on rho', nothing on rho.  The first failure and its message
+    are those of the comparison on every slot and every basis row.
 
-    The comparison runs on every slot that ``_commutator`` fills, which
-    are the slots rho(T_{d+1}) is supported on; so it also proves
+    The comparison covers every slot that ``_commutator`` fills, which are
+    the slots rho(T_{d+1}) is supported on; so it also proves
     [N_d, N_1] = N_{d+1} for d < window - k, and ``assemble_N`` does not
     check that again.
     """
     an = rep.analysis
     F = an.field
-    pres = an.pres
-    cap = rep.window - rep.k
-    # faithfulness: the flattened maps of each degree must be independent
-    for d in range(1, cap + 1):
-        rows = []
-        for r in range(an.dim(d)):
-            m = rep.image(d, r)
-            flat: List[int] = []
-            for s in range(rep.slots_min, rep.window + 1):
-                c = m.get(s, F.zero)
-                flat.extend(c)
-            rows.append(flat)
-        if span(F.base, rows, len(rows[0])).dim != an.dim(d):
+    window, cap = rep.window, rep.window - rep.k
+    rows = _rows(an)
+    entry = _reader(rep, rows, rep.images)
+    flat = [[c for s in range(rep.slots_min, window) for c in entry(r, s)] for r in (0, 1)]
+    if span(F.base, flat, len(flat[0])).dim != an.dim(1):
+        raise NotFaithful("representation has a kernel in degree 1")
+    for d in range(2, cap + 1):
+        if all(F.is_zero(entry(d, s)) for s in range(rep.slots_min, window - d + 1)):
             raise NotFaithful(f"representation has a kernel in degree {d}")
-    # homomorphism: rho([g, t]) equals the commutator of the images
+    mismatch = _low_mismatch(rep, rows, entry)
     for d in range(1, cap):
-        for r1, g in enumerate(an.basis(1)):
-            for r2, t in enumerate(an.basis(d)):
-                if d == 1 and r2 <= r1:
-                    continue
-                want: ShiftMap = {}
-                for idx, c in enumerate(an.express(d + 1, bracket_vec(pres, 1, g, d, t))):
-                    if c:
-                        want = _map_add(F, want, _map_scale(F, F.embed(c), rep.image(d + 1, idx)))
-                got = _commutator(
-                    F, rep.slots_min, rep.window, rep.image(1, r1), 1, rep.image(d, r2), d
+        for g in (0,) if d == 1 else (0, 1):
+            s = mismatch(g, d)
+            if s is not None:
+                raise DimensionAnomaly(
+                    f"rho([t,t']) != [rho(t), rho(t')] at degrees (1,{d}), slot {s}"
                 )
-                for s in range(rep.slots_min, rep.window - d):
-                    if want.get(s, F.zero) != got.get(s, F.zero):
-                        raise DimensionAnomaly(
-                            f"rho([t,t']) != [rho(t), rho(t')] at degrees (1,{d}), slot {s}"
-                        )
 
 
 def build_rho(
@@ -328,7 +319,11 @@ def build_rho(
     field_id: FieldId,
     flags: StructureFlags,
 ) -> RhoRep:
-    """Adjoint representation on the extension span of z plus the ideal T^k."""
+    """Adjoint representation on the extension span of z plus the ideal T^k.
+
+    The slot of z = basis(k - 1)[0] comes first, then T^k, and every slot
+    is a table slot (lo = k - 1), so nothing is stored.
+    """
     if flags.metabelian:
         raise PreconditionFailed("metabelian input belongs to the modified branch")
     if field_id.dim != 2:
@@ -337,22 +332,14 @@ def build_rho(
     window = an.window
     k = flags.k
     _check_e_structure(an, k, window)
-    slots_min = k - 1  # the slot of z = basis(k - 1)[0], then T^k
-    max_degree = window - slots_min
-    eps, inv = _row_scalars(an, slots_min)
-    images: Dict[Tuple[int, int], ShiftMap] = {
-        (d, r): _table_images(an, slots_min, d, t, eps, inv)
-        for d in range(1, max_degree + 1)
-        for r, t in enumerate(an.basis(d))
-    }
     rep = RhoRep(
         branch="rho",
         k=k,
         window=window,
-        slots_min=slots_min,
+        slots_min=k - 1,
+        lo=k - 1,
         analysis=an,
-        images=images,
-        max_degree=max_degree,
+        images={i: {} for i in range(window - k + 2)},
     )
     _check_rep(rep)
     return rep
@@ -363,13 +350,19 @@ def build_rho_prime(analysis: SubalgebraAnalysis, ring: EndoRing, field_id: Fiel
 
     The two extension slots stand for the lines of Y and of [Y, X]; a
     degree-1 element alpha*X + beta*Y sends the Y-slot to alpha times the
-    [Y,X]-slot, and everything else is the adjoint action.
+    [Y,X]-slot, and everything else is the adjoint action.  Only slots 1
+    and 2 are stored; with [Y, X] = c*v_2 and [v_2, v_d] = c_d*v_{d+2}
+    their entries are read off the table: [[Y, X], g] = c*phi_2(g)*v_3 for
+    g in T_1, and for v_d [Y, v_d] = -phi_d(Y)*v_{d+1} and
+    [[Y, X], v_d] = c*c_d*v_{d+2}, each against the row eps_s*v_s of its
+    target slot.
     """
     an = analysis
     F = an.field
     pres = an.pres
     window = an.window
-    if _top_bracket(tables(pres), window) >= 2:
+    st = tables(pres)
+    if _top_bracket(st, window) >= 2:
         raise NotMetabelian("T has a nonzero bracket in T^2 within the window")
     if field_id.dim != 2:
         raise PreconditionFailed("construction needs a quadratic endomorphism field")
@@ -377,39 +370,23 @@ def build_rho_prime(analysis: SubalgebraAnalysis, ring: EndoRing, field_id: Fiel
     X4 = deg1_to_f4(an.pair.X)
     Y4 = deg1_to_f4(an.pair.Y)
     yx = bracket_vec(pres, 1, Y4, 1, X4)  # spans T_2
-    slots_min = 1
-    max_degree = window - 1
-    eps, inv = _row_scalars(an, 3)
-    images: Dict[Tuple[int, int], ShiftMap] = {}
-    for d in range(1, max_degree + 1):
-        for r, t in enumerate(an.basis(d)):
-            m: ShiftMap = {}
-            if d == 1:
-                try:
-                    alpha, _ = solve(F.base, [X4, Y4], t)
-                except ValueError:
-                    raise DimensionAnomaly(
-                        "degree-1 vector outside the span of the generators"
-                    ) from None
-                m[1] = F.embed(alpha)
-            else:
-                if 1 + d <= window:
-                    img = bracket_vec(pres, 1, Y4, d, t)
-                    m[1] = _e_of(an, 1 + d, img)
-            if 2 + d <= window:
-                img = bracket_vec(pres, 2, yx, d, t)
-                m[2] = _e_of(an, 2 + d, img)
-            m.update(_table_images(an, 3, d, t, eps, inv))
-            images[(d, r)] = m
+    c = (yx[0], yx[1])
     rep = RhoRep(
-        branch="rho_prime",
-        k=2,
-        window=window,
-        slots_min=slots_min,
-        analysis=an,
-        images=images,
-        max_degree=max_degree,
+        branch="rho_prime", k=2, window=window, slots_min=1, lo=3, analysis=an, images={}
     )
+    inv = rep.inv
+    for r, t in enumerate(an.basis(1)):
+        try:
+            alpha, _ = solve(F.base, [X4, Y4], t)
+        except ValueError:
+            raise DimensionAnomaly("degree-1 vector outside the span of the generators") from None
+        g = f4_to_deg1(t)
+        rep.images[r] = {1: F.embed(alpha), 2: F.mul(F.mul(c, st.phi(2, g)), inv[3])}
+    for d in range(2, window):
+        m = {1: F.neg(F.mul(st.phi(d, an.pair.Y), inv[d + 1]))}
+        if 2 + d <= window:
+            m[2] = F.mul(F.mul(c, st.get_vv(2, d)), inv[d + 2])
+        rep.images[d] = m
     _check_rep(rep)
     return rep
 
@@ -427,71 +404,51 @@ class ReconstructedAlgebra:
     presentation: MaxClassPresentation  # extracted, class = usable_window
 
 
-def _flatten_map(field: ExtField, rep: RhoRep, m: ShiftMap) -> List[EElem]:
-    return [m.get(s, field.zero) for s in range(rep.slots_min, rep.window + 1)]
-
-
 def assemble_N(rep: RhoRep) -> ReconstructedAlgebra:
-    """Assemble N = E*rho(T), check its dimension pattern, extract a presentation.
+    """Assemble N = E*rho(T), read its dimension pattern, extract a presentation.
 
-    Truncation eats the top degrees, so every assertion is restricted to
-    the usable window (class bound minus k + 1 degrees).
+    Truncation eats the top degrees, so every statement is restricted to
+    the usable window (class bound minus k + 1 degrees).  Everything here
+    follows from what ``_check_rep`` checked on the slots below lo and
+    from the slot lemma (``RhoRep``) on the others, so nothing is
+    computed on the maps.
 
-    [N_d, N_1] = N_{d+1} for every d < usable needs no check of its own.
-    ``build_rho`` and ``build_rho_prime`` end with ``_check_rep``, which
-    proved rho([g, t]) = [rho(g), rho(t)] for g in T_1 and t in T_d,
+    [N_d, N_1] = N_{d+1} for every d < usable: ``_check_rep`` proved
+    rho([g, t]) = [rho(g), rho(t)] for g in T_1 and t in T_d,
     d < window - k = usable + 1, on every slot the commutator of the
     images fills; rho(t) for t in T_{d+1} is supported on those same
     slots.  T_{d+1} = [T_d, T_1] because T is generated in degree 1, so
     the commutators of rho(T_d) with rho(T_1) span rho(T_{d+1}) over F,
-    and over E they span N_{d+1}, which faithfulness makes nonzero.  The
-    loop that compared the two spans is the test oracle
-    ``oracle_generation_check``.
+    and over E they span N_{d+1}, which faithfulness makes nonzero.
+
+    Dimensions: for d >= 2, N_d = E*rho(v_d), nonzero by faithfulness, so
+    dim_E N_d = 1.  dim_E N_1 = 2: if rho(r2) were e*rho(r1), then
+    rho([r2, r1]) = [rho(r2), rho(r1)] = 0, against faithfulness in
+    degree 2.
+
+    Extraction: the chain of N in the generators rho(r1), rho(r2) is the
+    image of the chain of M in r1, r2.  With u_2 = [r2, r1] and
+    u_{d+1} = [u_d, g]/c, rho(u_2) = [rho(r2), rho(r1)] and
+    [rho(u_d), rho(r_j)] = rho([u_d, r_j]) = phi'_d(r_j)*rho(u_{d+1}) by
+    the homomorphism and E-linearity, and rho(u_{d+1}) != 0 for
+    d + 1 <= usable by faithfulness.  So [v, x_N] vanishes in N exactly
+    when it does in M, and [v, y_N] = b*[v, x_N] with the b of M: the
+    extracted presentation is M's in the basis (r1, r2), which is
+    ``apply_degree1_change(quotient(M, usable), r1, r2)`` with a table from
+    ``extend`` alone.  The commutator extraction, its ``validate`` and the
+    span comparison it replaced are the test oracles ``oracle_extract``
+    and ``oracle_generation_check``.
     """
     an = rep.analysis
-    F = an.field
     usable = rep.window - rep.k - 1
     if usable < 4:
         raise WindowTooSmall(f"usable window {usable} is below the minimum class 4")
-    dims: Dict[int, int] = {}
-    for d in range(1, usable + 1):
-        sp = RowSpace(F, rep.window - rep.slots_min + 1)
-        for r in range(an.dim(d)):
-            sp.insert(_flatten_map(F, rep, rep.image(d, r)))
-        dims[d] = sp.dim
-        want = 2 if d == 1 else 1
-        if sp.dim != want:
-            raise DimensionAnomaly(
-                f"dim_E N_{d} = {sp.dim}, expected {want} inside the usable window"
-            )
-    # extract an adjoint presentation from the matrix algebra
-    x_map = rep.image(1, 0)
-    y_map = rep.image(1, 1)
-    v = _commutator(F, rep.slots_min, rep.window, y_map, 1, x_map, 1)  # v_2 = [y, x]
-    pairs = []
-    deg = 2
-    while deg <= usable - 1:
-        bx = _commutator(F, rep.slots_min, rep.window, v, deg, x_map, 1)
-        by = _commutator(F, rep.slots_min, rep.window, v, deg, y_map, 1)
-        if not _map_is_zero(F, bx):
-            b_coeff = _proportionality(F, bx, by)
-            pairs.append((F.one, b_coeff if b_coeff is not None else F.zero))
-            v = bx
-        else:
-            pairs.append((F.zero, F.one))
-            v = by
-        deg += 1
-    extracted = MaxClassPresentation(F, usable, tuple(pairs))
-    report = validate(extracted)
-    if not report.ok:
-        raise DimensionAnomaly(
-            f"extracted presentation fails Jacobi at {report.first_failure}"
-        )
+    r1, r2 = _rows(an)
     return ReconstructedAlgebra(
         rep=rep,
         usable_window=usable,
-        dims=dims,
-        presentation=extracted,
+        dims={d: 2 if d == 1 else 1 for d in range(1, usable + 1)},
+        presentation=apply_degree1_change(quotient(an.pres, usable), r1, r2),
     )
 
 
@@ -502,7 +459,6 @@ class RoundtripReport:
     usable_window: int
     iso: bool
     first_failure: Optional[str]
-    centralizers_match: bool
 
     def to_json(self) -> dict:
         return {
@@ -521,13 +477,18 @@ def verify_roundtrip(
 
     phi extends rho linearly over the extension on per-degree bases of the
     ambient algebra and is checked to be a per-degree bijective graded
-    homomorphism onto N within the usable window.  The homomorphism check
-    reads the pairs whose first element is x or y (``_phi_failure``); by
-    the generator lemma that covers every pair.
+    homomorphism onto N within the usable window.  phi(v_i) = rho(v_i) is
+    nonzero by faithfulness (i <= usable < window - k).  The homomorphism
+    check reads the pairs whose first element is x or y (``_phi_failure``);
+    by the generator lemma that covers every pair.
 
     The degree-1 solve cannot fail: a thin pair is E-independent, and the
     F-basis rows r1, r2 of L_1 span the same F-plane as X and Y, so they
     are E-independent too and x, y are E-combinations of them.
+
+    The centralizer sequence of N is not compared with M's: N's
+    presentation is a base change of M's (``assemble_N``), and the
+    sequence in standard form is an isomorphism invariant.
     """
     window = pres.class_n if window is None else window
     analysis = generate_subalgebra(pres, g, window)
@@ -544,67 +505,44 @@ def verify_roundtrip(
         rep = build_rho_prime(analysis, ring, field_id)
     else:
         rep = build_rho(analysis, ring, field_id, flags)
-    recon = assemble_N(rep)
+    usable = assemble_N(rep).usable_window
     F = pres.field
-    usable = recon.usable_window
 
     # phi on degree 1: x and y as extension combinations of the rows r1, r2
-    rows = [f4_to_deg1(r) for r in analysis.basis(1)]
-    rho1 = rep.image(1, 0)
-    rho2 = rep.image(1, 1)
-    phi: Dict[int, ShiftMap] = {}
-    for s, unit in enumerate(((F.one, F.zero), (F.zero, F.one))):
+    rows = _rows(analysis)
+    low0, low1 = rep.images[0], rep.images[1]
+    phi: Dict[int, ShiftMap] = {i: rep.images[i] for i in range(2, usable + 1)}
+    for i, unit in enumerate(((F.one, F.zero), (F.zero, F.one))):
         e1, e2 = solve(F, rows, unit)
-        phi[s] = _map_add(F, _map_scale(F, e1, rho1), _map_scale(F, e2, rho2))
-    for i in range(2, usable + 1):
-        l_i = analysis.basis(i)[0]
-        eps = (l_i[0], l_i[1])
-        phi[i] = _map_scale(F, F.inv(eps), rep.image(i, 0))
-        if _map_is_zero(F, phi[i]):
-            return RoundtripReport(
-                branch=rep.branch,
-                k=rep.k,
-                usable_window=usable,
-                iso=False,
-                first_failure=f"phi(v{i}) = 0",
-                centralizers_match=False,
-            )
+        phi[i] = {s: F.add(F.mul(e1, c), F.mul(e2, low1[s])) for s, c in low0.items()}
     first_failure = _phi_failure(tables(pres), rep, usable, phi)
-
-    seq_n = two_step_centralizers(
-        standard_generators(recon.presentation).presentation
-    )
-    seq_m = two_step_centralizers(
-        standard_generators(quotient(pres, usable)).presentation
-    )
-    centralizers_match = seq_n.points == seq_m.points
     return RoundtripReport(
         branch=rep.branch,
         k=rep.k,
         usable_window=usable,
         iso=first_failure is None,
         first_failure=first_failure,
-        centralizers_match=centralizers_match,
     )
 
 
 def _phi_failure(st, rep: RhoRep, usable: int, phi: Dict[int, ShiftMap]) -> Optional[str]:
     """The first pair (g, t), g = x or y, with phi([g, t]) != [phi(g), phi(t)].
 
-    phi maps basis ids (0 = x, 1 = y, k = v_k) to shift maps.  Pairs
-    without a generator need no check, by the generator lemma (see
+    phi maps basis ids (0 = x, 1 = y, k = v_k) to their entries on the
+    slots below rep.lo.  From lo on, phi(x), phi(y) and phi(v_k) are the
+    adjoint actions of x, y and v_k read off the table, so by the slot
+    lemma (``RhoRep``) only the slots below lo are compared: O(1) per pair.
+    Pairs without a generator need no check, by the generator lemma (see
     ``_check_rep``): the class-`usable` truncation is generated by x and y.
     """
     F = st.field
-    for s, gen in ((0, (F.one, F.zero)), (1, (F.zero, F.one))):
-        for t in range(s + 1, usable):  # t has degree max(t, 1) = t
-            # [x, y] = -v_2 and [g, v_t] = -phi_t(g)*v_{t+1}
-            coeff = F.neg(F.one if t == 1 else st.phi(t, gen))
-            want = _map_scale(F, coeff, phi[t + 1])
-            got = _commutator(F, rep.slots_min, rep.window, phi[s], 1, phi[t], t)
-            for sl in range(rep.slots_min, rep.window - t):
-                if want.get(sl, F.zero) != got.get(sl, F.zero):
-                    return f"phi([{label(s)},{label(t)}]) mismatch at slot {sl}"
+    units = ((F.one, F.zero), (F.zero, F.one))
+    mismatch = _low_mismatch(rep, units, _reader(rep, units, phi))
+    for s in (0, 1):
+        for t in range(s + 1, usable):
+            sl = mismatch(s, t)
+            if sl is not None:
+                return f"phi([{label(s)},{label(t)}]) mismatch at slot {sl}"
     return None
 
 

@@ -16,6 +16,8 @@ from thinlie import reconstruct as rec
 from thinlie import subfield as sf
 from thinlie.gf import Matrix, make_ext_field
 
+from test_reconstruct import centralizers_match
+
 
 class _Timer:
     def __init__(self, name, limit):
@@ -141,12 +143,12 @@ def test_criterion_6_roundtrips(f9, met40, dev9_14, thin_pair_f9):
         report = rec.verify_roundtrip(met40, thin_pair_f9, 40)
         assert report.branch == "rho_prime"
         assert report.iso and report.first_failure is None
-        assert report.centralizers_match
+        assert centralizers_match(met40, thin_pair_f9, 40)
     with _Timer("criterion 6: round trip, non-metabelian branch", 10.0):
         report = rec.verify_roundtrip(dev9_14, thin_pair_f9, 14)
         assert report.branch == "rho"
         assert report.iso and report.first_failure is None
-        assert report.centralizers_match
+        assert centralizers_match(dev9_14, thin_pair_f9, 14)
 
 
 def test_criterion_7_structural_invariants(f4, f9, f25, dev4_12, dev9_12, dev25_12):

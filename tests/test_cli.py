@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 import thinlie
+from thinlie import cli
 from thinlie import maxclass as mc
 from thinlie.cli import main
 from thinlie.gf import ExtField, make_ext_field
@@ -84,6 +85,22 @@ class TestBuild:
         assert "has a root" in err
         assert out == ""
         assert list(tmp_path.iterdir()) == []
+
+    def test_failed_search_keeps_written_files(self, tmp_path, capsys, monkeypatch):
+        save = cli._save
+
+        def failing(path, pres):
+            if path.endswith("_002.json"):
+                raise OSError("No space left on device")
+            save(path, pres)
+
+        monkeypatch.setattr(cli, "_save", failing)
+        code, out, err = run(
+            capsys, "build", "search", *EXT, "--class", "12", "--limit", "5",
+            "-o", str(tmp_path / "s"),
+        )
+        assert (code, out, err) == (2, "", "error: No space left on device\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["s_000.json", "s_001.json"]
 
 
 class TestCheck:
@@ -248,14 +265,17 @@ class TestBadInput:
         assert f"scan of {unit} x window 6" in err
 
 
-def thinlie_process(*argv, timeout=10):
-    """Run the CLI in a child process, killed after `timeout` seconds."""
+def _child_env():
     src = str(Path(thinlie.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = dict(os.environ, PYTHONPATH=path)
+    return dict(os.environ, PYTHONPATH=path)
+
+
+def thinlie_process(*argv, timeout=10):
+    """Run the CLI in a child process, killed after `timeout` seconds."""
     return subprocess.run(
         [sys.executable, "-m", "thinlie.cli", *argv],
-        capture_output=True, text=True, timeout=timeout, env=env,
+        capture_output=True, text=True, timeout=timeout, env=_child_env(),
     )
 
 
@@ -304,6 +324,63 @@ class TestLargePrime:
         )
         assert proc.returncode == 0, proc.stderr
         assert out_json(proc.stdout)["results"]["count"] == limit
+
+
+class TestUnwritableStdout:
+    """Every subcommand exits 2 with an ``error:`` line and no traceback when
+    its report cannot be written: fd 1 closed, a pipe whose reader has
+    closed, or stdout on /dev/full."""
+
+    @pytest.fixture(scope="class")
+    def small_file(self, tmp_path_factory):
+        path = tmp_path_factory.mktemp("stdout") / "m.json"
+        proc = thinlie_process("build", "metabelian", *EXT, "--class", "8", "-o", str(path))
+        assert proc.returncode == 0, proc.stderr
+        return str(path)
+
+    @staticmethod
+    def run_with_stdout(how, argv):
+        cmd = [sys.executable, "-m", "thinlie.cli", *argv]
+        kwargs = dict(stderr=subprocess.PIPE, text=True, timeout=10, env=_child_env())
+        if how == "closed":
+            return subprocess.run(["sh", "-c", 'exec "$@" 1>&-', "sh", *cmd], **kwargs)
+        if how == "broken-pipe":
+            read_end, write_end = os.pipe()
+            os.close(read_end)
+            try:
+                return subprocess.run(cmd, stdout=write_end, **kwargs)
+            finally:
+                os.close(write_end)
+        with open("/dev/full", "w") as full:
+            return subprocess.run(cmd, stdout=full, **kwargs)
+
+    @pytest.mark.parametrize("how", ["closed", "broken-pipe", "dev-full"])
+    @pytest.mark.parametrize(
+        "command", ["build", "check", "analyze", "endo", "roundtrip", "scan", "stats"]
+    )
+    def test_exits_2(self, small_file, tmp_path, how, command):
+        if how == "dev-full" and not os.path.exists("/dev/full"):
+            pytest.skip("no /dev/full on this system")
+        argv = {
+            "build": ["build", "metabelian", *EXT, "--class", "8", "-o", str(tmp_path / "b.json")],
+            "analyze": ["analyze", small_file, *PAIR],
+            "endo": ["endo", small_file, *PAIR],
+            "roundtrip": ["roundtrip", small_file, *PAIR],
+        }.get(command, [command, small_file])
+        proc = self.run_with_stdout(how, argv)
+        assert proc.returncode == 2, proc.stderr
+        assert re.search(r"^error: ", proc.stderr, re.M), proc.stderr
+        assert "Traceback" not in proc.stderr
+
+
+class TestInterrupt:
+    def test_sigint_exits_2(self, met_file, capsys, monkeypatch):
+        def interrupted(args):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(cli, "cmd_check", interrupted)
+        code, out, err = run(capsys, "check", met_file)
+        assert (code, out, err) == (2, "", "error: interrupted\n")
 
 
 class TestAnalyze:

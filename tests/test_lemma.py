@@ -41,11 +41,15 @@ classifies each F-plane of L_1 once, weighted by |GL_2(F)|.  The
 degree-by-degree RowSpace generation and the pair-by-pair raw scan they
 replaced are kept here as oracles.
 
-``reconstruct`` reads each image entry rho(t)(s), s >= 2, off the
-structure table (``_table_images``) instead of one ``bracket_vec`` and
-one inversion per entry, and ``assemble_N`` takes [N_d, N_1] = N_{d+1}
-from ``_check_rep`` instead of comparing spans.  The per-entry image
-construction and the span comparison are kept here as oracles.
+``reconstruct`` stores a representation's entries only on the slots
+below lo, where the slot lemma (``RhoRep``) does not make it the adjoint
+action of the ambient algebra, and reads the others off the structure
+table.  ``_check_rep`` and ``_phi_failure`` compare only those slots, and
+``assemble_N`` takes N's dimensions and presentation (a base change of
+the ambient one) from the lemma and [N_d, N_1] = N_{d+1} from
+``_check_rep``.  The per-entry and the full-table image constructions,
+both checks on every slot, the commutator extraction and the span
+comparison are kept here as oracles.
 ``maxclass.quotient`` slices a validated parent's table and
 ``apply_degree1_change`` derives its result's table without Jacobi
 checks; both tables are compared with ``validate``'s.
@@ -293,16 +297,59 @@ def oracle_validate(pres):
     return True, None, checked
 
 
+def _map_scale(F, e, m):
+    return {s: F.mul(e, c) for s, c in m.items()}
+
+
+def _map_add(F, m1, m2):
+    out = dict(m1)
+    for s, c in m2.items():
+        out[s] = F.add(out.get(s, F.zero), c)
+    return out
+
+
+def oracle_commutator(field, slots_min, window, m1, d1, m2, d2):
+    """The commutator [m1, m2] of two full shift maps on every slot it fills:
+    m1[s]*m2[s+d1] - m2[s]*m1[s+d2], a missing entry counting as 0."""
+    out = {}
+    for s in range(slots_min, window - d1 - d2 + 1):
+        first = field.zero
+        c1 = m1.get(s)
+        if c1 is not None:
+            c2 = m2.get(s + d1)
+            if c2 is not None:
+                first = field.mul(c1, c2)
+        second = field.zero
+        c2 = m2.get(s)
+        if c2 is not None:
+            c1b = m1.get(s + d2)
+            if c1b is not None:
+                second = field.mul(c2, c1b)
+        out[s] = field.sub(first, second)
+    return out
+
+
+def _full_images(rep):
+    """(degree, basis row) -> rho of that row on every slot."""
+    an = rep.analysis
+    return {
+        (d, r): rep.image(d, r)
+        for d in range(1, rep.window - rep.slots_min + 1)
+        for r in range(an.dim(d))
+    }
+
+
 def oracle_check_rep(rep):
     """Faithfulness, then the homomorphism property on all basis pairs."""
     an = rep.analysis
     F = an.field
     pres = an.pres
     cap = rep.window - rep.k
+    images = _full_images(rep)
     for d in range(1, cap + 1):
         rows = []
         for r in range(an.dim(d)):
-            m = rep.image(d, r)
+            m = images[(d, r)]
             flat = []
             for s in range(rep.slots_min, rep.window + 1):
                 flat.extend(m.get(s, F.zero))
@@ -322,12 +369,12 @@ def oracle_check_rep(rep):
                     want = {}
                     for c, idx in zip(coords, range(an.dim(d1 + d2))):
                         if c:
-                            want = rec._map_add(
-                                F, want, rec._map_scale(F, F.embed(c), rep.image(d1 + d2, idx))
+                            want = _map_add(
+                                F, want, _map_scale(F, F.embed(c), images[(d1 + d2, idx)])
                             )
-                    got = rec._commutator(
+                    got = oracle_commutator(
                         F, rep.slots_min, rep.window,
-                        rep.image(d1, r1), d1, rep.image(d2, r2), d2,
+                        images[(d1, r1)], d1, images[(d2, r2)], d2,
                     )
                     for s in range(rep.slots_min, rep.window - d1 - d2 + 1):
                         if want.get(s, F.zero) != got.get(s, F.zero):
@@ -335,6 +382,43 @@ def oracle_check_rep(rep):
                                 f"rho([t,t']) != [rho(t), rho(t')] at degrees "
                                 f"({d1},{d2}), slot {s}"
                             )
+
+
+def oracle_check_rep_generators(rep):
+    """``_check_rep`` comparing every slot of every pair (g, t), g and t
+    basis rows, g of degree 1."""
+    an = rep.analysis
+    F = an.field
+    pres = an.pres
+    cap = rep.window - rep.k
+    images = _full_images(rep)
+    for d in range(1, cap + 1):
+        rows = []
+        for r in range(an.dim(d)):
+            m = images[(d, r)]
+            flat = []
+            for s in range(rep.slots_min, rep.window + 1):
+                flat.extend(m.get(s, F.zero))
+            rows.append(flat)
+        if span(F.base, rows, len(rows[0])).dim != an.dim(d):
+            raise NotFaithful(f"representation has a kernel in degree {d}")
+    for d in range(1, cap):
+        for r1, g in enumerate(an.basis(1)):
+            for r2, t in enumerate(an.basis(d)):
+                if d == 1 and r2 <= r1:
+                    continue
+                want = {}
+                for idx, c in enumerate(an.express(d + 1, sf.bracket_vec(pres, 1, g, d, t))):
+                    if c:
+                        want = _map_add(F, want, _map_scale(F, F.embed(c), images[(d + 1, idx)]))
+                got = oracle_commutator(
+                    F, rep.slots_min, rep.window, images[(1, r1)], 1, images[(d, r2)], d
+                )
+                for s in range(rep.slots_min, rep.window - d):
+                    if want.get(s, F.zero) != got.get(s, F.zero):
+                        raise DimensionAnomaly(
+                            f"rho([t,t']) != [rho(t), rho(t')] at degrees (1,{d}), slot {s}"
+                        )
 
 
 def oracle_phi_failure(st, rep, usable, phi):
@@ -350,9 +434,23 @@ def oracle_phi_failure(st, rep, usable, phi):
             want = {}
             if res is not None and not F.is_zero(res[0]):
                 coeff, tgt = res
-                want = rec._map_scale(F, coeff, phi[tgt])
-            got = rec._commutator(F, rep.slots_min, rep.window, phi[s], ds, phi[t], dt)
+                want = _map_scale(F, coeff, phi[tgt])
+            got = oracle_commutator(F, rep.slots_min, rep.window, phi[s], ds, phi[t], dt)
             for sl in range(rep.slots_min, rep.window - ds - dt + 1):
+                if want.get(sl, F.zero) != got.get(sl, F.zero):
+                    return f"phi([{_label(s)},{_label(t)}]) mismatch at slot {sl}"
+    return None
+
+
+def oracle_phi_generators(st, rep, usable, phi):
+    """``_phi_failure`` comparing every slot of every pair (g, t), g = x or y."""
+    F = st.field
+    for s, gen in ((0, (F.one, F.zero)), (1, (F.zero, F.one))):
+        for t in range(s + 1, usable):
+            coeff = F.neg(F.one if t == 1 else st.phi(t, gen))
+            want = _map_scale(F, coeff, phi[t + 1])
+            got = oracle_commutator(F, rep.slots_min, rep.window, phi[s], 1, phi[t], t)
+            for sl in range(rep.slots_min, rep.window - t):
                 if want.get(sl, F.zero) != got.get(sl, F.zero):
                     return f"phi([{_label(s)},{_label(t)}]) mismatch at slot {sl}"
     return None
@@ -741,6 +839,14 @@ def test_search_matches_one_level(p, u, v, class_n):
 # -- rho and rho' --------------------------------------------------------------
 
 
+def _e_of(an, degree, vec):
+    """Extension coefficient of an ambient vector against basis(degree)[0];
+    components of degree >= 3 are extension lines, so it always exists."""
+    F = an.field
+    w = an.basis(degree)[0]
+    return F.div((vec[0], vec[1]), (w[0], w[1]))
+
+
 def oracle_rho_images(an, k):
     """The images of ``build_rho`` (k >= 3) or ``build_rho_prime`` (k = 2),
     one ``bracket_vec`` and one ``_e_of`` per entry."""
@@ -749,7 +855,7 @@ def oracle_rho_images(an, k):
     window = an.window
 
     def entry(s, row, d, t):
-        return rec._e_of(an, s + d, sf.bracket_vec(pres, s, row, d, t))
+        return _e_of(an, s + d, sf.bracket_vec(pres, s, row, d, t))
 
     images = {}
     if k > 2:
@@ -776,26 +882,116 @@ def oracle_rho_images(an, k):
     return images
 
 
+def oracle_table_images(an, k):
+    """The same images with every basis row's map built in full: the slots
+    from lo = k - 1 (lo = 3 on rho') off the structure table as
+    eps_s*c*eps_{s+d}^{-1}, and rho' slots 1 and 2 by ``bracket_vec``."""
+    F = an.field
+    pres = an.pres
+    st = mc.tables(pres)
+    window = an.window
+    lo = k - 1 if k > 2 else 3
+    eps = {s: (an.basis(s)[0][0], an.basis(s)[0][1]) for s in range(lo, window + 1)}
+    inv = {s: F.inv(e) for s, e in eps.items()}
+
+    def table(d, t):
+        slots = range(lo, window - d + 1)
+        if d == 1:
+            g = sf.f4_to_deg1(t)
+            return {s: F.mul(F.mul(eps[s], st.phi(s, g)), inv[s + 1]) for s in slots}
+        e_t = (t[0], t[1])
+        return {s: F.mul(F.mul(F.mul(eps[s], e_t), st.get_vv(s, d)), inv[s + d]) for s in slots}
+
+    if k > 2:
+        return {
+            (d, r): table(d, t) for d in range(1, window - k + 2) for r, t in enumerate(an.basis(d))
+        }
+    X4, Y4 = sf.deg1_to_f4(an.pair.X), sf.deg1_to_f4(an.pair.Y)
+    yx = sf.bracket_vec(pres, 1, Y4, 1, X4)
+    images = {}
+    for d in range(1, window):
+        for r, t in enumerate(an.basis(d)):
+            m = {}
+            if d == 1:
+                m[1] = F.embed(solve(F.base, [X4, Y4], t)[0])
+            elif 1 + d <= window:
+                m[1] = _e_of(an, 1 + d, sf.bracket_vec(pres, 1, Y4, d, t))
+            if 2 + d <= window:
+                m[2] = _e_of(an, 2 + d, sf.bracket_vec(pres, 2, yx, d, t))
+            m.update(table(d, t))
+            images[(d, r)] = m
+    return images
+
+
+def _flat(F, rep, m):
+    return [m.get(s, F.zero) for s in range(rep.slots_min, rep.window + 1)]
+
+
 def oracle_generation_check(rep):
     """[N_d, N_1] = N_{d+1} for d < usable, by comparing E-spans."""
     an = rep.analysis
     F = an.field
     ncols = rep.window - rep.slots_min + 1
-    x_map, y_map = rep.image(1, 0), rep.image(1, 1)
-
-    def flat(m):
-        return rec._flatten_map(F, rep, m)
-
+    images = _full_images(rep)
+    x_map, y_map = images[(1, 0)], images[(1, 1)]
     for d in range(1, rep.window - rep.k - 1):
-        target = span(F, [flat(rep.image(d + 1, r)) for r in range(an.dim(d + 1))], ncols)
+        target = span(F, [_flat(F, rep, images[(d + 1, r)]) for r in range(an.dim(d + 1))], ncols)
         got = RowSpace(F, ncols)
         for r in range(an.dim(d)):
             for gen_map in (x_map, y_map):
-                got.insert(flat(rec._commutator(
-                    F, rep.slots_min, rep.window, rep.image(d, r), d, gen_map, 1
+                got.insert(_flat(F, rep, oracle_commutator(
+                    F, rep.slots_min, rep.window, images[(d, r)], d, gen_map, 1
                 )))
         if not (got.dim == target.dim and target.contains_space(got)):
             raise DimensionAnomaly(f"[N_{d}, N_1] != N_{d + 1}")
+
+
+def _proportionality(F, m1, m2):
+    """e with m2 = e*m1 on the common domain, or None if m1 is zero."""
+    ref = next((s for s in sorted(m1) if not F.is_zero(m1[s])), None)
+    if ref is None:
+        return None
+    e = F.div(m2.get(ref, F.zero), m1[ref])
+    for s in sorted(set(m1) | set(m2)):
+        if m2.get(s, F.zero) != F.mul(e, m1.get(s, F.zero)):
+            raise DimensionAnomaly("maps are not proportional over the extension")
+    return e
+
+
+def oracle_extract(rep):
+    """``assemble_N``'s dimensions and presentation computed on the maps: the
+    E-rank of each degree's flattened images, and the chain of N in
+    x_N = rho(r1), y_N = rho(r2) by commutators ([v, x_N] when nonzero,
+    else [v, y_N]), validated."""
+    an = rep.analysis
+    F = an.field
+    usable = rep.window - rep.k - 1
+    ncols = rep.window - rep.slots_min + 1
+    images = _full_images(rep)
+    dims = {}
+    for d in range(1, usable + 1):
+        sp = RowSpace(F, ncols)
+        for r in range(an.dim(d)):
+            sp.insert(_flat(F, rep, images[(d, r)]))
+        dims[d] = sp.dim
+    x_map, y_map = images[(1, 0)], images[(1, 1)]
+    v = oracle_commutator(F, rep.slots_min, rep.window, y_map, 1, x_map, 1)  # v_2 = [y, x]
+    pairs = []
+    for deg in range(2, usable):
+        bx = oracle_commutator(F, rep.slots_min, rep.window, v, deg, x_map, 1)
+        by = oracle_commutator(F, rep.slots_min, rep.window, v, deg, y_map, 1)
+        if any(not F.is_zero(c) for c in bx.values()):
+            b = _proportionality(F, bx, by)
+            pairs.append((F.one, b if b is not None else F.zero))
+            v = bx
+        else:
+            pairs.append((F.zero, F.one))
+            v = by
+    extracted = mc.MaxClassPresentation(F, usable, tuple(pairs))
+    report = mc.validate(extracted)
+    if not report.ok:
+        raise DimensionAnomaly(f"extracted presentation fails Jacobi at {report.first_failure}")
+    return dims, extracted
 
 
 def _rep(pres, pair, window=None):
@@ -815,38 +1011,123 @@ def _outcome(fn, *args):
         return (type(exc).__name__, str(exc))
 
 
-@pytest.mark.parametrize("which", ["dev9_14", "metabelian9_14"])
-def test_check_rep_matches_all_pairs(request, f9, thin_pair_f9, which):
-    pres = (
-        mc.make_metabelian(f9, 14) if which == "metabelian9_14"
-        else request.getfixturevalue(which)
-    )
+def _corrupt(F, rng, maps, ids=None):
+    """A copy of maps (basis id -> slot -> entry) with one or two stored
+    entries of the maps ``ids`` (default: any) changed."""
+    out = {i: dict(m) for i, m in maps.items()}
+    ids = sorted(i for i, m in maps.items() if m) if ids is None else ids
+    for _ in range(rng.choice((1, 1, 2))):
+        m = out[rng.choice(ids)]
+        s = rng.choice(sorted(m))
+        m[s] = F.add(m[s], _random_nonzero(F, rng))
+    return out
+
+
+def _second_generator_only(F, rng, rep, gens, maps):
+    """``_corrupt`` on the degree-1 map of gens[1], after which the stored
+    entries of v_2, v_3, ... are solved from the relations of gens[0]:
+    [m_0, m_1] = c*m_2, [gens[0], gens[1]] = c*v_2, and [m_0, m_t] =
+    -phi_t(gens[0])*m_{t+1}.  Every pair with gens[0] then compares equal,
+    so only a check of the pairs with gens[1] can fail."""
+    st = mc.tables(rep.analysis.pres)
+    out = _corrupt(F, rng, maps, ids=[1])
+    entry = rec._reader(rep, gens, out)
+    (a1, b1), (a2, b2) = gens
+    for t in range(1, max(out)):
+        c = F.sub(F.mul(b1, a2), F.mul(a1, b2)) if t == 1 else F.neg(st.phi(t, gens[0]))
+        for s in out[t + 1]:
+            got = F.sub(F.mul(entry(0, s), entry(t, s + 1)), F.mul(entry(t, s), entry(0, s + t)))
+            out[t + 1][s] = F.div(got, c)
+    return out
+
+
+@pytest.mark.parametrize("which", ["dev9_14", "metabelian9_14", "metabelian25_14"])
+def test_check_rep_matches_all_pairs(request, thin_pair_f9, which):
+    """``_check_rep`` against the generator-pair and the all-pairs oracles,
+    which compare every slot, on the rep and on 300 reps whose stored
+    entries are changed, a third of them so that only the pairs with r2
+    can fail.  rho stores no entry, since every slot is a table slot, so
+    only the rho' reps are changed."""
+    pres = _presentation(request, which)
+    F = pres.field
     rep = _rep(pres, thin_pair_f9)
-    assert _outcome(rec._check_rep, rep) == _outcome(oracle_check_rep, rep) == ("ok", None)
+    checks = (rec._check_rep, oracle_check_rep_generators, oracle_check_rep)
+    assert [_outcome(fn, rep) for fn in checks] == [("ok", None)] * 3
+    if rep.branch == "rho":
+        assert rep.lo == rep.slots_min and not any(rep.images.values())
+        return
+    assert all(s < rep.lo for m in rep.images.values() for s in m)
     rng = random.Random(f"check-rep-{which}")
-    keys = sorted(rep.images)
+    rows = rec._rows(rep.analysis)
     stages = set()
-    generation_failures = 0
-    for _ in range(300):
-        images = {key: dict(m) for key, m in rep.images.items()}
-        for _ in range(rng.choice((1, 1, 2))):
-            m = images[rng.choice(keys)]
-            if m:
-                s = rng.choice(sorted(m))
-                m[s] = f9.add(m[s], _random_nonzero(f9, rng))
+    generation_failures = second_failures = 0
+    for n in range(300):
+        second = n % 3 == 0
+        if second:
+            images = _second_generator_only(F, rng, rep, rows, rep.images)
+        else:
+            images = _corrupt(F, rng, rep.images)
         bad = rec.RhoRep(
             branch=rep.branch, k=rep.k, window=rep.window, slots_min=rep.slots_min,
-            analysis=rep.analysis, images=images, max_degree=rep.max_degree,
+            lo=rep.lo, analysis=rep.analysis, images=images,
         )
         got = _outcome(rec._check_rep, bad)
-        assert got == _outcome(oracle_check_rep, bad)
+        assert [_outcome(fn, bad) for fn in checks[1:]] == [got, got]
         stages.add(got[0])
+        second_failures += second and got[0] == "DimensionAnomaly"
         if _outcome(oracle_generation_check, bad)[0] != "ok":
-            # assemble_N no longer checks [N_d, N_1] = N_{d+1}
+            # assemble_N does not check [N_d, N_1] = N_{d+1}
             assert got[0] != "ok"
             generation_failures += 1
     assert "DimensionAnomaly" in stages
     assert generation_failures > 0
+    assert second_failures > 0
+
+
+def _phi_args(monkeypatch, pres, pair, window=None):
+    """The arguments verify_roundtrip passes to the phi check."""
+    seen = []
+    real = rec._phi_failure
+
+    def spy(*args):
+        seen.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(rec, "_phi_failure", spy)
+    assert rec.verify_roundtrip(pres, pair, window).iso
+    monkeypatch.undo()
+    (args,) = seen
+    return args
+
+
+def _full_phi(rep, phi):
+    """phi on every slot: its stored entries, and from rep.lo on x, y and
+    v_i acting on the basis rows, one ``bracket_vec`` per entry."""
+    an = rep.analysis
+    args = {0: (1, (1, 0, 0, 0)), 1: (1, (0, 0, 1, 0))}
+    full = {}
+    for i, m in phi.items():
+        d, t = args.get(i, (i, (1, 0)))
+        full[i] = dict(m)
+        for s in range(rep.lo, rep.window - d + 1):
+            full[i][s] = _e_of(an, s + d, sf.bracket_vec(an.pres, s, an.basis(s)[0], d, t))
+    return full
+
+
+def _assert_matches_oracles(monkeypatch, pres, pair, window, rep):
+    """Every check of a round trip against its oracles, on a valid rep."""
+    images = _full_images(rep)
+    assert images == oracle_table_images(rep.analysis, rep.k)
+    assert images == oracle_rho_images(rep.analysis, rep.k)
+    checks = (rec._check_rep, oracle_check_rep_generators, oracle_check_rep, oracle_generation_check)
+    assert [_outcome(fn, rep) for fn in checks] == [("ok", None)] * 4
+    recon = rec.assemble_N(rep)
+    assert (recon.dims, recon.presentation) == oracle_extract(rep)
+    st, rep, usable, phi = _phi_args(monkeypatch, pres, pair, window)
+    full = _full_phi(rep, phi)
+    assert rec._phi_failure(st, rep, usable, phi) is None
+    assert oracle_phi_generators(st, rep, usable, full) is None
+    assert oracle_phi_failure(st, rep, usable, full) is None
 
 
 @pytest.mark.parametrize(
@@ -854,43 +1135,54 @@ def test_check_rep_matches_all_pairs(request, f9, thin_pair_f9, which):
     [
         ("metabelian9_14", "rho_prime", (14, 10)),
         ("metabelian25_14", "rho_prime", (14, 10)),
+        ("metabelian9_40", "rho_prime", (40, 27)),
+        ("metabelian25_40", "rho_prime", (40, 21)),
         ("dev9_14", "rho", (14, 12)),
         ("dev25_14", "rho", (14, 12)),
     ],
-    ids=["metabelian9_14", "metabelian25_14", "dev9_14", "dev25_14"],
+    ids=["metabelian9_14", "metabelian25_14", "metabelian9_40", "metabelian25_40", "dev9_14", "dev25_14"],
 )
-def test_images_and_generation_match_oracles(request, thin_pair_f9, which, branch, windows):
-    """The table images equal the per-entry ones on both branches, and the
-    [N_d, N_1] = N_{d+1} check that assemble_N dropped passes."""
+def test_images_and_generation_match_oracles(request, monkeypatch, thin_pair_f9, which, branch, windows):
+    """On both branches the images equal the per-entry and the full-table
+    ones, ``_check_rep``, ``assemble_N`` and ``_phi_failure`` agree with
+    their oracles on every slot, and the [N_d, N_1] = N_{d+1} check that
+    assemble_N does not make passes."""
     pres = _presentation(request, which)
     for window in windows:
         rep = _rep(pres, thin_pair_f9, window)
         assert rep.branch == branch
-        assert rep.images == oracle_rho_images(rep.analysis, rep.k)
-        oracle_generation_check(rep)
+        _assert_matches_oracles(monkeypatch, pres, thin_pair_f9, window, rep)
 
 
-@pytest.mark.parametrize("found", ["search4_12", "search25_12"])
-def test_images_match_oracle_with_scaled_rows(request, found):
-    """The same on searched presentations, with X = x + y, Y = mu*x + 2mu*y:
-    det(X, Y) = mu, so the basis row of T_2 is mu*v_2, not v_2.  The rho
-    branch with k = 3 reads that row in slot 2 and as the argument t."""
+@pytest.mark.parametrize("found", ["search4_12", "search9_12", "search25_12"])
+def test_images_match_oracle_with_scaled_rows(request, monkeypatch, thin_pair_f9, found):
+    """The same on the thin pairs of searched presentations, among
+    X = x + y, Y = mu*x + (mu + 1)*y and X = x + y, Y = mu*x + 2mu*y.  The
+    second has det(X, Y) = mu, so the basis row of T_2 is mu*v_2, not v_2;
+    the rho branch with k = 3 reads that row in slot 2 and as the argument
+    t."""
     pres_list = request.getfixturevalue(found)
     F = pres_list[0].field
-    pair = sf.GeneratorPair((F.one, F.one), (F.mu, F.coerce((0, 2))))
+    scaled = sf.GeneratorPair((F.one, F.one), (F.mu, F.coerce((0, 2))))
     reps = []
-    for pres in pres_list:
-        try:
-            reps.append(_rep(pres, pair))
-        except ThinLieError:
-            continue
-        if len(reps) == 8:
-            break
-    assert {"rho", "rho_prime"} == {rep.branch for rep in reps}
-    assert any(rep.slots_min == 2 and rep.analysis.basis(2) == ((0, 1),) for rep in reps)
-    for rep in reps:
-        assert rep.images == oracle_rho_images(rep.analysis, rep.k)
-        oracle_generation_check(rep)
+    for pair in (thin_pair_f9, scaled):
+        count = 0
+        for pres in pres_list:
+            try:
+                rep = _rep(pres, pair)
+            except ThinLieError:
+                continue
+            reps.append((pres, pair, rep))
+            count += 1
+            if count == 6:
+                break
+    assert {"rho", "rho_prime"} == {rep.branch for _, _, rep in reps}
+    # over GF(9) no rep found here is a k = 3 rho with that row
+    assert (found != "search9_12") == any(
+        rep.slots_min == 2 and rep.analysis.basis(2) == ((0, 1),) for _, _, rep in reps
+    )
+    for pres, pair, rep in reps:
+        _assert_matches_oracles(monkeypatch, pres, pair, pres.class_n, rep)
 
 
 def oracle_detect_structure(analysis, window=None):
@@ -943,45 +1235,45 @@ def test_detect_structure_matches_tail_scans(search4_12, search9_12, thin_pair_f
 # -- the round-trip phi map ----------------------------------------------------
 
 
-def _phi_args(monkeypatch, pres, pair):
-    """The arguments verify_roundtrip passes to the phi check."""
-    seen = []
-    real = rec._phi_failure
-
-    def spy(*args):
-        seen.append(args)
-        return real(*args)
-
-    monkeypatch.setattr(rec, "_phi_failure", spy)
-    assert rec.verify_roundtrip(pres, pair).iso
-    monkeypatch.undo()
-    (args,) = seen
-    return args
-
-
-@pytest.mark.parametrize("which", ["dev9_14", "metabelian9_14"])
-def test_phi_check_matches_all_pairs(request, monkeypatch, f9, thin_pair_f9, which):
-    pres = (
-        mc.make_metabelian(f9, 14) if which == "metabelian9_14"
-        else request.getfixturevalue(which)
-    )
+@pytest.mark.parametrize("which", ["dev9_14", "metabelian9_14", "metabelian25_14"])
+def test_phi_check_matches_all_pairs(request, monkeypatch, thin_pair_f9, which):
+    """``_phi_failure`` against the generator-pair and the all-pairs
+    oracles, which compare every slot, on 300 phi maps whose stored entries
+    are changed (one entry, a whole map scaled, or phi(y) changed with
+    every pair with x kept equal).  On rho nothing is stored, so nothing is
+    changed."""
+    pres = _presentation(request, which)
+    F = pres.field
     st, rep, usable, phi = _phi_args(monkeypatch, pres, thin_pair_f9)
+    full = _full_phi(rep, phi)
     assert rec._phi_failure(st, rep, usable, phi) is None
-    assert oracle_phi_failure(st, rep, usable, phi) is None
+    assert oracle_phi_generators(st, rep, usable, full) is None
+    assert oracle_phi_failure(st, rep, usable, full) is None
+    if rep.branch == "rho":
+        assert not any(phi.values())
+        return
     rng = random.Random(f"phi-{which}")
     failures = 0
-    for _ in range(300):
-        wrong = {idx: dict(m) for idx, m in phi.items()}
-        idx = rng.choice(sorted(wrong))
-        if rng.random() < 0.5:
-            s = rng.choice(sorted(wrong[idx]))
-            wrong[idx][s] = f9.add(wrong[idx][s], _random_nonzero(f9, rng))
+    units = ((F.one, F.zero), (F.zero, F.one))
+    second_failures = 0
+    for n in range(300):
+        mode = n % 3
+        if mode == 0:
+            wrong = _second_generator_only(F, rng, rep, units, phi)
+        elif mode == 1:
+            wrong = _corrupt(F, rng, phi)
         else:
-            wrong[idx] = rec._map_scale(f9, _random_nonzero(f9, rng), wrong[idx])
+            wrong = dict(phi)
+            idx = rng.choice(sorted(wrong))
+            wrong[idx] = _map_scale(F, _random_nonzero(F, rng), wrong[idx])
         got = rec._phi_failure(st, rep, usable, wrong)
-        assert got == oracle_phi_failure(st, rep, usable, wrong)
+        full = _full_phi(rep, wrong)
+        assert got == oracle_phi_generators(st, rep, usable, full)
+        assert got == oracle_phi_failure(st, rep, usable, full)
         failures += got is not None
+        second_failures += mode == 0 and got is not None
     assert failures > 0
+    assert second_failures > 0
 
 
 # -- iso_search ----------------------------------------------------------------
@@ -1506,6 +1798,8 @@ _METABELIAN = {
     "metabelian25_10": (5, 0, 2, 10),
     "metabelian9_14": (3, 0, 2, 14),
     "metabelian25_14": (5, 0, 2, 14),
+    "metabelian9_40": (3, 0, 2, 40),
+    "metabelian25_40": (5, 0, 2, 40),
 }
 
 

@@ -1,6 +1,7 @@
 """Presentations, the Jacobi validator, centralizers, and the search oracle."""
 
 import random
+import sys
 
 import pytest
 
@@ -14,7 +15,7 @@ from thinlie.errors import (
     WindowTooLarge,
     ZeroPair,
 )
-from thinlie.gf import Matrix, make_ext_field, rref
+from thinlie.gf import ExtField, Matrix, make_ext_field, rref
 
 # F-coordinate vectors (``subfield`` conventions): degree 1 in F^4 over
 # (x, mu*x, y, mu*y), higher degrees in F^2 over (v_i, mu*v_i)
@@ -283,6 +284,21 @@ class TestSearch:
         monkeypatch.setattr(mc._Structure, "extend", spy)
         assert len(mc.search_sequences(f9, 12, 10**9)) == 100
         assert pushed and set(pushed) == {mc.ex_point(f9), mc.ey_point(f9)}
+
+    def test_pushes_invert_nothing(self, monkeypatch, f9, search9_12):
+        """Every pair the search pushes is (1 : t) or (0 : 1), so ``extend``
+        takes c = 1 as its own inverse; the list and its order are those of
+        the search without the spy."""
+        callers = []
+        inv = ExtField.inv
+
+        def spy(field, a):
+            callers.append(sys._getframe(1).f_code.co_name)
+            return inv(field, a)
+
+        monkeypatch.setattr(ExtField, "inv", spy)
+        assert mc.search_sequences(f9, 12, 10**9) == search9_12
+        assert "extend" not in callers
 
     def test_window_cap(self, f9):
         with pytest.raises(WindowTooLarge):

@@ -31,6 +31,27 @@ def _three_elements(monkeypatch):
     monkeypatch.setattr(ExtField, "elements", capped)
 
 
+def centralizers_match(pres, pair, window=None):
+    """N's extracted presentation and M's quotient at the usable window have
+    the same two-step centralizer sequence in standard form, as the slot
+    lemma implies: N's presentation is a base change of M's, and the
+    sequence in standard form is an isomorphism invariant."""
+    window = pres.class_n if window is None else window
+    an = sf.generate_subalgebra(pres, pair, window)
+    ring = endo.compute_grend0(an, 3, window)
+    fid = endo.identify_field(ring)
+    flags = rec.detect_structure(an, window)
+    if flags.metabelian:
+        rep = rec.build_rho_prime(an, ring, fid)
+    else:
+        rep = rec.build_rho(an, ring, fid, flags)
+    recon = rec.assemble_N(rep)
+    seq_n = mc.two_step_centralizers(mc.standard_generators(recon.presentation).presentation)
+    quotient = mc.quotient(pres, recon.usable_window)
+    seq_m = mc.two_step_centralizers(mc.standard_generators(quotient).presentation)
+    return seq_n.points == seq_m.points
+
+
 @pytest.fixture(scope="module")
 def met_setup(f9, thin_pair_f9):
     m = mc.make_metabelian(f9, 14)
@@ -92,9 +113,12 @@ class TestBuildRho:
         _, an, ring, fid = dev_setup
         flags = rec.detect_structure(an)
         rep = rec.build_rho(an, ring, fid, flags)
-        for (d, _), m in rep.images.items():
-            for src in m:
-                assert src + d <= rep.window
+        # every slot is a table slot on rho, so nothing is stored
+        assert rep.lo == rep.slots_min and not any(rep.images.values())
+        for d in range(1, rep.window - rep.slots_min + 1):
+            for r in range(an.dim(d)):
+                for src in rep.image(d, r):
+                    assert src + d <= rep.window
 
     def test_wrong_branch_rejected(self, met_setup):
         _, an, ring, fid = met_setup
@@ -109,6 +133,10 @@ class TestBuildRhoPrime:
         rep = rec.build_rho_prime(an, ring, fid)
         assert rep.branch == "rho_prime"
         assert rep.slots_min == 1
+        # only the two extension slots are stored, and only where the map reaches
+        assert set(rep.images) == set(range(rep.window))
+        for i, m in rep.images.items():
+            assert set(m) == {s for s in (1, 2) if s + max(i, 1) <= rep.window}
 
     def test_x_and_y_slot_entries(self, met_setup, f9):
         _, an, ring, fid = met_setup
@@ -174,21 +202,16 @@ class TestAssemble:
             e1, e2 = rng.choice(elems), rng.choice(elems)
             m1 = rep.image(d1, r1)
             m2 = rep.image(d2, r2)
-            lhs = rec._commutator(
-                f9,
-                rep.slots_min,
-                rep.window,
-                rec._map_scale(f9, e1, m1),
-                d1,
-                rec._map_scale(f9, e2, m2),
-                d2,
-            )
-            rhs = rec._map_scale(
-                f9,
-                f9.mul(e1, e2),
-                rec._commutator(f9, rep.slots_min, rep.window, m1, d1, m2, d2),
-            )
-            assert lhs == rhs
+            slots = range(rep.slots_min, rep.window - d1 - d2 + 1)
+
+            def scale(e, m):
+                return {s: f9.mul(e, c) for s, c in m.items()}
+
+            def commutator(a, b):
+                return rec._commutator(f9, slots, a.__getitem__, d1, b.__getitem__, d2)
+
+            lhs = commutator(scale(e1, m1), scale(e2, m2))
+            assert lhs == scale(f9.mul(e1, e2), commutator(m1, m2))
 
 
 class TestRoundtrip:
@@ -197,38 +220,51 @@ class TestRoundtrip:
         report = rec.verify_roundtrip(m, thin_pair_f9, 14)
         assert report.branch == "rho_prime"
         assert report.iso and report.first_failure is None
-        assert report.centralizers_match
+        assert centralizers_match(m, thin_pair_f9, 14)
 
     def test_deviating(self, dev9_14, thin_pair_f9):
         report = rec.verify_roundtrip(dev9_14, thin_pair_f9, 14)
         assert report.branch == "rho"
-        assert report.iso and report.centralizers_match
+        assert report.iso and centralizers_match(dev9_14, thin_pair_f9, 14)
 
     @pytest.mark.parametrize("which", ["metabelian9_14", "dev9_14"])
     def test_validates_only_the_extraction(self, request, monkeypatch, f9, thin_pair_f9, which):
-        """After the loader's check, the only Jacobi checks a round trip runs
-        are the extracted presentation's: the quotient and the standard
-        forms reuse tables already proved."""
+        """After the loader's check, a round trip runs no Jacobi check: the
+        quotient and the extracted presentation, a base change of it, reuse
+        the table already proved."""
         src = mc.make_metabelian(f9, 14) if which == "metabelian9_14" else request.getfixturevalue(which)
         pres = mc.MaxClassPresentation(f9, src.class_n, src.adjoint)
         assert mc.validate(pres).ok
-        checked, built = [], []
-        check_new, assemble_N = mc._Structure.check_new, rec.assemble_N
+        checked = []
+        check_new = mc._Structure.check_new
 
         def spy_check(st):
             checked.append(st)
             return check_new(st)
 
-        def spy_assemble(rep):
-            built.append(assemble_N(rep))
-            return built[-1]
-
         monkeypatch.setattr(mc._Structure, "check_new", spy_check)
-        monkeypatch.setattr(rec, "assemble_N", spy_assemble)
-        assert rec.verify_roundtrip(pres, thin_pair_f9).centralizers_match
-        (recon,) = built
-        assert all(st is recon.presentation._structure for st in checked)
-        assert len(checked) == recon.usable_window - 2
+        assert rec.verify_roundtrip(pres, thin_pair_f9).iso
+        assert checked == []
+        monkeypatch.undo()
+        assert centralizers_match(pres, thin_pair_f9)
+
+    @pytest.mark.parametrize("class_n", [40, 80])
+    def test_commutators_linear_in_window(self, monkeypatch, f9, thin_pair_f9, class_n):
+        """A metabelian round trip computes O(1) commutators per degree of
+        the window, at most 4, each on the two slots below lo (the slot
+        lemma); the table proves the other slots."""
+        pres = mc.make_metabelian(f9, class_n)
+        calls = []
+        commutator = rec._commutator
+
+        def spy(field, slots, *args):
+            calls.append(len(slots))
+            return commutator(field, slots, *args)
+
+        monkeypatch.setattr(rec, "_commutator", spy)
+        assert rec.verify_roundtrip(pres, thin_pair_f9).iso
+        assert class_n < len(calls) <= 4 * class_n
+        assert max(calls) == 2
 
     def test_maximal_pair_refused(self, f9, maximal_pair):
         m = mc.make_metabelian(f9, 14)
