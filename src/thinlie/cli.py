@@ -70,9 +70,25 @@ def _load(path: str, check: bool = True) -> mc.MaxClassPresentation:
 
 
 def _save(path: str, pres: mc.MaxClassPresentation) -> None:
+    """Write ``pres`` in one call, as ``json.dump(mc.to_json(pres), fh,
+    indent=2)`` and a newline would: the schema is fixed and every value an
+    integer, so the text is a template.  With ``indent`` ``json.dump`` runs
+    the pure-Python encoder and writes once per token."""
+    doc = mc.to_json(pres)
+    v, u = doc["ext_min_poly"]
+    pair = (
+        "    [\n"
+        "      [\n        {},\n        {}\n      ],\n"
+        "      [\n        {},\n        {}\n      ]\n"
+        "    ]"
+    )
+    adjoint = ",\n".join(pair.format(*a, *b) for a, b in doc["adjoint"])
+    text = (
+        f'{{\n  "p": {doc["p"]},\n  "ext_min_poly": [\n    {v},\n    {u}\n  ],\n'
+        f'  "class": {doc["class"]},\n  "adjoint": [\n{adjoint}\n  ]\n}}\n'
+    )
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(mc.to_json(pres), fh, indent=2)
-        fh.write("\n")
+        fh.write(text)
 
 
 def _parse_ext(text: str) -> tuple:

@@ -266,16 +266,18 @@ class _Structure:
 
     # -- checks ---------------------------------------------------------------
 
-    def open_triples(self) -> List[Tuple[int, int, int, int]]:
+    def open_triples(self, top: Optional[int] = None) -> List[Tuple[int, int, int, int]]:
         """The triples of ``new_triples(top)`` the table does not prove, in order.
 
         Each entry is (n, u, w, g) with n the 1-based position of (u, w, g)
         in ``new_triples(top)``.  By the chain lemma (``new_triples``) they
         are (v_2, x, y) at top = 4 only, then per 2 <= i < j = top - 1 - i
         both generators if j = i + 1, else the generator that is not the
-        chain generator of degree i.
+        chain generator of degree i.  That reads the chain steps of degrees
+        below top / 2 only, so ``top`` may be one above the table's
+        (``linear_forms``); it defaults to the table's.
         """
-        top = self.top
+        top = self.top if top is None else top
         out = [(1, 2, 0, 1)] if top == 4 else []
         b, step = self.b, self.step
         for i in range(2, top // 2):
@@ -305,17 +307,66 @@ class _Structure:
                 return (label(max(u, w)), label(min(u, w)), label(g)), n
         return None, len(new_triples(self.top))
 
-    def jacobi_forms(self) -> List[EElem]:
-        """The Jacobi coefficients of the open triples, in ``open_triples`` order.
+    def linear_forms(self) -> Columns:
+        """The forms of a push at degree d = top at (1, 0) and (0, 1), in one pass.
 
-        These are all the coefficients that can be nonzero: the triples of
-        ``new_triples(top)`` proved by the chain lemma are left out, not
-        padded with zeros.  ``check_new`` stops at the first nonzero one;
-        the search needs them all, so this loop does not stop
-        (``search_sequences``).
+        With the pairs of degrees < d fixed, every cell of total degree d+1
+        that ``extend(d, (a_d, b_d))`` would derive, and every Jacobi
+        coefficient of an open triple at top d+1, is alpha*a_d + beta*b_d
+        (linearity lemma, ``search_sequences``).  This derives each such
+        cell as its pair (alpha, beta) by ``extend``'s recurrence, where
+        g_d is the pair (1, 0) or (0, 1), then evaluates ``jacobi``'s
+        closed forms on those pairs, over ``open_triples(d + 1)``.  Returns
+        the column of alphas and the column of betas, which are the forms
+        after pushing (1, 0) and after pushing (0, 1).  Nothing is written
+        into the table.
         """
-        jacobi = self.jacobi
-        return [jacobi(u, w, g) for _, u, w, g in self.open_triples()]
+        F = self.field
+        mul, add, sub, neg, one = F.mul, F.add, F.sub, F.neg, F.one
+        a, b, vv, step = self.a, self.b, self.vv, self.step
+        d = self.top
+        total = d + 1
+        # cell[i] = (alpha, beta) of [v_i, v_{total-i}]
+        cell: Dict[int, Tuple[EElem, EElem]] = {}
+        for i in range(2, (total + 1) // 2):
+            j = total - i
+            if i == 2:
+                # a_{d-1}*b_d - b_{d-1}*a_d
+                cell[2] = (neg(b[j]), a[j])
+                continue
+            c_inv, g = step[i - 1]
+            # c^{-1}([v_{i-1}, v_j]*g_d - g_j*[v_{i-1}, v_{j+1}])
+            s, gj, (pa, pb) = vv[(i - 1, j)], g[j], cell[i - 1]
+            alpha, beta = mul(gj, pa), mul(gj, pb)
+            if g is a:
+                alpha, beta = sub(s, alpha), neg(beta)
+            else:
+                alpha, beta = neg(alpha), sub(s, beta)
+            if c_inv != one:
+                alpha, beta = mul(c_inv, alpha), mul(c_inv, beta)
+            cell[i] = (alpha, beta)
+        at_x: List[EElem] = []
+        at_y: List[EElem] = []
+        for _, u, w, g in self.open_triples(total):
+            if w == 0:
+                # J(v_2, x, y) = a_2*b_3 - b_2*a_3 at top 4
+                alpha, beta = neg(b[2]), a[2]
+            else:
+                # [v_u, v_w]*g_d - g_w*[v_u, v_{w+1}] - g_u*[v_{u+1}, v_w]
+                gk = a if g == 0 else b
+                gw, gu, (pa, pb) = gk[w], gk[u], cell[u]
+                alpha, beta = mul(gw, pa), mul(gw, pb)
+                if u + 1 < w:
+                    qa, qb = cell[u + 1]
+                    alpha, beta = add(alpha, mul(gu, qa)), add(beta, mul(gu, qb))
+                s = vv[(u, w)]
+                if g == 0:
+                    alpha, beta = sub(s, alpha), neg(beta)
+                else:
+                    alpha, beta = neg(alpha), sub(s, beta)
+            at_x.append(alpha)
+            at_y.append(beta)
+        return at_x, at_y
 
 
 @lru_cache(maxsize=None)
@@ -655,7 +706,7 @@ def search_sequences(
 
     Each node solves for its admissible pairs instead of trying all of
     P^1(E).  Its forms are the Jacobi coefficients of the open triples
-    only (``_Structure.jacobi_forms``); the others are zero by the chain
+    only (``_Structure.open_triples``); the others are zero by the chain
     lemma (``new_triples``).  Which triples are open at top d+1 or d+2
     depends on the chain steps of degrees below (d+2)/2 only, so it is
     fixed by the prefix and every pair of the node has its forms on the
@@ -666,8 +717,11 @@ def search_sequences(
     or in a cell of the same total degree derived before it, and its
     scalar c^{-1} and every cell of lower total degree are fixed by the
     prefix; each term of a Jacobi coefficient multiplies one such fixed
-    scalar by one such linear entry.  So the forms are evaluated at (1, 0)
-    and at (0, 1) (the node's columns), and the admissible pairs are the
+    scalar by one such linear entry.  The lemma drives the pass itself:
+    ``_Structure.linear_forms`` derives each new cell as its pair of
+    coefficients (alpha, beta) in (a_d, b_d) and evaluates the forms on
+    those pairs, so one pass that pushes nothing gives the forms at (1, 0)
+    and at (0, 1) (the node's columns).  The admissible pairs are the
     projective kernel of that k x 2 matrix: empty, one point, or all of
     P^1(E) (a free node).
 
@@ -688,14 +742,15 @@ def search_sequences(
     d+2; or it has total degree d+1 (a pair entry of degree d or a cell of
     total degree d+1, linear in P_d) and the outer one is a pair entry of
     degree d+1, linear in P_{d+1}.  Both products are bilinear.
-    So at a free node the search pushes only (1 : 0) and (0 : 1) to read
-    their next-degree columns A and B; child (1 : t) has columns A + t*B,
-    and only the children that can have a next pair are visited
-    (``free_children``), each with its columns, which it does not
-    recompute.  A free node whose children are leaves visits all of them.
+    So at a free node the search pushes only (1 : 0) and (0 : 1) and reads
+    their next-degree columns A and B (``linear_forms`` again); child
+    (1 : t) has columns A + t*B, and only the children that can have a
+    next pair are visited (``free_children``), each with its columns,
+    which it does not recompute.  A free node whose children are leaves
+    visits all of them.
     E is enumerated only lazily, when every child of a free node is a
-    candidate or a leaf, so ``limit`` bounds the work at any q.  A leaf
-    (a pair of degree class_n - 1) is not pushed: it is appended from the
+    candidate or a leaf, so ``limit`` bounds the work at any q.  Nothing
+    is pushed at the last degree class_n - 1: a leaf is appended from the
     stack, which is all it reads.
 
     Children are visited in the order (1 : t) by ``F.key`` of t, then
@@ -717,18 +772,9 @@ def search_sequences(
     st = _Structure(field, class_n)
     out: List[MaxClassPresentation] = []
 
-    def forms_at(d: int, pair: Pair) -> List[EElem]:
-        added = st.extend(d, pair)
-        forms = st.jacobi_forms()
-        st.retract(d, added)
-        return forms
-
-    def columns(d: int) -> Columns:
-        return forms_at(d, ex_point(F)), forms_at(d, ey_point(F))
-
     def next_columns(d: int, pair: Pair) -> Columns:
         added = st.extend(d, pair)
-        cols = columns(d + 1)
+        cols = st.linear_forms()
         st.retract(d, added)
         return cols
 
@@ -742,7 +788,7 @@ def search_sequences(
         return free_children(F, next_columns(d, ex_point(F)), next_columns(d, ey_point(F)))
 
     def dfs(d: int, stack: Tuple[Pair, ...], cols: Optional[Columns]) -> None:
-        for pair, child_cols in children(d, columns(d) if cols is None else cols):
+        for pair, child_cols in children(d, st.linear_forms() if cols is None else cols):
             if len(out) >= limit:
                 return
             if d + 1 == class_n:

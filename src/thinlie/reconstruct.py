@@ -345,7 +345,12 @@ def build_rho(
     return rep
 
 
-def build_rho_prime(analysis: SubalgebraAnalysis, ring: EndoRing, field_id: FieldId) -> RhoRep:
+def build_rho_prime(
+    analysis: SubalgebraAnalysis,
+    ring: EndoRing,
+    field_id: FieldId,
+    flags: StructureFlags,
+) -> RhoRep:
     """The modified representation for metabelian T, on E + E + T^3.
 
     The two extension slots stand for the lines of Y and of [Y, X]; a
@@ -355,14 +360,15 @@ def build_rho_prime(analysis: SubalgebraAnalysis, ring: EndoRing, field_id: Fiel
     their entries are read off the table: [[Y, X], g] = c*phi_2(g)*v_3 for
     g in T_1, and for v_d [Y, v_d] = -phi_d(Y)*v_{d+1} and
     [[Y, X], v_d] = c*c_d*v_{d+2}, each against the row eps_s*v_s of its
-    target slot.
+    target slot.  ``flags`` are ``detect_structure``'s for the analysis'
+    window; NotMetabelian unless they say metabelian.
     """
     an = analysis
     F = an.field
     pres = an.pres
     window = an.window
     st = tables(pres)
-    if _top_bracket(st, window) >= 2:
+    if not flags.metabelian:
         raise NotMetabelian("T has a nonzero bracket in T^2 within the window")
     if field_id.dim != 2:
         raise PreconditionFailed("construction needs a quadratic endomorphism field")
@@ -404,6 +410,17 @@ class ReconstructedAlgebra:
     presentation: MaxClassPresentation  # extracted, class = usable_window
 
 
+def usable_window(rep: RhoRep) -> int:
+    """The class bound minus k + 1: the degrees where N is read off rho.
+
+    Raises WindowTooSmall below the minimum class 4.
+    """
+    usable = rep.window - rep.k - 1
+    if usable < 4:
+        raise WindowTooSmall(f"usable window {usable} is below the minimum class 4")
+    return usable
+
+
 def assemble_N(rep: RhoRep) -> ReconstructedAlgebra:
     """Assemble N = E*rho(T), read its dimension pattern, extract a presentation.
 
@@ -440,9 +457,7 @@ def assemble_N(rep: RhoRep) -> ReconstructedAlgebra:
     and ``oracle_generation_check``.
     """
     an = rep.analysis
-    usable = rep.window - rep.k - 1
-    if usable < 4:
-        raise WindowTooSmall(f"usable window {usable} is below the minimum class 4")
+    usable = usable_window(rep)
     r1, r2 = _rows(an)
     return ReconstructedAlgebra(
         rep=rep,
@@ -502,10 +517,10 @@ def verify_roundtrip(
         raise PreconditionFailed("endomorphism field has degree 1, cannot rebuild")
     flags = detect_structure(analysis, window)
     if flags.metabelian:
-        rep = build_rho_prime(analysis, ring, field_id)
+        rep = build_rho_prime(analysis, ring, field_id, flags)
     else:
         rep = build_rho(analysis, ring, field_id, flags)
-    usable = assemble_N(rep).usable_window
+    usable = usable_window(rep)
     F = pres.field
 
     # phi on degree 1: x and y as extension combinations of the rows r1, r2

@@ -2,6 +2,7 @@
 
 import json
 import os
+import random
 import re
 import shlex
 import subprocess
@@ -101,6 +102,43 @@ class TestBuild:
         )
         assert (code, out, err) == (2, "", "error: No space left on device\n")
         assert sorted(p.name for p in tmp_path.iterdir()) == ["s_000.json", "s_001.json"]
+
+
+def _dumped(pres) -> bytes:
+    """The bytes ``json.dump`` writes for an algebra file, and a newline."""
+    return (json.dumps(mc.to_json(pres), indent=2) + "\n").encode("utf-8")
+
+
+class TestWriter:
+    """``_save`` writes a fixed template; its bytes are those of the
+    ``json`` encoder with ``indent=2``."""
+
+    @pytest.mark.parametrize(
+        "p, u, v, class_n",
+        [(2, 1, 1, 16), (3, 0, 2, 16), (5, 0, 2, 14), (7, 0, 3, 10)],
+        ids=["4_16", "9_16", "25_14", "49_10"],
+    )
+    def test_search_files_match_json(self, tmp_path, p, u, v, class_n):
+        found = mc.search_sequences(make_ext_field(p, u, v), class_n, 10**9)
+        for idx, pres in enumerate(found):
+            path = tmp_path / f"s_{idx:03d}.json"
+            cli._save(str(path), pres)
+            assert path.read_bytes() == _dumped(pres), idx
+
+    def test_large_residues_match_json(self, tmp_path):
+        """Several-digit residues at p = 1000003 with nonzero u and v: the
+        metabelian file, and unvalidated pairs with random entries."""
+        F = make_ext_field(1000003, 271828, 314159)
+        rng = random.Random("writer")
+        elems = [(rng.randrange(F.p), rng.randrange(F.p)) for _ in range(40)] + [F.zero, F.one]
+        cases = [mc.make_metabelian(F, 12)] + [
+            mc.MaxClassPresentation(F, n, tuple((rng.choice(elems), rng.choice(elems)) for _ in range(n - 2)))
+            for n in (4, 5, 9)
+        ]
+        for idx, pres in enumerate(cases):
+            path = tmp_path / f"big_{idx}.json"
+            cli._save(str(path), pres)
+            assert path.read_bytes() == _dumped(pres), idx
 
 
 class TestCheck:

@@ -6,8 +6,9 @@ bytes recorded in ``tests/golden/``, so a refactor that changes a report
 is caught.  The commands are every README example, ``build search`` over
 GF(9) at class 12 with its default limit and over GF(49) at class 8 with
 limit 7, ``roundtrip`` of the README file at window 10 (so the usable
-window is below the window and the window below the class), ``check`` on
-two invalid
+window is below the window and the window below the class), ``build metabelian``
+at p = 1000003 (residues of several digits in the written file),
+``check`` on two invalid
 files (one per label shape of ``first_failure``), and ``check`` and
 ``roundtrip`` on a presentation whose pairs are not canonical (every a_i
 is 0 or mu, not 0 or 1) and ``check`` on a copy of it that fails at a y
@@ -42,6 +43,8 @@ PAIR = ["--X", "1,0,1,0", "--Y", "0,1,1,1"]
 # (name, argv, exit code); earlier cases write the files later ones read
 CASES = [
     ("build-metabelian", ["build", "metabelian", "--p", "3", "--ext", "2,0", "--class", "40", "-o", "m.json"], 0),
+    # residues of several digits: mu^2 = 271828*mu + 314159 over GF(1000003)
+    ("build-metabelian-bigp", ["build", "metabelian", "--p", "1000003", "--ext", "314159,271828", "--class", "6", "-o", "bigp.json"], 0),
     ("build-search-limit5", ["build", "search", "--p", "3", "--ext", "2,0", "--class", "12", "--limit", "5", "-o", "found"], 0),
     ("build-search", ["build", "search", "--p", "3", "--ext", "2,0", "--class", "12"], 0),
     # GF(49), where most nodes of the search are free

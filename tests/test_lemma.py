@@ -14,18 +14,21 @@ brackets with a generator off ``_Structure.phi``, and ``_Structure.extend``
 decides the chain (c^{-1} and g with v_{d+1} = c^{-1}*[v_d, g]) once per
 pushed degree.  The generic bracket of basis ids, the three-term Jacobi
 sum over it, the per-cell choice of c^{-1} and the scale-by-scale
-isomorphism certification are kept here as oracles.  ``check_new`` and
-``jacobi_forms`` evaluate only the triples the chain lemma does not prove
+isomorphism certification are kept here as oracles.  ``check_new``
+evaluates only the triples the chain lemma does not prove
 (``new_triples``); the full list of closed forms is kept here as the
 oracle ``oracle_jacobi_forms``, and the lemma itself is checked by the
 generic bracket.
 
 ``search_sequences`` solves for the admissible pairs of each degree (the
 projective kernel of its Jacobi forms) instead of trying every point of
-P^1(E), and at a free node derives its children's next-degree forms by
-the bilinearity lemma (its docstring) instead of pushing every child.
-The trial-push search and the one-level search (which pushes every child
-of a free node) it replaced are kept here as oracles.
+P^1(E), reads a node's forms at (1, 0) and (0, 1) in one pass that
+pushes nothing (``_Structure.linear_forms``, by the linearity lemma), and
+at a free node derives its children's next-degree forms by the
+bilinearity lemma (its docstring) instead of pushing every child.  The
+trial-push search, the one-level search (which pushes every child of a
+free node) and the probe pushes at (1, 0) and (0, 1) (``_columns`` over
+``jacobi_forms``) it replaced are kept here as oracles.
 
 ``iso_search`` solves one linear system for the degree-1 maps that carry
 B's point onto A's at every degree and reads the key-least nonsingular
@@ -160,6 +163,13 @@ def oracle_jacobi_forms(st):
     return [st.jacobi(*t) for t in mc.new_triples(st.top)]
 
 
+def jacobi_forms(st):
+    """The closed-form Jacobi coefficients of the open triples, in
+    ``open_triples`` order: the forms of a pushed pair, read by the probe
+    pushes the search made before ``_Structure.linear_forms``."""
+    return [st.jacobi(u, w, g) for _, u, w, g in st.open_triples()]
+
+
 def oracle_cells(st):
     """The cells [v_i, v_j] of st's pairs, choosing g and inverting c per cell."""
     F = st.field
@@ -260,7 +270,7 @@ def oracle_one_level_search(field, class_n, limit):
 
     def forms_at(d, pair):
         added = st.extend(d, pair)
-        forms = st.jacobi_forms()
+        forms = jacobi_forms(st)
         st.retract(d, added)
         return forms
 
@@ -518,9 +528,9 @@ def test_validate_matches_exhaustive(request, found):
 
 
 def _table_key(st):
-    """Everything a table holds; a chain step by its scalar and branch."""
+    """A copy of everything a table holds; a chain step by its scalar and branch."""
     steps = {d: (c_inv, g is st.a) for d, (c_inv, g) in st.step.items()}
-    return st.class_n, st.top, st.a, st.b, st.vv, steps
+    return st.class_n, st.top, dict(st.a), dict(st.b), dict(st.vv), steps
 
 
 @pytest.mark.parametrize("found", ["search4_12", "search9_12", "search25_12"])
@@ -610,7 +620,7 @@ def test_closed_form_matches_generic_bracket(p, u, v):
         assert oracle_jacobi_forms(st) == forms
         opened = st.open_triples()
         assert [t[1:] for t in opened] == [triples[n - 1] for n, *_ in opened]
-        assert st.jacobi_forms() == [forms[n - 1] for n, *_ in opened]
+        assert jacobi_forms(st) == [forms[n - 1] for n, *_ in opened]
         bad = [n for n, f in enumerate(forms, 1) if not F.is_zero(f)]
         if bad:
             u_, w_, g_ = triples[bad[0] - 1]
@@ -671,7 +681,7 @@ def test_jacobi_forms_linear_in_new_pair(f9):
 
     def forms_at(d, pair):
         added = st.extend(d, pair)
-        forms = st.jacobi_forms()
+        forms = jacobi_forms(st)
         return added, forms
 
     def dfs(d):
@@ -729,7 +739,7 @@ def _columns(st, d):
     out = []
     for pair in (mc.ex_point(st.field), mc.ey_point(st.field)):
         added = st.extend(d, pair)
-        out.append(st.jacobi_forms())
+        out.append(jacobi_forms(st))
         st.retract(d, added)
     return tuple(out)
 
@@ -834,6 +844,72 @@ def test_search_matches_one_level(p, u, v, class_n):
         )
     full = oracle_one_level_search(field, class_n, 10**9)
     assert mc.search_sequences(field, class_n, len(full) + 1) == full
+
+
+def search_nodes(field, class_n):
+    """Every node the search visits, with its probe columns.
+
+    Yields (st, d, cols) with ``st`` holding the node's prefix (top d) and
+    cols = ``_columns(st, d)``; below a node come the pairs of its
+    projective kernel, or at a free node the candidates of
+    ``free_children`` on its children's probe columns.
+    """
+    ex, ey = mc.ex_point(field), mc.ey_point(field)
+    st = mc._Structure(field, class_n)
+
+    def walk(d):
+        cols = _columns(st, d)
+        yield st, d, cols
+        if d + 1 == class_n:
+            return
+        kernel = mc.projective_kernel(field, *cols)
+        if kernel is None:
+            A, B = _next_columns(st, d, ex), _next_columns(st, d, ey)
+            kernel = [pair for pair, _ in mc.free_children(field, A, B)]
+        for pair in kernel:
+            added = st.extend(d, pair)
+            yield from walk(d + 1)
+            st.retract(d, added)
+
+    yield from walk(2)
+
+
+@pytest.mark.parametrize(
+    "p, u, v, class_n, count",
+    [(2, 1, 1, 16, 405), (3, 0, 2, 16, 190), (5, 0, 2, 14, 676), (7, 0, 3, 10, 50)],
+    ids=["4_16", "9_16", "25_14", "49_10"],
+)
+def test_linear_forms_match_probe_pushes(p, u, v, class_n, count):
+    """At every node of the search, ``linear_forms`` equals the forms of the
+    probe pushes at (1, 0) and (0, 1) and writes nothing into the table.
+    The walk ends in as many presentations as the search finds."""
+    F = make_ext_field(p, u, v)
+    nodes = leaves = 0
+    for st, d, cols in search_nodes(F, class_n):
+        before = _table_key(st)
+        assert st.linear_forms() == cols, d
+        assert _table_key(st) == before
+        nodes += 1
+        if d + 1 == class_n:
+            kernel = mc.projective_kernel(F, *cols)
+            leaves += F.order + 1 if kernel is None else len(kernel)
+    assert nodes > 100
+    assert leaves == count == len(mc.search_sequences(F, class_n, 10**9))
+
+
+@RANDOM_TABLE_FIELDS
+def test_linear_forms_match_probe_pushes_on_random_tables(p, u, v):
+    """The same at every push of random tables (``random_pushes``), whose
+    pairs have zero and non-one entries, so chain steps with c != 1 and
+    branches over y are read."""
+    F = make_ext_field(p, u, v)
+    scaled = 0
+    for st in random_pushes(F, f"linear-forms-{p}"):
+        before = _table_key(st)
+        assert st.linear_forms() == _columns(st, st.top)
+        assert _table_key(st) == before
+        scaled += any(c_inv != F.one for c_inv, _ in st.step.values())
+    assert scaled > 1000
 
 
 # -- rho and rho' --------------------------------------------------------------
@@ -1000,7 +1076,7 @@ def _rep(pres, pair, window=None):
     fid = endo.identify_field(ring)
     flags = rec.detect_structure(an)
     if flags.metabelian:
-        return rec.build_rho_prime(an, ring, fid)
+        return rec.build_rho_prime(an, ring, fid, flags)
     return rec.build_rho(an, ring, fid, flags)
 
 

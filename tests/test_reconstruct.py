@@ -42,7 +42,7 @@ def centralizers_match(pres, pair, window=None):
     fid = endo.identify_field(ring)
     flags = rec.detect_structure(an, window)
     if flags.metabelian:
-        rep = rec.build_rho_prime(an, ring, fid)
+        rep = rec.build_rho_prime(an, ring, fid, flags)
     else:
         rep = rec.build_rho(an, ring, fid, flags)
     recon = rec.assemble_N(rep)
@@ -130,7 +130,7 @@ class TestBuildRho:
 class TestBuildRhoPrime:
     def test_checks_pass(self, met_setup):
         _, an, ring, fid = met_setup
-        rep = rec.build_rho_prime(an, ring, fid)
+        rep = rec.build_rho_prime(an, ring, fid, rec.detect_structure(an))
         assert rep.branch == "rho_prime"
         assert rep.slots_min == 1
         # only the two extension slots are stored, and only where the map reaches
@@ -140,7 +140,7 @@ class TestBuildRhoPrime:
 
     def test_x_and_y_slot_entries(self, met_setup, f9):
         _, an, ring, fid = met_setup
-        rep = rec.build_rho_prime(an, ring, fid)
+        rep = rec.build_rho_prime(an, ring, fid, rec.detect_structure(an))
         # decompose X and Y in the stored degree-1 basis rows
         X4 = sf.deg1_to_f4(an.pair.X)
         Y4 = sf.deg1_to_f4(an.pair.Y)
@@ -165,13 +165,13 @@ class TestBuildRhoPrime:
     def test_rejects_non_metabelian(self, dev_setup):
         _, an, ring, fid = dev_setup
         with pytest.raises(NotMetabelian):
-            rec.build_rho_prime(an, ring, fid)
+            rec.build_rho_prime(an, ring, fid, rec.detect_structure(an))
 
 
 class TestAssemble:
     def test_metabelian_dims_and_extraction(self, met_setup, f9):
         m, an, ring, fid = met_setup
-        rep = rec.build_rho_prime(an, ring, fid)
+        rep = rec.build_rho_prime(an, ring, fid, rec.detect_structure(an))
         recon = rec.assemble_N(rep)
         assert recon.usable_window == 14 - 2 - 1
         assert recon.dims[1] == 2
@@ -191,7 +191,7 @@ class TestAssemble:
 
     def test_extension_bilinearity_of_bracket(self, met_setup, f9):
         _, an, ring, fid = met_setup
-        rep = rec.build_rho_prime(an, ring, fid)
+        rep = rec.build_rho_prime(an, ring, fid, rec.detect_structure(an))
         rng = random.Random(31)
         elems = list(f9.elements())
         for _ in range(40):
@@ -247,6 +247,33 @@ class TestRoundtrip:
         assert checked == []
         monkeypatch.undo()
         assert centralizers_match(pres, thin_pair_f9)
+
+    @pytest.mark.parametrize("which", ["metabelian9_14", "dev9_14"])
+    def test_extracts_nothing(self, request, monkeypatch, f9, thin_pair_f9, which):
+        """A round trip reads the usable window off the representation
+        (``usable_window``), so it builds no extracted presentation and no
+        table for one: ``apply_degree1_change`` runs zero times, and the
+        report is the one whose window ``assemble_N`` would give."""
+        pres = mc.make_metabelian(f9, 14) if which == "metabelian9_14" else request.getfixturevalue(which)
+        calls = []
+        change = mc.apply_degree1_change
+
+        def spy(*args):
+            calls.append(args)
+            return change(*args)
+
+        monkeypatch.setattr(mc, "apply_degree1_change", spy)
+        monkeypatch.setattr(rec, "apply_degree1_change", spy)
+        report = rec.verify_roundtrip(pres, thin_pair_f9)
+        assert report.iso and calls == []
+        an = sf.generate_subalgebra(pres, thin_pair_f9, pres.class_n)
+        ring = endo.compute_grend0(an)
+        fid = endo.identify_field(ring)
+        flags = rec.detect_structure(an)
+        build = rec.build_rho_prime if flags.metabelian else rec.build_rho
+        rep = build(an, ring, fid, flags)
+        assert rec.usable_window(rep) == report.usable_window == rec.assemble_N(rep).usable_window
+        assert len(calls) == 1
 
     @pytest.mark.parametrize("class_n", [40, 80])
     def test_commutators_linear_in_window(self, monkeypatch, f9, thin_pair_f9, class_n):
