@@ -4,6 +4,13 @@ Scalars carry no wrapper objects: a prime-field element is an int in
 [0, p) and a quadratic-extension element is a pair ``(c0, c1)`` meaning
 ``c0 + c1*mu`` where ``mu**2 = u*mu + v``.  The field objects own the
 arithmetic, so the matrix routines below run unchanged over either field.
+The one exception is the structure-table kernel of ``maxclass``
+(``_Structure.extend``, ``jacobi`` and ``linear_forms``, and the search's
+``projective_kernel`` and ``free_children``): it expands the product
+(x0 + x1*mu)(y0 + y1*mu) = x0*y0 + v*x1*y1 + (x0*y1 + x1*y0 + u*x1*y1)*mu
+itself and reduces each coordinate of a sum of products once, and
+``projective_kernel`` divides as ``ExtField.inv`` does, by the conjugate
+and the inverse of the norm.
 
 Rows are eliminated in one place, ``RowSpace.insert``: pivots are the
 first nonzero entry in column order, leading entries are normalized to 1,

@@ -82,6 +82,15 @@ class MaxClassPresentation:
         return hash((self.field, self.class_n, self.adjoint))
 
 
+def _of_elements(field: ExtField, class_n: int, adjoint: Tuple[Pair, ...]) -> MaxClassPresentation:
+    """A presentation of pairs that are field elements already, of the right
+    number for ``class_n`` >= 4: built without ``__post_init__``, which
+    would coerce every pair again."""
+    pres = MaxClassPresentation.__new__(MaxClassPresentation)
+    pres.field, pres.class_n, pres.adjoint, pres._structure = field, class_n, adjoint, None
+    return pres
+
+
 @record
 class JacobiReport:
     ok: bool
@@ -169,39 +178,63 @@ class _Structure:
         c = a_d when a_d != 0, else g = y and c = b_d.  That choice is made
         here once and read by the cells of later degrees.  Every pair the
         search pushes is (1 : t) or (0 : 1), so c = 1 needs no inversion.
+        The pair must be field elements (every caller pushes them).
+
+        The table kernel (``extend``, ``jacobi``, ``linear_forms``) expands
+        each product of GF(p^2) in place, with mu^2 = u*mu + v:
+        (x0 + x1*mu)(y0 + y1*mu) = x0*y0 + v*x1*y1 + (x0*y1 + x1*y0 + u*x1*y1)*mu.
+        The sums and differences of such products are taken over the
+        integers and each coordinate of a result is reduced mod p once;
+        Python ints are exact, so the residues are those of the field
+        operations one at a time.
         """
         F = self.field
-        a, b = F.coerce(pair[0]), F.coerce(pair[1])
-        if F.is_zero(a) and F.is_zero(b):
+        zero, one = F.zero, F.one
+        a, b, vv, step = self.a, self.b, self.vv, self.step
+        a_d, b_d = pair
+        if a_d == zero and b_d == zero:
             raise ZeroPair(f"adjoint pair at degree {d} is (0, 0)")
         assert d == self.top, "pairs must be pushed in degree order"
-        self.a[d] = a
-        self.b[d] = b
-        c, g = (a, self.a) if not F.is_zero(a) else (b, self.b)
-        self.step[d] = (c if c == F.one else F.inv(c), g)
-        self.top = d + 1
-        total = self.top
-        vv = self.vv
+        a[d], b[d] = pair
+        c, g = (a_d, a) if a_d != zero else (b_d, b)
+        step[d] = (c if c == one else F.inv(c), g)
+        self.top = total = d + 1
+        p, U, V = F.p, F.u, F.v
         added: List[Tuple[int, int]] = []
         for i in range(2, (total + 1) // 2):
             j = total - i
             if i == 2:
-                # [v_2, v_j] from v_2 = [y, x]:
+                # [v_2, v_j] = a_j*b_{j+1} - b_j*a_{j+1}, from v_2 = [y, x]:
                 # [[y,x],v_j] = -[[x,v_j],y] - [[v_j,y],x]
-                val = F.sub(
-                    F.mul(self.a[j], self.b[j + 1]), F.mul(self.b[j], self.a[j + 1])
-                )
+                x0, x1 = a[j]
+                y0, y1 = b[j + 1]
+                z0, z1 = b[j]
+                w0, w1 = a[j + 1]
+                cross = x1 * y1 - z1 * w1
+                r0 = x0 * y0 - z0 * w0 + V * cross
+                r1 = x0 * y1 + x1 * y0 - z0 * w1 - z1 * w0 + U * cross
             else:
                 # expand v_i = c^{-1} [v_{i-1}, g]:
                 # [v_i, v_j] = c^{-1}( [v_{i-1},v_j]*g_{i+j-1} - g_j*[v_{i-1},v_{j+1}] ),
-                # where [v_{i-1}, v_{j+1}] is the cell derived just before (val)
-                c_inv, g = self.step[i - 1]
-                val = F.mul(
-                    c_inv,
-                    F.sub(F.mul(vv[(i - 1, j)], g[total - 1]), F.mul(g[j], val)),
+                # where [v_{i-1}, v_{j+1}] is the cell derived just before (r0, r1)
+                c_inv, g = step[i - 1]
+                s0, s1 = vv[(i - 1, j)]
+                t0, t1 = g[total - 1]
+                x0, x1 = g[j]
+                cross = s1 * t1 - x1 * r1
+                r0, r1 = (
+                    s0 * t0 - x0 * r0 + V * cross,
+                    s0 * t1 + s1 * t0 - x0 * r1 - x1 * r0 + U * cross,
                 )
-            vv[(i, j)] = val
-            added.append((i, j))
+                if c_inv != one:
+                    c0, c1 = c_inv
+                    cross = c1 * r1
+                    r0, r1 = c0 * r0 + V * cross, c0 * r1 + c1 * r0 + U * cross
+            r0 %= p
+            r1 %= p
+            key = (i, j)
+            vv[key] = (r0, r1)
+            added.append(key)
         return added
 
     def truncated(self, class_n: int) -> _Structure:
@@ -249,19 +282,37 @@ class _Structure:
         * J(v_i, v_j, g), i < j and g_t = a_t for g = x or b_t for g = y:
           [v_i, v_j]*g_{i+j} + [g_j*v_{j+1}, v_i] + [-g_i*v_{i+1}, v_j]
           = [v_i, v_j]*g_{i+j} - g_j*[v_i, v_{j+1}] - g_i*[v_{i+1}, v_j].
+
+        Each form is one sum of expanded products, reduced mod p once per
+        coordinate (``extend``).
         """
         F = self.field
-        get_vv = self.get_vv
+        p, U, V = F.p, F.u, F.v
+        vv, zero = self.vv, F.zero  # vv holds no cell (i, i): .get gives 0 there
         if w == 0:
             a, b = self.a, self.b
-            return F.sub(
-                F.sub(F.mul(a[u], b[u + 1]), F.mul(b[u], a[u + 1])), get_vv(2, u)
+            x0, x1 = a[u]
+            y0, y1 = b[u + 1]
+            z0, z1 = b[u]
+            t0, t1 = a[u + 1]
+            s0, s1 = vv.get((2, u), zero)
+            cross = x1 * y1 - z1 * t1
+            return (
+                (x0 * y0 - z0 * t0 + V * cross - s0) % p,
+                (x0 * y1 + x1 * y0 - z0 * t1 - z1 * t0 + U * cross - s1) % p,
             )
         gk = self.a if g == 0 else self.b
-        vv = self.vv  # u < w, and every cell read has total degree top - 1 or top
-        return F.sub(
-            F.mul(vv[(u, w)], gk[u + w]),
-            F.add(F.mul(gk[w], vv[(u, w + 1)]), F.mul(gk[u], get_vv(u + 1, w))),
+        # u < w, and every cell read has total degree top - 1 or top
+        s0, s1 = vv[(u, w)]
+        t0, t1 = gk[u + w]
+        x0, x1 = gk[w]
+        y0, y1 = vv[(u, w + 1)]
+        z0, z1 = gk[u]
+        q0, q1 = vv.get((u + 1, w), zero)
+        cross = s1 * t1 - x1 * y1 - z1 * q1
+        return (
+            (s0 * t0 - x0 * y0 - z0 * q0 + V * cross) % p,
+            (s0 * t1 + s1 * t0 - x0 * y1 - x1 * y0 - z0 * q1 - z1 * q0 + U * cross) % p,
         )
 
     # -- checks ---------------------------------------------------------------
@@ -300,10 +351,9 @@ class _Structure:
         ``new_triples(top)`` are those of the full list, and a pass counts
         the whole list as checked.
         """
-        F = self.field
-        jacobi = self.jacobi
+        jacobi, zero = self.jacobi, self.field.zero
         for n, u, w, g in self.open_triples():
-            if not F.is_zero(jacobi(u, w, g)):
+            if jacobi(u, w, g) != zero:
                 return (label(max(u, w)), label(min(u, w)), label(g)), n
         return None, len(new_triples(self.top))
 
@@ -319,10 +369,11 @@ class _Structure:
         closed forms on those pairs, over ``open_triples(d + 1)``.  Returns
         the column of alphas and the column of betas, which are the forms
         after pushing (1, 0) and after pushing (0, 1).  Nothing is written
-        into the table.
+        into the table.  Products are expanded and each coordinate of a
+        cell or form is reduced mod p once (``extend``).
         """
         F = self.field
-        mul, add, sub, neg, one = F.mul, F.add, F.sub, F.neg, F.one
+        p, U, V, one = F.p, F.u, F.v, F.one
         a, b, vv, step = self.a, self.b, self.vv, self.step
         d = self.top
         total = d + 1
@@ -332,40 +383,63 @@ class _Structure:
             j = total - i
             if i == 2:
                 # a_{d-1}*b_d - b_{d-1}*a_d
-                cell[2] = (neg(b[j]), a[j])
+                b0, b1 = b[j]
+                cell[2] = ((-b0 % p, -b1 % p), a[j])
                 continue
             c_inv, g = step[i - 1]
             # c^{-1}([v_{i-1}, v_j]*g_d - g_j*[v_{i-1}, v_{j+1}])
-            s, gj, (pa, pb) = vv[(i - 1, j)], g[j], cell[i - 1]
-            alpha, beta = mul(gj, pa), mul(gj, pb)
+            x0, x1 = g[j]
+            (m0, m1), (n0, n1) = cell[i - 1]
+            cross_a, cross_b = x1 * m1, x1 * n1
+            al0, al1 = -(x0 * m0 + V * cross_a), -(x0 * m1 + x1 * m0 + U * cross_a)
+            be0, be1 = -(x0 * n0 + V * cross_b), -(x0 * n1 + x1 * n0 + U * cross_b)
+            s0, s1 = vv[(i - 1, j)]
             if g is a:
-                alpha, beta = sub(s, alpha), neg(beta)
+                al0 += s0
+                al1 += s1
             else:
-                alpha, beta = neg(alpha), sub(s, beta)
+                be0 += s0
+                be1 += s1
             if c_inv != one:
-                alpha, beta = mul(c_inv, alpha), mul(c_inv, beta)
-            cell[i] = (alpha, beta)
+                c0, c1 = c_inv
+                cross_a, cross_b = c1 * al1, c1 * be1
+                al0, al1 = c0 * al0 + V * cross_a, c0 * al1 + c1 * al0 + U * cross_a
+                be0, be1 = c0 * be0 + V * cross_b, c0 * be1 + c1 * be0 + U * cross_b
+            cell[i] = ((al0 % p, al1 % p), (be0 % p, be1 % p))
         at_x: List[EElem] = []
         at_y: List[EElem] = []
         for _, u, w, g in self.open_triples(total):
             if w == 0:
                 # J(v_2, x, y) = a_2*b_3 - b_2*a_3 at top 4
-                alpha, beta = neg(b[2]), a[2]
+                b0, b1 = b[2]
+                at_x.append((-b0 % p, -b1 % p))
+                at_y.append(a[2])
+                continue
+            # [v_u, v_w]*g_d - g_w*[v_u, v_{w+1}] - g_u*[v_{u+1}, v_w]
+            gk = a if g == 0 else b
+            x0, x1 = gk[w]
+            (m0, m1), (n0, n1) = cell[u]
+            cross_a, cross_b = x1 * m1, x1 * n1
+            al0, al1 = x0 * m0, x0 * m1 + x1 * m0
+            be0, be1 = x0 * n0, x0 * n1 + x1 * n0
+            if u + 1 < w:
+                z0, z1 = gk[u]
+                (m0, m1), (n0, n1) = cell[u + 1]
+                cross_a += z1 * m1
+                cross_b += z1 * n1
+                al0, al1 = al0 + z0 * m0, al1 + z0 * m1 + z1 * m0
+                be0, be1 = be0 + z0 * n0, be1 + z0 * n1 + z1 * n0
+            al0, al1 = -(al0 + V * cross_a), -(al1 + U * cross_a)
+            be0, be1 = -(be0 + V * cross_b), -(be1 + U * cross_b)
+            s0, s1 = vv[(u, w)]
+            if g == 0:
+                al0 += s0
+                al1 += s1
             else:
-                # [v_u, v_w]*g_d - g_w*[v_u, v_{w+1}] - g_u*[v_{u+1}, v_w]
-                gk = a if g == 0 else b
-                gw, gu, (pa, pb) = gk[w], gk[u], cell[u]
-                alpha, beta = mul(gw, pa), mul(gw, pb)
-                if u + 1 < w:
-                    qa, qb = cell[u + 1]
-                    alpha, beta = add(alpha, mul(gu, qa)), add(beta, mul(gu, qb))
-                s = vv[(u, w)]
-                if g == 0:
-                    alpha, beta = sub(s, alpha), neg(beta)
-                else:
-                    alpha, beta = neg(alpha), sub(s, beta)
-            at_x.append(alpha)
-            at_y.append(beta)
+                be0 += s0
+                be1 += s1
+            at_x.append((al0 % p, al1 % p))
+            at_y.append((be0 % p, be1 % p))
         return at_x, at_y
 
 
@@ -646,21 +720,36 @@ def projective_kernel(
 ) -> Optional[List[Pair]]:
     """The points (a : b) of P^1(E) with a*at_x + b*at_y = 0; None for all of them.
 
-    ``at_x`` and ``at_y`` are the columns of a k x 2 matrix over E, so the
-    kernel is all of P^1(E) (rank 0), one point (rank 1) or empty (rank 2).
-    The rank is 1 iff every row (u, w) lies in E*(s, t), the first nonzero
-    row, that is iff s*w = t*u; the point is then the one annihilating
-    (s, t): (1 : -s/t), or (0 : 1) when t = 0.
+    ``at_x`` and ``at_y`` are the columns of a k x 2 matrix over E, of
+    field elements, so the kernel is all of P^1(E) (rank 0), one point
+    (rank 1) or empty (rank 2).  The rank is 1 iff every row (u, w) lies
+    in E*(s, t), the first nonzero row, that is iff s*w = t*u; the point
+    is then the one annihilating (s, t): (1 : -s/t), or (0 : 1) when
+    t = 0.  The test expands s*w - t*u and reduces each coordinate once
+    (``_Structure.extend``), and -s/t is expanded as -s*conj(t)*N(t)^{-1}
+    with one inversion in GF(p), as ``ExtField.inv`` does.
     """
     F = field
-    rows = list(zip(at_x, at_y))
-    first = next((r for r in rows if not (F.is_zero(r[0]) and F.is_zero(r[1]))), None)
+    p, U, V, zero = F.p, F.u, F.v, F.zero
+    rows = zip(at_x, at_y)
+    first = next((r for r in rows if r != (zero, zero)), None)
     if first is None:
         return None
-    s, t = first
-    if any(F.mul(s, w) != F.mul(t, u) for u, w in rows):
-        return []
-    return [(F.zero, F.one) if F.is_zero(t) else (F.one, F.neg(F.div(s, t)))]
+    (s0, s1), t = first
+    t0, t1 = t
+    for (x0, x1), (y0, y1) in rows:  # after the first nonzero row; those before are zero
+        cross = s1 * y1 - t1 * x1
+        if (s0 * y0 - t0 * x0 + V * cross) % p or (
+            s0 * y1 + s1 * y0 - t0 * x1 - t1 * x0 + U * cross
+        ) % p:
+            return []
+    if t == zero:
+        return [(zero, F.one)]
+    # -s/t = -s*conj(t)/N(t): conj(t) = t0 + u*t1 - t1*mu, N(t) = t*conj(t) in GF(p)
+    c0, c1 = t0 + U * t1, -t1
+    n = pow((t0 * c0 + V * t1 * c1) % p, p - 2, p)
+    cross = s1 * c1
+    return [(F.one, (-(s0 * c0 + V * cross) * n % p, -(s0 * c1 + s1 * c0 + U * cross) * n % p))]
 
 
 def free_children(field: ExtField, A: Columns, B: Columns) -> Iterator[Tuple[Pair, Columns]]:
@@ -673,29 +762,44 @@ def free_children(field: ExtField, A: Columns, B: Columns) -> Iterator[Tuple[Pai
     minor that is not identically zero is a polynomial of degree <= 2 in t
     and its roots are the only candidates; if every minor vanishes
     identically, every t is one.  Candidates (1 : t) come in ``F.key``
-    order, then (0 : 1) with columns B.
+    order, then (0 : 1) with columns B.  The minors' coefficients and the
+    columns A + t*B are expanded and reduced once per coordinate
+    (``_Structure.extend``).
     """
     F = field
+    p, U, V, zero = F.p, F.u, F.v, F.zero
     (ax, ay), (bx, by) = A, B
-    rows = [r for r in zip(ax, ay, bx, by) if not all(F.is_zero(e) for e in r)]
+    rows = [r for r in zip(ax, ay, bx, by) if r != (zero, zero, zero, zero)]
 
     def minor(r, s):
         # det [[ax_r + t*bx_r, ay_r + t*by_r], [ax_s + t*bx_s, ay_s + t*by_s]]
-        def cross(f, g):
-            return F.sub(F.mul(r[f], s[g]), F.mul(s[f], r[g]))
+        # = cross(2, 3)*t^2 + (cross(0, 3) + cross(2, 1))*t + cross(0, 1),
+        # cross(f, g) = r_f*s_g - s_f*r_g
+        out = []
+        for crosses in (((2, 3),), ((0, 3), (2, 1)), ((0, 1),)):
+            c0 = c1 = cross = 0
+            for f, g in crosses:
+                (x0, x1), (y0, y1), (z0, z1), (w0, w1) = r[f], s[g], s[f], r[g]
+                cross += x1 * y1 - z1 * w1
+                c0 += x0 * y0 - z0 * w0
+                c1 += x0 * y1 + x1 * y0 - z0 * w1 - z1 * w0
+            out.append(((c0 + V * cross) % p, (c1 + U * cross) % p))
+        return tuple(out)
 
-        return cross(2, 3), F.add(cross(0, 3), cross(2, 1)), cross(0, 1)
+    def shifted(xs, ys, t0, t1):
+        # xs + t*ys
+        return [
+            ((x0 + t0 * y0 + V * t1 * y1) % p, (x1 + t0 * y1 + t1 * y0 + U * t1 * y1) % p)
+            for (x0, x1), (y0, y1) in zip(xs, ys)
+        ]
 
     nonzero = (
         m for i, r in enumerate(rows) for s in rows[i + 1:] for m in (minor(r, s),)
-        if not all(F.is_zero(c) for c in m)
+        if m != (zero, zero, zero)
     )
     first = next(nonzero, None)
     for t in F.elements() if first is None else F.quadratic_roots(*first):
-        yield (F.one, t), (
-            [F.add(x, F.mul(t, y)) for x, y in zip(ax, bx)],
-            [F.add(x, F.mul(t, y)) for x, y in zip(ay, by)],
-        )
+        yield (F.one, t), (shifted(ax, bx, *t), shifted(ay, by, *t))
     yield (F.zero, F.one), B
 
 
@@ -746,12 +850,15 @@ def search_sequences(
     their next-degree columns A and B (``linear_forms`` again); child
     (1 : t) has columns A + t*B, and only the children that can have a
     next pair are visited (``free_children``), each with its columns,
-    which it does not recompute.  A free node whose children are leaves
-    visits all of them.
+    which it does not recompute.  Such a child is pushed only when it has
+    children with a next degree: below it, a node whose children are
+    leaves reads nothing but its columns.  A free node whose children are
+    leaves visits all of them.
     E is enumerated only lazily, when every child of a free node is a
     candidate or a leaf, so ``limit`` bounds the work at any q.  Nothing
     is pushed at the last degree class_n - 1: a leaf is appended from the
-    stack, which is all it reads.
+    stack, which is all it reads, and its pairs are field elements
+    already, so they are not coerced again (``_of_elements``).
 
     Children are visited in the order (1 : t) by ``F.key`` of t, then
     (0 : 1), so the output is in lexicographic order and the metabelian
@@ -792,7 +899,11 @@ def search_sequences(
             if len(out) >= limit:
                 return
             if d + 1 == class_n:
-                out.append(MaxClassPresentation(field, class_n, stack + (pair,)))
+                out.append(_of_elements(field, class_n, stack + (pair,)))
+                continue
+            if d + 2 == class_n and child_cols is not None:
+                # its children are leaves: it reads its columns, not the table
+                dfs(d + 1, stack + (pair,), child_cols)
                 continue
             added = st.extend(d, pair)
             dfs(d + 1, stack + (pair,), child_cols)

@@ -30,6 +30,17 @@ trial-push search, the one-level search (which pushes every child of a
 free node) and the probe pushes at (1, 0) and (0, 1) (``_columns`` over
 ``jacobi_forms``) it replaced are kept here as oracles.
 
+The table kernel (``_Structure.extend``, ``jacobi``, ``linear_forms``
+and the search's ``projective_kernel`` and ``free_children``) expands
+each GF(p^2) product in place and reduces each coordinate once.  The
+per-operation ``projective_kernel`` and ``free_children`` are kept here
+as oracles; ``oracle_cells``, ``oracle_jacobi`` and the probe path stay
+the oracles of the others.  They are compared at every node of the four
+bench searches, on random tables, and at p = 1000003, where products of
+several-digit residues show a dropped or misplaced reduction; and
+``validate``'s report (first failure and triples checked) is compared
+with Jacobi over the generic bracket on ``oracle_cells``.
+
 ``iso_search`` solves one linear system for the degree-1 maps that carry
 B's point onto A's at every degree and reads the key-least nonsingular
 one off the kernel's reduced basis, trying at most 3 elements of E per
@@ -280,7 +291,7 @@ def oracle_one_level_search(field, class_n, limit):
             return
         at_x = forms_at(d, mc.ex_point(field))
         at_y = forms_at(d, mc.ey_point(field))
-        kernel = mc.projective_kernel(field, at_x, at_y)
+        kernel = oracle_projective_kernel(field, at_x, at_y)
         for pair in reps if kernel is None else kernel:
             if len(out) >= limit:
                 return
@@ -292,6 +303,75 @@ def oracle_one_level_search(field, class_n, limit):
 
     dfs(2)
     return out
+
+
+def oracle_projective_kernel(field, at_x, at_y):
+    """``maxclass.projective_kernel`` one field operation at a time: the
+    first nonzero row (s, t), then s*w = t*u on every row (u, w)."""
+    F = field
+    rows = list(zip(at_x, at_y))
+    first = next((r for r in rows if not (F.is_zero(r[0]) and F.is_zero(r[1]))), None)
+    if first is None:
+        return None
+    s, t = first
+    if any(F.mul(s, w) != F.mul(t, u) for u, w in rows):
+        return []
+    return [(F.zero, F.one) if F.is_zero(t) else (F.one, F.neg(F.div(s, t)))]
+
+
+def oracle_free_children(field, A, B):
+    """``maxclass.free_children`` one field operation at a time: the minors'
+    coefficients as sums of ``cross`` and the columns A + t*B entry by entry."""
+    F = field
+    (ax, ay), (bx, by) = A, B
+    rows = [r for r in zip(ax, ay, bx, by) if not all(F.is_zero(e) for e in r)]
+
+    def minor(r, s):
+        def cross(f, g):
+            return F.sub(F.mul(r[f], s[g]), F.mul(s[f], r[g]))
+
+        return cross(2, 3), F.add(cross(0, 3), cross(2, 1)), cross(0, 1)
+
+    nonzero = (
+        m for i, r in enumerate(rows) for s in rows[i + 1:] for m in (minor(r, s),)
+        if not all(F.is_zero(c) for c in m)
+    )
+    first = next(nonzero, None)
+    for t in F.elements() if first is None else F.quadratic_roots(*first):
+        yield (F.one, t), (
+            [F.add(x, F.mul(t, y)) for x, y in zip(ax, bx)],
+            [F.add(x, F.mul(t, y)) for x, y in zip(ay, by)],
+        )
+    yield (F.zero, F.one), B
+
+
+def oracle_first_failure(st):
+    """``check_new`` by the generic bracket: the first triple of
+    ``new_triples(top)`` with a nonzero Jacobi sum, labelled, and its
+    1-based position, else (None, the number of triples)."""
+    F = st.field
+    triples = mc.new_triples(st.top)
+    for n, (u, w, g) in enumerate(triples, 1):
+        if not F.is_zero(oracle_jacobi(st, u, w, g)):
+            return (_label(max(u, w)), _label(min(u, w)), _label(g)), n
+    return None, len(triples)
+
+
+def oracle_validate_generators(pres):
+    """(ok, first_failure, triples_checked) of Jacobi on the triples with a
+    generator, on cells from ``oracle_cells`` (the table is filled by hand,
+    not by ``extend``): the report ``validate`` gives."""
+    st = mc._Structure(pres.field, pres.class_n)
+    checked = 0
+    for d in range(2, pres.class_n):
+        st.a[d], st.b[d] = pres.pair(d)
+        st.top = d + 1
+        st.vv = oracle_cells(st)
+        fail, cnt = oracle_first_failure(st)
+        checked += cnt
+        if fail is not None:
+            return False, fail, checked
+    return True, None, checked
 
 
 def oracle_validate(pres):
@@ -512,19 +592,69 @@ def _mutations(pres, rng, count):
     return out
 
 
-@pytest.mark.parametrize("found", ["search4_12", "search9_12", "search25_12"])
-def test_validate_matches_exhaustive(request, found):
+BIG_P = (1000003, 271828, 314159)  # p, u, v: mu^2 = u*mu + v, both nonzero
+
+
+def _rescaled_by_residues(pres, rng):
+    """``_rescaled`` with scalars drawn coordinate by coordinate."""
+    F = pres.field
+    pairs = []
+    for a, b in pres.adjoint:
+        c = (rng.randrange(1, F.p), rng.randrange(F.p))
+        pairs.append((F.mul(c, a), F.mul(c, b)))
+    return mc.MaxClassPresentation(F, pres.class_n, tuple(pairs))
+
+
+def _large_p_presentations(rng, count):
+    """Valid presentations at p = 1000003 with several-digit residues and
+    c != 1 (a degree-1 base change of the metabelian one, rescaled), each
+    followed by a copy with one pair replaced at random."""
+    F = make_ext_field(*BIG_P)
+
+    def element():
+        return rng.randrange(F.p), rng.randrange(F.p)
+
+    out = []
+    for _ in range(count):
+        meta = mc.make_metabelian(F, rng.randint(6, 16))
+        while True:
+            xp, yp = (element(), element()), (element(), element())
+            if not F.is_zero(F.sub(F.mul(xp[0], yp[1]), F.mul(xp[1], yp[0]))):
+                break
+        pres = _rescaled_by_residues(mc.apply_degree1_change(meta, xp, yp), rng)
+        pairs = list(pres.adjoint)
+        pairs[rng.randrange(len(pairs))] = _residue_pair(F, rng)
+        out += [pres, mc.MaxClassPresentation(F, pres.class_n, tuple(pairs))]
+    return out
+
+
+@pytest.mark.parametrize("found", ["search4_12", "search9_12", "search25_12", "large_p"])
+def test_validate_matches_exhaustive(request, f9, found):
+    """``validate`` gives the verdict and first failure of Jacobi on every
+    triple, and the same report, triples_checked included, as Jacobi on
+    every triple with a generator over ``oracle_cells``: on the searched
+    presentations and their pair mutations (``_mutations``, after the
+    class-6 GF(9) table whose chain turns to y at degree 3), and at
+    p = 1000003 (``_large_p_presentations``)."""
     rng = random.Random(f"validate-{found}")
+    if found == "large_p":
+        cands = _large_p_presentations(rng, 30)
+    else:
+        pairs = (((1, 0), (0, 0)), ((0, 0), (1, 0)), ((1, 0), (0, 0)), ((1, 0), (0, 0)))
+        cands = [mc.MaxClassPresentation(f9, 6, pairs)]
+        for pres in request.getfixturevalue(found):
+            cands += [pres] + _mutations(pres, rng, 3)
     failures = 0
-    for pres in request.getfixturevalue(found):
-        for cand in [pres] + _mutations(pres, rng, 3):
-            fresh = mc.MaxClassPresentation(cand.field, cand.class_n, cand.adjoint)
-            report = mc.validate(fresh)
-            ok, first_failure, triples = oracle_validate(cand)
-            assert (report.ok, report.first_failure) == (ok, first_failure), cand.adjoint
-            assert report.triples_checked <= triples
-            failures += not ok
-    assert failures > 0
+    for cand in cands:
+        fresh = mc.MaxClassPresentation(cand.field, cand.class_n, cand.adjoint)
+        report = mc.validate(fresh)
+        ok, first_failure, triples = oracle_validate(cand)
+        assert (report.ok, report.first_failure) == (ok, first_failure), cand.adjoint
+        assert report.triples_checked <= triples
+        got = (report.ok, report.first_failure, report.triples_checked)
+        assert got == oracle_validate_generators(cand), cand.adjoint
+        failures += not ok
+    assert 0 < failures < len(cands)
 
 
 def _table_key(st):
@@ -582,19 +712,36 @@ def _random_pair(field, rng):
             return pair
 
 
-def random_pushes(F, seed):
+def _residue_pair(field, rng):
+    """A nonzero pair whose entries are 0 or 1 now and then, else drawn
+    coordinate by coordinate (E is not enumerated, so any p will do)."""
+    p = field.p
+
+    def entry():
+        r = rng.random()
+        return field.zero if r < 0.25 else field.one if r < 0.35 else (
+            rng.randrange(p), rng.randrange(p)
+        )
+
+    while True:
+        pair = (entry(), entry())
+        if not all(field.is_zero(e) for e in pair):
+            return pair
+
+
+def random_pushes(F, seed, draw=_random_pair, tables=300):
     """Random tables, classes 4-16, pairs with zero and non-one entries.
 
     Yields the table after every push; a probe push, retracted after its
-    yield, comes before each kept push.
+    yield, comes before each kept push.  ``draw(F, rng)`` gives the pairs.
     """
     rng = random.Random(seed)
-    for _ in range(300):
+    for _ in range(tables):
         class_n = rng.randint(4, 16)
         st = mc._Structure(F, class_n)
         for d in range(2, class_n):
             for keep in (False, True):
-                added = st.extend(d, _random_pair(F, rng))
+                added = st.extend(d, draw(F, rng))
                 yield st
                 if not keep:
                     st.retract(d, added)
@@ -849,23 +996,27 @@ def test_search_matches_one_level(p, u, v, class_n):
 def search_nodes(field, class_n):
     """Every node the search visits, with its probe columns.
 
-    Yields (st, d, cols) with ``st`` holding the node's prefix (top d) and
-    cols = ``_columns(st, d)``; below a node come the pairs of its
-    projective kernel, or at a free node the candidates of
-    ``free_children`` on its children's probe columns.
+    Yields (st, d, cols, children) with ``st`` holding the node's prefix
+    (top d), cols = ``_columns(st, d)``, and children the probe columns
+    (A, B) of the children (1 : 0) and (0 : 1) at a free node whose
+    children have a next degree, else None.  Below a node come the pairs
+    of its projective kernel, or at a free node the candidates of
+    ``free_children`` on A and B, both by their oracles.
     """
     ex, ey = mc.ex_point(field), mc.ey_point(field)
     st = mc._Structure(field, class_n)
 
     def walk(d):
         cols = _columns(st, d)
-        yield st, d, cols
         if d + 1 == class_n:
+            yield st, d, cols, None
             return
-        kernel = mc.projective_kernel(field, *cols)
+        kernel = oracle_projective_kernel(field, *cols)
+        children = None
         if kernel is None:
-            A, B = _next_columns(st, d, ex), _next_columns(st, d, ey)
-            kernel = [pair for pair, _ in mc.free_children(field, A, B)]
+            children = _next_columns(st, d, ex), _next_columns(st, d, ey)
+            kernel = [pair for pair, _ in oracle_free_children(field, *children)]
+        yield st, d, cols, children
         for pair in kernel:
             added = st.extend(d, pair)
             yield from walk(d + 1)
@@ -874,18 +1025,18 @@ def search_nodes(field, class_n):
     yield from walk(2)
 
 
-@pytest.mark.parametrize(
-    "p, u, v, class_n, count",
-    [(2, 1, 1, 16, 405), (3, 0, 2, 16, 190), (5, 0, 2, 14, 676), (7, 0, 3, 10, 50)],
-    ids=["4_16", "9_16", "25_14", "49_10"],
-)
+BENCH_SEARCHES = [(2, 1, 1, 16, 405), (3, 0, 2, 16, 190), (5, 0, 2, 14, 676), (7, 0, 3, 10, 50)]
+BENCH_SEARCH_IDS = ["4_16", "9_16", "25_14", "49_10"]
+
+
+@pytest.mark.parametrize("p, u, v, class_n, count", BENCH_SEARCHES, ids=BENCH_SEARCH_IDS)
 def test_linear_forms_match_probe_pushes(p, u, v, class_n, count):
     """At every node of the search, ``linear_forms`` equals the forms of the
     probe pushes at (1, 0) and (0, 1) and writes nothing into the table.
     The walk ends in as many presentations as the search finds."""
     F = make_ext_field(p, u, v)
     nodes = leaves = 0
-    for st, d, cols in search_nodes(F, class_n):
+    for st, d, cols, _ in search_nodes(F, class_n):
         before = _table_key(st)
         assert st.linear_forms() == cols, d
         assert _table_key(st) == before
@@ -895,6 +1046,25 @@ def test_linear_forms_match_probe_pushes(p, u, v, class_n, count):
             leaves += F.order + 1 if kernel is None else len(kernel)
     assert nodes > 100
     assert leaves == count == len(mc.search_sequences(F, class_n, 10**9))
+
+
+@pytest.mark.parametrize("p, u, v, class_n, count", BENCH_SEARCHES, ids=BENCH_SEARCH_IDS)
+def test_kernels_match_oracles(p, u, v, class_n, count):
+    """At every node of the search, ``projective_kernel`` of its columns and,
+    at a free node, ``free_children`` of its children's columns (each
+    child with its columns) equal their per-operation oracles."""
+    F = make_ext_field(p, u, v)
+    kinds = set()
+    free = 0
+    for _, _, cols, children in search_nodes(F, class_n):
+        kernel = mc.projective_kernel(F, *cols)
+        assert kernel == oracle_projective_kernel(F, *cols)
+        kinds.add(None if kernel is None else len(kernel))
+        if children is not None:
+            got = list(mc.free_children(F, *children))
+            assert got == list(oracle_free_children(F, *children))
+            free += 1
+    assert kinds == {None, 0, 1} and free > 0
 
 
 @RANDOM_TABLE_FIELDS
@@ -910,6 +1080,74 @@ def test_linear_forms_match_probe_pushes_on_random_tables(p, u, v):
         assert _table_key(st) == before
         scaled += any(c_inv != F.one for c_inv, _ in st.step.values())
     assert scaled > 1000
+
+
+@RANDOM_TABLE_FIELDS
+def test_kernels_match_oracles_on_random_tables(p, u, v):
+    """``projective_kernel`` of the columns of every push of random tables
+    (``random_pushes``, with c != 1 chain steps), and ``free_children`` of
+    the columns of its children (1 : 0) and (0 : 1) one degree up, equal
+    their per-operation oracles; all three kernel shapes and both branches
+    of the children occur."""
+    F = make_ext_field(p, u, v)
+    ex, ey = mc.ex_point(F), mc.ey_point(F)
+    kinds, every = set(), set()
+    for st in random_pushes(F, f"kernels-{p}"):
+        cols = st.linear_forms()
+        kernel = mc.projective_kernel(F, *cols)
+        assert kernel == oracle_projective_kernel(F, *cols)
+        kinds.add(None if kernel is None else len(kernel))
+        A, B = (_next_columns(st, st.top, pair) for pair in (ex, ey))
+        got = list(mc.free_children(F, A, B))
+        assert got == list(oracle_free_children(F, A, B))
+        every.add(len(got) == F.order + 1)
+    assert kinds == {None, 0, 1} and every == {False, True}
+
+
+def test_kernel_matches_oracles_at_large_p():
+    """At p = 1000003, with entries drawn coordinate by coordinate, at every
+    push of random tables: the cells, the Jacobi coefficient of every
+    triple, ``check_new`` and ``linear_forms`` equal their oracles; the
+    kernel of the columns, of a rank-1 matrix and of a zero-padded one,
+    and the first children of ``free_children`` on the probe columns and
+    on columns built to have a root t0 (A = C - t0*B with C of rank 1),
+    equal the per-operation ones.  Products of several-digit residues
+    reach far beyond p, so a dropped or misplaced reduction shows."""
+    F = make_ext_field(*BIG_P)
+    ex, ey = mc.ex_point(F), mc.ey_point(F)
+    rng = random.Random("large-p")
+    shapes = set()
+    pushes = rooted_found = 0
+    for st in random_pushes(F, "large-p", draw=_residue_pair, tables=40):
+        triples = mc.new_triples(st.top)
+        assert st.vv == oracle_cells(st)
+        assert [st.jacobi(*t) for t in triples] == [oracle_jacobi(st, *t) for t in triples]
+        assert st.check_new() == oracle_first_failure(st)
+        cols = st.linear_forms()
+        assert cols == _columns(st, st.top)
+        lam = _residue_pair(F, rng)[0]
+        rank1 = (cols[0], [F.mul(lam, x) for x in cols[0]])
+        padded = ([F.zero] + cols[1], [F.zero] + [F.mul(lam, x) for x in cols[1]])
+        for at_x, at_y in (cols, rank1, padded):
+            kernel = mc.projective_kernel(F, at_x, at_y)
+            assert kernel == oracle_projective_kernel(F, at_x, at_y)
+            shapes.add(None if kernel is None else len(kernel))
+        A, B = (_next_columns(st, st.top, pair) for pair in (ex, ey))
+        t0 = (rng.randrange(F.p), rng.randrange(F.p))
+        rs = [_residue_pair(F, rng)[0] for _ in B[0]]
+        C = (rs, [F.mul(lam, r) for r in rs])
+        rooted = tuple(
+            [F.sub(c, F.mul(t0, b)) for c, b in zip(col_c, col_b)] for col_c, col_b in zip(C, B)
+        )
+        for a_cols in (A, rooted):
+            # at most 2 roots and (0 : 1), unless every minor vanishes and E is enumerated
+            got = list(itertools.islice(mc.free_children(F, a_cols, B), 4))
+            assert got == list(itertools.islice(oracle_free_children(F, a_cols, B), 4))
+        if len(got) < 4:
+            assert ((F.one, t0), C) in got
+            rooted_found += 1
+        pushes += 1
+    assert pushes > 500 and shapes == {None, 0, 1} and rooted_found > 100
 
 
 # -- rho and rho' --------------------------------------------------------------

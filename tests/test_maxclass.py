@@ -272,17 +272,28 @@ class TestSearch:
 
     def test_leaves_are_not_pushed(self, monkeypatch, f9):
         """Nothing is pushed at the last degree: a node reads its columns
-        with ``linear_forms``, and a leaf is appended from the stack."""
-        degrees = []
-        extend = mc._Structure.extend
+        with ``linear_forms``, and a leaf is appended from the stack.  A
+        push at degree class_n - 2 is there to be read: the next table call
+        is ``linear_forms`` one degree up (a node whose children are
+        leaves, or a probe), never a push that comes with known columns."""
+        events = []
+        extend, linear_forms = mc._Structure.extend, mc._Structure.linear_forms
 
-        def spy(st, d, pair):
-            degrees.append(d)
+        def spy_extend(st, d, pair):
+            events.append(("extend", d))
             return extend(st, d, pair)
 
-        monkeypatch.setattr(mc._Structure, "extend", spy)
+        def spy_linear_forms(st):
+            events.append(("linear_forms", st.top))
+            return linear_forms(st)
+
+        monkeypatch.setattr(mc._Structure, "extend", spy_extend)
+        monkeypatch.setattr(mc._Structure, "linear_forms", spy_linear_forms)
         assert len(mc.search_sequences(f9, 12, 10**9)) == 100
+        degrees = [d for kind, d in events if kind == "extend"]
         assert 10 in degrees and 11 not in degrees
+        pushed = [n for n, event in enumerate(events) if event == ("extend", 10)]
+        assert all(events[n + 1] == ("linear_forms", 11) for n in pushed)
 
     def test_pushes_invert_nothing(self, monkeypatch, f9, search9_12):
         """Every pair the search pushes is (1 : t) or (0 : 1), so ``extend``
@@ -298,6 +309,39 @@ class TestSearch:
         monkeypatch.setattr(ExtField, "inv", spy)
         assert mc.search_sequences(f9, 12, 10**9) == search9_12
         assert "extend" not in callers
+
+    def test_kernel_calls_no_field_method(self, monkeypatch, f9, search9_12):
+        """The table kernel expands GF(p^2) products in place: ``extend``,
+        ``jacobi``, ``linear_forms``, ``projective_kernel`` and
+        ``free_children`` (with their nested helpers) call no
+        ``ExtField.mul``, ``add``, ``sub`` or ``neg``, in a class-12 GF(9)
+        search and in ``validate`` of metabelian GF(9) class 40.  The roots
+        of a minor stay the field's (``quadratic_roots``)."""
+        hot = [
+            mc._Structure.extend, mc._Structure.jacobi, mc._Structure.linear_forms,
+            mc._Structure.check_new, mc.projective_kernel, mc.free_children,
+        ]
+        codes = set()
+        todo = [fn.__code__ for fn in hot]
+        while todo:
+            code = todo.pop()
+            codes.add(code)
+            todo += [c for c in code.co_consts if isinstance(c, type(code))]
+        calls = []
+        for name in ("mul", "add", "sub", "neg"):
+            method = getattr(ExtField, name)
+
+            def spy(field, *args, _name=name, _method=method):
+                caller = sys._getframe(1).f_code
+                calls.append((_name, caller.co_name, caller in codes))
+                return _method(field, *args)
+
+            monkeypatch.setattr(ExtField, name, spy)
+        assert mc.search_sequences(f9, 12, 10**9) == search9_12
+        report = mc.validate(mc.make_metabelian(f9, 40))
+        assert report.ok and report.triples_checked == 685
+        assert calls  # the spies are live: quadratic_roots multiplies
+        assert [call for call in calls if call[2]] == []
 
     def test_window_cap(self, f9):
         with pytest.raises(WindowTooLarge):
