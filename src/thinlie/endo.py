@@ -1,12 +1,16 @@
 """Graded degree-0 endomorphism rings of the module L^3.
 
 An endomorphism preserving homogeneous components is parameterized by its
-matrix on the bottom component V_{k0}: because each V_{i+1} is spanned by
+matrix on the bottom component V_3: because each V_{i+1} is spanned by
 [V_i, X] and [V_i, Y], the rule f([v, g]) = [f(v), g] forces the values on
 every higher degree.  The solver carries that forced propagation
 symbolically (entries are homogeneous linear forms in the bottom-matrix
-unknowns) and collects the well-definedness constraints into one linear
-system over GF(p); its kernel is the endomorphism space.
+unknowns), one step per degree: with T_g the matrix of ad g on the target
+degree, f_{i+1} solves [v, g]*f_{i+1} = f_i(v)*T_g on a spanning subset of
+the ad rows [v, g] (v a basis row of L_i, g = X, Y), and every other row
+gives a well-definedness constraint.  The constraints form one linear
+system over GF(p); its kernel is the endomorphism space.  Every sum of
+forms goes through ``_combine``.
 
 Parameterizing from the bottom eliminates spurious solutions supported
 near the truncation top, which would otherwise satisfy every visible
@@ -24,7 +28,7 @@ from .errors import (
     NotCommutative,
     OutOfWindow,
 )
-from .gf import Matrix, RowSpace, quadratic_is_irreducible, rref, solve
+from .gf import Matrix, RowSpace, quadratic_is_irreducible, rref, solve, span
 from .subfield import SubalgebraAnalysis, ad_gen
 
 TYPE_CHECKING = False
@@ -35,118 +39,91 @@ if TYPE_CHECKING:
 
     Coords = Tuple[int, ...]
 
-# -- linear forms over GF(p) --------------------------------------------------
+K0 = 3  # the module is L^{K0}; its bottom degree carries the unknowns
 
-
-def _lf_zero(n: int) -> Coords:
-    return (0,) * n
+# -- the propagation solver ---------------------------------------------------
 
 
 def _lf_unit(n: int, k: int) -> Coords:
     return tuple(1 if i == k else 0 for i in range(n))
 
 
-def _lf_add(p: int, a: Coords, b: Coords) -> Coords:
-    return tuple((x + y) % p for x, y in zip(a, b))
+def _combine(p: int, coeffs: Sequence[int], forms: Sequence[Coords]) -> Coords:
+    """sum(c * form) over GF(p); zero coefficients skipped, one reduction."""
+    acc = [0] * len(forms[0])
+    for c, form in zip(coeffs, forms):
+        if c:
+            acc = [a + c * x for a, x in zip(acc, form)]
+    return tuple(a % p for a in acc)
 
 
-def _lf_scale(p: int, c: int, a: Coords) -> Coords:
-    return tuple(c * x % p for x in a)
-
-
-# -- the propagation solver ---------------------------------------------------
-
-
-def _gen_images(analysis: SubalgebraAnalysis, degree: int) -> List[Tuple[int, int, Coords]]:
-    """[(row_index, gen_index, coords of [row, gen] in the L_{degree+1} basis)]."""
-    out = []
-    for r_idx, row in enumerate(analysis.basis(degree)):
-        for g_idx, gen in enumerate((analysis.pair.X, analysis.pair.Y)):
-            img = ad_gen(analysis.pres, degree, row, gen)
-            out.append((r_idx, g_idx, analysis.express(degree + 1, img)))
-    return out
-
-
-def _solve_graded_maps(
-    analysis: SubalgebraAnalysis, shift: int, k0: int, window: int
-):
+def _solve_graded_maps(analysis: SubalgebraAnalysis, shift: int):
     """Solution space of graded degree-`shift` L-endomorphisms of the module.
 
     Returns (kernel_rows, symbolic) where each kernel row is a flattened
-    bottom matrix V_{k0} -> V_{k0+shift} and symbolic[i] is the propagated
+    bottom matrix V_3 -> V_{3+shift} and symbolic[i] is the propagated
     matrix at source degree i with linear-form entries.
+
+    One step per degree i: the ad rows [v, g] of L_i and of the target
+    L_{i+shift} are computed once each, in L_{i+1} (L_{i+1+shift})
+    coordinates.  The image of [v, g] is f_i(v)*T_g, where T_g holds the
+    target ad rows of g.  f_{i+1} is read off the first ad rows that span
+    L_{i+1} (inverting them), and each other row [v, g] contributes the
+    residual [v, g]*f_{i+1} - f_i(v)*T_g, entrywise, as a constraint.
     """
+    p = analysis.field.p
     Fb = analysis.field.base
-    p = Fb.p
-    dim_src = analysis.dim(k0)
-    dim_tgt = analysis.dim(k0 + shift)
-    n_unk = dim_src * dim_tgt
+    dim_tgt = analysis.dim(K0 + shift)
+    n_unk = analysis.dim(K0) * dim_tgt
     symbolic: Dict[int, List[List[Coords]]] = {
-        k0: [
+        K0: [
             [_lf_unit(n_unk, r * dim_tgt + c) for c in range(dim_tgt)]
-            for r in range(dim_src)
+            for r in range(analysis.dim(K0))
         ]
     }
+    gens = (analysis.pair.X, analysis.pair.Y)
+    sources = range(K0, analysis.window - shift)
+    ad = {
+        d: [
+            [analysis.express(d + 1, ad_gen(analysis.pres, d, v, g)) for g in gens]
+            for v in analysis.basis(d)
+        ]
+        for d in {*sources, *(i + shift for i in sources)}
+    }
     constraints: List[Coords] = []
-    i = k0
-    while i + 1 + shift <= window:
-        src_imgs = _gen_images(analysis, i)  # spans V_{i+1}
-        tgt_imgs = _gen_images(analysis, i + shift)
-        tgt_lookup = {(r, g): v for r, g, v in tgt_imgs}
+    minus_one = (p - 1,)
+    for i in sources:
         f_i = symbolic[i]
+        # T[g][j]: column j of T_g, the matrix of ad g on L_{i+shift}
+        T = [list(zip(*(t[g] for t in ad[i + shift]))) for g in (0, 1)]
+        rows = [  # ([v, g], f_i(v)*T_g) for v in L_i, g = X, Y
+            (v_ad[g], [_combine(p, col, f_i[r]) for col in T[g]])
+            for r, v_ad in enumerate(ad[i])
+            for g in (0, 1)
+        ]
         d_next = analysis.dim(i + 1)
-        d_next_tgt = analysis.dim(i + 1 + shift)
-        pairs = []
-        for r_idx, g_idx, in_vec in src_imgs:
-            out_vec = [_lf_zero(n_unk)] * d_next_tgt
-            for s in range(analysis.dim(i + shift)):
-                coeff_forms = f_i[r_idx][s]
-                tgt_vec = tgt_lookup[(s, g_idx)]
-                for j, c in enumerate(tgt_vec):
-                    if c:
-                        out_vec[j] = _lf_add(p, out_vec[j], _lf_scale(p, c, coeff_forms))
-            pairs.append((tuple(in_vec), out_vec))
-        # choose a spanning subset of the concrete input vectors
+        cols = range(len(T[0]))
         chooser = RowSpace(Fb, d_next)
-        selected: List[int] = []
-        for idx, (in_vec, _) in enumerate(pairs):
-            if chooser.insert(in_vec):
-                selected.append(idx)
+        selected = [k for k, (in_vec, _) in enumerate(rows) if chooser.insert(in_vec)]
         if len(selected) != d_next:
             raise CoveringFails(
                 f"[L_{i}, L_1] does not span L_{i + 1}; propagation is not forced"
             )
-        sel_rows = [pairs[idx][0] for idx in selected]
-        inv = [solve(Fb, sel_rows, _lf_unit(d_next, j)) for j in range(d_next)]
-        f_next: List[List[Coords]] = []
+        sel_rows = [rows[k][0] for k in selected]
+        f_next = []
         for j in range(d_next):
-            acc = [_lf_zero(n_unk)] * d_next_tgt
-            for k, idx in enumerate(selected):
-                c = inv[j][k]
-                if c:
-                    for col in range(d_next_tgt):
-                        acc[col] = _lf_add(
-                            p, acc[col], _lf_scale(p, c, pairs[idx][1][col])
-                        )
-            f_next.append(acc)
+            inv = solve(Fb, sel_rows, _lf_unit(d_next, j))
+            f_next.append([_combine(p, inv, [rows[k][1][c] for k in selected]) for c in cols])
         symbolic[i + 1] = f_next
-        # consistency: every (input, output) pair must match the propagated map
-        for in_vec, out_vec in pairs:
-            for col in range(d_next_tgt):
-                acc = _lf_zero(n_unk)
-                for j, c in enumerate(in_vec):
-                    if c:
-                        acc = _lf_add(p, acc, _lf_scale(p, c, f_next[j][col]))
-                diff = tuple((a - b) % p for a, b in zip(acc, out_vec[col]))
+        for k, (in_vec, out) in enumerate(rows):
+            if k in selected:
+                continue  # zero residual by construction
+            for c in cols:
+                diff = _combine(p, in_vec + minus_one, [f[c] for f in f_next] + [out[c]])
                 if any(diff):
                     constraints.append(diff)
-        i += 1
-    if constraints:
-        res = rref(Matrix(Fb, constraints))
-        kernel_rows = [tuple(r) for r in res.kernel.rows]
-    else:
-        kernel_rows = [_lf_unit(n_unk, k) for k in range(n_unk)]
-    return kernel_rows, symbolic
+    kernel = rref(Matrix(Fb, constraints, ncols=n_unk)).kernel
+    return [tuple(r) for r in kernel.rows], symbolic
 
 
 # -- the degree-0 ring --------------------------------------------------------
@@ -205,20 +182,18 @@ def _ring_coords(Fb, basis: Sequence[Coords], flat: Sequence[int]) -> Coords:
         raise DimensionAnomaly("vector not in the span of the ring basis") from None
 
 
-def compute_grend0(
-    analysis: SubalgebraAnalysis, k0: int = 3, window: Optional[int] = None
-) -> EndoRing:
-    """The ring of graded degree-0 L-endomorphisms of L^{k0}, solved exactly."""
+def compute_grend0(analysis: SubalgebraAnalysis) -> EndoRing:
+    """The ring of graded degree-0 L-endomorphisms of L^3, solved exactly.
+
+    The module spans degrees 3 .. analysis.window, and window >= 4
+    (``subfield._Ambient``).  Every degree has a row: by the dimension
+    lemma a non-degenerate L has dim L_i >= 1 throughout the window.
+    """
     if analysis.d is None:
         raise DegenerateGenerators("endomorphism ring needs independent generators")
-    window = analysis.window if window is None else window
-    if not k0 < window <= analysis.window:
-        raise OutOfWindow(f"module window [{k0}, {window}] is not usable")
-    if any(analysis.dim(i) == 0 for i in range(k0, window + 1)):
-        raise CoveringFails("module has a zero component inside the window")
-    kernel_rows, symbolic = _solve_graded_maps(analysis, 0, k0, window)
+    kernel_rows, symbolic = _solve_graded_maps(analysis, 0)
     dim = len(kernel_rows)
-    d = analysis.dim(k0)
+    d = analysis.dim(K0)
     Fb = analysis.field.base
     identity_flat = [x for row in Matrix.identity(Fb, d).rows for x in row]
     identity = _ring_coords(Fb, kernel_rows, identity_flat)
@@ -231,8 +206,8 @@ def compute_grend0(
     ]
     ring = EndoRing(
         analysis=analysis,
-        k0=k0,
-        window=window,
+        k0=K0,
+        window=analysis.window,
         dim=dim,
         basis=tuple(kernel_rows),
         identity=identity,
@@ -245,8 +220,6 @@ def compute_grend0(
 
 def _crosscheck_composition(ring: EndoRing) -> None:
     """Recompute the table one degree up; guards against propagation bugs."""
-    if ring.k0 + 1 > ring.window:
-        return
     Fb = ring.field.base
     deg = ring.k0 + 1
     for i in range(ring.dim):
@@ -356,7 +329,7 @@ def identify_field(ring: EndoRing) -> FieldId:
     gen = None
     for k in range(ring.dim):
         cand = _lf_unit(ring.dim, k)
-        if not _proportional(p, cand, ring.identity):
+        if span(Fb, [cand, ring.identity], ring.dim).dim > 1:
             gen = cand
             break
     if gen is None:
@@ -398,13 +371,6 @@ def identify_field(ring: EndoRing) -> FieldId:
     )
 
 
-def _proportional(p: int, a: Coords, b: Coords) -> bool:
-    n = len(a)
-    return all(
-        (a[i] * b[j] - a[j] * b[i]) % p == 0 for i in range(n) for j in range(i + 1, n)
-    )
-
-
 # -- actions and shifted dimensions --------------------------------------------
 
 
@@ -426,19 +392,17 @@ class GrendDim:
         return self.dim <= self.bound
 
 
-def grend_d_dimension(
-    analysis: SubalgebraAnalysis, shift: int, k0: int = 3, window: Optional[int] = None
-) -> GrendDim:
-    """Dimension of the degree-`shift` graded endomorphism space.
+def grend_d_dimension(analysis: SubalgebraAnalysis, shift: int) -> GrendDim:
+    """Dimension of the degree-`shift` graded endomorphism space of L^3.
 
     Also reports the a-priori bound min(dim V_m) over target degrees in
     the window; the computed dimension must not exceed it.
     """
     if analysis.d is None:
         raise DegenerateGenerators("endomorphism solve needs independent generators")
-    window = analysis.window if window is None else window
-    if shift < 0 or k0 + shift > window:
+    window = analysis.window
+    if shift < 0 or K0 + shift > window:
         raise OutOfWindow(f"shift {shift} pushes the bottom past the window")
-    kernel_rows, _ = _solve_graded_maps(analysis, shift, k0, window)
-    bound = min(analysis.dim(m) for m in range(k0 + shift, window + 1))
+    kernel_rows, _ = _solve_graded_maps(analysis, shift)
+    bound = min(analysis.dim(m) for m in range(K0 + shift, window + 1))
     return GrendDim(shift=shift, dim=len(kernel_rows), bound=bound)

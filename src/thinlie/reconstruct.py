@@ -47,7 +47,7 @@ from .subfield import (
     f4_to_deg1,
     generate_subalgebra,
 )
-from .endo import EndoRing, FieldId, compute_grend0, identify_field
+from .endo import compute_grend0, identify_field
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:
@@ -72,9 +72,7 @@ class StructureFlags:
     detection: str  # "metabelian" | "abelian-window" | "insoluble-or-undetected"
 
 
-def detect_structure(
-    analysis: SubalgebraAnalysis, window: Optional[int] = None
-) -> StructureFlags:
+def detect_structure(analysis: SubalgebraAnalysis) -> StructureFlags:
     """Decide the representation branch from bracket vanishing in the window.
 
     `metabelian` is an exhaustive [T_i, T_j] = 0 check for i, j >= 2.  For
@@ -93,7 +91,7 @@ def detect_structure(
     """
     if analysis.verdict.kind != "thin":
         raise PreconditionFailed("structure detection expects a thin subalgebra")
-    window = analysis.window if window is None else window
+    window = analysis.window
     m = _top_bracket(tables(analysis.pres), window)
     if m < 2:
         return StructureFlags(metabelian=True, k=2, z_degree=1, detection="metabelian")
@@ -252,9 +250,9 @@ def _low_mismatch(rep: RhoRep, gens: Sequence[Pair], entry: Callable[[int, int],
     return mismatch
 
 
-def _check_e_structure(analysis: SubalgebraAnalysis, lo: int, window: int) -> None:
+def _check_e_structure(analysis: SubalgebraAnalysis, lo: int) -> None:
     F = analysis.field
-    for m in range(lo, window + 1):
+    for m in range(lo, analysis.window + 1):
         if analysis.dim(m) != 2:
             raise NotEStable(f"component of degree {m} is not an extension line")
         sp = analysis.space(m)
@@ -313,25 +311,22 @@ def _check_rep(rep: RhoRep) -> None:
                 )
 
 
-def build_rho(
-    analysis: SubalgebraAnalysis,
-    ring: EndoRing,
-    field_id: FieldId,
-    flags: StructureFlags,
-) -> RhoRep:
+def build_rho(analysis: SubalgebraAnalysis, flags: StructureFlags) -> RhoRep:
     """Adjoint representation on the extension span of z plus the ideal T^k.
 
     The slot of z = basis(k - 1)[0] comes first, then T^k, and every slot
     is a table slot (lo = k - 1), so nothing is stored.
+
+    Both builders take the analysis alone as context.  For a thin
+    analysis E lies in End_0(T^3), so the endomorphism field is quadratic
+    or ``identify_field`` raises; ``verify_roundtrip`` checks its degree.
     """
     if flags.metabelian:
         raise PreconditionFailed("metabelian input belongs to the modified branch")
-    if field_id.dim != 2:
-        raise PreconditionFailed("construction needs a quadratic endomorphism field")
     an = analysis
     window = an.window
     k = flags.k
-    _check_e_structure(an, k, window)
+    _check_e_structure(an, k)
     rep = RhoRep(
         branch="rho",
         k=k,
@@ -345,12 +340,7 @@ def build_rho(
     return rep
 
 
-def build_rho_prime(
-    analysis: SubalgebraAnalysis,
-    ring: EndoRing,
-    field_id: FieldId,
-    flags: StructureFlags,
-) -> RhoRep:
+def build_rho_prime(analysis: SubalgebraAnalysis, flags: StructureFlags) -> RhoRep:
     """The modified representation for metabelian T, on E + E + T^3.
 
     The two extension slots stand for the lines of Y and of [Y, X]; a
@@ -370,9 +360,7 @@ def build_rho_prime(
     st = tables(pres)
     if not flags.metabelian:
         raise NotMetabelian("T has a nonzero bracket in T^2 within the window")
-    if field_id.dim != 2:
-        raise PreconditionFailed("construction needs a quadratic endomorphism field")
-    _check_e_structure(an, 3, window)
+    _check_e_structure(an, 3)
     X4 = deg1_to_f4(an.pair.X)
     Y4 = deg1_to_f4(an.pair.Y)
     yx = bracket_vec(pres, 1, Y4, 1, X4)  # spans T_2
@@ -511,15 +499,14 @@ def verify_roundtrip(
         raise PreconditionFailed(
             f"round trip needs a thin pair, got {analysis.verdict.kind}"
         )
-    ring = compute_grend0(analysis, 3, window)
-    field_id = identify_field(ring)
+    field_id = identify_field(compute_grend0(analysis))
     if field_id.dim != 2:
         raise PreconditionFailed("endomorphism field has degree 1, cannot rebuild")
-    flags = detect_structure(analysis, window)
+    flags = detect_structure(analysis)
     if flags.metabelian:
-        rep = build_rho_prime(analysis, ring, field_id, flags)
+        rep = build_rho_prime(analysis, flags)
     else:
-        rep = build_rho(analysis, ring, field_id, flags)
+        rep = build_rho(analysis, flags)
     usable = usable_window(rep)
     F = pres.field
 

@@ -366,14 +366,12 @@ def _brute_force_guard(p: int, window: int) -> None:
         )
 
 
-def verify_covering(
-    pres: MaxClassPresentation, analysis: SubalgebraAnalysis
-) -> CoveringReport:
+def verify_covering(analysis: SubalgebraAnalysis) -> CoveringReport:
     """Exhaustively check [u, L_1] = L_{i+1} for every nonzero homogeneous u."""
     if analysis.d is None:
         raise DegenerateGenerators("covering check needs independent generators")
-    F = pres.field
-    Fb = F.base
+    pres = analysis.pres
+    Fb = pres.field.base
     g = analysis.pair
     _brute_force_guard(Fb.p, analysis.window)
     for i in range(1, analysis.window):
@@ -397,10 +395,7 @@ class SandwichReport:
 
 
 def ideal_closure(
-    pres: MaxClassPresentation,
-    analysis: SubalgebraAnalysis,
-    degree: int,
-    vec: Sequence[int],
+    analysis: SubalgebraAnalysis, degree: int, vec: Sequence[int]
 ) -> Dict[int, RowSpace]:
     """Span of the ideal of L generated by a homogeneous element.
 
@@ -408,6 +403,7 @@ def ideal_closure(
     in degree 1; stability under bracketing with all of L is a tested
     property, not an assumption.
     """
+    pres = analysis.pres
     Fb = pres.field.base
     g = analysis.pair
     spans: Dict[int, RowSpace] = {}
@@ -426,9 +422,7 @@ def ideal_closure(
     return spans
 
 
-def verify_ideal_sandwich(
-    pres: MaxClassPresentation, analysis: SubalgebraAnalysis, r: int
-) -> SandwichReport:
+def verify_ideal_sandwich(analysis: SubalgebraAnalysis, r: int) -> SandwichReport:
     """Check that every homogeneous ideal generator reaches r degrees down.
 
     For each degree i <= window - r and each nonzero l in L_i, the ideal
@@ -438,13 +432,13 @@ def verify_ideal_sandwich(
         raise DegenerateGenerators("sandwich check needs independent generators")
     if r < 1:
         raise BadBound("r must be >= 1")
-    Fb = pres.field.base
+    Fb = analysis.field.base
     _brute_force_guard(Fb.p, analysis.window)
     for i in range(1, analysis.window - r + 1):
         rows = Matrix(Fb, analysis.basis(i), ncols=4 if i == 1 else 2)
         for coeffs in _nonzero_coeff_vectors(Fb.p, rows.nrows):
             l = rows.apply(coeffs)
-            spans = ideal_closure(pres, analysis, i, l)
+            spans = ideal_closure(analysis, i, l)
             for h in range(i + r, analysis.window + 1):
                 target = analysis.basis(h)
                 if not all(spans[h].contains(row) for row in target):
@@ -569,13 +563,19 @@ def thin_line_criterion(
     (b) no lambda of an occurring centralizer is visible from the pair.
     The affine F-line through alpha^{-1}beta and gamma^{-1}delta is also
     reported; it shares only those two points with the visible lambda set,
-    so it is a diagnostic, not the criterion itself.
+    so it is a diagnostic, not the criterion itself.  Both sets are
+    enumerated, so the criterion raises WindowTooLargeForBruteForce when
+    the p + 1 points of P^1(F) exceed BRUTE_FORCE_LIMIT.
     """
     F = pres.field
     if g.is_degenerate(F):
         raise DegenerateGenerators("criterion needs E-independent generators")
     if not is_standard(pres):
         raise NotStandardForm("criterion expects a standard-form presentation")
+    if F.p + 1 > BRUTE_FORCE_LIMIT:
+        raise WindowTooLargeForBruteForce(
+            f"{F.p + 1} points of P^1(F) exceed limit {BRUTE_FORCE_LIMIT}"
+        )
     window = pres.class_n if window is None else window
     points = two_step_centralizers(pres).distinct(window)
     ey_occurs = ey_point(F) in points
@@ -654,6 +654,13 @@ class ScanTable:
     agree: Optional[bool]
 
 
+def _check_scan_budget(cost: int, unit: str, window: int) -> None:
+    if cost * window > SCAN_BUDGET:
+        raise WindowTooLarge(
+            f"scan of {cost} {unit} x window {window} exceeds budget {SCAN_BUDGET}"
+        )
+
+
 def count_thin_by_line_avoidance(
     pres: MaxClassPresentation, window: Optional[int] = None
 ) -> int:
@@ -663,10 +670,12 @@ def count_thin_by_line_avoidance(
     (delta != mu*beta) and, for every lambda with E(x + lambda*y) an
     occurring centralizer, the extension elements beta - lambda and
     delta - lambda*mu are F-independent.  The Ey condition holds for every
-    normalized pair since (1, mu) is an F-independent pair.
+    normalized pair since (1, mu) is an F-independent pair.  Walks all q^2
+    pairs, so it is charged like the normalized ``scan``.
     """
     F = pres.field
     window = pres.class_n if window is None else window
+    _check_scan_budget(F.order**2, "pairs", window)
     points = two_step_centralizers(pres).distinct(window)
     lams = [pt[1] for pt in points if pt != ey_point(F)]
     count = 0
@@ -704,10 +713,7 @@ def scan(
     p, q = F.p, F.order
     count = q**4 - 1 if raw else q * q
     cost, unit = ((p * p + 1) * (p * p + p + 1), "planes") if raw else (count, "pairs")
-    if cost * window > SCAN_BUDGET:
-        raise WindowTooLarge(
-            f"scan of {cost} {unit} x window {window} exceeds budget {SCAN_BUDGET}"
-        )
+    _check_scan_budget(cost, unit, window)
     amb = _Ambient(pres, window)
     pairs = f_planes(F) if raw else normalized_pairs(F)
     # in raw mode |GL_2(F)|, the number of ordered bases of a plane

@@ -49,7 +49,7 @@ def test_criterion_1_metabelian_thin_pair(f9, met40, thin_pair_f9):
         assert an.verdict.kind == "thin"
         assert an.dim(2) == 1
         assert all(an.dim(i) == 2 for i in range(3, 41))
-        assert sf.verify_covering(met40, an).ok
+        assert sf.verify_covering(an).ok
 
 
 def test_criterion_2_maximal_class_pair(f9, met40, maximal_pair):
@@ -75,7 +75,7 @@ def test_criterion_3_exhaustive_equivalence(f4, f9, dev4_12, dev9_12):
                     continue
                 an = sf.generate_subalgebra(pres, g, 12)
                 is_thin = an.verdict.kind == "thin"
-                covering = sf.verify_covering(pres, an)
+                covering = sf.verify_covering(an)
                 dims_pattern = an.dim(2) == 1 and all(
                     an.dim(i) == 2 for i in range(3, 13)
                 )
@@ -99,8 +99,8 @@ def test_criterion_4_ideally_r_constrained(dev9_14, rc_pair):
         assert all(an.dim(i) == 2 for i in range(t1 + 1, 15))
         r = v.r_observed
         assert v.r_bound_ok  # 2 <= r <= t1
-        assert sf.verify_ideal_sandwich(dev9_14, an, r).ok
-        below = sf.verify_ideal_sandwich(dev9_14, an, r - 1)
+        assert sf.verify_ideal_sandwich(an, r).ok
+        below = sf.verify_ideal_sandwich(an, r - 1)
         assert not below.ok
         witness_degree = below.witness[0]
         # the first maximal gap is t_2 - t_1, so the witness sits at t_1 + 1
@@ -132,7 +132,7 @@ def test_criterion_5_endomorphism_rings(f4, f9, dev9_14, thin_pair_f9, maximal_p
                 p = pres.field.p
                 assert all((t * t + c1 * t + c0) % p != 0 for t in range(p))
             for shift in (0, 1):
-                g = endo.grend_d_dimension(an, shift, 3, window)
+                g = endo.grend_d_dimension(an, shift)
                 assert g.bound_ok
                 if shift == 0:
                     assert g.dim == ring.dim

@@ -73,6 +73,14 @@ generator only and reads the root of the ambient quadratic off the scalar
 by which the generator acts (the lemma in its docstring); the version that
 enumerated the ring is kept here as an oracle.
 
+``endo._solve_graded_maps`` takes one linear-form step per degree: the ad
+rows [v, g] of each degree are computed once, f_{i+1} solves
+[v, g]*f_{i+1} = f_i(v)*T_g on a spanning subset of them, and every sum of
+forms goes through ``_combine``.  The per-operation propagation it
+replaced, which bracketed each degree twice, is kept here as
+``oracle_solve_graded_maps``; both must give the same kernel rows, the same
+forms at every degree, or the same error.
+
 ``reconstruct.detect_structure`` reads the largest degree i with a nonzero
 bracket [v_i, v_j] in the window once, and ``gf.rref`` and ``gf.solve``
 are read off the canonical ``RowSpace``.  The scan per tail T^k and the
@@ -90,6 +98,7 @@ from thinlie import reconstruct as rec
 from thinlie import subfield as sf
 from thinlie.errors import (
     BadBound,
+    CoveringFails,
     DimensionAnomaly,
     NotAField,
     NotCommutative,
@@ -1310,12 +1319,10 @@ def oracle_extract(rep):
 
 def _rep(pres, pair, window=None):
     an = sf.generate_subalgebra(pres, pair, pres.class_n if window is None else window)
-    ring = endo.compute_grend0(an)
-    fid = endo.identify_field(ring)
     flags = rec.detect_structure(an)
     if flags.metabelian:
-        return rec.build_rho_prime(an, ring, fid, flags)
-    return rec.build_rho(an, ring, fid, flags)
+        return rec.build_rho_prime(an, flags)
+    return rec.build_rho(an, flags)
 
 
 def _outcome(fn, *args):
@@ -2055,7 +2062,7 @@ def oracle_identify_field(ring):
     gen = None
     for k in range(ring.dim):
         cand = endo._lf_unit(ring.dim, k)
-        if not endo._proportional(p, cand, ring.identity):
+        if span(Fb, [cand, ring.identity], ring.dim).dim > 1:
             gen = cand
             break
     if gen is None:
@@ -2070,7 +2077,7 @@ def oracle_identify_field(ring):
     # locate a root of the ambient quadratic t^2 - u t - v inside the ring
     mu_abs = None
     for coords in _ring_elements(ring):
-        if endo._proportional(p, coords, ring.identity):
+        if span(Fb, [coords, ring.identity], ring.dim).dim <= 1:
             continue
         sq = ring.compose(coords, coords)
         want = tuple(
@@ -2109,11 +2116,13 @@ _METABELIAN = {
     "metabelian4_10": (2, 1, 1, 10),
     "metabelian9_10": (3, 0, 2, 10),
     "metabelian9b_10": (3, 1, 1, 10),
+    "metabelian9b_12": (3, 1, 1, 12),
     "metabelian25_10": (5, 0, 2, 10),
     "metabelian9_14": (3, 0, 2, 14),
     "metabelian25_14": (5, 0, 2, 14),
     "metabelian9_40": (3, 0, 2, 40),
     "metabelian25_40": (5, 0, 2, 40),
+    "metabelian49_10": (7, 0, 3, 10),
 }
 
 
@@ -2146,9 +2155,12 @@ def test_identify_field_matches_enumeration(request, which, embeddings):
     for g in pairs:
         if g.is_degenerate(F):
             continue
-        ring = endo.compute_grend0(sf.generate_subalgebra(pres, g))
+        an = sf.generate_subalgebra(pres, g)
+        ring = endo.compute_grend0(an)
         fid = endo.identify_field(ring)
         assert fid == oracle_identify_field(ring), g
+        # E lies in End_0(L^3) of a thin L, so its field is quadratic
+        assert fid.dim == 2 or an.verdict.kind != "thin", g
         seen.add(fid.embedding)
     assert seen == embeddings
 
@@ -2230,6 +2242,167 @@ def test_schur_sees_non_basis_elements():
     assert _outcome(oracle_identify_field, bad)[0] == "ok"
     with pytest.raises(NotAField):
         endo.identify_field(bad)
+
+
+# -- endo: one linear-form step per degree --------------------------------------
+
+
+def _lf_zero(n):
+    return (0,) * n
+
+
+def _lf_add(p, a, b):
+    return tuple((x + y) % p for x, y in zip(a, b))
+
+
+def _lf_scale(p, c, a):
+    return tuple(c * x % p for x in a)
+
+
+def _gen_images(analysis, degree):
+    """[(row_index, gen_index, coords of [row, gen] in the L_{degree+1} basis)]."""
+    out = []
+    for r_idx, row in enumerate(analysis.basis(degree)):
+        for g_idx, gen in enumerate((analysis.pair.X, analysis.pair.Y)):
+            img = sf.ad_gen(analysis.pres, degree, row, gen)
+            out.append((r_idx, g_idx, analysis.express(degree + 1, img)))
+    return out
+
+
+def oracle_solve_graded_maps(analysis, shift, k0, window):
+    """Solution space of graded degree-`shift` L-endomorphisms of the module.
+
+    Returns (kernel_rows, symbolic) where each kernel row is a flattened
+    bottom matrix V_{k0} -> V_{k0+shift} and symbolic[i] is the propagated
+    matrix at source degree i with linear-form entries.
+    """
+    Fb = analysis.field.base
+    p = Fb.p
+    dim_src = analysis.dim(k0)
+    dim_tgt = analysis.dim(k0 + shift)
+    n_unk = dim_src * dim_tgt
+    symbolic = {
+        k0: [
+            [endo._lf_unit(n_unk, r * dim_tgt + c) for c in range(dim_tgt)]
+            for r in range(dim_src)
+        ]
+    }
+    constraints = []
+    i = k0
+    while i + 1 + shift <= window:
+        src_imgs = _gen_images(analysis, i)  # spans V_{i+1}
+        tgt_imgs = _gen_images(analysis, i + shift)
+        tgt_lookup = {(r, g): v for r, g, v in tgt_imgs}
+        f_i = symbolic[i]
+        d_next = analysis.dim(i + 1)
+        d_next_tgt = analysis.dim(i + 1 + shift)
+        pairs = []
+        for r_idx, g_idx, in_vec in src_imgs:
+            out_vec = [_lf_zero(n_unk)] * d_next_tgt
+            for s in range(analysis.dim(i + shift)):
+                coeff_forms = f_i[r_idx][s]
+                tgt_vec = tgt_lookup[(s, g_idx)]
+                for j, c in enumerate(tgt_vec):
+                    if c:
+                        out_vec[j] = _lf_add(p, out_vec[j], _lf_scale(p, c, coeff_forms))
+            pairs.append((tuple(in_vec), out_vec))
+        # choose a spanning subset of the concrete input vectors
+        chooser = RowSpace(Fb, d_next)
+        selected = []
+        for idx, (in_vec, _) in enumerate(pairs):
+            if chooser.insert(in_vec):
+                selected.append(idx)
+        if len(selected) != d_next:
+            raise CoveringFails(
+                f"[L_{i}, L_1] does not span L_{i + 1}; propagation is not forced"
+            )
+        sel_rows = [pairs[idx][0] for idx in selected]
+        inv = [solve(Fb, sel_rows, endo._lf_unit(d_next, j)) for j in range(d_next)]
+        f_next = []
+        for j in range(d_next):
+            acc = [_lf_zero(n_unk)] * d_next_tgt
+            for k, idx in enumerate(selected):
+                c = inv[j][k]
+                if c:
+                    for col in range(d_next_tgt):
+                        acc[col] = _lf_add(
+                            p, acc[col], _lf_scale(p, c, pairs[idx][1][col])
+                        )
+            f_next.append(acc)
+        symbolic[i + 1] = f_next
+        # consistency: every (input, output) pair must match the propagated map
+        for in_vec, out_vec in pairs:
+            for col in range(d_next_tgt):
+                acc = _lf_zero(n_unk)
+                for j, c in enumerate(in_vec):
+                    if c:
+                        acc = _lf_add(p, acc, _lf_scale(p, c, f_next[j][col]))
+                diff = tuple((a - b) % p for a, b in zip(acc, out_vec[col]))
+                if any(diff):
+                    constraints.append(diff)
+        i += 1
+    if constraints:
+        res = rref(Matrix(Fb, constraints))
+        kernel_rows = [tuple(r) for r in res.kernel.rows]
+    else:
+        kernel_rows = [endo._lf_unit(n_unk, k) for k in range(n_unk)]
+    return kernel_rows, symbolic
+
+
+_SOLVER_SAMPLE = 60
+
+
+@pytest.mark.parametrize(
+    "which",
+    [
+        "metabelian4_10",
+        "metabelian9_14",
+        "metabelian9b_12",
+        "dev9_14",
+        "metabelian25_14",
+        "metabelian49_10",
+        "dev25_14",
+    ],
+)
+def test_solver_matches_propagation_oracle(request, which):
+    """The one-step-per-degree solver against the per-operation propagation:
+    equal kernel rows, equal forms at every degree, or the same error, at
+    shifts 0, 1 and 2, on every non-degenerate pair (raw over GF(4),
+    normalized otherwise) or a seeded sample of them over GF(25)/GF(49)."""
+    pres = _presentation(request, which)
+    F = pres.field
+    pairs = [
+        g for g in (sf.raw_pairs(F) if F.p == 2 else sf.normalized_pairs(F))
+        if not g.is_degenerate(F)
+    ]
+    if F.p > 3:
+        pairs = random.Random(f"solver-{which}").sample(pairs, _SOLVER_SAMPLE)
+    amb = sf._Ambient(pres, pres.class_n)
+    for g in pairs:
+        an = sf._analyse(amb, g)
+        for shift in (0, 1, 2):
+            got = _outcome(endo._solve_graded_maps, an, shift)
+            want = _outcome(oracle_solve_graded_maps, an, shift, endo.K0, an.window)
+            assert got == want, (g, shift)
+
+
+def test_solver_matches_propagation_oracle_at_class_40(thin_pair_f9):
+    pres = _presentation(None, "metabelian9_40")
+    an = sf.generate_subalgebra(pres, thin_pair_f9)
+    for shift in (0, 1, 2):
+        got = endo._solve_graded_maps(an, shift)
+        assert got == oracle_solve_graded_maps(an, shift, endo.K0, an.window), shift
+
+
+def test_grend0_brackets_each_degree_once(monkeypatch, thin_pair_f9):
+    """compute_grend0 brackets each basis row of L_3 .. L_{window-1} with X
+    and Y once: 2 * sum(dim L_i) calls of ad_gen."""
+    an = sf.generate_subalgebra(_presentation(None, "metabelian9_40"), thin_pair_f9)
+    calls = []
+    ad_gen = endo.ad_gen
+    monkeypatch.setattr(endo, "ad_gen", lambda *args: calls.append(args) or ad_gen(*args))
+    endo.compute_grend0(an)
+    assert len(calls) == 2 * sum(an.dim(i) for i in range(3, 40)) == 148
 
 
 # -- gf: one row reduction -----------------------------------------------------

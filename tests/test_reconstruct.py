@@ -7,7 +7,6 @@ from pathlib import Path
 
 import pytest
 
-from thinlie import endo
 from thinlie import maxclass as mc
 from thinlie import reconstruct as rec
 from thinlie import subfield as sf
@@ -38,13 +37,11 @@ def centralizers_match(pres, pair, window=None):
     sequence in standard form is an isomorphism invariant."""
     window = pres.class_n if window is None else window
     an = sf.generate_subalgebra(pres, pair, window)
-    ring = endo.compute_grend0(an, 3, window)
-    fid = endo.identify_field(ring)
-    flags = rec.detect_structure(an, window)
+    flags = rec.detect_structure(an)
     if flags.metabelian:
-        rep = rec.build_rho_prime(an, ring, fid, flags)
+        rep = rec.build_rho_prime(an, flags)
     else:
-        rep = rec.build_rho(an, ring, fid, flags)
+        rep = rec.build_rho(an, flags)
     recon = rec.assemble_N(rep)
     seq_n = mc.two_step_centralizers(mc.standard_generators(recon.presentation).presentation)
     quotient = mc.quotient(pres, recon.usable_window)
@@ -55,30 +52,24 @@ def centralizers_match(pres, pair, window=None):
 @pytest.fixture(scope="module")
 def met_setup(f9, thin_pair_f9):
     m = mc.make_metabelian(f9, 14)
-    an = sf.generate_subalgebra(m, thin_pair_f9, 14)
-    ring = endo.compute_grend0(an)
-    fid = endo.identify_field(ring)
-    return m, an, ring, fid
+    return m, sf.generate_subalgebra(m, thin_pair_f9, 14)
 
 
 @pytest.fixture(scope="module")
 def dev_setup(dev9_14, thin_pair_f9):
-    an = sf.generate_subalgebra(dev9_14, thin_pair_f9, 14)
-    ring = endo.compute_grend0(an)
-    fid = endo.identify_field(ring)
-    return dev9_14, an, ring, fid
+    return dev9_14, sf.generate_subalgebra(dev9_14, thin_pair_f9, 14)
 
 
 class TestDetectStructure:
     def test_metabelian_branch(self, met_setup):
-        _, an, _, _ = met_setup
+        _, an = met_setup
         flags = rec.detect_structure(an)
         assert flags.metabelian
         assert flags.k == 2 and flags.z_degree == 1
         assert flags.detection == "metabelian"
 
     def test_deviating_branch(self, dev_setup):
-        _, an, _, _ = dev_setup
+        _, an = dev_setup
         flags = rec.detect_structure(an)
         assert not flags.metabelian
         assert flags.k >= 3 and flags.z_degree == flags.k - 1
@@ -93,16 +84,16 @@ class TestDetectStructure:
 
 class TestBuildRho:
     def test_checks_pass(self, dev_setup):
-        _, an, ring, fid = dev_setup
+        _, an = dev_setup
         flags = rec.detect_structure(an)
-        rep = rec.build_rho(an, ring, fid, flags)
+        rep = rec.build_rho(an, flags)
         assert rep.branch == "rho"
         assert rep.slots_min == flags.k - 1
 
     def test_z_slot_killed_by_z(self, dev_setup):
-        _, an, ring, fid = dev_setup
+        _, an = dev_setup
         flags = rec.detect_structure(an)
-        rep = rec.build_rho(an, ring, fid, flags)
+        rep = rec.build_rho(an, flags)
         f = an.field
         # rho(z) sends the z-slot to [z, z] = 0
         z_deg = flags.z_degree
@@ -110,9 +101,9 @@ class TestBuildRho:
         assert f.is_zero(z_img[rep.slots_min])
 
     def test_grading(self, dev_setup):
-        _, an, ring, fid = dev_setup
+        _, an = dev_setup
         flags = rec.detect_structure(an)
-        rep = rec.build_rho(an, ring, fid, flags)
+        rep = rec.build_rho(an, flags)
         # every slot is a table slot on rho, so nothing is stored
         assert rep.lo == rep.slots_min and not any(rep.images.values())
         for d in range(1, rep.window - rep.slots_min + 1):
@@ -121,16 +112,16 @@ class TestBuildRho:
                     assert src + d <= rep.window
 
     def test_wrong_branch_rejected(self, met_setup):
-        _, an, ring, fid = met_setup
+        _, an = met_setup
         flags = rec.detect_structure(an)
         with pytest.raises(PreconditionFailed):
-            rec.build_rho(an, ring, fid, flags)
+            rec.build_rho(an, flags)
 
 
 class TestBuildRhoPrime:
     def test_checks_pass(self, met_setup):
-        _, an, ring, fid = met_setup
-        rep = rec.build_rho_prime(an, ring, fid, rec.detect_structure(an))
+        _, an = met_setup
+        rep = rec.build_rho_prime(an, rec.detect_structure(an))
         assert rep.branch == "rho_prime"
         assert rep.slots_min == 1
         # only the two extension slots are stored, and only where the map reaches
@@ -139,8 +130,8 @@ class TestBuildRhoPrime:
             assert set(m) == {s for s in (1, 2) if s + max(i, 1) <= rep.window}
 
     def test_x_and_y_slot_entries(self, met_setup, f9):
-        _, an, ring, fid = met_setup
-        rep = rec.build_rho_prime(an, ring, fid, rec.detect_structure(an))
+        _, an = met_setup
+        rep = rec.build_rho_prime(an, rec.detect_structure(an))
         # decompose X and Y in the stored degree-1 basis rows
         X4 = sf.deg1_to_f4(an.pair.X)
         Y4 = sf.deg1_to_f4(an.pair.Y)
@@ -163,15 +154,15 @@ class TestBuildRhoPrime:
         assert not f9.is_zero(y_img[2])
 
     def test_rejects_non_metabelian(self, dev_setup):
-        _, an, ring, fid = dev_setup
+        _, an = dev_setup
         with pytest.raises(NotMetabelian):
-            rec.build_rho_prime(an, ring, fid, rec.detect_structure(an))
+            rec.build_rho_prime(an, rec.detect_structure(an))
 
 
 class TestAssemble:
     def test_metabelian_dims_and_extraction(self, met_setup, f9):
-        m, an, ring, fid = met_setup
-        rep = rec.build_rho_prime(an, ring, fid, rec.detect_structure(an))
+        m, an = met_setup
+        rep = rec.build_rho_prime(an, rec.detect_structure(an))
         recon = rec.assemble_N(rep)
         assert recon.usable_window == 14 - 2 - 1
         assert recon.dims[1] == 2
@@ -182,16 +173,16 @@ class TestAssemble:
         assert std == mc.make_metabelian(f9, recon.usable_window)
 
     def test_deviating_extraction_valid(self, dev_setup):
-        _, an, ring, fid = dev_setup
+        _, an = dev_setup
         flags = rec.detect_structure(an)
-        rep = rec.build_rho(an, ring, fid, flags)
+        rep = rec.build_rho(an, flags)
         recon = rec.assemble_N(rep)
         assert mc.validate(recon.presentation).ok
         assert recon.dims[1] == 2
 
     def test_extension_bilinearity_of_bracket(self, met_setup, f9):
-        _, an, ring, fid = met_setup
-        rep = rec.build_rho_prime(an, ring, fid, rec.detect_structure(an))
+        _, an = met_setup
+        rep = rec.build_rho_prime(an, rec.detect_structure(an))
         rng = random.Random(31)
         elems = list(f9.elements())
         for _ in range(40):
@@ -267,11 +258,9 @@ class TestRoundtrip:
         report = rec.verify_roundtrip(pres, thin_pair_f9)
         assert report.iso and calls == []
         an = sf.generate_subalgebra(pres, thin_pair_f9, pres.class_n)
-        ring = endo.compute_grend0(an)
-        fid = endo.identify_field(ring)
         flags = rec.detect_structure(an)
         build = rec.build_rho_prime if flags.metabelian else rec.build_rho
-        rep = build(an, ring, fid, flags)
+        rep = build(an, flags)
         assert rec.usable_window(rep) == report.usable_window == rec.assemble_N(rep).usable_window
         assert len(calls) == 1
 
@@ -323,10 +312,8 @@ class TestIsoSearch:
 
     def test_roundtrip_crosscheck(self, dev9_14, thin_pair_f9):
         an = sf.generate_subalgebra(dev9_14, thin_pair_f9, 14)
-        ring = endo.compute_grend0(an)
-        fid = endo.identify_field(ring)
         flags = rec.detect_structure(an)
-        rep = rec.build_rho(an, ring, fid, flags)
+        rep = rec.build_rho(an, flags)
         recon = rec.assemble_N(rep)
         res = rec.iso_search(
             recon.presentation, mc.quotient(dev9_14, recon.usable_window)

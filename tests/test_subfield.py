@@ -13,7 +13,7 @@ from thinlie.errors import (
     WindowTooLarge,
     WindowTooLargeForBruteForce,
 )
-from thinlie.gf import Matrix, RowSpace, make_ext_field
+from thinlie.gf import ExtField, Matrix, RowSpace, make_ext_field
 
 
 class TestGenerate:
@@ -124,16 +124,16 @@ class TestCovering:
     def test_thin_ok(self, f9, thin_pair_f9):
         m = mc.make_metabelian(f9, 12)
         an = sf.generate_subalgebra(m, thin_pair_f9, 12)
-        assert sf.verify_covering(m, an).ok
+        assert sf.verify_covering(an).ok
 
     def test_maximal_ok(self, f9, maximal_pair):
         m = mc.make_metabelian(f9, 12)
         an = sf.generate_subalgebra(m, maximal_pair, 12)
-        assert sf.verify_covering(m, an).ok
+        assert sf.verify_covering(an).ok
 
     def test_rc_fails_past_t1(self, dev9_14, rc_pair):
         an = sf.generate_subalgebra(dev9_14, rc_pair, 14)
-        report = sf.verify_covering(dev9_14, an)
+        report = sf.verify_covering(an)
         assert not report.ok
         degree, _ = report.first_failure
         # first degree with d_i = 1 and a 2-dimensional next component
@@ -144,18 +144,18 @@ class TestIdealSandwich:
     def test_thin_r1(self, f9, thin_pair_f9):
         m = mc.make_metabelian(f9, 12)
         an = sf.generate_subalgebra(m, thin_pair_f9, 12)
-        assert sf.verify_ideal_sandwich(m, an, 1).ok
+        assert sf.verify_ideal_sandwich(an, 1).ok
 
     def test_maximal_r1(self, f9, maximal_pair):
         m = mc.make_metabelian(f9, 12)
         an = sf.generate_subalgebra(m, maximal_pair, 12)
-        assert sf.verify_ideal_sandwich(m, an, 1).ok
+        assert sf.verify_ideal_sandwich(an, 1).ok
 
     def test_rc_at_r_and_below(self, dev9_14, rc_pair):
         an = sf.generate_subalgebra(dev9_14, rc_pair, 14)
         r = an.verdict.r_observed
-        assert sf.verify_ideal_sandwich(dev9_14, an, r).ok
-        below = sf.verify_ideal_sandwich(dev9_14, an, r - 1)
+        assert sf.verify_ideal_sandwich(an, r).ok
+        below = sf.verify_ideal_sandwich(an, r - 1)
         assert not below.ok
         degree, _, missing = below.witness
         assert degree == an.verdict.t1 + 1  # t_{j0-1} + 1 with j0 the first max gap
@@ -165,7 +165,7 @@ class TestIdealSandwich:
         # completeness of the generator-only closure, checked on a small case
         m = mc.make_metabelian(f9, 8)
         an = sf.generate_subalgebra(m, thin_pair_f9, 8)
-        spans = sf.ideal_closure(m, an, 3, an.basis(3)[0])
+        spans = sf.ideal_closure(an, 3, an.basis(3)[0])
         for h in range(3, 9):
             for vec in spans[h].basis():
                 for dg in range(1, 9 - h):
@@ -377,4 +377,28 @@ class TestBruteForceGuard:
         an = sf.generate_subalgebra(m, thin_pair_f9, 12)
         monkeypatch.setattr(sf, "BRUTE_FORCE_LIMIT", 10)
         with pytest.raises(WindowTooLargeForBruteForce):
-            sf.verify_covering(m, an)
+            sf.verify_covering(an)
+
+    # At p = 1000003 the enumerations below would run for seconds or
+    # exhaust memory, so each is patched to fail the test instead.
+    P = 1000003
+
+    def _big(self):
+        return mc.make_metabelian(make_ext_field(self.P, 0, self.P - 1), 6)
+
+    def test_line_criterion_refuses_large_p(self, monkeypatch, thin_pair_f9):
+        def refuse(field, g):
+            raise AssertionError("criterion enumerated P^1(F) before checking its budget")
+
+        monkeypatch.setattr(sf, "visible_lambdas", refuse)
+        with pytest.raises(WindowTooLargeForBruteForce, match=f"{self.P + 1} points"):
+            sf.thin_line_criterion(self._big(), thin_pair_f9)
+
+    def test_line_count_refuses_over_scan_budget(self, monkeypatch):
+        def refuse(field):
+            raise AssertionError("line count enumerated E before checking its budget")
+
+        monkeypatch.setattr(ExtField, "elements", refuse)
+        q = self.P**2
+        with pytest.raises(WindowTooLarge, match=f"scan of {q * q} pairs x window 6"):
+            sf.count_thin_by_line_avoidance(self._big())
