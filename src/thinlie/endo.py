@@ -10,7 +10,7 @@ degree, f_{i+1} solves [v, g]*f_{i+1} = f_i(v)*T_g on a spanning subset of
 the ad rows [v, g] (v a basis row of L_i, g = X, Y), and every other row
 gives a well-definedness constraint.  The constraints form one linear
 system over GF(p); its kernel is the endomorphism space.  Every sum of
-forms goes through ``_combine``.
+forms goes through ``gf.combine``.
 
 Parameterizing from the bottom eliminates spurious solutions supported
 near the truncation top, which would otherwise satisfy every visible
@@ -28,7 +28,7 @@ from .errors import (
     NotCommutative,
     OutOfWindow,
 )
-from .gf import Matrix, RowSpace, quadratic_is_irreducible, rref, solve, span
+from .gf import RowSpace, combine, quadratic_is_irreducible, solve, span
 from .subfield import SubalgebraAnalysis, ad_gen
 
 TYPE_CHECKING = False
@@ -46,15 +46,6 @@ K0 = 3  # the module is L^{K0}; its bottom degree carries the unknowns
 
 def _lf_unit(n: int, k: int) -> Coords:
     return tuple(1 if i == k else 0 for i in range(n))
-
-
-def _combine(p: int, coeffs: Sequence[int], forms: Sequence[Coords]) -> Coords:
-    """sum(c * form) over GF(p); zero coefficients skipped, one reduction."""
-    acc = [0] * len(forms[0])
-    for c, form in zip(coeffs, forms):
-        if c:
-            acc = [a + c * x for a, x in zip(acc, form)]
-    return tuple(a % p for a in acc)
 
 
 def _solve_graded_maps(analysis: SubalgebraAnalysis, shift: int):
@@ -97,7 +88,7 @@ def _solve_graded_maps(analysis: SubalgebraAnalysis, shift: int):
         # T[g][j]: column j of T_g, the matrix of ad g on L_{i+shift}
         T = [list(zip(*(t[g] for t in ad[i + shift]))) for g in (0, 1)]
         rows = [  # ([v, g], f_i(v)*T_g) for v in L_i, g = X, Y
-            (v_ad[g], [_combine(p, col, f_i[r]) for col in T[g]])
+            (v_ad[g], [combine(p, col, f_i[r]) for col in T[g]])
             for r, v_ad in enumerate(ad[i])
             for g in (0, 1)
         ]
@@ -113,17 +104,16 @@ def _solve_graded_maps(analysis: SubalgebraAnalysis, shift: int):
         f_next = []
         for j in range(d_next):
             inv = solve(Fb, sel_rows, _lf_unit(d_next, j))
-            f_next.append([_combine(p, inv, [rows[k][1][c] for k in selected]) for c in cols])
+            f_next.append([combine(p, inv, [rows[k][1][c] for k in selected]) for c in cols])
         symbolic[i + 1] = f_next
         for k, (in_vec, out) in enumerate(rows):
             if k in selected:
                 continue  # zero residual by construction
             for c in cols:
-                diff = _combine(p, in_vec + minus_one, [f[c] for f in f_next] + [out[c]])
+                diff = combine(p, in_vec + minus_one, [f[c] for f in f_next] + [out[c]])
                 if any(diff):
                     constraints.append(diff)
-    kernel = rref(Matrix(Fb, constraints, ncols=n_unk)).kernel
-    return [tuple(r) for r in kernel.rows], symbolic
+    return span(Fb, constraints, n_unk).kernel(), symbolic
 
 
 # -- the degree-0 ring --------------------------------------------------------
@@ -132,8 +122,6 @@ def _solve_graded_maps(analysis: SubalgebraAnalysis, shift: int):
 @record
 class EndoRing:
     analysis: SubalgebraAnalysis
-    k0: int
-    window: int
     dim: int
     basis: Tuple[Coords, ...]  # flattened bottom matrices
     identity: Coords  # coordinates of id in the basis
@@ -145,19 +133,20 @@ class EndoRing:
         return self.analysis.field
 
     def element_flat(self, coords: Coords) -> Coords:
-        return tuple(Matrix(self.field.base, self.basis).apply(coords))
+        return combine(self.field.p, coords, self.basis)
 
     def matrix_at(self, coords: Coords, degree: int) -> List[List[int]]:
         """The element's concrete matrix on V_degree."""
-        if not self.k0 <= degree <= self.window:
-            raise OutOfWindow(f"degree {degree} outside [{self.k0}, {self.window}]")
+        window = self.analysis.window
+        if not K0 <= degree <= window:
+            raise OutOfWindow(f"degree {degree} outside [{K0}, {window}]")
         return _eval_forms(self.field.p, self._symbolic[degree], self.element_flat(coords))
 
     def compose(self, e1: Coords, e2: Coords) -> Coords:
         """Coordinates of e1 o e2 (apply e2 first)."""
         Fb = self.field.base
-        d = self.analysis.dim(self.k0)
-        prod = _compose_flat(Fb, d, self.element_flat(e1), self.element_flat(e2))
+        d = self.analysis.dim(K0)
+        prod = _compose_flat(Fb.p, d, self.element_flat(e1), self.element_flat(e2))
         return _ring_coords(Fb, self.basis, prod)
 
 
@@ -166,12 +155,15 @@ def _eval_forms(p: int, sym: List[List[Coords]], flat: Coords) -> List[List[int]
     return [[sum(a * b for a, b in zip(form, flat)) % p for form in row] for row in sym]
 
 
-def _compose_flat(Fb, d: int, flat1: Sequence[int], flat2: Sequence[int]) -> Coords:
+def _mat_mul(p: int, a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> List[List[int]]:
+    """The matrix product a . b over GF(p), one ``combine`` per row of a."""
+    return [list(combine(p, row, b)) for row in a]
+
+
+def _compose_flat(p: int, d: int, flat1: Sequence[int], flat2: Sequence[int]) -> Coords:
     """Flattened bottom matrix of e1 o e2; row vectors, so v . M2 . M1."""
-    m1, m2 = (
-        Matrix(Fb, [f[r * d : (r + 1) * d] for r in range(d)]) for f in (flat1, flat2)
-    )
-    return tuple(x for row in m2.mul(m1).rows for x in row)
+    m1, m2 = ([f[r * d : (r + 1) * d] for r in range(d)] for f in (flat1, flat2))
+    return tuple(x for row in _mat_mul(p, m2, m1) for x in row)
 
 
 def _ring_coords(Fb, basis: Sequence[Coords], flat: Sequence[int]) -> Coords:
@@ -195,19 +187,17 @@ def compute_grend0(analysis: SubalgebraAnalysis) -> EndoRing:
     dim = len(kernel_rows)
     d = analysis.dim(K0)
     Fb = analysis.field.base
-    identity_flat = [x for row in Matrix.identity(Fb, d).rows for x in row]
+    identity_flat = [int(r == c) for r in range(d) for c in range(d)]
     identity = _ring_coords(Fb, kernel_rows, identity_flat)
     table = [
         tuple(
-            _ring_coords(Fb, kernel_rows, _compose_flat(Fb, d, ki, kj))
+            _ring_coords(Fb, kernel_rows, _compose_flat(Fb.p, d, ki, kj))
             for kj in kernel_rows
         )
         for ki in kernel_rows
     ]
     ring = EndoRing(
         analysis=analysis,
-        k0=K0,
-        window=analysis.window,
         dim=dim,
         basis=tuple(kernel_rows),
         identity=identity,
@@ -220,13 +210,13 @@ def compute_grend0(analysis: SubalgebraAnalysis) -> EndoRing:
 
 def _crosscheck_composition(ring: EndoRing) -> None:
     """Recompute the table one degree up; guards against propagation bugs."""
-    Fb = ring.field.base
-    deg = ring.k0 + 1
+    p = ring.field.p
+    deg = K0 + 1
     for i in range(ring.dim):
         for j in range(ring.dim):
-            mi = Matrix(Fb, ring.matrix_at(_lf_unit(ring.dim, i), deg))
-            mj = Matrix(Fb, ring.matrix_at(_lf_unit(ring.dim, j), deg))
-            direct = mj.mul(mi).rows
+            mi = ring.matrix_at(_lf_unit(ring.dim, i), deg)
+            mj = ring.matrix_at(_lf_unit(ring.dim, j), deg)
+            direct = _mat_mul(p, mj, mi)
             via_table = ring.matrix_at(ring.mult_table[i][j], deg)
             if direct != via_table:
                 raise DimensionAnomaly(
@@ -263,12 +253,11 @@ def _scalar_of_action(ring: EndoRing, coords: Coords) -> EElem:
     against every basis row.
     """
     F = ring.field
-    mat = ring.matrix_at(coords, ring.k0)
-    rows = ring.analysis.basis(ring.k0)
-    on_rows = Matrix(F.base, rows)
+    mat = ring.matrix_at(coords, K0)
+    rows = ring.analysis.basis(K0)
     sigma = None
     for w, m_row in zip(rows, mat):
-        img = on_rows.apply(m_row)
+        img = combine(F.p, m_row, rows)
         cand = F.div((img[0], img[1]), (w[0], w[1]))
         if sigma is None:
             sigma = cand
@@ -310,10 +299,10 @@ def identify_field(ring: EndoRing) -> FieldId:
                 )
     if ring.dim not in (1, 2):
         raise NotAField(f"unexpected ring dimension {ring.dim}")
-    degrees = range(ring.k0, ring.window + 1)
+    degrees = range(K0, ring.analysis.window + 1)
     for degree in degrees:
         one = ring.matrix_at(ring.identity, degree)
-        if one != Matrix.identity(Fb, len(one)).rows:
+        if one != [[int(r == c) for c in range(len(one))] for r in range(len(one))]:
             raise NotAField(f"the identity does not act as I on degree {degree}")
     if ring.dim == 1:
         return FieldId(
@@ -342,12 +331,12 @@ def identify_field(ring: EndoRing) -> FieldId:
     if not quadratic_is_irreducible(p, m2, m1):
         raise NotAField(f"minimal polynomial t^2 + {c1}t + {c0} is reducible")
     for degree in degrees:
-        G = Matrix(Fb, ring.matrix_at(gen, degree))
+        G = ring.matrix_at(gen, degree)
         want = [
             [(m2 * a + m1 * (r == c)) % p for c, a in enumerate(row)]
-            for r, row in enumerate(G.rows)
+            for r, row in enumerate(G)
         ]
-        if G.mul(G).rows != want:
+        if _mat_mul(p, G, G) != want:
             raise NotAField(
                 f"generator misses t^2 + {c1}t + {c0} on degree {degree}"
             )
@@ -378,7 +367,7 @@ def scalar_action(
     ring: EndoRing, e: Coords, degree: int, vec: Sequence[int]
 ) -> Coords:
     """Apply a ring element to a module vector given in the L-basis coords."""
-    return tuple(Matrix(ring.field.base, ring.matrix_at(e, degree)).apply(vec))
+    return combine(ring.field.p, vec, ring.matrix_at(e, degree))
 
 
 @record

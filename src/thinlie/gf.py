@@ -3,7 +3,8 @@
 Scalars carry no wrapper objects: a prime-field element is an int in
 [0, p) and a quadratic-extension element is a pair ``(c0, c1)`` meaning
 ``c0 + c1*mu`` where ``mu**2 = u*mu + v``.  The field objects own the
-arithmetic, so the matrix routines below run unchanged over either field.
+arithmetic, so ``RowSpace`` and ``solve`` run unchanged over either field;
+``combine``, the one sum of scaled rows, is over GF(p) alone.
 The one exception is the structure-table kernel of ``maxclass``
 (``_Structure.extend``, ``jacobi`` and ``linear_forms``, and the search's
 ``projective_kernel`` and ``free_children``): it expands the product
@@ -14,14 +15,14 @@ and the inverse of the norm.
 
 Rows are eliminated in one place, ``RowSpace.insert``: pivots are the
 first nonzero entry in column order, leading entries are normalized to 1,
-and elimination is carried above and below the pivot.  ``rref`` and
-``solve`` read their results off a ``RowSpace``, so every basis this
-package reports is the canonical reduced row-echelon basis of its span.
+and elimination is carried above and below the pivot.  ``solve`` and
+``RowSpace.kernel`` read their results off a ``RowSpace``, so every basis
+this package reports is the canonical reduced row-echelon basis of its
+span.
 """
 
 from __future__ import annotations
 
-from ._record import record
 from .errors import BadBound, DivisionByZero, NotPrime, ReduciblePolynomial
 
 TYPE_CHECKING = False
@@ -318,117 +319,21 @@ def make_ext_field(p: int, u: int, v: int) -> ExtField:
 
 
 # ---------------------------------------------------------------------------
-# Dense matrices and row reduction, generic over BaseField / ExtField.
+# Linear algebra, generic over BaseField / ExtField.
 # ---------------------------------------------------------------------------
 
 
-class Matrix:
-    """A dense matrix over a BaseField or ExtField."""
+def combine(p: int, coeffs: Sequence[int], rows: Sequence[Sequence[int]]) -> Tuple[int, ...]:
+    """sum(c * row) over GF(p); zero coefficients skipped, one reduction.
 
-    __slots__ = ("field", "rows", "nrows", "ncols")
-
-    def __init__(self, field, rows: Sequence[Sequence], ncols: int | None = None):
-        self.field = field
-        self.rows: List[list] = [list(r) for r in rows]
-        self.nrows = len(self.rows)
-        if self.rows:
-            widths = {len(r) for r in self.rows}
-            if len(widths) != 1:
-                raise ValueError("ragged rows")
-            self.ncols = widths.pop()
-        else:
-            if ncols is None:
-                raise ValueError("empty matrix needs an explicit column count")
-            self.ncols = ncols
-
-    @classmethod
-    def identity(cls, field, n: int) -> "Matrix":
-        z, o = field.zero, field.one
-        return cls(field, [[o if i == j else z for j in range(n)] for i in range(n)])
-
-    @classmethod
-    def zeros(cls, field, nrows: int, ncols: int) -> "Matrix":
-        z = field.zero
-        return cls(field, [[z] * ncols for _ in range(nrows)], ncols=ncols)
-
-    def mul(self, other: "Matrix") -> "Matrix":
-        F = self.field
-        assert self.ncols == other.nrows
-        out = []
-        for r in self.rows:
-            row = []
-            for j in range(other.ncols):
-                acc = F.zero
-                for k in range(self.ncols):
-                    acc = F.add(acc, F.mul(r[k], other.rows[k][j]))
-                row.append(acc)
-            out.append(row)
-        return Matrix(F, out, ncols=other.ncols)
-
-    def apply(self, vec: Sequence) -> list:
-        """Row-vector action: vec . self."""
-        F = self.field
-        assert len(vec) == self.nrows
-        out = [F.zero] * self.ncols
-        for c, row in zip(vec, self.rows):
-            if F.is_zero(c):
-                continue
-            for j, x in enumerate(row):
-                out[j] = F.add(out[j], F.mul(c, x))
-        return out
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Matrix)
-            and other.field == self.field
-            and other.ncols == self.ncols
-            and [list(r) for r in other.rows] == [list(r) for r in self.rows]
-        )
-
-    def __hash__(self):
-        return hash((self.field, self.ncols, tuple(tuple(r) for r in self.rows)))
-
-    def __repr__(self):
-        return f"Matrix({self.field}, {self.rows})"
-
-
-@record
-class RrefResult:
-    rank: int
-    reduced: Matrix
-    pivots: Tuple[int, ...]
-    kernel: Matrix  # basis of the right kernel, one row per free column
-
-
-def rref(m: Matrix) -> RrefResult:
-    """Reduced row-echelon form of m, read off the canonical ``RowSpace``.
-
-    A row space has exactly one reduced echelon basis (pivots the first
-    nonzero entries, normalized to 1 and cleared from every other row),
-    so the result does not depend on the order in which the rows are
-    inserted: it is the basis of ``span(m.rows)`` followed by
-    nrows - rank zero rows.  The kernel basis has one vector per free
-    column j, in column order: entry 1 at j and -reduced[r][j] at the
-    pivot column of row r.
+    This is the vector-matrix product coeffs . rows, so a matrix product
+    a . b is ``combine(p, row, b)`` for each row of a.
     """
-    F = m.field
-    ncols = m.ncols
-    sp = span(F, m.rows, ncols)
-    rows = sp._rows
-    pivots = sp._pivots
-    reduced = Matrix(F, rows + [[F.zero] * ncols for _ in range(m.nrows - sp.dim)], ncols=ncols)
-    pivot_set = set(pivots)
-    kernel_rows = []
-    for j in range(ncols):
-        if j in pivot_set:
-            continue
-        vec = [F.zero] * ncols
-        vec[j] = F.one
-        for ri, pc in enumerate(pivots):
-            vec[pc] = F.neg(rows[ri][j])
-        kernel_rows.append(vec)
-    kernel = Matrix(F, kernel_rows, ncols=ncols)
-    return RrefResult(rank=sp.dim, reduced=reduced, pivots=tuple(pivots), kernel=kernel)
+    acc = [0] * len(rows[0])
+    for c, row in zip(coeffs, rows):
+        if c:
+            acc = [a + c * x for a, x in zip(acc, row)]
+    return tuple(a % p for a in acc)
 
 
 def solve(field, rows: Sequence[Sequence], vec: Sequence) -> list:
@@ -514,8 +419,24 @@ class RowSpace:
     def basis(self) -> List[tuple]:
         return [tuple(r) for r in self._rows]
 
-    def equals(self, other: "RowSpace") -> bool:
-        return self.dim == other.dim and all(self.contains(r) for r in other._rows)
+    def kernel(self) -> List[tuple]:
+        """A basis of the right kernel {x : row . x = 0 for every row}.
+
+        One vector per free column j, in column order: entry 1 at j and
+        -row[j] at the pivot column of each stored row.
+        """
+        F = self.field
+        pivots = set(self._pivots)
+        out = []
+        for j in range(self.ncols):
+            if j in pivots:
+                continue
+            vec = [F.zero] * self.ncols
+            vec[j] = F.one
+            for pc, row in zip(self._pivots, self._rows):
+                vec[pc] = F.neg(row[j])
+            out.append(tuple(vec))
+        return out
 
     def contains_space(self, other: "RowSpace") -> bool:
         return all(self.contains(r) for r in other._rows)

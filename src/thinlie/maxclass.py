@@ -39,7 +39,7 @@ from .errors import (
     WindowTooLarge,
     ZeroPair,
 )
-from .gf import ExtField, Matrix, make_ext_field, residue
+from .gf import ExtField, make_ext_field, residue
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:
@@ -621,7 +621,7 @@ def apply_degree1_change(
 @record
 class StandardForm:
     presentation: MaxClassPresentation
-    transform: Matrix  # rows: new x and new y in the old (x, y) coordinates
+    transform: Tuple[Pair, Pair]  # new x and new y in the old (x, y) coordinates
     changed: bool
 
 
@@ -642,11 +642,10 @@ def standard_generators(pres: MaxClassPresentation) -> StandardForm:
     else:
         xp = (F.one, F.zero) if c2 == ey_point(F) else (F.zero, F.one)
     out = apply_degree1_change(pres, xp, yp)
-    transform = Matrix(F, [list(xp), list(yp)])
     identity = xp == (F.one, F.zero) and yp == (F.zero, F.one)
     return StandardForm(
         presentation=out,
-        transform=transform,
+        transform=(xp, yp),
         changed=not (identity and out.adjoint == pres.adjoint),
     )
 

@@ -36,7 +36,7 @@ from .errors import (
     WindowTooLarge,
     WindowTooLargeForBruteForce,
 )
-from .gf import ExtField, Matrix, RowSpace, span
+from .gf import ExtField, RowSpace, combine, span
 from .maxclass import (
     CentralizerSequence,
     MaxClassPresentation,
@@ -375,10 +375,9 @@ def verify_covering(analysis: SubalgebraAnalysis) -> CoveringReport:
     g = analysis.pair
     _brute_force_guard(Fb.p, analysis.window)
     for i in range(1, analysis.window):
-        rows = Matrix(Fb, analysis.basis(i), ncols=4 if i == 1 else 2)
         target = analysis.space(i + 1)
-        for coeffs in _nonzero_coeff_vectors(Fb.p, rows.nrows):
-            u = rows.apply(coeffs)
+        for coeffs in _nonzero_coeff_vectors(Fb.p, analysis.dim(i)):
+            u = combine(Fb.p, coeffs, analysis.basis(i))
             img = RowSpace(Fb, 2)
             img.insert(ad_gen(pres, i, u, g.X))
             img.insert(ad_gen(pres, i, u, g.Y))
@@ -435,9 +434,8 @@ def verify_ideal_sandwich(analysis: SubalgebraAnalysis, r: int) -> SandwichRepor
     Fb = analysis.field.base
     _brute_force_guard(Fb.p, analysis.window)
     for i in range(1, analysis.window - r + 1):
-        rows = Matrix(Fb, analysis.basis(i), ncols=4 if i == 1 else 2)
-        for coeffs in _nonzero_coeff_vectors(Fb.p, rows.nrows):
-            l = rows.apply(coeffs)
+        for coeffs in _nonzero_coeff_vectors(Fb.p, analysis.dim(i)):
+            l = combine(Fb.p, coeffs, analysis.basis(i))
             spans = ideal_closure(analysis, i, l)
             for h in range(i + r, analysis.window + 1):
                 target = analysis.basis(h)
@@ -453,7 +451,7 @@ def verify_ideal_sandwich(analysis: SubalgebraAnalysis, r: int) -> SandwichRepor
 class NormalizationResult:
     pair: GeneratorPair
     presentation: MaxClassPresentation
-    transform: Matrix  # degree-1 base change applied to the presentation
+    transform: Tuple[EPair, EPair]  # degree-1 base change: new x, new y in (x, y)
     complete: bool
     note: str
 
@@ -474,7 +472,7 @@ def normalize_generators(
         raise DegenerateGenerators("cannot normalize an E-dependent pair")
     if not is_standard(pres):
         raise NotStandardForm("normalization expects a standard-form presentation")
-    ident = Matrix(F, [[F.one, F.zero], [F.zero, F.one]])
+    ident = ((F.one, F.zero), (F.zero, F.one))
     al, be = g.X
     ga, de = g.Y
     if F.is_zero(al):
@@ -506,7 +504,7 @@ def normalize_generators(
         )
     # Rescale the ambient y by beta; in the new basis X = x' + y'.
     pres2 = apply_degree1_change(pres, (F.one, F.zero), (F.zero, be))
-    transform = Matrix(F, [[F.one, F.zero], [F.zero, be]])
+    transform = ((F.one, F.zero), (F.zero, be))
     de2 = F.div(de, be)
     pair2 = GeneratorPair((F.one, F.one), (F.mu, de2))
     complete = not F.in_base(de2)

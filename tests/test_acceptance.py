@@ -14,7 +14,7 @@ from thinlie import endo
 from thinlie import maxclass as mc
 from thinlie import reconstruct as rec
 from thinlie import subfield as sf
-from thinlie.gf import Matrix, make_ext_field
+from thinlie.gf import combine, make_ext_field
 
 from test_reconstruct import centralizers_match
 
@@ -212,7 +212,7 @@ def test_criterion_7_structural_invariants(f4, f9, f25, dev4_12, dev9_12, dev25_
             for coeffs in itertools.product(range(p), repeat=an.dim(degree)):
                 if not any(coeffs):
                     continue
-                vec = Matrix(field.base, an.basis(degree)).apply(coeffs)
+                vec = combine(field.p, coeffs, an.basis(degree))
                 img = RowSpace(field.base, 2)
                 img.insert(sf.ad_gen(pres, degree, vec, g.X))
                 img.insert(sf.ad_gen(pres, degree, vec, g.Y))

@@ -46,7 +46,7 @@ class TestComputeGrend0:
         assert ring.dim == 1
 
     def test_identity_is_a_solution(self, thin_ring):
-        d = thin_ring.analysis.dim(thin_ring.k0)
+        d = thin_ring.analysis.dim(endo.K0)
         ident = [[1 if i == j else 0 for j in range(d)] for i in range(d)]
         flat = tuple(x for row in ident for x in row)
         assert thin_ring.element_flat(thin_ring.identity) == flat

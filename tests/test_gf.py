@@ -9,12 +9,10 @@ import pytest
 from thinlie.errors import BadBound, DivisionByZero, NotPrime, ReduciblePolynomial
 from thinlie.gf import (
     BaseField,
-    Matrix,
     RowSpace,
     is_prime,
     make_ext_field,
     quadratic_is_irreducible,
-    rref,
     solve,
     span,
 )
@@ -147,22 +145,20 @@ class TestArithmetic:
 
 class TestRref:
     def test_identity(self):
-        fb = BaseField(3)
-        res = rref(Matrix.identity(fb, 2))
-        assert res.rank == 2
-        assert res.kernel.nrows == 0
+        sp = span(BaseField(3), [[1, 0], [0, 1]], 2)
+        assert sp.dim == 2
+        assert sp.kernel() == []
 
     def test_zero(self):
-        fb = BaseField(3)
-        res = rref(Matrix.zeros(fb, 2, 2))
-        assert res.rank == 0
-        assert res.kernel.rows == [[1, 0], [0, 1]]
+        sp = span(BaseField(3), [[0, 0], [0, 0]], 2)
+        assert sp.dim == 0
+        assert sp.kernel() == [(1, 0), (0, 1)]
 
     def test_extension_kernel(self):
         f = make_ext_field(3, 0, 2)
-        res = rref(Matrix(f, [[(1, 0), (0, 1)]]))  # row (1, mu)
-        assert res.rank == 1
-        assert res.kernel.rows == [[(0, 2), (1, 0)]]  # (-mu, 1) = (2mu, 1)
+        sp = span(f, [[(1, 0), (0, 1)]], 2)  # row (1, mu)
+        assert sp.dim == 1
+        assert sp.kernel() == [((0, 2), (1, 0))]  # (-mu, 1) = (2mu, 1)
 
     @pytest.mark.parametrize("p", PRIMES)
     def test_idempotent_and_rank_nullity(self, p):
@@ -171,14 +167,12 @@ class TestRref:
         elems = list(f.elements())
         for _ in range(25):
             rows = [[rng.choice(elems) for _ in range(4)] for _ in range(3)]
-            m = Matrix(f, rows)
-            res = rref(m)
-            again = rref(res.reduced)
-            assert again.reduced.rows == res.reduced.rows
-            assert res.rank + res.kernel.nrows == m.ncols
+            sp = span(f, rows, 4)
+            assert span(f, sp.basis(), 4).basis() == sp.basis()
+            assert sp.dim + len(sp.kernel()) == 4
             # kernel rows really are in the kernel
-            for k in res.kernel.rows:
-                img = [f.zero] * m.nrows
+            for k in sp.kernel():
+                img = [f.zero] * len(rows)
                 for i, row in enumerate(rows):
                     acc = f.zero
                     for x, y in zip(row, k):
@@ -199,7 +193,6 @@ class TestRowSpace:
         for v in reversed(vecs):
             b.insert(v)
         assert a.basis() == b.basis()
-        assert a.equals(b)
 
     def test_contains(self):
         fb = BaseField(3)
@@ -310,9 +303,9 @@ class TestSolveKernel:
         for _ in range(20):
             n = rng.randint(1, 3)
             rows = _independent_rows(field, rng, n, n)
-            ident = Matrix.identity(field, n)
-            inv = Matrix(field, [solve(field, rows, unit) for unit in ident.rows])
-            assert inv.mul(Matrix(field, rows)) == ident
+            ident = [[field.one if i == j else field.zero for j in range(n)] for i in range(n)]
+            inv = [solve(field, rows, unit) for unit in ident]
+            assert [_combination(field, row, rows) for row in inv] == ident
 
 
 def _roots_by_enumeration(field, c2, c1, c0):

@@ -12,7 +12,11 @@ at p = 1000003 (residues of several digits in the written file),
 files (one per label shape of ``first_failure``), and ``check`` and
 ``roundtrip`` on a presentation whose pairs are not canonical (every a_i
 is 0 or mu, not 0 or 1) and ``check`` on a copy of it that fails at a y
-triple.  They run in a fresh
+triple.  The CLI branches no README example reaches are covered too:
+``stats`` on a valid file that is not in standard form (``ex10.json``,
+every pair (0, 1)), ``scan --raw``, and ``analyze`` on a maximal, an
+r-constrained (``dev9mu.json``) and a degenerate pair, the last with
+exit code 1.  They run in a fresh
 directory with relative file names, because reports echo the input path.
 
 After a declared report-schema change, rewrite the recorded copy with
@@ -36,7 +40,7 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
 WRITTEN = GOLDEN / "written"
 
 # input files copied into the working directory before the cases run
-INPUTS = ["bad6.json", "bad10.json", "dev9mu.json", "dev9mu-bad.json"]
+INPUTS = ["bad6.json", "bad10.json", "dev9mu.json", "dev9mu-bad.json", "ex10.json"]
 
 PAIR = ["--X", "1,0,1,0", "--Y", "0,1,1,1"]
 
@@ -66,6 +70,12 @@ CASES = [
     ("roundtrip-dev9mu", ["roundtrip", "dev9mu.json", *PAIR], 0),
     # first_failure ["v8", "v2", "y"]: dev9mu.json with b_10 raised by 1
     ("check-dev9mu-bad", ["check", "dev9mu-bad.json"], 1),
+    # valid and not standard (every pair is (0, 1)), so standard_generators changes it
+    ("stats-ex10", ["stats", "ex10.json"], 0),
+    ("scan-raw", ["scan", "m.json", "--window", "12", "--raw"], 0),
+    ("analyze-maximal", ["analyze", "m.json", "--X", "1,0,0,0", "--Y", "0,0,1,0", "--window", "12"], 0),
+    ("analyze-rconstrained", ["analyze", "dev9mu.json", "--X", "0,0,1,0", "--Y", "1,0,0,1"], 0),
+    ("analyze-degenerate", ["analyze", "m.json", "--X", "1,0,0,0", "--Y", "0,1,0,0", "--window", "12"], 1),
 ]
 
 

@@ -76,15 +76,17 @@ enumerated the ring is kept here as an oracle.
 ``endo._solve_graded_maps`` takes one linear-form step per degree: the ad
 rows [v, g] of each degree are computed once, f_{i+1} solves
 [v, g]*f_{i+1} = f_i(v)*T_g on a spanning subset of them, and every sum of
-forms goes through ``_combine``.  The per-operation propagation it
+forms goes through ``gf.combine``.  The per-operation propagation it
 replaced, which bracketed each degree twice, is kept here as
 ``oracle_solve_graded_maps``; both must give the same kernel rows, the same
 forms at every degree, or the same error.
 
 ``reconstruct.detect_structure`` reads the largest degree i with a nonzero
-bracket [v_i, v_j] in the window once, and ``gf.rref`` and ``gf.solve``
-are read off the canonical ``RowSpace``.  The scan per tail T^k and the
-Gauss-Jordan elimination they replaced are kept here as oracles.
+bracket [v_i, v_j] in the window once, and ``gf.solve`` and
+``RowSpace.kernel`` are read off the canonical ``RowSpace``.  The scan per
+tail T^k and the Gauss-Jordan elimination they replaced are kept here as
+oracles, and so are the entry-by-entry vector-matrix and matrix products
+that ``gf.combine`` and ``endo._mat_mul`` replaced.
 """
 
 import itertools
@@ -109,12 +111,11 @@ from thinlie.errors import (
     WindowTooSmall,
 )
 from thinlie.gf import (
-    Matrix,
+    BaseField,
     RowSpace,
-    RrefResult,
+    combine,
     make_ext_field,
     quadratic_is_irreducible,
-    rref,
     solve,
     span,
 )
@@ -122,6 +123,10 @@ from thinlie.gf import (
 
 def _label(i: int) -> str:
     return "x" if i == 0 else "y" if i == 1 else f"v{i}"
+
+
+def _identity(field, n):
+    return [[field.one if i == j else field.zero for j in range(n)] for i in range(n)]
 
 
 def _random_nonzero(field, rng):
@@ -1633,10 +1638,7 @@ def oracle_iso_search(pres_a, pres_b, window=None):
                     if F.is_zero(det):
                         continue
                     if oracle_extends(F, sta, stb, window, a1, b1, a2, b2):
-                        return rec.IsoResult(
-                            found=True,
-                            transform=Matrix(F, [[a1, b1], [a2, b2]]),
-                        )
+                        return rec.IsoResult(found=True, transform=((a1, b1), (a2, b2)))
     return rec.IsoResult(found=False, transform=None)
 
 
@@ -1659,15 +1661,15 @@ def oracle_iso_standard(pres_a, pres_b, window=None):
     deviates = bool(mc.two_step_centralizers(A).deviations())
     t_a = mc.standard_generators(A).transform
     t_b = mc.standard_generators(B).transform
-    t_a_inv = Matrix(F, [solve(F, t_a.rows, e) for e in Matrix.identity(F, 2).rows])
+    t_a_inv = [solve(F, t_a, e) for e in _identity(F, 2)]
     target = mc.apply_degree1_change(A, (F.one, F.zero), (F.zero, F.one)).adjoint
     best = None
     for b1 in [F.zero] if deviates else F.elements():
         for b2 in F.elements():
             if F.is_zero(b2):
                 continue
-            phi = t_a_inv.mul(Matrix(F, [[F.one, b1], [F.zero, b2]])).mul(t_b)
-            quad = phi.rows[0] + phi.rows[1]
+            phi = oracle_mul(F, oracle_mul(F, t_a_inv, [[F.one, b1], [F.zero, b2]]), t_b)
+            quad = phi[0] + phi[1]
             lead = F.inv(next(c for c in quad if not F.is_zero(c)))
             quad = [F.mul(lead, c) for c in quad]
             key = [F.key(c) for c in quad]
@@ -1678,7 +1680,7 @@ def oracle_iso_standard(pres_a, pres_b, window=None):
     if best is None:
         return rec.IsoResult(found=False, transform=None)
     a1, b1, a2, b2 = best[1]
-    return rec.IsoResult(found=True, transform=Matrix(F, [[a1, b1], [a2, b2]]))
+    return rec.IsoResult(found=True, transform=((a1, b1), (a2, b2)))
 
 
 def _degree1_change(pres, rng):
@@ -1754,9 +1756,7 @@ def test_iso_search_matches_all_pairs(request):
         for (a, b), f in zip(pairs, results):
             s = oracle_iso_search(a, b)
             assert f.found == s.found, (a.adjoint, b.adjoint)
-            assert (f.transform.rows if f.found else None) == (
-                s.transform.rows if s.found else None
-            ), (a.adjoint, b.adjoint)
+            assert f.transform == s.transform, (a.adjoint, b.adjoint)
         assert any(f.found for f in results) and not all(f.found for f in results)
 
 
@@ -1771,9 +1771,7 @@ def test_iso_search_matches_standard_forms():
     for (a, b), f in zip(pairs, results):
         s = oracle_iso_standard(a, b)
         assert f.found == s.found, (a.adjoint, b.adjoint)
-        assert (f.transform.rows if f.found else None) == (
-            s.transform.rows if s.found else None
-        ), (a.adjoint, b.adjoint)
+        assert f.transform == s.transform, (a.adjoint, b.adjoint)
     assert any(f.found for f in results) and not all(f.found for f in results)
 
 
@@ -1785,7 +1783,7 @@ def _iso_kernel(pres_a, pres_b):
     window = min(pres_a.class_n, pres_b.class_n)
     sta = mc.tables(mc.quotient(pres_a, window))
     stb = mc.tables(mc.quotient(pres_b, window))
-    units = Matrix.identity(F, 4).rows
+    units = _identity(F, 4)
     rows = []
     for i in range(2, window):
         row = []
@@ -1793,9 +1791,7 @@ def _iso_kernel(pres_a, pres_b):
             px, py = stb.phi(i, (a1, b1)), stb.phi(i, (a2, b2))
             row.append(F.sub(F.mul(px, sta.b[i]), F.mul(py, sta.a[i])))
         rows.append(row)
-    res = rref(Matrix(F, rows))
-    basis = span(F, res.kernel.rows, 4)
-    rows = basis.basis()
+    rows = span(F, oracle_rref(F, rows, 4)[3], 4).basis()
     return rows, [next(j for j, c in enumerate(r) if not F.is_zero(c)) for r in rows]
 
 
@@ -1820,7 +1816,7 @@ def test_iso_walk_bound(request, name, dev):
         assert res.found == oracle_iso_standard(a, b).found, (a.adjoint, b.adjoint)
         dims.add(len(basis))
         if res.found:
-            quad = res.transform.rows[0] + res.transform.rows[1]
+            quad = res.transform[0] + res.transform[1]
             assert all(quad[j] in small for j in pivots), (a.adjoint, b.adjoint)
         elif basis:
             all_singular += 1
@@ -2040,7 +2036,7 @@ def oracle_identify_field(ring):
     ]
     for coords in elements:
         flat = ring.element_flat(coords)
-        for degree in range(ring.k0, ring.window + 1):
+        for degree in range(endo.K0, ring.analysis.window + 1):
             mat = endo._eval_forms(p, ring._symbolic[degree], flat)
             if span(Fb, mat, len(mat)).dim < len(mat):
                 raise NotAField(
@@ -2178,7 +2174,7 @@ def _perturbed(ring, rng):
         table = [list(row) for row in ring.mult_table]
         table[i][j] = tuple(rng.randrange(p) for _ in range(ring.dim))
         return _replaced(ring, mult_table=tuple(map(tuple, table)))
-    degree = rng.randint(ring.k0, ring.window)
+    degree = rng.randint(endo.K0, ring.analysis.window)
     sym = [list(row) for row in ring._symbolic[degree]]
     r, c = rng.randrange(len(sym)), rng.randrange(len(sym[0]))
     sym[r][c] = tuple(rng.randrange(p) for _ in sym[r][c])
@@ -2230,7 +2226,7 @@ def test_schur_sees_non_basis_elements():
     phi0, phi1 = dual((1, 0)), dual((0, 1))
     # e0 acts as I and e1 as diag(1, 2) on one degree, so e1 - e0 is singular
     A, B = ((1, 0), (0, 1)), ((1, 0), (0, 2))
-    degree = ring.k0 + 1
+    degree = endo.K0 + 1
     sym = [
         [tuple((a * x + b * y) % p for x, y in zip(phi0, phi1)) for a, b in zip(ra, rb)]
         for ra, rb in zip(A, B)
@@ -2342,8 +2338,7 @@ def oracle_solve_graded_maps(analysis, shift, k0, window):
                     constraints.append(diff)
         i += 1
     if constraints:
-        res = rref(Matrix(Fb, constraints))
-        kernel_rows = [tuple(r) for r in res.kernel.rows]
+        kernel_rows = [tuple(r) for r in oracle_rref(Fb, constraints, n_unk)[3]]
     else:
         kernel_rows = [endo._lf_unit(n_unk, k) for k in range(n_unk)]
     return kernel_rows, symbolic
@@ -2405,14 +2400,41 @@ def test_grend0_brackets_each_degree_once(monkeypatch, thin_pair_f9):
     assert len(calls) == 2 * sum(an.dim(i) for i in range(3, 40)) == 148
 
 
-# -- gf: one row reduction -----------------------------------------------------
+# -- gf: one row reduction and one combination ---------------------------------
 
 
-def oracle_rref(m):
-    """Gauss-Jordan elimination of the whole matrix, pivot by pivot."""
-    F = m.field
-    rows = [list(r) for r in m.rows]
-    nrows, ncols = m.nrows, m.ncols
+def oracle_apply(field, rows, vec):
+    """The row-vector action vec . rows, one field operation at a time."""
+    assert len(vec) == len(rows)
+    out = [field.zero] * len(rows[0])
+    for c, row in zip(vec, rows):
+        if field.is_zero(c):
+            continue
+        for j, x in enumerate(row):
+            out[j] = field.add(out[j], field.mul(c, x))
+    return out
+
+
+def oracle_mul(field, a, b, ncols=None):
+    """The product a . b entry by entry; ``ncols`` is needed when b has no rows."""
+    ncols = len(b[0]) if ncols is None else ncols
+    out = []
+    for r in a:
+        row = []
+        for j in range(ncols):
+            acc = field.zero
+            for k in range(len(b)):
+                acc = field.add(acc, field.mul(r[k], b[k][j]))
+            row.append(acc)
+        out.append(row)
+    return out
+
+
+def oracle_rref(F, rows, ncols):
+    """Gauss-Jordan elimination of the whole matrix, pivot by pivot:
+    (rank, reduced rows, pivots, kernel rows)."""
+    rows = [list(r) for r in rows]
+    nrows = len(rows)
     pivots = []
     r = 0
     for c in range(ncols):
@@ -2434,7 +2456,6 @@ def oracle_rref(m):
         r += 1
         if r == nrows:
             break
-    reduced = Matrix(F, rows, ncols=ncols)
     pivot_set = set(pivots)
     kernel_rows = []
     for j in range(ncols):
@@ -2445,18 +2466,17 @@ def oracle_rref(m):
         for ri, pc in enumerate(pivots):
             vec[pc] = F.neg(rows[ri][j])
         kernel_rows.append(vec)
-    kernel = Matrix(F, kernel_rows, ncols=ncols)
-    return RrefResult(rank=r, reduced=reduced, pivots=tuple(pivots), kernel=kernel)
+    return r, rows, tuple(pivots), kernel_rows
 
 
 def oracle_solve(field, rows, vec):
     """Coordinates read off the Gauss-Jordan form of the augmented columns."""
     n = len(rows)
-    aug = Matrix(field, [[r[j] for r in rows] + [x] for j, x in enumerate(vec)])
-    res = oracle_rref(aug)
-    if res.pivots != tuple(range(n)):
+    aug = [[r[j] for r in rows] + [x] for j, x in enumerate(vec)]
+    _, reduced, pivots, _ = oracle_rref(field, aug, n + 1)
+    if pivots != tuple(range(n)):
         raise ValueError("rows are dependent or the vector is outside their span")
-    return [res.reduced.rows[i][n] for i in range(n)]
+    return [reduced[i][n] for i in range(n)]
 
 
 def _solve_outcome(fn, field, rows, vec):
@@ -2479,18 +2499,18 @@ def _random_matrix(field, rng, nrows, ncols):
 
     shape = rng.randrange(3)
     if shape == 0:
-        return Matrix(field, [[entry() for _ in range(ncols)] for _ in range(nrows)])
+        return [[entry() for _ in range(ncols)] for _ in range(nrows)]
     rank = rng.randint(0, min(nrows, ncols))
     if shape == 1:
-        left = Matrix(field, [[entry() for _ in range(rank)] for _ in range(nrows)], ncols=rank)
-        right = Matrix(field, [[entry() for _ in range(ncols)] for _ in range(rank)], ncols=ncols)
-        return left.mul(right)
+        left = [[entry() for _ in range(rank)] for _ in range(nrows)]
+        right = [[entry() for _ in range(ncols)] for _ in range(rank)]
+        return oracle_mul(field, left, right, ncols)
     rows = [[entry() for _ in range(ncols)] for _ in range(rank)]
     while len(rows) < nrows:
         duplicate = rows and rng.random() < 0.5
         rows.append(list(rng.choice(rows)) if duplicate else [field.zero] * ncols)
     rng.shuffle(rows)
-    return Matrix(field, rows)
+    return rows
 
 
 @pytest.mark.parametrize(
@@ -2499,9 +2519,10 @@ def _random_matrix(field, rng, nrows, ncols):
     ids=["2", "3", "7", "4", "9", "25", "49"],
 )
 def test_rref_and_solve_match_gauss_jordan(p, ext):
-    """``rref`` and ``solve``, read off ``RowSpace``, against the
-    elimination they replaced: equal ``RrefResult``, and equal coordinates
-    or the same ValueError, on every shape 1-6 x 1-6 and a tall 40 x 4."""
+    """``RowSpace`` and ``solve`` against Gauss-Jordan elimination: the
+    basis is the nonzero reduced rows, the kernel is the oracle's, and
+    ``solve`` gives equal coordinates or the same ValueError, on every
+    shape 1-6 x 1-6 and a tall 40 x 4."""
     field = make_ext_field(p, *_EXT[p])
     field = field if ext else field.base
     rng = random.Random(f"gf-rref-{field}")
@@ -2510,14 +2531,43 @@ def test_rref_and_solve_match_gauss_jordan(p, ext):
     for nrows, ncols in shapes:
         for _ in range(6):
             m = _random_matrix(field, rng, nrows, ncols)
-            assert rref(m) == oracle_rref(m), m
-            rows = m.rows[: rng.randint(1, nrows)]
+            rank, reduced, _, kernel = oracle_rref(field, m, ncols)
+            sp = span(field, m, ncols)
+            assert sp.basis() == [tuple(r) for r in reduced[:rank]], m
+            assert sp.kernel() == [tuple(r) for r in kernel], m
+            rows = m[: rng.randint(1, nrows)]
             if rng.random() < 0.5:
                 coeffs = [rng.choice(list(field.elements())) for _ in rows]
-                vec = Matrix(field, rows).apply(coeffs)
+                vec = oracle_apply(field, rows, coeffs)
             else:
-                vec = _random_matrix(field, rng, 1, ncols).rows[0]
+                vec = _random_matrix(field, rng, 1, ncols)[0]
             got = _solve_outcome(solve, field, rows, vec)
             assert got == _solve_outcome(oracle_solve, field, rows, vec), (rows, vec)
             solved.add(got[0])
     assert solved == {"ok", "ValueError"}
+
+
+@pytest.mark.parametrize("p", [2, 3, 7, 1000003])
+def test_combine_and_product_match_entrywise(p):
+    """``gf.combine`` and ``endo._mat_mul`` against the entry-by-entry
+    vector-matrix and matrix products, on every shape 1-6 x 1-6 with about
+    40% zero entries, and on zero and all-(p - 1) matrices."""
+    field = BaseField(p)
+    rng = random.Random(f"gf-combine-{p}")
+
+    def matrix(nrows, ncols):
+        return [
+            [0 if rng.random() < 0.4 else rng.randrange(p) for _ in range(ncols)]
+            for _ in range(nrows)
+        ]
+
+    for nrows in range(1, 7):
+        for ncols in range(1, 7):
+            cases = [matrix(nrows, ncols) for _ in range(4)]
+            cases += [[[0] * ncols] * nrows, [[p - 1] * ncols] * nrows]
+            for rows in cases:
+                for coeffs in (matrix(1, nrows)[0], [p - 1] * nrows):
+                    want = tuple(oracle_apply(field, rows, coeffs))
+                    assert combine(p, coeffs, rows) == want, (rows, coeffs)
+                left = matrix(rng.randint(1, 6), nrows)
+                assert endo._mat_mul(p, left, rows) == oracle_mul(field, left, rows), (left, rows)

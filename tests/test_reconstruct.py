@@ -10,8 +10,8 @@ import pytest
 from thinlie import maxclass as mc
 from thinlie import reconstruct as rec
 from thinlie import subfield as sf
-from thinlie.errors import InvalidPresentation, NotMetabelian, PreconditionFailed
-from thinlie.gf import ExtField, Matrix, make_ext_field
+from thinlie.errors import InvalidPresentation, NotEStable, NotMetabelian, PreconditionFailed
+from thinlie.gf import ExtField, make_ext_field
 
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -159,6 +159,21 @@ class TestBuildRhoPrime:
             rec.build_rho_prime(an, rec.detect_structure(an))
 
 
+def test_degree_below_extension_line_is_not_e_stable():
+    """Both builders refuse an analysis whose degree 3 has dim_F 1: the
+    r-constrained subalgebra of the ``analyze-rconstrained`` golden case,
+    given the flags of either branch."""
+    pres = mc.from_json(json.loads((GOLDEN / "dev9mu.json").read_text()))
+    pair = sf.pair_from_ints(pres.field, [0, 0, 1, 0], [1, 0, 0, 1])
+    an = sf.generate_subalgebra(pres, pair)
+    assert an.verdict.kind == "rconstrained" and an.dim(3) == 1
+    message = "component of degree 3 is not an extension line"
+    with pytest.raises(NotEStable, match=message):
+        rec.build_rho_prime(an, rec.StructureFlags(True, 2, 1, "metabelian"))
+    with pytest.raises(NotEStable, match=message):
+        rec.build_rho(an, rec.StructureFlags(False, 3, 2, "insoluble-or-undetected"))
+
+
 class TestAssemble:
     def test_metabelian_dims_and_extraction(self, met_setup, f9):
         m, an = met_setup
@@ -301,10 +316,7 @@ class TestIsoSearch:
         )
         res = rec.iso_search(m, swapped)
         assert res.found
-        assert res.transform.rows == [
-            [f9.zero, f9.one],
-            [f9.one, f9.zero],
-        ]
+        assert res.transform == ((f9.zero, f9.one), (f9.one, f9.zero))
 
     def test_metabelian_vs_deviating(self, f9, dev9_14):
         res = rec.iso_search(mc.make_metabelian(f9, 12), mc.quotient(dev9_14, 12))
@@ -328,7 +340,7 @@ class TestIsoSearch:
         _three_elements(monkeypatch)
         res = rec.iso_search(a, a)
         assert res.found
-        assert res.transform == Matrix.identity(field, 2)
+        assert res.transform == ((field.one, field.zero), (field.zero, field.one))
 
     def test_large_prime(self, monkeypatch):
         # GF(1000003^2): metabelian class 24 against itself and its x/y swap,
@@ -342,15 +354,13 @@ class TestIsoSearch:
         found = mc.search_sequences(field, 8, 3)
         changed = [mc.apply_degree1_change(p, ((2, 1), (3, 0)), ((5, 7), (1, 0))) for p in found]
         _three_elements(monkeypatch)
-        assert rec.iso_search(met, met).transform == Matrix.identity(met_field, 2)
-        assert rec.iso_search(met, swapped).transform.rows == [
-            [met_field.zero, met_field.one],
-            [met_field.one, met_field.zero],
-        ]
+        one, zero = met_field.one, met_field.zero
+        assert rec.iso_search(met, met).transform == ((one, zero), (zero, one))
+        assert rec.iso_search(met, swapped).transform == ((zero, one), (one, zero))
         for p, q in zip(found, changed):
             res = rec.iso_search(p, q)
             assert res.found
-            (a1, b1), (a2, b2) = res.transform.rows
+            (a1, b1), (a2, b2) = res.transform
             assert mc.apply_degree1_change(q, (a1, b1), (a2, b2)).adjoint == (
                 mc.apply_degree1_change(p, (field.one, field.zero), (field.zero, field.one)).adjoint
             )
@@ -370,7 +380,7 @@ class TestIsoSearch:
         a = mc.make_metabelian(field, class_n)
         res = rec.iso_search(a, a)
         assert res.found
-        assert res.transform == Matrix.identity(field, 2)
+        assert res.transform == ((field.one, field.zero), (field.zero, field.one))
 
     def test_field_mismatch(self, f9, f4):
         with pytest.raises(PreconditionFailed):

@@ -1,6 +1,6 @@
 """Record semantics the package relies on, and what ``import thinlie.cli`` loads.
 
-The records (``RrefResult``, ``GeneratorPair``, ``MaxClassPresentation``,
+The records (``StructureFlags``, ``GeneratorPair``, ``MaxClassPresentation``,
 ``Verdict``, ...) are plain classes with generated ``__init__``,
 ``__eq__`` and ``__repr__``.  These tests pin what the rest of the code
 uses of them: construction, defaults, the presentation gate, equality and
@@ -18,7 +18,6 @@ from thinlie import maxclass as mc
 from thinlie import reconstruct as rec
 from thinlie import subfield as sf
 from thinlie.errors import BadBound
-from thinlie.gf import Matrix, RrefResult, rref
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
@@ -30,11 +29,12 @@ def test_positional_keyword_and_defaults(f9):
         kind="rconstrained", r_bound_ok=True, t1=5, r_observed=3
     )
     assert sf.Verdict("thin", t1=4).t1 == 4
-    m = Matrix(f9, [[f9.one, f9.zero]])
-    r = rref(m)
+    m = ((f9.one, f9.zero), (f9.zero, f9.one))
     assert rec.IsoResult(True, m) == rec.IsoResult(found=True, transform=m)
-    assert RrefResult(r.rank, r.reduced, r.pivots, r.kernel) == r
-    assert RrefResult(rank=r.rank, reduced=r.reduced, pivots=r.pivots, kernel=r.kernel) == r
+    flags = rec.StructureFlags(False, 3, 2, "abelian-window")
+    assert flags == rec.StructureFlags(
+        detection="abelian-window", z_degree=2, k=3, metabelian=False
+    )
     with pytest.raises(TypeError):
         sf.Verdict()
     with pytest.raises(TypeError):

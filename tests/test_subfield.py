@@ -13,7 +13,7 @@ from thinlie.errors import (
     WindowTooLarge,
     WindowTooLargeForBruteForce,
 )
-from thinlie.gf import ExtField, Matrix, RowSpace, make_ext_field
+from thinlie.gf import ExtField, RowSpace, combine, make_ext_field
 
 
 class TestGenerate:
@@ -363,7 +363,7 @@ class TestCentralizerStructure:
             for coeffs in itertools.product(range(3), repeat=an.dim(i)):
                 if not any(coeffs):
                     continue
-                vec = Matrix(f9.base, an.basis(i)).apply(coeffs)
+                vec = combine(f9.p, coeffs, an.basis(i))
                 img = RowSpace(f9.base, 2)
                 img.insert(sf.ad_gen(pres, i, vec, g.X))
                 img.insert(sf.ad_gen(pres, i, vec, g.Y))
