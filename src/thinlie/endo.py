@@ -5,8 +5,8 @@ matrix on the bottom component V_3: because each V_{i+1} is spanned by
 [V_i, X] and [V_i, Y], the rule f([v, g]) = [f(v), g] forces the values on
 every higher degree.  The solver carries that forced propagation
 symbolically (entries are homogeneous linear forms in the bottom-matrix
-unknowns), one step per degree: with T_g the matrix of ad g on the target
-degree, f_{i+1} solves [v, g]*f_{i+1} = f_i(v)*T_g on a spanning subset of
+unknowns), one step per degree: with T_g the matrix of ad g from L_i to
+L_{i+1}, f_{i+1} solves [v, g]*f_{i+1} = f_i(v)*T_g on a spanning subset of
 the ad rows [v, g] (v a basis row of L_i, g = X, Y), and every other row
 gives a well-definedness constraint.  The constraints form one linear
 system over GF(p); its kernel is the endomorphism space.  Every sum of
@@ -48,52 +48,44 @@ def _lf_unit(n: int, k: int) -> Coords:
     return tuple(1 if i == k else 0 for i in range(n))
 
 
-def _solve_graded_maps(analysis: SubalgebraAnalysis, shift: int):
-    """Solution space of graded degree-`shift` L-endomorphisms of the module.
+def _solve_graded_maps(analysis: SubalgebraAnalysis):
+    """Solution space of graded degree-0 L-endomorphisms of the module.
 
     Returns (kernel_rows, symbolic) where each kernel row is a flattened
-    bottom matrix V_3 -> V_{3+shift} and symbolic[i] is the propagated
-    matrix at source degree i with linear-form entries.
+    bottom matrix V_3 -> V_3 and symbolic[i] is the propagated matrix at
+    degree i with linear-form entries.
 
-    One step per degree i: the ad rows [v, g] of L_i and of the target
-    L_{i+shift} are computed once each, in L_{i+1} (L_{i+1+shift})
-    coordinates.  The image of [v, g] is f_i(v)*T_g, where T_g holds the
-    target ad rows of g.  f_{i+1} is read off the first ad rows that span
-    L_{i+1} (inverting them), and each other row [v, g] contributes the
-    residual [v, g]*f_{i+1} - f_i(v)*T_g, entrywise, as a constraint.
+    One step per degree i: the ad rows [v, g] of L_i are computed once, in
+    L_{i+1} coordinates.  The image of [v, g] is f_i(v)*T_g, where T_g
+    holds the ad rows of g.  f_{i+1} is read off the first ad rows that
+    span L_{i+1} (inverting them), and each other row [v, g] contributes
+    the residual [v, g]*f_{i+1} - f_i(v)*T_g, entrywise, as a constraint.
     """
     p = analysis.field.p
     Fb = analysis.field.base
-    dim_tgt = analysis.dim(K0 + shift)
-    n_unk = analysis.dim(K0) * dim_tgt
+    dim = analysis.dim(K0)
+    n_unk = dim * dim
     symbolic: Dict[int, List[List[Coords]]] = {
-        K0: [
-            [_lf_unit(n_unk, r * dim_tgt + c) for c in range(dim_tgt)]
-            for r in range(analysis.dim(K0))
-        ]
+        K0: [[_lf_unit(n_unk, r * dim + c) for c in range(dim)] for r in range(dim)]
     }
     gens = (analysis.pair.X, analysis.pair.Y)
-    sources = range(K0, analysis.window - shift)
-    ad = {
-        d: [
-            [analysis.express(d + 1, ad_gen(analysis.pres, d, v, g)) for g in gens]
-            for v in analysis.basis(d)
-        ]
-        for d in {*sources, *(i + shift for i in sources)}
-    }
     constraints: List[Coords] = []
     minus_one = (p - 1,)
-    for i in sources:
+    for i in range(K0, analysis.window):
         f_i = symbolic[i]
-        # T[g][j]: column j of T_g, the matrix of ad g on L_{i+shift}
-        T = [list(zip(*(t[g] for t in ad[i + shift]))) for g in (0, 1)]
+        ad = [
+            [analysis.express(i + 1, ad_gen(analysis.pres, i, v, g)) for g in gens]
+            for v in analysis.basis(i)
+        ]
+        # T[g][j]: column j of T_g, the matrix of ad g from L_i to L_{i+1}
+        T = [list(zip(*(t[g] for t in ad))) for g in (0, 1)]
         rows = [  # ([v, g], f_i(v)*T_g) for v in L_i, g = X, Y
             (v_ad[g], [combine(p, col, f_i[r]) for col in T[g]])
-            for r, v_ad in enumerate(ad[i])
+            for r, v_ad in enumerate(ad)
             for g in (0, 1)
         ]
         d_next = analysis.dim(i + 1)
-        cols = range(len(T[0]))
+        cols = range(d_next)
         chooser = RowSpace(Fb, d_next)
         selected = [k for k, (in_vec, _) in enumerate(rows) if chooser.insert(in_vec)]
         if len(selected) != d_next:
@@ -183,7 +175,7 @@ def compute_grend0(analysis: SubalgebraAnalysis) -> EndoRing:
     """
     if analysis.d is None:
         raise DegenerateGenerators("endomorphism ring needs independent generators")
-    kernel_rows, symbolic = _solve_graded_maps(analysis, 0)
+    kernel_rows, symbolic = _solve_graded_maps(analysis)
     dim = len(kernel_rows)
     d = analysis.dim(K0)
     Fb = analysis.field.base
@@ -358,40 +350,3 @@ def identify_field(ring: EndoRing) -> FieldId:
         mu_hat=mu_hat,
         sigma=sigma,
     )
-
-
-# -- actions and shifted dimensions --------------------------------------------
-
-
-def scalar_action(
-    ring: EndoRing, e: Coords, degree: int, vec: Sequence[int]
-) -> Coords:
-    """Apply a ring element to a module vector given in the L-basis coords."""
-    return combine(ring.field.p, vec, ring.matrix_at(e, degree))
-
-
-@record
-class GrendDim:
-    shift: int
-    dim: int
-    bound: int
-
-    @property
-    def bound_ok(self) -> bool:
-        return self.dim <= self.bound
-
-
-def grend_d_dimension(analysis: SubalgebraAnalysis, shift: int) -> GrendDim:
-    """Dimension of the degree-`shift` graded endomorphism space of L^3.
-
-    Also reports the a-priori bound min(dim V_m) over target degrees in
-    the window; the computed dimension must not exceed it.
-    """
-    if analysis.d is None:
-        raise DegenerateGenerators("endomorphism solve needs independent generators")
-    window = analysis.window
-    if shift < 0 or K0 + shift > window:
-        raise OutOfWindow(f"shift {shift} pushes the bottom past the window")
-    kernel_rows, _ = _solve_graded_maps(analysis, shift)
-    bound = min(analysis.dim(m) for m in range(K0 + shift, window + 1))
-    return GrendDim(shift=shift, dim=len(kernel_rows), bound=bound)

@@ -45,10 +45,6 @@ class DegenerateGenerators(ThinLieError):
     pass
 
 
-class WindowTooLargeForBruteForce(ThinLieError):
-    pass
-
-
 class CoveringFails(ThinLieError):
     pass
 

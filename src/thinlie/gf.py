@@ -170,9 +170,6 @@ class ExtField:
         c0, c1 = e
         return (c0 % self.p, c1 % self.p)
 
-    def in_base(self, a: EElem) -> bool:
-        return a[1] % self.p == 0
-
     def add(self, a: EElem, b: EElem) -> EElem:
         p = self.p
         return ((a[0] + b[0]) % p, (a[1] + b[1]) % p)
@@ -437,9 +434,6 @@ class RowSpace:
                 vec[pc] = F.neg(row[j])
             out.append(tuple(vec))
         return out
-
-    def contains_space(self, other: "RowSpace") -> bool:
-        return all(self.contains(r) for r in other._rows)
 
 
 def span(field, vectors: Sequence[Sequence], ncols: int) -> RowSpace:

@@ -237,30 +237,6 @@ class _Structure:
             added.append(key)
         return added
 
-    def truncated(self, class_n: int) -> _Structure:
-        """The table of the class-``class_n`` quotient, sliced from this one.
-
-        Slice lemma: the quotient pushes the pairs of degrees < class_n,
-        which are this table's, and a push of degree d derives the cells
-        of total degree d + 1 from the pairs, chain steps and cells of
-        lower degree only.  So the quotient's own pushes would derive
-        exactly the pairs, steps and cells of total degree <= class_n kept
-        here.  Its Jacobi triples (``new_triples(top)``, top <= class_n)
-        are a subset of this table's, so a valid table slices to a valid
-        one.
-        """
-        out = _Structure(self.field, class_n)
-        out.top = class_n
-        out.a = {d: c for d, c in self.a.items() if d < class_n}
-        out.b = {d: c for d, c in self.b.items() if d < class_n}
-        out.step = {
-            d: (c_inv, out.a if g is self.a else out.b)
-            for d, (c_inv, g) in self.step.items()
-            if d < class_n
-        }
-        out.vv = {key: c for key, c in self.vv.items() if key[0] + key[1] <= class_n}
-        return out
-
     def retract(self, d: int, added: List[Tuple[int, int]]) -> None:
         for key in added:
             del self.vv[key]
@@ -508,9 +484,8 @@ def tables(pres: MaxClassPresentation) -> _Structure:
     """The validated structure tables of a presentation (cached).
 
     Invariant: ``_structure`` set => valid.  It is set only by a passing
-    ``validate``, by ``quotient`` of a presentation whose table is set,
-    and by ``apply_degree1_change``, whose input table is set; each of
-    these keeps the invariant (their docstrings).
+    ``validate`` and by ``apply_degree1_change``, whose input table is
+    set; both keep the invariant (their docstrings).
     """
     if pres._structure is None:
         report = validate(pres)
@@ -532,21 +507,6 @@ def make_metabelian(field: ExtField, class_n: int) -> MaxClassPresentation:
         raise BadBound(f"class bound {class_n} < 4")
     pair = (field.one, field.zero)
     return MaxClassPresentation(field, class_n, tuple(pair for _ in range(class_n - 2)))
-
-
-def quotient(pres: MaxClassPresentation, class_n: int) -> MaxClassPresentation:
-    """Truncate to a smaller class bound.
-
-    The quotient of a validated presentation gets the slice of its table
-    (``_Structure.truncated``) and is not validated again; the quotient
-    of an unvalidated one is left unvalidated.
-    """
-    if not 4 <= class_n <= pres.class_n:
-        raise BadBound(f"quotient bound {class_n} not in [4, {pres.class_n}]")
-    out = MaxClassPresentation(pres.field, class_n, pres.adjoint[: class_n - 2])
-    if pres._structure is not None:
-        out._structure = pres._structure.truncated(class_n)
-    return out
 
 
 def two_step_centralizers(pres: MaxClassPresentation) -> CentralizerSequence:

@@ -2,11 +2,10 @@
 
 Starting from a thin subalgebra T whose degree-0 endomorphism ring of T^3
 is a quadratic extension, the adjoint action of T on a distinguished
-graded ideal is written out as matrices over the extension and the span
-N = E * rho(T) is assembled.  Within a usable window (the truncation eats
-the top few degrees), N has the maximal-class dimension pattern over E
-and an adjoint presentation can be extracted and compared against the
-ambient algebra.
+graded ideal is written out as matrices over the extension, spanning
+N = E * rho(T).  Within a usable window (the truncation eats the top few
+degrees), N has the maximal-class dimension pattern over E, and the round
+trip checks that the ambient algebra maps onto it by a graded isomorphism.
 
 The representation objects here are "shift maps": a homogeneous element
 of degree d acts on slots indexed by degree, sending the slot of degree s
@@ -20,8 +19,6 @@ stored and compared, so a round trip compares O(1) entries per degree.
 
 from __future__ import annotations
 
-from itertools import islice, product
-
 from ._record import cache, record
 from .errors import (
     DimensionAnomaly,
@@ -32,13 +29,7 @@ from .errors import (
     WindowTooSmall,
 )
 from .gf import ExtField, solve, span
-from .maxclass import (
-    MaxClassPresentation,
-    apply_degree1_change,
-    label,
-    quotient,
-    tables,
-)
+from .maxclass import MaxClassPresentation, label, tables
 from .subfield import (
     GeneratorPair,
     SubalgebraAnalysis,
@@ -51,7 +42,7 @@ from .endo import compute_grend0, identify_field
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:
-    from typing import Callable, Dict, List, Optional, Sequence, Tuple
+    from typing import Callable, Dict, List, Optional, Sequence
 
     from .gf import EElem
     from .maxclass import Pair
@@ -177,17 +168,6 @@ class RhoRep:
         self.eps = {s: _row_scalar(self.analysis, s) for s in range(self.lo, self.window + 1)}
         self.inv = {s: F.inv(e) for s, e in self.eps.items()}
 
-    def image(self, d: int, r: int) -> ShiftMap:
-        """rho of the basis row r of T_d on every slot it reaches."""
-        F = self.analysis.field
-        entry = _reader(self, _rows(self.analysis), self.images)
-        slots = range(self.slots_min, self.window - d + 1)
-        if d == 1:
-            return {s: entry(r, s) for s in slots}
-        e = _row_scalar(self.analysis, d, r)
-        return {s: F.mul(e, entry(d, s)) for s in slots}
-
-
 def _row_scalar(an: SubalgebraAnalysis, degree: int, r: int = 0) -> EElem:
     """e with basis(degree)[r] = e*v_degree, for degree >= 2."""
     row = an.basis(degree)[r]
@@ -285,8 +265,9 @@ def _check_rep(rep: RhoRep) -> None:
 
     The comparison covers every slot that ``_commutator`` fills, which are
     the slots rho(T_{d+1}) is supported on; so it also proves
-    [N_d, N_1] = N_{d+1} for d < window - k, and ``assemble_N`` does not
-    check that again.
+    [N_d, N_1] = N_{d+1} for d < window - k: T_{d+1} = [T_d, T_1] because
+    T is generated in degree 1, so the commutators of rho(T_d) with
+    rho(T_1) span rho(T_{d+1}) over F, and N_{d+1} over E.
     """
     an = rep.analysis
     F = an.field
@@ -388,14 +369,6 @@ def build_rho_prime(analysis: SubalgebraAnalysis, flags: StructureFlags) -> RhoR
 # ---------------------------------------------------------------------------
 
 
-@record
-class ReconstructedAlgebra:
-    rep: RhoRep
-    usable_window: int
-    dims: Dict[int, int]  # dim_E N_d within the usable window
-    presentation: MaxClassPresentation  # extracted, class = usable_window
-
-
 def usable_window(rep: RhoRep) -> int:
     """The class bound minus k + 1: the degrees where N is read off rho.
 
@@ -405,52 +378,6 @@ def usable_window(rep: RhoRep) -> int:
     if usable < 4:
         raise WindowTooSmall(f"usable window {usable} is below the minimum class 4")
     return usable
-
-
-def assemble_N(rep: RhoRep) -> ReconstructedAlgebra:
-    """Assemble N = E*rho(T), read its dimension pattern, extract a presentation.
-
-    Truncation eats the top degrees, so every statement is restricted to
-    the usable window (class bound minus k + 1 degrees).  Everything here
-    follows from what ``_check_rep`` checked on the slots below lo and
-    from the slot lemma (``RhoRep``) on the others, so nothing is
-    computed on the maps.
-
-    [N_d, N_1] = N_{d+1} for every d < usable: ``_check_rep`` proved
-    rho([g, t]) = [rho(g), rho(t)] for g in T_1 and t in T_d,
-    d < window - k = usable + 1, on every slot the commutator of the
-    images fills; rho(t) for t in T_{d+1} is supported on those same
-    slots.  T_{d+1} = [T_d, T_1] because T is generated in degree 1, so
-    the commutators of rho(T_d) with rho(T_1) span rho(T_{d+1}) over F,
-    and over E they span N_{d+1}, which faithfulness makes nonzero.
-
-    Dimensions: for d >= 2, N_d = E*rho(v_d), nonzero by faithfulness, so
-    dim_E N_d = 1.  dim_E N_1 = 2: if rho(r2) were e*rho(r1), then
-    rho([r2, r1]) = [rho(r2), rho(r1)] = 0, against faithfulness in
-    degree 2.
-
-    Extraction: the chain of N in the generators rho(r1), rho(r2) is the
-    image of the chain of M in r1, r2.  With u_2 = [r2, r1] and
-    u_{d+1} = [u_d, g]/c, rho(u_2) = [rho(r2), rho(r1)] and
-    [rho(u_d), rho(r_j)] = rho([u_d, r_j]) = phi'_d(r_j)*rho(u_{d+1}) by
-    the homomorphism and E-linearity, and rho(u_{d+1}) != 0 for
-    d + 1 <= usable by faithfulness.  So [v, x_N] vanishes in N exactly
-    when it does in M, and [v, y_N] = b*[v, x_N] with the b of M: the
-    extracted presentation is M's in the basis (r1, r2), which is
-    ``apply_degree1_change(quotient(M, usable), r1, r2)`` with a table from
-    ``extend`` alone.  The commutator extraction, its ``validate`` and the
-    span comparison it replaced are the test oracles ``oracle_extract``
-    and ``oracle_generation_check``.
-    """
-    an = rep.analysis
-    usable = usable_window(rep)
-    r1, r2 = _rows(an)
-    return ReconstructedAlgebra(
-        rep=rep,
-        usable_window=usable,
-        dims={d: 2 if d == 1 else 1 for d in range(1, usable + 1)},
-        presentation=apply_degree1_change(quotient(an.pres, usable), r1, r2),
-    )
 
 
 @record
@@ -487,9 +414,21 @@ def verify_roundtrip(
     F-basis rows r1, r2 of L_1 span the same F-plane as X and Y, so they
     are E-independent too and x, y are E-combinations of them.
 
-    The centralizer sequence of N is not compared with M's: N's
-    presentation is a base change of M's (``assemble_N``), and the
-    sequence in standard form is an isomorphism invariant.
+    N's dimensions and presentation follow from ``_check_rep`` and the
+    slot lemma (``RhoRep``), so they are not computed on the maps.  For
+    d >= 2, N_d = E*rho(v_d) is nonzero by faithfulness, so dim_E N_d = 1;
+    dim_E N_1 = 2, since rho(r2) = e*rho(r1) would give
+    rho([r2, r1]) = 0, against faithfulness in degree 2.  With
+    u_2 = [r2, r1] and u_{d+1} = [u_d, g]/c, rho(u_2) = [rho(r2), rho(r1)]
+    and [rho(u_d), rho(r_j)] = rho([u_d, r_j]) = phi'_d(r_j)*rho(u_{d+1})
+    by the homomorphism and E-linearity, and rho(u_{d+1}) != 0 for
+    d + 1 <= usable by faithfulness.  So the chain of N in rho(r1),
+    rho(r2) is the image of the chain of M in r1, r2: N's presentation is
+    M's class-`usable` truncation in the basis (r1, r2), a base change
+    (``apply_degree1_change``).  The centralizer sequence in standard form
+    is an isomorphism invariant, so N's is not compared with M's.  The
+    tests extract N's presentation from the maps by commutators
+    (``oracle_extract``) and compare it with that base change.
     """
     window = pres.class_n if window is None else window
     analysis = generate_subalgebra(pres, g, window)
@@ -544,81 +483,3 @@ def _phi_failure(st, rep: RhoRep, usable: int, phi: Dict[int, ShiftMap]) -> Opti
             if sl is not None:
                 return f"phi([{label(s)},{label(t)}]) mismatch at slot {sl}"
     return None
-
-
-# ---------------------------------------------------------------------------
-# Graded isomorphism search by one linear solve
-# ---------------------------------------------------------------------------
-
-
-@record
-class IsoResult:
-    found: bool
-    transform: Optional[Tuple[Pair, Pair]]  # degree-1 base change: images of x and y
-
-
-def iso_search(
-    pres_a: MaxClassPresentation,
-    pres_b: MaxClassPresentation,
-    window: Optional[int] = None,
-) -> IsoResult:
-    """Search for a graded isomorphism between two presentations.
-
-    Certification lemma: Phi = (a1, b1, a2, b2), meaning x -> a1 x + b1 y
-    and y -> a2 x + b2 y, is a graded isomorphism iff it is nonsingular
-    and, at every degree i in [2, window - 1], the point
-    (phi_i(a1, b1) : phi_i(a2, b2)) of B equals the point (a_i : b_i) of A
-    in P^1(E).  Proof: [y, x] = v_2 forces Phi(v_2) = s_2 v_2 with
-    s_2 = a1*b2 - b1*a2 != 0, and along A's chain Phi(v_{i+1}) =
-    s_{i+1} v_{i+1}.  Phi transports [v_i, x] = a_i v_{i+1} and [v_i, y] =
-    b_i v_{i+1} iff s_i*(phi_i(a1, b1), phi_i(a2, b2)) = s_{i+1}*(a_i, b_i)
-    in B for some s_{i+1} != 0, that is iff the two points are equal.
-    Once the generator relations transport, Phi is a homomorphism on all
-    pairs by the generator lemma (see ``_check_rep``): both truncations are
-    Lie algebras generated by x and y.
-
-    Both points are nonzero vectors: A has no zero pair, and a nonsingular
-    Phi maps B's pair (p_i, q_i) to a nonzero one.  So they are equal iff
-    phi_i(a1, b1)*b_i - phi_i(a2, b2)*a_i = 0, one linear equation in Phi
-    per degree, and the certified maps are the nonsingular elements of the
-    kernel W of the window x 4 system.  The degree-2 row is the tensor of
-    the nonzero vectors (p_2, q_2) and (b_2, -a_2), so dim W <= 3.
-
-    Walk lemma: the result is the certified Phi whose first nonzero entry
-    is 1, least in ``F.key`` order entry by entry (the first one an
-    enumeration of all degree-1 maps in ``F.elements()`` order would find).
-    Let W's RREF basis be r_1..r_k with pivots j_1 < ... < j_k.  The
-    normalized vectors led at j_m are r_m + sum_{l>m} t_l r_l, and among
-    them the key order is the lexicographic key order of (t_{m+1}, ...):
-    each entry before j_{l+1} depends on t_{m+1}..t_l only.  A later pivot
-    means more leading zeros, and 0 has the least key, so the levels are
-    walked from m = k down to 1.  On a level, det is a polynomial of degree
-    <= 2 in at most 2 variables.  If it is not identically zero, at most 2
-    values of the first t make it vanish for every second t, and for any
-    other first t it has at most 2 roots.  So the 3 least-key elements of E
-    (q >= 4) reach the least nonsingular vector of every level that has
-    one, and E is never enumerated further.
-    """
-    if pres_a.field != pres_b.field:
-        raise PreconditionFailed("presentations live over different fields")
-    F = pres_a.field
-    window = min(pres_a.class_n, pres_b.class_n) if window is None else window
-    A = quotient(pres_a, window) if pres_a.class_n != window else pres_a
-    B = quotient(pres_b, window) if pres_b.class_n != window else pres_b
-    tables(A)
-    tables(B)
-    rows = []
-    for i in range(2, window):
-        (a, b), (p, q) = A.pair(i), B.pair(i)
-        rows.append([F.mul(p, b), F.mul(q, b), F.neg(F.mul(p, a)), F.neg(F.mul(q, a))])
-    basis = span(F, span(F, rows, 4).kernel(), 4).basis()
-    small = list(islice(F.elements(), 3))
-    for m in reversed(range(len(basis))):
-        for ts in product(small, repeat=len(basis) - 1 - m):
-            quad = basis[m]
-            for t, row in zip(ts, basis[m + 1:]):
-                quad = [F.add(c, F.mul(t, r)) for c, r in zip(quad, row)]
-            a1, b1, a2, b2 = quad
-            if not F.is_zero(F.sub(F.mul(a1, b2), F.mul(b1, a2))):
-                return IsoResult(found=True, transform=((a1, b1), (a2, b2)))
-    return IsoResult(found=False, transform=None)

@@ -28,19 +28,11 @@ from __future__ import annotations
 import itertools
 
 from ._record import cache, record
-from .errors import (
-    BadBound,
-    DegenerateGenerators,
-    DimensionAnomaly,
-    NotStandardForm,
-    WindowTooLarge,
-    WindowTooLargeForBruteForce,
-)
-from .gf import ExtField, RowSpace, combine, span
+from .errors import BadBound, DimensionAnomaly, NotStandardForm, WindowTooLarge
+from .gf import ExtField, span
 from .maxclass import (
     CentralizerSequence,
     MaxClassPresentation,
-    apply_degree1_change,
     ey_point,
     is_standard,
     tables,
@@ -49,13 +41,12 @@ from .maxclass import (
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:
-    from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+    from typing import Dict, List, Optional, Sequence, Tuple
 
-    from .gf import EElem
+    from .gf import EElem, RowSpace
 
     EPair = Tuple[EElem, EElem]  # coordinates (A, B) of A*x + B*y
 
-BRUTE_FORCE_LIMIT = 200_000
 # Classifications x window a scan may make: normalized pairs, or F-planes in
 # a raw scan.  Above every scan the tests and the benchmark run (the largest
 # is a normalized GF(49) scan, 2401 pairs x window 20).
@@ -205,23 +196,6 @@ class SubalgebraAnalysis:
         return tuple(self.space(degree).coords(vec))
 
 
-def _nonzero_coeff_vectors(p: int, dim: int) -> Iterable[Tuple[int, ...]]:
-    for coeffs in itertools.product(range(p), repeat=dim):
-        if any(coeffs):
-            yield coeffs
-
-
-def d_sequence(
-    pres: MaxClassPresentation, g: GeneratorPair, window: Optional[int] = None
-) -> Tuple[int, ...]:
-    """d_i = dim_F(C_i \\cap span_F{X, Y}) for i = 2 .. window - 1."""
-    F = pres.field
-    if g.is_degenerate(F):
-        raise DegenerateGenerators("X and Y are E-linearly dependent")
-    window = pres.class_n if window is None else window
-    return _d_values(_Ambient(pres, window), g)
-
-
 class _Ambient:
     """What the analysis of any pair reads from the presentation and window.
 
@@ -275,13 +249,6 @@ def _classify(d: Sequence[int], dims: Sequence[int], window: int) -> Verdict:
             )
     r_bound_ok = (2 <= r_observed <= t1) if r_observed is not None else None
     return Verdict(kind="rconstrained", r_observed=r_observed, t1=t1, r_bound_ok=r_bound_ok)
-
-
-def classify(analysis: SubalgebraAnalysis) -> Verdict:
-    """Recompute the verdict from the stored d-sequence and dimensions."""
-    if analysis.d is None:
-        raise DegenerateGenerators("analysis of E-dependent generators")
-    return _classify(analysis.d, analysis.dims, analysis.window)
 
 
 def generate_subalgebra(
@@ -350,255 +317,11 @@ def _analyse(amb: _Ambient, g: GeneratorPair) -> SubalgebraAnalysis:
     )
 
 
-# -- brute-force verifiers ---------------------------------------------------
-
-
-@record
-class CoveringReport:
-    ok: bool
-    first_failure: Optional[Tuple[int, Tuple[int, ...]]]  # (degree, coefficients)
-
-
-def _brute_force_guard(p: int, window: int) -> None:
-    if (p**2) * window > BRUTE_FORCE_LIMIT:
-        raise WindowTooLargeForBruteForce(
-            f"~{p**2 * window} element checks exceed limit {BRUTE_FORCE_LIMIT}"
-        )
-
-
-def verify_covering(analysis: SubalgebraAnalysis) -> CoveringReport:
-    """Exhaustively check [u, L_1] = L_{i+1} for every nonzero homogeneous u."""
-    if analysis.d is None:
-        raise DegenerateGenerators("covering check needs independent generators")
-    pres = analysis.pres
-    Fb = pres.field.base
-    g = analysis.pair
-    _brute_force_guard(Fb.p, analysis.window)
-    for i in range(1, analysis.window):
-        target = analysis.space(i + 1)
-        for coeffs in _nonzero_coeff_vectors(Fb.p, analysis.dim(i)):
-            u = combine(Fb.p, coeffs, analysis.basis(i))
-            img = RowSpace(Fb, 2)
-            img.insert(ad_gen(pres, i, u, g.X))
-            img.insert(ad_gen(pres, i, u, g.Y))
-            if not (img.dim == target.dim and target.contains_space(img)):
-                return CoveringReport(ok=False, first_failure=(i, coeffs))
-    return CoveringReport(ok=True, first_failure=None)
-
-
-@record
-class SandwichReport:
-    ok: bool
-    r: int
-    witness: Optional[Tuple[int, Tuple[int, ...], int]]  # (degree, coeffs, missing degree)
-
-
-def ideal_closure(
-    analysis: SubalgebraAnalysis, degree: int, vec: Sequence[int]
-) -> Dict[int, RowSpace]:
-    """Span of the ideal of L generated by a homogeneous element.
-
-    Closure under ad X, ad Y and F-spans suffices because L is generated
-    in degree 1; stability under bracketing with all of L is a tested
-    property, not an assumption.
-    """
-    pres = analysis.pres
-    Fb = pres.field.base
-    g = analysis.pair
-    spans: Dict[int, RowSpace] = {}
-    for h in range(degree, analysis.window + 1):
-        spans[h] = RowSpace(Fb, 4 if h == 1 else 2)
-    spans[degree].insert(vec)
-    work = [(degree, tuple(vec))]
-    while work:
-        h, u = work.pop()
-        if h + 1 > analysis.window:
-            continue
-        for gen in (g.X, g.Y):
-            w = ad_gen(pres, h, u, gen)
-            if spans[h + 1].insert(w):
-                work.append((h + 1, w))
-    return spans
-
-
-def verify_ideal_sandwich(analysis: SubalgebraAnalysis, r: int) -> SandwichReport:
-    """Check that every homogeneous ideal generator reaches r degrees down.
-
-    For each degree i <= window - r and each nonzero l in L_i, the ideal
-    generated by l must contain every L_h with i + r <= h <= window.
-    """
-    if analysis.d is None:
-        raise DegenerateGenerators("sandwich check needs independent generators")
-    if r < 1:
-        raise BadBound("r must be >= 1")
-    Fb = analysis.field.base
-    _brute_force_guard(Fb.p, analysis.window)
-    for i in range(1, analysis.window - r + 1):
-        for coeffs in _nonzero_coeff_vectors(Fb.p, analysis.dim(i)):
-            l = combine(Fb.p, coeffs, analysis.basis(i))
-            spans = ideal_closure(analysis, i, l)
-            for h in range(i + r, analysis.window + 1):
-                target = analysis.basis(h)
-                if not all(spans[h].contains(row) for row in target):
-                    return SandwichReport(ok=False, r=r, witness=(i, coeffs, h))
-    return SandwichReport(ok=True, r=r, witness=None)
-
-
-# -- normal form -------------------------------------------------------------
-
-
-@record
-class NormalizationResult:
-    pair: GeneratorPair
-    presentation: MaxClassPresentation
-    transform: Tuple[EPair, EPair]  # degree-1 base change: new x, new y in (x, y)
-    complete: bool
-    note: str
-
-
-def normalize_generators(
-    pres: MaxClassPresentation, g: GeneratorPair
-) -> NormalizationResult:
-    """Move an E-independent pair into the form X = x + y, Y = mu*x + delta*y.
-
-    Uses the graded automorphism scaling degree i by alpha^{-i} (which
-    fixes the presentation), an F-shear and F-scaling of Y, and finally a
-    rescaling of the ambient y (which changes the presentation by a
-    recorded degree-1 base change).  When a step's precondition fails the
-    partial form reached so far is returned with ``complete=False``.
-    """
-    F = pres.field
-    if g.is_degenerate(F):
-        raise DegenerateGenerators("cannot normalize an E-dependent pair")
-    if not is_standard(pres):
-        raise NotStandardForm("normalization expects a standard-form presentation")
-    ident = ((F.one, F.zero), (F.zero, F.one))
-    al, be = g.X
-    ga, de = g.Y
-    if F.is_zero(al):
-        return NormalizationResult(g, pres, ident, False, "alpha = 0: X lies in Ey")
-    inv_al = F.inv(al)
-    be = F.mul(inv_al, be)
-    ga = F.mul(inv_al, ga)
-    de = F.mul(inv_al, de)
-    # X is now x + beta*y; make gamma equal mu via an F-shear and F-scaling.
-    if F.in_base(ga):
-        return NormalizationResult(
-            GeneratorPair((F.one, be), (ga, de)),
-            pres,
-            ident,
-            False,
-            "gamma in F after scaling: L_1 meets Ey",
-        )
-    g0, g1 = ga
-    f = F.base.inv(g1)
-    ga = F.scale(f, F.sub(ga, F.embed(g0)))  # = mu
-    de = F.scale(f, F.sub(de, F.mul(F.embed(g0), be)))
-    if F.is_zero(be):
-        return NormalizationResult(
-            GeneratorPair((F.one, be), (ga, de)),
-            pres,
-            ident,
-            False,
-            "beta = 0: X = x, no y-rescale possible",
-        )
-    # Rescale the ambient y by beta; in the new basis X = x' + y'.
-    pres2 = apply_degree1_change(pres, (F.one, F.zero), (F.zero, be))
-    transform = ((F.one, F.zero), (F.zero, be))
-    de2 = F.div(de, be)
-    pair2 = GeneratorPair((F.one, F.one), (F.mu, de2))
-    complete = not F.in_base(de2)
-    note = "" if complete else "delta in F: pair cannot be thin"
-    return NormalizationResult(pair2, pres2, transform, complete, note)
-
-
-# -- the line criterion and the scan ------------------------------------------
-
-
-@record
-class LineCriterionResult:
-    script_l: Tuple[EElem, ...]  # lambdas of centralizers E(x + lambda*y) in window
-    ey_occurs: bool
-    affine_line: Optional[Tuple[EElem, ...]]  # {t*b + (1-t)*d : t in F}
-    visible: Tuple[EElem, ...]  # lambdas of E-lines actually meeting span_F{X, Y}
-    ey_condition: bool
-    avoided: bool
+# -- the scan ------------------------------------------------------------------
 
 
 def _f_independent(field: ExtField, u: EElem, w: EElem) -> bool:
     return (u[0] * w[1] - u[1] * w[0]) % field.p != 0
-
-
-def visible_lambdas(field: ExtField, g: GeneratorPair) -> Tuple[Tuple[EElem, ...], bool]:
-    """All lambda with span_F{X, Y} meeting E(x + lambda*y), plus an Ey flag.
-
-    span_F{X, Y} meets the line of x + lambda*y iff lambda is the ratio
-    (s*beta + t*delta)/(s*alpha + t*gamma) for some (s : t) in P^1(F); it
-    meets Ey iff some denominator vanishes, i.e. alpha, gamma are
-    F-dependent.  The lambda set is the image of P^1(F) under an injective
-    Moebius map, so it has exactly |F| + 1 elements when Ey is avoided.
-    """
-    F = field
-    (al, be), (ga, de) = g.X, g.Y
-    meets_ey = not _f_independent(F, al, ga)
-    lams = set()
-    for s, t in [(1, t) for t in range(F.p)] + [(0, 1)]:
-        den = F.add(F.scale(s, al), F.scale(t, ga))
-        if F.is_zero(den):
-            continue
-        num = F.add(F.scale(s, be), F.scale(t, de))
-        lams.add(F.div(num, den))
-    return tuple(sorted(lams, key=F.key)), meets_ey
-
-
-def thin_line_criterion(
-    pres: MaxClassPresentation, g: GeneratorPair, window: Optional[int] = None
-) -> LineCriterionResult:
-    """Decide thinness from centralizer data alone.
-
-    The span of X and Y avoids every two-step centralizer inside the
-    window iff (a) alpha, gamma are F-independent (the Ey condition) and
-    (b) no lambda of an occurring centralizer is visible from the pair.
-    The affine F-line through alpha^{-1}beta and gamma^{-1}delta is also
-    reported; it shares only those two points with the visible lambda set,
-    so it is a diagnostic, not the criterion itself.  Both sets are
-    enumerated, so the criterion raises WindowTooLargeForBruteForce when
-    the p + 1 points of P^1(F) exceed BRUTE_FORCE_LIMIT.
-    """
-    F = pres.field
-    if g.is_degenerate(F):
-        raise DegenerateGenerators("criterion needs E-independent generators")
-    if not is_standard(pres):
-        raise NotStandardForm("criterion expects a standard-form presentation")
-    if F.p + 1 > BRUTE_FORCE_LIMIT:
-        raise WindowTooLargeForBruteForce(
-            f"{F.p + 1} points of P^1(F) exceed limit {BRUTE_FORCE_LIMIT}"
-        )
-    window = pres.class_n if window is None else window
-    points = two_step_centralizers(pres).distinct(window)
-    ey_occurs = ey_point(F) in points
-    # the others are normalized (1 : lambda)
-    script_l = sorted((pt[1] for pt in points if pt != ey_point(F)), key=F.key)
-    (al, be), (ga, de) = g.X, g.Y
-    visible, meets_ey = visible_lambdas(F, g)
-    affine = None
-    if not F.is_zero(al) and not F.is_zero(ga):
-        b = F.div(be, al)
-        dl = F.div(de, ga)
-        line = set()
-        for t in range(F.p):
-            line.add(F.add(F.scale(t, b), F.scale((1 - t) % F.p, dl)))
-        affine = tuple(sorted(line, key=F.key))
-    ey_condition = not meets_ey
-    avoided = ey_condition and not (set(visible) & set(script_l))
-    return LineCriterionResult(
-        script_l=tuple(script_l),
-        ey_occurs=ey_occurs,
-        affine_line=affine,
-        visible=visible,
-        ey_condition=ey_condition,
-        avoided=avoided,
-    )
 
 
 def normalized_pairs(field: ExtField) -> List[GeneratorPair]:
@@ -608,17 +331,6 @@ def normalized_pairs(field: ExtField) -> List[GeneratorPair]:
         for de in field.elements():
             out.append(GeneratorPair((field.one, be), (field.mu, de)))
     return out
-
-
-def raw_pairs(field: ExtField) -> Iterable[GeneratorPair]:
-    elems = list(field.elements())
-    for al in elems:
-        for be in elems:
-            for ga in elems:
-                for de in elems:
-                    if al == ga == (0, 0) and be == de == (0, 0):
-                        continue
-                    yield GeneratorPair((al, be), (ga, de))
 
 
 def f_planes(field: ExtField) -> List[GeneratorPair]:

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import pytest
 
+import paper_checks as pc
 from thinlie import maxclass as mc
 from thinlie import subfield as sf
 from thinlie.gf import make_ext_field
@@ -78,7 +79,7 @@ def dev9_14(f9, search9_14):
 
 @pytest.fixture(scope="session")
 def dev9_12(dev9_14):
-    return mc.quotient(dev9_14, 12)
+    return pc.quotient(dev9_14, 12)
 
 
 @pytest.fixture(scope="session")

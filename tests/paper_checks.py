@@ -1,0 +1,440 @@
+"""The paper's checks that no subcommand runs, kept as independent test oracles.
+
+The package computes what the CLI reports: the classification of thin
+subalgebras generated in degree 1 (``subfield``), the degree-0
+endomorphism ring (``endo``), the round trip (``reconstruct``) and the
+scan.  The checks here carry the lemmas behind those results and test
+them by other means:
+
+* ``verify_covering`` and ``verify_ideal_sandwich`` check the covering
+  and r-constrained properties by brute force over every homogeneous
+  element, under the budget ``BRUTE_FORCE_LIMIT``;
+* ``thin_line_criterion`` decides thinness from centralizer data alone,
+  and ``normalize_generators`` moves a pair into the normal form;
+* ``iso_search`` finds a graded isomorphism between two presentations;
+* ``grend_d_dimension`` gives the dimension of the degree-d graded
+  endomorphism space, and ``scalar_action`` applies a ring element;
+* ``quotient``, ``image`` and ``raw_pairs`` are the test-support
+  truncation, the full image of a basis row under a representation, and
+  every generator pair.
+"""
+
+from __future__ import annotations
+
+from itertools import islice, product
+
+from thinlie import endo
+from thinlie import maxclass as mc
+from thinlie import reconstruct as rec
+from thinlie import subfield as sf
+from thinlie._record import record
+from thinlie.errors import (
+    BadBound,
+    DegenerateGenerators,
+    NotStandardForm,
+    OutOfWindow,
+    PreconditionFailed,
+    ThinLieError,
+)
+from thinlie.gf import RowSpace, combine, span
+
+BRUTE_FORCE_LIMIT = 200_000
+
+
+class WindowTooLargeForBruteForce(ThinLieError):
+    pass
+
+
+# -- test support ----------------------------------------------------------------
+
+
+def quotient(pres, class_n):
+    """The class-``class_n`` truncation: the first class_n - 2 pairs.
+
+    The result is not validated; ``tables`` validates it on first use.
+    """
+    if not 4 <= class_n <= pres.class_n:
+        raise BadBound(f"quotient bound {class_n} not in [4, {pres.class_n}]")
+    return mc.MaxClassPresentation(pres.field, class_n, pres.adjoint[: class_n - 2])
+
+
+def image(rep, d, r):
+    """rho of the basis row r of T_d on every slot it reaches (``RhoRep``)."""
+    an = rep.analysis
+    F = an.field
+    entry = rec._reader(rep, rec._rows(an), rep.images)
+    slots = range(rep.slots_min, rep.window - d + 1)
+    if d == 1:
+        return {s: entry(r, s) for s in slots}
+    e = rec._row_scalar(an, d, r)
+    return {s: F.mul(e, entry(d, s)) for s in slots}
+
+
+def raw_pairs(field):
+    """Every generator pair but (0, 0), (0, 0), in ``field.elements()`` order."""
+    elems = list(field.elements())
+    for al in elems:
+        for be in elems:
+            for ga in elems:
+                for de in elems:
+                    if al == ga == (0, 0) and be == de == (0, 0):
+                        continue
+                    yield sf.GeneratorPair((al, be), (ga, de))
+
+
+# -- brute-force verifiers ---------------------------------------------------
+
+
+@record
+class CoveringReport:
+    ok: bool
+    first_failure: tuple | None  # (degree, coefficients)
+
+
+def _nonzero_coeff_vectors(p, dim):
+    for coeffs in product(range(p), repeat=dim):
+        if any(coeffs):
+            yield coeffs
+
+
+def _brute_force_guard(p, window):
+    if (p**2) * window > BRUTE_FORCE_LIMIT:
+        raise WindowTooLargeForBruteForce(
+            f"~{p**2 * window} element checks exceed limit {BRUTE_FORCE_LIMIT}"
+        )
+
+
+def verify_covering(analysis):
+    """Exhaustively check [u, L_1] = L_{i+1} for every nonzero homogeneous u."""
+    if analysis.d is None:
+        raise DegenerateGenerators("covering check needs independent generators")
+    pres = analysis.pres
+    Fb = pres.field.base
+    g = analysis.pair
+    _brute_force_guard(Fb.p, analysis.window)
+    for i in range(1, analysis.window):
+        target = analysis.space(i + 1)
+        for coeffs in _nonzero_coeff_vectors(Fb.p, analysis.dim(i)):
+            u = combine(Fb.p, coeffs, analysis.basis(i))
+            img = RowSpace(Fb, 2)
+            img.insert(sf.ad_gen(pres, i, u, g.X))
+            img.insert(sf.ad_gen(pres, i, u, g.Y))
+            if not (img.dim == target.dim and all(target.contains(r) for r in img.basis())):
+                return CoveringReport(ok=False, first_failure=(i, coeffs))
+    return CoveringReport(ok=True, first_failure=None)
+
+
+@record
+class SandwichReport:
+    ok: bool
+    r: int
+    witness: tuple | None  # (degree, coeffs, missing degree)
+
+
+def ideal_closure(analysis, degree, vec):
+    """Span of the ideal of L generated by a homogeneous element.
+
+    Closure under ad X, ad Y and F-spans suffices because L is generated
+    in degree 1; stability under bracketing with all of L is a tested
+    property, not an assumption.
+    """
+    pres = analysis.pres
+    Fb = pres.field.base
+    g = analysis.pair
+    spans = {}
+    for h in range(degree, analysis.window + 1):
+        spans[h] = RowSpace(Fb, 4 if h == 1 else 2)
+    spans[degree].insert(vec)
+    work = [(degree, tuple(vec))]
+    while work:
+        h, u = work.pop()
+        if h + 1 > analysis.window:
+            continue
+        for gen in (g.X, g.Y):
+            w = sf.ad_gen(pres, h, u, gen)
+            if spans[h + 1].insert(w):
+                work.append((h + 1, w))
+    return spans
+
+
+def verify_ideal_sandwich(analysis, r):
+    """Check that every homogeneous ideal generator reaches r degrees down.
+
+    For each degree i <= window - r and each nonzero l in L_i, the ideal
+    generated by l must contain every L_h with i + r <= h <= window.
+    """
+    if analysis.d is None:
+        raise DegenerateGenerators("sandwich check needs independent generators")
+    if r < 1:
+        raise BadBound("r must be >= 1")
+    Fb = analysis.field.base
+    _brute_force_guard(Fb.p, analysis.window)
+    for i in range(1, analysis.window - r + 1):
+        for coeffs in _nonzero_coeff_vectors(Fb.p, analysis.dim(i)):
+            l = combine(Fb.p, coeffs, analysis.basis(i))
+            spans = ideal_closure(analysis, i, l)
+            for h in range(i + r, analysis.window + 1):
+                target = analysis.basis(h)
+                if not all(spans[h].contains(row) for row in target):
+                    return SandwichReport(ok=False, r=r, witness=(i, coeffs, h))
+    return SandwichReport(ok=True, r=r, witness=None)
+
+
+# -- normal form -------------------------------------------------------------
+
+
+@record
+class NormalizationResult:
+    pair: sf.GeneratorPair
+    presentation: mc.MaxClassPresentation
+    transform: tuple  # degree-1 base change: new x, new y in (x, y)
+    complete: bool
+    note: str
+
+
+def normalize_generators(pres, g):
+    """Move an E-independent pair into the form X = x + y, Y = mu*x + delta*y.
+
+    Uses the graded automorphism scaling degree i by alpha^{-i} (which
+    fixes the presentation), an F-shear and F-scaling of Y, and finally a
+    rescaling of the ambient y (which changes the presentation by a
+    recorded degree-1 base change).  When a step's precondition fails the
+    partial form reached so far is returned with ``complete=False``.
+    """
+    F = pres.field
+    if g.is_degenerate(F):
+        raise DegenerateGenerators("cannot normalize an E-dependent pair")
+    if not mc.is_standard(pres):
+        raise NotStandardForm("normalization expects a standard-form presentation")
+    ident = ((F.one, F.zero), (F.zero, F.one))
+    al, be = g.X
+    ga, de = g.Y
+    if F.is_zero(al):
+        return NormalizationResult(g, pres, ident, False, "alpha = 0: X lies in Ey")
+    inv_al = F.inv(al)
+    be = F.mul(inv_al, be)
+    ga = F.mul(inv_al, ga)
+    de = F.mul(inv_al, de)
+    # X is now x + beta*y; make gamma equal mu via an F-shear and F-scaling.
+    if ga[1] == 0:  # gamma in F
+        return NormalizationResult(
+            sf.GeneratorPair((F.one, be), (ga, de)),
+            pres,
+            ident,
+            False,
+            "gamma in F after scaling: L_1 meets Ey",
+        )
+    g0, g1 = ga
+    f = F.base.inv(g1)
+    ga = F.scale(f, F.sub(ga, F.embed(g0)))  # = mu
+    de = F.scale(f, F.sub(de, F.mul(F.embed(g0), be)))
+    if F.is_zero(be):
+        return NormalizationResult(
+            sf.GeneratorPair((F.one, be), (ga, de)),
+            pres,
+            ident,
+            False,
+            "beta = 0: X = x, no y-rescale possible",
+        )
+    # Rescale the ambient y by beta; in the new basis X = x' + y'.
+    pres2 = mc.apply_degree1_change(pres, (F.one, F.zero), (F.zero, be))
+    transform = ((F.one, F.zero), (F.zero, be))
+    de2 = F.div(de, be)
+    pair2 = sf.GeneratorPair((F.one, F.one), (F.mu, de2))
+    complete = de2[1] != 0  # delta not in F
+    note = "" if complete else "delta in F: pair cannot be thin"
+    return NormalizationResult(pair2, pres2, transform, complete, note)
+
+
+# -- the line criterion ----------------------------------------------------------
+
+
+@record
+class LineCriterionResult:
+    script_l: tuple  # lambdas of centralizers E(x + lambda*y) in window
+    ey_occurs: bool
+    affine_line: tuple | None  # {t*b + (1-t)*d : t in F}
+    visible: tuple  # lambdas of E-lines actually meeting span_F{X, Y}
+    ey_condition: bool
+    avoided: bool
+
+
+def visible_lambdas(field, g):
+    """All lambda with span_F{X, Y} meeting E(x + lambda*y), plus an Ey flag.
+
+    span_F{X, Y} meets the line of x + lambda*y iff lambda is the ratio
+    (s*beta + t*delta)/(s*alpha + t*gamma) for some (s : t) in P^1(F); it
+    meets Ey iff some denominator vanishes, i.e. alpha, gamma are
+    F-dependent.  The lambda set is the image of P^1(F) under an injective
+    Moebius map, so it has exactly |F| + 1 elements when Ey is avoided.
+    """
+    F = field
+    (al, be), (ga, de) = g.X, g.Y
+    meets_ey = not sf._f_independent(F, al, ga)
+    lams = set()
+    for s, t in [(1, t) for t in range(F.p)] + [(0, 1)]:
+        den = F.add(F.scale(s, al), F.scale(t, ga))
+        if F.is_zero(den):
+            continue
+        num = F.add(F.scale(s, be), F.scale(t, de))
+        lams.add(F.div(num, den))
+    return tuple(sorted(lams, key=F.key)), meets_ey
+
+
+def thin_line_criterion(pres, g, window=None):
+    """Decide thinness from centralizer data alone.
+
+    The span of X and Y avoids every two-step centralizer inside the
+    window iff (a) alpha, gamma are F-independent (the Ey condition) and
+    (b) no lambda of an occurring centralizer is visible from the pair.
+    The affine F-line through alpha^{-1}beta and gamma^{-1}delta is also
+    reported; it shares only those two points with the visible lambda set,
+    so it is a diagnostic, not the criterion itself.  Both sets are
+    enumerated, so the criterion raises WindowTooLargeForBruteForce when
+    the p + 1 points of P^1(F) exceed BRUTE_FORCE_LIMIT.
+    """
+    F = pres.field
+    if g.is_degenerate(F):
+        raise DegenerateGenerators("criterion needs E-independent generators")
+    if not mc.is_standard(pres):
+        raise NotStandardForm("criterion expects a standard-form presentation")
+    if F.p + 1 > BRUTE_FORCE_LIMIT:
+        raise WindowTooLargeForBruteForce(
+            f"{F.p + 1} points of P^1(F) exceed limit {BRUTE_FORCE_LIMIT}"
+        )
+    window = pres.class_n if window is None else window
+    points = mc.two_step_centralizers(pres).distinct(window)
+    ey_occurs = mc.ey_point(F) in points
+    # the others are normalized (1 : lambda)
+    script_l = sorted((pt[1] for pt in points if pt != mc.ey_point(F)), key=F.key)
+    (al, be), (ga, de) = g.X, g.Y
+    visible, meets_ey = visible_lambdas(F, g)
+    affine = None
+    if not F.is_zero(al) and not F.is_zero(ga):
+        b = F.div(be, al)
+        dl = F.div(de, ga)
+        line = set()
+        for t in range(F.p):
+            line.add(F.add(F.scale(t, b), F.scale((1 - t) % F.p, dl)))
+        affine = tuple(sorted(line, key=F.key))
+    ey_condition = not meets_ey
+    avoided = ey_condition and not (set(visible) & set(script_l))
+    return LineCriterionResult(
+        script_l=tuple(script_l),
+        ey_occurs=ey_occurs,
+        affine_line=affine,
+        visible=visible,
+        ey_condition=ey_condition,
+        avoided=avoided,
+    )
+
+
+# -- graded isomorphism search by one linear solve -------------------------------
+
+
+@record
+class IsoResult:
+    found: bool
+    transform: tuple | None  # degree-1 base change: images of x and y
+
+
+def iso_search(pres_a, pres_b, window=None):
+    """Search for a graded isomorphism between two presentations.
+
+    Certification lemma: Phi = (a1, b1, a2, b2), meaning x -> a1 x + b1 y
+    and y -> a2 x + b2 y, is a graded isomorphism iff it is nonsingular
+    and, at every degree i in [2, window - 1], the point
+    (phi_i(a1, b1) : phi_i(a2, b2)) of B equals the point (a_i : b_i) of A
+    in P^1(E).  Proof: [y, x] = v_2 forces Phi(v_2) = s_2 v_2 with
+    s_2 = a1*b2 - b1*a2 != 0, and along A's chain Phi(v_{i+1}) =
+    s_{i+1} v_{i+1}.  Phi transports [v_i, x] = a_i v_{i+1} and [v_i, y] =
+    b_i v_{i+1} iff s_i*(phi_i(a1, b1), phi_i(a2, b2)) = s_{i+1}*(a_i, b_i)
+    in B for some s_{i+1} != 0, that is iff the two points are equal.
+    Once the generator relations transport, Phi is a homomorphism on all
+    pairs by the generator lemma (see ``reconstruct._check_rep``): both
+    truncations are Lie algebras generated by x and y.
+
+    Both points are nonzero vectors: A has no zero pair, and a nonsingular
+    Phi maps B's pair (p_i, q_i) to a nonzero one.  So they are equal iff
+    phi_i(a1, b1)*b_i - phi_i(a2, b2)*a_i = 0, one linear equation in Phi
+    per degree, and the certified maps are the nonsingular elements of the
+    kernel W of the window x 4 system.  The degree-2 row is the tensor of
+    the nonzero vectors (p_2, q_2) and (b_2, -a_2), so dim W <= 3.
+
+    Walk lemma: the result is the certified Phi whose first nonzero entry
+    is 1, least in ``F.key`` order entry by entry (the first one an
+    enumeration of all degree-1 maps in ``F.elements()`` order would find).
+    Let W's RREF basis be r_1..r_k with pivots j_1 < ... < j_k.  The
+    normalized vectors led at j_m are r_m + sum_{l>m} t_l r_l, and among
+    them the key order is the lexicographic key order of (t_{m+1}, ...):
+    each entry before j_{l+1} depends on t_{m+1}..t_l only.  A later pivot
+    means more leading zeros, and 0 has the least key, so the levels are
+    walked from m = k down to 1.  On a level, det is a polynomial of degree
+    <= 2 in at most 2 variables.  If it is not identically zero, at most 2
+    values of the first t make it vanish for every second t, and for any
+    other first t it has at most 2 roots.  So the 3 least-key elements of E
+    (q >= 4) reach the least nonsingular vector of every level that has
+    one, and E is never enumerated further.
+    """
+    if pres_a.field != pres_b.field:
+        raise PreconditionFailed("presentations live over different fields")
+    F = pres_a.field
+    window = min(pres_a.class_n, pres_b.class_n) if window is None else window
+    A = quotient(pres_a, window) if pres_a.class_n != window else pres_a
+    B = quotient(pres_b, window) if pres_b.class_n != window else pres_b
+    mc.tables(A)
+    mc.tables(B)
+    rows = []
+    for i in range(2, window):
+        (a, b), (p, q) = A.pair(i), B.pair(i)
+        rows.append([F.mul(p, b), F.mul(q, b), F.neg(F.mul(p, a)), F.neg(F.mul(q, a))])
+    basis = span(F, span(F, rows, 4).kernel(), 4).basis()
+    small = list(islice(F.elements(), 3))
+    for m in reversed(range(len(basis))):
+        for ts in product(small, repeat=len(basis) - 1 - m):
+            quad = basis[m]
+            for t, row in zip(ts, basis[m + 1:]):
+                quad = [F.add(c, F.mul(t, r)) for c, r in zip(quad, row)]
+            a1, b1, a2, b2 = quad
+            if not F.is_zero(F.sub(F.mul(a1, b2), F.mul(b1, a2))):
+                return IsoResult(found=True, transform=((a1, b1), (a2, b2)))
+    return IsoResult(found=False, transform=None)
+
+
+# -- endomorphisms of other degrees and the ring's action -------------------------
+
+
+def scalar_action(ring, e, degree, vec):
+    """Apply a ring element to a module vector given in the L-basis coords."""
+    return combine(ring.field.p, vec, ring.matrix_at(e, degree))
+
+
+@record
+class GrendDim:
+    shift: int
+    dim: int
+    bound: int
+
+    @property
+    def bound_ok(self):
+        return self.dim <= self.bound
+
+
+def grend_d_dimension(analysis, shift):
+    """Dimension of the degree-`shift` graded endomorphism space of L^3.
+
+    Solved by the per-operation propagation (``oracle_solve_graded_maps``
+    in ``test_lemma``), which takes any shift.  Also reports the a-priori
+    bound min(dim V_m) over target degrees in the window; the computed
+    dimension must not exceed it.
+    """
+    from test_lemma import oracle_solve_graded_maps  # test_lemma imports this module
+
+    if analysis.d is None:
+        raise DegenerateGenerators("endomorphism solve needs independent generators")
+    window = analysis.window
+    if shift < 0 or endo.K0 + shift > window:
+        raise OutOfWindow(f"shift {shift} pushes the bottom past the window")
+    kernel_rows, _ = oracle_solve_graded_maps(analysis, shift, endo.K0, window)
+    bound = min(analysis.dim(m) for m in range(endo.K0 + shift, window + 1))
+    return GrendDim(shift=shift, dim=len(kernel_rows), bound=bound)

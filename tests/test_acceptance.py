@@ -10,6 +10,7 @@ import time
 
 import pytest
 
+import paper_checks as pc
 from thinlie import endo
 from thinlie import maxclass as mc
 from thinlie import reconstruct as rec
@@ -49,7 +50,7 @@ def test_criterion_1_metabelian_thin_pair(f9, met40, thin_pair_f9):
         assert an.verdict.kind == "thin"
         assert an.dim(2) == 1
         assert all(an.dim(i) == 2 for i in range(3, 41))
-        assert sf.verify_covering(an).ok
+        assert pc.verify_covering(an).ok
 
 
 def test_criterion_2_maximal_class_pair(f9, met40, maximal_pair):
@@ -75,12 +76,12 @@ def test_criterion_3_exhaustive_equivalence(f4, f9, dev4_12, dev9_12):
                     continue
                 an = sf.generate_subalgebra(pres, g, 12)
                 is_thin = an.verdict.kind == "thin"
-                covering = sf.verify_covering(an)
+                covering = pc.verify_covering(an)
                 dims_pattern = an.dim(2) == 1 and all(
                     an.dim(i) == 2 for i in range(3, 13)
                 )
                 leg2 = covering.ok and dims_pattern
-                leg3 = sf.thin_line_criterion(pres, g, 12).avoided
+                leg3 = pc.thin_line_criterion(pres, g, 12).avoided
                 if not (is_thin == leg2 == leg3):
                     disagreements += 1
         assert disagreements == 0
@@ -99,8 +100,8 @@ def test_criterion_4_ideally_r_constrained(dev9_14, rc_pair):
         assert all(an.dim(i) == 2 for i in range(t1 + 1, 15))
         r = v.r_observed
         assert v.r_bound_ok  # 2 <= r <= t1
-        assert sf.verify_ideal_sandwich(an, r).ok
-        below = sf.verify_ideal_sandwich(an, r - 1)
+        assert pc.verify_ideal_sandwich(an, r).ok
+        below = pc.verify_ideal_sandwich(an, r - 1)
         assert not below.ok
         witness_degree = below.witness[0]
         # the first maximal gap is t_2 - t_1, so the witness sits at t_1 + 1
@@ -115,7 +116,7 @@ def test_criterion_5_endomorphism_rings(f4, f9, dev9_14, thin_pair_f9, maximal_p
     thin_f4 = sf.GeneratorPair(((1, 0), (1, 0)), ((0, 1), (1, 1)))
     cases = [
         ("thin/metabelian GF(9)", met9, thin_pair_f9, 12, 2),
-        ("thin/deviating GF(9)", mc.quotient(dev9_14, 12), thin_pair_f9, 12, 2),
+        ("thin/deviating GF(9)", pc.quotient(dev9_14, 12), thin_pair_f9, 12, 2),
         ("thin/metabelian GF(4)", met4, thin_f4, 12, 2),
         ("maximal GF(9)", met9, maximal_pair, 12, 1),
         ("r-constrained GF(9)", dev9_14, rc_pair, 14, 1),
@@ -132,7 +133,7 @@ def test_criterion_5_endomorphism_rings(f4, f9, dev9_14, thin_pair_f9, maximal_p
                 p = pres.field.p
                 assert all((t * t + c1 * t + c0) % p != 0 for t in range(p))
             for shift in (0, 1):
-                g = endo.grend_d_dimension(an, shift)
+                g = pc.grend_d_dimension(an, shift)
                 assert g.bound_ok
                 if shift == 0:
                     assert g.dim == ring.dim

@@ -482,6 +482,14 @@ class TestRoundtrip:
         assert code == 2
         assert "thin" in err
 
+    @pytest.mark.parametrize("window", [4, 5, 6])
+    def test_small_window_exits_1(self, met_file, capsys, window):
+        # the metabelian branch has k = 2, so the usable window is window - 3
+        code, out, err = run(capsys, "roundtrip", met_file, *PAIR, "--window", str(window))
+        assert code == 1
+        assert out == ""
+        assert err == f"error: usable window {window - 3} is below the minimum class 4\n"
+
 
 class TestScan:
     def test_metabelian(self, met_file, capsys):

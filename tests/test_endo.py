@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+import paper_checks as pc
 from thinlie import endo
 from thinlie import maxclass as mc
 from thinlie import subfield as sf
@@ -97,14 +98,14 @@ class TestScalarAction:
         for deg in range(3, 13):
             for r in range(an.dim(deg)):
                 v = tuple(1 if t == r else 0 for t in range(an.dim(deg)))
-                assert endo.scalar_action(thin_ring, thin_ring.identity, deg, v) == v
+                assert pc.scalar_action(thin_ring, thin_ring.identity, deg, v) == v
 
     def test_mu_hat_matches_ambient_mu(self, thin_ring, thin_fid, f9):
         an = thin_ring.analysis
         for deg in range(3, 13):
             for row in an.basis(deg):
                 coords = an.express(deg, row)
-                img = endo.scalar_action(thin_ring, thin_fid.mu_hat, deg, coords)
+                img = pc.scalar_action(thin_ring, thin_fid.mu_hat, deg, coords)
                 amb = [0, 0]
                 for c, r in zip(img, an.basis(deg)):
                     amb[0] = (amb[0] + c * r[0]) % 3
@@ -128,7 +129,7 @@ class TestScalarAction:
         assert sig in (f9.mu, f9.conj(f9.mu))
         for deg in range(3, 13):
             row = an.basis(deg)[0]
-            img = endo.scalar_action(
+            img = pc.scalar_action(
                 thin_ring, thin_fid.generator, deg, an.express(deg, row)
             )
             amb = [0, 0]
@@ -150,7 +151,7 @@ class TestScalarAction:
             )
             deg = rng.randrange(3, 13)
             vec = tuple(rng.randrange(3) for _ in range(an.dim(deg)))
-            img = endo.scalar_action(thin_ring, e_coords, deg, vec)
+            img = pc.scalar_action(thin_ring, e_coords, deg, vec)
             amb = [0, 0]
             for c, r in zip(vec, an.basis(deg)):
                 amb[0] = (amb[0] + c * r[0]) % 3
@@ -164,29 +165,29 @@ class TestScalarAction:
 
     def test_out_of_window(self, thin_ring):
         with pytest.raises(OutOfWindow):
-            endo.scalar_action(thin_ring, thin_ring.identity, 13, (0, 0))
+            pc.scalar_action(thin_ring, thin_ring.identity, 13, (0, 0))
         with pytest.raises(OutOfWindow):
-            endo.scalar_action(thin_ring, thin_ring.identity, 2, (0, 0))
+            pc.scalar_action(thin_ring, thin_ring.identity, 2, (0, 0))
 
 
 class TestGrendD:
     def test_thin_d0(self, f9, thin_pair_f9, thin_ring):
         m = mc.make_metabelian(f9, 12)
         an = sf.generate_subalgebra(m, thin_pair_f9, 12)
-        g = endo.grend_d_dimension(an, 0)
+        g = pc.grend_d_dimension(an, 0)
         assert g.dim == thin_ring.dim == 2
         assert g.bound == 2 and g.bound_ok
 
     def test_maximal_d0(self, f9, maximal_pair):
         m = mc.make_metabelian(f9, 12)
         an = sf.generate_subalgebra(m, maximal_pair, 12)
-        g = endo.grend_d_dimension(an, 0)
+        g = pc.grend_d_dimension(an, 0)
         assert g.dim == 1 and g.bound == 1
 
     def test_thin_d1_within_bound(self, f9, thin_pair_f9):
         m = mc.make_metabelian(f9, 12)
         an = sf.generate_subalgebra(m, thin_pair_f9, 12)
-        g = endo.grend_d_dimension(an, 1)
+        g = pc.grend_d_dimension(an, 1)
         assert g.bound == 2
         assert g.bound_ok
 
@@ -194,4 +195,4 @@ class TestGrendD:
         m = mc.make_metabelian(f9, 12)
         an = sf.generate_subalgebra(m, thin_pair_f9, 12)
         with pytest.raises(OutOfWindow):
-            endo.grend_d_dimension(an, 10)
+            pc.grend_d_dimension(an, 10)

@@ -16,7 +16,13 @@ triple.  The CLI branches no README example reaches are covered too:
 ``stats`` on a valid file that is not in standard form (``ex10.json``,
 every pair (0, 1)), ``scan --raw``, and ``analyze`` on a maximal, an
 r-constrained (``dev9mu.json``) and a degenerate pair, the last with
-exit code 1.  They run in a fresh
+exit code 1.  ``scan`` and ``scan --raw`` of ``dev9mu.json`` see more
+than one centralizer point, so the line-avoidance count tests
+F-independence and the d-values differ between points; ``build search``
+over GF(9) at class 16 with limit 2 is the smallest search found whose
+free node takes the Tonelli-Shanks branch of ``ExtField.sqrt``.
+``test_reachability`` runs these cases to show that every function of
+the package is one the CLI runs.  They run in a fresh
 directory with relative file names, because reports echo the input path.
 
 After a declared report-schema change, rewrite the recorded copy with
@@ -76,6 +82,13 @@ CASES = [
     ("analyze-maximal", ["analyze", "m.json", "--X", "1,0,0,0", "--Y", "0,0,1,0", "--window", "12"], 0),
     ("analyze-rconstrained", ["analyze", "dev9mu.json", "--X", "0,0,1,0", "--Y", "1,0,0,1"], 0),
     ("analyze-degenerate", ["analyze", "m.json", "--X", "1,0,0,0", "--Y", "0,1,0,0", "--window", "12"], 1),
+    # a deviating file: several centralizer lines, so the scan's line
+    # cross-check and its d-value gaps see more than one point
+    ("scan-dev9mu", ["scan", "dev9mu.json"], 0),
+    ("scan-raw-dev9mu", ["scan", "dev9mu.json", "--raw"], 0),
+    # the smallest search found whose free node has a nonzero square
+    # discriminant, so ExtField.sqrt takes its Tonelli-Shanks branch
+    ("build-search-c16", ["build", "search", "--p", "3", "--ext", "2,0", "--class", "16", "--limit", "2", "-o", "c16"], 0),
 ]
 
 

@@ -2,11 +2,11 @@
 
 Jacobi (``maxclass``), the rho homomorphism (``reconstruct._check_rep``),
 the round-trip phi map (``reconstruct._phi_failure``) and the graded
-isomorphism of ``iso_search`` (one point equation per degree) are checked
-only on pairs and triples with a degree-1 generator.  The all-pairs loops
-they replaced are kept here as oracles, and each fast path must give the
-same verdict, the same first failure and the same message on seeded valid
-and perturbed inputs.
+isomorphism of ``paper_checks.iso_search`` (one point equation per
+degree) are checked only on pairs and triples with a degree-1 generator.
+The all-pairs loops they replaced are kept here as oracles, and each fast
+path must give the same verdict, the same first failure and the same
+message on seeded valid and perturbed inputs.
 
 ``_Structure.jacobi`` evaluates each Jacobi triple with a generator by
 one of two closed formulas (its docstring), ``_phi_failure`` reads the
@@ -41,10 +41,10 @@ several-digit residues show a dropped or misplaced reduction; and
 ``validate``'s report (first failure and triples checked) is compared
 with Jacobi over the generic bracket on ``oracle_cells``.
 
-``iso_search`` solves one linear system for the degree-1 maps that carry
-B's point onto A's at every degree and reads the key-least nonsingular
-one off the kernel's reduced basis, trying at most 3 elements of E per
-free coordinate (the certification and walk lemmas in its docstring).
+``paper_checks.iso_search`` solves one linear system for the degree-1
+maps that carry B's point onto A's at every degree and reads the
+key-least nonsingular one off the kernel's reduced basis, trying at most
+3 elements of E per free coordinate (the certification and walk lemmas in its docstring).
 The brute force over every projective degree-1 map, and the loop over
 the degree-1 maps that fix the centralizer lines of the standard forms,
 certified by the base-changed canonical chain, are kept here as oracles.
@@ -58,15 +58,14 @@ replaced are kept here as oracles.
 ``reconstruct`` stores a representation's entries only on the slots
 below lo, where the slot lemma (``RhoRep``) does not make it the adjoint
 action of the ambient algebra, and reads the others off the structure
-table.  ``_check_rep`` and ``_phi_failure`` compare only those slots, and
-``assemble_N`` takes N's dimensions and presentation (a base change of
-the ambient one) from the lemma and [N_d, N_1] = N_{d+1} from
-``_check_rep``.  The per-entry and the full-table image constructions,
-both checks on every slot, the commutator extraction and the span
-comparison are kept here as oracles.
-``maxclass.quotient`` slices a validated parent's table and
-``apply_degree1_change`` derives its result's table without Jacobi
-checks; both tables are compared with ``validate``'s.
+table.  ``_check_rep`` and ``_phi_failure`` compare only those slots,
+and ``verify_roundtrip`` takes N's dimensions and presentation (a base
+change of the ambient one) from the lemma and [N_d, N_1] = N_{d+1} from
+``_check_rep`` without computing them.  The per-entry and the full-table
+image constructions, both checks on every slot, the commutator
+extraction (compared with that base change) and the span comparison are
+kept here as oracles.  ``apply_degree1_change`` derives its result's
+table without Jacobi checks; that table is compared with ``validate``'s.
 
 ``endo.identify_field`` checks Schur invertibility on the identity and the
 generator only and reads the root of the ambient quadratic off the scalar
@@ -79,7 +78,9 @@ rows [v, g] of each degree are computed once, f_{i+1} solves
 forms goes through ``gf.combine``.  The per-operation propagation it
 replaced, which bracketed each degree twice, is kept here as
 ``oracle_solve_graded_maps``; both must give the same kernel rows, the same
-forms at every degree, or the same error.
+forms at every degree, or the same error, at shift 0, the only degree the
+package solves.  The oracle takes any shift, and
+``paper_checks.grend_d_dimension`` runs it.
 
 ``reconstruct.detect_structure`` reads the largest degree i with a nonzero
 bracket [v_i, v_j] in the window once, and ``gf.solve`` and
@@ -94,6 +95,7 @@ import random
 
 import pytest
 
+import paper_checks as pc
 from thinlie import endo
 from thinlie import maxclass as mc
 from thinlie import reconstruct as rec
@@ -437,7 +439,7 @@ def _full_images(rep):
     """(degree, basis row) -> rho of that row on every slot."""
     an = rep.analysis
     return {
-        (d, r): rep.image(d, r)
+        (d, r): pc.image(rep, d, r)
         for d in range(1, rep.window - rep.slots_min + 1)
         for r in range(an.dim(d))
     }
@@ -679,14 +681,13 @@ def _table_key(st):
 
 @pytest.mark.parametrize("found", ["search4_12", "search9_12", "search25_12"])
 def test_derived_tables_match_validate(request, found):
-    """Sliced quotient tables and extend-built base-changed tables equal the
-    tables ``validate`` derives for the same pairs, which pass."""
+    """Extend-built base-changed tables equal the tables ``validate``
+    derives for the same pairs, which pass."""
     rng = random.Random(f"tables-{found}")
     for pres in request.getfixturevalue(found):
         parent = mc.MaxClassPresentation(pres.field, pres.class_n, pres.adjoint)
         assert mc.validate(parent).ok
-        derived = [mc.quotient(parent, m) for m in range(4, parent.class_n + 1)]
-        derived += [_degree1_change(parent, rng) for _ in range(2)]
+        derived = [_degree1_change(parent, rng) for _ in range(2)]
         derived.append(_degree1_change(derived[rng.randrange(len(derived))], rng))
         for pres_d in derived:
             fresh = mc.MaxClassPresentation(pres_d.field, pres_d.class_n, pres_d.adjoint)
@@ -1270,7 +1271,7 @@ def oracle_generation_check(rep):
                 got.insert(_flat(F, rep, oracle_commutator(
                     F, rep.slots_min, rep.window, images[(d, r)], d, gen_map, 1
                 )))
-        if not (got.dim == target.dim and target.contains_space(got)):
+        if not (got.dim == target.dim and all(target.contains(r) for r in got.basis())):
             raise DimensionAnomaly(f"[N_{d}, N_1] != N_{d + 1}")
 
 
@@ -1287,7 +1288,7 @@ def _proportionality(F, m1, m2):
 
 
 def oracle_extract(rep):
-    """``assemble_N``'s dimensions and presentation computed on the maps: the
+    """N's dimensions and presentation computed on the maps: the
     E-rank of each degree's flattened images, and the chain of N in
     x_N = rho(r1), y_N = rho(r2) by commutators ([v, x_N] when nonzero,
     else [v, y_N]), validated."""
@@ -1402,7 +1403,7 @@ def test_check_rep_matches_all_pairs(request, thin_pair_f9, which):
         stages.add(got[0])
         second_failures += second and got[0] == "DimensionAnomaly"
         if _outcome(oracle_generation_check, bad)[0] != "ok":
-            # assemble_N does not check [N_d, N_1] = N_{d+1}
+            # _check_rep's comparison proves [N_d, N_1] = N_{d+1}
             assert got[0] != "ok"
             generation_failures += 1
     assert "DimensionAnomaly" in stages
@@ -1447,8 +1448,11 @@ def _assert_matches_oracles(monkeypatch, pres, pair, window, rep):
     assert images == oracle_rho_images(rep.analysis, rep.k)
     checks = (rec._check_rep, oracle_check_rep_generators, oracle_check_rep, oracle_generation_check)
     assert [_outcome(fn, rep) for fn in checks] == [("ok", None)] * 4
-    recon = rec.assemble_N(rep)
-    assert (recon.dims, recon.presentation) == oracle_extract(rep)
+    usable = rec.usable_window(rep)
+    r1, r2 = rec._rows(rep.analysis)
+    dims, extracted = oracle_extract(rep)
+    assert dims == {d: 2 if d == 1 else 1 for d in range(1, usable + 1)}
+    assert extracted == mc.apply_degree1_change(pc.quotient(pres, usable), r1, r2)
     st, rep, usable, phi = _phi_args(monkeypatch, pres, pair, window)
     full = _full_phi(rep, phi)
     assert rec._phi_failure(st, rep, usable, phi) is None
@@ -1470,9 +1474,10 @@ def _assert_matches_oracles(monkeypatch, pres, pair, window, rep):
 )
 def test_images_and_generation_match_oracles(request, monkeypatch, thin_pair_f9, which, branch, windows):
     """On both branches the images equal the per-entry and the full-table
-    ones, ``_check_rep``, ``assemble_N`` and ``_phi_failure`` agree with
-    their oracles on every slot, and the [N_d, N_1] = N_{d+1} check that
-    assemble_N does not make passes."""
+    ones, ``_check_rep`` and ``_phi_failure`` agree with their oracles on
+    every slot, N's presentation extracted from the maps is M's quotient in
+    the basis of T_1, and the [N_d, N_1] = N_{d+1} check that the round
+    trip does not make passes."""
     pres = _presentation(request, which)
     for window in windows:
         rep = _rep(pres, thin_pair_f9, window)
@@ -1616,8 +1621,8 @@ def oracle_iso_search(pres_a, pres_b, window=None):
         raise PreconditionFailed("presentations live over different fields")
     F = pres_a.field
     window = min(pres_a.class_n, pres_b.class_n) if window is None else window
-    A = mc.quotient(pres_a, window) if pres_a.class_n != window else pres_a
-    B = mc.quotient(pres_b, window) if pres_b.class_n != window else pres_b
+    A = pc.quotient(pres_a, window) if pres_a.class_n != window else pres_a
+    B = pc.quotient(pres_b, window) if pres_b.class_n != window else pres_b
     sta, stb = mc.tables(A), mc.tables(B)
     elems = list(F.elements())
 
@@ -1638,8 +1643,8 @@ def oracle_iso_search(pres_a, pres_b, window=None):
                     if F.is_zero(det):
                         continue
                     if oracle_extends(F, sta, stb, window, a1, b1, a2, b2):
-                        return rec.IsoResult(found=True, transform=((a1, b1), (a2, b2)))
-    return rec.IsoResult(found=False, transform=None)
+                        return pc.IsoResult(found=True, transform=((a1, b1), (a2, b2)))
+    return pc.IsoResult(found=False, transform=None)
 
 
 def oracle_iso_standard(pres_a, pres_b, window=None):
@@ -1656,8 +1661,8 @@ def oracle_iso_standard(pres_a, pres_b, window=None):
         raise PreconditionFailed("presentations live over different fields")
     F = pres_a.field
     window = min(pres_a.class_n, pres_b.class_n) if window is None else window
-    A = mc.quotient(pres_a, window) if pres_a.class_n != window else pres_a
-    B = mc.quotient(pres_b, window) if pres_b.class_n != window else pres_b
+    A = pc.quotient(pres_a, window) if pres_a.class_n != window else pres_a
+    B = pc.quotient(pres_b, window) if pres_b.class_n != window else pres_b
     deviates = bool(mc.two_step_centralizers(A).deviations())
     t_a = mc.standard_generators(A).transform
     t_b = mc.standard_generators(B).transform
@@ -1678,9 +1683,9 @@ def oracle_iso_standard(pres_a, pres_b, window=None):
             ).adjoint == target:
                 best = (key, quad)
     if best is None:
-        return rec.IsoResult(found=False, transform=None)
+        return pc.IsoResult(found=False, transform=None)
     a1, b1, a2, b2 = best[1]
-    return rec.IsoResult(found=True, transform=((a1, b1), (a2, b2)))
+    return pc.IsoResult(found=True, transform=((a1, b1), (a2, b2)))
 
 
 def _degree1_change(pres, rng):
@@ -1724,7 +1729,7 @@ def _iso_pairs(found, dev, rng, n_random, n):
     for a, b in list(zip(found, found[1:]))[:n]:
         top = next(d for d in range(2, a.class_n) if a.pair(d) != b.pair(d)) + 1
         if top >= 4:
-            pairs.append((mc.quotient(a, top), mc.quotient(b, top)))
+            pairs.append((pc.quotient(a, top), pc.quotient(b, top)))
     for a, b in pairs[:n_random] + [(found[0], found[0])] + ([(dev, dev)] if dev else []):
         pairs.append((_rescaled(a, rng), b))
         pairs.append((a, _rescaled(b, rng)))
@@ -1751,7 +1756,7 @@ def test_iso_search_matches_all_pairs(request):
         rng = random.Random("iso-search" if name == "search9_12" else f"iso-{name}")
         dev = request.getfixturevalue(dev) if dev else None
         inputs.append(_iso_pairs(request.getfixturevalue(name), dev, rng, n_random, n))
-    fast = [[rec.iso_search(a, b) for a, b in pairs] for pairs in inputs]
+    fast = [[pc.iso_search(a, b) for a, b in pairs] for pairs in inputs]
     for pairs, results in zip(inputs, fast):
         for (a, b), f in zip(pairs, results):
             s = oracle_iso_search(a, b)
@@ -1767,7 +1772,7 @@ def test_iso_search_matches_standard_forms():
     F = make_ext_field(7, 0, 3)
     found = mc.search_sequences(F, 16, 10**9)
     pairs = _iso_pairs(found, None, random.Random("iso-49"), 10, 5)
-    results = [rec.iso_search(a, b) for a, b in pairs]
+    results = [pc.iso_search(a, b) for a, b in pairs]
     for (a, b), f in zip(pairs, results):
         s = oracle_iso_standard(a, b)
         assert f.found == s.found, (a.adjoint, b.adjoint)
@@ -1781,8 +1786,8 @@ def _iso_kernel(pres_a, pres_b):
     (a_i : b_i) at every degree i, each row read off the unit maps."""
     F = pres_a.field
     window = min(pres_a.class_n, pres_b.class_n)
-    sta = mc.tables(mc.quotient(pres_a, window))
-    stb = mc.tables(mc.quotient(pres_b, window))
+    sta = mc.tables(pc.quotient(pres_a, window))
+    stb = mc.tables(pc.quotient(pres_b, window))
     units = _identity(F, 4)
     rows = []
     for i in range(2, window):
@@ -1812,7 +1817,7 @@ def test_iso_walk_bound(request, name, dev):
     dims, all_singular = set(), 0
     for a, b in _iso_pairs(found, request.getfixturevalue(dev), rng, 10, 5):
         basis, pivots = _iso_kernel(a, b)
-        res = rec.iso_search(a, b)
+        res = pc.iso_search(a, b)
         assert res.found == oracle_iso_standard(a, b).found, (a.adjoint, b.adjoint)
         dims.add(len(basis))
         if res.found:
@@ -1897,7 +1902,7 @@ def oracle_scan(pres, window=None, raw=False):
     window = pres.class_n if window is None else window
     q = F.order
     count = q**4 - 1 if raw else q * q
-    pairs = list(sf.raw_pairs(F)) if raw else sf.normalized_pairs(F)
+    pairs = list(pc.raw_pairs(F)) if raw else sf.normalized_pairs(F)
 
     counts = {"thin": 0, "maximal": 0, "rconstrained": 0, "degenerate": 0}
     gaps = {}
@@ -1952,7 +1957,7 @@ def test_generate_matches_rowspace(request, f9, which, raw, windows):
         else request.getfixturevalue(which)
     )
     F = pres.field
-    pairs = list(sf.raw_pairs(F)) if raw else sf.normalized_pairs(F)
+    pairs = list(pc.raw_pairs(F)) if raw else sf.normalized_pairs(F)
     kinds = set()
     for window in windows:
         for g in pairs:
@@ -2146,7 +2151,7 @@ def test_identify_field_matches_enumeration(request, which, embeddings):
     GF(4), so that the dimension-1 rings of maximal pairs occur too)."""
     pres = _presentation(request, which)
     F = pres.field
-    pairs = sf.raw_pairs(F) if F.p == 2 else sf.normalized_pairs(F)
+    pairs = pc.raw_pairs(F) if F.p == 2 else sf.normalized_pairs(F)
     seen = set()
     for g in pairs:
         if g.is_degenerate(F):
@@ -2362,12 +2367,12 @@ _SOLVER_SAMPLE = 60
 def test_solver_matches_propagation_oracle(request, which):
     """The one-step-per-degree solver against the per-operation propagation:
     equal kernel rows, equal forms at every degree, or the same error, at
-    shifts 0, 1 and 2, on every non-degenerate pair (raw over GF(4),
-    normalized otherwise) or a seeded sample of them over GF(25)/GF(49)."""
+    shift 0, on every non-degenerate pair (raw over GF(4), normalized
+    otherwise) or a seeded sample of them over GF(25)/GF(49)."""
     pres = _presentation(request, which)
     F = pres.field
     pairs = [
-        g for g in (sf.raw_pairs(F) if F.p == 2 else sf.normalized_pairs(F))
+        g for g in (pc.raw_pairs(F) if F.p == 2 else sf.normalized_pairs(F))
         if not g.is_degenerate(F)
     ]
     if F.p > 3:
@@ -2375,18 +2380,15 @@ def test_solver_matches_propagation_oracle(request, which):
     amb = sf._Ambient(pres, pres.class_n)
     for g in pairs:
         an = sf._analyse(amb, g)
-        for shift in (0, 1, 2):
-            got = _outcome(endo._solve_graded_maps, an, shift)
-            want = _outcome(oracle_solve_graded_maps, an, shift, endo.K0, an.window)
-            assert got == want, (g, shift)
+        got = _outcome(endo._solve_graded_maps, an)
+        want = _outcome(oracle_solve_graded_maps, an, 0, endo.K0, an.window)
+        assert got == want, g
 
 
 def test_solver_matches_propagation_oracle_at_class_40(thin_pair_f9):
     pres = _presentation(None, "metabelian9_40")
     an = sf.generate_subalgebra(pres, thin_pair_f9)
-    for shift in (0, 1, 2):
-        got = endo._solve_graded_maps(an, shift)
-        assert got == oracle_solve_graded_maps(an, shift, endo.K0, an.window), shift
+    assert endo._solve_graded_maps(an) == oracle_solve_graded_maps(an, 0, endo.K0, an.window)
 
 
 def test_grend0_brackets_each_degree_once(monkeypatch, thin_pair_f9):

@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+import paper_checks as pc
 from thinlie import maxclass as mc
 from thinlie import subfield as sf
 from thinlie.errors import (
@@ -350,20 +351,20 @@ class TestSearch:
 
 class TestQuotient:
     def test_metabelian(self, f9):
-        assert mc.quotient(mc.make_metabelian(f9, 10), 6) == mc.make_metabelian(f9, 6)
+        assert pc.quotient(mc.make_metabelian(f9, 10), 6) == mc.make_metabelian(f9, 6)
 
     def test_identity(self, dev9_14):
-        assert mc.quotient(dev9_14, 14) == dev9_14
+        assert pc.quotient(dev9_14, 14) == dev9_14
 
     def test_composition(self, dev9_14):
-        a = mc.quotient(mc.quotient(dev9_14, 12), 8)
-        assert a == mc.quotient(dev9_14, 8)
+        a = pc.quotient(pc.quotient(dev9_14, 12), 8)
+        assert a == pc.quotient(dev9_14, 8)
 
     def test_valid(self, dev9_14):
-        assert mc.validate(mc.quotient(dev9_14, 9)).ok
+        assert mc.validate(pc.quotient(dev9_14, 9)).ok
 
     def test_unvalidated_gate(self, f9, dev9_14):
-        """The quotient of an unvalidated presentation is not validated, and
+        """A quotient is not validated until ``tables`` is asked for, and
         its tables fail exactly when the first failing Jacobi triple lies at
         total degree <= the quotient bound."""
         rng = random.Random("quotient-gate")
@@ -385,7 +386,7 @@ class TestQuotient:
             )
             failing += top is not None
             for m in range(4, pres.class_n + 1):
-                q = mc.quotient(pres, m)
+                q = pc.quotient(pres, m)
                 assert q._structure is None
                 if top is not None and top <= m:
                     with pytest.raises(InvalidPresentation):
@@ -396,9 +397,9 @@ class TestQuotient:
 
     def test_bad_bound(self, f9):
         with pytest.raises(BadBound):
-            mc.quotient(mc.make_metabelian(f9, 10), 3)
+            pc.quotient(mc.make_metabelian(f9, 10), 3)
         with pytest.raises(BadBound):
-            mc.quotient(mc.make_metabelian(f9, 10), 11)
+            pc.quotient(mc.make_metabelian(f9, 10), 11)
 
 
 class TestSerialization:

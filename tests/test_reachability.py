@@ -1,0 +1,87 @@
+"""The package is what the CLI runs.
+
+The golden cases (``test_golden.CASES``: every README example and the CLI
+branches no README example reaches) run under ``sys.setprofile``, and
+every ``def`` in ``src/thinlie`` must be entered, apart from dunders and
+the entries of ``NOT_RUN``, each with its reason.  Code that only a test
+needs lives under ``tests/`` (``paper_checks`` and the oracles of
+``test_lemma``), so a function that no subcommand reaches fails here.
+The comparison is exact: an entry of ``NOT_RUN`` that the cases enter,
+or that names no def, fails too.
+"""
+
+import ast
+import os
+import sys
+from pathlib import Path
+
+import thinlie
+from test_golden import run_cases
+from thinlie import maxclass as mc
+
+SRC = Path(thinlie.__file__).resolve().parent
+
+NOT_RUN = {
+    "_record.record": "runs at import time, once per record class, before any case",
+    "gf.BaseField.add": "field protocol: RowSpace and solve run over both fields, and "
+    "test_gf.py::TestSolveKernel enumerates GF(p) through it",
+    "gf.BaseField.pow": "field protocol, as add",
+    "gf.BaseField.elements": "field protocol, as add",
+}
+
+
+def _is_dunder(name: str) -> bool:
+    short = name.rsplit(".", 1)[1]
+    return short.startswith("__") and short.endswith("__")
+
+
+def package_defs() -> dict:
+    """{(file, first line): dotted name} of every def in the package.
+
+    The first line is that of the code object: the first decorator's, if
+    the def has one.
+    """
+    out = {}
+
+    def visit(node, path, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                name = f"{prefix}.{child.name}"
+                first = min([child.lineno] + [d.lineno for d in child.decorator_list])
+                out[(path, first)] = name
+                visit(child, path, name)
+            elif isinstance(child, ast.ClassDef):
+                visit(child, path, f"{prefix}.{child.name}")
+            else:
+                visit(child, path, prefix)
+
+    for path in sorted(SRC.glob("*.py")):
+        visit(ast.parse(path.read_text(encoding="utf-8")), str(path), path.stem)
+    return out
+
+
+def entered_by_cases(workdir: Path) -> set:
+    """{(file, first line)} of every package function the golden cases enter."""
+    codes = set()
+
+    def profile(frame, event, arg):
+        if event == "call":
+            codes.add(frame.f_code)
+
+    # a cached call would not enter the function
+    mc.new_triples.cache_clear()
+    sys.setprofile(profile)
+    try:
+        run_cases(workdir)
+    finally:
+        sys.setprofile(None)
+    return {(os.path.realpath(c.co_filename), c.co_firstlineno) for c in codes}
+
+
+def test_every_def_is_entered(tmp_path):
+    defs = package_defs()
+    entered = entered_by_cases(tmp_path)
+    missed = sorted(
+        name for key, name in defs.items() if key not in entered and not _is_dunder(name)
+    )
+    assert missed == sorted(NOT_RUN)

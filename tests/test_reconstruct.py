@@ -1,4 +1,7 @@
-"""Structure detection, the two representations, assembly, and round trips."""
+"""Structure detection, the two representations, N, round trips, and isomorphisms.
+
+The isomorphism search is the test oracle ``paper_checks.iso_search``.
+"""
 
 import json
 import random
@@ -7,6 +10,8 @@ from pathlib import Path
 
 import pytest
 
+import paper_checks as pc
+from test_lemma import oracle_extract
 from thinlie import maxclass as mc
 from thinlie import reconstruct as rec
 from thinlie import subfield as sf
@@ -30,11 +35,18 @@ def _three_elements(monkeypatch):
     monkeypatch.setattr(ExtField, "elements", capped)
 
 
+def n_presentation(rep):
+    """N's presentation as ``verify_roundtrip``'s docstring derives it: M's
+    class-`usable` quotient in the basis (r1, r2) of T_1."""
+    r1, r2 = rec._rows(rep.analysis)
+    return mc.apply_degree1_change(pc.quotient(rep.analysis.pres, rec.usable_window(rep)), r1, r2)
+
+
 def centralizers_match(pres, pair, window=None):
-    """N's extracted presentation and M's quotient at the usable window have
-    the same two-step centralizer sequence in standard form, as the slot
-    lemma implies: N's presentation is a base change of M's, and the
-    sequence in standard form is an isomorphism invariant."""
+    """N's presentation and M's quotient at the usable window have the same
+    two-step centralizer sequence in standard form, as the slot lemma
+    implies: N's presentation is a base change of M's, and the sequence in
+    standard form is an isomorphism invariant."""
     window = pres.class_n if window is None else window
     an = sf.generate_subalgebra(pres, pair, window)
     flags = rec.detect_structure(an)
@@ -42,9 +54,8 @@ def centralizers_match(pres, pair, window=None):
         rep = rec.build_rho_prime(an, flags)
     else:
         rep = rec.build_rho(an, flags)
-    recon = rec.assemble_N(rep)
-    seq_n = mc.two_step_centralizers(mc.standard_generators(recon.presentation).presentation)
-    quotient = mc.quotient(pres, recon.usable_window)
+    seq_n = mc.two_step_centralizers(mc.standard_generators(n_presentation(rep)).presentation)
+    quotient = pc.quotient(pres, rec.usable_window(rep))
     seq_m = mc.two_step_centralizers(mc.standard_generators(quotient).presentation)
     return seq_n.points == seq_m.points
 
@@ -97,7 +108,7 @@ class TestBuildRho:
         f = an.field
         # rho(z) sends the z-slot to [z, z] = 0
         z_deg = flags.z_degree
-        z_img = rep.image(z_deg, 0)
+        z_img = pc.image(rep, z_deg, 0)
         assert f.is_zero(z_img[rep.slots_min])
 
     def test_grading(self, dev_setup):
@@ -108,7 +119,7 @@ class TestBuildRho:
         assert rep.lo == rep.slots_min and not any(rep.images.values())
         for d in range(1, rep.window - rep.slots_min + 1):
             for r in range(an.dim(d)):
-                for src in rep.image(d, r):
+                for src in pc.image(rep, d, r):
                     assert src + d <= rep.window
 
     def test_wrong_branch_rejected(self, met_setup):
@@ -142,7 +153,7 @@ class TestBuildRhoPrime:
             m = {}
             for c, r in zip(coords, range(an.dim(1))):
                 if c:
-                    for s, val in rep.image(1, r).items():
+                    for s, val in pc.image(rep, 1, r).items():
                         m[s] = f9.add(m.get(s, f9.zero), f9.scale(c, val))
             return m
 
@@ -175,25 +186,31 @@ def test_degree_below_extension_line_is_not_e_stable():
 
 
 class TestAssemble:
+    """N = E*rho(T): its dimensions and the presentation extracted from the
+    maps (``oracle_extract``) against the base change of M's quotient."""
+
     def test_metabelian_dims_and_extraction(self, met_setup, f9):
         m, an = met_setup
         rep = rec.build_rho_prime(an, rec.detect_structure(an))
-        recon = rec.assemble_N(rep)
-        assert recon.usable_window == 14 - 2 - 1
-        assert recon.dims[1] == 2
-        assert all(recon.dims[d] == 1 for d in range(2, recon.usable_window + 1))
-        assert mc.validate(recon.presentation).ok
+        usable = rec.usable_window(rep)
+        assert usable == 14 - 2 - 1
+        dims, extracted = oracle_extract(rep)
+        assert dims[1] == 2
+        assert all(dims[d] == 1 for d in range(2, usable + 1))
+        assert extracted == n_presentation(rep)
+        assert mc.validate(extracted).ok
         # after standardization the extraction is the metabelian algebra again
-        std = mc.standard_generators(recon.presentation).presentation
-        assert std == mc.make_metabelian(f9, recon.usable_window)
+        std = mc.standard_generators(extracted).presentation
+        assert std == mc.make_metabelian(f9, usable)
 
     def test_deviating_extraction_valid(self, dev_setup):
         _, an = dev_setup
         flags = rec.detect_structure(an)
         rep = rec.build_rho(an, flags)
-        recon = rec.assemble_N(rep)
-        assert mc.validate(recon.presentation).ok
-        assert recon.dims[1] == 2
+        dims, extracted = oracle_extract(rep)
+        assert extracted == n_presentation(rep)
+        assert mc.validate(extracted).ok
+        assert dims[1] == 2
 
     def test_extension_bilinearity_of_bracket(self, met_setup, f9):
         _, an = met_setup
@@ -206,8 +223,8 @@ class TestAssemble:
             r1 = rng.randrange(an.dim(d1))
             r2 = rng.randrange(an.dim(d2))
             e1, e2 = rng.choice(elems), rng.choice(elems)
-            m1 = rep.image(d1, r1)
-            m2 = rep.image(d2, r2)
+            m1 = pc.image(rep, d1, r1)
+            m2 = pc.image(rep, d2, r2)
             slots = range(rep.slots_min, rep.window - d1 - d2 + 1)
 
             def scale(e, m):
@@ -235,9 +252,9 @@ class TestRoundtrip:
 
     @pytest.mark.parametrize("which", ["metabelian9_14", "dev9_14"])
     def test_validates_only_the_extraction(self, request, monkeypatch, f9, thin_pair_f9, which):
-        """After the loader's check, a round trip runs no Jacobi check: the
-        quotient and the extracted presentation, a base change of it, reuse
-        the table already proved."""
+        """After the loader's check, a round trip runs no Jacobi check: it
+        reads the loaded table and builds no quotient and no extracted
+        presentation."""
         src = mc.make_metabelian(f9, 14) if which == "metabelian9_14" else request.getfixturevalue(which)
         pres = mc.MaxClassPresentation(f9, src.class_n, src.adjoint)
         assert mc.validate(pres).ok
@@ -259,7 +276,7 @@ class TestRoundtrip:
         """A round trip reads the usable window off the representation
         (``usable_window``), so it builds no extracted presentation and no
         table for one: ``apply_degree1_change`` runs zero times, and the
-        report is the one whose window ``assemble_N`` would give."""
+        report's window is that of N's presentation (``n_presentation``)."""
         pres = mc.make_metabelian(f9, 14) if which == "metabelian9_14" else request.getfixturevalue(which)
         calls = []
         change = mc.apply_degree1_change
@@ -269,14 +286,13 @@ class TestRoundtrip:
             return change(*args)
 
         monkeypatch.setattr(mc, "apply_degree1_change", spy)
-        monkeypatch.setattr(rec, "apply_degree1_change", spy)
         report = rec.verify_roundtrip(pres, thin_pair_f9)
         assert report.iso and calls == []
         an = sf.generate_subalgebra(pres, thin_pair_f9, pres.class_n)
         flags = rec.detect_structure(an)
         build = rec.build_rho_prime if flags.metabelian else rec.build_rho
         rep = build(an, flags)
-        assert rec.usable_window(rep) == report.usable_window == rec.assemble_N(rep).usable_window
+        assert rec.usable_window(rep) == report.usable_window == n_presentation(rep).class_n
         assert len(calls) == 1
 
     @pytest.mark.parametrize("class_n", [40, 80])
@@ -314,22 +330,19 @@ class TestIsoSearch:
         swapped = mc.MaxClassPresentation(
             f9, 10, tuple(((0, 0), (1, 0)) for _ in range(8))
         )
-        res = rec.iso_search(m, swapped)
+        res = pc.iso_search(m, swapped)
         assert res.found
         assert res.transform == ((f9.zero, f9.one), (f9.one, f9.zero))
 
     def test_metabelian_vs_deviating(self, f9, dev9_14):
-        res = rec.iso_search(mc.make_metabelian(f9, 12), mc.quotient(dev9_14, 12))
+        res = pc.iso_search(mc.make_metabelian(f9, 12), pc.quotient(dev9_14, 12))
         assert not res.found
 
     def test_roundtrip_crosscheck(self, dev9_14, thin_pair_f9):
         an = sf.generate_subalgebra(dev9_14, thin_pair_f9, 14)
         flags = rec.detect_structure(an)
         rep = rec.build_rho(an, flags)
-        recon = rec.assemble_N(rep)
-        res = rec.iso_search(
-            recon.presentation, mc.quotient(dev9_14, recon.usable_window)
-        )
+        res = pc.iso_search(n_presentation(rep), pc.quotient(dev9_14, rec.usable_window(rep)))
         assert res.found
 
     def test_no_budget(self, monkeypatch):
@@ -338,7 +351,7 @@ class TestIsoSearch:
         field = make_ext_field(11, 0, 10)
         a = mc.make_metabelian(field, 24)
         _three_elements(monkeypatch)
-        res = rec.iso_search(a, a)
+        res = pc.iso_search(a, a)
         assert res.found
         assert res.transform == ((field.one, field.zero), (field.zero, field.one))
 
@@ -355,10 +368,10 @@ class TestIsoSearch:
         changed = [mc.apply_degree1_change(p, ((2, 1), (3, 0)), ((5, 7), (1, 0))) for p in found]
         _three_elements(monkeypatch)
         one, zero = met_field.one, met_field.zero
-        assert rec.iso_search(met, met).transform == ((one, zero), (zero, one))
-        assert rec.iso_search(met, swapped).transform == ((zero, one), (one, zero))
+        assert pc.iso_search(met, met).transform == ((one, zero), (zero, one))
+        assert pc.iso_search(met, swapped).transform == ((zero, one), (one, zero))
         for p, q in zip(found, changed):
-            res = rec.iso_search(p, q)
+            res = pc.iso_search(p, q)
             assert res.found
             (a1, b1), (a2, b2) = res.transform
             assert mc.apply_degree1_change(q, (a1, b1), (a2, b2)).adjoint == (
@@ -372,16 +385,16 @@ class TestIsoSearch:
             with pytest.raises(
                 InvalidPresentation, match=re.escape("Jacobi identity fails at triple ('v2', 'x', 'y')")
             ):
-                rec.iso_search(a, b)
+                pc.iso_search(a, b)
 
     @pytest.mark.parametrize("p, u, v, class_n", [(5, 0, 2, 22), (7, 0, 3, 24)], ids=["25_22", "49_24"])
     def test_metabelian_identity(self, p, u, v, class_n):
         field = make_ext_field(p, u, v)
         a = mc.make_metabelian(field, class_n)
-        res = rec.iso_search(a, a)
+        res = pc.iso_search(a, a)
         assert res.found
         assert res.transform == ((field.one, field.zero), (field.zero, field.one))
 
     def test_field_mismatch(self, f9, f4):
         with pytest.raises(PreconditionFailed):
-            rec.iso_search(mc.make_metabelian(f9, 8), mc.make_metabelian(f4, 8))
+            pc.iso_search(mc.make_metabelian(f9, 8), mc.make_metabelian(f4, 8))

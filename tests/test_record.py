@@ -30,7 +30,10 @@ def test_positional_keyword_and_defaults(f9):
     )
     assert sf.Verdict("thin", t1=4).t1 == 4
     m = ((f9.one, f9.zero), (f9.zero, f9.one))
-    assert rec.IsoResult(True, m) == rec.IsoResult(found=True, transform=m)
+    pres = mc.make_metabelian(f9, 6)
+    assert mc.StandardForm(pres, m, False) == mc.StandardForm(
+        presentation=pres, changed=False, transform=m
+    )
     flags = rec.StructureFlags(False, 3, 2, "abelian-window")
     assert flags == rec.StructureFlags(
         detection="abelian-window", z_degree=2, k=3, metabelian=False
@@ -40,7 +43,7 @@ def test_positional_keyword_and_defaults(f9):
     with pytest.raises(TypeError):
         sf.Verdict("thin", nonsense=1)
     with pytest.raises(TypeError):
-        rec.IsoResult(True, m, None)
+        mc.StandardForm(pres, m, False, None)
 
 
 def test_default_factory_is_fresh(f9):
@@ -89,7 +92,7 @@ def test_equality_is_by_class_and_fields():
     assert sf.Verdict("thin") == sf.Verdict("thin")
     assert sf.Verdict("thin") != sf.Verdict("maximal")
     assert sf.Verdict("thin") != ("thin", None, None, None)
-    assert mc.JacobiReport(True, None, 3) != sf.CoveringReport(True, None)
+    assert sf.Verdict("thin", None, None, None) != rec.StructureFlags("thin", None, None, None)
     assert repr(sf.Verdict("thin", t1=2)) == (
         "Verdict(kind='thin', r_observed=None, t1=2, r_bound_ok=None)"
     )
@@ -116,9 +119,9 @@ def test_mutable_records_unhashable(f9):
     records = [
         sf.Verdict("thin"),
         mc.JacobiReport(True, None, 0),
-        rec.IsoResult(False, None),
-        endo.GrendDim(0, 1, 2),
-        sf.CoveringReport(True, None),
+        mc.StandardForm(mc.make_metabelian(f9, 6), None, False),
+        endo.FieldId(1, None, True, "n/a", None, None, None),
+        rec.RoundtripReport("rho", 3, 8, True, None),
     ]
     for r in records:
         with pytest.raises(TypeError):
