@@ -62,7 +62,6 @@ def _solve_graded_maps(analysis: SubalgebraAnalysis):
     the residual [v, g]*f_{i+1} - f_i(v)*T_g, entrywise, as a constraint.
     """
     p = analysis.field.p
-    Fb = analysis.field.base
     dim = analysis.dim(K0)
     n_unk = dim * dim
     symbolic: Dict[int, List[List[Coords]]] = {
@@ -86,7 +85,7 @@ def _solve_graded_maps(analysis: SubalgebraAnalysis):
         ]
         d_next = analysis.dim(i + 1)
         cols = range(d_next)
-        chooser = RowSpace(Fb, d_next)
+        chooser = RowSpace(p, d_next)
         selected = [k for k, (in_vec, _) in enumerate(rows) if chooser.insert(in_vec)]
         if len(selected) != d_next:
             raise CoveringFails(
@@ -95,7 +94,7 @@ def _solve_graded_maps(analysis: SubalgebraAnalysis):
         sel_rows = [rows[k][0] for k in selected]
         f_next = []
         for j in range(d_next):
-            inv = solve(Fb, sel_rows, _lf_unit(d_next, j))
+            inv = solve(p, sel_rows, _lf_unit(d_next, j))
             f_next.append([combine(p, inv, [rows[k][1][c] for k in selected]) for c in cols])
         symbolic[i + 1] = f_next
         for k, (in_vec, out) in enumerate(rows):
@@ -105,7 +104,7 @@ def _solve_graded_maps(analysis: SubalgebraAnalysis):
                 diff = combine(p, in_vec + minus_one, [f[c] for f in f_next] + [out[c]])
                 if any(diff):
                     constraints.append(diff)
-    return span(Fb, constraints, n_unk).kernel(), symbolic
+    return span(p, constraints, n_unk).kernel(), symbolic
 
 
 # -- the degree-0 ring --------------------------------------------------------
@@ -136,10 +135,10 @@ class EndoRing:
 
     def compose(self, e1: Coords, e2: Coords) -> Coords:
         """Coordinates of e1 o e2 (apply e2 first)."""
-        Fb = self.field.base
+        p = self.field.p
         d = self.analysis.dim(K0)
-        prod = _compose_flat(Fb.p, d, self.element_flat(e1), self.element_flat(e2))
-        return _ring_coords(Fb, self.basis, prod)
+        prod = _compose_flat(p, d, self.element_flat(e1), self.element_flat(e2))
+        return _ring_coords(p, self.basis, prod)
 
 
 def _eval_forms(p: int, sym: List[List[Coords]], flat: Coords) -> List[List[int]]:
@@ -158,10 +157,10 @@ def _compose_flat(p: int, d: int, flat1: Sequence[int], flat2: Sequence[int]) ->
     return tuple(x for row in _mat_mul(p, m2, m1) for x in row)
 
 
-def _ring_coords(Fb, basis: Sequence[Coords], flat: Sequence[int]) -> Coords:
+def _ring_coords(p: int, basis: Sequence[Coords], flat: Sequence[int]) -> Coords:
     """Coordinates of a flattened bottom matrix in the ring basis."""
     try:
-        return tuple(solve(Fb, basis, flat))
+        return tuple(solve(p, basis, flat))
     except ValueError:
         raise DimensionAnomaly("vector not in the span of the ring basis") from None
 
@@ -178,12 +177,12 @@ def compute_grend0(analysis: SubalgebraAnalysis) -> EndoRing:
     kernel_rows, symbolic = _solve_graded_maps(analysis)
     dim = len(kernel_rows)
     d = analysis.dim(K0)
-    Fb = analysis.field.base
+    p = analysis.field.p
     identity_flat = [int(r == c) for r in range(d) for c in range(d)]
-    identity = _ring_coords(Fb, kernel_rows, identity_flat)
+    identity = _ring_coords(p, kernel_rows, identity_flat)
     table = [
         tuple(
-            _ring_coords(Fb, kernel_rows, _compose_flat(Fb.p, d, ki, kj))
+            _ring_coords(p, kernel_rows, _compose_flat(p, d, ki, kj))
             for kj in kernel_rows
         )
         for ki in kernel_rows
@@ -281,7 +280,6 @@ def identify_field(ring: EndoRing) -> FieldId:
     when its conjugate does.
     """
     F = ring.field
-    Fb = F.base
     p = F.p
     for i in range(ring.dim):
         for j in range(i + 1, ring.dim):
@@ -310,14 +308,14 @@ def identify_field(ring: EndoRing) -> FieldId:
     gen = None
     for k in range(ring.dim):
         cand = _lf_unit(ring.dim, k)
-        if span(Fb, [cand, ring.identity], ring.dim).dim > 1:
+        if span(p, [cand, ring.identity], ring.dim).dim > 1:
             gen = cand
             break
     if gen is None:
         raise NotAField("ring has no element outside F*identity")
     # minimal polynomial of the generator: g^2 = m1*1 + m2*g
     g2 = ring.compose(gen, gen)
-    m1, m2 = solve(Fb, [ring.identity, gen], g2)
+    m1, m2 = solve(p, [ring.identity, gen], g2)
     c1 = (-m2) % p
     c0 = (-m1) % p
     if not quadratic_is_irreducible(p, m2, m1):
@@ -334,7 +332,7 @@ def identify_field(ring: EndoRing) -> FieldId:
             )
     # the root acting as mu, from the embedding gen -> sigma
     sigma = _scalar_of_action(ring, gen)
-    a, b = solve(Fb, [F.one, sigma], F.mu)
+    a, b = solve(p, [F.one, sigma], F.mu)
     mu_hat = tuple((a * i + b * g) % p for i, g in zip(ring.identity, gen))
     conj = tuple((F.u * i - m) % p for m, i in zip(mu_hat, ring.identity))
     if ring.compose(mu_hat, mu_hat) != tuple(

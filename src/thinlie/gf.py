@@ -1,10 +1,12 @@
-"""Exact arithmetic in GF(p) and GF(p^2), with dense linear algebra over both.
+"""Exact arithmetic in GF(p) and GF(p^2), with dense linear algebra over GF(p).
 
 Scalars carry no wrapper objects: a prime-field element is an int in
 [0, p) and a quadratic-extension element is a pair ``(c0, c1)`` meaning
-``c0 + c1*mu`` where ``mu**2 = u*mu + v``.  The field objects own the
-arithmetic, so ``RowSpace`` and ``solve`` run unchanged over either field;
-``combine``, the one sum of scaled rows, is over GF(p) alone.
+``c0 + c1*mu`` where ``mu**2 = u*mu + v``.  GF(p) has no field object:
+its arithmetic is Python's on ints mod p, and the linear algebra
+(``RowSpace``, ``span``, ``solve``, ``combine``) takes the prime p.  Every
+subalgebra is computed in GF(p)-coordinates, so no solve runs over
+GF(p^2); ``ExtField`` owns the extension arithmetic.
 The one exception is the structure-table kernel of ``maxclass``
 (``_Structure.extend``, ``jacobi`` and ``linear_forms``, and the search's
 ``projective_kernel`` and ``free_children``): it expands the product
@@ -30,8 +32,6 @@ if TYPE_CHECKING:
     from typing import Iterator, List, Optional, Sequence, Tuple
 
     EElem = Tuple[int, int]
-
-FElem = int
 
 
 def is_prime(n: int) -> bool:
@@ -84,72 +84,21 @@ def quadratic_is_irreducible(p: int, u: int, v: int) -> bool:
     return pow(u * u + 4 * v, (p - 1) // 2, p) == p - 1
 
 
-class BaseField:
-    """The prime field GF(p).  Elements are ints reduced mod p."""
-
-    def __init__(self, p: int):
-        if not is_prime(p):
-            raise NotPrime(f"modulus {p} is not prime")
-        self.p = p
-        self.zero: FElem = 0
-        self.one: FElem = 1
-
-    def coerce(self, n: int) -> FElem:
-        return n % self.p
-
-    def add(self, a: FElem, b: FElem) -> FElem:
-        return (a + b) % self.p
-
-    def sub(self, a: FElem, b: FElem) -> FElem:
-        return (a - b) % self.p
-
-    def neg(self, a: FElem) -> FElem:
-        return (-a) % self.p
-
-    def mul(self, a: FElem, b: FElem) -> FElem:
-        return (a * b) % self.p
-
-    def inv(self, a: FElem) -> FElem:
-        if a % self.p == 0:
-            raise DivisionByZero("0 has no inverse")
-        return pow(a, self.p - 2, self.p)
-
-    def pow(self, a: FElem, e: int) -> FElem:
-        if e < 0:
-            return pow(self.inv(a), -e, self.p)
-        return pow(a, e, self.p)
-
-    def is_zero(self, a: FElem) -> bool:
-        return a % self.p == 0
-
-    def elements(self) -> Iterator[FElem]:
-        return iter(range(self.p))
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, BaseField) and other.p == self.p
-
-    def __hash__(self):
-        return hash(("BaseField", self.p))
-
-    def __repr__(self):
-        return f"GF({self.p})"
-
-
 class ExtField:
     """GF(p^2) presented as GF(p)[mu] / (mu^2 - u*mu - v).
 
     Elements are pairs (c0, c1) with both coordinates reduced mod p.
-    The defining quadratic t^2 - u*t - v must be irreducible over GF(p);
-    the constructor rejects anything with a root mod p.
+    p must be prime, and the defining quadratic t^2 - u*t - v irreducible
+    over GF(p); the constructor rejects anything else.
     """
 
-    def __init__(self, base: BaseField, u: int, v: int):
-        p = base.p
+    def __init__(self, p: int, u: int, v: int):
+        if not is_prime(p):
+            raise NotPrime(f"modulus {p} is not prime")
         u %= p
         v %= p
         if not quadratic_is_irreducible(p, u, v):
             raise ReduciblePolynomial(f"t^2 - {u}*t - {v} has a root mod {p}")
-        self.base = base
         self.p = p
         self.u = u
         self.v = v
@@ -199,16 +148,16 @@ class ExtField:
         p = self.p
         return ((a[0] + a[1] * self.u) % p, (-a[1]) % p)
 
-    def norm(self, a: EElem) -> FElem:
+    def norm(self, a: EElem) -> int:
         n = self.mul(a, self.conj(a))
         assert n[1] == 0
         return n[0]
 
     def inv(self, a: EElem) -> EElem:
-        if a == (0, 0) or (a[0] % self.p == 0 and a[1] % self.p == 0):
+        p = self.p
+        if a[0] % p == 0 and a[1] % p == 0:
             raise DivisionByZero("0 has no inverse")
-        ninv = self.base.inv(self.norm(a))
-        return self.scale(ninv, self.conj(a))
+        return self.scale(pow(self.norm(a), p - 2, p), self.conj(a))
 
     def div(self, a: EElem, b: EElem) -> EElem:
         return self.mul(a, self.inv(b))
@@ -265,8 +214,9 @@ class ExtField:
     def quadratic_roots(self, c2: EElem, c1: EElem, c0: EElem) -> List[EElem]:
         """The distinct roots of c2*t^2 + c1*t + c0 in ``key`` order.
 
-        The polynomial must not be zero (ValueError).  For odd p by the quadratic formula with ``sqrt``; for p = 2, where
-        it does not apply, by trying the four elements of GF(4).
+        The polynomial must not be zero (ValueError).  For odd p by the
+        quadratic formula with ``sqrt``; for p = 2, where it does not apply,
+        by trying the four elements of GF(4).
         """
         if self.is_zero(c2) and self.is_zero(c1):
             if self.is_zero(c0):
@@ -312,11 +262,11 @@ class ExtField:
 
 def make_ext_field(p: int, u: int, v: int) -> ExtField:
     """Build GF(p^2) with mu^2 = u*mu + v, rejecting bad parameters."""
-    return ExtField(BaseField(p), u, v)
+    return ExtField(p, u, v)
 
 
 # ---------------------------------------------------------------------------
-# Linear algebra, generic over BaseField / ExtField.
+# Linear algebra over GF(p): entries are any ints, results residues in [0, p).
 # ---------------------------------------------------------------------------
 
 
@@ -333,8 +283,8 @@ def combine(p: int, coeffs: Sequence[int], rows: Sequence[Sequence[int]]) -> Tup
     return tuple(a % p for a in acc)
 
 
-def solve(field, rows: Sequence[Sequence], vec: Sequence) -> list:
-    """Coordinates c with c . rows = vec, for independent rows.
+def solve(p: int, rows: Sequence[Sequence[int]], vec: Sequence[int]) -> List[int]:
+    """Coordinates c with c . rows = vec over GF(p), for independent rows.
 
     The span of the augmented columns (r_1[j], ..., r_n[j], vec[j]) has
     pivots 0..n-1 exactly when the rows are independent and vec is in
@@ -342,43 +292,43 @@ def solve(field, rows: Sequence[Sequence], vec: Sequence) -> list:
     Raises ValueError otherwise.
     """
     n = len(rows)
-    sp = span(field, [[r[j] for r in rows] + [x] for j, x in enumerate(vec)], n + 1)
+    sp = span(p, [[r[j] for r in rows] + [x] for j, x in enumerate(vec)], n + 1)
     if sp._pivots != list(range(n)):
         raise ValueError("rows are dependent or the vector is outside their span")
     return [row[n] for row in sp._rows]
 
 
 class RowSpace:
-    """A subspace of F^n kept in reduced echelon form under insertion.
+    """A subspace of GF(p)^n kept in reduced echelon form under insertion.
 
     The stored basis equals the rref basis of the spanned space no matter
     in which order vectors are inserted, so reported bases are canonical.
+    Input entries may be any ints; they are reduced mod p.
     """
 
-    def __init__(self, field, ncols: int):
-        self.field = field
+    def __init__(self, p: int, ncols: int):
+        self.p = p
         self.ncols = ncols
-        self._rows: List[list] = []  # sorted by pivot column, fully reduced
+        self._rows: List[List[int]] = []  # sorted by pivot column, fully reduced
         self._pivots: List[int] = []
 
     @property
     def dim(self) -> int:
         return len(self._rows)
 
-    def reduce(self, vec: Sequence) -> list:
-        F = self.field
-        vec = list(vec)
+    def reduce(self, vec: Sequence[int]) -> List[int]:
+        p = self.p
+        vec = [x % p for x in vec]
         for pc, row in zip(self._pivots, self._rows):
             c = vec[pc]
-            if not F.is_zero(c):
-                vec = [F.sub(x, F.mul(c, y)) for x, y in zip(vec, row)]
+            if c:
+                vec = [(x - c * y) % p for x, y in zip(vec, row)]
         return vec
 
-    def contains(self, vec: Sequence) -> bool:
-        F = self.field
-        return all(F.is_zero(x) for x in self.reduce(vec))
+    def contains(self, vec: Sequence[int]) -> bool:
+        return not any(self.reduce(vec))
 
-    def coords(self, vec: Sequence) -> list:
+    def coords(self, vec: Sequence[int]) -> List[int]:
         """Coordinates of vec in the stored basis, read off at the pivots.
 
         The basis is fully reduced, so the coefficient of each row is the
@@ -387,25 +337,21 @@ class RowSpace:
         """
         if not self.contains(vec):
             raise ValueError(f"vector {list(vec)} not in the row space")
-        return [self.field.coerce(vec[pc]) for pc in self._pivots]
+        return [vec[pc] % self.p for pc in self._pivots]
 
-    def insert(self, vec: Sequence) -> bool:
+    def insert(self, vec: Sequence[int]) -> bool:
         """Insert a vector; returns True if the dimension grew."""
-        F = self.field
+        p = self.p
         vec = self.reduce(vec)
-        pivot = None
-        for j, x in enumerate(vec):
-            if not F.is_zero(x):
-                pivot = j
-                break
+        pivot = next((j for j, x in enumerate(vec) if x), None)
         if pivot is None:
             return False
-        inv = F.inv(vec[pivot])
-        vec = [F.mul(inv, x) for x in vec]
+        inv = pow(vec[pivot], p - 2, p)
+        vec = [inv * x % p for x in vec]
         for i, row in enumerate(self._rows):
             c = row[pivot]
-            if not F.is_zero(c):
-                self._rows[i] = [F.sub(x, F.mul(c, y)) for x, y in zip(row, vec)]
+            if c:
+                self._rows[i] = [(x - c * y) % p for x, y in zip(row, vec)]
         at = 0
         while at < len(self._pivots) and self._pivots[at] < pivot:
             at += 1
@@ -413,31 +359,31 @@ class RowSpace:
         self._pivots.insert(at, pivot)
         return True
 
-    def basis(self) -> List[tuple]:
+    def basis(self) -> List[Tuple[int, ...]]:
         return [tuple(r) for r in self._rows]
 
-    def kernel(self) -> List[tuple]:
+    def kernel(self) -> List[Tuple[int, ...]]:
         """A basis of the right kernel {x : row . x = 0 for every row}.
 
         One vector per free column j, in column order: entry 1 at j and
         -row[j] at the pivot column of each stored row.
         """
-        F = self.field
+        p = self.p
         pivots = set(self._pivots)
         out = []
         for j in range(self.ncols):
             if j in pivots:
                 continue
-            vec = [F.zero] * self.ncols
-            vec[j] = F.one
+            vec = [0] * self.ncols
+            vec[j] = 1
             for pc, row in zip(self._pivots, self._rows):
-                vec[pc] = F.neg(row[j])
+                vec[pc] = -row[j] % p
             out.append(tuple(vec))
         return out
 
 
-def span(field, vectors: Sequence[Sequence], ncols: int) -> RowSpace:
-    sp = RowSpace(field, ncols)
+def span(p: int, vectors: Sequence[Sequence[int]], ncols: int) -> RowSpace:
+    sp = RowSpace(p, ncols)
     for v in vectors:
         sp.insert(v)
     return sp

@@ -168,9 +168,9 @@ class RhoRep:
         self.eps = {s: _row_scalar(self.analysis, s) for s in range(self.lo, self.window + 1)}
         self.inv = {s: F.inv(e) for s, e in self.eps.items()}
 
-def _row_scalar(an: SubalgebraAnalysis, degree: int, r: int = 0) -> EElem:
-    """e with basis(degree)[r] = e*v_degree, for degree >= 2."""
-    row = an.basis(degree)[r]
+def _row_scalar(an: SubalgebraAnalysis, degree: int) -> EElem:
+    """e with basis(degree)[0] = e*v_degree, for degree >= 2."""
+    row = an.basis(degree)[0]
     return (row[0], row[1])
 
 
@@ -275,7 +275,7 @@ def _check_rep(rep: RhoRep) -> None:
     rows = _rows(an)
     entry = _reader(rep, rows, rep.images)
     flat = [[c for s in range(rep.slots_min, window) for c in entry(r, s)] for r in (0, 1)]
-    if span(F.base, flat, len(flat[0])).dim != an.dim(1):
+    if span(F.p, flat, len(flat[0])).dim != an.dim(1):
         raise NotFaithful("representation has a kernel in degree 1")
     for d in range(2, cap + 1):
         if all(F.is_zero(entry(d, s)) for s in range(rep.slots_min, window - d + 1)):
@@ -350,7 +350,7 @@ def build_rho_prime(analysis: SubalgebraAnalysis, flags: StructureFlags) -> RhoR
     inv = rep.inv
     for r, t in enumerate(an.basis(1)):
         try:
-            alpha, _ = solve(F.base, [X4, Y4], t)
+            alpha, _ = solve(F.p, [X4, Y4], t)
         except ValueError:
             raise DimensionAnomaly("degree-1 vector outside the span of the generators") from None
         g = f4_to_deg1(t)
@@ -410,9 +410,10 @@ def verify_roundtrip(
     check reads the pairs whose first element is x or y (``_phi_failure``);
     by the generator lemma that covers every pair.
 
-    The degree-1 solve cannot fail: a thin pair is E-independent, and the
-    F-basis rows r1, r2 of L_1 span the same F-plane as X and Y, so they
-    are E-independent too and x, y are E-combinations of them.
+    The degree-1 inverse (``_inverse_rows``) cannot fail: a thin pair is
+    E-independent, and the F-basis rows r1, r2 of L_1 span the same
+    F-plane as X and Y, so they are E-independent too and x, y are
+    E-combinations of them.
 
     N's dimensions and presentation follow from ``_check_rep`` and the
     slot lemma (``RhoRep``), so they are not computed on the maps.  For
@@ -448,11 +449,9 @@ def verify_roundtrip(
     F = pres.field
 
     # phi on degree 1: x and y as extension combinations of the rows r1, r2
-    rows = _rows(analysis)
     low0, low1 = rep.images[0], rep.images[1]
     phi: Dict[int, ShiftMap] = {i: rep.images[i] for i in range(2, usable + 1)}
-    for i, unit in enumerate(((F.one, F.zero), (F.zero, F.one))):
-        e1, e2 = solve(F, rows, unit)
+    for i, (e1, e2) in enumerate(_inverse_rows(F, _rows(analysis))):
         phi[i] = {s: F.add(F.mul(e1, c), F.mul(e2, low1[s])) for s, c in low0.items()}
     first_failure = _phi_failure(tables(pres), rep, usable, phi)
     return RoundtripReport(
@@ -462,6 +461,18 @@ def verify_roundtrip(
         iso=first_failure is None,
         first_failure=first_failure,
     )
+
+
+def _inverse_rows(F: ExtField, rows: Sequence[Pair]) -> List[Pair]:
+    """The rows of the inverse of the 2x2 matrix over E with rows r1, r2.
+
+    With r1 = (a1, b1), r2 = (a2, b2) and det = a1*b2 - b1*a2, they are
+    (b2, -b1)/det and (-a2, a1)/det: the coefficients (e1, e2) with
+    e1*r1 + e2*r2 = (1, 0) and (0, 1).  DivisionByZero when det = 0.
+    """
+    (a1, b1), (a2, b2) = rows
+    inv = F.inv(F.sub(F.mul(a1, b2), F.mul(b1, a2)))
+    return [(F.mul(b2, inv), F.neg(F.mul(b1, inv))), (F.neg(F.mul(a2, inv)), F.mul(a1, inv))]
 
 
 def _phi_failure(st, rep: RhoRep, usable: int, phi: Dict[int, ShiftMap]) -> Optional[str]:

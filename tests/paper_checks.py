@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from itertools import islice, product
 
+import generic_gf as gg
 from thinlie import endo
 from thinlie import maxclass as mc
 from thinlie import reconstruct as rec
@@ -36,7 +37,7 @@ from thinlie.errors import (
     PreconditionFailed,
     ThinLieError,
 )
-from thinlie.gf import RowSpace, combine, span
+from thinlie.gf import RowSpace, combine
 
 BRUTE_FORCE_LIMIT = 200_000
 
@@ -66,7 +67,8 @@ def image(rep, d, r):
     slots = range(rep.slots_min, rep.window - d + 1)
     if d == 1:
         return {s: entry(r, s) for s in slots}
-    e = rec._row_scalar(an, d, r)
+    row = an.basis(d)[r]
+    e = (row[0], row[1])
     return {s: F.mul(e, entry(d, s)) for s in slots}
 
 
@@ -109,14 +111,14 @@ def verify_covering(analysis):
     if analysis.d is None:
         raise DegenerateGenerators("covering check needs independent generators")
     pres = analysis.pres
-    Fb = pres.field.base
+    p = pres.field.p
     g = analysis.pair
-    _brute_force_guard(Fb.p, analysis.window)
+    _brute_force_guard(p, analysis.window)
     for i in range(1, analysis.window):
         target = analysis.space(i + 1)
-        for coeffs in _nonzero_coeff_vectors(Fb.p, analysis.dim(i)):
-            u = combine(Fb.p, coeffs, analysis.basis(i))
-            img = RowSpace(Fb, 2)
+        for coeffs in _nonzero_coeff_vectors(p, analysis.dim(i)):
+            u = combine(p, coeffs, analysis.basis(i))
+            img = RowSpace(p, 2)
             img.insert(sf.ad_gen(pres, i, u, g.X))
             img.insert(sf.ad_gen(pres, i, u, g.Y))
             if not (img.dim == target.dim and all(target.contains(r) for r in img.basis())):
@@ -139,11 +141,10 @@ def ideal_closure(analysis, degree, vec):
     property, not an assumption.
     """
     pres = analysis.pres
-    Fb = pres.field.base
     g = analysis.pair
     spans = {}
     for h in range(degree, analysis.window + 1):
-        spans[h] = RowSpace(Fb, 4 if h == 1 else 2)
+        spans[h] = RowSpace(pres.field.p, 4 if h == 1 else 2)
     spans[degree].insert(vec)
     work = [(degree, tuple(vec))]
     while work:
@@ -167,11 +168,11 @@ def verify_ideal_sandwich(analysis, r):
         raise DegenerateGenerators("sandwich check needs independent generators")
     if r < 1:
         raise BadBound("r must be >= 1")
-    Fb = analysis.field.base
-    _brute_force_guard(Fb.p, analysis.window)
+    p = analysis.field.p
+    _brute_force_guard(p, analysis.window)
     for i in range(1, analysis.window - r + 1):
-        for coeffs in _nonzero_coeff_vectors(Fb.p, analysis.dim(i)):
-            l = combine(Fb.p, coeffs, analysis.basis(i))
+        for coeffs in _nonzero_coeff_vectors(p, analysis.dim(i)):
+            l = combine(p, coeffs, analysis.basis(i))
             spans = ideal_closure(analysis, i, l)
             for h in range(i + r, analysis.window + 1):
                 target = analysis.basis(h)
@@ -225,7 +226,7 @@ def normalize_generators(pres, g):
             "gamma in F after scaling: L_1 meets Ey",
         )
     g0, g1 = ga
-    f = F.base.inv(g1)
+    f = pow(g1, F.p - 2, F.p)
     ga = F.scale(f, F.sub(ga, F.embed(g0)))  # = mu
     de = F.scale(f, F.sub(de, F.mul(F.embed(g0), be)))
     if F.is_zero(be):
@@ -388,7 +389,7 @@ def iso_search(pres_a, pres_b, window=None):
     for i in range(2, window):
         (a, b), (p, q) = A.pair(i), B.pair(i)
         rows.append([F.mul(p, b), F.mul(q, b), F.neg(F.mul(p, a)), F.neg(F.mul(q, a))])
-    basis = span(F, span(F, rows, 4).kernel(), 4).basis()
+    basis = gg.span(F, gg.span(F, rows, 4).kernel(), 4).basis()
     small = list(islice(F.elements(), 3))
     for m in reversed(range(len(basis))):
         for ts in product(small, repeat=len(basis) - 1 - m):

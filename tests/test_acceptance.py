@@ -199,8 +199,8 @@ def test_criterion_7_structural_invariants(f4, f9, f25, dev4_12, dev9_12, dev25_
                     vecs = [
                         [rng.randrange(p) for _ in range(2)] for _ in range(2)
                     ]
-                    sp = RowSpace(field.base, 2)
-                    img = RowSpace(field.base, 2)
+                    sp = RowSpace(p, 2)
+                    img = RowSpace(p, 2)
                     for vv in vecs:
                         sp.insert(vv)
                         img.insert(list(field.mul((vv[0], vv[1]), coeff)))
@@ -214,7 +214,7 @@ def test_criterion_7_structural_invariants(f4, f9, f25, dev4_12, dev9_12, dev25_
                 if not any(coeffs):
                     continue
                 vec = combine(field.p, coeffs, an.basis(degree))
-                img = RowSpace(field.base, 2)
+                img = RowSpace(p, 2)
                 img.insert(sf.ad_gen(pres, degree, vec, g.X))
                 img.insert(sf.ad_gen(pres, degree, vec, g.Y))
                 assert img.dim == 2 - d_i

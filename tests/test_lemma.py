@@ -95,6 +95,7 @@ import random
 
 import pytest
 
+import generic_gf as gg
 import paper_checks as pc
 from thinlie import endo
 from thinlie import maxclass as mc
@@ -113,7 +114,6 @@ from thinlie.errors import (
     WindowTooSmall,
 )
 from thinlie.gf import (
-    BaseField,
     RowSpace,
     combine,
     make_ext_field,
@@ -460,7 +460,7 @@ def oracle_check_rep(rep):
             for s in range(rep.slots_min, rep.window + 1):
                 flat.extend(m.get(s, F.zero))
             rows.append(flat)
-        if span(F.base, rows, len(rows[0])).dim != an.dim(d):
+        if span(F.p, rows, len(rows[0])).dim != an.dim(d):
             raise NotFaithful(f"representation has a kernel in degree {d}")
     for d1 in range(1, cap + 1):
         for d2 in range(d1, cap + 1):
@@ -506,7 +506,7 @@ def oracle_check_rep_generators(rep):
             for s in range(rep.slots_min, rep.window + 1):
                 flat.extend(m.get(s, F.zero))
             rows.append(flat)
-        if span(F.base, rows, len(rows[0])).dim != an.dim(d):
+        if span(F.p, rows, len(rows[0])).dim != an.dim(d):
             raise NotFaithful(f"representation has a kernel in degree {d}")
     for d in range(1, cap):
         for r1, g in enumerate(an.basis(1)):
@@ -1200,7 +1200,7 @@ def oracle_rho_images(an, k):
         for r, t in enumerate(an.basis(d)):
             m = {}
             if d == 1:
-                m[1] = F.embed(solve(F.base, [X4, Y4], t)[0])
+                m[1] = F.embed(solve(F.p, [X4, Y4], t)[0])
             elif 1 + d <= window:
                 m[1] = entry(1, Y4, d, t)
             if 2 + d <= window:
@@ -1242,7 +1242,7 @@ def oracle_table_images(an, k):
         for r, t in enumerate(an.basis(d)):
             m = {}
             if d == 1:
-                m[1] = F.embed(solve(F.base, [X4, Y4], t)[0])
+                m[1] = F.embed(solve(F.p, [X4, Y4], t)[0])
             elif 1 + d <= window:
                 m[1] = _e_of(an, 1 + d, sf.bracket_vec(pres, 1, Y4, d, t))
             if 2 + d <= window:
@@ -1264,8 +1264,8 @@ def oracle_generation_check(rep):
     images = _full_images(rep)
     x_map, y_map = images[(1, 0)], images[(1, 1)]
     for d in range(1, rep.window - rep.k - 1):
-        target = span(F, [_flat(F, rep, images[(d + 1, r)]) for r in range(an.dim(d + 1))], ncols)
-        got = RowSpace(F, ncols)
+        target = gg.span(F, [_flat(F, rep, images[(d + 1, r)]) for r in range(an.dim(d + 1))], ncols)
+        got = gg.RowSpace(F, ncols)
         for r in range(an.dim(d)):
             for gen_map in (x_map, y_map):
                 got.insert(_flat(F, rep, oracle_commutator(
@@ -1299,7 +1299,7 @@ def oracle_extract(rep):
     images = _full_images(rep)
     dims = {}
     for d in range(1, usable + 1):
-        sp = RowSpace(F, ncols)
+        sp = gg.RowSpace(F, ncols)
         for r in range(an.dim(d)):
             sp.insert(_flat(F, rep, images[(d, r)]))
         dims[d] = sp.dim
@@ -1666,7 +1666,7 @@ def oracle_iso_standard(pres_a, pres_b, window=None):
     deviates = bool(mc.two_step_centralizers(A).deviations())
     t_a = mc.standard_generators(A).transform
     t_b = mc.standard_generators(B).transform
-    t_a_inv = [solve(F, t_a, e) for e in _identity(F, 2)]
+    t_a_inv = [gg.solve(F, t_a, e) for e in _identity(F, 2)]
     target = mc.apply_degree1_change(A, (F.one, F.zero), (F.zero, F.one)).adjoint
     best = None
     for b1 in [F.zero] if deviates else F.elements():
@@ -1796,7 +1796,7 @@ def _iso_kernel(pres_a, pres_b):
             px, py = stb.phi(i, (a1, b1)), stb.phi(i, (a2, b2))
             row.append(F.sub(F.mul(px, sta.b[i]), F.mul(py, sta.a[i])))
         rows.append(row)
-    rows = span(F, oracle_rref(F, rows, 4)[3], 4).basis()
+    rows = gg.span(F, oracle_rref(F, rows, 4)[3], 4).basis()
     return rows, [next(j for j, c in enumerate(r) if not F.is_zero(c)) for r in rows]
 
 
@@ -1835,7 +1835,7 @@ def oracle_d_values(l1, seq, window):
     """d_i = dim_F(C_i \\cap l1) for i = 2 .. window - 1, one span per degree."""
     out = []
     for i in range(2, window):
-        sp = span(l1.field, l1.basis() + sf.point_rows_f4(seq.field, seq.point(i)), 4)
+        sp = span(l1.p, l1.basis() + sf.point_rows_f4(seq.field, seq.point(i)), 4)
         out.append(4 - sp.dim)
     return tuple(out)
 
@@ -1843,14 +1843,13 @@ def oracle_d_values(l1, seq, window):
 def oracle_generate_subalgebra(pres, g, window=None):
     """Generate L = <X, Y> degree by degree and classify it within the window."""
     F = pres.field
-    Fb = F.base
     window = pres.class_n if window is None else window
     if not 4 <= window <= pres.class_n:
         raise BadBound(f"window {window} not in [4, {pres.class_n}]")
     mc.tables(pres)
     seq = mc.two_step_centralizers(pres)
 
-    l1 = RowSpace(Fb, 4)
+    l1 = RowSpace(F.p, 4)
     l1.insert(sf.deg1_to_f4(g.X))
     l1.insert(sf.deg1_to_f4(g.Y))
     if g.is_degenerate(F):
@@ -1871,7 +1870,7 @@ def oracle_generate_subalgebra(pres, g, window=None):
     bases = [tuple(l1.basis())]
     prev = l1
     for i in range(1, window):
-        nxt = RowSpace(Fb, 2)
+        nxt = RowSpace(F.p, 2)
         for r in prev.basis():
             for gen in (g.X, g.Y):
                 nxt.insert(sf.ad_gen(pres, i, r, gen))
@@ -1880,7 +1879,7 @@ def oracle_generate_subalgebra(pres, g, window=None):
     dims = tuple(len(b) for b in bases)
     d = oracle_d_values(l1, seq, window)
     D0 = tuple(i for i, x in zip(range(2, window), d) if x == 0)
-    verdict = sf._classify(d, dims, window)
+    verdict = sf._classify(d, window)
     return sf.SubalgebraAnalysis(
         pres=pres,
         pair=g,
@@ -1995,7 +1994,7 @@ def test_f_planes(p, u, v):
     rows = [(sf.deg1_to_f4(g.X), sf.deg1_to_f4(g.Y)) for g in planes]
     assert len(set(rows)) == len(rows)
     for pair in rows:
-        assert tuple(span(F.base, pair, 4).basis()) == pair
+        assert tuple(span(F.p, pair, 4).basis()) == pair
     assert len(planes) == (p**4 - 1) * (p**4 - p) // ((p**2 - 1) * (p**2 - p))
     q = p * p
     independent = sum(1 for g in planes if not g.is_degenerate(F))
@@ -2026,7 +2025,6 @@ def oracle_identify_field(ring):
     which a distinguished root of the ambient quadratic acts.
     """
     F = ring.field
-    Fb = F.base
     p = F.p
     for i in range(ring.dim):
         for j in range(i + 1, ring.dim):
@@ -2043,7 +2041,7 @@ def oracle_identify_field(ring):
         flat = ring.element_flat(coords)
         for degree in range(endo.K0, ring.analysis.window + 1):
             mat = endo._eval_forms(p, ring._symbolic[degree], flat)
-            if span(Fb, mat, len(mat)).dim < len(mat):
+            if span(p, mat, len(mat)).dim < len(mat):
                 raise NotAField(
                     f"nonzero element {coords} is singular on degree {degree}"
                 )
@@ -2063,14 +2061,14 @@ def oracle_identify_field(ring):
     gen = None
     for k in range(ring.dim):
         cand = endo._lf_unit(ring.dim, k)
-        if span(Fb, [cand, ring.identity], ring.dim).dim > 1:
+        if span(p, [cand, ring.identity], ring.dim).dim > 1:
             gen = cand
             break
     if gen is None:
         raise NotAField("ring has no element outside F*identity")
     # minimal polynomial of the generator: g^2 = m1*1 + m2*g
     g2 = ring.compose(gen, gen)
-    m1, m2 = solve(Fb, [ring.identity, gen], g2)
+    m1, m2 = solve(p, [ring.identity, gen], g2)
     c1 = (-m2) % p
     c0 = (-m1) % p
     if not quadratic_is_irreducible(p, m2, m1):
@@ -2078,7 +2076,7 @@ def oracle_identify_field(ring):
     # locate a root of the ambient quadratic t^2 - u t - v inside the ring
     mu_abs = None
     for coords in _ring_elements(ring):
-        if span(Fb, [coords, ring.identity], ring.dim).dim <= 1:
+        if span(p, [coords, ring.identity], ring.dim).dim <= 1:
             continue
         sq = ring.compose(coords, coords)
         want = tuple(
@@ -2225,7 +2223,7 @@ def test_schur_sees_non_basis_elements():
 
     def dual(target):
         form = [0] * len(b0)
-        form[i], form[j] = solve(F.base, [(b0[i], b1[i]), (b0[j], b1[j])], target)
+        form[i], form[j] = solve(F.p, [(b0[i], b1[i]), (b0[j], b1[j])], target)
         return form
 
     phi0, phi1 = dual((1, 0)), dual((0, 1))
@@ -2277,8 +2275,7 @@ def oracle_solve_graded_maps(analysis, shift, k0, window):
     bottom matrix V_{k0} -> V_{k0+shift} and symbolic[i] is the propagated
     matrix at source degree i with linear-form entries.
     """
-    Fb = analysis.field.base
-    p = Fb.p
+    p = analysis.field.p
     dim_src = analysis.dim(k0)
     dim_tgt = analysis.dim(k0 + shift)
     n_unk = dim_src * dim_tgt
@@ -2308,7 +2305,7 @@ def oracle_solve_graded_maps(analysis, shift, k0, window):
                         out_vec[j] = _lf_add(p, out_vec[j], _lf_scale(p, c, coeff_forms))
             pairs.append((tuple(in_vec), out_vec))
         # choose a spanning subset of the concrete input vectors
-        chooser = RowSpace(Fb, d_next)
+        chooser = RowSpace(p, d_next)
         selected = []
         for idx, (in_vec, _) in enumerate(pairs):
             if chooser.insert(in_vec):
@@ -2318,7 +2315,7 @@ def oracle_solve_graded_maps(analysis, shift, k0, window):
                 f"[L_{i}, L_1] does not span L_{i + 1}; propagation is not forced"
             )
         sel_rows = [pairs[idx][0] for idx in selected]
-        inv = [solve(Fb, sel_rows, endo._lf_unit(d_next, j)) for j in range(d_next)]
+        inv = [solve(p, sel_rows, endo._lf_unit(d_next, j)) for j in range(d_next)]
         f_next = []
         for j in range(d_next):
             acc = [_lf_zero(n_unk)] * d_next_tgt
@@ -2343,7 +2340,7 @@ def oracle_solve_graded_maps(analysis, shift, k0, window):
                     constraints.append(diff)
         i += 1
     if constraints:
-        kernel_rows = [tuple(r) for r in oracle_rref(Fb, constraints, n_unk)[3]]
+        kernel_rows = [tuple(r) for r in oracle_rref(gg.BaseField(p), constraints, n_unk)[3]]
     else:
         kernel_rows = [endo._lf_unit(n_unk, k) for k in range(n_unk)]
     return kernel_rows, symbolic
@@ -2491,10 +2488,11 @@ def _solve_outcome(fn, field, rows, vec):
 _EXT = {2: (1, 1), 3: (0, 2), 5: (0, 2), 7: (0, 3)}
 
 
-def _random_matrix(field, rng, nrows, ncols):
+def _random_matrix(field, rng, nrows, ncols, elems=None):
     """Sparse random rows, a low-rank product, or rows with zero and
-    duplicate rows mixed in."""
-    elems = list(field.elements())
+    duplicate rows mixed in; entries are drawn from ``elems`` (default:
+    every element of the field)."""
+    elems = list(field.elements()) if elems is None else elems
 
     def entry():
         return field.zero if rng.random() < 0.4 else rng.choice(elems)
@@ -2524,9 +2522,11 @@ def test_rref_and_solve_match_gauss_jordan(p, ext):
     """``RowSpace`` and ``solve`` against Gauss-Jordan elimination: the
     basis is the nonzero reduced rows, the kernel is the oracle's, and
     ``solve`` gives equal coordinates or the same ValueError, on every
-    shape 1-6 x 1-6 and a tall 40 x 4."""
-    field = make_ext_field(p, *_EXT[p])
-    field = field if ext else field.base
+    shape 1-6 x 1-6 and a tall 40 x 4.  The package kernel is over GF(p);
+    the GF(p^2) cases run its field-generic predecessor (``generic_gf``),
+    which the E-linear oracles use."""
+    field = make_ext_field(p, *_EXT[p]) if ext else gg.BaseField(p)
+    scalars, span_, solve_ = (field, gg.span, gg.solve) if ext else (p, span, solve)
     rng = random.Random(f"gf-rref-{field}")
     shapes = [(r, c) for r in range(1, 7) for c in range(1, 7)] + [(40, 4)]
     solved = set()
@@ -2534,7 +2534,7 @@ def test_rref_and_solve_match_gauss_jordan(p, ext):
         for _ in range(6):
             m = _random_matrix(field, rng, nrows, ncols)
             rank, reduced, _, kernel = oracle_rref(field, m, ncols)
-            sp = span(field, m, ncols)
+            sp = span_(scalars, m, ncols)
             assert sp.basis() == [tuple(r) for r in reduced[:rank]], m
             assert sp.kernel() == [tuple(r) for r in kernel], m
             rows = m[: rng.randint(1, nrows)]
@@ -2543,10 +2543,58 @@ def test_rref_and_solve_match_gauss_jordan(p, ext):
                 vec = oracle_apply(field, rows, coeffs)
             else:
                 vec = _random_matrix(field, rng, 1, ncols)[0]
-            got = _solve_outcome(solve, field, rows, vec)
+            got = _solve_outcome(lambda _, r, v: solve_(scalars, r, v), field, rows, vec)
             assert got == _solve_outcome(oracle_solve, field, rows, vec), (rows, vec)
             solved.add(got[0])
     assert solved == {"ok", "ValueError"}
+
+
+@pytest.mark.parametrize("p", [2, 3, 7, 1000003])
+def test_int_kernel_reduces_entries(p):
+    """Entries that are negative or >= p stand for their residues:
+    ``span``, ``basis``, ``kernel``, ``coords``, ``insert``'s return value
+    and ``solve`` (equal values or the same ValueError) agree with
+    Gauss-Jordan elimination on matrices with such entries mixed in, on
+    every shape 1-6 x 1-6 and a tall 40 x 4."""
+    field = gg.BaseField(p)
+    rng = random.Random(f"gf-unreduced-{p}")
+    elems = list(range(p)) if p < 10 else [1, 2, p - 1] + [rng.randrange(p) for _ in range(5)]
+
+    def unreduce(rows):
+        return [[x + p * rng.choice((-2, -1, 1, 2)) if rng.random() < 0.5 else x for x in r] for r in rows]
+
+    assert not RowSpace(p, 3).insert([p, -p, 2 * p])
+    shapes = [(r, c) for r in range(1, 7) for c in range(1, 7)] + [(40, 4)]
+    outcomes = set()
+    for nrows, ncols in shapes:
+        for _ in range(6):
+            m = unreduce(_random_matrix(field, rng, nrows, ncols, elems))
+            rank, reduced, _, kernel = oracle_rref(field, m, ncols)
+            sp = RowSpace(p, ncols)
+            grew = [sp.insert(row) for row in m]
+            ranks = [oracle_rref(field, m[:k], ncols)[0] for k in range(nrows + 1)]
+            assert grew == [b > a for a, b in zip(ranks, ranks[1:])], m
+            assert sp.basis() == [tuple(r) for r in reduced[:rank]], m
+            assert span(p, m, ncols).basis() == sp.basis(), m
+            assert sp.kernel() == [tuple(r) for r in kernel], m
+            rows = m[: rng.randint(1, nrows)]
+            if rng.random() < 0.5:
+                coeffs = [rng.choice(elems) for _ in rows]
+                vec = unreduce([oracle_apply(field, rows, coeffs)])[0]
+            else:
+                vec = unreduce(_random_matrix(field, rng, 1, ncols, elems))[0]
+            got = _solve_outcome(lambda _, r, v: solve(p, r, v), field, rows, vec)
+            assert got == _solve_outcome(oracle_solve, field, rows, vec), (rows, vec)
+            outcomes.add(got[0])
+            inside = unreduce([oracle_apply(field, m, [rng.choice(elems) for _ in m])])[0]
+            for v in (inside, vec):
+                want = _solve_outcome(oracle_solve, field, reduced[:rank], v)
+                try:
+                    assert ("ok", sp.coords(v)) == want, (m, v)
+                except ValueError:
+                    assert want[0] == "ValueError", (m, v)
+                outcomes.add(want[0])
+    assert outcomes == {"ok", "ValueError"}
 
 
 @pytest.mark.parametrize("p", [2, 3, 7, 1000003])
@@ -2554,7 +2602,7 @@ def test_combine_and_product_match_entrywise(p):
     """``gf.combine`` and ``endo._mat_mul`` against the entry-by-entry
     vector-matrix and matrix products, on every shape 1-6 x 1-6 with about
     40% zero entries, and on zero and all-(p - 1) matrices."""
-    field = BaseField(p)
+    field = gg.BaseField(p)
     rng = random.Random(f"gf-combine-{p}")
 
     def matrix(nrows, ncols):

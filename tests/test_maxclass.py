@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+import generic_gf as gg
 import paper_checks as pc
 from thinlie import maxclass as mc
 from thinlie import subfield as sf
@@ -16,7 +17,7 @@ from thinlie.errors import (
     WindowTooLarge,
     ZeroPair,
 )
-from thinlie.gf import ExtField, make_ext_field, span
+from thinlie.gf import ExtField, make_ext_field
 
 # F-coordinate vectors (``subfield`` conventions): degree 1 in F^4 over
 # (x, mu*x, y, mu*y), higher degrees in F^2 over (v_i, mu*v_i)
@@ -155,7 +156,7 @@ class TestCentralizers:
         f = dev9_14.field
         for d in range(2, dev9_14.class_n):
             a, b = dev9_14.pair(d)
-            sp = span(f, [[a, b]], 2)
+            sp = gg.span(f, [[a, b]], 2)  # an E-row: the field-generic kernel
             assert sp.dim == 1 and len(sp.kernel()) == 1
 
     def test_adjoint_bijectivity_off_centralizer(self, f9, dev9_12):

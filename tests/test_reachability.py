@@ -21,12 +21,9 @@ from thinlie import maxclass as mc
 
 SRC = Path(thinlie.__file__).resolve().parent
 
+# Only import-time code: every other def of the package runs in some case.
 NOT_RUN = {
     "_record.record": "runs at import time, once per record class, before any case",
-    "gf.BaseField.add": "field protocol: RowSpace and solve run over both fields, and "
-    "test_gf.py::TestSolveKernel enumerates GF(p) through it",
-    "gf.BaseField.pow": "field protocol, as add",
-    "gf.BaseField.elements": "field protocol, as add",
 }
 
 

@@ -10,12 +10,19 @@ from pathlib import Path
 
 import pytest
 
+import generic_gf as gg
 import paper_checks as pc
 from test_lemma import oracle_extract
 from thinlie import maxclass as mc
 from thinlie import reconstruct as rec
 from thinlie import subfield as sf
-from thinlie.errors import InvalidPresentation, NotEStable, NotMetabelian, PreconditionFailed
+from thinlie.errors import (
+    DivisionByZero,
+    InvalidPresentation,
+    NotEStable,
+    NotMetabelian,
+    PreconditionFailed,
+)
 from thinlie.gf import ExtField, make_ext_field
 
 
@@ -312,6 +319,30 @@ class TestRoundtrip:
         assert rec.verify_roundtrip(pres, thin_pair_f9).iso
         assert class_n < len(calls) <= 4 * class_n
         assert max(calls) == 2
+
+    @pytest.mark.parametrize(
+        "p, u, v", [(2, 1, 1), (3, 0, 2), (5, 0, 2), (7, 0, 3)], ids=["4", "9", "25", "49"]
+    )
+    def test_degree1_inverse_matches_generic_solve(self, p, u, v):
+        """``_inverse_rows``, the closed-form 2x2 inverse of the round
+        trip's degree-1 step, against the field-generic ``solve`` of each
+        unit row on 200 seeded E-independent row pairs; E-dependent rows
+        raise DivisionByZero."""
+        F = make_ext_field(p, u, v)
+        rng = random.Random(f"inverse-rows-{F}")
+        elems = list(F.elements())
+        units = ((F.one, F.zero), (F.zero, F.one))
+        checked = 0
+        while checked < 200:
+            rows = [(rng.choice(elems), rng.choice(elems)) for _ in range(2)]
+            (a1, b1), (a2, b2) = rows
+            if F.is_zero(F.sub(F.mul(a1, b2), F.mul(b1, a2))):
+                continue
+            want = [tuple(gg.solve(F, rows, unit)) for unit in units]
+            assert rec._inverse_rows(F, rows) == want, rows
+            checked += 1
+        with pytest.raises(DivisionByZero):
+            rec._inverse_rows(F, [(F.one, F.mu), (F.mu, F.mul(F.mu, F.mu))])
 
     def test_maximal_pair_refused(self, f9, maximal_pair):
         m = mc.make_metabelian(f9, 14)

@@ -361,7 +361,7 @@ class TestCentralizerStructure:
                 if not any(coeffs):
                     continue
                 vec = combine(f9.p, coeffs, an.basis(i))
-                img = RowSpace(f9.base, 2)
+                img = RowSpace(f9.p, 2)
                 img.insert(sf.ad_gen(pres, i, vec, g.X))
                 img.insert(sf.ad_gen(pres, i, vec, g.Y))
                 assert img.dim == 2 - d_i  # items 4 and 5
