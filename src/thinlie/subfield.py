@@ -18,9 +18,15 @@ alpha*a_i + beta*b_i; it is E-linear with kernel C_i, and
 * if L_i = F*c*v_i, then L_{i+1} = c*phi_i(U)*v_{i+1}, of dimension 2 - d_i.
 
 Each d_i depends only on U and the point C_i, so it is computed once per
-distinct point (a metabelian algebra has one).  L depends only on U, so
-a raw scan classifies the F-planes of F^4 rather than the generator
-pairs; each plane has |GL_2(F)| ordered bases.
+distinct point (a metabelian algebra has one), by one F-determinant: for
+C = E*(p0, p1), phi(alpha, beta) = alpha*p1 - beta*p0 is E-linear with
+kernel C, so dim_F(U \\cap C) = 2 - rank_F{phi(X), phi(Y)}, and for
+E-independent X and Y that rank is 1 or 2 (U is not inside the E-line C).
+So d is 1 where the 2x2 F-determinant of phi(X), phi(Y) vanishes and 0
+elsewhere.  L depends only on U, so a raw scan keys the F-planes
+of F^4 rather than the generator pairs; each plane has |GL_2(F)| ordered
+bases.  A verdict depends only on d (``_classify``), so a scan classifies
+once per key, the d-value at each distinct point.
 """
 
 from __future__ import annotations
@@ -47,7 +53,7 @@ if TYPE_CHECKING:
 
     EPair = Tuple[EElem, EElem]  # coordinates (A, B) of A*x + B*y
 
-# Classifications x window a scan may make: normalized pairs, or F-planes in
+# Pairs or planes x window a scan may key: normalized pairs, or F-planes in
 # a raw scan.  Above every scan the tests and the benchmark run (the largest
 # is a normalized GF(49) scan, 2401 pairs x window 20).
 SCAN_BUDGET = 200_000
@@ -85,19 +91,6 @@ def deg1_to_f4(g: EPair) -> Tuple[int, int, int, int]:
 
 def f4_to_deg1(vec: Sequence[int]) -> EPair:
     return ((vec[0], vec[1]), (vec[2], vec[3]))
-
-
-def mu_mult(field: ExtField, e: EElem) -> EElem:
-    return field.mul(field.mu, e)
-
-
-def point_rows_f4(field: ExtField, point: EPair) -> List[Tuple[int, ...]]:
-    """The F-plane of the E-line through alpha*x + beta*y, as two F^4 rows."""
-    al, be = point
-    return [
-        deg1_to_f4((al, be)),
-        deg1_to_f4((mu_mult(field, al), mu_mult(field, be))),
-    ]
 
 
 def ad_gen(
@@ -215,17 +208,32 @@ class _Ambient:
         self.slots = [self.points.index(self.centralizers.point(i)) for i in range(2, window)]
 
 
-def _d_values(amb: _Ambient, g: GeneratorPair) -> Tuple[int, ...]:
-    """d_i = dim_F(C_i \\cap span_F{X, Y}) for i = 2 .. window - 1.
+def _f_independent(field: ExtField, u: EElem, w: EElem) -> bool:
+    return (u[0] * w[1] - u[1] * w[0]) % field.p != 0
 
-    One rank per distinct point C_i, not one per degree.
+
+def _d_key(amb: _Ambient, g: GeneratorPair) -> Tuple[int, ...]:
+    """dim_F(C \\cap span_F{X, Y}) at each point C of ``amb.points``.
+
+    For E-independent X and Y, by the determinant lemma of the module
+    docstring: 1 iff phi(X) and phi(Y) are F-dependent.
     """
     F = amb.pres.field
-    rows = [deg1_to_f4(g.X), deg1_to_f4(g.Y)]
-    per_point = [
-        4 - span(F.p, rows + point_rows_f4(F, pt), 4).dim for pt in amb.points
-    ]
-    return tuple(per_point[k] for k in amb.slots)
+    (al, be), (ga, de) = g.X, g.Y
+    return tuple(
+        0
+        if _f_independent(
+            F, F.sub(F.mul(al, p1), F.mul(be, p0)), F.sub(F.mul(ga, p1), F.mul(de, p0))
+        )
+        else 1
+        for p0, p1 in amb.points
+    )
+
+
+def _d_values(amb: _Ambient, g: GeneratorPair) -> Tuple[int, ...]:
+    """d_i = dim_F(C_i \\cap span_F{X, Y}) for i = 2 .. window - 1."""
+    key = _d_key(amb, g)
+    return tuple(key[k] for k in amb.slots)
 
 
 def _classify(d: Sequence[int], window: int) -> Verdict:
@@ -272,7 +280,8 @@ def _analyse(amb: _Ambient, g: GeneratorPair) -> SubalgebraAnalysis:
     pres, window = amb.pres, amb.window
     F = pres.field
     l1 = span(F.p, [deg1_to_f4(g.X), deg1_to_f4(g.Y)], 4)
-    if g.is_degenerate(F):
+    det = g.det(F)
+    if F.is_zero(det):
         bases = [tuple(l1.basis())] + [tuple()] * (window - 1)
         dims = tuple([l1.dim] + [0] * (window - 1))
         return SubalgebraAnalysis(
@@ -289,7 +298,7 @@ def _analyse(amb: _Ambient, g: GeneratorPair) -> SubalgebraAnalysis:
 
     d = _d_values(amb, g)
     full = ((1, 0), (0, 1))
-    c = _line(F, g.det(F))
+    c = _line(F, det)
     bases: List[Tuple[Tuple[int, ...], ...]] = [tuple(l1.basis()), (c,)]
     for i, d_i in zip(range(2, window), d):
         if len(bases[-1]) == 2 or d_i == 0:
@@ -318,10 +327,6 @@ def _analyse(amb: _Ambient, g: GeneratorPair) -> SubalgebraAnalysis:
 
 
 # -- the scan ------------------------------------------------------------------
-
-
-def _f_independent(field: ExtField, u: EElem, w: EElem) -> bool:
-    return (u[0] * w[1] - u[1] * w[0]) % field.p != 0
 
 
 def normalized_pairs(field: ExtField) -> List[GeneratorPair]:
@@ -408,12 +413,15 @@ def scan(
 ) -> ScanTable:
     """Classify every canonical generator pair and tabulate the verdicts.
 
+    The pairs are counted by d-key (``_d_key``), and each key is
+    classified once, since a verdict depends on d alone.
+
     In normalized mode the direct thin count is cross-checked against the
     independent line-avoidance count; the two totals must agree exactly.
-    In raw mode each F-plane is classified once and counted |GL_2(F)|
+    In raw mode each F-plane is keyed once and counted |GL_2(F)|
     times, once per ordered basis (X, Y); the E-dependent pairs make up
     the rest of the q^4 - 1.  Raises WindowTooLarge, before any pair is
-    built, when the number of classifications (q^2 pairs normalized,
+    built, when the number of pairs or planes it keys (q^2 pairs normalized,
     (p^2 + 1)(p^2 + p + 1) planes raw) times the window exceeds SCAN_BUDGET.
     """
     F = pres.field
@@ -429,16 +437,22 @@ def scan(
     # in raw mode |GL_2(F)|, the number of ordered bases of a plane
     weight = (q - 1) * (q - p) if raw else 1
 
-    counts = {"thin": 0, "maximal": 0, "rconstrained": 0}
-    gaps: Dict[str, int] = {}
+    # pairs per d-key; each key is classified once below
+    keys: Dict[Tuple[int, ...], int] = {}
     for g in pairs:
         if g.is_degenerate(F):
             continue
-        v = _analyse(amb, g).verdict
-        counts[v.kind] += weight
+        key = _d_key(amb, g)
+        keys[key] = keys.get(key, 0) + weight
+
+    counts = {"thin": 0, "maximal": 0, "rconstrained": 0}
+    gaps: Dict[str, int] = {}
+    for key, n in keys.items():
+        v = _classify([key[k] for k in amb.slots], window)
+        counts[v.kind] += n
         if v.kind == "rconstrained":
-            key = str(v.r_observed) if v.r_observed is not None else "unobserved"
-            gaps[key] = gaps.get(key, 0) + weight
+            gap = str(v.r_observed) if v.r_observed is not None else "unobserved"
+            gaps[gap] = gaps.get(gap, 0) + n
     counts["degenerate"] = count - sum(counts.values())
     thin_by_lines = None
     agree = None

@@ -50,10 +50,13 @@ the degree-1 maps that fix the centralizer lines of the standard forms,
 certified by the base-changed canonical chain, are kept here as oracles.
 
 ``subfield.generate_subalgebra`` reads L = <X, Y> off the d-values by the
-dimension lemma (the ``subfield`` module docstring), and a raw ``scan``
-classifies each F-plane of L_1 once, weighted by |GL_2(F)|.  The
-degree-by-degree RowSpace generation and the pair-by-pair raw scan they
-replaced are kept here as oracles.
+dimension lemma (the ``subfield`` module docstring), each d-value is one
+F-determinant per distinct centralizer point (``subfield._d_key``), a
+raw ``scan`` classifies each F-plane of L_1 once, weighted by
+|GL_2(F)|, and ``scan`` classifies once per d-key.  The degree-by-degree
+RowSpace generation, the RowSpace d-values (one span per degree) and the
+pair-by-pair scan, which classifies each pair through those d-values,
+are kept here as oracles.
 
 ``reconstruct`` stores a representation's entries only on the slots
 below lo, where the slot lemma (``RhoRep``) does not make it the adjoint
@@ -1831,11 +1834,20 @@ def test_iso_walk_bound(request, name, dev):
 # -- the subalgebra <X, Y> and the raw scan ------------------------------------
 
 
+def point_rows_f4(field, point):
+    """The F-plane of the E-line through alpha*x + beta*y, as two F^4 rows."""
+    al, be = point
+    return [
+        sf.deg1_to_f4((al, be)),
+        sf.deg1_to_f4((field.mul(field.mu, al), field.mul(field.mu, be))),
+    ]
+
+
 def oracle_d_values(l1, seq, window):
     """d_i = dim_F(C_i \\cap l1) for i = 2 .. window - 1, one span per degree."""
     out = []
     for i in range(2, window):
-        sp = span(l1.p, l1.basis() + sf.point_rows_f4(seq.field, seq.point(i)), 4)
+        sp = span(l1.p, l1.basis() + point_rows_f4(seq.field, seq.point(i)), 4)
         out.append(4 - sp.dim)
     return tuple(out)
 
@@ -1894,11 +1906,18 @@ def oracle_generate_subalgebra(pres, g, window=None):
 
 
 def oracle_scan(pres, window=None, raw=False):
-    """Classify every generator pair one by one and tabulate the verdicts."""
+    """Classify every generator pair one by one and tabulate the verdicts.
+
+    Each pair's d-values are ranked by ``oracle_d_values``, one span per
+    degree, so the scan's F-determinant key is checked, not reused.
+    """
     F = pres.field
     if not mc.is_standard(pres):
         raise NotStandardForm("scan expects a standard-form presentation")
     window = pres.class_n if window is None else window
+    if not 4 <= window <= pres.class_n:
+        raise BadBound(f"window {window} not in [4, {pres.class_n}]")
+    seq = mc.two_step_centralizers(pres)
     q = F.order
     count = q**4 - 1 if raw else q * q
     pairs = list(pc.raw_pairs(F)) if raw else sf.normalized_pairs(F)
@@ -1909,7 +1928,8 @@ def oracle_scan(pres, window=None, raw=False):
         if g.is_degenerate(F):
             v = sf.Verdict(kind="degenerate")
         else:
-            v = sf.generate_subalgebra(pres, g, window).verdict
+            l1 = span(F.p, [sf.deg1_to_f4(g.X), sf.deg1_to_f4(g.Y)], 4)
+            v = sf._classify(oracle_d_values(l1, seq, window), window)
         counts[v.kind] += 1
         if v.kind == "rconstrained":
             key = str(v.r_observed) if v.r_observed is not None else "unobserved"
@@ -1959,11 +1979,14 @@ def test_generate_matches_rowspace(request, f9, which, raw, windows):
     pairs = list(pc.raw_pairs(F)) if raw else sf.normalized_pairs(F)
     kinds = set()
     for window in windows:
+        amb = sf._Ambient(pres, window)
         for g in pairs:
             an = sf.generate_subalgebra(pres, g, window)
-            assert _analysis_key(an) == _analysis_key(
-                oracle_generate_subalgebra(pres, g, window)
-            ), (g, window)
+            want = oracle_generate_subalgebra(pres, g, window)
+            assert _analysis_key(an) == _analysis_key(want), (g, window)
+            if want.d is not None:
+                key = sf._d_key(amb, g)
+                assert tuple(key[k] for k in amb.slots) == want.d, (g, window)
             kinds.add(an.verdict.kind)
     assert "thin" in kinds and "degenerate" in kinds
     if which in ("dev9_14", "dev4_12"):
@@ -1972,16 +1995,60 @@ def test_generate_matches_rowspace(request, f9, which, raw, windows):
 
 @pytest.mark.parametrize(
     "which, window",
-    [("dev9_14", 6), ("dev9_14", 14), ("dev4_12", 12), ("metabelian4_6", 6)],
-    ids=["dev9_14-6", "dev9_14-14", "dev4_12-12", "metabelian4_6-6"],
+    [("dev9_14", 6), ("dev9_14", 9), ("dev9_14", 14), ("dev4_12", 12), ("metabelian4_6", 6)],
+    ids=["dev9_14-6", "dev9_14-9", "dev9_14-14", "dev4_12-12", "metabelian4_6-6"],
 )
 def test_raw_scan_matches_pairs(request, f4, which, window):
-    """Planes weighted by |GL_2(F)| against the pair-by-pair raw scan."""
+    """Planes weighted by |GL_2(F)| against the pair-by-pair raw scan.  At
+    window 9, dev9_14 deviates only at degree 6, and the planes whose one
+    zero is there give the gap key "unobserved"."""
     pres = (
         mc.make_metabelian(f4, 6) if which == "metabelian4_6"
         else request.getfixturevalue(which)
     )
-    assert sf.scan(pres, window, raw=True) == oracle_scan(pres, window, raw=True)
+    table = sf.scan(pres, window, raw=True)
+    assert table == oracle_scan(pres, window, raw=True)
+    if (which, window) == ("dev9_14", 9):
+        assert "unobserved" in table.rconstrained_gaps
+
+
+def test_d_key_matches_rowspace_on_every_raw_pair(dev25_14):
+    """The F-determinant key against the RowSpace d-values on every
+    E-independent raw pair of dev25_14 at window 14: each is an ordered
+    basis of one E-independent F-plane, so the oracle runs once per plane."""
+    F = dev25_14.field
+    p, q = F.p, F.order
+    amb = sf._Ambient(dev25_14, 14)
+    gl2 = [m for m in itertools.product(range(p), repeat=4) if (m[0] * m[3] - m[1] * m[2]) % p]
+    pairs = 0
+    for plane in sf.f_planes(F):
+        if plane.is_degenerate(F):
+            continue
+        r0, r1 = sf.deg1_to_f4(plane.X), sf.deg1_to_f4(plane.Y)
+        want = oracle_d_values(span(p, [r0, r1], 4), amb.centralizers, 14)
+        for a, b, c, d in gl2:
+            X = sf.f4_to_deg1([(a * s + b * t) % p for s, t in zip(r0, r1)])
+            Y = sf.f4_to_deg1([(c * s + d * t) % p for s, t in zip(r0, r1)])
+            key = sf._d_key(amb, sf.GeneratorPair(X, Y))
+            assert tuple(key[k] for k in amb.slots) == want, (X, Y)
+            pairs += 1
+    assert pairs == (q * q - 1) * (q * q - q)
+
+
+@pytest.mark.parametrize(
+    "which, window",
+    [("dev9_14", 9), ("dev9_14", 14), ("dev25_14", 14), ("metabelian49_20", 20)],
+    ids=["dev9_14-9", "dev9_14-14", "dev25_14-14", "metabelian49_20-20"],
+)
+def test_normalized_scan_matches_pairs(request, which, window):
+    """The per-key normalized scan against the pair-by-pair one."""
+    pres = (
+        mc.make_metabelian(make_ext_field(7, 0, 3), 20) if which == "metabelian49_20"
+        else request.getfixturevalue(which)
+    )
+    table = sf.scan(pres, window)
+    assert table == oracle_scan(pres, window)
+    assert table.agree
 
 
 @pytest.mark.parametrize("p, u, v", [(2, 1, 1), (3, 0, 2), (5, 0, 2)], ids=["4", "9", "25"])

@@ -87,6 +87,7 @@ class TestDSequence:
         assert [i for i, x in zip(range(2, 14), an.d) if x == 0] == [6, 9, 12]
 
     def test_one_span_per_point(self, monkeypatch, f9, thin_pair_f9, dev9_14, rc_pair):
+        """d is one F-determinant per distinct point: no span, one key entry each."""
         calls = []
         real = sf.span
 
@@ -96,12 +97,14 @@ class TestDSequence:
 
         monkeypatch.setattr(sf, "span", counting)
         m = mc.make_metabelian(f9, 40)  # 38 degrees, all at the point Ey
-        assert sf._d_values(sf._Ambient(m, 40), thin_pair_f9) == (0,) * 38
-        assert len(calls) == 1
-        del calls[:]
-        d = sf._d_values(sf._Ambient(dev9_14, 14), rc_pair)  # the points Ey and Ex
-        assert len(calls) == 2
+        amb = sf._Ambient(m, 40)
+        assert sf._d_key(amb, thin_pair_f9) == (0,)
+        assert sf._d_values(amb, thin_pair_f9) == (0,) * 38
+        amb = sf._Ambient(dev9_14, 14)
+        assert len(sf._d_key(amb, rc_pair)) == 2  # the points Ey and Ex
+        d = sf._d_values(amb, rc_pair)
         assert [i for i, x in zip(range(2, 14), d) if x == 0] == [6, 9, 12]
+        assert calls == []
 
 
 class TestClassify:
@@ -319,6 +322,24 @@ class TestScan:
             if not g.is_degenerate(f9) and pc.thin_line_criterion(dev9_14, g, 14).avoided
         )
         assert t.counts["thin"] == (3**2 - 1) * (3**2 - 3) * avoiding
+
+    def test_classifies_once_per_key(self, monkeypatch, f9, dev9_14):
+        calls = []
+        real = sf._classify
+
+        def counting(d, window):
+            calls.append(tuple(d))
+            return real(d, window)
+
+        monkeypatch.setattr(sf, "_classify", counting)
+        t = sf.scan(mc.make_metabelian(f9, 40), 40)  # every normalized pair has key (0,)
+        assert calls == [(0,) * 38]
+        assert t.counts["thin"] == 72
+        del calls[:]
+        sf.scan(dev9_14, 14, raw=True)
+        amb = sf._Ambient(dev9_14, 14)
+        keys = {sf._d_key(amb, g) for g in sf.f_planes(f9) if not g.is_degenerate(f9)}
+        assert 1 < len(calls) <= len(keys)
 
     def test_raw_mode_cross_validation(self, f4):
         # on the metabelian algebra a raw pair is thin iff the x-parts of the
