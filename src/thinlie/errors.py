@@ -45,19 +45,7 @@ class DegenerateGenerators(ThinLieError):
     pass
 
 
-class CoveringFails(ThinLieError):
-    pass
-
-
 class NotCommutative(ThinLieError):
-    pass
-
-
-class NotAField(ThinLieError):
-    pass
-
-
-class OutOfWindow(ThinLieError):
     pass
 
 

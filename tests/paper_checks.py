@@ -12,8 +12,12 @@ them by other means:
 * ``thin_line_criterion`` decides thinness from centralizer data alone,
   and ``normalize_generators`` moves a pair into the normal form;
 * ``iso_search`` finds a graded isomorphism between two presentations;
+* ``propagated_grend0`` and ``identify_field_per_degree`` are the
+  degree-by-degree End_0 solve and Schur check that ``endo`` replaced by
+  its closed form, and ``scalar_action`` applies an element of that ring
+  at any degree;
 * ``grend_d_dimension`` gives the dimension of the degree-d graded
-  endomorphism space, and ``scalar_action`` applies a ring element;
+  endomorphism space;
 * ``quotient``, ``image`` and ``raw_pairs`` are the test-support
   truncation, the full image of a basis row under a representation, and
   every generator pair.
@@ -32,12 +36,13 @@ from thinlie._record import record
 from thinlie.errors import (
     BadBound,
     DegenerateGenerators,
+    DimensionAnomaly,
+    NotCommutative,
     NotStandardForm,
-    OutOfWindow,
     PreconditionFailed,
     ThinLieError,
 )
-from thinlie.gf import RowSpace, combine
+from thinlie.gf import RowSpace, combine, quadratic_is_irreducible, solve, span
 
 BRUTE_FORCE_LIMIT = 200_000
 
@@ -402,11 +407,297 @@ def iso_search(pres_a, pres_b, window=None):
     return IsoResult(found=False, transform=None)
 
 
+# -- the propagated degree-0 ring ------------------------------------------------
+#
+# ``endo`` reads End_0(L^3) off dim L_3 and d (the lemma in its docstring).
+# The per-degree solve it replaced is kept here as its oracle: the ring
+# with a propagated matrix at every degree, the composition crosscheck one
+# degree up, and the field identification that checks Schur's lemma on
+# every degree.
+
+
+class CoveringFails(ThinLieError):
+    pass
+
+
+class NotAField(ThinLieError):
+    pass
+
+
+class OutOfWindow(ThinLieError):
+    pass
+
+
+def _lf_unit(n, k):
+    return tuple(1 if i == k else 0 for i in range(n))
+
+
+def solve_graded_maps(analysis):
+    """Solution space of graded degree-0 L-endomorphisms of the module.
+
+    Returns (kernel_rows, symbolic) where each kernel row is a flattened
+    bottom matrix V_3 -> V_3 and symbolic[i] is the propagated matrix at
+    degree i with linear-form entries.
+
+    One step per degree i: the ad rows [v, g] of L_i are computed once, in
+    L_{i+1} coordinates.  The image of [v, g] is f_i(v)*T_g, where T_g
+    holds the ad rows of g.  f_{i+1} is read off the first ad rows that
+    span L_{i+1} (inverting them), and each other row [v, g] contributes
+    the residual [v, g]*f_{i+1} - f_i(v)*T_g, entrywise, as a constraint.
+    """
+    p = analysis.field.p
+    dim = analysis.dim(endo.K0)
+    n_unk = dim * dim
+    symbolic = {
+        endo.K0: [[_lf_unit(n_unk, r * dim + c) for c in range(dim)] for r in range(dim)]
+    }
+    gens = (analysis.pair.X, analysis.pair.Y)
+    constraints = []
+    minus_one = (p - 1,)
+    for i in range(endo.K0, analysis.window):
+        f_i = symbolic[i]
+        ad = [
+            [analysis.express(i + 1, sf.ad_gen(analysis.pres, i, v, g)) for g in gens]
+            for v in analysis.basis(i)
+        ]
+        # T[g][j]: column j of T_g, the matrix of ad g from L_i to L_{i+1}
+        T = [list(zip(*(t[g] for t in ad))) for g in (0, 1)]
+        rows = [  # ([v, g], f_i(v)*T_g) for v in L_i, g = X, Y
+            (v_ad[g], [combine(p, col, f_i[r]) for col in T[g]])
+            for r, v_ad in enumerate(ad)
+            for g in (0, 1)
+        ]
+        d_next = analysis.dim(i + 1)
+        cols = range(d_next)
+        chooser = RowSpace(p, d_next)
+        selected = [k for k, (in_vec, _) in enumerate(rows) if chooser.insert(in_vec)]
+        if len(selected) != d_next:
+            raise CoveringFails(
+                f"[L_{i}, L_1] does not span L_{i + 1}; propagation is not forced"
+            )
+        sel_rows = [rows[k][0] for k in selected]
+        f_next = []
+        for j in range(d_next):
+            inv = solve(p, sel_rows, _lf_unit(d_next, j))
+            f_next.append([combine(p, inv, [rows[k][1][c] for k in selected]) for c in cols])
+        symbolic[i + 1] = f_next
+        for k, (in_vec, out) in enumerate(rows):
+            if k in selected:
+                continue  # zero residual by construction
+            for c in cols:
+                diff = combine(p, in_vec + minus_one, [f[c] for f in f_next] + [out[c]])
+                if any(diff):
+                    constraints.append(diff)
+    return span(p, constraints, n_unk).kernel(), symbolic
+
+
+@record
+class PropagatedRing:
+    """``endo.EndoRing`` with its propagated matrix at every degree."""
+
+    analysis: sf.SubalgebraAnalysis
+    dim: int
+    basis: tuple
+    identity: tuple
+    mult_table: tuple
+    _symbolic: dict
+
+    @property
+    def field(self):
+        return self.analysis.field
+
+    def element_flat(self, coords):
+        return combine(self.field.p, coords, self.basis)
+
+    def matrix_at(self, coords, degree):
+        """The element's concrete matrix on V_degree."""
+        window = self.analysis.window
+        if not endo.K0 <= degree <= window:
+            raise OutOfWindow(f"degree {degree} outside [{endo.K0}, {window}]")
+        return _eval_forms(self.field.p, self._symbolic[degree], self.element_flat(coords))
+
+    def compose(self, e1, e2):
+        """Coordinates of e1 o e2 (apply e2 first)."""
+        p = self.field.p
+        d = self.analysis.dim(endo.K0)
+        prod = endo._compose_flat(p, d, self.element_flat(e1), self.element_flat(e2))
+        return _ring_coords(p, self.basis, prod)
+
+
+def ring_fields(ring):
+    """What an ``EndoRing`` and a ``PropagatedRing`` share: (dim, basis,
+    identity, mult_table)."""
+    return (ring.dim, ring.basis, ring.identity, ring.mult_table)
+
+
+def _eval_forms(p, sym, flat):
+    """A propagated matrix of linear forms evaluated at a flattened bottom matrix."""
+    return [[sum(a * b for a, b in zip(form, flat)) % p for form in row] for row in sym]
+
+
+def _ring_coords(p, basis, flat):
+    """Coordinates of a flattened bottom matrix in the ring basis."""
+    try:
+        return tuple(solve(p, basis, flat))
+    except ValueError:
+        raise DimensionAnomaly("vector not in the span of the ring basis") from None
+
+
+def propagated_grend0(analysis):
+    """The ring of graded degree-0 L-endomorphisms of L^3, propagated degree
+    by degree through the window and solved exactly."""
+    if analysis.d is None:
+        raise DegenerateGenerators("endomorphism ring needs independent generators")
+    kernel_rows, symbolic = solve_graded_maps(analysis)
+    d = analysis.dim(endo.K0)
+    p = analysis.field.p
+    identity_flat = [int(r == c) for r in range(d) for c in range(d)]
+    table = [
+        tuple(
+            _ring_coords(p, kernel_rows, endo._compose_flat(p, d, ki, kj))
+            for kj in kernel_rows
+        )
+        for ki in kernel_rows
+    ]
+    ring = PropagatedRing(
+        analysis=analysis,
+        dim=len(kernel_rows),
+        basis=tuple(kernel_rows),
+        identity=_ring_coords(p, kernel_rows, identity_flat),
+        mult_table=tuple(table),
+        _symbolic=symbolic,
+    )
+    _crosscheck_composition(ring)
+    return ring
+
+
+def _crosscheck_composition(ring):
+    """Recompute the table one degree up; guards against propagation bugs."""
+    p = ring.field.p
+    deg = endo.K0 + 1
+    for i in range(ring.dim):
+        for j in range(ring.dim):
+            mi = ring.matrix_at(_lf_unit(ring.dim, i), deg)
+            mj = ring.matrix_at(_lf_unit(ring.dim, j), deg)
+            direct = endo._mat_mul(p, mj, mi)
+            via_table = ring.matrix_at(ring.mult_table[i][j], deg)
+            if direct != via_table:
+                raise DimensionAnomaly(
+                    f"composition at degree {deg} disagrees with the bottom table"
+                )
+
+
+def scalar_of_action(ring, coords):
+    """The extension scalar by which an element acts on V_{k0}.
+
+    Well-defined whenever the element acts as an E-scalar there; verified
+    against every basis row.
+    """
+    F = ring.field
+    mat = ring.matrix_at(coords, endo.K0)
+    rows = ring.analysis.basis(endo.K0)
+    sigma = None
+    for w, m_row in zip(rows, mat):
+        img = combine(F.p, m_row, rows)
+        cand = F.div((img[0], img[1]), (w[0], w[1]))
+        if sigma is None:
+            sigma = cand
+        elif sigma != cand:
+            raise DimensionAnomaly("element does not act as an extension scalar")
+    return sigma
+
+
+def identify_field_per_degree(ring):
+    """``endo.identify_field`` with Schur's lemma checked on every degree.
+
+    Commutativity comes from the multiplication table.  On every component
+    in the window the identity must act as I, and the generator's matrix G
+    must satisfy the generator's minimal polynomial, G^2 = m2*G + m1*I.
+    That polynomial is irreducible over GF(p), so G has no eigenvalue in
+    GF(p) and a*I + b*G is invertible for every nonzero (a, b): no nonzero
+    element is singular on any component.  The root of the ambient
+    quadratic that acts as mu and the embedding are read off as in
+    ``endo.identify_field``.
+    """
+    F = ring.field
+    p = F.p
+    for i in range(ring.dim):
+        for j in range(i + 1, ring.dim):
+            if ring.mult_table[i][j] != ring.mult_table[j][i]:
+                raise NotCommutative(
+                    f"basis elements {i} and {j} do not commute"
+                )
+    if ring.dim not in (1, 2):
+        raise NotAField(f"unexpected ring dimension {ring.dim}")
+    degrees = range(endo.K0, ring.analysis.window + 1)
+    for degree in degrees:
+        one = ring.matrix_at(ring.identity, degree)
+        if one != [[int(r == c) for c in range(len(one))] for r in range(len(one))]:
+            raise NotAField(f"the identity does not act as I on degree {degree}")
+    if ring.dim == 1:
+        return endo.FieldId(
+            dim=1,
+            min_poly=None,
+            is_field=True,
+            embedding="n/a",
+            generator=None,
+            mu_hat=None,
+            sigma=None,
+        )
+    # canonical generator: first basis element outside F*identity
+    gen = None
+    for k in range(ring.dim):
+        cand = _lf_unit(ring.dim, k)
+        if span(p, [cand, ring.identity], ring.dim).dim > 1:
+            gen = cand
+            break
+    if gen is None:
+        raise NotAField("ring has no element outside F*identity")
+    # minimal polynomial of the generator: g^2 = m1*1 + m2*g
+    g2 = ring.compose(gen, gen)
+    m1, m2 = solve(p, [ring.identity, gen], g2)
+    c1 = (-m2) % p
+    c0 = (-m1) % p
+    if not quadratic_is_irreducible(p, m2, m1):
+        raise NotAField(f"minimal polynomial t^2 + {c1}t + {c0} is reducible")
+    for degree in degrees:
+        G = ring.matrix_at(gen, degree)
+        want = [
+            [(m2 * a + m1 * (r == c)) % p for c, a in enumerate(row)]
+            for r, row in enumerate(G)
+        ]
+        if endo._mat_mul(p, G, G) != want:
+            raise NotAField(
+                f"generator misses t^2 + {c1}t + {c0} on degree {degree}"
+            )
+    # the root acting as mu, from the embedding gen -> sigma
+    sigma = scalar_of_action(ring, gen)
+    a, b = solve(p, [F.one, sigma], F.mu)
+    mu_hat = tuple((a * i + b * g) % p for i, g in zip(ring.identity, gen))
+    conj = tuple((F.u * i - m) % p for m, i in zip(mu_hat, ring.identity))
+    if ring.compose(mu_hat, mu_hat) != tuple(
+        (F.u * m + F.v * i) % p for m, i in zip(mu_hat, ring.identity)
+    ):
+        raise DimensionAnomaly("mu_hat is not a root of the ambient quadratic")
+    return endo.FieldId(
+        dim=2,
+        min_poly=(c0, c1, 1),
+        is_field=True,
+        embedding="mu" if mu_hat < conj else "mu_conj",
+        generator=gen,
+        mu_hat=mu_hat,
+        sigma=sigma,
+    )
+
+
 # -- endomorphisms of other degrees and the ring's action -------------------------
 
 
 def scalar_action(ring, e, degree, vec):
-    """Apply a ring element to a module vector given in the L-basis coords."""
+    """Apply a ring element to a module vector given in the L-basis coords.
+
+    ``ring`` is a ``PropagatedRing``: it has a matrix at every degree.
+    """
     return combine(ring.field.p, vec, ring.matrix_at(e, degree))
 
 

@@ -125,7 +125,7 @@ def test_criterion_5_endomorphism_rings(f4, f9, dev9_14, thin_pair_f9, maximal_p
         with _Timer(f"criterion 5: endomorphism ring [{name}]", 5.0):
             an = sf.generate_subalgebra(pres, pair, window)
             ring = endo.compute_grend0(an)
-            fid = endo.identify_field(ring)  # Schur + commutativity inside
+            fid = endo.identify_field(ring)  # commutativity inside
             assert ring.dim == want_dim == fid.dim
             if want_dim == 2:
                 c0, c1, lead = fid.min_poly

@@ -1,4 +1,10 @@
-"""Degree-0 endomorphism rings: solve, field identification, actions."""
+"""Degree-0 endomorphism rings: solve, field identification, actions.
+
+``endo`` reads the ring off dim L_3 and d; the tests of its action on
+every degree read the per-degree matrices of the propagated ring
+(``paper_checks.propagated_grend0``), whose basis, identity and table the
+``thin_prop`` fixture checks against the package's.
+"""
 
 import itertools
 import random
@@ -9,7 +15,7 @@ import paper_checks as pc
 from thinlie import endo
 from thinlie import maxclass as mc
 from thinlie import subfield as sf
-from thinlie.errors import DimensionAnomaly, OutOfWindow
+from thinlie.errors import DimensionAnomaly
 
 
 @pytest.fixture(scope="module")
@@ -17,6 +23,13 @@ def thin_ring(f9, thin_pair_f9):
     m = mc.make_metabelian(f9, 12)
     an = sf.generate_subalgebra(m, thin_pair_f9, 12)
     return endo.compute_grend0(an)
+
+
+@pytest.fixture(scope="module")
+def thin_prop(thin_ring):
+    prop = pc.propagated_grend0(thin_ring.analysis)
+    assert pc.ring_fields(prop) == pc.ring_fields(thin_ring)
+    return prop
 
 
 @pytest.fixture(scope="module")
@@ -52,9 +65,9 @@ class TestComputeGrend0:
         flat = tuple(x for row in ident for x in row)
         assert thin_ring.element_flat(thin_ring.identity) == flat
 
-    def test_identity_propagates_to_identity(self, thin_ring):
+    def test_identity_propagates_to_identity(self, thin_ring, thin_prop):
         for deg in range(3, 13):
-            mat = thin_ring.matrix_at(thin_ring.identity, deg)
+            mat = thin_prop.matrix_at(thin_ring.identity, deg)
             n = len(mat)
             assert mat == [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
@@ -81,31 +94,31 @@ class TestRingAxioms:
 
 
 class TestSchur:
-    def test_every_nonzero_element_invertible_everywhere(self, thin_ring):
+    def test_every_nonzero_element_invertible_everywhere(self, thin_ring, thin_prop):
         p = thin_ring.field.p
         for coords in itertools.product(range(p), repeat=thin_ring.dim):
             if not any(coords):
                 continue
             for deg in range(3, 13):
-                mat = thin_ring.matrix_at(coords, deg)
+                mat = thin_prop.matrix_at(coords, deg)
                 det = mat[0][0] * mat[1][1] - mat[0][1] * mat[1][0]
                 assert det % p != 0
 
 
 class TestScalarAction:
-    def test_identity_action(self, thin_ring):
+    def test_identity_action(self, thin_ring, thin_prop):
         an = thin_ring.analysis
         for deg in range(3, 13):
             for r in range(an.dim(deg)):
                 v = tuple(1 if t == r else 0 for t in range(an.dim(deg)))
-                assert pc.scalar_action(thin_ring, thin_ring.identity, deg, v) == v
+                assert pc.scalar_action(thin_prop, thin_ring.identity, deg, v) == v
 
-    def test_mu_hat_matches_ambient_mu(self, thin_ring, thin_fid, f9):
+    def test_mu_hat_matches_ambient_mu(self, thin_ring, thin_prop, thin_fid, f9):
         an = thin_ring.analysis
         for deg in range(3, 13):
             for row in an.basis(deg):
                 coords = an.express(deg, row)
-                img = pc.scalar_action(thin_ring, thin_fid.mu_hat, deg, coords)
+                img = pc.scalar_action(thin_prop, thin_fid.mu_hat, deg, coords)
                 amb = [0, 0]
                 for c, r in zip(img, an.basis(deg)):
                     amb[0] = (amb[0] + c * r[0]) % 3
@@ -122,7 +135,7 @@ class TestScalarAction:
         with pytest.raises(DimensionAnomaly, match="not a root"):
             endo.identify_field(thin_ring)
 
-    def test_generator_acts_by_sigma(self, thin_ring, thin_fid, f9):
+    def test_generator_acts_by_sigma(self, thin_ring, thin_prop, thin_fid, f9):
         # sigma-consistency: the scalar is the same in every degree
         an = thin_ring.analysis
         sig = thin_fid.sigma
@@ -130,7 +143,7 @@ class TestScalarAction:
         for deg in range(3, 13):
             row = an.basis(deg)[0]
             img = pc.scalar_action(
-                thin_ring, thin_fid.generator, deg, an.express(deg, row)
+                thin_prop, thin_fid.generator, deg, an.express(deg, row)
             )
             amb = [0, 0]
             for c, r in zip(img, an.basis(deg)):
@@ -138,7 +151,7 @@ class TestScalarAction:
                 amb[1] = (amb[1] + c * r[1]) % 3
             assert tuple(amb) == f9.mul(sig, (row[0], row[1]))
 
-    def test_reproduces_extension_multiplication(self, thin_ring, thin_fid, f9):
+    def test_reproduces_extension_multiplication(self, thin_ring, thin_prop, thin_fid, f9):
         # (identify_field, scalar_action) == multiplication in the extension
         rng = random.Random(5)
         an = thin_ring.analysis
@@ -151,7 +164,7 @@ class TestScalarAction:
             )
             deg = rng.randrange(3, 13)
             vec = tuple(rng.randrange(3) for _ in range(an.dim(deg)))
-            img = pc.scalar_action(thin_ring, e_coords, deg, vec)
+            img = pc.scalar_action(thin_prop, e_coords, deg, vec)
             amb = [0, 0]
             for c, r in zip(vec, an.basis(deg)):
                 amb[0] = (amb[0] + c * r[0]) % 3
@@ -163,11 +176,11 @@ class TestScalarAction:
                 got[1] = (got[1] + c * r[1]) % 3
             assert tuple(got) == want
 
-    def test_out_of_window(self, thin_ring):
-        with pytest.raises(OutOfWindow):
-            pc.scalar_action(thin_ring, thin_ring.identity, 13, (0, 0))
-        with pytest.raises(OutOfWindow):
-            pc.scalar_action(thin_ring, thin_ring.identity, 2, (0, 0))
+    def test_out_of_window(self, thin_ring, thin_prop):
+        with pytest.raises(pc.OutOfWindow):
+            pc.scalar_action(thin_prop, thin_ring.identity, 13, (0, 0))
+        with pytest.raises(pc.OutOfWindow):
+            pc.scalar_action(thin_prop, thin_ring.identity, 2, (0, 0))
 
 
 class TestGrendD:
@@ -194,5 +207,5 @@ class TestGrendD:
     def test_out_of_window(self, f9, thin_pair_f9):
         m = mc.make_metabelian(f9, 12)
         an = sf.generate_subalgebra(m, thin_pair_f9, 12)
-        with pytest.raises(OutOfWindow):
+        with pytest.raises(pc.OutOfWindow):
             pc.grend_d_dimension(an, 10)

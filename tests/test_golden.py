@@ -16,9 +16,13 @@ triple.  The CLI branches no README example reaches are covered too:
 ``stats`` on a valid file that is not in standard form (``ex10.json``,
 every pair (0, 1)), ``scan --raw``, and ``analyze`` on a maximal, an
 r-constrained (``dev9mu.json``) and a degenerate pair, the last with
-exit code 1.  ``scan`` and ``scan --raw`` of ``dev9mu.json`` see more
-than one centralizer point, so the line-avoidance count tests
-F-independence and the d-values differ between points; ``build search``
+exit code 1, and ``endo`` in each case of its lemma: a degenerate pair
+(exit code 1), dimension 1 (a maximal pair, and a ``dev9mu.json`` pair
+with t1 = 6) and dimension 2 (a ``dev9mu.json`` pair with t1 = 2, and the
+README pair at window 4, where only degree 3 steps).  ``scan`` and
+``scan --raw`` of ``dev9mu.json`` see more than one centralizer point,
+so the line-avoidance count tests F-independence and the d-values differ
+between points; ``build search``
 over GF(9) at class 16 with limit 2 is the smallest search found whose
 free node takes the Tonelli-Shanks branch of ``ExtField.sqrt``.
 ``test_reachability`` runs these cases to show that every function of
@@ -82,6 +86,14 @@ CASES = [
     ("analyze-maximal", ["analyze", "m.json", "--X", "1,0,0,0", "--Y", "0,0,1,0", "--window", "12"], 0),
     ("analyze-rconstrained", ["analyze", "dev9mu.json", "--X", "0,0,1,0", "--Y", "1,0,0,1"], 0),
     ("analyze-degenerate", ["analyze", "m.json", "--X", "1,0,0,0", "--Y", "0,1,0,0", "--window", "12"], 1),
+    # End_0 in each case of its lemma: degenerate, F (dim L_3 = 1: maximal,
+    # or t1 = 6), E (dim L_3 = 2: t1 = 2), and the shortest window, where
+    # only degree 3 steps
+    ("endo-degenerate", ["endo", "m.json", "--X", "1,0,0,0", "--Y", "0,1,0,0", "--window", "12"], 1),
+    ("endo-maximal", ["endo", "m.json", "--X", "1,0,0,0", "--Y", "0,0,1,0", "--window", "12"], 0),
+    ("endo-dev9mu-t1-6", ["endo", "dev9mu.json", "--X", "0,0,1,0", "--Y", "1,0,0,1"], 0),
+    ("endo-dev9mu-t1-2", ["endo", "dev9mu.json", "--X", "0,1,0,0", "--Y", "1,0,0,1"], 0),
+    ("endo-window4", ["endo", "m.json", *PAIR, "--window", "4"], 0),
     # a deviating file: several centralizer lines, so the scan's line
     # cross-check and its d-value gaps see more than one point
     ("scan-dev9mu", ["scan", "dev9mu.json"], 0),

@@ -70,20 +70,23 @@ extraction (compared with that base change) and the span comparison are
 kept here as oracles.  ``apply_degree1_change`` derives its result's
 table without Jacobi checks; that table is compared with ``validate``'s.
 
-``endo.identify_field`` checks Schur invertibility on the identity and the
-generator only and reads the root of the ambient quadratic off the scalar
-by which the generator acts (the lemma in its docstring); the version that
-enumerated the ring is kept here as an oracle.
+``endo.compute_grend0`` reads End_0(L^3) off dim L_3 and d, and
+``endo.identify_field`` checks no degree above 3 (the lemma in the ``endo``
+docstring).  The degree-by-degree solve (``paper_checks.solve_graded_maps``
+and ``propagated_grend0``) and the Schur check on every degree
+(``paper_checks.identify_field_per_degree``) they replaced are the oracle of
+``test_closed_form_matches_propagation``: the same basis, identity, table
+and FieldId, or the same error.  The version of the identification that
+enumerated the ring is kept here as a further oracle.
 
-``endo._solve_graded_maps`` takes one linear-form step per degree: the ad
-rows [v, g] of each degree are computed once, f_{i+1} solves
+``paper_checks.solve_graded_maps`` takes one linear-form step per degree:
+the ad rows [v, g] of each degree are computed once, f_{i+1} solves
 [v, g]*f_{i+1} = f_i(v)*T_g on a spanning subset of them, and every sum of
 forms goes through ``gf.combine``.  The per-operation propagation it
 replaced, which bracketed each degree twice, is kept here as
 ``oracle_solve_graded_maps``; both must give the same kernel rows, the same
-forms at every degree, or the same error, at shift 0, the only degree the
-package solves.  The oracle takes any shift, and
-``paper_checks.grend_d_dimension`` runs it.
+forms at every degree, or the same error, at shift 0.  The oracle takes any
+shift, and ``paper_checks.grend_d_dimension`` runs it.
 
 ``reconstruct.detect_structure`` reads the largest degree i with a nonzero
 bracket [v_i, v_j] in the window once, and ``gf.solve`` and
@@ -94,7 +97,9 @@ that ``gf.combine`` and ``endo._mat_mul`` replaced.
 """
 
 import itertools
+import json
 import random
+from pathlib import Path
 
 import pytest
 
@@ -106,9 +111,7 @@ from thinlie import reconstruct as rec
 from thinlie import subfield as sf
 from thinlie.errors import (
     BadBound,
-    CoveringFails,
     DimensionAnomaly,
-    NotAField,
     NotCommutative,
     NotFaithful,
     NotStandardForm,
@@ -2102,14 +2105,14 @@ def oracle_identify_field(ring):
     # Schur invertibility on every degree
     exhaustive = p**ring.dim <= SCHUR_EXHAUSTIVE_LIMIT
     elements = list(_ring_elements(ring)) if exhaustive else [
-        endo._lf_unit(ring.dim, k) for k in range(ring.dim)
+        pc._lf_unit(ring.dim, k) for k in range(ring.dim)
     ]
     for coords in elements:
         flat = ring.element_flat(coords)
         for degree in range(endo.K0, ring.analysis.window + 1):
-            mat = endo._eval_forms(p, ring._symbolic[degree], flat)
+            mat = pc._eval_forms(p, ring._symbolic[degree], flat)
             if span(p, mat, len(mat)).dim < len(mat):
-                raise NotAField(
+                raise pc.NotAField(
                     f"nonzero element {coords} is singular on degree {degree}"
                 )
     if ring.dim == 1:
@@ -2123,23 +2126,23 @@ def oracle_identify_field(ring):
             sigma=None,
         )
     if ring.dim != 2:
-        raise NotAField(f"unexpected ring dimension {ring.dim}")
+        raise pc.NotAField(f"unexpected ring dimension {ring.dim}")
     # canonical generator: first basis element outside F*identity
     gen = None
     for k in range(ring.dim):
-        cand = endo._lf_unit(ring.dim, k)
+        cand = pc._lf_unit(ring.dim, k)
         if span(p, [cand, ring.identity], ring.dim).dim > 1:
             gen = cand
             break
     if gen is None:
-        raise NotAField("ring has no element outside F*identity")
+        raise pc.NotAField("ring has no element outside F*identity")
     # minimal polynomial of the generator: g^2 = m1*1 + m2*g
     g2 = ring.compose(gen, gen)
     m1, m2 = solve(p, [ring.identity, gen], g2)
     c1 = (-m2) % p
     c0 = (-m1) % p
     if not quadratic_is_irreducible(p, m2, m1):
-        raise NotAField(f"minimal polynomial t^2 + {c1}t + {c0} is reducible")
+        raise pc.NotAField(f"minimal polynomial t^2 + {c1}t + {c0} is reducible")
     # locate a root of the ambient quadratic t^2 - u t - v inside the ring
     mu_abs = None
     for coords in _ring_elements(ring):
@@ -2153,8 +2156,8 @@ def oracle_identify_field(ring):
             mu_abs = coords
             break
     if mu_abs is None:
-        raise NotAField("no root of the ambient quadratic inside the ring")
-    sigma = endo._scalar_of_action(ring, mu_abs)
+        raise pc.NotAField("no root of the ambient quadratic inside the ring")
+    sigma = pc.scalar_of_action(ring, mu_abs)
     if sigma == F.mu:
         embedding = "mu"
         mu_hat = mu_abs
@@ -2165,7 +2168,7 @@ def oracle_identify_field(ring):
         )
     else:
         raise DimensionAnomaly(f"root acts by {sigma}, not a conjugate of mu")
-    gen_sigma = endo._scalar_of_action(ring, gen)
+    gen_sigma = pc.scalar_of_action(ring, gen)
     return endo.FieldId(
         dim=2,
         min_poly=(c0, c1, 1),
@@ -2193,6 +2196,9 @@ _METABELIAN = {
 
 
 def _presentation(request, which):
+    if which == "dev9mu":
+        with open(Path(__file__).parent / "golden" / "dev9mu.json", encoding="utf-8") as fh:
+            return mc.from_json(json.load(fh))
     if which in _METABELIAN:
         p, u, v, class_n = _METABELIAN[which]
         return mc.make_metabelian(make_ext_field(p, u, v), class_n)
@@ -2213,7 +2219,9 @@ def _presentation(request, which):
 def test_identify_field_matches_enumeration(request, which, embeddings):
     """The closed form against the ring enumeration: equal FieldId on the
     ring of every non-degenerate normalized pair (every raw pair over
-    GF(4), so that the dimension-1 rings of maximal pairs occur too)."""
+    GF(4), so that the dimension-1 rings of maximal pairs occur too).  The
+    enumeration runs on the propagated ring, whose basis, identity and
+    table must equal the package's."""
     pres = _presentation(request, which)
     F = pres.field
     pairs = pc.raw_pairs(F) if F.p == 2 else sf.normalized_pairs(F)
@@ -2224,7 +2232,9 @@ def test_identify_field_matches_enumeration(request, which, embeddings):
         an = sf.generate_subalgebra(pres, g)
         ring = endo.compute_grend0(an)
         fid = endo.identify_field(ring)
-        assert fid == oracle_identify_field(ring), g
+        prop = pc.propagated_grend0(an)
+        assert pc.ring_fields(prop) == pc.ring_fields(ring), g
+        assert fid == oracle_identify_field(prop), g
         # E lies in End_0(L^3) of a thin L, so its field is quadratic
         assert fid.dim == 2 or an.verdict.kind != "thin", g
         seen.add(fid.embedding)
@@ -2236,35 +2246,47 @@ def _replaced(record, **changes):
     return type(record)(**{**vars(record), **changes})
 
 
-def _perturbed(ring, rng):
-    """The ring with one product or one propagated form replaced."""
+def _perturbed(ring, prop, rng):
+    """One product of the table replaced in the package ring and in the
+    propagated one, or one propagated form of ``prop`` replaced.  Returns
+    (package ring, or None when the perturbation is a form, propagated ring)."""
     p = ring.field.p
     if rng.random() < 0.2:
         i, j = rng.sample(range(ring.dim), 2)
         table = [list(row) for row in ring.mult_table]
         table[i][j] = tuple(rng.randrange(p) for _ in range(ring.dim))
-        return _replaced(ring, mult_table=tuple(map(tuple, table)))
+        table = tuple(map(tuple, table))
+        return _replaced(ring, mult_table=table), _replaced(prop, mult_table=table)
     degree = rng.randint(endo.K0, ring.analysis.window)
-    sym = [list(row) for row in ring._symbolic[degree]]
+    sym = [list(row) for row in prop._symbolic[degree]]
     r, c = rng.randrange(len(sym)), rng.randrange(len(sym[0]))
     sym[r][c] = tuple(rng.randrange(p) for _ in sym[r][c])
-    return _replaced(ring, _symbolic={**ring._symbolic, degree: sym})
+    return None, _replaced(prop, _symbolic={**prop._symbolic, degree: sym})
 
 
 @pytest.mark.parametrize("which", ["metabelian9_10", "dev9_14"])
 def test_identify_field_failures_match(request, thin_pair_f9, which):
     """Wherever the enumeration finds a zero divisor or a non-commuting
-    pair, so does the closed form; where it accepts, the closed form gives
-    the same FieldId or refuses an identity that does not act as I or a
-    generator that misses its minimal polynomial."""
+    pair, so does the identification; where it accepts, the identification
+    gives the same FieldId or refuses an identity that does not act as I or
+    a generator that misses its minimal polynomial.  A perturbed table
+    reaches ``endo.identify_field``; a perturbed propagated form reaches
+    only the per-degree check (``paper_checks.identify_field_per_degree``),
+    since the package reads no degree above 3."""
     pres = _presentation(request, which)
-    ring = endo.compute_grend0(sf.generate_subalgebra(pres, thin_pair_f9))
+    an = sf.generate_subalgebra(pres, thin_pair_f9)
+    ring = endo.compute_grend0(an)
+    prop = pc.propagated_grend0(an)
+    assert pc.ring_fields(prop) == pc.ring_fields(ring)
     rng = random.Random(f"identify-field-{which}")
     kinds = set()
     for _ in range(300):
-        bad = _perturbed(ring, rng)
-        want = _outcome(oracle_identify_field, bad)
-        got = _outcome(endo.identify_field, bad)
+        bad_ring, bad_prop = _perturbed(ring, prop, rng)
+        want = _outcome(oracle_identify_field, bad_prop)
+        if bad_ring is not None:
+            got = _outcome(endo.identify_field, bad_ring)
+        else:
+            got = _outcome(pc.identify_field_per_degree, bad_prop)
         kinds.add(want[0])
         if want[0] in ("NotAField", "NotCommutative"):
             assert got[0] == want[0], (want, got)
@@ -2275,11 +2297,11 @@ def test_identify_field_failures_match(request, thin_pair_f9, which):
 
 def test_schur_sees_non_basis_elements():
     """At p = 67 the enumeration checked only the basis elements e0, e1;
-    the closed form also refuses a singular e1 - e0."""
+    the per-degree Schur check also refuses a singular e1 - e0."""
     F = make_ext_field(67, 0, 66)
     p = F.p
     pair = sf.GeneratorPair(((1, 0), (1, 0)), ((0, 1), (1, 1)))
-    ring = endo.compute_grend0(sf.generate_subalgebra(mc.make_metabelian(F, 6), pair))
+    ring = pc.propagated_grend0(sf.generate_subalgebra(mc.make_metabelian(F, 6), pair))
     assert ring.dim == 2
     # forms phi_k on bottom matrices with phi_k(basis_j) = [k == j]
     b0, b1 = ring.basis
@@ -2306,8 +2328,8 @@ def test_schur_sees_non_basis_elements():
     assert bad.matrix_at((0, 1), degree) == [[1, 0], [0, 2]]
     assert bad.matrix_at((p - 1, 1), degree) == [[0, 0], [0, 1]]
     assert _outcome(oracle_identify_field, bad)[0] == "ok"
-    with pytest.raises(NotAField):
-        endo.identify_field(bad)
+    with pytest.raises(pc.NotAField):
+        pc.identify_field_per_degree(bad)
 
 
 # -- endo: one linear-form step per degree --------------------------------------
@@ -2348,7 +2370,7 @@ def oracle_solve_graded_maps(analysis, shift, k0, window):
     n_unk = dim_src * dim_tgt
     symbolic = {
         k0: [
-            [endo._lf_unit(n_unk, r * dim_tgt + c) for c in range(dim_tgt)]
+            [pc._lf_unit(n_unk, r * dim_tgt + c) for c in range(dim_tgt)]
             for r in range(dim_src)
         ]
     }
@@ -2378,11 +2400,11 @@ def oracle_solve_graded_maps(analysis, shift, k0, window):
             if chooser.insert(in_vec):
                 selected.append(idx)
         if len(selected) != d_next:
-            raise CoveringFails(
+            raise pc.CoveringFails(
                 f"[L_{i}, L_1] does not span L_{i + 1}; propagation is not forced"
             )
         sel_rows = [pairs[idx][0] for idx in selected]
-        inv = [solve(p, sel_rows, endo._lf_unit(d_next, j)) for j in range(d_next)]
+        inv = [solve(p, sel_rows, pc._lf_unit(d_next, j)) for j in range(d_next)]
         f_next = []
         for j in range(d_next):
             acc = [_lf_zero(n_unk)] * d_next_tgt
@@ -2409,7 +2431,7 @@ def oracle_solve_graded_maps(analysis, shift, k0, window):
     if constraints:
         kernel_rows = [tuple(r) for r in oracle_rref(gg.BaseField(p), constraints, n_unk)[3]]
     else:
-        kernel_rows = [endo._lf_unit(n_unk, k) for k in range(n_unk)]
+        kernel_rows = [pc._lf_unit(n_unk, k) for k in range(n_unk)]
     return kernel_rows, symbolic
 
 
@@ -2444,7 +2466,7 @@ def test_solver_matches_propagation_oracle(request, which):
     amb = sf._Ambient(pres, pres.class_n)
     for g in pairs:
         an = sf._analyse(amb, g)
-        got = _outcome(endo._solve_graded_maps, an)
+        got = _outcome(pc.solve_graded_maps, an)
         want = _outcome(oracle_solve_graded_maps, an, 0, endo.K0, an.window)
         assert got == want, g
 
@@ -2452,18 +2474,115 @@ def test_solver_matches_propagation_oracle(request, which):
 def test_solver_matches_propagation_oracle_at_class_40(thin_pair_f9):
     pres = _presentation(None, "metabelian9_40")
     an = sf.generate_subalgebra(pres, thin_pair_f9)
-    assert endo._solve_graded_maps(an) == oracle_solve_graded_maps(an, 0, endo.K0, an.window)
+    assert pc.solve_graded_maps(an) == oracle_solve_graded_maps(an, 0, endo.K0, an.window)
 
 
 def test_grend0_brackets_each_degree_once(monkeypatch, thin_pair_f9):
-    """compute_grend0 brackets each basis row of L_3 .. L_{window-1} with X
-    and Y once: 2 * sum(dim L_i) calls of ad_gen."""
-    an = sf.generate_subalgebra(_presentation(None, "metabelian9_40"), thin_pair_f9)
-    calls = []
-    ad_gen = endo.ad_gen
-    monkeypatch.setattr(endo, "ad_gen", lambda *args: calls.append(args) or ad_gen(*args))
-    endo.compute_grend0(an)
-    assert len(calls) == 2 * sum(an.dim(i) for i in range(3, 40)) == 148
+    """The propagated solve brackets each basis row of L_3 .. L_{window-1}
+    with X and Y once: 2 * sum(dim L_i) calls of ad_gen.  compute_grend0
+    brackets nothing and makes as many RowSpace insertions at class 160 as
+    at class 40: it reads dim L_3 and d alone."""
+    calls, inserts = [], []
+    ad_gen, insert = sf.ad_gen, RowSpace.insert
+    monkeypatch.setattr(sf, "ad_gen", lambda *args: calls.append(args) or ad_gen(*args))
+    monkeypatch.setattr(
+        RowSpace, "insert", lambda self, vec: inserts.append(vec) or insert(self, vec)
+    )
+    analyses = {
+        class_n: sf.generate_subalgebra(
+            mc.make_metabelian(make_ext_field(3, 0, 2), class_n), thin_pair_f9
+        )
+        for class_n in (40, 160)
+    }
+    pc.solve_graded_maps(analyses[40])
+    assert len(calls) == 2 * sum(analyses[40].dim(i) for i in range(3, 40)) == 148
+    counts = {}
+    for class_n, an in analyses.items():
+        del calls[:], inserts[:]
+        endo.compute_grend0(an)
+        counts[class_n] = (len(calls), len(inserts))
+    assert counts[40] == counts[160]
+    assert counts[40][0] == 0 and counts[40][1] > 0
+
+
+def test_c3_equals_c2_on_every_valid_gf4_presentation():
+    """The Jacobi identity on (v_2, x, y) gives a_2*b_3 = b_2*a_3, so
+    C_3 = C_2 (the ``endo`` lemma) and End_0(L^3) is never End_F(L_3):
+    every adjoint choice of class 4 and 5 over GF(4) that validates."""
+    F = make_ext_field(2, 1, 1)
+    elems = list(F.elements())
+    pairs = [(a, b) for a in elems for b in elems if not F.is_zero(a) or not F.is_zero(b)]
+    valid = 0
+    for class_n in (4, 5):
+        for adjoint in itertools.product(pairs, repeat=class_n - 2):
+            pres = mc.MaxClassPresentation(F, class_n, adjoint)
+            if mc.validate(pres).ok:
+                valid += 1
+                seq = mc.two_step_centralizers(pres)
+                assert seq.point(3) == seq.point(2), adjoint
+    assert valid == 720
+
+
+_CLOSED_FORM_SAMPLE = 200
+
+
+def _closed_form(an):
+    """(ring fields, FieldId) of the package."""
+    ring = endo.compute_grend0(an)
+    return pc.ring_fields(ring), endo.identify_field(ring)
+
+
+def _propagated(an):
+    """(ring fields, FieldId) of the propagation oracle."""
+    ring = pc.propagated_grend0(an)
+    return pc.ring_fields(ring), pc.identify_field_per_degree(ring)
+
+
+@pytest.mark.parametrize(
+    "which",
+    ["dev9_14", "dev9mu", "metabelian9_14", "metabelian25_14", "metabelian49_10", "dev25_14"],
+)
+def test_closed_form_matches_propagation(request, which):
+    """End_0 from dim L_3 and d against the degree-by-degree solve and
+    Schur check: the same basis, identity, table and FieldId, or the same
+    error, at windows 4, 5 and the class.  Every non-degenerate raw pair
+    of dev9_14 and dev9mu, every non-degenerate normalized pair of the
+    metabelian algebra over GF(9), and a seeded sample of the others (raw
+    pairs of dev25_14, normalized pairs of the metabelian algebras over
+    GF(25) and GF(49)).
+
+    L, and with it the propagated ring, depends only on the F-plane
+    U = span_F{X, Y} (the ``subfield`` docstring), so the oracle runs once
+    per plane and window and the package runs on every pair."""
+    pres = _presentation(request, which)
+    F = pres.field
+    rng = random.Random(f"closed-form-{which}")
+    if which.startswith("metabelian"):
+        pairs = [g for g in sf.normalized_pairs(F) if not g.is_degenerate(F)]
+        if F.p > 3:
+            pairs = rng.sample(pairs, _CLOSED_FORM_SAMPLE)
+    elif F.p == 3:
+        pairs = [g for g in pc.raw_pairs(F) if not g.is_degenerate(F)]
+    else:
+        elems = list(F.elements())
+        pairs = []
+        while len(pairs) < _CLOSED_FORM_SAMPLE:
+            g = sf.GeneratorPair(*(tuple(rng.choices(elems, k=2)) for _ in "XY"))
+            if not g.is_degenerate(F):
+                pairs.append(g)
+    outcomes = set()
+    for window in sorted({4, 5, pres.class_n}):
+        amb = sf._Ambient(pres, window)
+        oracle = {}
+        for g in pairs:
+            an = sf._analyse(amb, g)
+            plane = an.basis(1)
+            if plane not in oracle:
+                oracle[plane] = _outcome(_propagated, an)
+            got = _outcome(_closed_form, an)
+            assert got == oracle[plane], (window, g)
+            outcomes.add(got[1][0][0] if got[0] == "ok" else got[0])
+    assert outcomes == ({2} if which.startswith("metabelian") else {1, 2})
 
 
 # -- gf: one row reduction and one combination ---------------------------------
