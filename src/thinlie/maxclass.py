@@ -26,7 +26,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import chain
+from itertools import takewhile
 
 from ._record import cache, record
 from .errors import (
@@ -43,13 +43,14 @@ from .gf import ExtField, make_ext_field, residue
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:
-    from typing import Dict, Iterator, List, Optional, Tuple
+    from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
     from .gf import EElem
 
     Pair = Tuple[EElem, EElem]
     Point = Tuple[EElem, EElem]  # normalized projective point (alpha : beta) of M_1
     Columns = Tuple[List[EElem], List[EElem]]  # a degree's forms at (1, 0) and at (0, 1)
+    Child = Tuple[Pair, Optional[Columns]]  # a search node's child, with its columns if known
 
 SEARCH_CLASS_LIMIT = 24
 
@@ -502,9 +503,9 @@ def tables(pres: MaxClassPresentation) -> _Structure:
 
 
 def make_metabelian(field: ExtField, class_n: int) -> MaxClassPresentation:
-    """The unique metabelian presentation: every pair is (1, 0)."""
-    if class_n < 4:
-        raise BadBound(f"class bound {class_n} < 4")
+    """The unique metabelian presentation: every pair is (1, 0).
+
+    A class bound below 4 is refused by ``MaxClassPresentation``."""
     pair = (field.one, field.zero)
     return MaxClassPresentation(field, class_n, tuple(pair for _ in range(class_n - 2)))
 
@@ -825,6 +826,26 @@ def search_sequences(
     and a failed prefix can never be completed, because extending a
     presentation only adds checks.  At most ``limit`` (>= 1)
     presentations are returned.
+
+    Rescaling lemma: for gamma in E*, the map sigma_gamma that sends every
+    pair (1 : s) to (1 : gamma*s) and fixes (0 : 1) maps the valid
+    presentations of class n onto themselves.  Proof: x' = x, y' = gamma*y
+    is a degree-1 base change, so [y', x'] = gamma*v_2 = v'_2, and along
+    the canonical chain v'_{i+1} = [v'_i, x'] or [v'_i, y'].  If
+    v'_i = s_i*v_i and (a_i, b_i) = (1, s), then [v'_i, x'] = s_i*v_{i+1}
+    is nonzero, so v'_{i+1} = s_i*v_{i+1} and [v'_i, y'] = gamma*s*v'_{i+1}:
+    the new pair is (1 : gamma*s).  If (a_i, b_i) = (0, 1), then
+    [v'_i, x'] = 0, v'_{i+1} = [v'_i, y'] = gamma*s_i*v_{i+1} and the new
+    pair is (0 : 1).  The new pairs present the same algebra, so they
+    satisfy Jacobi, and sigma_{1/gamma} inverts sigma_gamma.
+    So below a fixed prefix, made only of (1 : 0) and (0 : 1) pairs, which
+    sigma_gamma fixes, the completions of (1 : t) are those of (1 : t*)
+    mapped by sigma_{t/t*}.  A fixed node below the last degree searches
+    only its first child (1 : t*) with t* != 0, once that subtree has
+    finished under the limit; every later child (1 : t) is that block
+    rescaled and sorted into the search's order, and none has a completion
+    if (1 : t*) has none.  Scaling multiplies one pair at a time, so no
+    table over E is built.
     """
     if class_n < 4:
         raise BadBound(f"class bound {class_n} < 4")
@@ -835,6 +856,8 @@ def search_sequences(
     if limit < 1:
         raise BadBound(f"search limit {limit} < 1")
     F = field
+    zero, one, q = F.zero, F.one, F.order
+    ex, ey = ex_point(F), ey_point(F)
     st = _Structure(field, class_n)
     out: List[MaxClassPresentation] = []
 
@@ -844,29 +867,64 @@ def search_sequences(
         st.retract(d, added)
         return cols
 
-    def children(d: int, cols: Columns) -> Iterator[Tuple[Pair, Optional[Columns]]]:
+    def children(d: int, cols: Columns) -> Tuple[Iterable[Child], List[Child]]:
+        """The children (1 : t) of a node in ``F.key`` order, and its child (0 : 1) if any."""
         kernel = projective_kernel(F, *cols)
         if kernel is not None:
-            return ((pair, None) for pair in kernel)
+            return (
+                [(pair, None) for pair in kernel if pair != ey],
+                [(pair, None) for pair in kernel if pair == ey],
+            )
         if d + 1 == class_n:
-            leaves = chain(((F.one, t) for t in F.elements()), [ey_point(F)])
-            return ((pair, None) for pair in leaves)
-        return free_children(F, next_columns(d, ex_point(F)), next_columns(d, ey_point(F)))
+            return (((one, t), None) for t in F.elements()), [(ey, None)]
+        B = next_columns(d, ey)
+        kids = free_children(F, next_columns(d, ex), B)  # (0 : 1) last, with columns B
+        return takewhile(lambda child: child[0] != ey, kids), [(ey, B)]
+
+    def order(pres: MaxClassPresentation) -> List[int]:
+        # the search's order: (1 : t) by F.key of t, (0 : 1) after all of them
+        return [F.key(b) if a == one else q for a, b in pres.adjoint]
+
+    def rescaled(block: List[MaxClassPresentation], gamma: EElem) -> List[MaxClassPresentation]:
+        # sigma_gamma of each presentation, in the search's order
+        mul = F.mul
+        found = (
+            tuple((a, mul(gamma, b)) if a == one else (a, b) for a, b in pres.adjoint)
+            for pres in block
+        )
+        return sorted((_of_elements(field, class_n, adj) for adj in found), key=order)
+
+    def visit(d: int, stack: Tuple[Pair, ...], pair: Pair, cols: Optional[Columns]) -> None:
+        stack += (pair,)
+        if d + 1 == class_n:
+            out.append(_of_elements(field, class_n, stack))
+        elif d + 2 == class_n and cols is not None:
+            # its children are leaves: it reads its columns, not the table
+            dfs(d + 1, stack, cols)
+        else:
+            added = st.extend(d, pair)
+            dfs(d + 1, stack, cols)
+            st.retract(d, added)
 
     def dfs(d: int, stack: Tuple[Pair, ...], cols: Optional[Columns]) -> None:
-        for pair, child_cols in children(d, st.linear_forms() if cols is None else cols):
+        ones, last = children(d, st.linear_forms() if cols is None else cols)
+        fixed = d + 1 < class_n and all(pair in (ex, ey) for pair in stack)
+        block: Optional[List[MaxClassPresentation]] = None  # the completions of (1 : t*)
+        for pair, child_cols in ones:
             if len(out) >= limit:
                 return
-            if d + 1 == class_n:
-                out.append(_of_elements(field, class_n, stack + (pair,)))
+            if block is not None:
+                out.extend(rescaled(block, F.div(pair[1], t_star))[: limit - len(out)])
                 continue
-            if d + 2 == class_n and child_cols is not None:
-                # its children are leaves: it reads its columns, not the table
-                dfs(d + 1, stack + (pair,), child_cols)
-                continue
-            added = st.extend(d, pair)
-            dfs(d + 1, stack + (pair,), child_cols)
-            st.retract(d, added)
+            start = len(out)
+            visit(d, stack, pair, child_cols)
+            if fixed and pair[1] != zero:
+                t_star, block = pair[1], out[start:]
+                if not block:  # no (1 : t), t != 0, has a completion
+                    break
+        for pair, child_cols in last:
+            if len(out) < limit:
+                visit(d, stack, pair, child_cols)
 
     dfs(2, (), None)
     return out

@@ -18,6 +18,8 @@ them by other means:
   at any degree;
 * ``grend_d_dimension`` gives the dimension of the degree-d graded
   endomorphism space;
+* ``oracle_two_level_search`` is the presentation search before it
+  searched one subtree per E*-orbit (``maxclass.search_sequences``);
 * ``quotient``, ``image`` and ``raw_pairs`` are the test-support
   truncation, the full image of a basis row under a representation, and
   every generator pair.
@@ -25,7 +27,7 @@ them by other means:
 
 from __future__ import annotations
 
-from itertools import islice, product
+from itertools import chain, islice, product
 
 import generic_gf as gg
 from thinlie import endo
@@ -730,3 +732,55 @@ def grend_d_dimension(analysis, shift):
     kernel_rows, _ = oracle_solve_graded_maps(analysis, shift, endo.K0, window)
     bound = min(analysis.dim(m) for m in range(endo.K0 + shift, window + 1))
     return GrendDim(shift=shift, dim=len(kernel_rows), bound=bound)
+
+
+# -- the two-level search --------------------------------------------------------
+
+
+def oracle_two_level_search(field, class_n, limit):
+    """``maxclass.search_sequences`` before it searched one subtree per
+    E*-orbit: every child (1 : t) of every node is searched on its own.
+
+    Each node branches over the projective kernel of its columns, and a
+    free node over the children ``maxclass.free_children`` reads off the
+    columns of (1 : 0) and (0 : 1) (the bilinearity lemma), in ``F.key``
+    order, then (0 : 1).  The list is in that lexicographic order and cut
+    at ``limit``.
+    """
+    F = field
+    st = mc._Structure(field, class_n)
+    out = []
+
+    def next_columns(d, pair):
+        added = st.extend(d, pair)
+        cols = st.linear_forms()
+        st.retract(d, added)
+        return cols
+
+    def children(d, cols):
+        kernel = mc.projective_kernel(F, *cols)
+        if kernel is not None:
+            return ((pair, None) for pair in kernel)
+        if d + 1 == class_n:
+            leaves = chain(((F.one, t) for t in F.elements()), [mc.ey_point(F)])
+            return ((pair, None) for pair in leaves)
+        return mc.free_children(
+            F, next_columns(d, mc.ex_point(F)), next_columns(d, mc.ey_point(F))
+        )
+
+    def dfs(d, stack, cols):
+        for pair, child_cols in children(d, st.linear_forms() if cols is None else cols):
+            if len(out) >= limit:
+                return
+            if d + 1 == class_n:
+                out.append(mc.MaxClassPresentation(field, class_n, stack + (pair,)))
+                continue
+            if d + 2 == class_n and child_cols is not None:
+                dfs(d + 1, stack + (pair,), child_cols)
+                continue
+            added = st.extend(d, pair)
+            dfs(d + 1, stack + (pair,), child_cols)
+            st.retract(d, added)
+
+    dfs(2, (), None)
+    return out

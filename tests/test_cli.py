@@ -230,6 +230,7 @@ class TestBadInput:
             pytest.param(["scan", "{f}", "--window", "50"], id="scan-window-50"),
             pytest.param(["roundtrip", "{f}", *PAIR, "--window", "60"], id="roundtrip-window-60"),
             pytest.param(["build", "metabelian", *EXT, "--class", "3", "-o", "{o}"], id="build-class-3"),
+            pytest.param(["build", "search", *EXT, "--class", "3", "-o", "{o}"], id="build-search-class-3"),
             pytest.param(["build", "search", *EXT, "--class", "30", "-o", "{o}"], id="build-class-30"),
             pytest.param(["build", "search", *EXT, "--class", "8", "--limit", "0", "-o", "{o}"], id="build-limit-0"),
             pytest.param(["build", "search", *EXT, "--class", "8", "--limit", "-1", "-o", "{o}"], id="build-limit--1"),

@@ -28,7 +28,11 @@ at a free node derives its children's next-degree forms by the
 bilinearity lemma (its docstring) instead of pushing every child.  The
 trial-push search, the one-level search (which pushes every child of a
 free node) and the probe pushes at (1, 0) and (0, 1) (``_columns`` over
-``jacobi_forms``) it replaced are kept here as oracles.
+``jacobi_forms``) it replaced are kept here as oracles.  Below a prefix of
+(1 : 0) and (0 : 1) pairs it searches one child (1 : t) per E*-orbit and
+rescales the others (the rescaling lemma, its docstring); the search that
+visits each child is ``paper_checks.oracle_two_level_search``, and the
+lemma is checked on its own over the trial-push search's output.
 
 The table kernel (``_Structure.extend``, ``jacobi``, ``linear_forms``
 and the search's ``projective_kernel`` and ``free_children``) expands
@@ -1086,6 +1090,91 @@ def test_kernels_match_oracles(p, u, v, class_n, count):
             assert got == list(oracle_free_children(F, *children))
             free += 1
     assert kinds == {None, 0, 1} and free > 0
+
+
+def rescaled(field, pres, gamma):
+    """sigma_gamma of the rescaling lemma (``search_sequences``): every pair
+    (1 : s) becomes (1 : gamma*s), and (0 : 1) stays."""
+    F = field
+    return mc.MaxClassPresentation(F, pres.class_n, tuple(
+        (a, F.mul(gamma, b)) if a == F.one else (a, b) for a, b in pres.adjoint
+    ))
+
+
+@pytest.mark.parametrize("p, u, v", [(2, 1, 1), (3, 0, 2), (5, 0, 2)], ids=["4", "9", "25"])
+def test_rescaling_maps_found_onto_itself(p, u, v):
+    """The rescaling lemma, without the search: for every gamma in E*,
+    sigma_gamma maps the trial-push search's class-12 presentations onto
+    themselves, each image passes ``validate``, and it is the presentation
+    ``apply_degree1_change`` reads off the base change x' = x, y' = gamma*y
+    (the lemma's proof)."""
+    F = make_ext_field(p, u, v)
+    found = oracle_search_sequences(F, 12, 10**9)
+    assert len(found) >= 100
+    for gamma in itertools.islice(F.elements(), 1, None):
+        images = [rescaled(F, pres, gamma) for pres in found]
+        assert set(images) == set(found), gamma
+        for pres, image in zip(found, images):
+            assert mc.validate(image).ok
+            change = mc.apply_degree1_change(pres, (F.one, F.zero), (F.zero, gamma))
+            assert change.adjoint == image.adjoint
+
+
+def rescaled_blocks(field, found):
+    """The runs of ``found`` that ``search_sequences`` emits by rescaling.
+
+    Such a presentation's first pair other than (1 : 0) and (0 : 1) is
+    (1 : t), t != 1, at a degree below class_n - 1: the nonzero child
+    searched below a fixed node is the first in ``F.key`` order, t* = 1,
+    whenever any nonzero child has a completion.  Runs are grouped by
+    the pairs up to that one, as (start, end) indices into ``found``.
+    """
+    F = field
+    fixed = {mc.ex_point(F), mc.ey_point(F)}
+    runs = {}
+    for n, pres in enumerate(found):
+        k = next((k for k, pair in enumerate(pres.adjoint) if pair not in fixed), None)
+        if k is not None and k + 3 < pres.class_n and pres.adjoint[k][1] != F.one:
+            runs.setdefault(pres.adjoint[: k + 1], []).append(n)
+    return [(ns[0], ns[-1] + 1) for ns in runs.values()]
+
+
+TWO_LEVEL_SEARCHES = [
+    *(
+        pytest.param(p, u, v, class_n, "full", id=f"{name}-full")
+        for (p, u, v, class_n, _), name in zip(BENCH_SEARCHES, BENCH_SEARCH_IDS)
+    ),
+    pytest.param(2, 1, 1, 18, "full", id="4_18-full"),
+    pytest.param(3, 0, 2, 18, "full", id="9_18-full"),
+    pytest.param(3, 0, 2, 12, "every", id="9_12-every"),
+    pytest.param(7, 0, 3, 8, "every", id="49_8-every"),
+    pytest.param(5, 0, 2, 14, "in-block", id="25_14-in-block"),
+]
+
+
+@pytest.mark.parametrize("p, u, v, class_n, limits", TWO_LEVEL_SEARCHES)
+def test_search_matches_two_level(p, u, v, class_n, limits):
+    """Same list in the same order as the search that searches every child
+    (1 : t) of a fixed node (``paper_checks.oracle_two_level_search``).
+
+    "full": at a limit one above the oracle's count, so a search that
+    admits too much stops there.  "every": at every limit from 1 to that
+    count + 1.  "in-block": at the middle of each block the search
+    rescales (``rescaled_blocks``), so the limit cuts a sorted block.
+    """
+    field = make_ext_field(p, u, v)
+    full = pc.oracle_two_level_search(field, class_n, 10**9)
+    if limits == "full":
+        cuts = [len(full) + 1]
+    elif limits == "every":
+        cuts = range(1, len(full) + 2)
+    else:
+        blocks = rescaled_blocks(field, full)
+        cuts = [start + (end - start) // 2 for start, end in blocks if end - start > 1]
+        assert len(cuts) == field.order - 2
+    for limit in cuts:
+        want = full if limit > len(full) else pc.oracle_two_level_search(field, class_n, limit)
+        assert mc.search_sequences(field, class_n, limit) == want, limit
 
 
 @RANDOM_TABLE_FIELDS
