@@ -59,6 +59,10 @@ CASES = [
     ("build-metabelian", ["build", "metabelian", "--p", "3", "--ext", "2,0", "--class", "40", "-o", "m.json"], 0),
     # residues of several digits: mu^2 = 271828*mu + 314159 over GF(1000003)
     ("build-metabelian-bigp", ["build", "metabelian", "--p", "1000003", "--ext", "314159,271828", "--class", "6", "-o", "bigp.json"], 0),
+    # mu^2 = mu + 1 over GF(3) (u != 0) and over GF(2): thin pairs whose
+    # End_0 embeds as "mu" and as "mu_conj"
+    ("build-metabelian-ext11", ["build", "metabelian", "--p", "3", "--ext", "1,1", "--class", "8", "-o", "m11.json"], 0),
+    ("build-metabelian-gf4", ["build", "metabelian", "--p", "2", "--ext", "1,1", "--class", "8", "-o", "m4.json"], 0),
     ("build-search-limit5", ["build", "search", "--p", "3", "--ext", "2,0", "--class", "12", "--limit", "5", "-o", "found"], 0),
     ("build-search", ["build", "search", "--p", "3", "--ext", "2,0", "--class", "12"], 0),
     # GF(49), where most nodes of the search are free
@@ -94,6 +98,11 @@ CASES = [
     ("endo-dev9mu-t1-6", ["endo", "dev9mu.json", "--X", "0,0,1,0", "--Y", "1,0,0,1"], 0),
     ("endo-dev9mu-t1-2", ["endo", "dev9mu.json", "--X", "0,1,0,0", "--Y", "1,0,0,1"], 0),
     ("endo-window4", ["endo", "m.json", *PAIR, "--window", "4"], 0),
+    # End_0 off (u, v): "mu" with u != 0 over GF(9), "mu_conj" over GF(4),
+    # and "mu" over GF(1000003^2), where 2v < p
+    ("endo-ext11", ["endo", "m11.json", *PAIR], 0),
+    ("endo-gf4", ["endo", "m4.json", *PAIR], 0),
+    ("analyze-bigp", ["analyze", "bigp.json", *PAIR, "--window", "6"], 0),
     # a deviating file: several centralizer lines, so the scan's line
     # cross-check and its d-value gaps see more than one point
     ("scan-dev9mu", ["scan", "dev9mu.json"], 0),
