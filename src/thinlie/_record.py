@@ -7,8 +7,8 @@ record of those fields, in order:
 
 * ``__init__`` takes them as parameters, positional or keyword, compiled
   once per class; a class attribute is the field's default.  A field
-  whose default is ``cache(...)`` is a cache: it is no parameter, starts
-  at None or at ``factory()``, and ``__eq__`` and ``__repr__`` skip it.
+  whose default is ``cache()`` is a cache: it is no parameter, starts
+  at None, and ``__eq__`` and ``__repr__`` skip it.
   ``__post_init__`` runs last if the class has one;
 * ``__eq__`` holds for records of the same class with equal fields;
 * ``__repr__`` reads ``Name(field=value, ...)``;
@@ -21,13 +21,9 @@ from operator import attrgetter
 
 
 class cache:
-    """Default of a cache field: ``cache()`` starts at None,
-    ``cache(dict)`` at a fresh ``dict()`` per record."""
+    """Default of a cache field, which starts at None."""
 
-    __slots__ = ("factory",)
-
-    def __init__(self, factory=None):
-        self.factory = factory
+    __slots__ = ()
 
 
 def record(cls=None, *, frozen=False):
@@ -40,8 +36,7 @@ def record(cls=None, *, frozen=False):
         default = cls.__dict__.get(name)
         if isinstance(default, cache):
             delattr(cls, name)
-            env[f"_new_{name}"] = default.factory
-            value = f"_new_{name}()" if default.factory else "None"
+            value = "None"
         else:
             shown.append(name)
             value = name

@@ -188,8 +188,7 @@ def cmd_analyze(args) -> int:
     analysis = sf.generate_subalgebra(pres, g, args.window)
     results = _analysis_results(analysis)
     if analysis.verdict.kind == "thin":
-        ring = endo_mod.compute_grend0(analysis)
-        results["endo"] = endo_mod.identify_field(ring).to_json()
+        results["endo"] = endo_mod.identify_field(analysis).to_json()
     _print_analysis_table(analysis)
     _emit("analyze", {"file": args.file, "X": args.X, "Y": args.Y, "window": analysis.window}, results)
     return EXIT_MATH if analysis.verdict.kind == "degenerate" else EXIT_OK
@@ -199,12 +198,10 @@ def cmd_endo(args) -> int:
     pres = _load(args.file)
     g = _pair_from_args(pres.field, args.X, args.Y)
     analysis = sf.generate_subalgebra(pres, g, args.window)
-    ring = endo_mod.compute_grend0(analysis)
-    fid = endo_mod.identify_field(ring)
     _emit(
         "endo",
         {"file": args.file, "X": args.X, "Y": args.Y, "window": analysis.window},
-        fid.to_json(),
+        endo_mod.identify_field(analysis).to_json(),
     )
     return EXIT_OK
 

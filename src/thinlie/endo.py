@@ -35,122 +35,53 @@ d_i depends only on C_i and span_F{X, Y}, so d_3 = d_2.
 
 So End_F(L_3), which would need d_i = 1 for every 3 <= i < window, never
 occurs.  (The 720 valid GF(4) presentations of class 4 and 5, every
-adjoint choice, all have C_2 = C_3.)  ``compute_grend0`` solves the 4
-linear conditions "f commutes with m_mu" on the flattened bottom matrix
-when dim L_3 = 2, and none when dim L_3 = 1, and takes the ring basis from
-their kernel, the canonical basis of the solution space.  It reads nothing
-above degree 3.  The lemma also proves the guards the per-degree solve
-needed:
+adjoint choice, all have C_2 = C_3.)
 
-* [L_i, L_1] spans L_{i+1}, since L is generated in degree 1;
-* the ring is a unital subalgebra of End_F(L_3) (the scalars or a
-  commutant), so the identity and every composition have ring
-  coordinates;
-* the ring has dimension 1 or 2 and is commutative; ``identify_field``
-  still checks the table, and a non-commuting one (as M_2(F)'s would be)
-  raises ``NotCommutative``;
-* a ring of dimension 2 is the field F[m_mu]: a basis element lies
-  outside F*id, its minimal polynomial is irreducible, it acts on L_3 = E
-  as multiplication by a scalar, and on every L_i it is a conjugate of
-  that multiplication, so Schur's lemma holds on every degree.
+Closed form.  By the dimension lemma of ``subfield``, dim L_3 = 2 only
+with basis(3) = ((1, 0), (0, 1)), the rows v_3 and mu*v_3.  So m_mu, the
+matrix of mu on that basis in the row convention, is [[0, 1], [v, u]] for
+every pair, and the report is a function of p, u, v and dim L_3 alone;
+``identify_field`` reads nothing else and solves nothing.  v != 0, since
+t^2 - u*t - v is irreducible.  The ring is the solution space of the 4
+linear conditions "f commutes with m_mu" on the flattened 2x2 bottom
+matrix f, and the canonical basis of that space (its reduced kernel: one
+vector per free column, in column order) is
+
+    e0 = (-u/v, 1/v, 1, 0) = (m_mu - u*I)/v,    e1 = (1, 0, 0, 1) = I,
+
+so the identity has coordinates (0, 1), and the generator, the first
+basis element outside F*id, is e0.  It acts on L_3 = E as multiplication
+by sigma = (mu - u)/v, and mu^2 = u*mu + v gives
+sigma^2 = (v - u*mu + u^2)/v^2 = 1/v - (u/v)*sigma: the minimal polynomial
+is t^2 + (u/v)*t - 1/v, reported as (-1/v, u/v, 1).  The root of the
+ambient quadratic acting as mu is mu_hat = u*id + v*e0 (u + v*sigma = mu),
+with coordinates (v, u); its Galois conjugate u*id - mu_hat has
+coordinates (-v, 0).  The embedding is "mu" when mu_hat comes first in
+lexicographic coordinate order, the root a scan of the ring would meet
+first: (v, u) < (p - v, 0) exactly when 2v < p, since 0 < v < p and u is
+never below 0.  Otherwise it is "mu_conj".
+
+The lemma also settles what a solve would have to check:
+
+* the ring is the scalars or the commutant F[m_mu], so it is commutative
+  and has dimension 1 or 2;
+* mu_hat acts as mu on L_3, so it is a root of t^2 - u*t - v;
+* a ring of dimension 2 is the field F[m_mu]: e0 lies outside F*id, its
+  minimal polynomial is irreducible, it acts on L_3 = E as multiplication
+  by a scalar, and on every L_i it is a conjugate of that multiplication,
+  so Schur's lemma holds on every degree.
 """
 
 from __future__ import annotations
 
 from ._record import record
-from .errors import DegenerateGenerators, DimensionAnomaly, NotCommutative
-from .gf import combine, solve, span
-from .subfield import SubalgebraAnalysis
+from .errors import DegenerateGenerators
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:
-    from typing import List, Optional, Sequence, Tuple
+    from typing import Optional, Tuple
 
-    from .gf import EElem
-
-    Coords = Tuple[int, ...]
-
-K0 = 3  # the module is L^{K0}; its bottom degree carries the unknowns
-
-
-# -- the degree-0 ring --------------------------------------------------------
-
-
-@record
-class EndoRing:
-    analysis: SubalgebraAnalysis
-    dim: int
-    basis: Tuple[Coords, ...]  # flattened bottom matrices
-    identity: Coords  # coordinates of id in the basis
-    mult_table: Tuple[Tuple[Coords, ...], ...]  # coords of basis[i] o basis[j]
-
-    @property
-    def field(self):
-        return self.analysis.field
-
-    def element_flat(self, coords: Coords) -> Coords:
-        return combine(self.field.p, coords, self.basis)
-
-    def compose(self, e1: Coords, e2: Coords) -> Coords:
-        """Coordinates of e1 o e2 (apply e2 first)."""
-        p = self.field.p
-        d = self.analysis.dim(K0)
-        prod = _compose_flat(p, d, self.element_flat(e1), self.element_flat(e2))
-        return tuple(solve(p, self.basis, prod))
-
-
-def _mat_mul(p: int, a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> List[List[int]]:
-    """The matrix product a . b over GF(p), one ``combine`` per row of a."""
-    return [list(combine(p, row, b)) for row in a]
-
-
-def _compose_flat(p: int, d: int, flat1: Sequence[int], flat2: Sequence[int]) -> Coords:
-    """Flattened bottom matrix of e1 o e2; row vectors, so v . M2 . M1."""
-    m1, m2 = ([f[r * d : (r + 1) * d] for r in range(d)] for f in (flat1, flat2))
-    return tuple(x for row in _mat_mul(p, m2, m1) for x in row)
-
-
-def _commuting_forms(m: Sequence[Sequence[int]]) -> List[List[int]]:
-    """The entries of f.m - m.f as linear forms in the flattened f."""
-    n = len(m)
-    forms = []
-    for r in range(n):
-        for c in range(n):
-            form = [0] * (n * n)
-            for k in range(n):
-                form[r * n + k] += m[k][c]
-                form[k * n + c] -= m[r][k]
-            forms.append(form)
-    return forms
-
-
-def compute_grend0(analysis: SubalgebraAnalysis) -> EndoRing:
-    """The ring of graded degree-0 L-endomorphisms of L^3, by the lemma above."""
-    if analysis.d is None:
-        raise DegenerateGenerators("endomorphism ring needs independent generators")
-    F = analysis.field
-    p = F.p
-    d = analysis.dim(K0)
-    constraints: List[List[int]] = []
-    if d == 2:
-        m_mu = [analysis.express(K0, F.mul(F.mu, w)) for w in analysis.basis(K0)]
-        constraints = _commuting_forms(m_mu)
-    basis = span(p, constraints, d * d).kernel()
-    identity_flat = [int(r == c) for r in range(d) for c in range(d)]
-    table = [
-        tuple(tuple(solve(p, basis, _compose_flat(p, d, ki, kj))) for kj in basis)
-        for ki in basis
-    ]
-    return EndoRing(
-        analysis=analysis,
-        dim=len(basis),
-        basis=tuple(basis),
-        identity=tuple(solve(p, basis, identity_flat)),
-        mult_table=tuple(table),
-    )
-
-
-# -- field identification ------------------------------------------------------
+    from .subfield import SubalgebraAnalysis
 
 
 @record
@@ -159,9 +90,6 @@ class FieldId:
     min_poly: Optional[Tuple[int, int, int]]  # (c0, c1, 1) for t^2 + c1 t + c0
     is_field: bool
     embedding: str  # "mu" | "mu_conj" | "n/a"
-    generator: Optional[Coords]
-    mu_hat: Optional[Coords]  # ring element acting as multiplication by mu
-    sigma: Optional[EElem]  # scalar by which the generator acts on V_{k0}
 
     def to_json(self) -> dict:
         return {
@@ -172,73 +100,19 @@ class FieldId:
         }
 
 
-def _scalar_of_action(ring: EndoRing, coords: Coords) -> EElem:
-    """The extension scalar by which an element of a 2-dimensional ring acts.
-
-    The ring is F[m_mu] on L_3 = M_3 (the lemma above), so the element is
-    multiplication by a scalar sigma there: sigma is the image of the first
-    basis row w, read off the first row of the bottom matrix, divided by w.
-    """
-    F = ring.field
-    rows = ring.analysis.basis(K0)
-    img = combine(F.p, ring.element_flat(coords)[: len(rows)], rows)
-    return F.div(img, rows[0])
-
-
-def identify_field(ring: EndoRing) -> FieldId:
-    """Verify the ring is a (commutative) field and name its isomorphism type.
-
-    Commutativity comes from the multiplication table; by the lemma above
-    that leaves dimension 1 (F) or 2 (the field F[m_mu], invertible on
-    every degree).  In dimension 2 the canonical generator is the first
-    basis element outside F*identity, and its minimal polynomial is read
-    off g^2 = m1*1 + m2*g.
-
-    The generator acts on V_{k0} by an extension scalar sigma, which embeds
-    the ring in the ambient extension.  So the root of the ambient quadratic
-    t^2 - u t - v that acts as mu is mu_hat = a*1 + b*gen with
-    a + b*sigma = mu (one solve over GF(p)), and its Galois conjugate is
-    u*1 - mu_hat.  The Galois-conjugate ambiguity is resolved by which of
-    the two roots comes first in lexicographic coordinate order, the root a
-    scan of the ring would meet first: "mu" when mu_hat does, "mu_conj"
-    when its conjugate does.
-    """
-    F = ring.field
-    p = F.p
-    for i in range(ring.dim):
-        for j in range(i + 1, ring.dim):
-            if ring.mult_table[i][j] != ring.mult_table[j][i]:
-                raise NotCommutative(
-                    f"basis elements {i} and {j} do not commute"
-                )
-    if ring.dim == 1:
-        return FieldId(
-            dim=1,
-            min_poly=None,
-            is_field=True,
-            embedding="n/a",
-            generator=None,
-            mu_hat=None,
-            sigma=None,
-        )
-    # e0 lies in F*identity exactly when the identity's e1-coordinate is 0
-    gen = (1, 0) if ring.identity[1] else (0, 1)
-    g2 = ring.compose(gen, gen)
-    m1, m2 = solve(p, [ring.identity, gen], g2)
-    sigma = _scalar_of_action(ring, gen)
-    a, b = solve(p, [F.one, sigma], F.mu)
-    mu_hat = tuple((a * i + b * g) % p for i, g in zip(ring.identity, gen))
-    conj = tuple((F.u * i - m) % p for m, i in zip(mu_hat, ring.identity))
-    if ring.compose(mu_hat, mu_hat) != tuple(
-        (F.u * m + F.v * i) % p for m, i in zip(mu_hat, ring.identity)
-    ):
-        raise DimensionAnomaly("mu_hat is not a root of the ambient quadratic")
+def identify_field(analysis: SubalgebraAnalysis) -> FieldId:
+    """End_0(L^3) and its field, read off dim L_3 and (p, u, v) (the
+    closed form in the module docstring)."""
+    if analysis.d is None:
+        raise DegenerateGenerators("endomorphism ring needs independent generators")
+    if analysis.dim(3) == 1:
+        return FieldId(dim=1, min_poly=None, is_field=True, embedding="n/a")
+    F = analysis.field
+    p, u, v = F.p, F.u, F.v
+    inv_v = pow(v, p - 2, p)
     return FieldId(
         dim=2,
-        min_poly=((-m1) % p, (-m2) % p, 1),
+        min_poly=(-inv_v % p, u * inv_v % p, 1),
         is_field=True,
-        embedding="mu" if mu_hat < conj else "mu_conj",
-        generator=gen,
-        mu_hat=mu_hat,
-        sigma=sigma,
+        embedding="mu" if 2 * v < p else "mu_conj",
     )

@@ -45,10 +45,6 @@ class DegenerateGenerators(ThinLieError):
     pass
 
 
-class NotCommutative(ThinLieError):
-    pass
-
-
 class NotEStable(ThinLieError):
     pass
 

@@ -4,7 +4,7 @@ Scalars carry no wrapper objects: a prime-field element is an int in
 [0, p) and a quadratic-extension element is a pair ``(c0, c1)`` meaning
 ``c0 + c1*mu`` where ``mu**2 = u*mu + v``.  GF(p) has no field object:
 its arithmetic is Python's on ints mod p, and the linear algebra
-(``RowSpace``, ``span``, ``solve``, ``combine``) takes the prime p.  Every
+(``RowSpace``, ``span``, ``solve``) takes the prime p.  Every
 subalgebra is computed in GF(p)-coordinates, so no solve runs over
 GF(p^2); ``ExtField`` owns the extension arithmetic.
 The one exception is the structure-table kernel of ``maxclass``
@@ -17,10 +17,9 @@ and the inverse of the norm.
 
 Rows are eliminated in one place, ``RowSpace.insert``: pivots are the
 first nonzero entry in column order, leading entries are normalized to 1,
-and elimination is carried above and below the pivot.  ``solve`` and
-``RowSpace.kernel`` read their results off a ``RowSpace``, so every basis
-this package reports is the canonical reduced row-echelon basis of its
-span.
+and elimination is carried above and below the pivot.  ``solve`` reads
+its result off a ``RowSpace``, so every basis this package reports is the
+canonical reduced row-echelon basis of its span.
 """
 
 from __future__ import annotations
@@ -270,19 +269,6 @@ def make_ext_field(p: int, u: int, v: int) -> ExtField:
 # ---------------------------------------------------------------------------
 
 
-def combine(p: int, coeffs: Sequence[int], rows: Sequence[Sequence[int]]) -> Tuple[int, ...]:
-    """sum(c * row) over GF(p); zero coefficients skipped, one reduction.
-
-    This is the vector-matrix product coeffs . rows, so a matrix product
-    a . b is ``combine(p, row, b)`` for each row of a.
-    """
-    acc = [0] * len(rows[0])
-    for c, row in zip(coeffs, rows):
-        if c:
-            acc = [a + c * x for a, x in zip(acc, row)]
-    return tuple(a % p for a in acc)
-
-
 def solve(p: int, rows: Sequence[Sequence[int]], vec: Sequence[int]) -> List[int]:
     """Coordinates c with c . rows = vec over GF(p), for independent rows.
 
@@ -325,20 +311,6 @@ class RowSpace:
                 vec = [(x - c * y) % p for x, y in zip(vec, row)]
         return vec
 
-    def contains(self, vec: Sequence[int]) -> bool:
-        return not any(self.reduce(vec))
-
-    def coords(self, vec: Sequence[int]) -> List[int]:
-        """Coordinates of vec in the stored basis, read off at the pivots.
-
-        The basis is fully reduced, so the coefficient of each row is the
-        entry of vec at that row's pivot.  Raises ValueError when vec is
-        not in the space.
-        """
-        if not self.contains(vec):
-            raise ValueError(f"vector {list(vec)} not in the row space")
-        return [vec[pc] % self.p for pc in self._pivots]
-
     def insert(self, vec: Sequence[int]) -> bool:
         """Insert a vector; returns True if the dimension grew."""
         p = self.p
@@ -361,25 +333,6 @@ class RowSpace:
 
     def basis(self) -> List[Tuple[int, ...]]:
         return [tuple(r) for r in self._rows]
-
-    def kernel(self) -> List[Tuple[int, ...]]:
-        """A basis of the right kernel {x : row . x = 0 for every row}.
-
-        One vector per free column j, in column order: entry 1 at j and
-        -row[j] at the pivot column of each stored row.
-        """
-        p = self.p
-        pivots = set(self._pivots)
-        out = []
-        for j in range(self.ncols):
-            if j in pivots:
-                continue
-            vec = [0] * self.ncols
-            vec[j] = 1
-            for pc, row in zip(self._pivots, self._rows):
-                vec[pc] = -row[j] % p
-            out.append(tuple(vec))
-        return out
 
 
 def span(p: int, vectors: Sequence[Sequence[int]], ncols: int) -> RowSpace:

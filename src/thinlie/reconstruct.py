@@ -28,7 +28,7 @@ from .errors import (
     PreconditionFailed,
     WindowTooSmall,
 )
-from .gf import ExtField, solve, span
+from .gf import ExtField, solve
 from .maxclass import MaxClassPresentation, label, tables
 from .subfield import (
     GeneratorPair,
@@ -38,7 +38,6 @@ from .subfield import (
     f4_to_deg1,
     generate_subalgebra,
 )
-from .endo import compute_grend0, identify_field
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:
@@ -246,10 +245,17 @@ def _check_rep(rep: RhoRep) -> None:
     Both checks stop at window - k: beyond that the maps act through so
     few visible slots that truncation alone can fake a kernel.
 
-    Faithfulness: in degree 1 the two images, flattened over every slot,
-    must be F-independent.  In degree d >= 2 the rows of T_d are e*v_d for
+    Faithfulness.  In degree d >= 2 the rows of T_d are e*v_d for
     F-independent e, so their images e*rho(v_d) are F-independent iff
-    rho(v_d) has one nonzero entry.
+    rho(v_d) has one nonzero entry.  Degree 1 needs no check: the images
+    of r1 and r2 are F-independent already on one slot s >= lo with
+    s < window, and lo < window always (lo = k - 1 with 2k + 1 <= window
+    or k = 3 on rho, lo = 3 on rho', and window >= 4).  By the slot lemma
+    the entries there are eps_s*phi_s(r_j)*eps_{s+1}^{-1}, and T is thin,
+    so d_s = 0: phi_s(r1) and phi_s(r2) are F-independent (the
+    determinant lemma of ``subfield``, as r1, r2 span the same F-plane
+    as X, Y), and multiplying both by one nonzero extension scalar keeps
+    them so.
 
     The homomorphism is checked on the pairs (g, t) with g in T_1 only.
     That is enough by the generator lemma: T is a Lie algebra generated by
@@ -274,9 +280,6 @@ def _check_rep(rep: RhoRep) -> None:
     window, cap = rep.window, rep.window - rep.k
     rows = _rows(an)
     entry = _reader(rep, rows, rep.images)
-    flat = [[c for s in range(rep.slots_min, window) for c in entry(r, s)] for r in (0, 1)]
-    if span(F.p, flat, len(flat[0])).dim != an.dim(1):
-        raise NotFaithful("representation has a kernel in degree 1")
     for d in range(2, cap + 1):
         if all(F.is_zero(entry(d, s)) for s in range(rep.slots_min, window - d + 1)):
             raise NotFaithful(f"representation has a kernel in degree {d}")
@@ -296,9 +299,9 @@ def build_rho(analysis: SubalgebraAnalysis, flags: StructureFlags) -> RhoRep:
     The slot of z = basis(k - 1)[0] comes first, then T^k, and every slot
     is a table slot (lo = k - 1), so nothing is stored.
 
-    Both builders take the analysis alone as context.  For a thin
-    analysis E lies in End_0(T^3), so the endomorphism field is quadratic
-    or ``identify_field`` raises; ``verify_roundtrip`` checks its degree.
+    Both builders take the analysis alone as context.  Neither reads
+    End_0(T^3): T is thin, so d_2 = 0, dim T_3 = 2, and End_0(T^3) is the
+    quadratic field E (the lemma of ``endo``).
     """
     if flags.metabelian:
         raise PreconditionFailed("metabelian input belongs to the modified branch")
@@ -331,6 +334,11 @@ def build_rho_prime(analysis: SubalgebraAnalysis, flags: StructureFlags) -> RhoR
     [[Y, X], v_d] = c*c_d*v_{d+2}, each against the row eps_s*v_s of its
     target slot.  ``flags`` are ``detect_structure``'s for the analysis'
     window; NotMetabelian unless they say metabelian.
+
+    The alpha of each degree-1 row t = alpha*X + beta*Y is one ``solve``,
+    which cannot fail: the rows of basis(1) are the reduced basis of
+    span_F{X, Y} (``subfield``), so they lie in that span, and X, Y are
+    F-independent because they are E-independent.
     """
     an = analysis
     F = an.field
@@ -349,10 +357,7 @@ def build_rho_prime(analysis: SubalgebraAnalysis, flags: StructureFlags) -> RhoR
     )
     inv = rep.inv
     for r, t in enumerate(an.basis(1)):
-        try:
-            alpha, _ = solve(F.p, [X4, Y4], t)
-        except ValueError:
-            raise DimensionAnomaly("degree-1 vector outside the span of the generators") from None
+        alpha, _ = solve(F.p, [X4, Y4], t)
         g = f4_to_deg1(t)
         rep.images[r] = {1: F.embed(alpha), 2: F.mul(F.mul(c, st.phi(2, g)), inv[3])}
     for d in range(2, window):
@@ -401,7 +406,11 @@ class RoundtripReport:
 def verify_roundtrip(
     pres: MaxClassPresentation, g: GeneratorPair, window: Optional[int] = None
 ) -> RoundtripReport:
-    """Full pipeline: thin subalgebra, endomorphism field, rho, N, and phi.
+    """Full pipeline: thin subalgebra, rho, N, and phi.
+
+    The endomorphism field is not computed: a thin verdict means d_2 = 0,
+    so dim L_3 = 2, and End_0(L^3) is the quadratic field E by the lemma
+    of ``endo``, which is what the rebuild starts from.
 
     phi extends rho linearly over the extension on per-degree bases of the
     ambient algebra and is checked to be a per-degree bijective graded
@@ -437,9 +446,6 @@ def verify_roundtrip(
         raise PreconditionFailed(
             f"round trip needs a thin pair, got {analysis.verdict.kind}"
         )
-    field_id = identify_field(compute_grend0(analysis))
-    if field_id.dim != 2:
-        raise PreconditionFailed("endomorphism field has degree 1, cannot rebuild")
     flags = detect_structure(analysis)
     if flags.metabelian:
         rep = build_rho_prime(analysis, flags)

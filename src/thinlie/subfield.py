@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import itertools
 
-from ._record import cache, record
+from ._record import record
 from .errors import BadBound, NotStandardForm, WindowTooLarge
 from .gf import ExtField, span
 from .maxclass import (
@@ -49,7 +49,7 @@ TYPE_CHECKING = False
 if TYPE_CHECKING:
     from typing import Dict, List, Optional, Sequence, Tuple
 
-    from .gf import EElem, RowSpace
+    from .gf import EElem
 
     EPair = Tuple[EElem, EElem]  # coordinates (A, B) of A*x + B*y
 
@@ -162,7 +162,6 @@ class SubalgebraAnalysis:
     D0: Optional[Tuple[int, ...]]
     verdict: Verdict
     centralizers: CentralizerSequence
-    _spaces: Dict[int, RowSpace] = cache(dict)
 
     @property
     def field(self) -> ExtField:
@@ -176,17 +175,6 @@ class SubalgebraAnalysis:
 
     def d_at(self, degree: int) -> int:
         return self.d[degree - 2]
-
-    def space(self, degree: int) -> RowSpace:
-        """L_degree as a row space; built once and shared, so never insert into it."""
-        if degree not in self._spaces:
-            ncols = 4 if degree == 1 else 2
-            self._spaces[degree] = span(self.field.p, self.basis(degree), ncols)
-        return self._spaces[degree]
-
-    def express(self, degree: int, vec: Sequence[int]) -> Tuple[int, ...]:
-        """Coordinates of an ambient vector in the canonical L_degree basis."""
-        return tuple(self.space(degree).coords(vec))
 
 
 class _Ambient:

@@ -1,0 +1,83 @@
+"""The GF(p) linear algebra that only the tests use.
+
+The package keeps what its subcommands run: ``gf.RowSpace`` (insertion
+into the canonical reduced echelon basis), ``span`` and ``solve``.  The
+oracles also take right kernels, coordinates in a stored basis and
+membership, sum scaled rows, multiply matrices, and express vectors of a
+subalgebra in its canonical basis.  Those live here, on the same
+``RowSpace``, so the oracles and the package share one elimination.
+"""
+
+from thinlie import gf
+
+
+def combine(p, coeffs, rows):
+    """sum(c * row) over GF(p); zero coefficients skipped, one reduction.
+
+    This is the vector-matrix product coeffs . rows, so a matrix product
+    a . b is ``combine(p, row, b)`` for each row of a (``mat_mul``).
+    """
+    acc = [0] * len(rows[0])
+    for c, row in zip(coeffs, rows):
+        if c:
+            acc = [a + c * x for a, x in zip(acc, row)]
+    return tuple(a % p for a in acc)
+
+
+def mat_mul(p, a, b):
+    """The matrix product a . b over GF(p), one ``combine`` per row of a."""
+    return [list(combine(p, row, b)) for row in a]
+
+
+class RowSpace(gf.RowSpace):
+    """``gf.RowSpace`` with membership, coordinates and the right kernel."""
+
+    def contains(self, vec):
+        return not any(self.reduce(vec))
+
+    def coords(self, vec):
+        """Coordinates of vec in the stored basis, read off at the pivots.
+
+        The basis is fully reduced, so the coefficient of each row is the
+        entry of vec at that row's pivot.  Raises ValueError when vec is
+        not in the space.
+        """
+        if not self.contains(vec):
+            raise ValueError(f"vector {list(vec)} not in the row space")
+        return [vec[pc] % self.p for pc in self._pivots]
+
+    def kernel(self):
+        """A basis of the right kernel {x : row . x = 0 for every row}.
+
+        One vector per free column j, in column order: entry 1 at j and
+        -row[j] at the pivot column of each stored row.
+        """
+        p = self.p
+        pivots = set(self._pivots)
+        out = []
+        for j in range(self.ncols):
+            if j in pivots:
+                continue
+            vec = [0] * self.ncols
+            vec[j] = 1
+            for pc, row in zip(self._pivots, self._rows):
+                vec[pc] = -row[j] % p
+            out.append(tuple(vec))
+        return out
+
+
+def span(p, vectors, ncols):
+    sp = RowSpace(p, ncols)
+    for v in vectors:
+        sp.insert(v)
+    return sp
+
+
+def space(analysis, degree):
+    """L_degree of a ``SubalgebraAnalysis`` as a row space."""
+    return span(analysis.field.p, analysis.basis(degree), 4 if degree == 1 else 2)
+
+
+def express(analysis, degree, vec):
+    """Coordinates of an ambient vector in the canonical L_degree basis."""
+    return tuple(space(analysis, degree).coords(vec))

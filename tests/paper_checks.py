@@ -12,9 +12,13 @@ them by other means:
 * ``thin_line_criterion`` decides thinness from centralizer data alone,
   and ``normalize_generators`` moves a pair into the normal form;
 * ``iso_search`` finds a graded isomorphism between two presentations;
+* ``compute_grend0`` and ``identify_field_of_ring`` solve End_0 on the
+  bottom degree as a ring (a kernel, a multiplication table and the
+  solves behind them), which ``endo.identify_field`` replaced by its
+  closed form in (p, u, v) and dim L_3;
 * ``propagated_grend0`` and ``identify_field_per_degree`` are the
-  degree-by-degree End_0 solve and Schur check that ``endo`` replaced by
-  its closed form, and ``scalar_action`` applies an element of that ring
+  degree-by-degree End_0 solve and Schur check that the bottom-degree
+  solve replaced, and ``scalar_action`` applies an element of that ring
   at any degree;
 * ``grend_d_dimension`` gives the dimension of the degree-d graded
   endomorphism space;
@@ -30,6 +34,7 @@ from __future__ import annotations
 from itertools import chain, islice, product
 
 import generic_gf as gg
+from int_kernel import RowSpace, combine, express, mat_mul, space, span
 from thinlie import endo
 from thinlie import maxclass as mc
 from thinlie import reconstruct as rec
@@ -39,12 +44,11 @@ from thinlie.errors import (
     BadBound,
     DegenerateGenerators,
     DimensionAnomaly,
-    NotCommutative,
     NotStandardForm,
     PreconditionFailed,
     ThinLieError,
 )
-from thinlie.gf import RowSpace, combine, quadratic_is_irreducible, solve, span
+from thinlie.gf import quadratic_is_irreducible, solve
 
 BRUTE_FORCE_LIMIT = 200_000
 
@@ -122,7 +126,7 @@ def verify_covering(analysis):
     g = analysis.pair
     _brute_force_guard(p, analysis.window)
     for i in range(1, analysis.window):
-        target = analysis.space(i + 1)
+        target = space(analysis, i + 1)
         for coeffs in _nonzero_coeff_vectors(p, analysis.dim(i)):
             u = combine(p, coeffs, analysis.basis(i))
             img = RowSpace(p, 2)
@@ -409,13 +413,15 @@ def iso_search(pres_a, pres_b, window=None):
     return IsoResult(found=False, transform=None)
 
 
-# -- the propagated degree-0 ring ------------------------------------------------
+# -- the bottom-degree ring solve ------------------------------------------------
 #
-# ``endo`` reads End_0(L^3) off dim L_3 and d (the lemma in its docstring).
-# The per-degree solve it replaced is kept here as its oracle: the ring
-# with a propagated matrix at every degree, the composition crosscheck one
-# degree up, and the field identification that checks Schur's lemma on
-# every degree.
+# ``endo.identify_field`` reads its report off (p, u, v) and dim L_3 (the
+# closed form in the ``endo`` docstring).  The ring solve it replaced is
+# kept here as its oracle: the kernel of "f commutes with m_mu" on the
+# bottom matrix, its multiplication table, and the field read off the
+# table with the root of the ambient quadratic and its embedding.
+
+K0 = 3  # the module is L^{K0}; its bottom degree carries the unknowns
 
 
 class CoveringFails(ThinLieError):
@@ -426,8 +432,171 @@ class NotAField(ThinLieError):
     pass
 
 
+class NotCommutative(ThinLieError):
+    pass
+
+
 class OutOfWindow(ThinLieError):
     pass
+
+
+@record
+class EndoRing:
+    analysis: sf.SubalgebraAnalysis
+    dim: int
+    basis: tuple  # flattened bottom matrices
+    identity: tuple  # coordinates of id in the basis
+    mult_table: tuple  # coords of basis[i] o basis[j]
+
+    @property
+    def field(self):
+        return self.analysis.field
+
+    def element_flat(self, coords):
+        return combine(self.field.p, coords, self.basis)
+
+    def compose(self, e1, e2):
+        """Coordinates of e1 o e2 (apply e2 first)."""
+        p = self.field.p
+        d = self.analysis.dim(K0)
+        prod = _compose_flat(p, d, self.element_flat(e1), self.element_flat(e2))
+        return tuple(solve(p, self.basis, prod))
+
+
+@record
+class RingFieldId:
+    """``endo.FieldId``'s report and the ring elements behind it: the
+    generator, the root mu_hat acting as mu, and the scalar sigma by which
+    the generator acts on V_{k0}."""
+
+    dim: int
+    min_poly: tuple | None  # (c0, c1, 1) for t^2 + c1 t + c0
+    is_field: bool
+    embedding: str  # "mu" | "mu_conj" | "n/a"
+    generator: tuple | None
+    mu_hat: tuple | None
+    sigma: tuple | None
+
+    def report(self):
+        return endo.FieldId(self.dim, self.min_poly, self.is_field, self.embedding)
+
+
+_FIELD_F = dict(
+    dim=1, min_poly=None, is_field=True, embedding="n/a", generator=None, mu_hat=None, sigma=None
+)
+
+
+def _compose_flat(p, d, flat1, flat2):
+    """Flattened bottom matrix of e1 o e2; row vectors, so v . M2 . M1."""
+    m1, m2 = ([f[r * d : (r + 1) * d] for r in range(d)] for f in (flat1, flat2))
+    return tuple(x for row in mat_mul(p, m2, m1) for x in row)
+
+
+def _commuting_forms(m):
+    """The entries of f.m - m.f as linear forms in the flattened f."""
+    n = len(m)
+    forms = []
+    for r in range(n):
+        for c in range(n):
+            form = [0] * (n * n)
+            for k in range(n):
+                form[r * n + k] += m[k][c]
+                form[k * n + c] -= m[r][k]
+            forms.append(form)
+    return forms
+
+
+def compute_grend0(analysis):
+    """End_0(L^3) as a ring on the bottom degree: F*id when dim L_3 = 1, and
+    otherwise the kernel of the 4 linear conditions "f commutes with m_mu"
+    on the flattened bottom matrix, with m_mu read off ``basis(3)``."""
+    if analysis.d is None:
+        raise DegenerateGenerators("endomorphism ring needs independent generators")
+    F = analysis.field
+    p = F.p
+    d = analysis.dim(K0)
+    constraints = []
+    if d == 2:
+        m_mu = [express(analysis, K0, F.mul(F.mu, w)) for w in analysis.basis(K0)]
+        constraints = _commuting_forms(m_mu)
+    basis = span(p, constraints, d * d).kernel()
+    identity_flat = [int(r == c) for r in range(d) for c in range(d)]
+    table = [
+        tuple(tuple(solve(p, basis, _compose_flat(p, d, ki, kj))) for kj in basis)
+        for ki in basis
+    ]
+    return EndoRing(
+        analysis=analysis,
+        dim=len(basis),
+        basis=tuple(basis),
+        identity=tuple(solve(p, basis, identity_flat)),
+        mult_table=tuple(table),
+    )
+
+
+def _scalar_of_action(ring, coords):
+    """The extension scalar by which an element of a 2-dimensional ring acts:
+    the image of the first basis row w of L_3, read off the first row of
+    the bottom matrix, divided by w."""
+    F = ring.field
+    rows = ring.analysis.basis(K0)
+    img = combine(F.p, ring.element_flat(coords)[: len(rows)], rows)
+    return F.div(img, rows[0])
+
+
+def _check_commutative(ring):
+    for i in range(ring.dim):
+        for j in range(i + 1, ring.dim):
+            if ring.mult_table[i][j] != ring.mult_table[j][i]:
+                raise NotCommutative(f"basis elements {i} and {j} do not commute")
+
+
+def identify_field_of_ring(ring):
+    """The field of an ``EndoRing``, read off its multiplication table.
+
+    The table must commute.  In dimension 2 the generator is the first
+    basis element outside F*identity, and its minimal polynomial is read
+    off g^2 = m1*1 + m2*g.  The generator acts on V_{k0} by a scalar
+    sigma, so mu_hat = a*1 + b*gen with a + b*sigma = mu, and its Galois
+    conjugate is u*1 - mu_hat; one composition checks that mu_hat squares
+    like mu.  The embedding is "mu" when mu_hat comes first in
+    lexicographic coordinate order, else "mu_conj".
+    """
+    F = ring.field
+    p = F.p
+    _check_commutative(ring)
+    if ring.dim == 1:
+        return RingFieldId(**_FIELD_F)
+    # e0 lies in F*identity exactly when the identity's e1-coordinate is 0
+    gen = (1, 0) if ring.identity[1] else (0, 1)
+    g2 = ring.compose(gen, gen)
+    m1, m2 = solve(p, [ring.identity, gen], g2)
+    sigma = _scalar_of_action(ring, gen)
+    a, b = solve(p, [F.one, sigma], F.mu)
+    mu_hat = tuple((a * i + b * g) % p for i, g in zip(ring.identity, gen))
+    conj = tuple((F.u * i - m) % p for m, i in zip(mu_hat, ring.identity))
+    if ring.compose(mu_hat, mu_hat) != tuple(
+        (F.u * m + F.v * i) % p for m, i in zip(mu_hat, ring.identity)
+    ):
+        raise DimensionAnomaly("mu_hat is not a root of the ambient quadratic")
+    return RingFieldId(
+        dim=2,
+        min_poly=((-m1) % p, (-m2) % p, 1),
+        is_field=True,
+        embedding="mu" if mu_hat < conj else "mu_conj",
+        generator=gen,
+        mu_hat=mu_hat,
+        sigma=sigma,
+    )
+
+
+# -- the propagated degree-0 ring ------------------------------------------------
+#
+# The bottom-degree solve reads no degree above 3 (the lemma in the ``endo``
+# docstring).  The per-degree solve it replaced is kept here as its oracle:
+# the ring with a propagated matrix at every degree, the composition
+# crosscheck one degree up, and the field identification that checks
+# Schur's lemma on every degree.
 
 
 def _lf_unit(n, k):
@@ -448,18 +617,18 @@ def solve_graded_maps(analysis):
     the residual [v, g]*f_{i+1} - f_i(v)*T_g, entrywise, as a constraint.
     """
     p = analysis.field.p
-    dim = analysis.dim(endo.K0)
+    dim = analysis.dim(K0)
     n_unk = dim * dim
     symbolic = {
-        endo.K0: [[_lf_unit(n_unk, r * dim + c) for c in range(dim)] for r in range(dim)]
+        K0: [[_lf_unit(n_unk, r * dim + c) for c in range(dim)] for r in range(dim)]
     }
     gens = (analysis.pair.X, analysis.pair.Y)
     constraints = []
     minus_one = (p - 1,)
-    for i in range(endo.K0, analysis.window):
+    for i in range(K0, analysis.window):
         f_i = symbolic[i]
         ad = [
-            [analysis.express(i + 1, sf.ad_gen(analysis.pres, i, v, g)) for g in gens]
+            [express(analysis, i + 1, sf.ad_gen(analysis.pres, i, v, g)) for g in gens]
             for v in analysis.basis(i)
         ]
         # T[g][j]: column j of T_g, the matrix of ad g from L_i to L_{i+1}
@@ -495,7 +664,7 @@ def solve_graded_maps(analysis):
 
 @record
 class PropagatedRing:
-    """``endo.EndoRing`` with its propagated matrix at every degree."""
+    """``EndoRing`` with its propagated matrix at every degree."""
 
     analysis: sf.SubalgebraAnalysis
     dim: int
@@ -514,15 +683,15 @@ class PropagatedRing:
     def matrix_at(self, coords, degree):
         """The element's concrete matrix on V_degree."""
         window = self.analysis.window
-        if not endo.K0 <= degree <= window:
-            raise OutOfWindow(f"degree {degree} outside [{endo.K0}, {window}]")
+        if not K0 <= degree <= window:
+            raise OutOfWindow(f"degree {degree} outside [{K0}, {window}]")
         return _eval_forms(self.field.p, self._symbolic[degree], self.element_flat(coords))
 
     def compose(self, e1, e2):
         """Coordinates of e1 o e2 (apply e2 first)."""
         p = self.field.p
-        d = self.analysis.dim(endo.K0)
-        prod = endo._compose_flat(p, d, self.element_flat(e1), self.element_flat(e2))
+        d = self.analysis.dim(K0)
+        prod = _compose_flat(p, d, self.element_flat(e1), self.element_flat(e2))
         return _ring_coords(p, self.basis, prod)
 
 
@@ -551,12 +720,12 @@ def propagated_grend0(analysis):
     if analysis.d is None:
         raise DegenerateGenerators("endomorphism ring needs independent generators")
     kernel_rows, symbolic = solve_graded_maps(analysis)
-    d = analysis.dim(endo.K0)
+    d = analysis.dim(K0)
     p = analysis.field.p
     identity_flat = [int(r == c) for r in range(d) for c in range(d)]
     table = [
         tuple(
-            _ring_coords(p, kernel_rows, endo._compose_flat(p, d, ki, kj))
+            _ring_coords(p, kernel_rows, _compose_flat(p, d, ki, kj))
             for kj in kernel_rows
         )
         for ki in kernel_rows
@@ -576,12 +745,12 @@ def propagated_grend0(analysis):
 def _crosscheck_composition(ring):
     """Recompute the table one degree up; guards against propagation bugs."""
     p = ring.field.p
-    deg = endo.K0 + 1
+    deg = K0 + 1
     for i in range(ring.dim):
         for j in range(ring.dim):
             mi = ring.matrix_at(_lf_unit(ring.dim, i), deg)
             mj = ring.matrix_at(_lf_unit(ring.dim, j), deg)
-            direct = endo._mat_mul(p, mj, mi)
+            direct = mat_mul(p, mj, mi)
             via_table = ring.matrix_at(ring.mult_table[i][j], deg)
             if direct != via_table:
                 raise DimensionAnomaly(
@@ -596,8 +765,8 @@ def scalar_of_action(ring, coords):
     against every basis row.
     """
     F = ring.field
-    mat = ring.matrix_at(coords, endo.K0)
-    rows = ring.analysis.basis(endo.K0)
+    mat = ring.matrix_at(coords, K0)
+    rows = ring.analysis.basis(K0)
     sigma = None
     for w, m_row in zip(rows, mat):
         img = combine(F.p, m_row, rows)
@@ -610,7 +779,7 @@ def scalar_of_action(ring, coords):
 
 
 def identify_field_per_degree(ring):
-    """``endo.identify_field`` with Schur's lemma checked on every degree.
+    """``identify_field_of_ring`` with Schur's lemma checked on every degree.
 
     Commutativity comes from the multiplication table.  On every component
     in the window the identity must act as I, and the generator's matrix G
@@ -619,33 +788,20 @@ def identify_field_per_degree(ring):
     GF(p) and a*I + b*G is invertible for every nonzero (a, b): no nonzero
     element is singular on any component.  The root of the ambient
     quadratic that acts as mu and the embedding are read off as in
-    ``endo.identify_field``.
+    ``identify_field_of_ring``.
     """
     F = ring.field
     p = F.p
-    for i in range(ring.dim):
-        for j in range(i + 1, ring.dim):
-            if ring.mult_table[i][j] != ring.mult_table[j][i]:
-                raise NotCommutative(
-                    f"basis elements {i} and {j} do not commute"
-                )
+    _check_commutative(ring)
     if ring.dim not in (1, 2):
         raise NotAField(f"unexpected ring dimension {ring.dim}")
-    degrees = range(endo.K0, ring.analysis.window + 1)
+    degrees = range(K0, ring.analysis.window + 1)
     for degree in degrees:
         one = ring.matrix_at(ring.identity, degree)
         if one != [[int(r == c) for c in range(len(one))] for r in range(len(one))]:
             raise NotAField(f"the identity does not act as I on degree {degree}")
     if ring.dim == 1:
-        return endo.FieldId(
-            dim=1,
-            min_poly=None,
-            is_field=True,
-            embedding="n/a",
-            generator=None,
-            mu_hat=None,
-            sigma=None,
-        )
+        return RingFieldId(**_FIELD_F)
     # canonical generator: first basis element outside F*identity
     gen = None
     for k in range(ring.dim):
@@ -668,7 +824,7 @@ def identify_field_per_degree(ring):
             [(m2 * a + m1 * (r == c)) % p for c, a in enumerate(row)]
             for r, row in enumerate(G)
         ]
-        if endo._mat_mul(p, G, G) != want:
+        if mat_mul(p, G, G) != want:
             raise NotAField(
                 f"generator misses t^2 + {c1}t + {c0} on degree {degree}"
             )
@@ -681,7 +837,7 @@ def identify_field_per_degree(ring):
         (F.u * m + F.v * i) % p for m, i in zip(mu_hat, ring.identity)
     ):
         raise DimensionAnomaly("mu_hat is not a root of the ambient quadratic")
-    return endo.FieldId(
+    return RingFieldId(
         dim=2,
         min_poly=(c0, c1, 1),
         is_field=True,
@@ -727,10 +883,10 @@ def grend_d_dimension(analysis, shift):
     if analysis.d is None:
         raise DegenerateGenerators("endomorphism solve needs independent generators")
     window = analysis.window
-    if shift < 0 or endo.K0 + shift > window:
+    if shift < 0 or K0 + shift > window:
         raise OutOfWindow(f"shift {shift} pushes the bottom past the window")
-    kernel_rows, _ = oracle_solve_graded_maps(analysis, shift, endo.K0, window)
-    bound = min(analysis.dim(m) for m in range(endo.K0 + shift, window + 1))
+    kernel_rows, _ = oracle_solve_graded_maps(analysis, shift, K0, window)
+    bound = min(analysis.dim(m) for m in range(K0 + shift, window + 1))
     return GrendDim(shift=shift, dim=len(kernel_rows), bound=bound)
 
 

@@ -1,9 +1,12 @@
-"""Degree-0 endomorphism rings: solve, field identification, actions.
+"""Degree-0 endomorphism rings: the closed form, the ring solve, actions.
 
-``endo`` reads the ring off dim L_3 and d; the tests of its action on
-every degree read the per-degree matrices of the propagated ring
+``endo.identify_field`` reads its report off dim L_3 and (p, u, v).  The
+ring behind it is the bottom-degree solve of ``paper_checks``
+(``compute_grend0``, ``identify_field_of_ring``), whose report must be
+the package's; the tests of its action on every degree read the
+per-degree matrices of the propagated ring
 (``paper_checks.propagated_grend0``), whose basis, identity and table the
-``thin_prop`` fixture checks against the package's.
+``thin_prop`` fixture checks against the bottom-degree solve's.
 """
 
 import itertools
@@ -12,17 +15,19 @@ import random
 import pytest
 
 import paper_checks as pc
+from int_kernel import express
 from thinlie import endo
 from thinlie import maxclass as mc
 from thinlie import subfield as sf
 from thinlie.errors import DimensionAnomaly
+from thinlie.gf import make_ext_field, quadratic_is_irreducible
 
 
 @pytest.fixture(scope="module")
 def thin_ring(f9, thin_pair_f9):
     m = mc.make_metabelian(f9, 12)
     an = sf.generate_subalgebra(m, thin_pair_f9, 12)
-    return endo.compute_grend0(an)
+    return pc.compute_grend0(an)
 
 
 @pytest.fixture(scope="module")
@@ -34,7 +39,9 @@ def thin_prop(thin_ring):
 
 @pytest.fixture(scope="module")
 def thin_fid(thin_ring):
-    return endo.identify_field(thin_ring)
+    fid = pc.identify_field_of_ring(thin_ring)
+    assert endo.identify_field(thin_ring.analysis) == fid.report()
+    return fid
 
 
 class TestComputeGrend0:
@@ -49,18 +56,18 @@ class TestComputeGrend0:
     def test_maximal_dimension_one(self, f9, maximal_pair):
         m = mc.make_metabelian(f9, 12)
         an = sf.generate_subalgebra(m, maximal_pair, 12)
-        ring = endo.compute_grend0(an)
+        ring = pc.compute_grend0(an)
         assert ring.dim == 1
-        fid = endo.identify_field(ring)
+        fid = endo.identify_field(an)
         assert fid.dim == 1 and fid.embedding == "n/a" and fid.min_poly is None
+        assert pc.identify_field_of_ring(ring).report() == fid
 
     def test_rconstrained_dimension_one(self, dev9_14, rc_pair):
         an = sf.generate_subalgebra(dev9_14, rc_pair, 14)
-        ring = endo.compute_grend0(an)
-        assert ring.dim == 1
+        assert pc.compute_grend0(an).dim == endo.identify_field(an).dim == 1
 
     def test_identity_is_a_solution(self, thin_ring):
-        d = thin_ring.analysis.dim(endo.K0)
+        d = thin_ring.analysis.dim(pc.K0)
         ident = [[1 if i == j else 0 for j in range(d)] for i in range(d)]
         flat = tuple(x for row in ident for x in row)
         assert thin_ring.element_flat(thin_ring.identity) == flat
@@ -70,6 +77,35 @@ class TestComputeGrend0:
             mat = thin_prop.matrix_at(thin_ring.identity, deg)
             n = len(mat)
             assert mat == [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+
+
+class TestClosedForm:
+    def test_embedding_is_mu_iff_2v_below_p(self):
+        """On every irreducible t^2 - u*t - v with p <= 13, the ring solve
+        has the canonical kernel (-u/v, 1/v, 1, 0), (1, 0, 0, 1), the
+        identity (0, 1), the generator e0 acting as sigma = (mu - u)/v and
+        the root mu_hat = (v, u); so the embedding is "mu" exactly when
+        2v < p, and the report is the package's closed form."""
+        pair = sf.GeneratorPair(((1, 0), (1, 0)), ((0, 1), (1, 1)))
+        fields = 0
+        for p in (2, 3, 5, 7, 11, 13):
+            for u, v in itertools.product(range(p), repeat=2):
+                if not quadratic_is_irreducible(p, u, v):
+                    continue
+                F = make_ext_field(p, u, v)
+                an = sf.generate_subalgebra(mc.make_metabelian(F, 4), pair)
+                assert an.dim(3) == 2
+                ring = pc.compute_grend0(an)
+                fid = pc.identify_field_of_ring(ring)
+                inv_v = pow(v, p - 2, p)
+                assert ring.basis == ((-u * inv_v % p, inv_v, 1, 0), (1, 0, 0, 1))
+                assert ring.identity == (0, 1) and fid.generator == (1, 0)
+                assert fid.sigma == F.scale(inv_v, F.sub(F.mu, F.embed(u)))
+                assert fid.mu_hat == (v, u)
+                assert fid.embedding == ("mu" if 2 * v < p else "mu_conj")
+                assert endo.identify_field(an) == fid.report()
+                fields += 1
+        assert fields == sum((p * p - p) // 2 for p in (2, 3, 5, 7, 11, 13)) == 168
 
 
 class TestRingAxioms:
@@ -117,7 +153,7 @@ class TestScalarAction:
         an = thin_ring.analysis
         for deg in range(3, 13):
             for row in an.basis(deg):
-                coords = an.express(deg, row)
+                coords = express(an, deg, row)
                 img = pc.scalar_action(thin_prop, thin_fid.mu_hat, deg, coords)
                 amb = [0, 0]
                 for c, r in zip(img, an.basis(deg)):
@@ -128,12 +164,12 @@ class TestScalarAction:
     def test_root_check_refuses_a_wrong_scalar(self, thin_ring, f9, monkeypatch):
         # mu_hat is solved from the scalar of the generator; one composition
         # confirms it squares like mu, so a scalar off by one is caught
-        scalar = endo._scalar_of_action
+        scalar = pc._scalar_of_action
         monkeypatch.setattr(
-            endo, "_scalar_of_action", lambda ring, e: f9.add(scalar(ring, e), f9.one)
+            pc, "_scalar_of_action", lambda ring, e: f9.add(scalar(ring, e), f9.one)
         )
         with pytest.raises(DimensionAnomaly, match="not a root"):
-            endo.identify_field(thin_ring)
+            pc.identify_field_of_ring(thin_ring)
 
     def test_generator_acts_by_sigma(self, thin_ring, thin_prop, thin_fid, f9):
         # sigma-consistency: the scalar is the same in every degree
@@ -143,7 +179,7 @@ class TestScalarAction:
         for deg in range(3, 13):
             row = an.basis(deg)[0]
             img = pc.scalar_action(
-                thin_prop, thin_fid.generator, deg, an.express(deg, row)
+                thin_prop, thin_fid.generator, deg, express(an, deg, row)
             )
             amb = [0, 0]
             for c, r in zip(img, an.basis(deg)):

@@ -7,15 +7,9 @@ import time
 import pytest
 
 import generic_gf as gg
+from int_kernel import RowSpace, span
 from thinlie.errors import BadBound, DivisionByZero, NotPrime, ReduciblePolynomial
-from thinlie.gf import (
-    RowSpace,
-    is_prime,
-    make_ext_field,
-    quadratic_is_irreducible,
-    solve,
-    span,
-)
+from thinlie.gf import is_prime, make_ext_field, quadratic_is_irreducible, solve
 
 PRIMES = [2, 3, 5]
 
@@ -208,7 +202,9 @@ class TestRowSpace:
 # -- the solve kernel against exhaustive enumeration ---------------------------
 
 # The enumeration runs on the field protocol of ``generic_gf.BaseField``; the
-# GF(p) cases check the package kernel, GF(3^2) its field-generic predecessor.
+# GF(p) cases check the package kernel (``solve``, and the tests'
+# ``int_kernel`` readers on its ``RowSpace``), GF(3^2) its field-generic
+# predecessor.
 KERNEL_FIELDS = {
     "GF(2)": gg.BaseField(2),
     "GF(3)": gg.BaseField(3),

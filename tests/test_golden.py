@@ -19,7 +19,10 @@ r-constrained (``dev9mu.json``) and a degenerate pair, the last with
 exit code 1, and ``endo`` in each case of its lemma: a degenerate pair
 (exit code 1), dimension 1 (a maximal pair, and a ``dev9mu.json`` pair
 with t1 = 6) and dimension 2 (a ``dev9mu.json`` pair with t1 = 2, and the
-README pair at window 4, where only degree 3 steps).  ``scan`` and
+README pair at window 4, where only degree 3 steps), and the End_0
+report off (u, v) beyond mu^2 = 2: ``endo`` on metabelian files over
+GF(9) with mu^2 = mu + 1 ("mu", u != 0) and over GF(4) ("mu_conj"), and
+``analyze`` of the p = 1000003 file at window 6 ("mu").  ``scan`` and
 ``scan --raw`` of ``dev9mu.json`` see more than one centralizer point,
 so the line-avoidance count tests F-independence and the d-values differ
 between points; ``build search``

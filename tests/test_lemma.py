@@ -74,30 +74,34 @@ extraction (compared with that base change) and the span comparison are
 kept here as oracles.  ``apply_degree1_change`` derives its result's
 table without Jacobi checks; that table is compared with ``validate``'s.
 
-``endo.compute_grend0`` reads End_0(L^3) off dim L_3 and d, and
-``endo.identify_field`` checks no degree above 3 (the lemma in the ``endo``
-docstring).  The degree-by-degree solve (``paper_checks.solve_graded_maps``
-and ``propagated_grend0``) and the Schur check on every degree
-(``paper_checks.identify_field_per_degree``) they replaced are the oracle of
-``test_closed_form_matches_propagation``: the same basis, identity, table
-and FieldId, or the same error.  The version of the identification that
-enumerated the ring is kept here as a further oracle.
+``endo.identify_field`` reads End_0(L^3) and its field off dim L_3 and
+(p, u, v) (the closed form in the ``endo`` docstring).  The ring solve on
+the bottom degree it replaced (``paper_checks.compute_grend0`` and
+``identify_field_of_ring``) is the oracle of
+``test_identify_field_closed_form_matches_ring``, on every irreducible
+t^2 - u*t - v for p <= 7.  The degree-by-degree solve
+(``paper_checks.solve_graded_maps`` and ``propagated_grend0``) and the
+Schur check on every degree (``paper_checks.identify_field_per_degree``)
+that the ring solve replaced are the oracle of
+``test_closed_form_matches_propagation``: the same FieldId report, or the
+same error.  The version of the identification that enumerated the ring
+is kept here as a further oracle.
 
 ``paper_checks.solve_graded_maps`` takes one linear-form step per degree:
 the ad rows [v, g] of each degree are computed once, f_{i+1} solves
 [v, g]*f_{i+1} = f_i(v)*T_g on a spanning subset of them, and every sum of
-forms goes through ``gf.combine``.  The per-operation propagation it
+forms goes through ``int_kernel.combine``.  The per-operation propagation it
 replaced, which bracketed each degree twice, is kept here as
 ``oracle_solve_graded_maps``; both must give the same kernel rows, the same
 forms at every degree, or the same error, at shift 0.  The oracle takes any
 shift, and ``paper_checks.grend_d_dimension`` runs it.
 
 ``reconstruct.detect_structure`` reads the largest degree i with a nonzero
-bracket [v_i, v_j] in the window once, and ``gf.solve`` and
-``RowSpace.kernel`` are read off the canonical ``RowSpace``.  The scan per
-tail T^k and the Gauss-Jordan elimination they replaced are kept here as
-oracles, and so are the entry-by-entry vector-matrix and matrix products
-that ``gf.combine`` and ``endo._mat_mul`` replaced.
+bracket [v_i, v_j] in the window once, and ``gf.solve`` and the tests'
+``int_kernel.RowSpace.kernel`` are read off the canonical ``RowSpace``.
+The scan per tail T^k and the Gauss-Jordan elimination they replaced are
+kept here as oracles, and so are the entry-by-entry vector-matrix and
+matrix products that ``int_kernel.combine`` and ``mat_mul`` replaced.
 """
 
 import itertools
@@ -109,6 +113,7 @@ import pytest
 
 import generic_gf as gg
 import paper_checks as pc
+from int_kernel import RowSpace, combine, express, mat_mul, span
 from thinlie import endo
 from thinlie import maxclass as mc
 from thinlie import reconstruct as rec
@@ -116,21 +121,14 @@ from thinlie import subfield as sf
 from thinlie.errors import (
     BadBound,
     DimensionAnomaly,
-    NotCommutative,
     NotFaithful,
     NotStandardForm,
     PreconditionFailed,
     ThinLieError,
     WindowTooSmall,
 )
-from thinlie.gf import (
-    RowSpace,
-    combine,
-    make_ext_field,
-    quadratic_is_irreducible,
-    solve,
-    span,
-)
+from thinlie import gf
+from thinlie.gf import make_ext_field, quadratic_is_irreducible, solve
 
 
 def _label(i: int) -> str:
@@ -481,7 +479,7 @@ def oracle_check_rep(rep):
                     if d1 == d2 and r2 <= r1:
                         continue
                     lie = sf.bracket_vec(pres, d1, an.basis(d1)[r1], d2, an.basis(d2)[r2])
-                    coords = an.express(d1 + d2, lie)
+                    coords = express(an, d1 + d2, lie)
                     want = {}
                     for c, idx in zip(coords, range(an.dim(d1 + d2))):
                         if c:
@@ -524,7 +522,7 @@ def oracle_check_rep_generators(rep):
                 if d == 1 and r2 <= r1:
                     continue
                 want = {}
-                for idx, c in enumerate(an.express(d + 1, sf.bracket_vec(pres, 1, g, d, t))):
+                for idx, c in enumerate(express(an, d + 1, sf.bracket_vec(pres, 1, g, d, t))):
                     if c:
                         want = _map_add(F, want, _map_scale(F, F.embed(c), images[(d + 1, idx)]))
                 got = oracle_commutator(
@@ -1537,8 +1535,18 @@ def _full_phi(rep, phi):
 
 
 def _assert_matches_oracles(monkeypatch, pres, pair, window, rep):
-    """Every check of a round trip against its oracles, on a valid rep."""
+    """Every check of a round trip against its oracles, on a valid rep.
+
+    Also the two facts the round trip takes from lemmas instead of guards
+    (``_check_rep``, ``build_rho_prime``): the images of the rows of T_1
+    are F-independent already on the slot lo, and those rows lie in
+    span_F{X, Y}."""
     images = _full_images(rep)
+    an = rep.analysis
+    p = an.field.p
+    assert span(p, [images[(1, r)][rep.lo] for r in (0, 1)], 2).dim == 2
+    gens = [sf.deg1_to_f4(an.pair.X), sf.deg1_to_f4(an.pair.Y)]
+    assert span(p, gens + list(an.basis(1)), 4).dim == span(p, gens, 4).dim == 2
     assert images == oracle_table_images(rep.analysis, rep.k)
     assert images == oracle_rho_images(rep.analysis, rep.k)
     checks = (rec._check_rep, oracle_check_rep_generators, oracle_check_rep, oracle_generation_check)
@@ -2188,7 +2196,7 @@ def oracle_identify_field(ring):
     for i in range(ring.dim):
         for j in range(i + 1, ring.dim):
             if ring.mult_table[i][j] != ring.mult_table[j][i]:
-                raise NotCommutative(
+                raise pc.NotCommutative(
                     f"basis elements {i} and {j} do not commute"
                 )
     # Schur invertibility on every degree
@@ -2198,22 +2206,14 @@ def oracle_identify_field(ring):
     ]
     for coords in elements:
         flat = ring.element_flat(coords)
-        for degree in range(endo.K0, ring.analysis.window + 1):
+        for degree in range(pc.K0, ring.analysis.window + 1):
             mat = pc._eval_forms(p, ring._symbolic[degree], flat)
             if span(p, mat, len(mat)).dim < len(mat):
                 raise pc.NotAField(
                     f"nonzero element {coords} is singular on degree {degree}"
                 )
     if ring.dim == 1:
-        return endo.FieldId(
-            dim=1,
-            min_poly=None,
-            is_field=True,
-            embedding="n/a",
-            generator=None,
-            mu_hat=None,
-            sigma=None,
-        )
+        return pc.RingFieldId(**pc._FIELD_F)
     if ring.dim != 2:
         raise pc.NotAField(f"unexpected ring dimension {ring.dim}")
     # canonical generator: first basis element outside F*identity
@@ -2258,7 +2258,7 @@ def oracle_identify_field(ring):
     else:
         raise DimensionAnomaly(f"root acts by {sigma}, not a conjugate of mu")
     gen_sigma = pc.scalar_of_action(ring, gen)
-    return endo.FieldId(
+    return pc.RingFieldId(
         dim=2,
         min_poly=(c0, c1, 1),
         is_field=True,
@@ -2306,11 +2306,12 @@ def _presentation(request, which):
     ],
 )
 def test_identify_field_matches_enumeration(request, which, embeddings):
-    """The closed form against the ring enumeration: equal FieldId on the
-    ring of every non-degenerate normalized pair (every raw pair over
-    GF(4), so that the dimension-1 rings of maximal pairs occur too).  The
+    """The ring solve against the ring enumeration: equal field, generator,
+    root and scalar on the ring of every non-degenerate normalized pair
+    (every raw pair over GF(4), so that the dimension-1 rings of maximal
+    pairs occur too), and the package's report is theirs.  The
     enumeration runs on the propagated ring, whose basis, identity and
-    table must equal the package's."""
+    table must equal the bottom-degree solve's."""
     pres = _presentation(request, which)
     F = pres.field
     pairs = pc.raw_pairs(F) if F.p == 2 else sf.normalized_pairs(F)
@@ -2319,11 +2320,12 @@ def test_identify_field_matches_enumeration(request, which, embeddings):
         if g.is_degenerate(F):
             continue
         an = sf.generate_subalgebra(pres, g)
-        ring = endo.compute_grend0(an)
-        fid = endo.identify_field(ring)
+        ring = pc.compute_grend0(an)
+        fid = pc.identify_field_of_ring(ring)
         prop = pc.propagated_grend0(an)
         assert pc.ring_fields(prop) == pc.ring_fields(ring), g
         assert fid == oracle_identify_field(prop), g
+        assert endo.identify_field(an) == fid.report(), g
         # E lies in End_0(L^3) of a thin L, so its field is quadratic
         assert fid.dim == 2 or an.verdict.kind != "thin", g
         seen.add(fid.embedding)
@@ -2346,7 +2348,7 @@ def _perturbed(ring, prop, rng):
         table[i][j] = tuple(rng.randrange(p) for _ in range(ring.dim))
         table = tuple(map(tuple, table))
         return _replaced(ring, mult_table=table), _replaced(prop, mult_table=table)
-    degree = rng.randint(endo.K0, ring.analysis.window)
+    degree = rng.randint(pc.K0, ring.analysis.window)
     sym = [list(row) for row in prop._symbolic[degree]]
     r, c = rng.randrange(len(sym)), rng.randrange(len(sym[0]))
     sym[r][c] = tuple(rng.randrange(p) for _ in sym[r][c])
@@ -2359,12 +2361,13 @@ def test_identify_field_failures_match(request, thin_pair_f9, which):
     pair, so does the identification; where it accepts, the identification
     gives the same FieldId or refuses an identity that does not act as I or
     a generator that misses its minimal polynomial.  A perturbed table
-    reaches ``endo.identify_field``; a perturbed propagated form reaches
-    only the per-degree check (``paper_checks.identify_field_per_degree``),
-    since the package reads no degree above 3."""
+    reaches ``paper_checks.identify_field_of_ring``; a perturbed propagated
+    form reaches only the per-degree check
+    (``paper_checks.identify_field_per_degree``), since the bottom-degree
+    solve reads no degree above 3."""
     pres = _presentation(request, which)
     an = sf.generate_subalgebra(pres, thin_pair_f9)
-    ring = endo.compute_grend0(an)
+    ring = pc.compute_grend0(an)
     prop = pc.propagated_grend0(an)
     assert pc.ring_fields(prop) == pc.ring_fields(ring)
     rng = random.Random(f"identify-field-{which}")
@@ -2373,7 +2376,7 @@ def test_identify_field_failures_match(request, thin_pair_f9, which):
         bad_ring, bad_prop = _perturbed(ring, prop, rng)
         want = _outcome(oracle_identify_field, bad_prop)
         if bad_ring is not None:
-            got = _outcome(endo.identify_field, bad_ring)
+            got = _outcome(pc.identify_field_of_ring, bad_ring)
         else:
             got = _outcome(pc.identify_field_per_degree, bad_prop)
         kinds.add(want[0])
@@ -2407,7 +2410,7 @@ def test_schur_sees_non_basis_elements():
     phi0, phi1 = dual((1, 0)), dual((0, 1))
     # e0 acts as I and e1 as diag(1, 2) on one degree, so e1 - e0 is singular
     A, B = ((1, 0), (0, 1)), ((1, 0), (0, 2))
-    degree = endo.K0 + 1
+    degree = pc.K0 + 1
     sym = [
         [tuple((a * x + b * y) % p for x, y in zip(phi0, phi1)) for a, b in zip(ra, rb)]
         for ra, rb in zip(A, B)
@@ -2442,7 +2445,7 @@ def _gen_images(analysis, degree):
     for r_idx, row in enumerate(analysis.basis(degree)):
         for g_idx, gen in enumerate((analysis.pair.X, analysis.pair.Y)):
             img = sf.ad_gen(analysis.pres, degree, row, gen)
-            out.append((r_idx, g_idx, analysis.express(degree + 1, img)))
+            out.append((r_idx, g_idx, express(analysis, degree + 1, img)))
     return out
 
 
@@ -2556,26 +2559,26 @@ def test_solver_matches_propagation_oracle(request, which):
     for g in pairs:
         an = sf._analyse(amb, g)
         got = _outcome(pc.solve_graded_maps, an)
-        want = _outcome(oracle_solve_graded_maps, an, 0, endo.K0, an.window)
+        want = _outcome(oracle_solve_graded_maps, an, 0, pc.K0, an.window)
         assert got == want, g
 
 
 def test_solver_matches_propagation_oracle_at_class_40(thin_pair_f9):
     pres = _presentation(None, "metabelian9_40")
     an = sf.generate_subalgebra(pres, thin_pair_f9)
-    assert pc.solve_graded_maps(an) == oracle_solve_graded_maps(an, 0, endo.K0, an.window)
+    assert pc.solve_graded_maps(an) == oracle_solve_graded_maps(an, 0, pc.K0, an.window)
 
 
 def test_grend0_brackets_each_degree_once(monkeypatch, thin_pair_f9):
     """The propagated solve brackets each basis row of L_3 .. L_{window-1}
-    with X and Y once: 2 * sum(dim L_i) calls of ad_gen.  compute_grend0
-    brackets nothing and makes as many RowSpace insertions at class 160 as
-    at class 40: it reads dim L_3 and d alone."""
+    with X and Y once: 2 * sum(dim L_i) calls of ad_gen.
+    ``endo.identify_field`` brackets nothing and inserts no row, at class
+    40 or 160: it reads dim L_3 and (p, u, v) alone."""
     calls, inserts = [], []
-    ad_gen, insert = sf.ad_gen, RowSpace.insert
+    ad_gen, insert = sf.ad_gen, gf.RowSpace.insert
     monkeypatch.setattr(sf, "ad_gen", lambda *args: calls.append(args) or ad_gen(*args))
     monkeypatch.setattr(
-        RowSpace, "insert", lambda self, vec: inserts.append(vec) or insert(self, vec)
+        gf.RowSpace, "insert", lambda self, vec: inserts.append(vec) or insert(self, vec)
     )
     analyses = {
         class_n: sf.generate_subalgebra(
@@ -2585,13 +2588,10 @@ def test_grend0_brackets_each_degree_once(monkeypatch, thin_pair_f9):
     }
     pc.solve_graded_maps(analyses[40])
     assert len(calls) == 2 * sum(analyses[40].dim(i) for i in range(3, 40)) == 148
-    counts = {}
-    for class_n, an in analyses.items():
+    for an in analyses.values():
         del calls[:], inserts[:]
-        endo.compute_grend0(an)
-        counts[class_n] = (len(calls), len(inserts))
-    assert counts[40] == counts[160]
-    assert counts[40][0] == 0 and counts[40][1] > 0
+        assert endo.identify_field(an).dim == 2
+        assert (len(calls), len(inserts)) == (0, 0)
 
 
 def test_c3_equals_c2_on_every_valid_gf4_presentation():
@@ -2615,16 +2615,9 @@ def test_c3_equals_c2_on_every_valid_gf4_presentation():
 _CLOSED_FORM_SAMPLE = 200
 
 
-def _closed_form(an):
-    """(ring fields, FieldId) of the package."""
-    ring = endo.compute_grend0(an)
-    return pc.ring_fields(ring), endo.identify_field(ring)
-
-
 def _propagated(an):
-    """(ring fields, FieldId) of the propagation oracle."""
-    ring = pc.propagated_grend0(an)
-    return pc.ring_fields(ring), pc.identify_field_per_degree(ring)
+    """The report of the propagation oracle."""
+    return pc.identify_field_per_degree(pc.propagated_grend0(an)).report()
 
 
 @pytest.mark.parametrize(
@@ -2632,9 +2625,9 @@ def _propagated(an):
     ["dev9_14", "dev9mu", "metabelian9_14", "metabelian25_14", "metabelian49_10", "dev25_14"],
 )
 def test_closed_form_matches_propagation(request, which):
-    """End_0 from dim L_3 and d against the degree-by-degree solve and
-    Schur check: the same basis, identity, table and FieldId, or the same
-    error, at windows 4, 5 and the class.  Every non-degenerate raw pair
+    """End_0 from dim L_3 and (p, u, v) against the degree-by-degree solve
+    and Schur check: the same FieldId report, or the same error, at
+    windows 4, 5 and the class.  Every non-degenerate raw pair
     of dev9_14 and dev9mu, every non-degenerate normalized pair of the
     metabelian algebra over GF(9), and a seeded sample of the others (raw
     pairs of dev25_14, normalized pairs of the metabelian algebras over
@@ -2668,10 +2661,44 @@ def test_closed_form_matches_propagation(request, which):
             plane = an.basis(1)
             if plane not in oracle:
                 oracle[plane] = _outcome(_propagated, an)
-            got = _outcome(_closed_form, an)
+            got = _outcome(endo.identify_field, an)
             assert got == oracle[plane], (window, g)
-            outcomes.add(got[1][0][0] if got[0] == "ok" else got[0])
+            outcomes.add(got[1].dim if got[0] == "ok" else got[0])
     assert outcomes == ({2} if which.startswith("metabelian") else {1, 2})
+
+
+def _ring_report(an):
+    """The report of the bottom-degree ring solve."""
+    return pc.identify_field_of_ring(pc.compute_grend0(an)).report()
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_identify_field_closed_form_matches_ring(p):
+    """The closed form in (p, u, v) and dim L_3 against the ring solve it
+    replaced: the same FieldId report, or the same error, on every
+    irreducible t^2 - u*t - v, on the first 10 searched presentations of
+    class 8, for 10 seeded pairs each (degenerate ones included), at
+    windows 4, 5 and 8."""
+    outcomes = set()
+    for u, v in itertools.product(range(p), repeat=2):
+        if not quadratic_is_irreducible(p, u, v):
+            continue
+        F = make_ext_field(p, u, v)
+        rng = random.Random(f"closed-form-ring-{F}")
+        elems = list(F.elements())
+        for pres in mc.search_sequences(F, 8, 10):
+            pairs = [
+                sf.GeneratorPair(*(tuple(rng.choices(elems, k=2)) for _ in "XY"))
+                for _ in range(10)
+            ]
+            for window in (4, 5, 8):
+                amb = sf._Ambient(pres, window)
+                for g in pairs:
+                    an = sf._analyse(amb, g)
+                    got = _outcome(endo.identify_field, an)
+                    assert got == _outcome(_ring_report, an), (F, pres.adjoint, g, window)
+                    outcomes.add(got[1].embedding if got[0] == "ok" else got[0])
+    assert outcomes == {"n/a", "mu_conj", "DegenerateGenerators"} | ({"mu"} if p > 2 else set())
 
 
 # -- gf: one row reduction and one combination ---------------------------------
@@ -2874,7 +2901,7 @@ def test_int_kernel_reduces_entries(p):
 
 @pytest.mark.parametrize("p", [2, 3, 7, 1000003])
 def test_combine_and_product_match_entrywise(p):
-    """``gf.combine`` and ``endo._mat_mul`` against the entry-by-entry
+    """``int_kernel.combine`` and ``mat_mul`` against the entry-by-entry
     vector-matrix and matrix products, on every shape 1-6 x 1-6 with about
     40% zero entries, and on zero and all-(p - 1) matrices."""
     field = gg.BaseField(p)
@@ -2895,4 +2922,4 @@ def test_combine_and_product_match_entrywise(p):
                     want = tuple(oracle_apply(field, rows, coeffs))
                     assert combine(p, coeffs, rows) == want, (rows, coeffs)
                 left = matrix(rng.randint(1, 6), nrows)
-                assert endo._mat_mul(p, left, rows) == oracle_mul(field, left, rows), (left, rows)
+                assert mat_mul(p, left, rows) == oracle_mul(field, left, rows), (left, rows)

@@ -7,7 +7,9 @@ the entries of ``NOT_RUN``, each with its reason.  Code that only a test
 needs lives under ``tests/`` (``paper_checks`` and the oracles of
 ``test_lemma``), so a function that no subcommand reaches fails here.
 The comparison is exact: an entry of ``NOT_RUN`` that the cases enter,
-or that names no def, fails too.
+or that names no def, fails too.  Likewise every error class of
+``thinlie.errors`` but the base class must be named by some ``raise`` of
+the package, so a class whose last raise is deleted fails here.
 """
 
 import ast
@@ -82,3 +84,25 @@ def test_every_def_is_entered(tmp_path):
         name for key, name in defs.items() if key not in entered and not _is_dunder(name)
     )
     assert missed == sorted(NOT_RUN)
+
+
+def raised_names() -> set:
+    """The names the package's ``raise`` statements raise: ``raise E(...)``,
+    ``raise E`` and ``raise mod.E(...)`` all name E."""
+    out = set()
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                if isinstance(exc, ast.Name):
+                    out.add(exc.id)
+                elif isinstance(exc, ast.Attribute):
+                    out.add(exc.attr)
+    return out
+
+
+def test_every_error_is_raised():
+    tree = ast.parse((SRC / "errors.py").read_text(encoding="utf-8"))
+    classes = {node.name for node in tree.body if isinstance(node, ast.ClassDef)}
+    assert "ThinLieError" in classes
+    assert sorted(classes - {"ThinLieError"} - raised_names()) == []

@@ -12,6 +12,7 @@ import pytest
 
 import generic_gf as gg
 import paper_checks as pc
+from int_kernel import express
 from test_lemma import oracle_extract
 from thinlie import maxclass as mc
 from thinlie import reconstruct as rec
@@ -153,8 +154,8 @@ class TestBuildRhoPrime:
         # decompose X and Y in the stored degree-1 basis rows
         X4 = sf.deg1_to_f4(an.pair.X)
         Y4 = sf.deg1_to_f4(an.pair.Y)
-        cx = an.express(1, X4)
-        cy = an.express(1, Y4)
+        cx = express(an, 1, X4)
+        cy = express(an, 1, Y4)
 
         def image_of(coords):
             m = {}

@@ -46,15 +46,11 @@ def test_positional_keyword_and_defaults(f9):
         mc.StandardForm(pres, m, False, None)
 
 
-def test_default_factory_is_fresh(f9):
+def test_cache_fields_start_empty(f9):
     pres = mc.make_metabelian(f9, 8)
-    pair = sf.GeneratorPair((f9.one, f9.zero), (f9.zero, f9.one))
-    a = sf.generate_subalgebra(pres, pair)
-    args = (a.pres, a.pair, a.window, a.bases, a.dims, a.d, a.D0, a.verdict, a.centralizers)
-    b, c = sf.SubalgebraAnalysis(*args), sf.SubalgebraAnalysis(*args)
-    assert b._spaces == {} and c._spaces == {}
-    assert b._spaces is not c._spaces
     assert mc.MaxClassPresentation(f9, 4, pres.adjoint[:2])._structure is None
+    with pytest.raises(TypeError):  # a cache field is no parameter
+        mc.MaxClassPresentation(f9, 4, pres.adjoint[:2], None)
 
 
 def test_presentation_gate(f9):
@@ -79,13 +75,16 @@ def test_cache_fields_not_compared_or_shown(f9):
     assert repr(a).startswith("MaxClassPresentation(field=")
     assert "class_n=8" in repr(a)
 
-    pair = sf.GeneratorPair((f9.one, f9.zero), (f9.zero, f9.one))
-    s = sf.generate_subalgebra(a, pair)
-    t = sf.generate_subalgebra(a, pair)
-    s._spaces[99] = "cached"
+    pair = sf.GeneratorPair((f9.one, f9.one), (f9.mu, f9.add(f9.one, f9.mu)))
+    an = sf.generate_subalgebra(a, pair)
+    s, t = (rec.build_rho_prime(an, rec.detect_structure(an)) for _ in "st")
+    s.eps = {}
     assert s == t
-    assert repr(s) == repr(t) and "_spaces" not in repr(s)
-    assert s != sf.generate_subalgebra(a, sf.GeneratorPair(pair.Y, pair.X))
+    assert repr(s) == repr(t) and "eps" not in repr(s) and "inv=" not in repr(s)
+    pair = sf.GeneratorPair((f9.one, f9.zero), (f9.zero, f9.one))
+    assert sf.generate_subalgebra(a, pair) != sf.generate_subalgebra(
+        a, sf.GeneratorPair(pair.Y, pair.X)
+    )
 
 
 def test_equality_is_by_class_and_fields():
@@ -120,7 +119,7 @@ def test_mutable_records_unhashable(f9):
         sf.Verdict("thin"),
         mc.JacobiReport(True, None, 0),
         mc.StandardForm(mc.make_metabelian(f9, 6), None, False),
-        endo.FieldId(1, None, True, "n/a", None, None, None),
+        endo.FieldId(1, None, True, "n/a"),
         rec.RoundtripReport("rho", 3, 8, True, None),
     ]
     for r in records:

@@ -10,11 +10,12 @@ import random
 import pytest
 
 import paper_checks as pc
+from int_kernel import RowSpace, combine
 from paper_checks import WindowTooLargeForBruteForce
 from thinlie import maxclass as mc
 from thinlie import subfield as sf
 from thinlie.errors import NotStandardForm, WindowTooLarge
-from thinlie.gf import ExtField, RowSpace, combine, make_ext_field
+from thinlie.gf import ExtField, make_ext_field
 
 
 class TestGenerate:
