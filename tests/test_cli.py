@@ -491,6 +491,28 @@ class TestRoundtrip:
         assert out == ""
         assert err == f"error: usable window {window - 3} is below the minimum class 4\n"
 
+    @pytest.mark.parametrize(
+        "class_n, limit, name, window",
+        [(14, 21, "s_020.json", None), (20, 27, "e_026.json", "14")],
+        ids=["s020", "e026-window14"],
+    )
+    def test_unrefuted_kernel_exits_1(self, tmp_path, capsys, class_n, limit, name, window):
+        """The ``roundtrip-s020`` and ``roundtrip-e026-window14`` golden
+        cases: on the insoluble-surrogate branch (k = 3) every cell of
+        degree 9 that the window holds is zero.  e_026 extends s_020, and
+        at window 16 its round trip succeeds (``roundtrip-e026-window16``)."""
+        prefix = str(tmp_path / name[0])
+        code, _, _ = run(
+            capsys, "build", "search", "--p", "2", "--ext", "1,1",
+            "--class", str(class_n), "--limit", str(limit), "-o", prefix,
+        )
+        assert code == 0
+        args = [] if window is None else ["--window", window]
+        code, out, err = run(capsys, "roundtrip", str(tmp_path / name), *PAIR, *args)
+        assert code == 1
+        assert out == ""
+        assert err == "error: representation has a kernel in degree 9\n"
+
 
 class TestScan:
     def test_metabelian(self, met_file, capsys):

@@ -28,6 +28,13 @@ so the line-avoidance count tests F-independence and the d-values differ
 between points; ``build search``
 over GF(9) at class 16 with limit 2 is the smallest search found whose
 free node takes the Tonelli-Shanks branch of ``ExtField.sqrt``.
+``roundtrip`` of a GF(4) class-14 file whose kernel in degree 9 no cell
+of the window refutes (exit code 1), and of a class-20 file that extends
+it, at window 14 (exit code 1) and at window 16, where the kernel is
+refuted and the round trip succeeds.  Three guards: ``analyze`` with a
+generator of three coordinates and ``check`` of a class-3 file
+(``class3.json``), both exit code 2, and ``scan`` of a searched file
+that is not in standard form (exit code 1).
 ``test_reachability`` runs these cases to show that every function of
 the package is one the CLI runs.  They run in a fresh
 directory with relative file names, because reports echo the input path.
@@ -53,7 +60,7 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
 WRITTEN = GOLDEN / "written"
 
 # input files copied into the working directory before the cases run
-INPUTS = ["bad6.json", "bad10.json", "dev9mu.json", "dev9mu-bad.json", "ex10.json"]
+INPUTS = ["bad6.json", "bad10.json", "class3.json", "dev9mu.json", "dev9mu-bad.json", "ex10.json"]
 
 PAIR = ["--X", "1,0,1,0", "--Y", "0,1,1,1"]
 
@@ -113,6 +120,19 @@ CASES = [
     # the smallest search found whose free node has a nonzero square
     # discriminant, so ExtField.sqrt takes its Tonelli-Shanks branch
     ("build-search-c16", ["build", "search", "--p", "3", "--ext", "2,0", "--class", "16", "--limit", "2", "-o", "c16"], 0),
+    # a thin pair on the insoluble-surrogate branch (k = 3) whose degree-9
+    # cells all vanish within window 14; e_026 extends s_020 to class 20,
+    # where window 16 sees a nonzero cell and the round trip succeeds
+    ("build-search-gf4-c14", ["build", "search", "--p", "2", "--ext", "1,1", "--class", "14", "--limit", "21", "-o", "s"], 0),
+    ("roundtrip-s020", ["roundtrip", "s_020.json", *PAIR], 1),
+    ("build-search-gf4-c20", ["build", "search", "--p", "2", "--ext", "1,1", "--class", "20", "--limit", "27", "-o", "e"], 0),
+    ("roundtrip-e026-window14", ["roundtrip", "e_026.json", *PAIR, "--window", "14"], 1),
+    ("roundtrip-e026-window16", ["roundtrip", "e_026.json", *PAIR, "--window", "16"], 0),
+    # usage and schema guards: a generator of three coordinates, a file of
+    # class 3, and a scan of a searched file that is not in standard form
+    ("analyze-short-generator", ["analyze", "m.json", "--X", "1,0,1", "--Y", "0,1,1,1", "--window", "12"], 2),
+    ("check-class3", ["check", "class3.json"], 2),
+    ("scan-not-standard", ["scan", "found_001.json"], 1),
 ]
 
 
