@@ -86,6 +86,13 @@ if TYPE_CHECKING:
 
 @record
 class FieldId:
+    """The End_0 report.
+
+    ``is_field`` is always true: by the lemma the ring is F or the field
+    F[m_mu].  The key is kept so that the report's schema and bytes stay
+    as they were.
+    """
+
     dim: int
     min_poly: Optional[Tuple[int, int, int]]  # (c0, c1, 1) for t^2 + c1 t + c0
     is_field: bool

@@ -45,22 +45,6 @@ class DegenerateGenerators(ThinLieError):
     pass
 
 
-class NotEStable(ThinLieError):
-    pass
-
-
-class NotFaithful(ThinLieError):
-    pass
-
-
-class NotMetabelian(ThinLieError):
-    pass
-
-
-class DimensionAnomaly(ThinLieError):
-    pass
-
-
 class WindowTooSmall(ThinLieError):
     pass
 

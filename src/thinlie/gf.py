@@ -4,9 +4,9 @@ Scalars carry no wrapper objects: a prime-field element is an int in
 [0, p) and a quadratic-extension element is a pair ``(c0, c1)`` meaning
 ``c0 + c1*mu`` where ``mu**2 = u*mu + v``.  GF(p) has no field object:
 its arithmetic is Python's on ints mod p, and the linear algebra
-(``RowSpace``, ``span``, ``solve``) takes the prime p.  Every
-subalgebra is computed in GF(p)-coordinates, so no solve runs over
-GF(p^2); ``ExtField`` owns the extension arithmetic.
+(``RowSpace``, ``span``) takes the prime p.  Every subalgebra is
+computed in GF(p)-coordinates, so no elimination runs over GF(p^2);
+``ExtField`` owns the extension arithmetic.
 The one exception is the structure-table kernel of ``maxclass``
 (``_Structure.extend``, ``jacobi`` and ``linear_forms``, and the search's
 ``projective_kernel`` and ``free_children``): it expands the product
@@ -17,9 +17,9 @@ and the inverse of the norm.
 
 Rows are eliminated in one place, ``RowSpace.insert``: pivots are the
 first nonzero entry in column order, leading entries are normalized to 1,
-and elimination is carried above and below the pivot.  ``solve`` reads
-its result off a ``RowSpace``, so every basis this package reports is the
-canonical reduced row-echelon basis of its span.
+and elimination is carried above and below the pivot, so every basis
+this package reports is the canonical reduced row-echelon basis of its
+span.
 """
 
 from __future__ import annotations
@@ -109,12 +109,9 @@ class ExtField:
     def order(self) -> int:
         return self.p * self.p
 
-    def embed(self, c: int) -> EElem:
-        return (c % self.p, 0)
-
     def coerce(self, e) -> EElem:
         if isinstance(e, int):
-            return self.embed(e)
+            return (e % self.p, 0)
         c0, c1 = e
         return (c0 % self.p, c1 % self.p)
 
@@ -269,21 +266,6 @@ def make_ext_field(p: int, u: int, v: int) -> ExtField:
 # ---------------------------------------------------------------------------
 
 
-def solve(p: int, rows: Sequence[Sequence[int]], vec: Sequence[int]) -> List[int]:
-    """Coordinates c with c . rows = vec over GF(p), for independent rows.
-
-    The span of the augmented columns (r_1[j], ..., r_n[j], vec[j]) has
-    pivots 0..n-1 exactly when the rows are independent and vec is in
-    their span; its reduced basis then carries c in the last column.
-    Raises ValueError otherwise.
-    """
-    n = len(rows)
-    sp = span(p, [[r[j] for r in rows] + [x] for j, x in enumerate(vec)], n + 1)
-    if sp._pivots != list(range(n)):
-        raise ValueError("rows are dependent or the vector is outside their span")
-    return [row[n] for row in sp._rows]
-
-
 class RowSpace:
     """A subspace of GF(p)^n kept in reduced echelon form under insertion.
 
@@ -297,10 +279,6 @@ class RowSpace:
         self.ncols = ncols
         self._rows: List[List[int]] = []  # sorted by pivot column, fully reduced
         self._pivots: List[int] = []
-
-    @property
-    def dim(self) -> int:
-        return len(self._rows)
 
     def reduce(self, vec: Sequence[int]) -> List[int]:
         p = self.p

@@ -93,48 +93,6 @@ def f4_to_deg1(vec: Sequence[int]) -> EPair:
     return ((vec[0], vec[1]), (vec[2], vec[3]))
 
 
-def ad_gen(
-    pres: MaxClassPresentation, degree: int, vec: Sequence[int], gen: EPair
-) -> Tuple[int, ...]:
-    """[vec, gen] for an F-coordinate vector of degree `degree`.
-
-    Returns F^2 coordinates in degree + 1 (the zero vector past the bound).
-    """
-    F = pres.field
-    if degree + 1 > pres.class_n:
-        return (0, 0)
-    if degree == 1:
-        (A, B), (al, be) = f4_to_deg1(vec), gen
-        return F.sub(F.mul(B, al), F.mul(A, be))  # [Ax+By, alpha x + beta y]
-    return F.mul((vec[0], vec[1]), tables(pres).phi(degree, gen))
-
-
-def bracket_vec(
-    pres: MaxClassPresentation,
-    deg_u: int,
-    u: Sequence[int],
-    deg_w: int,
-    w: Sequence[int],
-) -> Tuple[int, ...]:
-    """[u, w] for F-coordinate vectors of arbitrary degrees.
-
-    Degree-1 vectors live in F^4, all others in F^2; the result is in
-    F^2 coordinates of degree deg_u + deg_w (zero past the class bound).
-    """
-    F = pres.field
-    st = tables(pres)
-    if deg_u + deg_w > pres.class_n:
-        return (0, 0)
-    if deg_w == 1:
-        return ad_gen(pres, deg_u, u, f4_to_deg1(w))
-    if deg_u == 1:
-        img = ad_gen(pres, deg_w, w, f4_to_deg1(u))
-        return F.neg(img)
-    cu = (u[0], u[1])
-    cw = (w[0], w[1])
-    return F.mul(F.mul(cu, cw), st.get_vv(deg_u, deg_w))
-
-
 # -- analysis ----------------------------------------------------------------
 
 
@@ -157,7 +115,6 @@ class SubalgebraAnalysis:
     pair: GeneratorPair
     window: int
     bases: Tuple[Tuple[Tuple[int, ...], ...], ...]  # index degree-1, rref rows
-    dims: Tuple[int, ...]  # dim_F L_i for i = 1..window
     d: Optional[Tuple[int, ...]]  # d_i for i = 2..window-1; None if degenerate
     D0: Optional[Tuple[int, ...]]
     verdict: Verdict
@@ -167,11 +124,16 @@ class SubalgebraAnalysis:
     def field(self) -> ExtField:
         return self.pres.field
 
+    @property
+    def dims(self) -> Tuple[int, ...]:
+        """dim_F L_i for i = 1..window."""
+        return tuple(len(b) for b in self.bases)
+
     def basis(self, degree: int) -> Tuple[Tuple[int, ...], ...]:
         return self.bases[degree - 1]
 
     def dim(self, degree: int) -> int:
-        return self.dims[degree - 1]
+        return len(self.basis(degree))
 
     def d_at(self, degree: int) -> int:
         return self.d[degree - 2]
@@ -271,13 +233,11 @@ def _analyse(amb: _Ambient, g: GeneratorPair) -> SubalgebraAnalysis:
     det = g.det(F)
     if F.is_zero(det):
         bases = [tuple(l1.basis())] + [tuple()] * (window - 1)
-        dims = tuple([l1.dim] + [0] * (window - 1))
         return SubalgebraAnalysis(
             pres=pres,
             pair=g,
             window=window,
             bases=tuple(bases),
-            dims=dims,
             d=None,
             D0=None,
             verdict=Verdict(kind="degenerate"),
@@ -298,7 +258,6 @@ def _analyse(amb: _Ambient, g: GeneratorPair) -> SubalgebraAnalysis:
             phi = amb.st.phi(i, g.Y)
         c = _line(F, F.mul(c, phi))
         bases.append((c,))
-    dims = tuple(len(b) for b in bases)
     D0 = tuple(i for i, x in zip(range(2, window), d) if x == 0)
     verdict = _classify(d, window)
     return SubalgebraAnalysis(
@@ -306,7 +265,6 @@ def _analyse(amb: _Ambient, g: GeneratorPair) -> SubalgebraAnalysis:
         pair=g,
         window=window,
         bases=tuple(bases),
-        dims=dims,
         d=d,
         D0=D0,
         verdict=verdict,

@@ -1,11 +1,12 @@
 """The GF(p) linear algebra that only the tests use.
 
 The package keeps what its subcommands run: ``gf.RowSpace`` (insertion
-into the canonical reduced echelon basis), ``span`` and ``solve``.  The
-oracles also take right kernels, coordinates in a stored basis and
-membership, sum scaled rows, multiply matrices, and express vectors of a
-subalgebra in its canonical basis.  Those live here, on the same
-``RowSpace``, so the oracles and the package share one elimination.
+into the canonical reduced echelon basis) and ``span``.  The oracles
+also count dimensions, solve for coordinates in independent rows, take
+right kernels, coordinates in a stored basis and membership, sum scaled
+rows, multiply matrices, and express vectors of a subalgebra in its
+canonical basis.  Those live here, on the same ``RowSpace``, so the
+oracles and the package share one elimination.
 """
 
 from thinlie import gf
@@ -30,7 +31,12 @@ def mat_mul(p, a, b):
 
 
 class RowSpace(gf.RowSpace):
-    """``gf.RowSpace`` with membership, coordinates and the right kernel."""
+    """``gf.RowSpace`` with its dimension, membership, coordinates and the
+    right kernel."""
+
+    @property
+    def dim(self):
+        return len(self._rows)
 
     def contains(self, vec):
         return not any(self.reduce(vec))
@@ -71,6 +77,21 @@ def span(p, vectors, ncols):
     for v in vectors:
         sp.insert(v)
     return sp
+
+
+def solve(p, rows, vec):
+    """Coordinates c with c . rows = vec over GF(p), for independent rows.
+
+    The span of the augmented columns (r_1[j], ..., r_n[j], vec[j]) has
+    pivots 0..n-1 exactly when the rows are independent and vec is in
+    their span; its reduced basis then carries c in the last column.
+    Raises ValueError otherwise.
+    """
+    n = len(rows)
+    sp = span(p, [[r[j] for r in rows] + [x] for j, x in enumerate(vec)], n + 1)
+    if sp._pivots != list(range(n)):
+        raise ValueError("rows are dependent or the vector is outside their span")
+    return [row[n] for row in sp._rows]
 
 
 def space(analysis, degree):

@@ -24,9 +24,15 @@ them by other means:
   endomorphism space;
 * ``oracle_two_level_search`` is the presentation search before it
   searched one subtree per E*-orbit (``maxclass.search_sequences``);
-* ``quotient``, ``image`` and ``raw_pairs`` are the test-support
-  truncation, the full image of a basis row under a representation, and
-  every generator pair.
+* ``oracle_roundtrip`` is the round trip on stored representations
+  (``build_rho``, ``build_rho_prime``, the slot comparisons of
+  ``_check_rep`` and the phi map of ``_phi_failure``), which
+  ``reconstruct.verify_roundtrip`` replaced by one faithfulness scan of
+  the structure table;
+* ``quotient``, ``image``, ``raw_pairs``, ``ad_gen`` and ``bracket_vec``
+  are the test-support truncation, the full image of a basis row under a
+  representation, every generator pair, and the bracket of homogeneous
+  elements in F-coordinates.
 """
 
 from __future__ import annotations
@@ -34,26 +40,29 @@ from __future__ import annotations
 from itertools import chain, islice, product
 
 import generic_gf as gg
-from int_kernel import RowSpace, combine, express, mat_mul, space, span
+from int_kernel import RowSpace, combine, express, mat_mul, solve, space, span
 from thinlie import endo
 from thinlie import maxclass as mc
 from thinlie import reconstruct as rec
 from thinlie import subfield as sf
-from thinlie._record import record
+from thinlie._record import cache, record
 from thinlie.errors import (
     BadBound,
     DegenerateGenerators,
-    DimensionAnomaly,
     NotStandardForm,
     PreconditionFailed,
     ThinLieError,
 )
-from thinlie.gf import quadratic_is_irreducible, solve
+from thinlie.gf import quadratic_is_irreducible
 
 BRUTE_FORCE_LIMIT = 200_000
 
 
 class WindowTooLargeForBruteForce(ThinLieError):
+    pass
+
+
+class DimensionAnomaly(ThinLieError):
     pass
 
 
@@ -74,7 +83,7 @@ def image(rep, d, r):
     """rho of the basis row r of T_d on every slot it reaches (``RhoRep``)."""
     an = rep.analysis
     F = an.field
-    entry = rec._reader(rep, rec._rows(an), rep.images)
+    entry = _reader(rep, _rows(an), rep.images)
     slots = range(rep.slots_min, rep.window - d + 1)
     if d == 1:
         return {s: entry(r, s) for s in slots}
@@ -93,6 +102,40 @@ def raw_pairs(field):
                     if al == ga == (0, 0) and be == de == (0, 0):
                         continue
                     yield sf.GeneratorPair((al, be), (ga, de))
+
+
+def ad_gen(pres, degree, vec, gen):
+    """[vec, gen] for an F-coordinate vector of degree `degree`.
+
+    Returns F^2 coordinates in degree + 1 (the zero vector past the bound).
+    """
+    F = pres.field
+    if degree + 1 > pres.class_n:
+        return (0, 0)
+    if degree == 1:
+        (A, B), (al, be) = sf.f4_to_deg1(vec), gen
+        return F.sub(F.mul(B, al), F.mul(A, be))  # [Ax+By, alpha x + beta y]
+    return F.mul((vec[0], vec[1]), mc.tables(pres).phi(degree, gen))
+
+
+def bracket_vec(pres, deg_u, u, deg_w, w):
+    """[u, w] for F-coordinate vectors of arbitrary degrees.
+
+    Degree-1 vectors live in F^4, all others in F^2; the result is in
+    F^2 coordinates of degree deg_u + deg_w (zero past the class bound).
+    """
+    F = pres.field
+    st = mc.tables(pres)
+    if deg_u + deg_w > pres.class_n:
+        return (0, 0)
+    if deg_w == 1:
+        return ad_gen(pres, deg_u, u, sf.f4_to_deg1(w))
+    if deg_u == 1:
+        img = ad_gen(pres, deg_w, w, sf.f4_to_deg1(u))
+        return F.neg(img)
+    cu = (u[0], u[1])
+    cw = (w[0], w[1])
+    return F.mul(F.mul(cu, cw), st.get_vv(deg_u, deg_w))
 
 
 # -- brute-force verifiers ---------------------------------------------------
@@ -130,8 +173,8 @@ def verify_covering(analysis):
         for coeffs in _nonzero_coeff_vectors(p, analysis.dim(i)):
             u = combine(p, coeffs, analysis.basis(i))
             img = RowSpace(p, 2)
-            img.insert(sf.ad_gen(pres, i, u, g.X))
-            img.insert(sf.ad_gen(pres, i, u, g.Y))
+            img.insert(ad_gen(pres, i, u, g.X))
+            img.insert(ad_gen(pres, i, u, g.Y))
             if not (img.dim == target.dim and all(target.contains(r) for r in img.basis())):
                 return CoveringReport(ok=False, first_failure=(i, coeffs))
     return CoveringReport(ok=True, first_failure=None)
@@ -163,7 +206,7 @@ def ideal_closure(analysis, degree, vec):
         if h + 1 > analysis.window:
             continue
         for gen in (g.X, g.Y):
-            w = sf.ad_gen(pres, h, u, gen)
+            w = ad_gen(pres, h, u, gen)
             if spans[h + 1].insert(w):
                 work.append((h + 1, w))
     return spans
@@ -238,8 +281,8 @@ def normalize_generators(pres, g):
         )
     g0, g1 = ga
     f = pow(g1, F.p - 2, F.p)
-    ga = F.scale(f, F.sub(ga, F.embed(g0)))  # = mu
-    de = F.scale(f, F.sub(de, F.mul(F.embed(g0), be)))
+    ga = F.scale(f, F.sub(ga, F.coerce(g0)))  # = mu
+    de = F.scale(f, F.sub(de, F.mul(F.coerce(g0), be)))
     if F.is_zero(be):
         return NormalizationResult(
             sf.GeneratorPair((F.one, be), (ga, de)),
@@ -363,7 +406,7 @@ def iso_search(pres_a, pres_b, window=None):
     b_i v_{i+1} iff s_i*(phi_i(a1, b1), phi_i(a2, b2)) = s_{i+1}*(a_i, b_i)
     in B for some s_{i+1} != 0, that is iff the two points are equal.
     Once the generator relations transport, Phi is a homomorphism on all
-    pairs by the generator lemma (see ``reconstruct._check_rep``): both
+    pairs by the generator lemma (see ``_check_rep``): both
     truncations are Lie algebras generated by x and y.
 
     Both points are nonzero vectors: A has no zero pair, and a nonsingular
@@ -628,7 +671,7 @@ def solve_graded_maps(analysis):
     for i in range(K0, analysis.window):
         f_i = symbolic[i]
         ad = [
-            [express(analysis, i + 1, sf.ad_gen(analysis.pres, i, v, g)) for g in gens]
+            [express(analysis, i + 1, ad_gen(analysis.pres, i, v, g)) for g in gens]
             for v in analysis.basis(i)
         ]
         # T[g][j]: column j of T_g, the matrix of ad g from L_i to L_{i+1}
@@ -940,3 +983,293 @@ def oracle_two_level_search(field, class_n, limit):
 
     dfs(2, (), None)
     return out
+
+
+# -- the stored representations ----------------------------------------------------
+#
+# ``reconstruct.verify_roundtrip`` reads the round trip off the structure
+# table: both representations are the adjoint action on an invariant
+# subspace (the slot lemma in its docstring), so only faithfulness is
+# scanned.  The construction it replaced -- rho and rho' as stored shift
+# maps, the slot comparisons of ``_check_rep`` and the phi map of
+# ``_phi_failure`` -- is kept here as its oracle, ``oracle_roundtrip``.
+# There a degree whose images vanish on every slot raises NotFaithful,
+# where the package raises WindowTooSmall.
+
+
+class NotEStable(ThinLieError):
+    pass
+
+
+class NotFaithful(ThinLieError):
+    pass
+
+
+class NotMetabelian(ThinLieError):
+    pass
+
+
+def _commutator(field, slots, m1, d1, m2, d2):
+    """The matrix commutator [m1, m2] of two shift maps, on ``slots``.
+
+    Shift maps record the right adjoint action w -> [w, t], which is a
+    Lie homomorphism in the row-vector convention: the product m1*m2
+    applies m1 first.  m1 and m2 read an entry by source slot, and the
+    entry at slot s is m1(s)*m2(s+d1) - m2(s)*m1(s+d2); ``slots`` ends by
+    window - d1 - d2, so every entry read lies inside the maps.
+    """
+    mul = field.mul
+    return {s: field.sub(mul(m1(s), m2(s + d1)), mul(m2(s), m1(s + d2))) for s in slots}
+
+
+@record
+class RhoRep:
+    """A representation on the slots [slots_min, window], stored below ``lo``.
+
+    Maps are named by basis ids: 0 and 1 are the rows r1, r2 of T_1, and
+    d >= 2 is v_d.  Each entry of both constructions is E-linear in t for
+    t in M_d, d >= 2, so the image of a row e*v_d of T_d is e*rho(v_d);
+    rho(v_d) is that E-linear extension, also when v_d is not in T_d.
+
+    A slot s >= lo (lo = k - 1 on rho, lo = 3 on rho') is the line M_s
+    with basis row eps_s*v_s, and there rho(t)(s) = eps_s*c*eps_{s+d}^{-1}
+    where [v_s, t] = c*v_{s+d} (``_reader``).  ``images`` holds the
+    entries on the slots below lo -- slots 1 and 2 on rho', none on rho:
+    images[i][s] for s < lo.
+    """
+
+    branch: str  # "rho" | "rho_prime"
+    k: int
+    window: int
+    slots_min: int  # slots are the contiguous degrees [slots_min, window]
+    lo: int  # the slots >= lo are read off the structure table
+    analysis: object  # the SubalgebraAnalysis
+    images: dict  # basis id -> {slot: entry} on the slots below lo
+    eps: dict = cache()  # basis(s)[0] = eps_s*v_s for lo <= s <= window
+    inv: dict = cache()  # eps_s^{-1}, one inversion per degree
+
+    def __post_init__(self):
+        F = self.analysis.field
+        self.eps = {s: _row_scalar(self.analysis, s) for s in range(self.lo, self.window + 1)}
+        self.inv = {s: F.inv(e) for s, e in self.eps.items()}
+
+
+def _row_scalar(an, degree):
+    """e with basis(degree)[0] = e*v_degree, for degree >= 2."""
+    row = an.basis(degree)[0]
+    return (row[0], row[1])
+
+
+def _rows(an):
+    """The rows r1, r2 of T_1 as extension pairs (alpha, beta): alpha*x + beta*y."""
+    return [sf.f4_to_deg1(row) for row in an.basis(1)]
+
+
+def _reader(rep, gens, low):
+    """entry(i, s): the entry at slot s of the map of basis id i.
+
+    Below rep.lo it is low[i][s].  From lo on it is read off the structure
+    table: the map of id 0 or 1 acts as the degree-1 element gens[i], so
+    its entry is eps_s*phi_s(gens[i])*eps_{s+1}^{-1}, and the map of id
+    i >= 2 acts as v_i, with entry eps_s*[v_s, v_i]*eps_{s+i}^{-1}.
+    """
+    F = rep.analysis.field
+    st = mc.tables(rep.analysis.pres)
+    lo, eps, inv, mul = rep.lo, rep.eps, rep.inv, F.mul
+
+    def entry(i, s):
+        if s < lo:
+            return low[i][s]
+        if i < 2:
+            return mul(mul(eps[s], st.phi(s, gens[i])), inv[s + 1])
+        return mul(mul(eps[s], st.get_vv(s, i)), inv[s + i])
+
+    return entry
+
+
+def _low_mismatch(rep, gens, entry):
+    """mismatch(g, t): the first slot below rep.lo where the map of the
+    bracket [g, w_t] differs from the commutator of the maps, or None.
+
+    The maps are read by ``entry`` (``_reader`` over gens).  g is 0 or 1
+    and w_t is gens[1] for t = 1, else v_t (ids as in ``RhoRep``).  The
+    bracket is read off the table: [gens[0], gens[1]] = (b1*a2 - a1*b2)*v_2,
+    because [x, y] = -v_2, and [g, v_t] = -phi_t(g)*v_{t+1}.  Slots s with
+    s + 1 + t > window are outside the commutator.
+    """
+    F = rep.analysis.field
+    st = mc.tables(rep.analysis.pres)
+    (a1, b1), (a2, b2) = gens
+    det = F.sub(F.mul(b1, a2), F.mul(a1, b2))
+
+    def mismatch(g, t):
+        slots = range(rep.slots_min, min(rep.lo, rep.window - t))
+        if not slots:
+            return None
+        coeff = det if t == 1 else F.neg(st.phi(t, gens[g]))
+        got = _commutator(F, slots, lambda s: entry(g, s), 1, lambda s: entry(t, s), t)
+        return next((s for s in slots if got[s] != F.mul(coeff, entry(t + 1, s))), None)
+
+    return mismatch
+
+
+def _check_e_structure(analysis, lo):
+    """Every degree from lo up is an extension line: dim_F L_m = 2 = dim_F M_m."""
+    for m in range(lo, analysis.window + 1):
+        if analysis.dim(m) != 2:
+            raise NotEStable(f"component of degree {m} is not an extension line")
+
+
+def _check_rep(rep):
+    """Per-degree faithfulness, and the homomorphism property on generators.
+
+    Both checks stop at window - k.  In degree d >= 2 the rows of T_d are
+    e*v_d for F-independent e, so their images are F-independent iff
+    rho(v_d) has one nonzero entry.  The homomorphism is checked on the
+    pairs (g, t) with g in T_1 only (the generator lemma: T is generated
+    by T_1), t over r2 in degree 1 and over v_d above, and only on the
+    slots below lo.
+    """
+    an = rep.analysis
+    F = an.field
+    window, cap = rep.window, rep.window - rep.k
+    rows = _rows(an)
+    entry = _reader(rep, rows, rep.images)
+    for d in range(2, cap + 1):
+        if all(F.is_zero(entry(d, s)) for s in range(rep.slots_min, window - d + 1)):
+            raise NotFaithful(f"representation has a kernel in degree {d}")
+    mismatch = _low_mismatch(rep, rows, entry)
+    for d in range(1, cap):
+        for g in (0,) if d == 1 else (0, 1):
+            s = mismatch(g, d)
+            if s is not None:
+                raise DimensionAnomaly(
+                    f"rho([t,t']) != [rho(t), rho(t')] at degrees (1,{d}), slot {s}"
+                )
+
+
+def build_rho(analysis, flags):
+    """Adjoint representation on the extension span of z plus the ideal T^k.
+
+    The slot of z = basis(k - 1)[0] comes first, then T^k, and every slot
+    is a table slot (lo = k - 1), so nothing is stored.
+    """
+    if flags.metabelian:
+        raise PreconditionFailed("metabelian input belongs to the modified branch")
+    an = analysis
+    window = an.window
+    k = flags.k
+    _check_e_structure(an, k)
+    rep = RhoRep(
+        branch="rho",
+        k=k,
+        window=window,
+        slots_min=k - 1,
+        lo=k - 1,
+        analysis=an,
+        images={i: {} for i in range(window - k + 2)},
+    )
+    _check_rep(rep)
+    return rep
+
+
+def build_rho_prime(analysis, flags):
+    """The modified representation for metabelian T, on E + E + T^3.
+
+    The two extension slots stand for the lines of Y and of [Y, X]; a
+    degree-1 element alpha*X + beta*Y sends the Y-slot to alpha times the
+    [Y,X]-slot, and everything else is the adjoint action.  Only slots 1
+    and 2 are stored; with [Y, X] = c*v_2 and [v_2, v_d] = c_d*v_{d+2}
+    their entries are read off the table: [[Y, X], g] = c*phi_2(g)*v_3 for
+    g in T_1, and for v_d [Y, v_d] = -phi_d(Y)*v_{d+1} and
+    [[Y, X], v_d] = c*c_d*v_{d+2}, each against the row eps_s*v_s of its
+    target slot.  The alpha of each degree-1 row is one ``solve``.
+    """
+    an = analysis
+    F = an.field
+    pres = an.pres
+    window = an.window
+    st = mc.tables(pres)
+    if not flags.metabelian:
+        raise NotMetabelian("T has a nonzero bracket in T^2 within the window")
+    _check_e_structure(an, 3)
+    X4 = sf.deg1_to_f4(an.pair.X)
+    Y4 = sf.deg1_to_f4(an.pair.Y)
+    yx = bracket_vec(pres, 1, Y4, 1, X4)  # spans T_2
+    c = (yx[0], yx[1])
+    rep = RhoRep(
+        branch="rho_prime", k=2, window=window, slots_min=1, lo=3, analysis=an, images={}
+    )
+    inv = rep.inv
+    for r, t in enumerate(an.basis(1)):
+        alpha, _ = solve(F.p, [X4, Y4], t)
+        g = sf.f4_to_deg1(t)
+        rep.images[r] = {1: F.coerce(alpha), 2: F.mul(F.mul(c, st.phi(2, g)), inv[3])}
+    for d in range(2, window):
+        m = {1: F.neg(F.mul(st.phi(d, an.pair.Y), inv[d + 1]))}
+        if 2 + d <= window:
+            m[2] = F.mul(F.mul(c, st.get_vv(2, d)), inv[d + 2])
+        rep.images[d] = m
+    _check_rep(rep)
+    return rep
+
+
+def _inverse_rows(F, rows):
+    """The rows of the inverse of the 2x2 matrix over E with rows r1, r2.
+
+    With r1 = (a1, b1), r2 = (a2, b2) and det = a1*b2 - b1*a2, they are
+    (b2, -b1)/det and (-a2, a1)/det: the coefficients (e1, e2) with
+    e1*r1 + e2*r2 = (1, 0) and (0, 1).  DivisionByZero when det = 0.
+    """
+    (a1, b1), (a2, b2) = rows
+    inv = F.inv(F.sub(F.mul(a1, b2), F.mul(b1, a2)))
+    return [(F.mul(b2, inv), F.neg(F.mul(b1, inv))), (F.neg(F.mul(a2, inv)), F.mul(a1, inv))]
+
+
+def _phi_failure(st, rep, usable, phi):
+    """The first pair (g, t), g = x or y, with phi([g, t]) != [phi(g), phi(t)].
+
+    phi maps basis ids (0 = x, 1 = y, k = v_k) to their entries on the
+    slots below rep.lo; from lo on, they are read off the table.
+    """
+    F = st.field
+    units = ((F.one, F.zero), (F.zero, F.one))
+    mismatch = _low_mismatch(rep, units, _reader(rep, units, phi))
+    for s in (0, 1):
+        for t in range(s + 1, usable):
+            sl = mismatch(s, t)
+            if sl is not None:
+                return f"phi([{mc.label(s)},{mc.label(t)}]) mismatch at slot {sl}"
+    return None
+
+
+def oracle_roundtrip(pres, g, window=None):
+    """``reconstruct.verify_roundtrip`` on the stored representations: rho
+    or rho' with ``_check_rep``, then phi on the slots below lo."""
+    window = pres.class_n if window is None else window
+    analysis = sf.generate_subalgebra(pres, g, window)
+    if analysis.verdict.kind != "thin":
+        raise PreconditionFailed(
+            f"round trip needs a thin pair, got {analysis.verdict.kind}"
+        )
+    flags = rec.detect_structure(analysis)
+    if flags.metabelian:
+        rep = build_rho_prime(analysis, flags)
+    else:
+        rep = build_rho(analysis, flags)
+    usable = rec.usable_window(rep.window, rep.k)
+    F = pres.field
+
+    # phi on degree 1: x and y as extension combinations of the rows r1, r2
+    low0, low1 = rep.images[0], rep.images[1]
+    phi = {i: rep.images[i] for i in range(2, usable + 1)}
+    for i, (e1, e2) in enumerate(_inverse_rows(F, _rows(analysis))):
+        phi[i] = {s: F.add(F.mul(e1, c), F.mul(e2, low1[s])) for s, c in low0.items()}
+    first_failure = _phi_failure(mc.tables(pres), rep, usable, phi)
+    return rec.RoundtripReport(
+        branch=rep.branch,
+        k=rep.k,
+        usable_window=usable,
+        iso=first_failure is None,
+        first_failure=first_failure,
+    )

@@ -159,7 +159,7 @@ def test_criterion_7_structural_invariants(f4, f9, f25, dev4_12, dev9_12, dev25_
     import itertools
     import random
 
-    from thinlie.gf import RowSpace
+    from int_kernel import RowSpace
 
     pools = {
         2: (f4, [mc.make_metabelian(f4, 12), dev4_12]),
@@ -218,8 +218,8 @@ def test_criterion_7_structural_invariants(f4, f9, f25, dev4_12, dev9_12, dev25_
                     continue
                 vec = combine(field.p, coeffs, an.basis(degree))
                 img = RowSpace(p, 2)
-                img.insert(sf.ad_gen(pres, degree, vec, g.X))
-                img.insert(sf.ad_gen(pres, degree, vec, g.Y))
+                img.insert(pc.ad_gen(pres, degree, vec, g.X))
+                img.insert(pc.ad_gen(pres, degree, vec, g.Y))
                 assert img.dim == 2 - d_i
             samples += 1
 

@@ -499,8 +499,10 @@ class TestRoundtrip:
     def test_unrefuted_kernel_exits_1(self, tmp_path, capsys, class_n, limit, name, window):
         """The ``roundtrip-s020`` and ``roundtrip-e026-window14`` golden
         cases: on the insoluble-surrogate branch (k = 3) every cell of
-        degree 9 that the window holds is zero.  e_026 extends s_020, and
-        at window 16 its round trip succeeds (``roundtrip-e026-window16``)."""
+        degree 9 that window 14 holds is zero.  That is no proven kernel:
+        e_026 extends s_020, and at window 16 its round trip succeeds
+        (``roundtrip-e026-window16``).  So the window is reported as too
+        small, with exit code 1."""
         prefix = str(tmp_path / name[0])
         code, _, _ = run(
             capsys, "build", "search", "--p", "2", "--ext", "1,1",
@@ -511,7 +513,7 @@ class TestRoundtrip:
         code, out, err = run(capsys, "roundtrip", str(tmp_path / name), *PAIR, *args)
         assert code == 1
         assert out == ""
-        assert err == "error: representation has a kernel in degree 9\n"
+        assert err == "error: kernel in degree 9 not refuted within window 14\n"
 
 
 class TestScan:

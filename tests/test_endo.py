@@ -15,11 +15,11 @@ import random
 import pytest
 
 import paper_checks as pc
+from paper_checks import DimensionAnomaly
 from int_kernel import express
 from thinlie import endo
 from thinlie import maxclass as mc
 from thinlie import subfield as sf
-from thinlie.errors import DimensionAnomaly
 from thinlie.gf import make_ext_field, quadratic_is_irreducible
 
 
@@ -100,7 +100,7 @@ class TestClosedForm:
                 inv_v = pow(v, p - 2, p)
                 assert ring.basis == ((-u * inv_v % p, inv_v, 1, 0), (1, 0, 0, 1))
                 assert ring.identity == (0, 1) and fid.generator == (1, 0)
-                assert fid.sigma == F.scale(inv_v, F.sub(F.mu, F.embed(u)))
+                assert fid.sigma == F.scale(inv_v, F.sub(F.mu, F.coerce(u)))
                 assert fid.mu_hat == (v, u)
                 assert fid.embedding == ("mu" if 2 * v < p else "mu_conj")
                 assert endo.identify_field(an) == fid.report()

@@ -1,7 +1,7 @@
 """The generator and linearity lemmas against the loops they replaced.
 
-Jacobi (``maxclass``), the rho homomorphism (``reconstruct._check_rep``),
-the round-trip phi map (``reconstruct._phi_failure``) and the graded
+Jacobi (``maxclass``), the rho homomorphism (``paper_checks._check_rep``),
+the round-trip phi map (``paper_checks._phi_failure``) and the graded
 isomorphism of ``paper_checks.iso_search`` (one point equation per
 degree) are checked only on pairs and triples with a degree-1 generator.
 The all-pairs loops they replaced are kept here as oracles, and each fast
@@ -62,16 +62,18 @@ RowSpace generation, the RowSpace d-values (one span per degree) and the
 pair-by-pair scan, which classifies each pair through those d-values,
 are kept here as oracles.
 
-``reconstruct`` stores a representation's entries only on the slots
-below lo, where the slot lemma (``RhoRep``) does not make it the adjoint
-action of the ambient algebra, and reads the others off the structure
-table.  ``_check_rep`` and ``_phi_failure`` compare only those slots,
-and ``verify_roundtrip`` takes N's dimensions and presentation (a base
-change of the ambient one) from the lemma and [N_d, N_1] = N_{d+1} from
-``_check_rep`` without computing them.  The per-entry and the full-table
-image constructions, both checks on every slot, the commutator
-extraction (compared with that base change) and the span comparison are
-kept here as oracles.  ``apply_degree1_change`` derives its result's
+``reconstruct.verify_roundtrip`` builds no representation: by the slot
+lemma (its docstring) rho and phi are the adjoint action on an invariant
+subspace, so it scans table cells for faithfulness and takes the rest
+from the lemma.  The round trip on stored maps it replaced
+(``paper_checks.oracle_roundtrip``) is its oracle in
+``test_reconstruct``; that one stores a representation's entries only on
+the slots below lo, reads the others off the structure table, and
+``_check_rep`` and ``_phi_failure`` compare only the stored slots.  The
+per-entry and the full-table image constructions, both checks on every
+slot, the commutator extraction (compared with N's presentation, a base
+change of the ambient one) and the span comparison are kept here as the
+oracles of that oracle.  ``apply_degree1_change`` derives its result's
 table without Jacobi checks; that table is compared with ``validate``'s.
 
 ``endo.identify_field`` reads End_0(L^3) and its field off dim L_3 and
@@ -97,8 +99,8 @@ forms at every degree, or the same error, at shift 0.  The oracle takes any
 shift, and ``paper_checks.grend_d_dimension`` runs it.
 
 ``reconstruct.detect_structure`` reads the largest degree i with a nonzero
-bracket [v_i, v_j] in the window once, and ``gf.solve`` and the tests'
-``int_kernel.RowSpace.kernel`` are read off the canonical ``RowSpace``.
+bracket [v_i, v_j] in the window once, and the tests' ``int_kernel.solve``
+and ``int_kernel.RowSpace.kernel`` are read off the canonical ``RowSpace``.
 The scan per tail T^k and the Gauss-Jordan elimination they replaced are
 kept here as oracles, and so are the entry-by-entry vector-matrix and
 matrix products that ``int_kernel.combine`` and ``mat_mul`` replaced.
@@ -113,22 +115,21 @@ import pytest
 
 import generic_gf as gg
 import paper_checks as pc
-from int_kernel import RowSpace, combine, express, mat_mul, span
+from int_kernel import RowSpace, combine, express, mat_mul, solve, span
 from thinlie import endo
 from thinlie import maxclass as mc
 from thinlie import reconstruct as rec
 from thinlie import subfield as sf
+from paper_checks import DimensionAnomaly, NotFaithful
 from thinlie.errors import (
     BadBound,
-    DimensionAnomaly,
-    NotFaithful,
     NotStandardForm,
     PreconditionFailed,
     ThinLieError,
     WindowTooSmall,
 )
 from thinlie import gf
-from thinlie.gf import make_ext_field, quadratic_is_irreducible, solve
+from thinlie.gf import make_ext_field, quadratic_is_irreducible
 
 
 def _label(i: int) -> str:
@@ -478,13 +479,13 @@ def oracle_check_rep(rep):
                 for r2 in range(an.dim(d2)):
                     if d1 == d2 and r2 <= r1:
                         continue
-                    lie = sf.bracket_vec(pres, d1, an.basis(d1)[r1], d2, an.basis(d2)[r2])
+                    lie = pc.bracket_vec(pres, d1, an.basis(d1)[r1], d2, an.basis(d2)[r2])
                     coords = express(an, d1 + d2, lie)
                     want = {}
                     for c, idx in zip(coords, range(an.dim(d1 + d2))):
                         if c:
                             want = _map_add(
-                                F, want, _map_scale(F, F.embed(c), images[(d1 + d2, idx)])
+                                F, want, _map_scale(F, F.coerce(c), images[(d1 + d2, idx)])
                             )
                     got = oracle_commutator(
                         F, rep.slots_min, rep.window,
@@ -522,9 +523,9 @@ def oracle_check_rep_generators(rep):
                 if d == 1 and r2 <= r1:
                     continue
                 want = {}
-                for idx, c in enumerate(express(an, d + 1, sf.bracket_vec(pres, 1, g, d, t))):
+                for idx, c in enumerate(express(an, d + 1, pc.bracket_vec(pres, 1, g, d, t))):
                     if c:
-                        want = _map_add(F, want, _map_scale(F, F.embed(c), images[(d + 1, idx)]))
+                        want = _map_add(F, want, _map_scale(F, F.coerce(c), images[(d + 1, idx)]))
                 got = oracle_commutator(
                     F, rep.slots_min, rep.window, images[(1, r1)], 1, images[(d, r2)], d
                 )
@@ -1277,7 +1278,7 @@ def oracle_rho_images(an, k):
     window = an.window
 
     def entry(s, row, d, t):
-        return _e_of(an, s + d, sf.bracket_vec(pres, s, row, d, t))
+        return _e_of(an, s + d, pc.bracket_vec(pres, s, row, d, t))
 
     images = {}
     if k > 2:
@@ -1288,12 +1289,12 @@ def oracle_rho_images(an, k):
                 }
         return images
     X4, Y4 = sf.deg1_to_f4(an.pair.X), sf.deg1_to_f4(an.pair.Y)
-    yx = sf.bracket_vec(pres, 1, Y4, 1, X4)
+    yx = pc.bracket_vec(pres, 1, Y4, 1, X4)
     for d in range(1, window):
         for r, t in enumerate(an.basis(d)):
             m = {}
             if d == 1:
-                m[1] = F.embed(solve(F.p, [X4, Y4], t)[0])
+                m[1] = F.coerce(solve(F.p, [X4, Y4], t)[0])
             elif 1 + d <= window:
                 m[1] = entry(1, Y4, d, t)
             if 2 + d <= window:
@@ -1329,17 +1330,17 @@ def oracle_table_images(an, k):
             (d, r): table(d, t) for d in range(1, window - k + 2) for r, t in enumerate(an.basis(d))
         }
     X4, Y4 = sf.deg1_to_f4(an.pair.X), sf.deg1_to_f4(an.pair.Y)
-    yx = sf.bracket_vec(pres, 1, Y4, 1, X4)
+    yx = pc.bracket_vec(pres, 1, Y4, 1, X4)
     images = {}
     for d in range(1, window):
         for r, t in enumerate(an.basis(d)):
             m = {}
             if d == 1:
-                m[1] = F.embed(solve(F.p, [X4, Y4], t)[0])
+                m[1] = F.coerce(solve(F.p, [X4, Y4], t)[0])
             elif 1 + d <= window:
-                m[1] = _e_of(an, 1 + d, sf.bracket_vec(pres, 1, Y4, d, t))
+                m[1] = _e_of(an, 1 + d, pc.bracket_vec(pres, 1, Y4, d, t))
             if 2 + d <= window:
-                m[2] = _e_of(an, 2 + d, sf.bracket_vec(pres, 2, yx, d, t))
+                m[2] = _e_of(an, 2 + d, pc.bracket_vec(pres, 2, yx, d, t))
             m.update(table(d, t))
             images[(d, r)] = m
     return images
@@ -1420,8 +1421,8 @@ def _rep(pres, pair, window=None):
     an = sf.generate_subalgebra(pres, pair, pres.class_n if window is None else window)
     flags = rec.detect_structure(an)
     if flags.metabelian:
-        return rec.build_rho_prime(an, flags)
-    return rec.build_rho(an, flags)
+        return pc.build_rho_prime(an, flags)
+    return pc.build_rho(an, flags)
 
 
 def _outcome(fn, *args):
@@ -1451,7 +1452,7 @@ def _second_generator_only(F, rng, rep, gens, maps):
     so only a check of the pairs with gens[1] can fail."""
     st = mc.tables(rep.analysis.pres)
     out = _corrupt(F, rng, maps, ids=[1])
-    entry = rec._reader(rep, gens, out)
+    entry = pc._reader(rep, gens, out)
     (a1, b1), (a2, b2) = gens
     for t in range(1, max(out)):
         c = F.sub(F.mul(b1, a2), F.mul(a1, b2)) if t == 1 else F.neg(st.phi(t, gens[0]))
@@ -1471,14 +1472,14 @@ def test_check_rep_matches_all_pairs(request, thin_pair_f9, which):
     pres = _presentation(request, which)
     F = pres.field
     rep = _rep(pres, thin_pair_f9)
-    checks = (rec._check_rep, oracle_check_rep_generators, oracle_check_rep)
+    checks = (pc._check_rep, oracle_check_rep_generators, oracle_check_rep)
     assert [_outcome(fn, rep) for fn in checks] == [("ok", None)] * 3
     if rep.branch == "rho":
         assert rep.lo == rep.slots_min and not any(rep.images.values())
         return
     assert all(s < rep.lo for m in rep.images.values() for s in m)
     rng = random.Random(f"check-rep-{which}")
-    rows = rec._rows(rep.analysis)
+    rows = pc._rows(rep.analysis)
     stages = set()
     generation_failures = second_failures = 0
     for n in range(300):
@@ -1487,11 +1488,11 @@ def test_check_rep_matches_all_pairs(request, thin_pair_f9, which):
             images = _second_generator_only(F, rng, rep, rows, rep.images)
         else:
             images = _corrupt(F, rng, rep.images)
-        bad = rec.RhoRep(
+        bad = pc.RhoRep(
             branch=rep.branch, k=rep.k, window=rep.window, slots_min=rep.slots_min,
             lo=rep.lo, analysis=rep.analysis, images=images,
         )
-        got = _outcome(rec._check_rep, bad)
+        got = _outcome(pc._check_rep, bad)
         assert [_outcome(fn, bad) for fn in checks[1:]] == [got, got]
         stages.add(got[0])
         second_failures += second and got[0] == "DimensionAnomaly"
@@ -1505,16 +1506,16 @@ def test_check_rep_matches_all_pairs(request, thin_pair_f9, which):
 
 
 def _phi_args(monkeypatch, pres, pair, window=None):
-    """The arguments verify_roundtrip passes to the phi check."""
+    """The arguments ``oracle_roundtrip`` passes to the phi check."""
     seen = []
-    real = rec._phi_failure
+    real = pc._phi_failure
 
     def spy(*args):
         seen.append(args)
         return real(*args)
 
-    monkeypatch.setattr(rec, "_phi_failure", spy)
-    assert rec.verify_roundtrip(pres, pair, window).iso
+    monkeypatch.setattr(pc, "_phi_failure", spy)
+    assert pc.oracle_roundtrip(pres, pair, window).iso
     monkeypatch.undo()
     (args,) = seen
     return args
@@ -1530,7 +1531,7 @@ def _full_phi(rep, phi):
         d, t = args.get(i, (i, (1, 0)))
         full[i] = dict(m)
         for s in range(rep.lo, rep.window - d + 1):
-            full[i][s] = _e_of(an, s + d, sf.bracket_vec(an.pres, s, an.basis(s)[0], d, t))
+            full[i][s] = _e_of(an, s + d, pc.bracket_vec(an.pres, s, an.basis(s)[0], d, t))
     return full
 
 
@@ -1549,16 +1550,16 @@ def _assert_matches_oracles(monkeypatch, pres, pair, window, rep):
     assert span(p, gens + list(an.basis(1)), 4).dim == span(p, gens, 4).dim == 2
     assert images == oracle_table_images(rep.analysis, rep.k)
     assert images == oracle_rho_images(rep.analysis, rep.k)
-    checks = (rec._check_rep, oracle_check_rep_generators, oracle_check_rep, oracle_generation_check)
+    checks = (pc._check_rep, oracle_check_rep_generators, oracle_check_rep, oracle_generation_check)
     assert [_outcome(fn, rep) for fn in checks] == [("ok", None)] * 4
-    usable = rec.usable_window(rep)
-    r1, r2 = rec._rows(rep.analysis)
+    usable = rec.usable_window(rep.window, rep.k)
+    r1, r2 = pc._rows(rep.analysis)
     dims, extracted = oracle_extract(rep)
     assert dims == {d: 2 if d == 1 else 1 for d in range(1, usable + 1)}
     assert extracted == mc.apply_degree1_change(pc.quotient(pres, usable), r1, r2)
     st, rep, usable, phi = _phi_args(monkeypatch, pres, pair, window)
     full = _full_phi(rep, phi)
-    assert rec._phi_failure(st, rep, usable, phi) is None
+    assert pc._phi_failure(st, rep, usable, phi) is None
     assert oracle_phi_generators(st, rep, usable, full) is None
     assert oracle_phi_failure(st, rep, usable, full) is None
 
@@ -1680,7 +1681,7 @@ def test_phi_check_matches_all_pairs(request, monkeypatch, thin_pair_f9, which):
     F = pres.field
     st, rep, usable, phi = _phi_args(monkeypatch, pres, thin_pair_f9)
     full = _full_phi(rep, phi)
-    assert rec._phi_failure(st, rep, usable, phi) is None
+    assert pc._phi_failure(st, rep, usable, phi) is None
     assert oracle_phi_generators(st, rep, usable, full) is None
     assert oracle_phi_failure(st, rep, usable, full) is None
     if rep.branch == "rho":
@@ -1700,7 +1701,7 @@ def test_phi_check_matches_all_pairs(request, monkeypatch, thin_pair_f9, which):
             wrong = dict(phi)
             idx = rng.choice(sorted(wrong))
             wrong[idx] = _map_scale(F, _random_nonzero(F, rng), wrong[idx])
-        got = rec._phi_failure(st, rep, usable, wrong)
+        got = pc._phi_failure(st, rep, usable, wrong)
         full = _full_phi(rep, wrong)
         assert got == oracle_phi_generators(st, rep, usable, full)
         assert got == oracle_phi_failure(st, rep, usable, full)
@@ -1966,13 +1967,11 @@ def oracle_generate_subalgebra(pres, g, window=None):
     l1.insert(sf.deg1_to_f4(g.Y))
     if g.is_degenerate(F):
         bases = [tuple(l1.basis())] + [tuple()] * (window - 1)
-        dims = tuple([l1.dim] + [0] * (window - 1))
         return sf.SubalgebraAnalysis(
             pres=pres,
             pair=g,
             window=window,
             bases=tuple(bases),
-            dims=dims,
             d=None,
             D0=None,
             verdict=sf.Verdict(kind="degenerate"),
@@ -1985,10 +1984,9 @@ def oracle_generate_subalgebra(pres, g, window=None):
         nxt = RowSpace(F.p, 2)
         for r in prev.basis():
             for gen in (g.X, g.Y):
-                nxt.insert(sf.ad_gen(pres, i, r, gen))
+                nxt.insert(pc.ad_gen(pres, i, r, gen))
         bases.append(tuple(nxt.basis()))
         prev = nxt
-    dims = tuple(len(b) for b in bases)
     d = oracle_d_values(l1, seq, window)
     D0 = tuple(i for i, x in zip(range(2, window), d) if x == 0)
     verdict = sf._classify(d, window)
@@ -1997,7 +1995,6 @@ def oracle_generate_subalgebra(pres, g, window=None):
         pair=g,
         window=window,
         bases=tuple(bases),
-        dims=dims,
         d=d,
         D0=D0,
         verdict=verdict,
@@ -2444,7 +2441,7 @@ def _gen_images(analysis, degree):
     out = []
     for r_idx, row in enumerate(analysis.basis(degree)):
         for g_idx, gen in enumerate((analysis.pair.X, analysis.pair.Y)):
-            img = sf.ad_gen(analysis.pres, degree, row, gen)
+            img = pc.ad_gen(analysis.pres, degree, row, gen)
             out.append((r_idx, g_idx, express(analysis, degree + 1, img)))
     return out
 
@@ -2575,8 +2572,8 @@ def test_grend0_brackets_each_degree_once(monkeypatch, thin_pair_f9):
     ``endo.identify_field`` brackets nothing and inserts no row, at class
     40 or 160: it reads dim L_3 and (p, u, v) alone."""
     calls, inserts = [], []
-    ad_gen, insert = sf.ad_gen, gf.RowSpace.insert
-    monkeypatch.setattr(sf, "ad_gen", lambda *args: calls.append(args) or ad_gen(*args))
+    ad_gen, insert = pc.ad_gen, gf.RowSpace.insert
+    monkeypatch.setattr(pc, "ad_gen", lambda *args: calls.append(args) or ad_gen(*args))
     monkeypatch.setattr(
         gf.RowSpace, "insert", lambda self, vec: inserts.append(vec) or insert(self, vec)
     )

@@ -1,11 +1,17 @@
 """Structure detection, the two representations, N, round trips, and isomorphisms.
 
-The isomorphism search is the test oracle ``paper_checks.iso_search``.
+The representations are built by the oracle round trip
+(``paper_checks.build_rho``, ``build_rho_prime`` and
+``oracle_roundtrip``), which ``verify_roundtrip`` replaced by a
+faithfulness scan of the structure table; ``test_roundtrip_matches_oracle``
+compares the two.  The isomorphism search is the test oracle
+``paper_checks.iso_search``.
 """
 
 import json
 import random
 import re
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -17,13 +23,8 @@ from test_lemma import oracle_extract
 from thinlie import maxclass as mc
 from thinlie import reconstruct as rec
 from thinlie import subfield as sf
-from thinlie.errors import (
-    DivisionByZero,
-    InvalidPresentation,
-    NotEStable,
-    NotMetabelian,
-    PreconditionFailed,
-)
+from paper_checks import NotEStable, NotMetabelian
+from thinlie.errors import DivisionByZero, InvalidPresentation, PreconditionFailed, ThinLieError
 from thinlie.gf import ExtField, make_ext_field
 
 
@@ -46,8 +47,8 @@ def _three_elements(monkeypatch):
 def n_presentation(rep):
     """N's presentation as ``verify_roundtrip``'s docstring derives it: M's
     class-`usable` quotient in the basis (r1, r2) of T_1."""
-    r1, r2 = rec._rows(rep.analysis)
-    return mc.apply_degree1_change(pc.quotient(rep.analysis.pres, rec.usable_window(rep)), r1, r2)
+    r1, r2 = pc._rows(rep.analysis)
+    return mc.apply_degree1_change(pc.quotient(rep.analysis.pres, rec.usable_window(rep.window, rep.k)), r1, r2)
 
 
 def centralizers_match(pres, pair, window=None):
@@ -59,11 +60,11 @@ def centralizers_match(pres, pair, window=None):
     an = sf.generate_subalgebra(pres, pair, window)
     flags = rec.detect_structure(an)
     if flags.metabelian:
-        rep = rec.build_rho_prime(an, flags)
+        rep = pc.build_rho_prime(an, flags)
     else:
-        rep = rec.build_rho(an, flags)
+        rep = pc.build_rho(an, flags)
     seq_n = mc.two_step_centralizers(mc.standard_generators(n_presentation(rep)).presentation)
-    quotient = pc.quotient(pres, rec.usable_window(rep))
+    quotient = pc.quotient(pres, rec.usable_window(rep.window, rep.k))
     seq_m = mc.two_step_centralizers(mc.standard_generators(quotient).presentation)
     return seq_n.points == seq_m.points
 
@@ -105,14 +106,14 @@ class TestBuildRho:
     def test_checks_pass(self, dev_setup):
         _, an = dev_setup
         flags = rec.detect_structure(an)
-        rep = rec.build_rho(an, flags)
+        rep = pc.build_rho(an, flags)
         assert rep.branch == "rho"
         assert rep.slots_min == flags.k - 1
 
     def test_z_slot_killed_by_z(self, dev_setup):
         _, an = dev_setup
         flags = rec.detect_structure(an)
-        rep = rec.build_rho(an, flags)
+        rep = pc.build_rho(an, flags)
         f = an.field
         # rho(z) sends the z-slot to [z, z] = 0
         z_deg = flags.z_degree
@@ -122,7 +123,7 @@ class TestBuildRho:
     def test_grading(self, dev_setup):
         _, an = dev_setup
         flags = rec.detect_structure(an)
-        rep = rec.build_rho(an, flags)
+        rep = pc.build_rho(an, flags)
         # every slot is a table slot on rho, so nothing is stored
         assert rep.lo == rep.slots_min and not any(rep.images.values())
         for d in range(1, rep.window - rep.slots_min + 1):
@@ -134,13 +135,13 @@ class TestBuildRho:
         _, an = met_setup
         flags = rec.detect_structure(an)
         with pytest.raises(PreconditionFailed):
-            rec.build_rho(an, flags)
+            pc.build_rho(an, flags)
 
 
 class TestBuildRhoPrime:
     def test_checks_pass(self, met_setup):
         _, an = met_setup
-        rep = rec.build_rho_prime(an, rec.detect_structure(an))
+        rep = pc.build_rho_prime(an, rec.detect_structure(an))
         assert rep.branch == "rho_prime"
         assert rep.slots_min == 1
         # only the two extension slots are stored, and only where the map reaches
@@ -150,7 +151,7 @@ class TestBuildRhoPrime:
 
     def test_x_and_y_slot_entries(self, met_setup, f9):
         _, an = met_setup
-        rep = rec.build_rho_prime(an, rec.detect_structure(an))
+        rep = pc.build_rho_prime(an, rec.detect_structure(an))
         # decompose X and Y in the stored degree-1 basis rows
         X4 = sf.deg1_to_f4(an.pair.X)
         Y4 = sf.deg1_to_f4(an.pair.Y)
@@ -175,7 +176,7 @@ class TestBuildRhoPrime:
     def test_rejects_non_metabelian(self, dev_setup):
         _, an = dev_setup
         with pytest.raises(NotMetabelian):
-            rec.build_rho_prime(an, rec.detect_structure(an))
+            pc.build_rho_prime(an, rec.detect_structure(an))
 
 
 def test_degree_below_extension_line_is_not_e_stable():
@@ -188,9 +189,9 @@ def test_degree_below_extension_line_is_not_e_stable():
     assert an.verdict.kind == "rconstrained" and an.dim(3) == 1
     message = "component of degree 3 is not an extension line"
     with pytest.raises(NotEStable, match=message):
-        rec.build_rho_prime(an, rec.StructureFlags(True, 2, 1, "metabelian"))
+        pc.build_rho_prime(an, rec.StructureFlags(True, 2, 1, "metabelian"))
     with pytest.raises(NotEStable, match=message):
-        rec.build_rho(an, rec.StructureFlags(False, 3, 2, "insoluble-or-undetected"))
+        pc.build_rho(an, rec.StructureFlags(False, 3, 2, "insoluble-or-undetected"))
 
 
 class TestAssemble:
@@ -199,8 +200,8 @@ class TestAssemble:
 
     def test_metabelian_dims_and_extraction(self, met_setup, f9):
         m, an = met_setup
-        rep = rec.build_rho_prime(an, rec.detect_structure(an))
-        usable = rec.usable_window(rep)
+        rep = pc.build_rho_prime(an, rec.detect_structure(an))
+        usable = rec.usable_window(rep.window, rep.k)
         assert usable == 14 - 2 - 1
         dims, extracted = oracle_extract(rep)
         assert dims[1] == 2
@@ -214,7 +215,7 @@ class TestAssemble:
     def test_deviating_extraction_valid(self, dev_setup):
         _, an = dev_setup
         flags = rec.detect_structure(an)
-        rep = rec.build_rho(an, flags)
+        rep = pc.build_rho(an, flags)
         dims, extracted = oracle_extract(rep)
         assert extracted == n_presentation(rep)
         assert mc.validate(extracted).ok
@@ -222,7 +223,7 @@ class TestAssemble:
 
     def test_extension_bilinearity_of_bracket(self, met_setup, f9):
         _, an = met_setup
-        rep = rec.build_rho_prime(an, rec.detect_structure(an))
+        rep = pc.build_rho_prime(an, rec.detect_structure(an))
         rng = random.Random(31)
         elems = list(f9.elements())
         for _ in range(40):
@@ -239,7 +240,7 @@ class TestAssemble:
                 return {s: f9.mul(e, c) for s, c in m.items()}
 
             def commutator(a, b):
-                return rec._commutator(f9, slots, a.__getitem__, d1, b.__getitem__, d2)
+                return pc._commutator(f9, slots, a.__getitem__, d1, b.__getitem__, d2)
 
             lhs = commutator(scale(e1, m1), scale(e2, m2))
             assert lhs == scale(f9.mul(e1, e2), commutator(m1, m2))
@@ -281,7 +282,7 @@ class TestRoundtrip:
 
     @pytest.mark.parametrize("which", ["metabelian9_14", "dev9_14"])
     def test_extracts_nothing(self, request, monkeypatch, f9, thin_pair_f9, which):
-        """A round trip reads the usable window off the representation
+        """A round trip reads the usable window off the window and k
         (``usable_window``), so it builds no extracted presentation and no
         table for one: ``apply_degree1_change`` runs zero times, and the
         report's window is that of N's presentation (``n_presentation``)."""
@@ -298,26 +299,26 @@ class TestRoundtrip:
         assert report.iso and calls == []
         an = sf.generate_subalgebra(pres, thin_pair_f9, pres.class_n)
         flags = rec.detect_structure(an)
-        build = rec.build_rho_prime if flags.metabelian else rec.build_rho
+        build = pc.build_rho_prime if flags.metabelian else pc.build_rho
         rep = build(an, flags)
-        assert rec.usable_window(rep) == report.usable_window == n_presentation(rep).class_n
+        assert rec.usable_window(rep.window, rep.k) == report.usable_window == n_presentation(rep).class_n
         assert len(calls) == 1
 
     @pytest.mark.parametrize("class_n", [40, 80])
     def test_commutators_linear_in_window(self, monkeypatch, f9, thin_pair_f9, class_n):
-        """A metabelian round trip computes O(1) commutators per degree of
-        the window, at most 4, each on the two slots below lo (the slot
-        lemma); the table proves the other slots."""
+        """A metabelian oracle round trip computes O(1) commutators per
+        degree of the window, at most 4, each on the two slots below lo;
+        the table proves the other slots."""
         pres = mc.make_metabelian(f9, class_n)
         calls = []
-        commutator = rec._commutator
+        commutator = pc._commutator
 
         def spy(field, slots, *args):
             calls.append(len(slots))
             return commutator(field, slots, *args)
 
-        monkeypatch.setattr(rec, "_commutator", spy)
-        assert rec.verify_roundtrip(pres, thin_pair_f9).iso
+        monkeypatch.setattr(pc, "_commutator", spy)
+        assert pc.oracle_roundtrip(pres, thin_pair_f9).iso
         assert class_n < len(calls) <= 4 * class_n
         assert max(calls) == 2
 
@@ -340,10 +341,10 @@ class TestRoundtrip:
             if F.is_zero(F.sub(F.mul(a1, b2), F.mul(b1, a2))):
                 continue
             want = [tuple(gg.solve(F, rows, unit)) for unit in units]
-            assert rec._inverse_rows(F, rows) == want, rows
+            assert pc._inverse_rows(F, rows) == want, rows
             checked += 1
         with pytest.raises(DivisionByZero):
-            rec._inverse_rows(F, [(F.one, F.mu), (F.mu, F.mul(F.mu, F.mu))])
+            pc._inverse_rows(F, [(F.one, F.mu), (F.mu, F.mul(F.mu, F.mu))])
 
     def test_maximal_pair_refused(self, f9, maximal_pair):
         m = mc.make_metabelian(f9, 14)
@@ -354,6 +355,50 @@ class TestRoundtrip:
         m = mc.make_metabelian(f9, 14)
         doc = rec.verify_roundtrip(m, thin_pair_f9, 14).to_json()
         assert set(doc) == {"branch", "k", "usable_window", "iso", "first_failure"}
+
+
+def _roundtrip_outcome(fn, pres, pair, window):
+    try:
+        return ("ok", fn(pres, pair, window))
+    except ThinLieError as exc:
+        return (type(exc).__name__, str(exc))
+
+
+def test_roundtrip_matches_oracle(f4, search9_14):
+    """``verify_roundtrip`` against ``paper_checks.oracle_roundtrip``, which
+    builds rho or rho' as stored maps and compares their slots and the phi
+    map: the same report or the same error, on every standard searched
+    presentation of GF(4) at class 14, GF(9) at class 14 and GF(9) with
+    mu^2 = mu + 1 at class 13, with every normalized pair, at every window
+    from 7 to the class.  The one mapped difference is the unrefuted
+    kernel: the oracle's NotFaithful "representation has a kernel in
+    degree d" is WindowTooSmall "kernel in degree d not refuted within
+    window w".  It occurs on GF(4) and on GF(9), every time on the
+    insoluble-surrogate branch (k = 3)."""
+    f9b = make_ext_field(3, 1, 1)
+    cases = [
+        (f4, mc.search_sequences(f4, 14, 10**9)),
+        (search9_14[0].field, search9_14),
+        (f9b, mc.search_sequences(f9b, 13, 10**9)),
+    ]
+    seen = Counter()
+    for field, found in cases:
+        pairs = sf.normalized_pairs(field)
+        for pres in filter(mc.is_standard, found):
+            for pair in pairs:
+                for window in range(7, pres.class_n + 1):
+                    got = _roundtrip_outcome(rec.verify_roundtrip, pres, pair, window)
+                    want = _roundtrip_outcome(pc.oracle_roundtrip, pres, pair, window)
+                    if want[0] == "NotFaithful":
+                        d = re.fullmatch(r"representation has a kernel in degree (\d+)", want[1])[1]
+                        want = ("WindowTooSmall", f"kernel in degree {d} not refuted within window {window}")
+                        seen["unrefuted", field.p] += 1
+                        assert got[0] == "WindowTooSmall"
+                        assert rec.detect_structure(sf.generate_subalgebra(pres, pair, window)).k == 3
+                    assert got == want, (pres.adjoint, pair, window)
+                    seen[got[1].branch if got[0] == "ok" else got[0]] += 1
+    assert seen["unrefuted", 2] > 0 and seen["unrefuted", 3] > 0
+    assert seen["rho"] and seen["rho_prime"] and seen["WindowTooSmall"] and seen["PreconditionFailed"]
 
 
 class TestIsoSearch:
@@ -373,8 +418,8 @@ class TestIsoSearch:
     def test_roundtrip_crosscheck(self, dev9_14, thin_pair_f9):
         an = sf.generate_subalgebra(dev9_14, thin_pair_f9, 14)
         flags = rec.detect_structure(an)
-        rep = rec.build_rho(an, flags)
-        res = pc.iso_search(n_presentation(rep), pc.quotient(dev9_14, rec.usable_window(rep)))
+        rep = pc.build_rho(an, flags)
+        res = pc.iso_search(n_presentation(rep), pc.quotient(dev9_14, rec.usable_window(rep.window, rep.k)))
         assert res.found
 
     def test_no_budget(self, monkeypatch):

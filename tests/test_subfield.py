@@ -171,7 +171,7 @@ class TestIdealSandwich:
             for vec in spans[h].basis():
                 for dg in range(1, 9 - h):
                     for other in an.basis(dg):
-                        img = sf.bracket_vec(m, h, vec, dg, other)
+                        img = pc.bracket_vec(m, h, vec, dg, other)
                         assert spans[h + dg].contains(img)
 
 
@@ -384,8 +384,8 @@ class TestCentralizerStructure:
                     continue
                 vec = combine(f9.p, coeffs, an.basis(i))
                 img = RowSpace(f9.p, 2)
-                img.insert(sf.ad_gen(pres, i, vec, g.X))
-                img.insert(sf.ad_gen(pres, i, vec, g.Y))
+                img.insert(pc.ad_gen(pres, i, vec, g.X))
+                img.insert(pc.ad_gen(pres, i, vec, g.Y))
                 assert img.dim == 2 - d_i  # items 4 and 5
             checked += 1
 
