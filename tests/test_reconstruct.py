@@ -19,12 +19,12 @@ import pytest
 import generic_gf as gg
 import paper_checks as pc
 from int_kernel import express
-from test_lemma import oracle_extract
+from test_lemma import _outcome, oracle_extract
 from thinlie import maxclass as mc
 from thinlie import reconstruct as rec
 from thinlie import subfield as sf
 from paper_checks import NotEStable, NotMetabelian
-from thinlie.errors import DivisionByZero, InvalidPresentation, PreconditionFailed, ThinLieError
+from thinlie.errors import DivisionByZero, InvalidPresentation, PreconditionFailed
 from thinlie.gf import ExtField, make_ext_field
 
 
@@ -357,13 +357,6 @@ class TestRoundtrip:
         assert set(doc) == {"branch", "k", "usable_window", "iso", "first_failure"}
 
 
-def _roundtrip_outcome(fn, pres, pair, window):
-    try:
-        return ("ok", fn(pres, pair, window))
-    except ThinLieError as exc:
-        return (type(exc).__name__, str(exc))
-
-
 def test_roundtrip_matches_oracle(f4, search9_14):
     """``verify_roundtrip`` against ``paper_checks.oracle_roundtrip``, which
     builds rho or rho' as stored maps and compares their slots and the phi
@@ -387,8 +380,8 @@ def test_roundtrip_matches_oracle(f4, search9_14):
         for pres in filter(mc.is_standard, found):
             for pair in pairs:
                 for window in range(7, pres.class_n + 1):
-                    got = _roundtrip_outcome(rec.verify_roundtrip, pres, pair, window)
-                    want = _roundtrip_outcome(pc.oracle_roundtrip, pres, pair, window)
+                    got = _outcome(rec.verify_roundtrip, pres, pair, window)
+                    want = _outcome(pc.oracle_roundtrip, pres, pair, window)
                     if want[0] == "NotFaithful":
                         d = re.fullmatch(r"representation has a kernel in degree (\d+)", want[1])[1]
                         want = ("WindowTooSmall", f"kernel in degree {d} not refuted within window {window}")
