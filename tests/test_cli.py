@@ -87,6 +87,17 @@ class TestBuild:
         assert out == ""
         assert list(tmp_path.iterdir()) == []
 
+    def test_ext_of_one_value_exits_2(self, tmp_path, capsys, monkeypatch):
+        # ``_parse_ext`` raises ValueError, which argparse reports as a usage error
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main(["build", "metabelian", "--p", "3", "--ext", "2", "--class", "8"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "argument --ext: invalid _parse_ext value: '2'" in captured.err
+        assert list(tmp_path.iterdir()) == []
+
     def test_failed_search_keeps_written_files(self, tmp_path, capsys, monkeypatch):
         save = cli._save
 

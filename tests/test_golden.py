@@ -1,8 +1,9 @@
 """Report bytes against a recorded copy.
 
 ``test_byte_identical_reports`` compares two runs of the same code; this
-module compares stdout, the exit code and every written file with the
-bytes recorded in ``tests/golden/``, so a refactor that changes a report
+module compares stdout, stderr (the human-readable tables and error
+messages), the exit code and every written file with the bytes recorded
+in ``tests/golden/``, so a refactor that changes a report or a message
 is caught.  The commands are every README example, ``build search`` over
 GF(9) at class 12 with its default limit and over GF(49) at class 8 with
 limit 7, ``roundtrip`` of the README file at window 10 (so the usable
@@ -15,8 +16,8 @@ is 0 or mu, not 0 or 1) and ``check`` on a copy of it that fails at a y
 triple.  The CLI branches no README example reaches are covered too:
 ``stats`` on a valid file that is not in standard form (``ex10.json``,
 every pair (0, 1)), ``scan --raw``, and ``analyze`` on a maximal, an
-r-constrained (``dev9mu.json``) and a degenerate pair, the last with
-exit code 1, and ``endo`` in each case of its lemma: a degenerate pair
+r-constrained (``dev9mu.json``) and three degenerate pairs, of F-rank
+2, 1 and 0, each with exit code 1, and ``endo`` in each case of its lemma: a degenerate pair
 (exit code 1), dimension 1 (a maximal pair, and a ``dev9mu.json`` pair
 with t1 = 6) and dimension 2 (a ``dev9mu.json`` pair with t1 = 2, and the
 README pair at window 4, where only degree 3 steps), and the End_0
@@ -100,6 +101,9 @@ CASES = [
     ("analyze-maximal", ["analyze", "m.json", "--X", "1,0,0,0", "--Y", "0,0,1,0", "--window", "12"], 0),
     ("analyze-rconstrained", ["analyze", "dev9mu.json", "--X", "0,0,1,0", "--Y", "1,0,0,1"], 0),
     ("analyze-degenerate", ["analyze", "m.json", "--X", "1,0,0,0", "--Y", "0,1,0,0", "--window", "12"], 1),
+    # degenerate pairs whose F-span is a line and the zero space
+    ("analyze-degenerate-rank1", ["analyze", "m.json", "--X", "1,0,0,0", "--Y", "2,0,0,0", "--window", "12"], 1),
+    ("analyze-degenerate-rank0", ["analyze", "m.json", "--X", "0,0,0,0", "--Y", "0,0,0,0", "--window", "12"], 1),
     # End_0 in each case of its lemma: degenerate, F (dim L_3 = 1: maximal,
     # or t1 = 6), E (dim L_3 = 2: t1 = 2), and the shortest window, where
     # only degree 3 steps
@@ -137,7 +141,7 @@ CASES = [
 
 
 def run_cases(workdir: Path) -> dict:
-    """Run every case in ``workdir``: {name: (exit code, stdout)}."""
+    """Run every case in ``workdir``: {name: (exit code, stdout, stderr)}."""
     for name in INPUTS:
         shutil.copy(GOLDEN / name, workdir / name)
     results = {}
@@ -145,10 +149,10 @@ def run_cases(workdir: Path) -> dict:
     os.chdir(workdir)
     try:
         for name, argv, _ in CASES:
-            out = io.StringIO()
-            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
                 code = main(argv)
-            results[name] = (code, out.getvalue())
+            results[name] = (code, out.getvalue(), err.getvalue())
     finally:
         os.chdir(cwd)
     return results
@@ -172,9 +176,10 @@ def test_cases_cover_readme():
 def test_reports_match_golden(tmp_path):
     results = run_cases(tmp_path)
     for name, _, code in CASES:
-        got_code, got_out = results[name]
+        got_code, got_out, got_err = results[name]
         assert got_code == code, name
         assert got_out.encode("utf-8") == (GOLDEN / f"{name}.stdout").read_bytes(), name
+        assert got_err.encode("utf-8") == (GOLDEN / f"{name}.stderr").read_bytes(), name
     want = {p.name: p.read_bytes() for p in sorted(WRITTEN.iterdir())}
     got = written_files(tmp_path)
     assert sorted(got) == sorted(want)
@@ -187,10 +192,11 @@ def _record() -> None:
         workdir = Path(tmp)
         results = run_cases(workdir)
         for name, _, code in CASES:
-            got_code, out = results[name]
+            got_code, out, err = results[name]
             if got_code != code:
                 sys.exit(f"{name}: exit {got_code}, expected {code}")
             (GOLDEN / f"{name}.stdout").write_bytes(out.encode("utf-8"))
+            (GOLDEN / f"{name}.stderr").write_bytes(err.encode("utf-8"))
         shutil.rmtree(WRITTEN, ignore_errors=True)
         WRITTEN.mkdir()
         for name, data in written_files(workdir).items():
