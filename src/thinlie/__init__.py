@@ -3,4 +3,4 @@ and their GF(p)-subalgebras (thin, maximal class, or ideally r-constrained)."""
 
 __version__ = "0.1.0"
 
-from .gf import ExtField, RowSpace, make_ext_field, span  # noqa: F401
+from .gf import ExtField, make_ext_field  # noqa: F401

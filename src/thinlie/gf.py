@@ -1,12 +1,10 @@
-"""Exact arithmetic in GF(p) and GF(p^2), with dense linear algebra over GF(p).
+"""Exact arithmetic in GF(p) and GF(p^2): field arithmetic only.
 
 Scalars carry no wrapper objects: a prime-field element is an int in
 [0, p) and a quadratic-extension element is a pair ``(c0, c1)`` meaning
 ``c0 + c1*mu`` where ``mu**2 = u*mu + v``.  GF(p) has no field object:
-its arithmetic is Python's on ints mod p, and the linear algebra
-(``RowSpace``, ``span``) takes the prime p.  Every subalgebra is
-computed in GF(p)-coordinates, so no elimination runs over GF(p^2);
-``ExtField`` owns the extension arithmetic.
+its arithmetic is Python's on ints mod p.  ``ExtField`` owns the
+extension arithmetic.
 The one exception is the structure-table kernel of ``maxclass``
 (``_Structure.extend``, ``jacobi`` and ``linear_forms``, and the search's
 ``projective_kernel`` and ``free_children``): it expands the product
@@ -15,11 +13,9 @@ itself and reduces each coordinate of a sum of products once, and
 ``projective_kernel`` divides as ``ExtField.inv`` does, by the conjugate
 and the inverse of the norm.
 
-Rows are eliminated in one place, ``RowSpace.insert``: pivots are the
-first nonzero entry in column order, leading entries are normalized to 1,
-and elimination is carried above and below the pivot, so every basis
-this package reports is the canonical reduced row-echelon basis of its
-span.
+No row is eliminated anywhere in the package: a subalgebra is read off
+its dimensions (``subfield``), so no subcommand needs a basis.  The
+GF(p) linear algebra of the tests lives in ``tests/int_kernel.py``.
 """
 
 from __future__ import annotations
@@ -28,7 +24,7 @@ from .errors import BadBound, DivisionByZero, NotPrime, ReduciblePolynomial
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:
-    from typing import Iterator, List, Optional, Sequence, Tuple
+    from typing import Iterator, List, Optional, Tuple
 
     EElem = Tuple[int, int]
 
@@ -109,9 +105,7 @@ class ExtField:
     def order(self) -> int:
         return self.p * self.p
 
-    def coerce(self, e) -> EElem:
-        if isinstance(e, int):
-            return (e % self.p, 0)
+    def coerce(self, e: EElem) -> EElem:
         c0, c1 = e
         return (c0 % self.p, c1 % self.p)
 
@@ -259,62 +253,3 @@ class ExtField:
 def make_ext_field(p: int, u: int, v: int) -> ExtField:
     """Build GF(p^2) with mu^2 = u*mu + v, rejecting bad parameters."""
     return ExtField(p, u, v)
-
-
-# ---------------------------------------------------------------------------
-# Linear algebra over GF(p): entries are any ints, results residues in [0, p).
-# ---------------------------------------------------------------------------
-
-
-class RowSpace:
-    """A subspace of GF(p)^n kept in reduced echelon form under insertion.
-
-    The stored basis equals the rref basis of the spanned space no matter
-    in which order vectors are inserted, so reported bases are canonical.
-    Input entries may be any ints; they are reduced mod p.
-    """
-
-    def __init__(self, p: int, ncols: int):
-        self.p = p
-        self.ncols = ncols
-        self._rows: List[List[int]] = []  # sorted by pivot column, fully reduced
-        self._pivots: List[int] = []
-
-    def reduce(self, vec: Sequence[int]) -> List[int]:
-        p = self.p
-        vec = [x % p for x in vec]
-        for pc, row in zip(self._pivots, self._rows):
-            c = vec[pc]
-            if c:
-                vec = [(x - c * y) % p for x, y in zip(vec, row)]
-        return vec
-
-    def insert(self, vec: Sequence[int]) -> bool:
-        """Insert a vector; returns True if the dimension grew."""
-        p = self.p
-        vec = self.reduce(vec)
-        pivot = next((j for j, x in enumerate(vec) if x), None)
-        if pivot is None:
-            return False
-        inv = pow(vec[pivot], p - 2, p)
-        vec = [inv * x % p for x in vec]
-        for i, row in enumerate(self._rows):
-            c = row[pivot]
-            if c:
-                self._rows[i] = [(x - c * y) % p for x, y in zip(row, vec)]
-        at = 0
-        while at < len(self._pivots) and self._pivots[at] < pivot:
-            at += 1
-        self._rows.insert(at, vec)
-        self._pivots.insert(at, pivot)
-        return True
-
-    def basis(self) -> List[Tuple[int, ...]]:
-        return [tuple(r) for r in self._rows]
-
-
-def span(p: int, vectors: Sequence[Sequence[int]], ncols: int) -> RowSpace:
-    sp = RowSpace(p, ncols)
-    for v in vectors:
-        sp.insert(v)
-    return sp

@@ -137,7 +137,8 @@ def verify_roundtrip(
     checked: by the dimension lemma (``subfield._classify``) a thin T has
     dim_F T_m = 2 = dim_F M_m for 3 <= m <= window, so T_m = M_m.
 
-    Slot lemma.  Let c*v_2 = [Y, X] and basis(s)[0] = eps_s*v_s.  On the
+    Slot lemma.  Let c*v_2 = [Y, X] and let eps_s*v_s be the first
+    canonical basis row of T_s (``paper_checks.bases``).  On the
     rho branch (k >= 3) rho is the right adjoint action of T on
     W = E*v_{k-1} + M^k in the basis (eps_s*v_s), and on the rho' branch
     (metabelian T, k = 2) on W = E*Y + M^2 in the basis

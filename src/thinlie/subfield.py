@@ -9,13 +9,19 @@ Given two generators X, Y in M_1, the subalgebra L they generate has
 L_{i+1} = [L_i, X] + [L_i, Y], because L is generated in degree 1.  The
 classifying invariant is d_i = dim_F(C_i \\cap U) for U = L_1 = span_F{X, Y},
 the intersection of U with the two-step centralizer line C_i.  L is read
-off the d-values by the dimension lemma.  Let phi_i(alpha, beta) =
-alpha*a_i + beta*b_i; it is E-linear with kernel C_i, and
-[c*v_i, u] = c*phi_i(u)*v_{i+1}.  So, for E-independent X and Y:
+off its dimensions, and those off the d-values by the dimension lemma.
+Let phi_i(alpha, beta) = alpha*a_i + beta*b_i; it is E-linear with
+kernel C_i, and [c*v_i, u] = c*phi_i(u)*v_{i+1}.  So, for E-independent
+X and Y:
 
 * L_2 = F*det(X, Y)*v_2;
 * if L_i = M_i, then L_{i+1} = M_{i+1};
 * if L_i = F*c*v_i, then L_{i+1} = c*phi_i(U)*v_{i+1}, of dimension 2 - d_i.
+
+Hence dim L_1 = 2, dim L_2 = 1, and dim L_{i+1} = 2 exactly when
+dim L_i = 2 or d_i = 0.  For E-dependent X and Y, [Y, X] = det(X, Y)*v_2
+is 0, so L = L_1 = U, of dimension rank_F{X, Y}.  No basis is kept:
+every subcommand reads only dimensions, d and the verdict.
 
 Each d_i depends only on U and the point C_i, so it is computed once per
 distinct point (a metabelian algebra has one), by one F-determinant: for
@@ -35,13 +41,12 @@ import itertools
 
 from ._record import record
 from .errors import BadBound, NotStandardForm, WindowTooLarge
-from .gf import ExtField, span
+from .gf import ExtField
 from .maxclass import (
     CentralizerSequence,
     MaxClassPresentation,
     ey_point,
     is_standard,
-    tables,
     two_step_centralizers,
 )
 
@@ -101,7 +106,6 @@ class Verdict:
     kind: str  # "thin" | "maximal" | "rconstrained" | "degenerate"
     r_observed: Optional[int] = None
     t1: Optional[int] = None
-    r_bound_ok: Optional[bool] = None
 
     def __str__(self):
         if self.kind == "rconstrained":
@@ -114,9 +118,8 @@ class SubalgebraAnalysis:
     pres: MaxClassPresentation
     pair: GeneratorPair
     window: int
-    bases: Tuple[Tuple[Tuple[int, ...], ...], ...]  # index degree-1, rref rows
+    dims: Tuple[int, ...]  # dim_F L_i for i = 1..window
     d: Optional[Tuple[int, ...]]  # d_i for i = 2..window-1; None if degenerate
-    D0: Optional[Tuple[int, ...]]
     verdict: Verdict
     centralizers: CentralizerSequence
 
@@ -124,16 +127,8 @@ class SubalgebraAnalysis:
     def field(self) -> ExtField:
         return self.pres.field
 
-    @property
-    def dims(self) -> Tuple[int, ...]:
-        """dim_F L_i for i = 1..window."""
-        return tuple(len(b) for b in self.bases)
-
-    def basis(self, degree: int) -> Tuple[Tuple[int, ...], ...]:
-        return self.bases[degree - 1]
-
     def dim(self, degree: int) -> int:
-        return len(self.basis(degree))
+        return self.dims[degree - 1]
 
     def d_at(self, degree: int) -> int:
         return self.d[degree - 2]
@@ -142,9 +137,8 @@ class SubalgebraAnalysis:
 class _Ambient:
     """What the analysis of any pair reads from the presentation and window.
 
-    Built once per scan: the structure tables, the centralizer sequence,
-    its distinct points C_i for i = 2 .. window - 1, and the index of each
-    C_i among them.
+    Built once per scan: the centralizer sequence, its distinct points C_i
+    for i = 2 .. window - 1, and the index of each C_i among them.
     """
 
     def __init__(self, pres: MaxClassPresentation, window: int):
@@ -152,7 +146,6 @@ class _Ambient:
             raise BadBound(f"window {window} not in [4, {pres.class_n}]")
         self.pres = pres
         self.window = window
-        self.st = tables(pres)
         self.centralizers = two_step_centralizers(pres)
         self.points = self.centralizers.distinct(window)
         self.slots = [self.points.index(self.centralizers.point(i)) for i in range(2, window)]
@@ -204,70 +197,53 @@ def _classify(d: Sequence[int], window: int) -> Verdict:
     t1 = zeros[0]
     gaps = [b - a for a, b in zip(zeros, zeros[1:])]
     r_observed = max(gaps) if gaps else None
-    r_bound_ok = (2 <= r_observed <= t1) if r_observed is not None else None
-    return Verdict(kind="rconstrained", r_observed=r_observed, t1=t1, r_bound_ok=r_bound_ok)
+    return Verdict(kind="rconstrained", r_observed=r_observed, t1=t1)
 
 
 def generate_subalgebra(
     pres: MaxClassPresentation, g: GeneratorPair, window: Optional[int] = None
 ) -> SubalgebraAnalysis:
-    """Build L = <X, Y> from its d-values and classify it within the window."""
+    """Read L = <X, Y> off its d-values and classify it within the window."""
     window = pres.class_n if window is None else window
     return _analyse(_Ambient(pres, window), g)
 
 
-def _line(field: ExtField, c: EElem) -> Tuple[int, ...]:
-    """The rref basis row of F*c*v_i: c scaled so its first nonzero entry is 1."""
-    c0, c1 = c
-    if c0 == 0:
-        return (0, 1)
-    p = field.p
-    return (1, c1 * pow(c0, p - 2, p) % p)
+def _f_rank(p: int, g: GeneratorPair) -> int:
+    """rank_F{X, Y}: 0 when all eight coordinates are 0, 1 when every 2x2
+    minor of the 2x4 F-matrix of X and Y vanishes mod p, and 2 otherwise."""
+    x, y = deg1_to_f4(g.X), deg1_to_f4(g.Y)
+    if not any(x + y):
+        return 0
+    pairs = itertools.combinations(range(4), 2)
+    return 2 if any((x[j] * y[k] - x[k] * y[j]) % p for j, k in pairs) else 1
 
 
 def _analyse(amb: _Ambient, g: GeneratorPair) -> SubalgebraAnalysis:
     """The dimension lemma of the module docstring, degree by degree."""
     pres, window = amb.pres, amb.window
     F = pres.field
-    l1 = span(F.p, [deg1_to_f4(g.X), deg1_to_f4(g.Y)], 4)
-    det = g.det(F)
-    if F.is_zero(det):
-        bases = [tuple(l1.basis())] + [tuple()] * (window - 1)
+    if g.is_degenerate(F):
         return SubalgebraAnalysis(
             pres=pres,
             pair=g,
             window=window,
-            bases=tuple(bases),
+            dims=(_f_rank(F.p, g),) + (0,) * (window - 1),
             d=None,
-            D0=None,
             verdict=Verdict(kind="degenerate"),
             centralizers=amb.centralizers,
         )
 
     d = _d_values(amb, g)
-    full = ((1, 0), (0, 1))
-    c = _line(F, det)
-    bases: List[Tuple[Tuple[int, ...], ...]] = [tuple(l1.basis()), (c,)]
-    for i, d_i in zip(range(2, window), d):
-        if len(bases[-1]) == 2 or d_i == 0:
-            bases.append(full)
-            continue
-        # d_i = 1: phi_i(U) is the F-line of whichever of phi_i(X), phi_i(Y) is nonzero
-        phi = amb.st.phi(i, g.X)
-        if F.is_zero(phi):
-            phi = amb.st.phi(i, g.Y)
-        c = _line(F, F.mul(c, phi))
-        bases.append((c,))
-    D0 = tuple(i for i, x in zip(range(2, window), d) if x == 0)
-    verdict = _classify(d, window)
+    dims = [2, 1]
+    for d_i in d:
+        dims.append(2 if dims[-1] == 2 or d_i == 0 else 1)
     return SubalgebraAnalysis(
         pres=pres,
         pair=g,
         window=window,
-        bases=tuple(bases),
+        dims=tuple(dims),
         d=d,
-        D0=D0,
-        verdict=verdict,
+        verdict=_classify(d, window),
         centralizers=amb.centralizers,
     )
 

@@ -3,9 +3,9 @@ test oracle.
 
 ``BaseField`` is GF(p) behind the same method-call field protocol as
 ``thinlie.gf.ExtField``, and ``RowSpace``, ``span`` and ``solve`` run over
-either field through that protocol.  The package's kernel works on ints
-mod p only; this slow predecessor is what its differential tests compare
-against, and the E-linear test code (the isomorphism search, the
+either field through that protocol.  The kernel of ``int_kernel`` works
+on ints mod p only; this slow predecessor is what its differential tests
+compare against, and the E-linear test code (the isomorphism search, the
 extraction of N from the maps, the GF(p^2) kernel cases) runs on it.
 """
 

@@ -1,15 +1,13 @@
-"""The GF(p) linear algebra that only the tests use.
+"""The GF(p) linear algebra of the tests.
 
-The package keeps what its subcommands run: ``gf.RowSpace`` (insertion
-into the canonical reduced echelon basis) and ``span``.  The oracles
-also count dimensions, solve for coordinates in independent rows, take
-right kernels, coordinates in a stored basis and membership, sum scaled
-rows, multiply matrices, and express vectors of a subalgebra in its
-canonical basis.  Those live here, on the same ``RowSpace``, so the
-oracles and the package share one elimination.
+The package eliminates no rows: it reads a subalgebra off its
+dimensions, and ``gf`` is field arithmetic only.  The oracles insert
+rows into the canonical reduced echelon basis (``RowSpace``, ``span``),
+count dimensions, solve for coordinates in independent rows, take right
+kernels, coordinates in a stored basis and membership, sum scaled rows
+and multiply matrices.  All of it is here, on one ``RowSpace``, so the
+oracles share one elimination.
 """
-
-from thinlie import gf
 
 
 def combine(p, coeffs, rows):
@@ -30,9 +28,57 @@ def mat_mul(p, a, b):
     return [list(combine(p, row, b)) for row in a]
 
 
-class RowSpace(gf.RowSpace):
-    """``gf.RowSpace`` with its dimension, membership, coordinates and the
-    right kernel."""
+class RowSpace:
+    """A subspace of GF(p)^n kept in reduced echelon form under insertion,
+    with its dimension, membership, coordinates and the right kernel.
+
+    The stored basis equals the rref basis of the spanned space no matter
+    in which order vectors are inserted, so its bases are canonical.
+    Input entries may be any ints; they are reduced mod p.
+    """
+
+    def __init__(self, p, ncols):
+        self.p = p
+        self.ncols = ncols
+        self._rows = []  # sorted by pivot column, fully reduced
+        self._pivots = []
+
+    def reduce(self, vec):
+        p = self.p
+        vec = [x % p for x in vec]
+        for pc, row in zip(self._pivots, self._rows):
+            c = vec[pc]
+            if c:
+                vec = [(x - c * y) % p for x, y in zip(vec, row)]
+        return vec
+
+    def insert(self, vec):
+        """Insert a vector; returns True if the dimension grew.
+
+        Pivots are the first nonzero entry in column order, leading
+        entries are normalized to 1, and elimination is carried above and
+        below the pivot.
+        """
+        p = self.p
+        vec = self.reduce(vec)
+        pivot = next((j for j, x in enumerate(vec) if x), None)
+        if pivot is None:
+            return False
+        inv = pow(vec[pivot], p - 2, p)
+        vec = [inv * x % p for x in vec]
+        for i, row in enumerate(self._rows):
+            c = row[pivot]
+            if c:
+                self._rows[i] = [(x - c * y) % p for x, y in zip(row, vec)]
+        at = 0
+        while at < len(self._pivots) and self._pivots[at] < pivot:
+            at += 1
+        self._rows.insert(at, vec)
+        self._pivots.insert(at, pivot)
+        return True
+
+    def basis(self):
+        return [tuple(r) for r in self._rows]
 
     @property
     def dim(self):
@@ -93,12 +139,3 @@ def solve(p, rows, vec):
         raise ValueError("rows are dependent or the vector is outside their span")
     return [row[n] for row in sp._rows]
 
-
-def space(analysis, degree):
-    """L_degree of a ``SubalgebraAnalysis`` as a row space."""
-    return span(analysis.field.p, analysis.basis(degree), 4 if degree == 1 else 2)
-
-
-def express(analysis, degree, vec):
-    """Coordinates of an ambient vector in the canonical L_degree basis."""
-    return tuple(space(analysis, degree).coords(vec))

@@ -29,6 +29,10 @@ them by other means:
   ``_check_rep`` and the phi map of ``_phi_failure``), which
   ``reconstruct.verify_roundtrip`` replaced by one faithfulness scan of
   the structure table;
+* ``bases`` gives the canonical F-basis of every L_i in closed form
+  (``space`` and ``express`` read vectors in it), which the package
+  dropped because no subcommand reads a basis row: it keeps only the
+  dimensions;
 * ``quotient``, ``image``, ``raw_pairs``, ``ad_gen`` and ``bracket_vec``
   are the test-support truncation, the full image of a basis row under a
   representation, every generator pair, and the bracket of homogeneous
@@ -40,7 +44,7 @@ from __future__ import annotations
 from itertools import chain, islice, product
 
 import generic_gf as gg
-from int_kernel import RowSpace, combine, express, mat_mul, solve, space, span
+from int_kernel import RowSpace, combine, mat_mul, solve, span
 from thinlie import endo
 from thinlie import maxclass as mc
 from thinlie import reconstruct as rec
@@ -69,6 +73,68 @@ class DimensionAnomaly(ThinLieError):
 # -- test support ----------------------------------------------------------------
 
 
+def _line(p, c):
+    """The rref basis row of F*c*v_i: c scaled so its first nonzero entry is 1."""
+    c0, c1 = c
+    if c0 == 0:
+        return (0, 1)
+    return (1, c1 * pow(c0, p - 2, p) % p)
+
+
+_last_bases = [None, None]  # (analysis, its bases): oracles read one degree at a time
+
+
+def bases(an):
+    """The canonical (rref) F-basis of every L_i of an analysis, i = 1..window.
+
+    The package keeps only the dimensions.  This is the closed form of the
+    dimension lemma (``subfield`` docstring): the rref of span_F{X, Y} for
+    L_1, nothing above it for a degenerate pair, L_2 = F*det(X, Y)*v_2,
+    a full degree stays full, and a line F*c*v_i with d_i = 0 grows to
+    M_{i+1}, with d_i = 1 to the line of c*phi_i(X) or c*phi_i(Y),
+    whichever is nonzero.  The last analysis asked for is remembered.
+    """
+    if _last_bases[0] is not an:
+        _last_bases[:] = [an, _bases(an)]
+    return _last_bases[1]
+
+
+def _bases(an):
+    F, g, window = an.field, an.pair, an.window
+    l1 = tuple(span(F.p, [sf.deg1_to_f4(g.X), sf.deg1_to_f4(g.Y)], 4).basis())
+    if an.d is None:
+        return (l1,) + ((),) * (window - 1)
+    st = mc.tables(an.pres)
+    full = ((1, 0), (0, 1))
+    c = _line(F.p, g.det(F))
+    out = [l1, (c,)]
+    for i, d_i in zip(range(2, window), an.d):
+        if len(out[-1]) == 2 or d_i == 0:
+            out.append(full)
+            continue
+        phi = st.phi(i, g.X)
+        if F.is_zero(phi):
+            phi = st.phi(i, g.Y)
+        c = _line(F.p, F.mul(c, phi))
+        out.append((c,))
+    return tuple(out)
+
+
+def basis(an, degree):
+    """The canonical F-basis of L_degree (``bases``)."""
+    return bases(an)[degree - 1]
+
+
+def space(an, degree):
+    """L_degree of a ``SubalgebraAnalysis`` as a row space."""
+    return span(an.field.p, basis(an, degree), 4 if degree == 1 else 2)
+
+
+def express(an, degree, vec):
+    """Coordinates of an ambient vector in the canonical L_degree basis."""
+    return tuple(space(an, degree).coords(vec))
+
+
 def quotient(pres, class_n):
     """The class-``class_n`` truncation: the first class_n - 2 pairs.
 
@@ -87,7 +153,7 @@ def image(rep, d, r):
     slots = range(rep.slots_min, rep.window - d + 1)
     if d == 1:
         return {s: entry(r, s) for s in slots}
-    row = an.basis(d)[r]
+    row = basis(an, d)[r]
     e = (row[0], row[1])
     return {s: F.mul(e, entry(d, s)) for s in slots}
 
@@ -171,7 +237,7 @@ def verify_covering(analysis):
     for i in range(1, analysis.window):
         target = space(analysis, i + 1)
         for coeffs in _nonzero_coeff_vectors(p, analysis.dim(i)):
-            u = combine(p, coeffs, analysis.basis(i))
+            u = combine(p, coeffs, basis(analysis, i))
             img = RowSpace(p, 2)
             img.insert(ad_gen(pres, i, u, g.X))
             img.insert(ad_gen(pres, i, u, g.Y))
@@ -226,10 +292,10 @@ def verify_ideal_sandwich(analysis, r):
     _brute_force_guard(p, analysis.window)
     for i in range(1, analysis.window - r + 1):
         for coeffs in _nonzero_coeff_vectors(p, analysis.dim(i)):
-            l = combine(p, coeffs, analysis.basis(i))
+            l = combine(p, coeffs, basis(analysis, i))
             spans = ideal_closure(analysis, i, l)
             for h in range(i + r, analysis.window + 1):
-                target = analysis.basis(h)
+                target = basis(analysis, h)
                 if not all(spans[h].contains(row) for row in target):
                     return SandwichReport(ok=False, r=r, witness=(i, coeffs, h))
     return SandwichReport(ok=True, r=r, witness=None)
@@ -281,8 +347,8 @@ def normalize_generators(pres, g):
         )
     g0, g1 = ga
     f = pow(g1, F.p - 2, F.p)
-    ga = F.scale(f, F.sub(ga, F.coerce(g0)))  # = mu
-    de = F.scale(f, F.sub(de, F.mul(F.coerce(g0), be)))
+    ga = F.scale(f, F.sub(ga, (g0, 0)))  # = mu
+    de = F.scale(f, F.sub(de, F.mul((g0, 0), be)))
     if F.is_zero(be):
         return NormalizationResult(
             sf.GeneratorPair((F.one, be), (ga, de)),
@@ -552,7 +618,7 @@ def _commuting_forms(m):
 def compute_grend0(analysis):
     """End_0(L^3) as a ring on the bottom degree: F*id when dim L_3 = 1, and
     otherwise the kernel of the 4 linear conditions "f commutes with m_mu"
-    on the flattened bottom matrix, with m_mu read off ``basis(3)``."""
+    on the flattened bottom matrix, with m_mu read off ``basis(analysis, 3)``."""
     if analysis.d is None:
         raise DegenerateGenerators("endomorphism ring needs independent generators")
     F = analysis.field
@@ -560,7 +626,7 @@ def compute_grend0(analysis):
     d = analysis.dim(K0)
     constraints = []
     if d == 2:
-        m_mu = [express(analysis, K0, F.mul(F.mu, w)) for w in analysis.basis(K0)]
+        m_mu = [express(analysis, K0, F.mul(F.mu, w)) for w in bases(analysis)[K0 - 1]]
         constraints = _commuting_forms(m_mu)
     basis = span(p, constraints, d * d).kernel()
     identity_flat = [int(r == c) for r in range(d) for c in range(d)]
@@ -582,7 +648,7 @@ def _scalar_of_action(ring, coords):
     the image of the first basis row w of L_3, read off the first row of
     the bottom matrix, divided by w."""
     F = ring.field
-    rows = ring.analysis.basis(K0)
+    rows = basis(ring.analysis, K0)
     img = combine(F.p, ring.element_flat(coords)[: len(rows)], rows)
     return F.div(img, rows[0])
 
@@ -672,7 +738,7 @@ def solve_graded_maps(analysis):
         f_i = symbolic[i]
         ad = [
             [express(analysis, i + 1, ad_gen(analysis.pres, i, v, g)) for g in gens]
-            for v in analysis.basis(i)
+            for v in basis(analysis, i)
         ]
         # T[g][j]: column j of T_g, the matrix of ad g from L_i to L_{i+1}
         T = [list(zip(*(t[g] for t in ad))) for g in (0, 1)]
@@ -809,7 +875,7 @@ def scalar_of_action(ring, coords):
     """
     F = ring.field
     mat = ring.matrix_at(coords, K0)
-    rows = ring.analysis.basis(K0)
+    rows = basis(ring.analysis, K0)
     sigma = None
     for w, m_row in zip(rows, mat):
         img = combine(F.p, m_row, rows)
@@ -1056,13 +1122,13 @@ class RhoRep:
 
 def _row_scalar(an, degree):
     """e with basis(degree)[0] = e*v_degree, for degree >= 2."""
-    row = an.basis(degree)[0]
+    row = basis(an, degree)[0]
     return (row[0], row[1])
 
 
 def _rows(an):
     """The rows r1, r2 of T_1 as extension pairs (alpha, beta): alpha*x + beta*y."""
-    return [sf.f4_to_deg1(row) for row in an.basis(1)]
+    return [sf.f4_to_deg1(row) for row in basis(an, 1)]
 
 
 def _reader(rep, gens, low):
@@ -1201,10 +1267,10 @@ def build_rho_prime(analysis, flags):
         branch="rho_prime", k=2, window=window, slots_min=1, lo=3, analysis=an, images={}
     )
     inv = rep.inv
-    for r, t in enumerate(an.basis(1)):
+    for r, t in enumerate(basis(an, 1)):
         alpha, _ = solve(F.p, [X4, Y4], t)
         g = sf.f4_to_deg1(t)
-        rep.images[r] = {1: F.coerce(alpha), 2: F.mul(F.mul(c, st.phi(2, g)), inv[3])}
+        rep.images[r] = {1: (alpha % F.p, 0), 2: F.mul(F.mul(c, st.phi(2, g)), inv[3])}
     for d in range(2, window):
         m = {1: F.neg(F.mul(st.phi(d, an.pair.Y), inv[d + 1]))}
         if 2 + d <= window:

@@ -131,7 +131,7 @@ class TestArithmetic:
         f = _field(p)
         for a in f.elements():
             c0, c1 = a
-            assert f.add(f.coerce(c0), f.mul(f.coerce(c1), f.mu)) == a
+            assert f.add((c0, 0), f.mul((c1, 0), f.mu)) == a
 
     def test_pow_negative(self):
         f = _field(5)
@@ -202,8 +202,8 @@ class TestRowSpace:
 # -- the solve kernel against exhaustive enumeration ---------------------------
 
 # The enumeration runs on the field protocol of ``generic_gf.BaseField``; the
-# GF(p) cases check the package kernel (``solve``, and the tests'
-# ``int_kernel`` readers on its ``RowSpace``), GF(3^2) its field-generic
+# GF(p) cases check the tests' kernel (``int_kernel``: ``span``, ``solve``
+# and the readers of its ``RowSpace``), GF(3^2) its field-generic
 # predecessor.
 KERNEL_FIELDS = {
     "GF(2)": gg.BaseField(2),

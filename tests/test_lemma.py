@@ -53,14 +53,16 @@ The brute force over every projective degree-1 map, and the loop over
 the degree-1 maps that fix the centralizer lines of the standard forms,
 certified by the base-changed canonical chain, are kept here as oracles.
 
-``subfield.generate_subalgebra`` reads L = <X, Y> off the d-values by the
-dimension lemma (the ``subfield`` module docstring), each d-value is one
-F-determinant per distinct centralizer point (``subfield._d_key``), a
-raw ``scan`` classifies each F-plane of L_1 once, weighted by
-|GL_2(F)|, and ``scan`` classifies once per d-key.  The degree-by-degree
-RowSpace generation, the RowSpace d-values (one span per degree) and the
-pair-by-pair scan, which classifies each pair through those d-values,
-are kept here as oracles.
+``subfield.generate_subalgebra`` reads the dimensions of L = <X, Y> off
+the d-values by the dimension lemma (the ``subfield`` module docstring)
+and, for an E-dependent pair, off rank_F{X, Y} by its 2x2 minors
+(``subfield._f_rank``); each d-value is one F-determinant per distinct
+centralizer point (``subfield._d_key``), a raw ``scan`` classifies each
+F-plane of L_1 once, weighted by |GL_2(F)|, and ``scan`` classifies once
+per d-key.  The degree-by-degree RowSpace generation (against the
+closed-form bases of ``paper_checks.bases``), the RowSpace rank, the
+RowSpace d-values (one span per degree) and the pair-by-pair scan, which
+classifies each pair through those d-values, are kept here as oracles.
 
 ``reconstruct.verify_roundtrip`` builds no representation: by the slot
 lemma (its docstring) rho and phi are the adjoint action on an invariant
@@ -115,12 +117,12 @@ import pytest
 
 import generic_gf as gg
 import paper_checks as pc
-from int_kernel import RowSpace, combine, express, mat_mul, solve, span
+from int_kernel import RowSpace, combine, mat_mul, solve, span
 from thinlie import endo
 from thinlie import maxclass as mc
 from thinlie import reconstruct as rec
 from thinlie import subfield as sf
-from paper_checks import DimensionAnomaly, NotFaithful
+from paper_checks import DimensionAnomaly, NotFaithful, express
 from thinlie.errors import (
     BadBound,
     NotStandardForm,
@@ -128,7 +130,6 @@ from thinlie.errors import (
     ThinLieError,
     WindowTooSmall,
 )
-from thinlie import gf
 from thinlie.gf import make_ext_field, quadratic_is_irreducible
 
 
@@ -479,13 +480,13 @@ def oracle_check_rep(rep):
                 for r2 in range(an.dim(d2)):
                     if d1 == d2 and r2 <= r1:
                         continue
-                    lie = pc.bracket_vec(pres, d1, an.basis(d1)[r1], d2, an.basis(d2)[r2])
+                    lie = pc.bracket_vec(pres, d1, pc.basis(an, d1)[r1], d2, pc.basis(an, d2)[r2])
                     coords = express(an, d1 + d2, lie)
                     want = {}
                     for c, idx in zip(coords, range(an.dim(d1 + d2))):
                         if c:
                             want = _map_add(
-                                F, want, _map_scale(F, F.coerce(c), images[(d1 + d2, idx)])
+                                F, want, _map_scale(F, (c % F.p, 0), images[(d1 + d2, idx)])
                             )
                     got = oracle_commutator(
                         F, rep.slots_min, rep.window,
@@ -518,14 +519,14 @@ def oracle_check_rep_generators(rep):
         if span(F.p, rows, len(rows[0])).dim != an.dim(d):
             raise NotFaithful(f"representation has a kernel in degree {d}")
     for d in range(1, cap):
-        for r1, g in enumerate(an.basis(1)):
-            for r2, t in enumerate(an.basis(d)):
+        for r1, g in enumerate(pc.basis(an, 1)):
+            for r2, t in enumerate(pc.basis(an, d)):
                 if d == 1 and r2 <= r1:
                     continue
                 want = {}
                 for idx, c in enumerate(express(an, d + 1, pc.bracket_vec(pres, 1, g, d, t))):
                     if c:
-                        want = _map_add(F, want, _map_scale(F, F.coerce(c), images[(d + 1, idx)]))
+                        want = _map_add(F, want, _map_scale(F, (c % F.p, 0), images[(d + 1, idx)]))
                 got = oracle_commutator(
                     F, rep.slots_min, rep.window, images[(1, r1)], 1, images[(d, r2)], d
                 )
@@ -1266,7 +1267,7 @@ def _e_of(an, degree, vec):
     """Extension coefficient of an ambient vector against basis(degree)[0];
     components of degree >= 3 are extension lines, so it always exists."""
     F = an.field
-    w = an.basis(degree)[0]
+    w = pc.basis(an, degree)[0]
     return F.div((vec[0], vec[1]), (w[0], w[1]))
 
 
@@ -1283,24 +1284,24 @@ def oracle_rho_images(an, k):
     images = {}
     if k > 2:
         for d in range(1, window - k + 2):
-            for r, t in enumerate(an.basis(d)):
+            for r, t in enumerate(pc.basis(an, d)):
                 images[(d, r)] = {
-                    s: entry(s, an.basis(s)[0], d, t) for s in range(k - 1, window - d + 1)
+                    s: entry(s, pc.basis(an, s)[0], d, t) for s in range(k - 1, window - d + 1)
                 }
         return images
     X4, Y4 = sf.deg1_to_f4(an.pair.X), sf.deg1_to_f4(an.pair.Y)
     yx = pc.bracket_vec(pres, 1, Y4, 1, X4)
     for d in range(1, window):
-        for r, t in enumerate(an.basis(d)):
+        for r, t in enumerate(pc.basis(an, d)):
             m = {}
             if d == 1:
-                m[1] = F.coerce(solve(F.p, [X4, Y4], t)[0])
+                m[1] = (solve(F.p, [X4, Y4], t)[0], 0)
             elif 1 + d <= window:
                 m[1] = entry(1, Y4, d, t)
             if 2 + d <= window:
                 m[2] = entry(2, yx, d, t)
             for s in range(3, window - d + 1):
-                m[s] = entry(s, an.basis(s)[0], d, t)
+                m[s] = entry(s, pc.basis(an, s)[0], d, t)
             images[(d, r)] = m
     return images
 
@@ -1314,7 +1315,7 @@ def oracle_table_images(an, k):
     st = mc.tables(pres)
     window = an.window
     lo = k - 1 if k > 2 else 3
-    eps = {s: (an.basis(s)[0][0], an.basis(s)[0][1]) for s in range(lo, window + 1)}
+    eps = {s: (pc.basis(an, s)[0][0], pc.basis(an, s)[0][1]) for s in range(lo, window + 1)}
     inv = {s: F.inv(e) for s, e in eps.items()}
 
     def table(d, t):
@@ -1327,16 +1328,16 @@ def oracle_table_images(an, k):
 
     if k > 2:
         return {
-            (d, r): table(d, t) for d in range(1, window - k + 2) for r, t in enumerate(an.basis(d))
+            (d, r): table(d, t) for d in range(1, window - k + 2) for r, t in enumerate(pc.basis(an, d))
         }
     X4, Y4 = sf.deg1_to_f4(an.pair.X), sf.deg1_to_f4(an.pair.Y)
     yx = pc.bracket_vec(pres, 1, Y4, 1, X4)
     images = {}
     for d in range(1, window):
-        for r, t in enumerate(an.basis(d)):
+        for r, t in enumerate(pc.basis(an, d)):
             m = {}
             if d == 1:
-                m[1] = F.coerce(solve(F.p, [X4, Y4], t)[0])
+                m[1] = (solve(F.p, [X4, Y4], t)[0], 0)
             elif 1 + d <= window:
                 m[1] = _e_of(an, 1 + d, pc.bracket_vec(pres, 1, Y4, d, t))
             if 2 + d <= window:
@@ -1531,7 +1532,7 @@ def _full_phi(rep, phi):
         d, t = args.get(i, (i, (1, 0)))
         full[i] = dict(m)
         for s in range(rep.lo, rep.window - d + 1):
-            full[i][s] = _e_of(an, s + d, pc.bracket_vec(an.pres, s, an.basis(s)[0], d, t))
+            full[i][s] = _e_of(an, s + d, pc.bracket_vec(an.pres, s, pc.basis(an, s)[0], d, t))
     return full
 
 
@@ -1547,7 +1548,7 @@ def _assert_matches_oracles(monkeypatch, pres, pair, window, rep):
     p = an.field.p
     assert span(p, [images[(1, r)][rep.lo] for r in (0, 1)], 2).dim == 2
     gens = [sf.deg1_to_f4(an.pair.X), sf.deg1_to_f4(an.pair.Y)]
-    assert span(p, gens + list(an.basis(1)), 4).dim == span(p, gens, 4).dim == 2
+    assert span(p, gens + list(pc.basis(an, 1)), 4).dim == span(p, gens, 4).dim == 2
     assert images == oracle_table_images(rep.analysis, rep.k)
     assert images == oracle_rho_images(rep.analysis, rep.k)
     checks = (pc._check_rep, oracle_check_rep_generators, oracle_check_rep, oracle_generation_check)
@@ -1614,7 +1615,7 @@ def test_images_match_oracle_with_scaled_rows(request, monkeypatch, thin_pair_f9
     assert {"rho", "rho_prime"} == {rep.branch for _, _, rep in reps}
     # over GF(9) no rep found here is a k = 3 rho with that row
     assert (found != "search9_12") == any(
-        rep.slots_min == 2 and rep.analysis.basis(2) == ((0, 1),) for _, _, rep in reps
+        rep.slots_min == 2 and pc.basis(rep.analysis, 2) == ((0, 1),) for _, _, rep in reps
     )
     for pres, pair, rep in reps:
         _assert_matches_oracles(monkeypatch, pres, pair, pres.class_n, rep)
@@ -1954,7 +1955,11 @@ def oracle_d_values(l1, seq, window):
 
 
 def oracle_generate_subalgebra(pres, g, window=None):
-    """Generate L = <X, Y> degree by degree and classify it within the window."""
+    """Generate L = <X, Y> degree by degree and classify it within the window.
+
+    Returns the canonical bases of L_1 .. L_window, their dimensions, d
+    (None for a degenerate pair) and the verdict.
+    """
     F = pres.field
     window = pres.class_n if window is None else window
     if not 4 <= window <= pres.class_n:
@@ -1966,17 +1971,8 @@ def oracle_generate_subalgebra(pres, g, window=None):
     l1.insert(sf.deg1_to_f4(g.X))
     l1.insert(sf.deg1_to_f4(g.Y))
     if g.is_degenerate(F):
-        bases = [tuple(l1.basis())] + [tuple()] * (window - 1)
-        return sf.SubalgebraAnalysis(
-            pres=pres,
-            pair=g,
-            window=window,
-            bases=tuple(bases),
-            d=None,
-            D0=None,
-            verdict=sf.Verdict(kind="degenerate"),
-            centralizers=seq,
-        )
+        bases = (tuple(l1.basis()),) + ((),) * (window - 1)
+        return bases, tuple(len(b) for b in bases), None, sf.Verdict(kind="degenerate")
 
     bases = [tuple(l1.basis())]
     prev = l1
@@ -1988,18 +1984,7 @@ def oracle_generate_subalgebra(pres, g, window=None):
         bases.append(tuple(nxt.basis()))
         prev = nxt
     d = oracle_d_values(l1, seq, window)
-    D0 = tuple(i for i, x in zip(range(2, window), d) if x == 0)
-    verdict = sf._classify(d, window)
-    return sf.SubalgebraAnalysis(
-        pres=pres,
-        pair=g,
-        window=window,
-        bases=tuple(bases),
-        d=d,
-        D0=D0,
-        verdict=verdict,
-        centralizers=seq,
-    )
+    return tuple(bases), tuple(len(b) for b in bases), d, sf._classify(d, window)
 
 
 def oracle_scan(pres, window=None, raw=False):
@@ -2049,7 +2034,7 @@ def oracle_scan(pres, window=None, raw=False):
 
 
 def _analysis_key(an):
-    return an.bases, an.dims, an.d, an.D0, an.verdict
+    return pc.bases(an), an.dims, an.d, an.verdict
 
 
 @pytest.mark.parametrize(
@@ -2065,8 +2050,9 @@ def _analysis_key(an):
 def test_generate_matches_rowspace(request, f9, which, raw, windows):
     """The closed form against the degree-by-degree RowSpace generation.
 
-    Same bases, dims, d, D0 and verdict for every pair, degenerate ones
-    included; every verdict kind occurs on the deviating inputs.
+    Same bases (``paper_checks.bases``), dims, d and verdict for every
+    pair, degenerate ones included; every verdict kind occurs on the
+    deviating inputs.
     """
     pres = (
         mc.make_metabelian(f9, 12) if which == "metabelian9_12"
@@ -2080,10 +2066,10 @@ def test_generate_matches_rowspace(request, f9, which, raw, windows):
         for g in pairs:
             an = sf.generate_subalgebra(pres, g, window)
             want = oracle_generate_subalgebra(pres, g, window)
-            assert _analysis_key(an) == _analysis_key(want), (g, window)
-            if want.d is not None:
+            assert _analysis_key(an) == want, (g, window)
+            if want[2] is not None:
                 key = sf._d_key(amb, g)
-                assert tuple(key[k] for k in amb.slots) == want.d, (g, window)
+                assert tuple(key[k] for k in amb.slots) == want[2], (g, window)
             kinds.add(an.verdict.kind)
     assert "thin" in kinds and "degenerate" in kinds
     if which in ("dev9_14", "dev4_12"):
@@ -2130,6 +2116,47 @@ def test_d_key_matches_rowspace_on_every_raw_pair(dev25_14):
             assert tuple(key[k] for k in amb.slots) == want, (X, Y)
             pairs += 1
     assert pairs == (q * q - 1) * (q * q - q)
+
+
+def _rank_pair(p, x, y):
+    """The closed-form rank_F{X, Y} and its RowSpace oracle for two F^4 rows."""
+    g = sf.GeneratorPair(sf.f4_to_deg1(x), sf.f4_to_deg1(y))
+    return sf._f_rank(p, g), span(p, [x, y], 4).dim
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_f_rank_matches_span_on_every_pair(p):
+    """``subfield._f_rank`` (the 2x2 minors) against the RowSpace rank on
+    every ordered pair of F^4 vectors."""
+    vectors = list(itertools.product(range(p), repeat=4))
+    seen = set()
+    for x in vectors:
+        for y in vectors:
+            got, want = _rank_pair(p, x, y)
+            assert got == want, (x, y)
+            seen.add(got)
+    assert seen == {0, 1, 2}
+
+
+@pytest.mark.parametrize("p", [5, 7, 1000003])
+def test_f_rank_matches_span_on_seeded_pairs(p):
+    """The same on seeded pairs, a third of them forced to rank 0 or 1: the
+    zero pair, a zero generator, and y = c*x.  At p = 1000003 the minors are
+    products of several-digit residues, so a missed reduction shows."""
+    rng = random.Random(f"f-rank-{p}")
+    ranks = []
+    for n in range(300):
+        x = [rng.randrange(p) for _ in range(4)]
+        c = rng.randrange(p)
+        y = [rng.randrange(p) for _ in range(4)]
+        if n % 3 == 1:
+            y = [c * a % p for a in x]
+        elif n % 3 == 2:
+            x, y = ([0] * 4, [0] * 4) if n % 2 else ([0] * 4, y)
+        got, want = _rank_pair(p, tuple(x), tuple(y))
+        assert got == want, (x, y)
+        ranks.append(got)
+    assert set(ranks) == {0, 1, 2}
 
 
 @pytest.mark.parametrize(
@@ -2439,7 +2466,7 @@ def _lf_scale(p, c, a):
 def _gen_images(analysis, degree):
     """[(row_index, gen_index, coords of [row, gen] in the L_{degree+1} basis)]."""
     out = []
-    for r_idx, row in enumerate(analysis.basis(degree)):
+    for r_idx, row in enumerate(pc.basis(analysis, degree)):
         for g_idx, gen in enumerate((analysis.pair.X, analysis.pair.Y)):
             img = pc.ad_gen(analysis.pres, degree, row, gen)
             out.append((r_idx, g_idx, express(analysis, degree + 1, img)))
@@ -2572,10 +2599,10 @@ def test_grend0_brackets_each_degree_once(monkeypatch, thin_pair_f9):
     ``endo.identify_field`` brackets nothing and inserts no row, at class
     40 or 160: it reads dim L_3 and (p, u, v) alone."""
     calls, inserts = [], []
-    ad_gen, insert = pc.ad_gen, gf.RowSpace.insert
+    ad_gen, insert = pc.ad_gen, RowSpace.insert
     monkeypatch.setattr(pc, "ad_gen", lambda *args: calls.append(args) or ad_gen(*args))
     monkeypatch.setattr(
-        gf.RowSpace, "insert", lambda self, vec: inserts.append(vec) or insert(self, vec)
+        RowSpace, "insert", lambda self, vec: inserts.append(vec) or insert(self, vec)
     )
     analyses = {
         class_n: sf.generate_subalgebra(
@@ -2655,7 +2682,7 @@ def test_closed_form_matches_propagation(request, which):
         oracle = {}
         for g in pairs:
             an = sf._analyse(amb, g)
-            plane = an.basis(1)
+            plane = pc.basis(an, 1)
             if plane not in oracle:
                 oracle[plane] = _outcome(_propagated, an)
             got = _outcome(endo.identify_field, an)

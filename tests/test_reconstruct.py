@@ -18,7 +18,7 @@ import pytest
 
 import generic_gf as gg
 import paper_checks as pc
-from int_kernel import express
+from paper_checks import express
 from test_lemma import _outcome, oracle_extract
 from thinlie import maxclass as mc
 from thinlie import reconstruct as rec

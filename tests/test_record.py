@@ -25,9 +25,9 @@ SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), 
 
 def test_positional_keyword_and_defaults(f9):
     v = sf.Verdict("thin")
-    assert (v.kind, v.r_observed, v.t1, v.r_bound_ok) == ("thin", None, None, None)
-    assert sf.Verdict("rconstrained", 3, 5, True) == sf.Verdict(
-        kind="rconstrained", r_bound_ok=True, t1=5, r_observed=3
+    assert (v.kind, v.r_observed, v.t1) == ("thin", None, None)
+    assert sf.Verdict("rconstrained", 3, 5) == sf.Verdict(
+        kind="rconstrained", t1=5, r_observed=3
     )
     assert sf.Verdict("thin", t1=4).t1 == 4
     m = ((f9.one, f9.zero), (f9.zero, f9.one))
@@ -91,11 +91,9 @@ def test_cache_fields_not_compared_or_shown(f9):
 def test_equality_is_by_class_and_fields():
     assert sf.Verdict("thin") == sf.Verdict("thin")
     assert sf.Verdict("thin") != sf.Verdict("maximal")
-    assert sf.Verdict("thin") != ("thin", None, None, None)
-    assert sf.Verdict("thin", None, None, None) != rec.StructureFlags("thin", None, None, None)
-    assert repr(sf.Verdict("thin", t1=2)) == (
-        "Verdict(kind='thin', r_observed=None, t1=2, r_bound_ok=None)"
-    )
+    assert sf.Verdict("thin") != ("thin", None, None)
+    assert sf.Verdict("thin", None, None) != mc.JacobiReport("thin", None, None)
+    assert repr(sf.Verdict("thin", t1=2)) == "Verdict(kind='thin', r_observed=None, t1=2)"
     assert str(sf.Verdict("thin")) != repr(sf.Verdict("thin"))
 
 

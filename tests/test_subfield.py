@@ -23,10 +23,10 @@ class TestGenerate:
         m = mc.make_metabelian(f9, 12)
         an = sf.generate_subalgebra(m, thin_pair_f9, 12)
         # [Y, X] = -mu*v_2 + (mu+1)*v_2 = v_2
-        assert an.basis(2) == ((1, 0),)
+        assert pc.basis(an, 2) == ((1, 0),)
         assert an.dim(2) == 1
         # [v_2, X] = v_3, [v_2, Y] = mu*v_3
-        assert an.basis(3) == ((1, 0), (0, 1))
+        assert pc.basis(an, 3) == ((1, 0), (0, 1))
         assert an.dim(3) == 2
         assert an.verdict.kind == "thin"
 
@@ -34,7 +34,7 @@ class TestGenerate:
         m = mc.make_metabelian(f9, 12)
         an = sf.generate_subalgebra(m, maximal_pair, 12)
         assert all(an.dim(i) == 1 for i in range(2, 13))
-        assert all(an.basis(i) == ((1, 0),) for i in range(2, 13))
+        assert all(pc.basis(an, i) == ((1, 0),) for i in range(2, 13))
         assert an.verdict.kind == "maximal"
 
     def test_degenerate(self, f9):
@@ -87,16 +87,10 @@ class TestDSequence:
         assert len(calls) == 1
         assert [i for i, x in zip(range(2, 14), an.d) if x == 0] == [6, 9, 12]
 
-    def test_one_span_per_point(self, monkeypatch, f9, thin_pair_f9, dev9_14, rc_pair):
-        """d is one F-determinant per distinct point: no span, one key entry each."""
-        calls = []
-        real = sf.span
-
-        def counting(*args):
-            calls.append(args)
-            return real(*args)
-
-        monkeypatch.setattr(sf, "span", counting)
+    def test_one_span_per_point(self, f9, thin_pair_f9, dev9_14, rc_pair):
+        """d is one F-determinant per distinct point, one key entry each; the
+        module has no row elimination to call."""
+        assert not hasattr(sf, "span") and not hasattr(sf, "RowSpace")
         m = mc.make_metabelian(f9, 40)  # 38 degrees, all at the point Ey
         amb = sf._Ambient(m, 40)
         assert sf._d_key(amb, thin_pair_f9) == (0,)
@@ -105,7 +99,6 @@ class TestDSequence:
         assert len(sf._d_key(amb, rc_pair)) == 2  # the points Ey and Ex
         d = sf._d_values(amb, rc_pair)
         assert [i for i, x in zip(range(2, 14), d) if x == 0] == [6, 9, 12]
-        assert calls == []
 
 
 class TestClassify:
@@ -115,7 +108,7 @@ class TestClassify:
         assert v.kind == "rconstrained"
         assert v.t1 == 6
         assert v.r_observed == 3  # max successive gap in {6, 9, 12}
-        assert v.r_bound_ok  # 2 <= 3 <= 6
+        assert 2 <= v.r_observed <= v.t1  # 2 <= 3 <= 6
         # dims are 1 up to t_1 and 2 afterwards
         assert all(an.dim(i) == 1 for i in range(2, 7))
         assert all(an.dim(i) == 2 for i in range(7, 15))
@@ -166,11 +159,11 @@ class TestIdealSandwich:
         # completeness of the generator-only closure, checked on a small case
         m = mc.make_metabelian(f9, 8)
         an = sf.generate_subalgebra(m, thin_pair_f9, 8)
-        spans = pc.ideal_closure(an, 3, an.basis(3)[0])
+        spans = pc.ideal_closure(an, 3, pc.basis(an, 3)[0])
         for h in range(3, 9):
             for vec in spans[h].basis():
                 for dg in range(1, 9 - h):
-                    for other in an.basis(dg):
+                    for other in pc.basis(an, dg):
                         img = pc.bracket_vec(m, h, vec, dg, other)
                         assert spans[h + dg].contains(img)
 
@@ -382,7 +375,7 @@ class TestCentralizerStructure:
             for coeffs in itertools.product(range(3), repeat=an.dim(i)):
                 if not any(coeffs):
                     continue
-                vec = combine(f9.p, coeffs, an.basis(i))
+                vec = combine(f9.p, coeffs, pc.basis(an, i))
                 img = RowSpace(f9.p, 2)
                 img.insert(pc.ad_gen(pres, i, vec, g.X))
                 img.insert(pc.ad_gen(pres, i, vec, g.Y))
