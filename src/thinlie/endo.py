@@ -39,10 +39,10 @@ adjoint choice, all have C_2 = C_3.)
 
 Closed form.  By the dimension lemma of ``subfield``, dim L_3 = 2 only
 when L_3 = M_3, whose canonical basis is ((1, 0), (0, 1)), the rows v_3
-and mu*v_3.  So m_mu, the
-matrix of mu on that basis in the row convention, is [[0, 1], [v, u]] for
-every pair, and the report is a function of p, u, v and dim L_3 alone;
-``identify_field`` reads nothing else and solves nothing.  v != 0, since
+and mu*v_3.  So m_mu, the matrix of mu on that basis in the row
+convention, is [[0, 1], [v, u]] for every pair, and the report is a
+function of p, u, v and dim L_3 alone; ``identify_field`` reads nothing
+else and solves nothing.  v != 0, since
 t^2 - u*t - v is irreducible.  The ring is the solution space of the 4
 linear conditions "f commutes with m_mu" on the flattened 2x2 bottom
 matrix f, and the canonical basis of that space (its reduced kernel: one
