@@ -178,7 +178,7 @@ def _print_analysis_table(analysis: sf.SubalgebraAnalysis) -> None:
             d_val = str(analysis.d_at(i))
             pt = analysis.centralizers.point(i)
             cent = f"({pt[0]} : {pt[1]})"
-        print(f"{i:>6} {analysis.dim(i):>4} {d_val:>3}  {cent}", file=sys.stderr)
+        print(f"{i:>6} {analysis.dim(i):>4} {d_val:>3}  {cent}".rstrip(), file=sys.stderr)
     print(f"verdict: {analysis.verdict}", file=sys.stderr)
 
 
@@ -244,11 +244,11 @@ def cmd_scan(args) -> int:
 
 def cmd_stats(args) -> int:
     pres = _load(args.file)
-    standardized = False
-    if not mc.is_standard(pres):
-        pres = mc.standard_generators(pres).presentation
-        standardized = True
-    report = mc.centralizer_stats(pres)
+    seq = mc.two_step_centralizers(pres)
+    standardized = not seq.is_standard()
+    if standardized:
+        seq = mc.two_step_centralizers(mc.standard_generators(pres).presentation)
+    report = mc.centralizer_stats(seq)
     entries = []
     for e in report.entries:
         entries.append(

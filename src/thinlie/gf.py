@@ -6,8 +6,9 @@ Scalars carry no wrapper objects: a prime-field element is an int in
 its arithmetic is Python's on ints mod p.  ``ExtField`` owns the
 extension arithmetic.
 The one exception is the structure-table kernel of ``maxclass``
-(``_Structure.extend``, ``jacobi`` and ``linear_forms``, and the search's
-``projective_kernel`` and ``free_children``): it expands the product
+(``_Structure.extend`` and ``linear_forms``, the Jacobi forms of
+``validate``, and the search's ``projective_kernel`` and
+``free_children``): it expands the product
 (x0 + x1*mu)(y0 + y1*mu) = x0*y0 + v*x1*y1 + (x0*y1 + x1*y0 + u*x1*y1)*mu
 itself and reduces each coordinate of a sum of products once, and
 ``projective_kernel`` divides as ``ExtField.inv`` does, by the conjugate

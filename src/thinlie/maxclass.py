@@ -25,7 +25,6 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
-from functools import lru_cache
 from itertools import takewhile
 
 from ._record import cache, record
@@ -121,6 +120,13 @@ class CentralizerSequence:
         """The distinct C_i for i = 2 .. window - 1, in order of first occurrence."""
         return list(dict.fromkeys(self.points[: window - 2]))
 
+    def is_standard(self) -> bool:
+        """C_2 = Ey and, if any centralizer deviates, the first deviation is Ex."""
+        if self.points[0] != ey_point(self.field):
+            return False
+        devs = self.deviations()
+        return not devs or self.point(devs[0]) == ex_point(self.field)
+
 
 def ey_point(field: ExtField) -> Point:
     return (field.zero, field.one)
@@ -140,9 +146,15 @@ class _Structure:
 
     Basis degrees run from 1 (x and y) through ``top``.  Pairs are pushed
     one degree at a time; each push derives the bracket coefficients
-    [v_i, v_j] of total degree top and exposes the Jacobi checks that
-    become visible at that total degree.  Pushes can be retracted, which
-    is what the depth-first search uses for backtracking.
+    [v_i, v_j] of total degree top.  Pushes can be retracted, which is
+    what the depth-first search uses for backtracking.
+
+    The cells are stored by total degree: ``rows[t][i]`` is the
+    coefficient of [v_i, v_{t-i}] in v_t for 2 <= i < t/2, entries 0 and
+    1 of a row are zero, and ``rows[t]`` is None above top.  A push writes
+    one row and a retraction clears it.  Every cell that a push or a
+    Jacobi form of top degree t reads is in row t or t - 1, at an index
+    the degrees give.
     """
 
     def __init__(self, field: ExtField, class_n: int):
@@ -151,7 +163,7 @@ class _Structure:
         self.top = 2
         self.a: Dict[int, EElem] = {}
         self.b: Dict[int, EElem] = {}
-        self.vv: Dict[Tuple[int, int], EElem] = {}
+        self.rows: List[Optional[List[EElem]]] = [None] * (class_n + 1)
         # degree d -> (c^{-1}, g's coefficients) with v_{d+1} = c^{-1}*[v_d, g]
         self.step: Dict[int, Tuple[EElem, Dict[int, EElem]]] = {}
 
@@ -163,17 +175,18 @@ class _Structure:
         return F.add(F.mul(gen[0], self.a[d]), F.mul(gen[1], self.b[d]))
 
     def get_vv(self, i: int, j: int) -> EElem:
-        """Coefficient of [v_i, v_j] in v_{i+j} (0 on overflow)."""
-        if i == j:
+        """Coefficient of [v_i, v_j] in v_{i+j}, for i, j >= 2 (0 on overflow)."""
+        total = i + j
+        if i == j or total > self.top:
             return self.field.zero
         if i < j:
-            return self.vv.get((i, j), self.field.zero)
-        return self.field.neg(self.vv.get((j, i), self.field.zero))
+            return self.rows[total][i]
+        return self.field.neg(self.rows[total][j])
 
     # -- incremental construction -------------------------------------------
 
-    def extend(self, d: int, pair: Pair) -> List[Tuple[int, int]]:
-        """Push the adjoint pair of degree d; derive cells of total d+1.
+    def extend(self, d: int, pair: Pair) -> None:
+        """Push the adjoint pair of degree d; derive the row of total d+1.
 
         The chain is canonical: v_{d+1} = c^{-1}*[v_d, g] with g = x and
         c = a_d when a_d != 0, else g = y and c = b_d.  That choice is made
@@ -181,8 +194,8 @@ class _Structure:
         search pushes is (1 : t) or (0 : 1), so c = 1 needs no inversion.
         The pair must be field elements (every caller pushes them).
 
-        The table kernel (``extend``, ``jacobi``, ``linear_forms``) expands
-        each product of GF(p^2) in place, with mu^2 = u*mu + v:
+        The table kernel (``extend``, ``linear_forms`` and ``validate``)
+        expands each product of GF(p^2) in place, with mu^2 = u*mu + v:
         (x0 + x1*mu)(y0 + y1*mu) = x0*y0 + v*x1*y1 + (x0*y1 + x1*y0 + u*x1*y1)*mu.
         The sums and differences of such products are taken over the
         integers and each coordinate of a result is reduced mod p once;
@@ -191,7 +204,7 @@ class _Structure:
         """
         F = self.field
         zero, one = F.zero, F.one
-        a, b, vv, step = self.a, self.b, self.vv, self.step
+        a, b, step = self.a, self.b, self.step
         a_d, b_d = pair
         if a_d == zero and b_d == zero:
             raise ZeroPair(f"adjoint pair at degree {d} is (0, 0)")
@@ -201,7 +214,8 @@ class _Structure:
         step[d] = (c if c == one else F.inv(c), g)
         self.top = total = d + 1
         p, U, V = F.p, F.u, F.v
-        added: List[Tuple[int, int]] = []
+        below = self.rows[d]  # below[i - 1] = [v_{i-1}, v_j], j = total - i
+        row = [zero, zero]
         for i in range(2, (total + 1) // 2):
             j = total - i
             if i == 2:
@@ -219,7 +233,7 @@ class _Structure:
                 # [v_i, v_j] = c^{-1}( [v_{i-1},v_j]*g_{i+j-1} - g_j*[v_{i-1},v_{j+1}] ),
                 # where [v_{i-1}, v_{j+1}] is the cell derived just before (r0, r1)
                 c_inv, g = step[i - 1]
-                s0, s1 = vv[(i - 1, j)]
+                s0, s1 = below[i - 1]
                 t0, t1 = g[total - 1]
                 x0, x1 = g[j]
                 cross = s1 * t1 - x1 * r1
@@ -233,77 +247,56 @@ class _Structure:
                     r0, r1 = c0 * r0 + V * cross, c0 * r1 + c1 * r0 + U * cross
             r0 %= p
             r1 %= p
-            key = (i, j)
-            vv[key] = (r0, r1)
-            added.append(key)
-        return added
+            row.append((r0, r1))
+        self.rows[total] = row
 
-    def retract(self, d: int, added: List[Tuple[int, int]]) -> None:
-        for key in added:
-            del self.vv[key]
+    def retract(self, d: int) -> None:
+        """Undo the push of degree d, the last one: clear its row and pair."""
+        self.rows[d + 1] = None
         del self.a[d]
         del self.b[d]
         del self.step[d]
         self.top = d
 
-    def jacobi(self, u: int, w: int, g: int) -> EElem:
-        """Coefficient of J(u,w,g) = [[u,w],g] + [[w,g],u] + [[g,u],w] in v_top.
-
-        Valid for the triples of ``new_triples(top)`` (ids: 0 = x, 1 = y,
-        k = v_k), which have two shapes.  With [v_t, x] = a_t*v_{t+1},
-        [v_t, y] = b_t*v_{t+1}, so [x, v_t] = -a_t*v_{t+1}, and
-        [x, y] = -v_2:
-
-        * J(v_m, x, y) = [a_m*v_{m+1}, y] + [-v_2, v_m] + [-b_m*v_{m+1}, x]
-          = a_m*b_{m+1} - [v_2, v_m] - b_m*a_{m+1};
-        * J(v_i, v_j, g), i < j and g_t = a_t for g = x or b_t for g = y:
-          [v_i, v_j]*g_{i+j} + [g_j*v_{j+1}, v_i] + [-g_i*v_{i+1}, v_j]
-          = [v_i, v_j]*g_{i+j} - g_j*[v_i, v_{j+1}] - g_i*[v_{i+1}, v_j].
-
-        Each form is one sum of expanded products, reduced mod p once per
-        coordinate (``extend``).
-        """
-        F = self.field
-        p, U, V = F.p, F.u, F.v
-        vv, zero = self.vv, F.zero  # vv holds no cell (i, i): .get gives 0 there
-        if w == 0:
-            a, b = self.a, self.b
-            x0, x1 = a[u]
-            y0, y1 = b[u + 1]
-            z0, z1 = b[u]
-            t0, t1 = a[u + 1]
-            s0, s1 = vv.get((2, u), zero)
-            cross = x1 * y1 - z1 * t1
-            return (
-                (x0 * y0 - z0 * t0 + V * cross - s0) % p,
-                (x0 * y1 + x1 * y0 - z0 * t1 - z1 * t0 + U * cross - s1) % p,
-            )
-        gk = self.a if g == 0 else self.b
-        # u < w, and every cell read has total degree top - 1 or top
-        s0, s1 = vv[(u, w)]
-        t0, t1 = gk[u + w]
-        x0, x1 = gk[w]
-        y0, y1 = vv[(u, w + 1)]
-        z0, z1 = gk[u]
-        q0, q1 = vv.get((u + 1, w), zero)
-        cross = s1 * t1 - x1 * y1 - z1 * q1
-        return (
-            (s0 * t0 - x0 * y0 - z0 * q0 + V * cross) % p,
-            (s0 * t1 + s1 * t0 - x0 * y1 - x1 * y0 - z0 * q1 - z1 * q0 + U * cross) % p,
-        )
-
     # -- checks ---------------------------------------------------------------
 
     def open_triples(self, top: Optional[int] = None) -> List[Tuple[int, int, int, int]]:
-        """The triples of ``new_triples(top)`` the table does not prove, in order.
+        """The Jacobi triples of top degree ``top`` the table does not prove, in order.
 
-        Each entry is (n, u, w, g) with n the 1-based position of (u, w, g)
-        in ``new_triples(top)``.  By the chain lemma (``new_triples``) they
-        are (v_2, x, y) at top = 4 only, then per 2 <= i < j = top - 1 - i
-        both generators if j = i + 1, else the generator that is not the
-        chain generator of degree i.  That reads the chain steps of degrees
-        below top / 2 only, so ``top`` may be one above the table's
-        (``linear_forms``); it defaults to the table's.
+        The triples to check at top degree t are the basis triples (ids:
+        0 = x, 1 = y, k = v_k) of total degree t with a generator, in this
+        order: (v_{t-2}, x, y) for t >= 4, then (v_i, v_j, g) for
+        2 <= i < j = t - 1 - i and g = x, y; that is
+        (t >= 4) + 2*max(0, t//2 - 2) triples.  Triples of lower total
+        degree were checked at lower tops, triples with a repeated element
+        vanish by the built-in antisymmetry of the tables, and triples
+        (v_i, v_j, v_k) need no check: once every triple with x or y
+        passes, Jacobi holds on all of them by the generator lemma (module
+        docstring).
+
+        Chain lemma: about half of these are zero by construction of the
+        cells of total degree t (``extend``), whatever the pairs.  With
+        g_k = a_k for g = x and b_k for g = y:
+
+        * J(v_m, x, y) = a_m*b_{m+1} - b_m*a_{m+1} - [v_2, v_m]
+          (``validate``), and for m = t - 2 >= 3 the cell [v_2, v_m] is
+          defined as exactly a_m*b_{m+1} - b_m*a_{m+1}.  So J = 0.
+        * Let g be the chain generator of degree u, v_{u+1} = c^{-1}*[v_u, g]
+          with c = g_u, and w = t - 1 - u > u + 1.  The cell [v_{u+1}, v_w]
+          is defined as c^{-1}*([v_u, v_w]*g_{u+w} - g_w*[v_u, v_{w+1}]),
+          so J(v_u, v_w, g) = [v_u, v_w]*g_{u+w} - g_w*[v_u, v_{w+1}]
+          - c*[v_{u+1}, v_w] = 0 exactly.
+
+        The bound matters: with w = u + 1 the cell [v_{u+1}, v_{u+1}] is 0
+        and not defined that way, and both generators can fail there.
+
+        So the open triples are (v_2, x, y) at t = 4 only, then per
+        2 <= i < j = t - 1 - i both generators if j = i + 1, else the
+        generator that is not the chain generator of degree i.  Each entry
+        is (n, u, w, g) with n the 1-based position of (u, w, g) in the
+        list above.  They read the chain steps of degrees below t / 2 only,
+        so ``top`` may be one above the table's (``linear_forms``); it
+        defaults to the table's.
         """
         top = self.top if top is None else top
         out = [(1, 2, 0, 1)] if top == 4 else []
@@ -317,23 +310,6 @@ class _Structure:
                 out.append((n + g, i, j, g))
         return out
 
-    def check_new(self):
-        """Jacobi on the basis triples of total degree == top with a generator.
-
-        Returns (first_failing_triple_labels_or_None, number_checked); a
-        triple (u, w, g) is labelled with u, w in descending order, so
-        (v_m, x, y) and (v_j, v_i, g) for i < j.  Only the open triples
-        (``open_triples``) are evaluated: the others are zero by the chain
-        lemma (``new_triples``), so the first failure and its position in
-        ``new_triples(top)`` are those of the full list, and a pass counts
-        the whole list as checked.
-        """
-        jacobi, zero = self.jacobi, self.field.zero
-        for n, u, w, g in self.open_triples():
-            if jacobi(u, w, g) != zero:
-                return (label(max(u, w)), label(min(u, w)), label(g)), n
-        return None, len(new_triples(self.top))
-
     def linear_forms(self) -> Columns:
         """The forms of a push at degree d = top at (1, 0) and (0, 1), in one pass.
 
@@ -342,18 +318,19 @@ class _Structure:
         coefficient of an open triple at top d+1, is alpha*a_d + beta*b_d
         (linearity lemma, ``search_sequences``).  This derives each such
         cell as its pair (alpha, beta) by ``extend``'s recurrence, where
-        g_d is the pair (1, 0) or (0, 1), then evaluates ``jacobi``'s
-        closed forms on those pairs, over ``open_triples(d + 1)``.  Returns
-        the column of alphas and the column of betas, which are the forms
-        after pushing (1, 0) and after pushing (0, 1).  Nothing is written
-        into the table.  Products are expanded and each coordinate of a
-        cell or form is reduced mod p once (``extend``).
+        g_d is the pair (1, 0) or (0, 1), then evaluates the closed forms
+        of ``validate`` on those pairs, over ``open_triples(d + 1)``.
+        Returns the column of alphas and the column of betas, which are the
+        forms after pushing (1, 0) and after pushing (0, 1).  Nothing is
+        written into the table.  Products are expanded and each coordinate
+        of a cell or form is reduced mod p once (``extend``).
         """
         F = self.field
         p, U, V, one = F.p, F.u, F.v, F.one
-        a, b, vv, step = self.a, self.b, self.vv, self.step
+        a, b, step = self.a, self.b, self.step
         d = self.top
         total = d + 1
+        below = self.rows[d]  # the cells of total degree d
         # cell[i] = (alpha, beta) of [v_i, v_{total-i}]
         cell: Dict[int, Tuple[EElem, EElem]] = {}
         for i in range(2, (total + 1) // 2):
@@ -370,7 +347,7 @@ class _Structure:
             cross_a, cross_b = x1 * m1, x1 * n1
             al0, al1 = -(x0 * m0 + V * cross_a), -(x0 * m1 + x1 * m0 + U * cross_a)
             be0, be1 = -(x0 * n0 + V * cross_b), -(x0 * n1 + x1 * n0 + U * cross_b)
-            s0, s1 = vv[(i - 1, j)]
+            s0, s1 = below[i - 1]
             if g is a:
                 al0 += s0
                 al1 += s1
@@ -408,7 +385,7 @@ class _Structure:
                 be0, be1 = be0 + z0 * n0, be1 + z0 * n1 + z1 * n0
             al0, al1 = -(al0 + V * cross_a), -(al1 + U * cross_a)
             be0, be1 = -(be0 + V * cross_b), -(be1 + U * cross_b)
-            s0, s1 = vv[(u, w)]
+            s0, s1 = below[u]
             if g == 0:
                 al0 += s0
                 al1 += s1
@@ -420,39 +397,6 @@ class _Structure:
         return at_x, at_y
 
 
-@lru_cache(maxsize=None)
-def new_triples(top: int) -> Tuple[Tuple[int, int, int], ...]:
-    """The Jacobi triples that become visible when the top degree reaches ``top``.
-
-    These are the basis triples (ids: 0 = x, 1 = y, k = v_k) of total
-    degree top with a generator: (v_{top-2}, x, y), then (v_i, v_j, g) for
-    2 <= i < j = top - 1 - i and g = x, y.  Triples of lower total degree
-    were checked by earlier pushes, and triples with a repeated element
-    vanish identically by the built-in antisymmetry of the tables.
-    Triples (v_i, v_j, v_k) need no check: once every triple with x or y
-    passes, Jacobi holds on all of them by the generator lemma (module
-    docstring).
-
-    Chain lemma: about half of these are zero by construction of the
-    cells of total degree top (``_Structure.extend``), whatever the pairs.
-
-    * J(v_m, x, y) = a_m*b_{m+1} - b_m*a_{m+1} - [v_2, v_m]
-      (``_Structure.jacobi``), and for m = top - 2 >= 3 the cell [v_2, v_m]
-      is defined as exactly a_m*b_{m+1} - b_m*a_{m+1}.  So J = 0.
-    * Let g be the chain generator of degree u, v_{u+1} = c^{-1}*[v_u, g]
-      with c = g_u, and w = top - 1 - u > u + 1.  The cell [v_{u+1}, v_w]
-      is defined as c^{-1}*([v_u, v_w]*g_{u+w} - g_w*[v_u, v_{w+1}]), so
-      J(v_u, v_w, g) = [v_u, v_w]*g_{u+w} - g_w*[v_u, v_{w+1}]
-      - c*[v_{u+1}, v_w] = 0 exactly.
-
-    The bound matters: with w = u + 1 the cell [v_{u+1}, v_{u+1}] is 0
-    and not defined that way, and both generators can fail there.  The
-    triples left are the open ones (``_Structure.open_triples``).
-    """
-    head = ((top - 2, 0, 1),) if top >= 4 else ()
-    return head + tuple((i, top - 1 - i, g) for i in range(2, top // 2) for g in (0, 1))
-
-
 def label(idx: int) -> str:
     """The name of a basis id: 0 = x, 1 = y, k = v_k."""
     return "x" if idx == 0 else "y" if idx == 1 else f"v{idx}"
@@ -462,21 +406,67 @@ def validate(pres: MaxClassPresentation) -> JacobiReport:
     """Derive the full multiplication table and check Jacobi on it.
 
     Jacobi is checked on the triples with a generator, which implies it
-    on every triple (see ``new_triples``).  Only the open ones are
-    evaluated, but ``triples_checked`` counts the triples the chain lemma
-    proves as checked too (``_Structure.check_new``).
+    on every triple (``_Structure.open_triples``).  After the push of
+    each degree, the open triples of the new top degree t are evaluated
+    in one loop, by one of two closed forms.  With
+    [v_k, x] = a_k*v_{k+1} and [v_k, y] = b_k*v_{k+1}, so
+    [x, v_k] = -a_k*v_{k+1}, and [x, y] = -v_2:
+
+    * J(v_m, x, y) = [a_m*v_{m+1}, y] + [-v_2, v_m] + [-b_m*v_{m+1}, x]
+      = a_m*b_{m+1} - [v_2, v_m] - b_m*a_{m+1}.  It is open at m = 2
+      only, where [v_2, v_2] = 0;
+    * J(v_i, v_j, g), i < j and g_k = a_k for g = x or b_k for g = y:
+      [v_i, v_j]*g_{i+j} + [g_j*v_{j+1}, v_i] + [-g_i*v_{i+1}, v_j]
+      = [v_i, v_j]*g_{i+j} - g_j*[v_i, v_{j+1}] - g_i*[v_{i+1}, v_j].
+      Its cells are ``rows[t - 1][i]``, ``rows[t][i]`` and
+      ``rows[t][i + 1]``, the last 0 when j = i + 1.
+
+    Each form is one sum of expanded products, reduced mod p once per
+    coordinate (``_Structure.extend``).  The first nonzero form is the
+    first failure, labelled with the degrees in descending order:
+    (v2, x, y) or (v_j, v_i, g).  ``triples_checked`` counts the triples
+    the chain lemma proves as checked too: every triple of the lower tops
+    and those of top t up to the failure, which on a pass is all
+    (t >= 4) + 2*max(0, t//2 - 2) of them.
 
     Raises ZeroPair when some adjoint pair is (0, 0).  On success the
     derived table is cached on the presentation for later bracket calls.
     """
-    st = _Structure(pres.field, pres.class_n)
+    F = pres.field
+    p, U, V = F.p, F.u, F.v
+    st = _Structure(F, pres.class_n)
+    a, b, rows = st.a, st.b, st.rows
     checked = 0
     for d in range(2, pres.class_n):
         st.extend(d, pres.pair(d))
-        fail, cnt = st.check_new()
-        checked += cnt
-        if fail is not None:
-            return JacobiReport(ok=False, first_failure=fail, triples_checked=checked)
+        top = d + 1
+        low, high = rows[d], rows[top]  # the cells of total degree top - 1 and top
+        for n, u, w, g in st.open_triples():
+            if w == 0:
+                # J(v_2, x, y) = a_2*b_3 - b_2*a_3
+                x0, x1 = a[2]
+                y0, y1 = b[3]
+                z0, z1 = b[2]
+                t0, t1 = a[3]
+                cross = x1 * y1 - z1 * t1
+                r0 = x0 * y0 - z0 * t0 + V * cross
+                r1 = x0 * y1 + x1 * y0 - z0 * t1 - z1 * t0 + U * cross
+            else:
+                # [v_u, v_w]*g_d - g_w*[v_u, v_{w+1}] - g_u*[v_{u+1}, v_w], u + w = d
+                gk = a if g == 0 else b
+                s0, s1 = low[u]
+                t0, t1 = gk[d]
+                x0, x1 = gk[w]
+                y0, y1 = high[u]
+                z0, z1 = gk[u]
+                q0, q1 = high[u + 1] if u + 1 < w else (0, 0)
+                cross = s1 * t1 - x1 * y1 - z1 * q1
+                r0 = s0 * t0 - x0 * y0 - z0 * q0 + V * cross
+                r1 = s0 * t1 + s1 * t0 - x0 * y1 - x1 * y0 - z0 * q1 - z1 * q0 + U * cross
+            if r0 % p or r1 % p:
+                fail = (label(max(u, w)), label(min(u, w)), label(g))
+                return JacobiReport(ok=False, first_failure=fail, triples_checked=checked + n)
+        checked += (top >= 4) + 2 * max(0, top // 2 - 2)
     pres._structure = st
     return JacobiReport(ok=True, first_failure=None, triples_checked=checked)
 
@@ -531,11 +521,7 @@ def two_step_centralizers(pres: MaxClassPresentation) -> CentralizerSequence:
 
 def is_standard(pres: MaxClassPresentation) -> bool:
     """C_2 = Ey and, if any centralizer deviates, the first deviation is Ex."""
-    seq = two_step_centralizers(pres)
-    if seq.points[0] != ey_point(pres.field):
-        return False
-    devs = seq.deviations()
-    return not devs or seq.point(devs[0]) == ex_point(pres.field)
+    return two_step_centralizers(pres).is_standard()
 
 
 def apply_degree1_change(
@@ -551,8 +537,8 @@ def apply_degree1_change(
     same algebra in the basis x', y', v'_2 = [y', x'] = s_2*v_2,
     v'_{i+1} = s_{i+1}*v_{i+1}, so the result satisfies Jacobi too.  Its
     table is therefore derived by ``_Structure.extend`` alone, without
-    ``check_new``: the cells extend derives are consequences of the pairs
-    and Jacobi, so they are the brackets of that algebra.
+    ``validate``'s Jacobi check: the cells extend derives are consequences
+    of the pairs and Jacobi, so they are the brackets of that algebra.
     """
     F = pres.field
     st = tables(pres)
@@ -641,19 +627,20 @@ def _is_two_p_power(m: int, p: int) -> bool:
     return t == 1
 
 
-def centralizer_stats(pres: MaxClassPresentation) -> DiagnosticsReport:
+def centralizer_stats(seq: CentralizerSequence) -> DiagnosticsReport:
     """First occurrences and successive gaps per distinct centralizer.
 
     Purely diagnostic: a truncated presentation found by search need not
     extend to an infinite algebra, so pattern violations are reported,
-    never rejected.  Requires a validated presentation in standard form.
+    never rejected.  Requires the centralizers of a validated presentation
+    (``two_step_centralizers``) in standard form.
     """
-    if not is_standard(pres):
+    if not seq.is_standard():
         raise NotStandardForm("centralizer_stats needs a standard-form presentation")
-    seq = two_step_centralizers(pres)
-    p = pres.field.p
+    class_n = len(seq.points) + 2
+    p = seq.field.p
     entries = []
-    for pt in seq.distinct(pres.class_n):
+    for pt in seq.distinct(class_n):
         occ = [d for d in seq.degrees() if seq.point(d) == pt]
         gaps = [b - a for a, b in zip(occ, occ[1:])]
         max_gap = max(gaps) if gaps else None
@@ -667,7 +654,7 @@ def centralizer_stats(pres: MaxClassPresentation) -> DiagnosticsReport:
                 gap_within_first=(max_gap <= occ[0]) if max_gap is not None else None,
             )
         )
-    return DiagnosticsReport(class_n=pres.class_n, entries=tuple(entries))
+    return DiagnosticsReport(class_n=class_n, entries=tuple(entries))
 
 
 # ---------------------------------------------------------------------------
@@ -770,12 +757,12 @@ def search_sequences(
 
     Each node solves for its admissible pairs instead of trying all of
     P^1(E).  Its forms are the Jacobi coefficients of the open triples
-    only (``_Structure.open_triples``); the others are zero by the chain
-    lemma (``new_triples``).  Which triples are open at top d+1 or d+2
-    depends on the chain steps of degrees below (d+2)/2 only, so it is
-    fixed by the prefix and every pair of the node has its forms on the
-    same triples.  Linearity lemma: with the pairs of degrees < d fixed,
-    every Jacobi coefficient that ``check_new`` inspects after pushing
+    only; the others are zero by the chain lemma
+    (``_Structure.open_triples``).  Which triples are open at top d+1 or
+    d+2 depends on the chain steps of degrees below (d+2)/2 only, so it
+    is fixed by the prefix and every pair of the node has its forms on
+    the same triples.  Linearity lemma: with the pairs of degrees < d fixed,
+    every Jacobi coefficient that ``validate`` evaluates after pushing
     (a_d, b_d) is a homogeneous E-linear form in (a_d, b_d).  Each new
     cell [v_i, v_j] of total degree d+1 is linear in the pair of degree d
     or in a cell of the same total degree derived before it, and its
@@ -862,9 +849,9 @@ def search_sequences(
     out: List[MaxClassPresentation] = []
 
     def next_columns(d: int, pair: Pair) -> Columns:
-        added = st.extend(d, pair)
+        st.extend(d, pair)
         cols = st.linear_forms()
-        st.retract(d, added)
+        st.retract(d)
         return cols
 
     def children(d: int, cols: Columns) -> Tuple[Iterable[Child], List[Child]]:
@@ -902,9 +889,9 @@ def search_sequences(
             # its children are leaves: it reads its columns, not the table
             dfs(d + 1, stack, cols)
         else:
-            added = st.extend(d, pair)
+            st.extend(d, pair)
             dfs(d + 1, stack, cols)
-            st.retract(d, added)
+            st.retract(d)
 
     def dfs(d: int, stack: Tuple[Pair, ...], cols: Optional[Columns]) -> None:
         ones, last = children(d, st.linear_forms() if cols is None else cols)

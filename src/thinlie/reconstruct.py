@@ -78,11 +78,18 @@ def detect_structure(analysis: SubalgebraAnalysis) -> StructureFlags:
 
 
 def _top_bracket(st, window: int) -> int:
-    """The largest i with [v_i, v_j] != 0, i < j, i + j <= window; 1 if none."""
-    F = st.field
-    return max(
-        (i for (i, j), c in st.vv.items() if i + j <= window and not F.is_zero(c)), default=1
-    )
+    """The largest i with [v_i, v_j] != 0, i < j, i + j <= window; 1 if none.
+
+    Reads the rows of total degree <= window only, each from its last
+    cell down to the largest i found so far.
+    """
+    zero, m = st.field.zero, 1
+    for row in st.rows[5 : window + 1]:
+        for i in range(len(row) - 1, m, -1):
+            if row[i] != zero:
+                m = i
+                break
+    return m
 
 
 # ---------------------------------------------------------------------------

@@ -28,7 +28,9 @@ them by other means:
   (``build_rho``, ``build_rho_prime``, the slot comparisons of
   ``_check_rep`` and the phi map of ``_phi_failure``), which
   ``reconstruct.verify_roundtrip`` replaced by one faithfulness scan of
-  the structure table;
+  the structure table, and ``top_bracket_scan`` is the scan of every cell
+  that ``reconstruct._top_bracket`` replaced by reading the rows of total
+  degree <= window;
 * ``bases`` gives the canonical F-basis of every L_i in closed form
   (``space`` and ``express`` read vectors in it), which the package
   dropped because no subcommand reads a basis row: it keeps only the
@@ -1017,9 +1019,9 @@ def oracle_two_level_search(field, class_n, limit):
     out = []
 
     def next_columns(d, pair):
-        added = st.extend(d, pair)
+        st.extend(d, pair)
         cols = st.linear_forms()
-        st.retract(d, added)
+        st.retract(d)
         return cols
 
     def children(d, cols):
@@ -1043,9 +1045,9 @@ def oracle_two_level_search(field, class_n, limit):
             if d + 2 == class_n and child_cols is not None:
                 dfs(d + 1, stack + (pair,), child_cols)
                 continue
-            added = st.extend(d, pair)
+            st.extend(d, pair)
             dfs(d + 1, stack + (pair,), child_cols)
-            st.retract(d, added)
+            st.retract(d)
 
     dfs(2, (), None)
     return out
@@ -1338,4 +1340,14 @@ def oracle_roundtrip(pres, g, window=None):
         usable_window=usable,
         iso=first_failure is None,
         first_failure=first_failure,
+    )
+
+
+def top_bracket_scan(st, window):
+    """``reconstruct._top_bracket`` as a scan of every cell of a
+    ``dict_structure.DictStructure``: the largest i with [v_i, v_j] != 0,
+    i < j, i + j <= window; 1 if none."""
+    F = st.field
+    return max(
+        (i for (i, j), c in st.vv.items() if i + j <= window and not F.is_zero(c)), default=1
     )

@@ -545,6 +545,26 @@ class TestStats:
         assert entries[0]["first_occurrence"] == 2
         assert entries[0]["first_is_two_p_power"] is True
 
+    @pytest.mark.parametrize("which, passes", [("met", 1), ("ex10", 3)])
+    def test_one_centralizer_pass(self, met_file, capsys, monkeypatch, which, passes):
+        """``stats`` computes the centralizer sequence once per presentation
+        it reports on: once for a file in standard form, and for one that is
+        not (``ex10.json``) once before and once after the base change, plus
+        the pass inside ``standard_generators``."""
+        path = met_file if which == "met" else str(Path(__file__).parent / "golden" / "ex10.json")
+        calls = []
+        two_step = mc.two_step_centralizers
+
+        def spy(pres):
+            calls.append(pres)
+            return two_step(pres)
+
+        monkeypatch.setattr(mc, "two_step_centralizers", spy)
+        code, out, _ = run(capsys, "stats", path)
+        assert code == 0
+        assert out_json(out)["results"]["standardized"] is (which == "ex10")
+        assert len(calls) == passes
+
 
 class TestDeterminism:
     def test_byte_identical_reports(self, met_file, capsys):

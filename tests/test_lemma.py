@@ -8,9 +8,12 @@ The all-pairs loops they replaced are kept here as oracles, and each fast
 path must give the same verdict, the same first failure and the same
 message on seeded valid and perturbed inputs.
 
-``_Structure.jacobi`` evaluates each Jacobi triple with a generator by
+The table lemmas are checked on the dict table ``dict_structure.DictStructure``,
+which ``test_rows`` compares with ``maxclass._Structure`` (one row of
+cells per total degree) and ``maxclass.validate``.
+``DictStructure.jacobi`` evaluates each Jacobi triple with a generator by
 one of two closed formulas (its docstring), ``_phi_failure`` reads the
-brackets with a generator off ``_Structure.phi``, and ``_Structure.extend``
+brackets with a generator off ``_Structure.phi``, and ``extend``
 decides the chain (c^{-1} and g with v_{d+1} = c^{-1}*[v_d, g]) once per
 pushed degree.  The generic bracket of basis ids, the three-term Jacobi
 sum over it, the per-cell choice of c^{-1} and the scale-by-scale
@@ -34,8 +37,8 @@ rescales the others (the rescaling lemma, its docstring); the search that
 visits each child is ``paper_checks.oracle_two_level_search``, and the
 lemma is checked on its own over the trial-push search's output.
 
-The table kernel (``_Structure.extend``, ``jacobi``, ``linear_forms``
-and the search's ``projective_kernel`` and ``free_children``) expands
+The table kernel (``extend``, ``jacobi`` and ``linear_forms`` of the
+dict table, and the search's ``projective_kernel`` and ``free_children``) expands
 each GF(p^2) product in place and reduces each coordinate once.  The
 per-operation ``projective_kernel`` and ``free_children`` are kept here
 as oracles; ``oracle_cells``, ``oracle_jacobi`` and the probe path stay
@@ -115,6 +118,7 @@ from pathlib import Path
 
 import pytest
 
+import dict_structure as ds
 import generic_gf as gg
 import paper_checks as pc
 from int_kernel import RowSpace, combine, mat_mul, solve, span
@@ -197,7 +201,7 @@ def oracle_jacobi(st, u, w, g):
 
 def oracle_jacobi_forms(st):
     """The closed-form Jacobi coefficients of every triple of ``new_triples(top)``."""
-    return [st.jacobi(*t) for t in mc.new_triples(st.top)]
+    return [st.jacobi(*t) for t in ds.new_triples(st.top)]
 
 
 def jacobi_forms(st):
@@ -272,7 +276,7 @@ def projective_pairs(field):
 def oracle_search_sequences(field, class_n, limit):
     """Depth-first search that pushes every point of P^1(E) and checks it."""
     reps = projective_pairs(field)
-    st = mc._Structure(field, class_n)
+    st = ds.DictStructure(field, class_n)
     stack = []
     out = []
 
@@ -301,7 +305,7 @@ def oracle_one_level_search(field, class_n, limit):
     """Depth-first search over each node's projective kernel, pushing every
     child of a free node (the search before the bilinearity lemma)."""
     reps = projective_pairs(field)
-    st = mc._Structure(field, class_n)
+    st = ds.DictStructure(field, class_n)
     stack = []
     out = []
 
@@ -376,7 +380,7 @@ def oracle_first_failure(st):
     ``new_triples(top)`` with a nonzero Jacobi sum, labelled, and its
     1-based position, else (None, the number of triples)."""
     F = st.field
-    triples = mc.new_triples(st.top)
+    triples = ds.new_triples(st.top)
     for n, (u, w, g) in enumerate(triples, 1):
         if not F.is_zero(oracle_jacobi(st, u, w, g)):
             return (_label(max(u, w)), _label(min(u, w)), _label(g)), n
@@ -387,7 +391,7 @@ def oracle_validate_generators(pres):
     """(ok, first_failure, triples_checked) of Jacobi on the triples with a
     generator, on cells from ``oracle_cells`` (the table is filled by hand,
     not by ``extend``): the report ``validate`` gives."""
-    st = mc._Structure(pres.field, pres.class_n)
+    st = ds.DictStructure(pres.field, pres.class_n)
     checked = 0
     for d in range(2, pres.class_n):
         st.a[d], st.b[d] = pres.pair(d)
@@ -402,7 +406,7 @@ def oracle_validate_generators(pres):
 
 def oracle_validate(pres):
     """(ok, first_failure, triples_checked) of the exhaustive validator."""
-    st = mc._Structure(pres.field, pres.class_n)
+    st = ds.DictStructure(pres.field, pres.class_n)
     checked = 0
     for d in range(2, pres.class_n):
         st.extend(d, pres.pair(d))
@@ -686,7 +690,7 @@ def test_validate_matches_exhaustive(request, f9, found):
 def _table_key(st):
     """A copy of everything a table holds; a chain step by its scalar and branch."""
     steps = {d: (c_inv, g is st.a) for d, (c_inv, g) in st.step.items()}
-    return st.class_n, st.top, dict(st.a), dict(st.b), dict(st.vv), steps
+    return st.class_n, st.top, dict(st.a), dict(st.b), ds.cells(st), steps
 
 
 @pytest.mark.parametrize("found", ["search4_12", "search9_12", "search25_12"])
@@ -708,7 +712,7 @@ def test_derived_tables_match_validate(request, found):
 def test_search_prefixes_match_exhaustive(f9):
     """Every push of a class-14 GF(9) search: same verdict as all triples."""
     reps = projective_pairs(f9)
-    st = mc._Structure(f9, 14)
+    st = ds.DictStructure(f9, 14)
     pushes = 0
 
     def dfs(d):
@@ -763,7 +767,7 @@ def random_pushes(F, seed, draw=_random_pair, tables=300):
     rng = random.Random(seed)
     for _ in range(tables):
         class_n = rng.randint(4, 16)
-        st = mc._Structure(F, class_n)
+        st = ds.DictStructure(F, class_n)
         for d in range(2, class_n):
             for keep in (False, True):
                 added = st.extend(d, draw(F, rng))
@@ -787,7 +791,7 @@ def test_closed_form_matches_generic_bracket(p, u, v):
     F = make_ext_field(p, u, v)
     pushes = nonzero = passed = 0
     for st in random_pushes(F, f"closed-form-{p}"):
-        triples = mc.new_triples(st.top)
+        triples = ds.new_triples(st.top)
         forms = [oracle_jacobi(st, *t) for t in triples]
         assert oracle_jacobi_forms(st) == forms
         opened = st.open_triples()
@@ -818,7 +822,7 @@ def test_proved_triples_vanish(p, u, v):
     proved = adjacent_nonzero = 0
     for st in random_pushes(F, f"closed-form-{p}"):
         opened = []
-        for n, (u_, w_, g_) in enumerate(mc.new_triples(st.top), 1):
+        for n, (u_, w_, g_) in enumerate(ds.new_triples(st.top), 1):
             if w_ == 0:
                 is_proved = u_ >= 3
             else:
@@ -848,7 +852,7 @@ def test_jacobi_forms_linear_in_new_pair(f9):
     """
     F = f9
     reps = projective_pairs(F)
-    st = mc._Structure(F, 12)
+    st = ds.DictStructure(F, 12)
     kinds = set()
 
     def forms_at(d, pair):
@@ -931,7 +935,7 @@ def free_nodes(field, class_n):
     A, B the next-degree columns of its children (1 : 0) and (0 : 1).
     """
     reps = projective_pairs(field)
-    st = mc._Structure(field, class_n)
+    st = ds.DictStructure(field, class_n)
 
     def walk(d):
         if d == class_n:
@@ -1029,7 +1033,7 @@ def search_nodes(field, class_n):
     ``free_children`` on A and B, both by their oracles.
     """
     ex, ey = mc.ex_point(field), mc.ey_point(field)
-    st = mc._Structure(field, class_n)
+    st = ds.DictStructure(field, class_n)
 
     def walk(d):
         cols = _columns(st, d)
@@ -1229,7 +1233,7 @@ def test_kernel_matches_oracles_at_large_p():
     shapes = set()
     pushes = rooted_found = 0
     for st in random_pushes(F, "large-p", draw=_residue_pair, tables=40):
-        triples = mc.new_triples(st.top)
+        triples = ds.new_triples(st.top)
         assert st.vv == oracle_cells(st)
         assert [st.jacobi(*t) for t in triples] == [oracle_jacobi(st, *t) for t in triples]
         assert st.check_new() == oracle_first_failure(st)

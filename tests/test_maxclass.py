@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+import dict_structure as ds
 import generic_gf as gg
 import paper_checks as pc
 from thinlie import maxclass as mc
@@ -74,25 +75,27 @@ class TestValidate:
 
     def test_evaluates_only_open_triples(self, monkeypatch, f9):
         """Only the triples the chain step does not prove are evaluated
-        (``_Structure.open_triples``): on the metabelian table (chain
-        generator x) that is (v_2, x, y) at top 4, (v_i, v_j, y) for
-        j > i + 1 and both generators for j = i + 1, about half of the
-        685 triples still reported as checked."""
+        (``_Structure.open_triples``, which ``validate`` iterates once per
+        top): on the metabelian table (chain generator x) that is
+        (v_2, x, y) at top 4, (v_i, v_j, y) for j > i + 1 and both
+        generators for j = i + 1, about half of the 685 triples still
+        reported as checked."""
         calls = []
-        jacobi = mc._Structure.jacobi
+        open_triples = mc._Structure.open_triples
 
-        def spy(st, u, w, g):
-            calls.append((st.top, u, w, g))
-            return jacobi(st, u, w, g)
+        def spy(st, top=None):
+            out = open_triples(st, top)
+            calls.extend((st.top, u, w, g) for _, u, w, g in out)
+            return out
 
-        monkeypatch.setattr(mc._Structure, "jacobi", spy)
+        monkeypatch.setattr(mc._Structure, "open_triples", spy)
         report = mc.validate(mc.make_metabelian(f9, 40))
         tops = range(3, 41)
-        assert report.triples_checked == sum(len(mc.new_triples(t)) for t in tops) == 685
+        assert report.triples_checked == sum(len(ds.new_triples(t)) for t in tops) == 685
         want = [
             (t, u, w, g)
             for t in tops
-            for u, w, g in mc.new_triples(t)
+            for u, w, g in ds.new_triples(t)
             if (t == 4 if w == 0 else w == u + 1 or g == 1)
         ]
         assert calls == want
@@ -223,7 +226,7 @@ class TestStandardGenerators:
 
 class TestStats:
     def test_metabelian(self, f9):
-        report = mc.centralizer_stats(mc.make_metabelian(f9, 12))
+        report = mc.centralizer_stats(mc.two_step_centralizers(mc.make_metabelian(f9, 12)))
         assert len(report.entries) == 1
         e = report.entries[0]
         assert e.point == mc.ey_point(f9)
@@ -231,7 +234,7 @@ class TestStats:
         assert e.first_is_two_p_power  # 2 = 2 * 3^0
 
     def test_deviating(self, dev9_14):
-        report = mc.centralizer_stats(dev9_14)
+        report = mc.centralizer_stats(mc.two_step_centralizers(dev9_14))
         ex = [e for e in report.entries if e.point == mc.ex_point(dev9_14.field)]
         assert len(ex) == 1
         assert ex[0].first_occurrence == 6  # 2p for p = 3
@@ -242,11 +245,12 @@ class TestStats:
     def test_gated_on_standard_form(self, f9):
         pairs = tuple(((0, 0), (1, 0)) for _ in range(8))
         with pytest.raises(NotStandardForm):
-            mc.centralizer_stats(mc.MaxClassPresentation(f9, 10, pairs))
+            mc.centralizer_stats(mc.two_step_centralizers(mc.MaxClassPresentation(f9, 10, pairs)))
 
     def test_gated_on_validity(self, f9):
+        """The centralizers the stats read come from a validated table."""
         with pytest.raises(InvalidPresentation):
-            mc.centralizer_stats(_mutated(f9))
+            mc.centralizer_stats(mc.two_step_centralizers(_mutated(f9)))
 
 
 class TestSearch:
@@ -314,14 +318,14 @@ class TestSearch:
 
     def test_kernel_calls_no_field_method(self, monkeypatch, f9, search9_12):
         """The table kernel expands GF(p^2) products in place: ``extend``,
-        ``jacobi``, ``linear_forms``, ``projective_kernel`` and
-        ``free_children`` (with their nested helpers) call no
+        ``linear_forms``, ``validate`` (its Jacobi forms), ``projective_kernel``
+        and ``free_children`` (with their nested helpers) call no
         ``ExtField.mul``, ``add``, ``sub`` or ``neg``, in a class-12 GF(9)
         search and in ``validate`` of metabelian GF(9) class 40.  The roots
         of a minor stay the field's (``quadratic_roots``)."""
         hot = [
-            mc._Structure.extend, mc._Structure.jacobi, mc._Structure.linear_forms,
-            mc._Structure.check_new, mc.projective_kernel, mc.free_children,
+            mc._Structure.extend, mc._Structure.linear_forms, mc.validate,
+            mc.projective_kernel, mc.free_children,
         ]
         codes = set()
         todo = [fn.__code__ for fn in hot]

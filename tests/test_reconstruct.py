@@ -263,18 +263,25 @@ class TestRoundtrip:
     def test_validates_only_the_extraction(self, request, monkeypatch, f9, thin_pair_f9, which):
         """After the loader's check, a round trip runs no Jacobi check: it
         reads the loaded table and builds no quotient and no extracted
-        presentation."""
+        presentation.  Jacobi is checked in ``validate`` only, over the
+        open triples of each top (``_Structure.open_triples``), and the
+        search's forms, which read them too, are not computed either."""
         src = mc.make_metabelian(f9, 14) if which == "metabelian9_14" else request.getfixturevalue(which)
         pres = mc.MaxClassPresentation(f9, src.class_n, src.adjoint)
         assert mc.validate(pres).ok
         checked = []
-        check_new = mc._Structure.check_new
+        validate, open_triples = mc.validate, mc._Structure.open_triples
 
-        def spy_check(st):
-            checked.append(st)
-            return check_new(st)
+        def spy_validate(p):
+            checked.append(("validate", p))
+            return validate(p)
 
-        monkeypatch.setattr(mc._Structure, "check_new", spy_check)
+        def spy_open(st, top=None):
+            checked.append(("open_triples", st))
+            return open_triples(st, top)
+
+        monkeypatch.setattr(mc, "validate", spy_validate)
+        monkeypatch.setattr(mc._Structure, "open_triples", spy_open)
         assert rec.verify_roundtrip(pres, thin_pair_f9).iso
         assert checked == []
         monkeypatch.undo()
