@@ -21,6 +21,7 @@ import pytest
 
 import dict_structure as ds
 import paper_checks as pc
+from test_lemma import _residue_pair, _table_key
 from thinlie import maxclass as mc
 from thinlie import reconstruct as rec
 from thinlie.errors import ZeroPair
@@ -32,27 +33,8 @@ SEARCHED = ["search4_12", "search9_12", "search25_12"]
 def assert_same_table(new, old):
     """The row table ``new`` holds what the dict table ``old`` holds, and
     nothing above its top."""
-    assert (new.class_n, new.top, new.a, new.b) == (old.class_n, old.top, old.a, old.b)
-    steps = [{d: (c_inv, g is st.a) for d, (c_inv, g) in st.step.items()} for st in (new, old)]
-    assert steps[0] == steps[1]
-    assert ds.cells(new) == old.vv
+    assert _table_key(new) == _table_key(old)
     assert new.rows[new.top + 1:] == [None] * (new.class_n - new.top)
-
-
-def _draw(F, rng):
-    """A nonzero pair whose entries are 0 or 1 now and then, else drawn
-    coordinate by coordinate (E is not enumerated, so any p will do)."""
-
-    def entry():
-        r = rng.random()
-        return F.zero if r < 0.25 else F.one if r < 0.35 else (
-            rng.randrange(F.p), rng.randrange(F.p)
-        )
-
-    while True:
-        pair = (entry(), entry())
-        if pair != (F.zero, F.zero):
-            return pair
 
 
 def twin_pushes(F, seed, tables):
@@ -67,7 +49,7 @@ def twin_pushes(F, seed, tables):
         new, old = mc._Structure(F, class_n), ds.DictStructure(F, class_n)
         for d in range(2, class_n):
             for keep in (False, True):
-                pair = _draw(F, rng)
+                pair = _residue_pair(F, rng)
                 new.extend(d, pair)
                 added = old.extend(d, pair)
                 yield new, old
