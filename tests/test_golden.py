@@ -15,7 +15,11 @@ files (one per label shape of ``first_failure``), and ``check`` and
 is 0 or mu, not 0 or 1) and ``check`` on a copy of it that fails at a y
 triple.  The CLI branches no README example reaches are covered too:
 ``stats`` on a valid file that is not in standard form (``ex10.json``,
-every pair (0, 1)), ``scan --raw``, and ``analyze`` on a maximal, an
+every pair (0, 1)), ``stats`` on three files with several centralizer
+points under the base change x' = x + y, y' = mu*x (``dev9mu.json``,
+``bench/data/dev25_14.json`` and a GF(4) class-16 search result with
+three distinct points, whose third point only a right map to standard
+form sends to the recorded one), ``scan --raw``, and ``analyze`` on a maximal, an
 r-constrained (``dev9mu.json``) and three degenerate pairs, of F-rank
 2, 1 and 0, each with exit code 1, and ``endo`` in each case of its lemma: a degenerate pair
 (exit code 1), dimension 1 (a maximal pair, and a ``dev9mu.json`` pair
@@ -32,10 +36,12 @@ free node takes the Tonelli-Shanks branch of ``ExtField.sqrt``.
 ``roundtrip`` of a GF(4) class-14 file whose kernel in degree 9 no cell
 of the window refutes (exit code 1), and of a class-20 file that extends
 it, at window 14 (exit code 1) and at window 16, where the kernel is
-refuted and the round trip succeeds.  Three guards: ``analyze`` with a
+refuted and the round trip succeeds.  Six guards: ``analyze`` with a
 generator of three coordinates and ``check`` of a class-3 file
-(``class3.json``), both exit code 2, and ``scan`` of a searched file
-that is not in standard form (exit code 1).
+(``class3.json``), both exit code 2, ``scan`` of a searched file
+that is not in standard form (exit code 1), ``analyze`` of an invalid
+file (``bad6.json``) and ``check`` of a file with a (0, 0) pair, both
+exit code 1, and ``check`` of a file one pair short (exit code 2).
 ``test_reachability`` runs these cases to show that every function of
 the package is one the CLI runs.  They run in a fresh
 directory with relative file names, because reports echo the input path.
@@ -61,7 +67,19 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
 WRITTEN = GOLDEN / "written"
 
 # input files copied into the working directory before the cases run
-INPUTS = ["bad6.json", "bad10.json", "class3.json", "dev9mu.json", "dev9mu-bad.json", "ex10.json"]
+INPUTS = [
+    "bad6.json",
+    "bad10.json",
+    "class3.json",
+    "dev25-xy.json",
+    "dev9mu.json",
+    "dev9mu-bad.json",
+    "dev9mu-xy.json",
+    "ex10.json",
+    "gf4c16-xy.json",
+    "short-adjoint.json",
+    "zero-pair.json",
+]
 
 PAIR = ["--X", "1,0,1,0", "--Y", "0,1,1,1"]
 
@@ -97,6 +115,13 @@ CASES = [
     ("check-dev9mu-bad", ["check", "dev9mu-bad.json"], 1),
     # valid and not standard (every pair is (0, 1)), so standard_generators changes it
     ("stats-ex10", ["stats", "ex10.json"], 0),
+    # files with several centralizer points under x' = x + y, y' = mu*x, so
+    # not in standard form: dev9mu.json, bench/data/dev25_14.json, and a
+    # GF(4) class-16 search result with three distinct points, whose third
+    # point pins the map of the points to standard form
+    ("stats-dev9mu-xy", ["stats", "dev9mu-xy.json"], 0),
+    ("stats-dev25-xy", ["stats", "dev25-xy.json"], 0),
+    ("stats-gf4c16-xy", ["stats", "gf4c16-xy.json"], 0),
     ("scan-raw", ["scan", "m.json", "--window", "12", "--raw"], 0),
     ("analyze-maximal", ["analyze", "m.json", "--X", "1,0,0,0", "--Y", "0,0,1,0", "--window", "12"], 0),
     ("analyze-rconstrained", ["analyze", "dev9mu.json", "--X", "0,0,1,0", "--Y", "1,0,0,1"], 0),
@@ -137,6 +162,12 @@ CASES = [
     ("analyze-short-generator", ["analyze", "m.json", "--X", "1,0,1", "--Y", "0,1,1,1", "--window", "12"], 2),
     ("check-class3", ["check", "class3.json"], 2),
     ("scan-not-standard", ["scan", "found_001.json"], 1),
+    # guards real input reaches: an invalid file under analyze, a (0, 0)
+    # pair (bad6.json with its degree-3 pair zeroed) and a missing pair
+    # (bad6.json without its last pair)
+    ("analyze-bad6", ["analyze", "bad6.json", "--X", "1,0,0,0", "--Y", "0,1,1,0"], 1),
+    ("check-zero-pair", ["check", "zero-pair.json"], 1),
+    ("check-short-adjoint", ["check", "short-adjoint.json"], 2),
 ]
 
 
