@@ -247,7 +247,7 @@ def cmd_stats(args) -> int:
     seq = mc.two_step_centralizers(pres)
     standardized = not seq.is_standard()
     if standardized:
-        seq = mc.two_step_centralizers(mc.standard_generators(pres).presentation)
+        seq = mc.standardize(seq)
     report = mc.centralizer_stats(seq)
     entries = []
     for e in report.entries:

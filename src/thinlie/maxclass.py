@@ -169,11 +169,6 @@ class _Structure:
 
     # -- coefficient lookups ------------------------------------------------
 
-    def phi(self, d: int, gen: Pair) -> EElem:
-        """phi_d(alpha, beta) = alpha*a_d + beta*b_d: [v_d, alpha*x + beta*y] = phi_d*v_{d+1}."""
-        F = self.field
-        return F.add(F.mul(gen[0], self.a[d]), F.mul(gen[1], self.b[d]))
-
     def get_vv(self, i: int, j: int) -> EElem:
         """Coefficient of [v_i, v_j] in v_{i+j}, for i, j >= 2 (0 on overflow)."""
         total = i + j
@@ -474,9 +469,8 @@ def validate(pres: MaxClassPresentation) -> JacobiReport:
 def tables(pres: MaxClassPresentation) -> _Structure:
     """The validated structure tables of a presentation (cached).
 
-    Invariant: ``_structure`` set => valid.  It is set only by a passing
-    ``validate`` and by ``apply_degree1_change``, whose input table is
-    set; both keep the invariant (their docstrings).
+    Invariant: ``_structure`` set => valid.  In the package only a
+    passing ``validate`` sets it.
     """
     if pres._structure is None:
         report = validate(pres)
@@ -524,77 +518,38 @@ def is_standard(pres: MaxClassPresentation) -> bool:
     return two_step_centralizers(pres).is_standard()
 
 
-def apply_degree1_change(
-    pres: MaxClassPresentation, xp: Tuple[EElem, EElem], yp: Tuple[EElem, EElem]
-) -> MaxClassPresentation:
-    """Recompute the presentation after the degree-1 base change.
+def standardize(seq: CentralizerSequence) -> CentralizerSequence:
+    """The centralizers in standard generators (x', y'), read off the points.
 
-    xp and yp are the new generators in the old (x, y) coordinates; the
-    new chain is re-normalized canonically (v'_{i+1} = [v'_i, x'] when
-    that bracket is nonzero, else [v'_i, y']).
-
-    The input is validated (``tables``), and the result describes the
-    same algebra in the basis x', y', v'_2 = [y', x'] = s_2*v_2,
-    v'_{i+1} = s_{i+1}*v_{i+1}, so the result satisfies Jacobi too.  Its
-    table is therefore derived by ``_Structure.extend`` alone, without
-    ``validate``'s Jacobi check: the cells extend derives are consequences
-    of the pairs and Jacobi, so they are the brackets of that algebra.
+    y' spans C_2, and x' spans the first centralizer that differs from it,
+    or, if none does, x' = (1, 0) when C_2 = Ey and (0, 1) otherwise.  Then
+    C_2 = Ey' and the first deviation is Ex'.  A centralizer C_i is a line
+    of M_1 that does not depend on the basis, so the base change writes
+    each point (alpha : beta) in the new coordinates:
+    alpha*x + beta*y = alpha'*x' + beta'*y' with (alpha', beta')
+    proportional to adj[x' | y'](alpha, beta) =
+    (alpha*y'_1 - beta*y'_0, beta*x'_0 - alpha*x'_1).  x' and y' span
+    different lines, so the matrix is invertible and no image is zero.
+    Each image is normalized as ``two_step_centralizers`` does, so a
+    standard sequence maps to itself.
     """
-    F = pres.field
-    st = tables(pres)
-    a1, b1 = xp
-    a2, b2 = yp
-    det = F.sub(F.mul(b2, a1), F.mul(a2, b1))  # [y', x'] = det * v_2
-    if F.is_zero(det):
-        raise ValueError("degree-1 base change is singular")
-    s = det
-    new_pairs = []
-    for d in range(2, pres.class_n):
-        p = F.mul(s, st.phi(d, xp))
-        q = F.mul(s, st.phi(d, yp))
-        if not F.is_zero(p):
-            new_pairs.append((F.one, F.div(q, p)))
-            s = p
-        else:
-            new_pairs.append((F.zero, F.one))
-            s = q
-    out = MaxClassPresentation(F, pres.class_n, tuple(new_pairs))
-    out._structure = _Structure(F, pres.class_n)
-    for d in range(2, pres.class_n):
-        out._structure.extend(d, out.pair(d))
-    return out
-
-
-@record
-class StandardForm:
-    presentation: MaxClassPresentation
-    transform: Tuple[Pair, Pair]  # new x and new y in the old (x, y) coordinates
-    changed: bool
-
-
-def standard_generators(pres: MaxClassPresentation) -> StandardForm:
-    """Base-change to standard generators and a canonical adjoint chain.
-
-    Afterwards C_2 = Ey, and if some centralizer inside the window differs
-    from C_2 the least such degree has centralizer Ex.  The operation is
-    idempotent.
-    """
-    F = pres.field
-    seq = two_step_centralizers(pres)
-    c2 = seq.points[0]
-    yp = c2  # a spanning vector of C_2
+    F = seq.field
+    yp = seq.points[0]
     devs = seq.deviations()
     if devs:
         xp = seq.point(devs[0])
     else:
-        xp = (F.one, F.zero) if c2 == ey_point(F) else (F.zero, F.one)
-    out = apply_degree1_change(pres, xp, yp)
-    identity = xp == (F.one, F.zero) and yp == (F.zero, F.one)
-    return StandardForm(
-        presentation=out,
-        transform=(xp, yp),
-        changed=not (identity and out.adjoint == pres.adjoint),
-    )
+        xp = ex_point(F) if yp == ey_point(F) else ey_point(F)
+    (x0, x1), (y0, y1) = xp, yp
+    points = []
+    for al, be in seq.points:
+        a = F.sub(F.mul(al, y1), F.mul(be, y0))
+        if F.is_zero(a):
+            points.append(ey_point(F))
+        else:
+            b = F.sub(F.mul(be, x0), F.mul(al, x1))
+            points.append((F.one, F.div(b, a)))
+    return CentralizerSequence(F, tuple(points))
 
 
 # ---------------------------------------------------------------------------

@@ -193,7 +193,7 @@ def verify_roundtrip(
     for d + 1 <= usable.  So the chain of N in rho(r1), rho(r2) is the
     image of the chain of M in r1, r2: N's presentation is M's
     class-`usable` truncation in the basis (r1, r2), a base change
-    (``apply_degree1_change``), and it generates N, so
+    (``paper_checks.apply_degree1_change``), and it generates N, so
     [N_d, N_1] = N_{d+1}.  The tests build the maps, extract N's
     presentation from them by commutators and compare it with that base
     change.

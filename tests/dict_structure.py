@@ -42,11 +42,6 @@ class DictStructure:
 
     # -- coefficient lookups ------------------------------------------------
 
-    def phi(self, d: int, gen: Pair) -> EElem:
-        """phi_d(alpha, beta) = alpha*a_d + beta*b_d: [v_d, alpha*x + beta*y] = phi_d*v_{d+1}."""
-        F = self.field
-        return F.add(F.mul(gen[0], self.a[d]), F.mul(gen[1], self.b[d]))
-
     def get_vv(self, i: int, j: int) -> EElem:
         """Coefficient of [v_i, v_j] in v_{i+j} (0 on overflow)."""
         if i == j:

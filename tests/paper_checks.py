@@ -9,6 +9,10 @@ them by other means:
 * ``verify_covering`` and ``verify_ideal_sandwich`` check the covering
   and r-constrained properties by brute force over every homogeneous
   element, under the budget ``BRUTE_FORCE_LIMIT``;
+* ``standard_generators`` base-changes a presentation to standard
+  generators by ``apply_degree1_change``, which rebuilds the pairs and the
+  table; ``maxclass.standardize`` replaced it by a map of the centralizer
+  points, and ``phi_at`` reads phi_d off either table layout;
 * ``thin_line_criterion`` decides thinness from centralizer data alone,
   and ``normalize_generators`` moves a pair into the normal form;
 * ``iso_search`` finds a graded isomorphism between two presentations;
@@ -114,9 +118,9 @@ def _bases(an):
         if len(out[-1]) == 2 or d_i == 0:
             out.append(full)
             continue
-        phi = st.phi(i, g.X)
+        phi = phi_at(st, i, g.X)
         if F.is_zero(phi):
-            phi = st.phi(i, g.Y)
+            phi = phi_at(st, i, g.Y)
         c = _line(F.p, F.mul(c, phi))
         out.append((c,))
     return tuple(out)
@@ -183,7 +187,7 @@ def ad_gen(pres, degree, vec, gen):
     if degree == 1:
         (A, B), (al, be) = sf.f4_to_deg1(vec), gen
         return F.sub(F.mul(B, al), F.mul(A, be))  # [Ax+By, alpha x + beta y]
-    return F.mul((vec[0], vec[1]), mc.tables(pres).phi(degree, gen))
+    return F.mul((vec[0], vec[1]), phi_at(mc.tables(pres), degree, gen))
 
 
 def bracket_vec(pres, deg_u, u, deg_w, w):
@@ -303,6 +307,89 @@ def verify_ideal_sandwich(analysis, r):
     return SandwichReport(ok=True, r=r, witness=None)
 
 
+# -- the base change of the presentation ------------------------------------------
+
+
+def phi_at(st, d, gen):
+    """phi_d(alpha, beta) = alpha*a_d + beta*b_d: [v_d, alpha*x + beta*y] = phi_d*v_{d+1},
+    off the pairs of a table of either layout."""
+    F = st.field
+    return F.add(F.mul(gen[0], st.a[d]), F.mul(gen[1], st.b[d]))
+
+
+def apply_degree1_change(pres, xp, yp):
+    """Recompute the presentation after the degree-1 base change.
+
+    xp and yp are the new generators in the old (x, y) coordinates; the
+    new chain is re-normalized canonically (v'_{i+1} = [v'_i, x'] when
+    that bracket is nonzero, else [v'_i, y']).
+
+    The input is validated (``tables``), and the result describes the
+    same algebra in the basis x', y', v'_2 = [y', x'] = s_2*v_2,
+    v'_{i+1} = s_{i+1}*v_{i+1}, so the result satisfies Jacobi too.  Its
+    table is therefore derived by ``_Structure.extend`` alone, without
+    ``validate``'s Jacobi check: the cells extend derives are consequences
+    of the pairs and Jacobi, so they are the brackets of that algebra.
+    This is the presentation ``maxclass.standardize`` avoids rebuilding.
+    """
+    F = pres.field
+    st = mc.tables(pres)
+    a1, b1 = xp
+    a2, b2 = yp
+    det = F.sub(F.mul(b2, a1), F.mul(a2, b1))  # [y', x'] = det * v_2
+    if F.is_zero(det):
+        raise ValueError("degree-1 base change is singular")
+    s = det
+    new_pairs = []
+    for d in range(2, pres.class_n):
+        p = F.mul(s, phi_at(st, d, xp))
+        q = F.mul(s, phi_at(st, d, yp))
+        if not F.is_zero(p):
+            new_pairs.append((F.one, F.div(q, p)))
+            s = p
+        else:
+            new_pairs.append((F.zero, F.one))
+            s = q
+    out = mc.MaxClassPresentation(F, pres.class_n, tuple(new_pairs))
+    out._structure = mc._Structure(F, pres.class_n)
+    for d in range(2, pres.class_n):
+        out._structure.extend(d, out.pair(d))
+    return out
+
+
+@record
+class StandardForm:
+    presentation: mc.MaxClassPresentation
+    transform: tuple  # new x and new y in the old (x, y) coordinates
+    changed: bool
+
+
+def standard_generators(pres):
+    """Base-change to standard generators and a canonical adjoint chain.
+
+    Afterwards C_2 = Ey, and if some centralizer inside the window differs
+    from C_2 the least such degree has centralizer Ex.  The operation is
+    idempotent.  ``maxclass.standardize`` gives the centralizers of the
+    result from those of ``pres``, with the same choice of (x', y').
+    """
+    F = pres.field
+    seq = mc.two_step_centralizers(pres)
+    c2 = seq.points[0]
+    yp = c2  # a spanning vector of C_2
+    devs = seq.deviations()
+    if devs:
+        xp = seq.point(devs[0])
+    else:
+        xp = (F.one, F.zero) if c2 == mc.ey_point(F) else (F.zero, F.one)
+    out = apply_degree1_change(pres, xp, yp)
+    identity = xp == (F.one, F.zero) and yp == (F.zero, F.one)
+    return StandardForm(
+        presentation=out,
+        transform=(xp, yp),
+        changed=not (identity and out.adjoint == pres.adjoint),
+    )
+
+
 # -- normal form -------------------------------------------------------------
 
 
@@ -360,7 +447,7 @@ def normalize_generators(pres, g):
             "beta = 0: X = x, no y-rescale possible",
         )
     # Rescale the ambient y by beta; in the new basis X = x' + y'.
-    pres2 = mc.apply_degree1_change(pres, (F.one, F.zero), (F.zero, be))
+    pres2 = apply_degree1_change(pres, (F.one, F.zero), (F.zero, be))
     transform = ((F.one, F.zero), (F.zero, be))
     de2 = F.div(de, be)
     pair2 = sf.GeneratorPair((F.one, F.one), (F.mu, de2))
@@ -1149,7 +1236,7 @@ def _reader(rep, gens, low):
         if s < lo:
             return low[i][s]
         if i < 2:
-            return mul(mul(eps[s], st.phi(s, gens[i])), inv[s + 1])
+            return mul(mul(eps[s], phi_at(st, s, gens[i])), inv[s + 1])
         return mul(mul(eps[s], st.get_vv(s, i)), inv[s + i])
 
     return entry
@@ -1174,7 +1261,7 @@ def _low_mismatch(rep, gens, entry):
         slots = range(rep.slots_min, min(rep.lo, rep.window - t))
         if not slots:
             return None
-        coeff = det if t == 1 else F.neg(st.phi(t, gens[g]))
+        coeff = det if t == 1 else F.neg(phi_at(st, t, gens[g]))
         got = _commutator(F, slots, lambda s: entry(g, s), 1, lambda s: entry(t, s), t)
         return next((s for s in slots if got[s] != F.mul(coeff, entry(t + 1, s))), None)
 
@@ -1272,9 +1359,9 @@ def build_rho_prime(analysis, flags):
     for r, t in enumerate(basis(an, 1)):
         alpha, _ = solve(F.p, [X4, Y4], t)
         g = sf.f4_to_deg1(t)
-        rep.images[r] = {1: (alpha % F.p, 0), 2: F.mul(F.mul(c, st.phi(2, g)), inv[3])}
+        rep.images[r] = {1: (alpha % F.p, 0), 2: F.mul(F.mul(c, phi_at(st, 2, g)), inv[3])}
     for d in range(2, window):
-        m = {1: F.neg(F.mul(st.phi(d, an.pair.Y), inv[d + 1]))}
+        m = {1: F.neg(F.mul(phi_at(st, d, an.pair.Y), inv[d + 1]))}
         if 2 + d <= window:
             m[2] = F.mul(F.mul(c, st.get_vv(2, d)), inv[d + 2])
         rep.images[d] = m

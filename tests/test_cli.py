@@ -545,12 +545,12 @@ class TestStats:
         assert entries[0]["first_occurrence"] == 2
         assert entries[0]["first_is_two_p_power"] is True
 
-    @pytest.mark.parametrize("which, passes", [("met", 1), ("ex10", 3)])
+    @pytest.mark.parametrize("which, passes", [("met", 1), ("ex10", 1)])
     def test_one_centralizer_pass(self, met_file, capsys, monkeypatch, which, passes):
-        """``stats`` computes the centralizer sequence once per presentation
-        it reports on: once for a file in standard form, and for one that is
-        not (``ex10.json``) once before and once after the base change, plus
-        the pass inside ``standard_generators``."""
+        """``stats`` computes the centralizer sequence once, for a file in
+        standard form and for one that is not (``ex10.json``): it maps the
+        points of that one pass to standard form (``standardize``) and
+        builds no second presentation."""
         path = met_file if which == "met" else str(Path(__file__).parent / "golden" / "ex10.json")
         calls = []
         two_step = mc.two_step_centralizers

@@ -113,7 +113,7 @@ CASES = [
     ("roundtrip-dev9mu", ["roundtrip", "dev9mu.json", *PAIR], 0),
     # first_failure ["v8", "v2", "y"]: dev9mu.json with b_10 raised by 1
     ("check-dev9mu-bad", ["check", "dev9mu-bad.json"], 1),
-    # valid and not standard (every pair is (0, 1)), so standard_generators changes it
+    # valid and not standard (every pair is (0, 1)), so stats maps its points to standard form
     ("stats-ex10", ["stats", "ex10.json"], 0),
     # files with several centralizer points under x' = x + y, y' = mu*x, so
     # not in standard form: dev9mu.json, bench/data/dev25_14.json, and a

@@ -13,7 +13,7 @@ which ``test_rows`` compares with ``maxclass._Structure`` (one row of
 cells per total degree) and ``maxclass.validate``.
 ``DictStructure.jacobi`` evaluates each Jacobi triple with a generator by
 one of two closed formulas (its docstring), ``_phi_failure`` reads the
-brackets with a generator off ``_Structure.phi``, and ``extend``
+brackets with a generator off ``paper_checks.phi_at``, and ``extend``
 decides the chain (c^{-1} and g with v_{d+1} = c^{-1}*[v_d, g]) once per
 pushed degree.  The generic bracket of basis ids, the three-term Jacobi
 sum over it, the per-cell choice of c^{-1} and the scale-by-scale
@@ -567,7 +567,7 @@ def oracle_phi_generators(st, rep, usable, phi):
     F = st.field
     for s, gen in ((0, (F.one, F.zero)), (1, (F.zero, F.one))):
         for t in range(s + 1, usable):
-            coeff = F.neg(F.one if t == 1 else st.phi(t, gen))
+            coeff = F.neg(F.one if t == 1 else pc.phi_at(st, t, gen))
             want = _map_scale(F, coeff, phi[t + 1])
             got = oracle_commutator(F, rep.slots_min, rep.window, phi[s], 1, phi[t], t)
             for sl in range(rep.slots_min, rep.window - t):
@@ -651,7 +651,7 @@ def _large_p_presentations(rng, count):
             xp, yp = (element(), element()), (element(), element())
             if not F.is_zero(F.sub(F.mul(xp[0], yp[1]), F.mul(xp[1], yp[0]))):
                 break
-        pres = _rescaled_by_residues(mc.apply_degree1_change(meta, xp, yp), rng)
+        pres = _rescaled_by_residues(pc.apply_degree1_change(meta, xp, yp), rng)
         pairs = list(pres.adjoint)
         pairs[rng.randrange(len(pairs))] = _residue_pair(F, rng)
         out += [pres, mc.MaxClassPresentation(F, pres.class_n, tuple(pairs))]
@@ -1120,7 +1120,7 @@ def test_rescaling_maps_found_onto_itself(p, u, v):
         assert set(images) == set(found), gamma
         for pres, image in zip(found, images):
             assert mc.validate(image).ok
-            change = mc.apply_degree1_change(pres, (F.one, F.zero), (F.zero, gamma))
+            change = pc.apply_degree1_change(pres, (F.one, F.zero), (F.zero, gamma))
             assert change.adjoint == image.adjoint
 
 
@@ -1326,7 +1326,7 @@ def oracle_table_images(an, k):
         slots = range(lo, window - d + 1)
         if d == 1:
             g = sf.f4_to_deg1(t)
-            return {s: F.mul(F.mul(eps[s], st.phi(s, g)), inv[s + 1]) for s in slots}
+            return {s: F.mul(F.mul(eps[s], pc.phi_at(st, s, g)), inv[s + 1]) for s in slots}
         e_t = (t[0], t[1])
         return {s: F.mul(F.mul(F.mul(eps[s], e_t), st.get_vv(s, d)), inv[s + d]) for s in slots}
 
@@ -1460,7 +1460,7 @@ def _second_generator_only(F, rng, rep, gens, maps):
     entry = pc._reader(rep, gens, out)
     (a1, b1), (a2, b2) = gens
     for t in range(1, max(out)):
-        c = F.sub(F.mul(b1, a2), F.mul(a1, b2)) if t == 1 else F.neg(st.phi(t, gens[0]))
+        c = F.sub(F.mul(b1, a2), F.mul(a1, b2)) if t == 1 else F.neg(pc.phi_at(st, t, gens[0]))
         for s in out[t + 1]:
             got = F.sub(F.mul(entry(0, s), entry(t, s + 1)), F.mul(entry(t, s), entry(0, s + t)))
             out[t + 1][s] = F.div(got, c)
@@ -1561,7 +1561,7 @@ def _assert_matches_oracles(monkeypatch, pres, pair, window, rep):
     r1, r2 = pc._rows(rep.analysis)
     dims, extracted = oracle_extract(rep)
     assert dims == {d: 2 if d == 1 else 1 for d in range(1, usable + 1)}
-    assert extracted == mc.apply_degree1_change(pc.quotient(pres, usable), r1, r2)
+    assert extracted == pc.apply_degree1_change(pc.quotient(pres, usable), r1, r2)
     st, rep, usable, phi = _phi_args(monkeypatch, pres, pair, window)
     full = _full_phi(rep, phi)
     assert pc._phi_failure(st, rep, usable, phi) is None
@@ -1773,10 +1773,10 @@ def oracle_iso_standard(pres_a, pres_b, window=None):
     A = pc.quotient(pres_a, window) if pres_a.class_n != window else pres_a
     B = pc.quotient(pres_b, window) if pres_b.class_n != window else pres_b
     deviates = bool(mc.two_step_centralizers(A).deviations())
-    t_a = mc.standard_generators(A).transform
-    t_b = mc.standard_generators(B).transform
+    t_a = pc.standard_generators(A).transform
+    t_b = pc.standard_generators(B).transform
     t_a_inv = [gg.solve(F, t_a, e) for e in _identity(F, 2)]
-    target = mc.apply_degree1_change(A, (F.one, F.zero), (F.zero, F.one)).adjoint
+    target = pc.apply_degree1_change(A, (F.one, F.zero), (F.zero, F.one)).adjoint
     best = None
     for b1 in [F.zero] if deviates else F.elements():
         for b2 in F.elements():
@@ -1787,7 +1787,7 @@ def oracle_iso_standard(pres_a, pres_b, window=None):
             lead = F.inv(next(c for c in quad if not F.is_zero(c)))
             quad = [F.mul(lead, c) for c in quad]
             key = [F.key(c) for c in quad]
-            if (best is None or key < best[0]) and mc.apply_degree1_change(
+            if (best is None or key < best[0]) and pc.apply_degree1_change(
                 B, (quad[0], quad[1]), (quad[2], quad[3])
             ).adjoint == target:
                 best = (key, quad)
@@ -1805,7 +1805,7 @@ def _degree1_change(pres, rng):
         xp = (rng.choice(elems), rng.choice(elems))
         yp = (rng.choice(elems), rng.choice(elems))
         if not F.is_zero(F.sub(F.mul(xp[0], yp[1]), F.mul(xp[1], yp[0]))):
-            return mc.apply_degree1_change(pres, xp, yp)
+            return pc.apply_degree1_change(pres, xp, yp)
 
 
 def _rescaled(pres, rng):
@@ -1827,7 +1827,7 @@ def _iso_pairs(found, dev, rng, n_random, n):
     only), and rescaled (non-canonical) presentations on either side."""
     pairs = [tuple(rng.sample(found, 2)) for _ in range(n_random)]
     for pres in rng.sample(found, n):
-        pairs.append((pres, mc.standard_generators(pres).presentation))
+        pairs.append((pres, pc.standard_generators(pres).presentation))
     for pres in rng.sample(found, n):
         pairs.append((pres, _degree1_change(pres, rng)))
         pairs.append((_degree1_change(pres, rng), pres))
@@ -1902,7 +1902,7 @@ def _iso_kernel(pres_a, pres_b):
     for i in range(2, window):
         row = []
         for a1, b1, a2, b2 in units:
-            px, py = stb.phi(i, (a1, b1)), stb.phi(i, (a2, b2))
+            px, py = pc.phi_at(stb, i, (a1, b1)), pc.phi_at(stb, i, (a2, b2))
             row.append(F.sub(F.mul(px, sta.b[i]), F.mul(py, sta.a[i])))
         rows.append(row)
     rows = gg.span(F, oracle_rref(F, rows, 4)[3], 4).basis()

@@ -186,7 +186,7 @@ class TestCentralizers:
 class TestStandardGenerators:
     def test_metabelian_identity(self, f9):
         m = mc.make_metabelian(f9, 10)
-        res = mc.standard_generators(m)
+        res = pc.standard_generators(m)
         assert not res.changed
         assert res.presentation == m
         assert res.transform == ((f9.one, f9.zero), (f9.zero, f9.one))
@@ -195,7 +195,7 @@ class TestStandardGenerators:
         pairs = tuple(((0, 0), (1, 0)) for _ in range(8))
         swapped = mc.MaxClassPresentation(f9, 10, pairs)
         assert mc.validate(swapped).ok
-        res = mc.standard_generators(swapped)
+        res = pc.standard_generators(swapped)
         assert res.transform == ((f9.zero, f9.one), (f9.one, f9.zero))
         assert res.presentation == mc.make_metabelian(f9, 10)
 
@@ -206,7 +206,7 @@ class TestStandardGenerators:
             devs = seq.deviations()
             if not devs or mc.is_standard(pres):
                 continue
-            res = mc.standard_generators(pres)
+            res = pc.standard_generators(pres)
             out = res.presentation
             assert mc.is_standard(out)
             seq2 = mc.two_step_centralizers(out)
@@ -218,10 +218,35 @@ class TestStandardGenerators:
 
     def test_idempotent_and_valid(self, search9_12):
         for pres in search9_12[:30]:
-            once = mc.standard_generators(pres).presentation
+            once = pc.standard_generators(pres).presentation
             assert mc.validate(once).ok
-            twice = mc.standard_generators(once).presentation
+            twice = pc.standard_generators(once).presentation
             assert twice == once
+
+    @pytest.mark.parametrize(
+        "p, u, v, class_n",
+        [(2, 1, 1, 12), (3, 0, 2, 12), (5, 0, 2, 10), (7, 0, 3, 9), (3, 1, 1, 13), (2, 1, 1, 20)],
+        ids=["gf4-12", "gf9-12", "gf25-10", "gf49-9", "gf9mu1-13", "gf4-20"],
+    )
+    def test_standardize_matches_oracle(self, p, u, v, class_n):
+        """``standardize`` gives the centralizers of the oracle's standard
+        presentation, on every searched presentation and on each under two
+        seeded nonsingular base changes, and fixes standard sequences."""
+        F = make_ext_field(p, u, v)
+        rng = random.Random(f"standardize-{p}-{u}-{v}-{class_n}")
+        elems = list(F.elements())
+        for pres in mc.search_sequences(F, class_n, 10**9):
+            moved = [pres]
+            while len(moved) < 3:
+                xp = (rng.choice(elems), rng.choice(elems))
+                yp = (rng.choice(elems), rng.choice(elems))
+                if not F.is_zero(F.sub(F.mul(yp[1], xp[0]), F.mul(yp[0], xp[1]))):
+                    moved.append(pc.apply_degree1_change(pres, xp, yp))
+            for q in moved:
+                seq = mc.two_step_centralizers(q)
+                got = mc.standardize(seq)
+                assert got == mc.two_step_centralizers(pc.standard_generators(q).presentation)
+                assert got.is_standard() and mc.standardize(got) == got
 
 
 class TestStats:

@@ -48,7 +48,7 @@ def n_presentation(rep):
     """N's presentation as ``verify_roundtrip``'s docstring derives it: M's
     class-`usable` quotient in the basis (r1, r2) of T_1."""
     r1, r2 = pc._rows(rep.analysis)
-    return mc.apply_degree1_change(pc.quotient(rep.analysis.pres, rec.usable_window(rep.window, rep.k)), r1, r2)
+    return pc.apply_degree1_change(pc.quotient(rep.analysis.pres, rec.usable_window(rep.window, rep.k)), r1, r2)
 
 
 def centralizers_match(pres, pair, window=None):
@@ -63,9 +63,9 @@ def centralizers_match(pres, pair, window=None):
         rep = pc.build_rho_prime(an, flags)
     else:
         rep = pc.build_rho(an, flags)
-    seq_n = mc.two_step_centralizers(mc.standard_generators(n_presentation(rep)).presentation)
+    seq_n = mc.two_step_centralizers(pc.standard_generators(n_presentation(rep)).presentation)
     quotient = pc.quotient(pres, rec.usable_window(rep.window, rep.k))
-    seq_m = mc.two_step_centralizers(mc.standard_generators(quotient).presentation)
+    seq_m = mc.two_step_centralizers(pc.standard_generators(quotient).presentation)
     return seq_n.points == seq_m.points
 
 
@@ -209,7 +209,7 @@ class TestAssemble:
         assert extracted == n_presentation(rep)
         assert mc.validate(extracted).ok
         # after standardization the extraction is the metabelian algebra again
-        std = mc.standard_generators(extracted).presentation
+        std = pc.standard_generators(extracted).presentation
         assert std == mc.make_metabelian(f9, usable)
 
     def test_deviating_extraction_valid(self, dev_setup):
@@ -291,17 +291,18 @@ class TestRoundtrip:
     def test_extracts_nothing(self, request, monkeypatch, f9, thin_pair_f9, which):
         """A round trip reads the usable window off the window and k
         (``usable_window``), so it builds no extracted presentation and no
-        table for one: ``apply_degree1_change`` runs zero times, and the
+        table for one: the package has no base change of a presentation,
+        so the oracle ``apply_degree1_change`` runs zero times, and the
         report's window is that of N's presentation (``n_presentation``)."""
         pres = mc.make_metabelian(f9, 14) if which == "metabelian9_14" else request.getfixturevalue(which)
         calls = []
-        change = mc.apply_degree1_change
+        change = pc.apply_degree1_change
 
         def spy(*args):
             calls.append(args)
             return change(*args)
 
-        monkeypatch.setattr(mc, "apply_degree1_change", spy)
+        monkeypatch.setattr(pc, "apply_degree1_change", spy)
         report = rec.verify_roundtrip(pres, thin_pair_f9)
         assert report.iso and calls == []
         an = sf.generate_subalgebra(pres, thin_pair_f9, pres.class_n)
@@ -442,7 +443,7 @@ class TestIsoSearch:
         )
         field = make_ext_field(1000003, 0, 2)
         found = mc.search_sequences(field, 8, 3)
-        changed = [mc.apply_degree1_change(p, ((2, 1), (3, 0)), ((5, 7), (1, 0))) for p in found]
+        changed = [pc.apply_degree1_change(p, ((2, 1), (3, 0)), ((5, 7), (1, 0))) for p in found]
         _three_elements(monkeypatch)
         one, zero = met_field.one, met_field.zero
         assert pc.iso_search(met, met).transform == ((one, zero), (zero, one))
@@ -451,8 +452,8 @@ class TestIsoSearch:
             res = pc.iso_search(p, q)
             assert res.found
             (a1, b1), (a2, b2) = res.transform
-            assert mc.apply_degree1_change(q, (a1, b1), (a2, b2)).adjoint == (
-                mc.apply_degree1_change(p, (field.one, field.zero), (field.zero, field.one)).adjoint
+            assert pc.apply_degree1_change(q, (a1, b1), (a2, b2)).adjoint == (
+                pc.apply_degree1_change(p, (field.one, field.zero), (field.zero, field.one)).adjoint
             )
 
     def test_invalid_presentation(self, f9):

@@ -32,7 +32,7 @@ def test_positional_keyword_and_defaults(f9):
     assert sf.Verdict("thin", t1=4).t1 == 4
     m = ((f9.one, f9.zero), (f9.zero, f9.one))
     pres = mc.make_metabelian(f9, 6)
-    assert mc.StandardForm(pres, m, False) == mc.StandardForm(
+    assert pc.StandardForm(pres, m, False) == pc.StandardForm(
         presentation=pres, changed=False, transform=m
     )
     flags = rec.StructureFlags(False, 3, 2, "abelian-window")
@@ -44,7 +44,7 @@ def test_positional_keyword_and_defaults(f9):
     with pytest.raises(TypeError):
         sf.Verdict("thin", nonsense=1)
     with pytest.raises(TypeError):
-        mc.StandardForm(pres, m, False, None)
+        pc.StandardForm(pres, m, False, None)
 
 
 def test_cache_fields_start_empty(f9):
@@ -117,7 +117,7 @@ def test_mutable_records_unhashable(f9):
     records = [
         sf.Verdict("thin"),
         mc.JacobiReport(True, None, 0),
-        mc.StandardForm(mc.make_metabelian(f9, 6), None, False),
+        pc.StandardForm(mc.make_metabelian(f9, 6), None, False),
         endo.FieldId(1, None, True, "n/a"),
         rec.RoundtripReport("rho", 3, 8, True, None),
     ]

@@ -131,7 +131,7 @@ def test_degree1_change_table_matches_dict_oracle(request, found):
             xp, yp = (rng.choice(elems), rng.choice(elems)), (rng.choice(elems), rng.choice(elems))
             if F.is_zero(F.sub(F.mul(xp[0], yp[1]), F.mul(xp[1], yp[0]))):
                 continue
-            out = mc.apply_degree1_change(pres, xp, yp)
+            out = pc.apply_degree1_change(pres, xp, yp)
             assert ds.validate(out).ok
             assert_same_table(out._structure, ds.table(out))
 
