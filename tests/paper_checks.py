@@ -15,7 +15,6 @@ them by other means:
   points, and ``phi_at`` reads phi_d off either table layout;
 * ``thin_line_criterion`` decides thinness from centralizer data alone,
   and ``normalize_generators`` moves a pair into the normal form;
-* ``iso_search`` finds a graded isomorphism between two presentations;
 * ``compute_grend0`` and ``identify_field_of_ring`` solve End_0 on the
   bottom degree as a ring (a kernel, a multiplication table and the
   solves behind them), which ``endo.identify_field`` replaced by its
@@ -25,7 +24,8 @@ them by other means:
   solve replaced, and ``scalar_action`` applies an element of that ring
   at any degree;
 * ``grend_d_dimension`` gives the dimension of the degree-d graded
-  endomorphism space;
+  endomorphism space, by the per-operation propagation
+  ``solve_shifted_maps``, which takes any shift;
 * ``oracle_two_level_search`` is the presentation search before it
   searched one subtree per E*-orbit (``maxclass.search_sequences``);
 * ``oracle_roundtrip`` is the round trip on stored representations
@@ -47,9 +47,8 @@ them by other means:
 
 from __future__ import annotations
 
-from itertools import chain, islice, product
+from itertools import chain, product
 
-import generic_gf as gg
 from int_kernel import RowSpace, combine, mat_mul, solve, span
 from thinlie import endo
 from thinlie import maxclass as mc
@@ -539,78 +538,6 @@ def thin_line_criterion(pres, g, window=None):
     )
 
 
-# -- graded isomorphism search by one linear solve -------------------------------
-
-
-@record
-class IsoResult:
-    found: bool
-    transform: tuple | None  # degree-1 base change: images of x and y
-
-
-def iso_search(pres_a, pres_b, window=None):
-    """Search for a graded isomorphism between two presentations.
-
-    Certification lemma: Phi = (a1, b1, a2, b2), meaning x -> a1 x + b1 y
-    and y -> a2 x + b2 y, is a graded isomorphism iff it is nonsingular
-    and, at every degree i in [2, window - 1], the point
-    (phi_i(a1, b1) : phi_i(a2, b2)) of B equals the point (a_i : b_i) of A
-    in P^1(E).  Proof: [y, x] = v_2 forces Phi(v_2) = s_2 v_2 with
-    s_2 = a1*b2 - b1*a2 != 0, and along A's chain Phi(v_{i+1}) =
-    s_{i+1} v_{i+1}.  Phi transports [v_i, x] = a_i v_{i+1} and [v_i, y] =
-    b_i v_{i+1} iff s_i*(phi_i(a1, b1), phi_i(a2, b2)) = s_{i+1}*(a_i, b_i)
-    in B for some s_{i+1} != 0, that is iff the two points are equal.
-    Once the generator relations transport, Phi is a homomorphism on all
-    pairs by the generator lemma (see ``_check_rep``): both
-    truncations are Lie algebras generated by x and y.
-
-    Both points are nonzero vectors: A has no zero pair, and a nonsingular
-    Phi maps B's pair (p_i, q_i) to a nonzero one.  So they are equal iff
-    phi_i(a1, b1)*b_i - phi_i(a2, b2)*a_i = 0, one linear equation in Phi
-    per degree, and the certified maps are the nonsingular elements of the
-    kernel W of the window x 4 system.  The degree-2 row is the tensor of
-    the nonzero vectors (p_2, q_2) and (b_2, -a_2), so dim W <= 3.
-
-    Walk lemma: the result is the certified Phi whose first nonzero entry
-    is 1, least in ``F.key`` order entry by entry (the first one an
-    enumeration of all degree-1 maps in ``F.elements()`` order would find).
-    Let W's RREF basis be r_1..r_k with pivots j_1 < ... < j_k.  The
-    normalized vectors led at j_m are r_m + sum_{l>m} t_l r_l, and among
-    them the key order is the lexicographic key order of (t_{m+1}, ...):
-    each entry before j_{l+1} depends on t_{m+1}..t_l only.  A later pivot
-    means more leading zeros, and 0 has the least key, so the levels are
-    walked from m = k down to 1.  On a level, det is a polynomial of degree
-    <= 2 in at most 2 variables.  If it is not identically zero, at most 2
-    values of the first t make it vanish for every second t, and for any
-    other first t it has at most 2 roots.  So the 3 least-key elements of E
-    (q >= 4) reach the least nonsingular vector of every level that has
-    one, and E is never enumerated further.
-    """
-    if pres_a.field != pres_b.field:
-        raise PreconditionFailed("presentations live over different fields")
-    F = pres_a.field
-    window = min(pres_a.class_n, pres_b.class_n) if window is None else window
-    A = quotient(pres_a, window) if pres_a.class_n != window else pres_a
-    B = quotient(pres_b, window) if pres_b.class_n != window else pres_b
-    mc.tables(A)
-    mc.tables(B)
-    rows = []
-    for i in range(2, window):
-        (a, b), (p, q) = A.pair(i), B.pair(i)
-        rows.append([F.mul(p, b), F.mul(q, b), F.neg(F.mul(p, a)), F.neg(F.mul(q, a))])
-    basis = gg.span(F, gg.span(F, rows, 4).kernel(), 4).basis()
-    small = list(islice(F.elements(), 3))
-    for m in reversed(range(len(basis))):
-        for ts in product(small, repeat=len(basis) - 1 - m):
-            quad = basis[m]
-            for t, row in zip(ts, basis[m + 1:]):
-                quad = [F.add(c, F.mul(t, r)) for c, r in zip(quad, row)]
-            a1, b1, a2, b2 = quad
-            if not F.is_zero(F.sub(F.mul(a1, b2), F.mul(b1, a2))):
-                return IsoResult(found=True, transform=((a1, b1), (a2, b2)))
-    return IsoResult(found=False, transform=None)
-
-
 # -- the bottom-degree ring solve ------------------------------------------------
 #
 # ``endo.identify_field`` reads its report off (p, u, v) and dim L_3 (the
@@ -1068,24 +995,87 @@ class GrendDim:
         return self.dim <= self.bound
 
 
+def _gen_images(analysis, degree):
+    """[(row index, generator index, coords of [row, gen] in L_{degree+1})]."""
+    return [
+        (r, g, express(analysis, degree + 1, ad_gen(analysis.pres, degree, row, gen)))
+        for r, row in enumerate(basis(analysis, degree))
+        for g, gen in enumerate((analysis.pair.X, analysis.pair.Y))
+    ]
+
+
+def solve_shifted_maps(analysis, shift):
+    """Kernel rows of the graded degree-`shift` L-endomorphisms of L^3.
+
+    Each unknown bottom matrix V_3 -> V_{3+shift} is propagated one degree
+    at a time, one operation per entry: the images of [v, g] are read off
+    both degrees' ad rows, f_{i+1} off a spanning subset of the [v, g],
+    and every row whose image disagrees with f_{i+1} gives a constraint.
+    ``solve_graded_maps`` is its one-step form at shift 0.
+    """
+    p = analysis.field.p
+    dim_src, dim_tgt = analysis.dim(K0), analysis.dim(K0 + shift)
+    n_unk = dim_src * dim_tgt
+    zero = (0,) * n_unk
+
+    def axpy(acc, c, form):
+        return tuple((a + c * x) % p for a, x in zip(acc, form))
+
+    f_i = [[_lf_unit(n_unk, r * dim_tgt + c) for c in range(dim_tgt)] for r in range(dim_src)]
+    constraints = []
+    for i in range(K0, analysis.window - shift):
+        tgt = {(r, g): vec for r, g, vec in _gen_images(analysis, i + shift)}
+        d_next, d_next_tgt = analysis.dim(i + 1), analysis.dim(i + 1 + shift)
+        pairs = []
+        for r, g, in_vec in _gen_images(analysis, i):
+            out = [zero] * d_next_tgt
+            for s in range(analysis.dim(i + shift)):
+                for j, c in enumerate(tgt[(s, g)]):
+                    if c:
+                        out[j] = axpy(out[j], c, f_i[r][s])
+            pairs.append((tuple(in_vec), out))
+        chooser = RowSpace(p, d_next)
+        selected = [k for k, (in_vec, _) in enumerate(pairs) if chooser.insert(in_vec)]
+        if len(selected) != d_next:
+            raise CoveringFails(
+                f"[L_{i}, L_1] does not span L_{i + 1}; propagation is not forced"
+            )
+        sel_rows = [pairs[k][0] for k in selected]
+        f_next = []
+        for j in range(d_next):
+            inv = solve(p, sel_rows, _lf_unit(d_next, j))
+            acc = [zero] * d_next_tgt
+            for c, k in zip(inv, selected):
+                if c:
+                    acc = [axpy(a, c, form) for a, form in zip(acc, pairs[k][1])]
+            f_next.append(acc)
+        for in_vec, out in pairs:
+            for col in range(d_next_tgt):
+                acc = zero
+                for j, c in enumerate(in_vec):
+                    if c:
+                        acc = axpy(acc, c, f_next[j][col])
+                diff = tuple((a - b) % p for a, b in zip(acc, out[col]))
+                if any(diff):
+                    constraints.append(diff)
+        f_i = f_next
+    return span(p, constraints, n_unk).kernel()
+
+
 def grend_d_dimension(analysis, shift):
     """Dimension of the degree-`shift` graded endomorphism space of L^3.
 
-    Solved by the per-operation propagation (``oracle_solve_graded_maps``
-    in ``test_lemma``), which takes any shift.  Also reports the a-priori
-    bound min(dim V_m) over target degrees in the window; the computed
-    dimension must not exceed it.
+    Solved by ``solve_shifted_maps``, which takes any shift.  Also reports
+    the a-priori bound min(dim V_m) over target degrees in the window; the
+    computed dimension must not exceed it.
     """
-    from test_lemma import oracle_solve_graded_maps  # test_lemma imports this module
-
     if analysis.d is None:
         raise DegenerateGenerators("endomorphism solve needs independent generators")
     window = analysis.window
     if shift < 0 or K0 + shift > window:
         raise OutOfWindow(f"shift {shift} pushes the bottom past the window")
-    kernel_rows, _ = oracle_solve_graded_maps(analysis, shift, K0, window)
     bound = min(analysis.dim(m) for m in range(K0 + shift, window + 1))
-    return GrendDim(shift=shift, dim=len(kernel_rows), bound=bound)
+    return GrendDim(shift=shift, dim=len(solve_shifted_maps(analysis, shift)), bound=bound)
 
 
 # -- the two-level search --------------------------------------------------------

@@ -1,24 +1,19 @@
 """The generator and linearity lemmas against the loops they replaced.
 
-Jacobi (``maxclass``), the rho homomorphism (``paper_checks._check_rep``),
-the round-trip phi map (``paper_checks._phi_failure``) and the graded
-isomorphism of ``paper_checks.iso_search`` (one point equation per
-degree) are checked only on pairs and triples with a degree-1 generator.
-The all-pairs loops they replaced are kept here as oracles, and each fast
-path must give the same verdict, the same first failure and the same
-message on seeded valid and perturbed inputs.
+Jacobi (``maxclass``) is checked only on triples with a degree-1
+generator.  The all-triples loop it replaced is kept here as an oracle,
+and the fast path must give the same verdict, the same first failure and
+the same message on seeded valid and perturbed inputs.
 
 The table lemmas are checked on the dict table ``dict_structure.DictStructure``,
 which ``test_rows`` compares with ``maxclass._Structure`` (one row of
 cells per total degree) and ``maxclass.validate``.
 ``DictStructure.jacobi`` evaluates each Jacobi triple with a generator by
-one of two closed formulas (its docstring), ``_phi_failure`` reads the
-brackets with a generator off ``paper_checks.phi_at``, and ``extend``
-decides the chain (c^{-1} and g with v_{d+1} = c^{-1}*[v_d, g]) once per
-pushed degree.  The generic bracket of basis ids, the three-term Jacobi
-sum over it, the per-cell choice of c^{-1} and the scale-by-scale
-isomorphism certification are kept here as oracles.  ``check_new``
-evaluates only the triples the chain lemma does not prove
+one of two closed formulas (its docstring), and ``extend`` decides the
+chain (c^{-1} and g with v_{d+1} = c^{-1}*[v_d, g]) once per pushed
+degree.  The generic bracket of basis ids, the three-term Jacobi sum over
+it and the per-cell choice of c^{-1} are kept here as oracles.
+``check_new`` evaluates only the triples the chain lemma does not prove
 (``new_triples``); the full list of closed forms is kept here as the
 oracle ``oracle_jacobi_forms``, and the lemma itself is checked by the
 generic bracket.
@@ -47,14 +42,12 @@ bench searches, on random tables, and at p = 1000003, where products of
 several-digit residues show a dropped or misplaced reduction; and
 ``validate``'s report (first failure and triples checked) is compared
 with Jacobi over the generic bracket on ``oracle_cells``.
+``paper_checks.apply_degree1_change`` derives its result's table without
+Jacobi checks; that table is compared with ``validate``'s.
 
-``paper_checks.iso_search`` solves one linear system for the degree-1
-maps that carry B's point onto A's at every degree and reads the
-key-least nonsingular one off the kernel's reduced basis, trying at most
-3 elements of E per free coordinate (the certification and walk lemmas in its docstring).
-The brute force over every projective degree-1 map, and the loop over
-the degree-1 maps that fix the centralizer lines of the standard forms,
-certified by the base-changed canonical chain, are kept here as oracles.
+``reconstruct.detect_structure`` reads the largest degree i with a nonzero
+bracket [v_i, v_j] in the window once; the scan per tail T^k it replaced
+is kept here as its oracle.
 
 ``subfield.generate_subalgebra`` reads the dimensions of L = <X, Y> off
 the d-values by the dimension lemma (the ``subfield`` module docstring)
@@ -67,48 +60,20 @@ closed-form bases of ``paper_checks.bases``), the RowSpace rank, the
 RowSpace d-values (one span per degree) and the pair-by-pair scan, which
 classifies each pair through those d-values, are kept here as oracles.
 
-``reconstruct.verify_roundtrip`` builds no representation: by the slot
-lemma (its docstring) rho and phi are the adjoint action on an invariant
-subspace, so it scans table cells for faithfulness and takes the rest
-from the lemma.  The round trip on stored maps it replaced
-(``paper_checks.oracle_roundtrip``) is its oracle in
-``test_reconstruct``; that one stores a representation's entries only on
-the slots below lo, reads the others off the structure table, and
-``_check_rep`` and ``_phi_failure`` compare only the stored slots.  The
-per-entry and the full-table image constructions, both checks on every
-slot, the commutator extraction (compared with N's presentation, a base
-change of the ambient one) and the span comparison are kept here as the
-oracles of that oracle.  ``apply_degree1_change`` derives its result's
-table without Jacobi checks; that table is compared with ``validate``'s.
-
 ``endo.identify_field`` reads End_0(L^3) and its field off dim L_3 and
 (p, u, v) (the closed form in the ``endo`` docstring).  The ring solve on
 the bottom degree it replaced (``paper_checks.compute_grend0`` and
-``identify_field_of_ring``) is the oracle of
-``test_identify_field_closed_form_matches_ring``, on every irreducible
-t^2 - u*t - v for p <= 7.  The degree-by-degree solve
+``identify_field_of_ring``) is its oracle on every irreducible
+t^2 - u*t - v for p <= 7, and on every pair of six presentations over
+GF(4), GF(9) and GF(25).  The degree-by-degree solve
 (``paper_checks.solve_graded_maps`` and ``propagated_grend0``) and the
 Schur check on every degree (``paper_checks.identify_field_per_degree``)
 that the ring solve replaced are the oracle of
 ``test_closed_form_matches_propagation``: the same FieldId report, or the
-same error.  The version of the identification that enumerated the ring
-is kept here as a further oracle.
+same error.
 
-``paper_checks.solve_graded_maps`` takes one linear-form step per degree:
-the ad rows [v, g] of each degree are computed once, f_{i+1} solves
-[v, g]*f_{i+1} = f_i(v)*T_g on a spanning subset of them, and every sum of
-forms goes through ``int_kernel.combine``.  The per-operation propagation it
-replaced, which bracketed each degree twice, is kept here as
-``oracle_solve_graded_maps``; both must give the same kernel rows, the same
-forms at every degree, or the same error, at shift 0.  The oracle takes any
-shift, and ``paper_checks.grend_d_dimension`` runs it.
-
-``reconstruct.detect_structure`` reads the largest degree i with a nonzero
-bracket [v_i, v_j] in the window once, and the tests' ``int_kernel.solve``
-and ``int_kernel.RowSpace.kernel`` are read off the canonical ``RowSpace``.
-The scan per tail T^k and the Gauss-Jordan elimination they replaced are
-kept here as oracles, and so are the entry-by-entry vector-matrix and
-matrix products that ``int_kernel.combine`` and ``mat_mul`` replaced.
+The round trip's oracle (``paper_checks.oracle_roundtrip``) is compared
+with ``reconstruct.verify_roundtrip`` in ``test_reconstruct``.
 """
 
 import itertools
@@ -119,14 +84,12 @@ from pathlib import Path
 import pytest
 
 import dict_structure as ds
-import generic_gf as gg
 import paper_checks as pc
-from int_kernel import RowSpace, combine, mat_mul, solve, span
+from int_kernel import RowSpace, span
 from thinlie import endo
 from thinlie import maxclass as mc
 from thinlie import reconstruct as rec
 from thinlie import subfield as sf
-from paper_checks import DimensionAnomaly, NotFaithful, express
 from thinlie.errors import (
     BadBound,
     NotStandardForm,
@@ -417,192 +380,6 @@ def oracle_validate(pres):
     return True, None, checked
 
 
-def _map_scale(F, e, m):
-    return {s: F.mul(e, c) for s, c in m.items()}
-
-
-def _map_add(F, m1, m2):
-    out = dict(m1)
-    for s, c in m2.items():
-        out[s] = F.add(out.get(s, F.zero), c)
-    return out
-
-
-def oracle_commutator(field, slots_min, window, m1, d1, m2, d2):
-    """The commutator [m1, m2] of two full shift maps on every slot it fills:
-    m1[s]*m2[s+d1] - m2[s]*m1[s+d2], a missing entry counting as 0."""
-    out = {}
-    for s in range(slots_min, window - d1 - d2 + 1):
-        first = field.zero
-        c1 = m1.get(s)
-        if c1 is not None:
-            c2 = m2.get(s + d1)
-            if c2 is not None:
-                first = field.mul(c1, c2)
-        second = field.zero
-        c2 = m2.get(s)
-        if c2 is not None:
-            c1b = m1.get(s + d2)
-            if c1b is not None:
-                second = field.mul(c2, c1b)
-        out[s] = field.sub(first, second)
-    return out
-
-
-def _full_images(rep):
-    """(degree, basis row) -> rho of that row on every slot."""
-    an = rep.analysis
-    return {
-        (d, r): pc.image(rep, d, r)
-        for d in range(1, rep.window - rep.slots_min + 1)
-        for r in range(an.dim(d))
-    }
-
-
-def oracle_check_rep(rep):
-    """Faithfulness, then the homomorphism property on all basis pairs."""
-    an = rep.analysis
-    F = an.field
-    pres = an.pres
-    cap = rep.window - rep.k
-    images = _full_images(rep)
-    for d in range(1, cap + 1):
-        rows = []
-        for r in range(an.dim(d)):
-            m = images[(d, r)]
-            flat = []
-            for s in range(rep.slots_min, rep.window + 1):
-                flat.extend(m.get(s, F.zero))
-            rows.append(flat)
-        if span(F.p, rows, len(rows[0])).dim != an.dim(d):
-            raise NotFaithful(f"representation has a kernel in degree {d}")
-    for d1 in range(1, cap + 1):
-        for d2 in range(d1, cap + 1):
-            if d1 + d2 > cap:
-                continue
-            for r1 in range(an.dim(d1)):
-                for r2 in range(an.dim(d2)):
-                    if d1 == d2 and r2 <= r1:
-                        continue
-                    lie = pc.bracket_vec(pres, d1, pc.basis(an, d1)[r1], d2, pc.basis(an, d2)[r2])
-                    coords = express(an, d1 + d2, lie)
-                    want = {}
-                    for c, idx in zip(coords, range(an.dim(d1 + d2))):
-                        if c:
-                            want = _map_add(
-                                F, want, _map_scale(F, (c % F.p, 0), images[(d1 + d2, idx)])
-                            )
-                    got = oracle_commutator(
-                        F, rep.slots_min, rep.window,
-                        images[(d1, r1)], d1, images[(d2, r2)], d2,
-                    )
-                    for s in range(rep.slots_min, rep.window - d1 - d2 + 1):
-                        if want.get(s, F.zero) != got.get(s, F.zero):
-                            raise DimensionAnomaly(
-                                f"rho([t,t']) != [rho(t), rho(t')] at degrees "
-                                f"({d1},{d2}), slot {s}"
-                            )
-
-
-def oracle_check_rep_generators(rep):
-    """``_check_rep`` comparing every slot of every pair (g, t), g and t
-    basis rows, g of degree 1."""
-    an = rep.analysis
-    F = an.field
-    pres = an.pres
-    cap = rep.window - rep.k
-    images = _full_images(rep)
-    for d in range(1, cap + 1):
-        rows = []
-        for r in range(an.dim(d)):
-            m = images[(d, r)]
-            flat = []
-            for s in range(rep.slots_min, rep.window + 1):
-                flat.extend(m.get(s, F.zero))
-            rows.append(flat)
-        if span(F.p, rows, len(rows[0])).dim != an.dim(d):
-            raise NotFaithful(f"representation has a kernel in degree {d}")
-    for d in range(1, cap):
-        for r1, g in enumerate(pc.basis(an, 1)):
-            for r2, t in enumerate(pc.basis(an, d)):
-                if d == 1 and r2 <= r1:
-                    continue
-                want = {}
-                for idx, c in enumerate(express(an, d + 1, pc.bracket_vec(pres, 1, g, d, t))):
-                    if c:
-                        want = _map_add(F, want, _map_scale(F, (c % F.p, 0), images[(d + 1, idx)]))
-                got = oracle_commutator(
-                    F, rep.slots_min, rep.window, images[(1, r1)], 1, images[(d, r2)], d
-                )
-                for s in range(rep.slots_min, rep.window - d):
-                    if want.get(s, F.zero) != got.get(s, F.zero):
-                        raise DimensionAnomaly(
-                            f"rho([t,t']) != [rho(t), rho(t')] at degrees (1,{d}), slot {s}"
-                        )
-
-
-def oracle_phi_failure(st, rep, usable, phi):
-    """The first basis pair (s, t), s before t, on which phi is not a homomorphism."""
-    F = st.field
-    basis_ids = [0, 1] + list(range(2, usable + 1))
-    for n1, s in enumerate(basis_ids):
-        for t in basis_ids[n1 + 1 :]:
-            ds, dt = max(s, 1), max(t, 1)
-            if ds + dt > usable:
-                continue
-            res = oracle_bracket(st, s, t)
-            want = {}
-            if res is not None and not F.is_zero(res[0]):
-                coeff, tgt = res
-                want = _map_scale(F, coeff, phi[tgt])
-            got = oracle_commutator(F, rep.slots_min, rep.window, phi[s], ds, phi[t], dt)
-            for sl in range(rep.slots_min, rep.window - ds - dt + 1):
-                if want.get(sl, F.zero) != got.get(sl, F.zero):
-                    return f"phi([{_label(s)},{_label(t)}]) mismatch at slot {sl}"
-    return None
-
-
-def oracle_phi_generators(st, rep, usable, phi):
-    """``_phi_failure`` comparing every slot of every pair (g, t), g = x or y."""
-    F = st.field
-    for s, gen in ((0, (F.one, F.zero)), (1, (F.zero, F.one))):
-        for t in range(s + 1, usable):
-            coeff = F.neg(F.one if t == 1 else pc.phi_at(st, t, gen))
-            want = _map_scale(F, coeff, phi[t + 1])
-            got = oracle_commutator(F, rep.slots_min, rep.window, phi[s], 1, phi[t], t)
-            for sl in range(rep.slots_min, rep.window - t):
-                if want.get(sl, F.zero) != got.get(sl, F.zero):
-                    return f"phi([{_label(s)},{_label(t)}]) mismatch at slot {sl}"
-    return None
-
-
-def oracle_extends(F, sta, stb, window, a1, b1, a2, b2):
-    """The generator relations, then the certification on all v-v pairs."""
-    s2 = F.sub(F.mul(b2, a1), F.mul(a2, b1))
-    scales = {2: s2}
-    for i in range(2, window):
-        ai, bi = sta.a[i], sta.b[i]
-        px = F.mul(scales[i], F.add(F.mul(a1, stb.a[i]), F.mul(b1, stb.b[i])))
-        py = F.mul(scales[i], F.add(F.mul(a2, stb.a[i]), F.mul(b2, stb.b[i])))
-        if not F.is_zero(ai):
-            if F.is_zero(px):
-                return False
-            scales[i + 1] = F.div(px, ai)
-        else:
-            if F.is_zero(py):
-                return False
-            scales[i + 1] = F.div(py, bi)
-        if px != F.mul(ai, scales[i + 1]) or py != F.mul(bi, scales[i + 1]):
-            return False
-    for i in range(2, window):
-        for j in range(i + 1, window - i + 1):
-            lhs = F.mul(sta.get_vv(i, j), scales.get(i + j, F.zero))
-            rhs = F.mul(F.mul(scales[i], scales[j]), stb.get_vv(i, j))
-            if lhs != rhs:
-                return False
-    return True
-
-
 # -- the validator -------------------------------------------------------------
 
 
@@ -685,6 +462,17 @@ def test_validate_matches_exhaustive(request, f9, found):
         assert got == oracle_validate_generators(cand), cand.adjoint
         failures += not ok
     assert 0 < failures < len(cands)
+
+
+def _degree1_change(pres, rng):
+    """pres after a random invertible degree-1 base change."""
+    F = pres.field
+    elems = list(F.elements())
+    while True:
+        xp = (rng.choice(elems), rng.choice(elems))
+        yp = (rng.choice(elems), rng.choice(elems))
+        if not F.is_zero(F.sub(F.mul(xp[0], yp[1]), F.mul(xp[1], yp[0]))):
+            return pc.apply_degree1_change(pres, xp, yp)
 
 
 def _table_key(st):
@@ -1264,162 +1052,7 @@ def test_kernel_matches_oracles_at_large_p():
     assert pushes > 500 and shapes == {None, 0, 1} and rooted_found > 100
 
 
-# -- rho and rho' --------------------------------------------------------------
-
-
-def _e_of(an, degree, vec):
-    """Extension coefficient of an ambient vector against basis(degree)[0];
-    components of degree >= 3 are extension lines, so it always exists."""
-    F = an.field
-    w = pc.basis(an, degree)[0]
-    return F.div((vec[0], vec[1]), (w[0], w[1]))
-
-
-def oracle_rho_images(an, k):
-    """The images of ``build_rho`` (k >= 3) or ``build_rho_prime`` (k = 2),
-    one ``bracket_vec`` and one ``_e_of`` per entry."""
-    F = an.field
-    pres = an.pres
-    window = an.window
-
-    def entry(s, row, d, t):
-        return _e_of(an, s + d, pc.bracket_vec(pres, s, row, d, t))
-
-    images = {}
-    if k > 2:
-        for d in range(1, window - k + 2):
-            for r, t in enumerate(pc.basis(an, d)):
-                images[(d, r)] = {
-                    s: entry(s, pc.basis(an, s)[0], d, t) for s in range(k - 1, window - d + 1)
-                }
-        return images
-    X4, Y4 = sf.deg1_to_f4(an.pair.X), sf.deg1_to_f4(an.pair.Y)
-    yx = pc.bracket_vec(pres, 1, Y4, 1, X4)
-    for d in range(1, window):
-        for r, t in enumerate(pc.basis(an, d)):
-            m = {}
-            if d == 1:
-                m[1] = (solve(F.p, [X4, Y4], t)[0], 0)
-            elif 1 + d <= window:
-                m[1] = entry(1, Y4, d, t)
-            if 2 + d <= window:
-                m[2] = entry(2, yx, d, t)
-            for s in range(3, window - d + 1):
-                m[s] = entry(s, pc.basis(an, s)[0], d, t)
-            images[(d, r)] = m
-    return images
-
-
-def oracle_table_images(an, k):
-    """The same images with every basis row's map built in full: the slots
-    from lo = k - 1 (lo = 3 on rho') off the structure table as
-    eps_s*c*eps_{s+d}^{-1}, and rho' slots 1 and 2 by ``bracket_vec``."""
-    F = an.field
-    pres = an.pres
-    st = mc.tables(pres)
-    window = an.window
-    lo = k - 1 if k > 2 else 3
-    eps = {s: (pc.basis(an, s)[0][0], pc.basis(an, s)[0][1]) for s in range(lo, window + 1)}
-    inv = {s: F.inv(e) for s, e in eps.items()}
-
-    def table(d, t):
-        slots = range(lo, window - d + 1)
-        if d == 1:
-            g = sf.f4_to_deg1(t)
-            return {s: F.mul(F.mul(eps[s], pc.phi_at(st, s, g)), inv[s + 1]) for s in slots}
-        e_t = (t[0], t[1])
-        return {s: F.mul(F.mul(F.mul(eps[s], e_t), st.get_vv(s, d)), inv[s + d]) for s in slots}
-
-    if k > 2:
-        return {
-            (d, r): table(d, t) for d in range(1, window - k + 2) for r, t in enumerate(pc.basis(an, d))
-        }
-    X4, Y4 = sf.deg1_to_f4(an.pair.X), sf.deg1_to_f4(an.pair.Y)
-    yx = pc.bracket_vec(pres, 1, Y4, 1, X4)
-    images = {}
-    for d in range(1, window):
-        for r, t in enumerate(pc.basis(an, d)):
-            m = {}
-            if d == 1:
-                m[1] = (solve(F.p, [X4, Y4], t)[0], 0)
-            elif 1 + d <= window:
-                m[1] = _e_of(an, 1 + d, pc.bracket_vec(pres, 1, Y4, d, t))
-            if 2 + d <= window:
-                m[2] = _e_of(an, 2 + d, pc.bracket_vec(pres, 2, yx, d, t))
-            m.update(table(d, t))
-            images[(d, r)] = m
-    return images
-
-
-def _flat(F, rep, m):
-    return [m.get(s, F.zero) for s in range(rep.slots_min, rep.window + 1)]
-
-
-def oracle_generation_check(rep):
-    """[N_d, N_1] = N_{d+1} for d < usable, by comparing E-spans."""
-    an = rep.analysis
-    F = an.field
-    ncols = rep.window - rep.slots_min + 1
-    images = _full_images(rep)
-    x_map, y_map = images[(1, 0)], images[(1, 1)]
-    for d in range(1, rep.window - rep.k - 1):
-        target = gg.span(F, [_flat(F, rep, images[(d + 1, r)]) for r in range(an.dim(d + 1))], ncols)
-        got = gg.RowSpace(F, ncols)
-        for r in range(an.dim(d)):
-            for gen_map in (x_map, y_map):
-                got.insert(_flat(F, rep, oracle_commutator(
-                    F, rep.slots_min, rep.window, images[(d, r)], d, gen_map, 1
-                )))
-        if not (got.dim == target.dim and all(target.contains(r) for r in got.basis())):
-            raise DimensionAnomaly(f"[N_{d}, N_1] != N_{d + 1}")
-
-
-def _proportionality(F, m1, m2):
-    """e with m2 = e*m1 on the common domain, or None if m1 is zero."""
-    ref = next((s for s in sorted(m1) if not F.is_zero(m1[s])), None)
-    if ref is None:
-        return None
-    e = F.div(m2.get(ref, F.zero), m1[ref])
-    for s in sorted(set(m1) | set(m2)):
-        if m2.get(s, F.zero) != F.mul(e, m1.get(s, F.zero)):
-            raise DimensionAnomaly("maps are not proportional over the extension")
-    return e
-
-
-def oracle_extract(rep):
-    """N's dimensions and presentation computed on the maps: the
-    E-rank of each degree's flattened images, and the chain of N in
-    x_N = rho(r1), y_N = rho(r2) by commutators ([v, x_N] when nonzero,
-    else [v, y_N]), validated."""
-    an = rep.analysis
-    F = an.field
-    usable = rep.window - rep.k - 1
-    ncols = rep.window - rep.slots_min + 1
-    images = _full_images(rep)
-    dims = {}
-    for d in range(1, usable + 1):
-        sp = gg.RowSpace(F, ncols)
-        for r in range(an.dim(d)):
-            sp.insert(_flat(F, rep, images[(d, r)]))
-        dims[d] = sp.dim
-    x_map, y_map = images[(1, 0)], images[(1, 1)]
-    v = oracle_commutator(F, rep.slots_min, rep.window, y_map, 1, x_map, 1)  # v_2 = [y, x]
-    pairs = []
-    for deg in range(2, usable):
-        bx = oracle_commutator(F, rep.slots_min, rep.window, v, deg, x_map, 1)
-        by = oracle_commutator(F, rep.slots_min, rep.window, v, deg, y_map, 1)
-        if any(not F.is_zero(c) for c in bx.values()):
-            b = _proportionality(F, bx, by)
-            pairs.append((F.one, b if b is not None else F.zero))
-            v = bx
-        else:
-            pairs.append((F.zero, F.one))
-            v = by
-    extracted = mc.MaxClassPresentation(F, usable, tuple(pairs))
-    report = mc.validate(extracted)
-    if not report.ok:
-        raise DimensionAnomaly(f"extracted presentation fails Jacobi at {report.first_failure}")
-    return dims, extracted
+# -- structure detection ----------------------------------------------------
 
 
 def _rep(pres, pair, window=None):
@@ -1435,194 +1068,6 @@ def _outcome(fn, *args):
         return ("ok", fn(*args))
     except ThinLieError as exc:
         return (type(exc).__name__, str(exc))
-
-
-def _corrupt(F, rng, maps, ids=None):
-    """A copy of maps (basis id -> slot -> entry) with one or two stored
-    entries of the maps ``ids`` (default: any) changed."""
-    out = {i: dict(m) for i, m in maps.items()}
-    ids = sorted(i for i, m in maps.items() if m) if ids is None else ids
-    for _ in range(rng.choice((1, 1, 2))):
-        m = out[rng.choice(ids)]
-        s = rng.choice(sorted(m))
-        m[s] = F.add(m[s], _random_nonzero(F, rng))
-    return out
-
-
-def _second_generator_only(F, rng, rep, gens, maps):
-    """``_corrupt`` on the degree-1 map of gens[1], after which the stored
-    entries of v_2, v_3, ... are solved from the relations of gens[0]:
-    [m_0, m_1] = c*m_2, [gens[0], gens[1]] = c*v_2, and [m_0, m_t] =
-    -phi_t(gens[0])*m_{t+1}.  Every pair with gens[0] then compares equal,
-    so only a check of the pairs with gens[1] can fail."""
-    st = mc.tables(rep.analysis.pres)
-    out = _corrupt(F, rng, maps, ids=[1])
-    entry = pc._reader(rep, gens, out)
-    (a1, b1), (a2, b2) = gens
-    for t in range(1, max(out)):
-        c = F.sub(F.mul(b1, a2), F.mul(a1, b2)) if t == 1 else F.neg(pc.phi_at(st, t, gens[0]))
-        for s in out[t + 1]:
-            got = F.sub(F.mul(entry(0, s), entry(t, s + 1)), F.mul(entry(t, s), entry(0, s + t)))
-            out[t + 1][s] = F.div(got, c)
-    return out
-
-
-@pytest.mark.parametrize("which", ["dev9_14", "metabelian9_14", "metabelian25_14"])
-def test_check_rep_matches_all_pairs(request, thin_pair_f9, which):
-    """``_check_rep`` against the generator-pair and the all-pairs oracles,
-    which compare every slot, on the rep and on 300 reps whose stored
-    entries are changed, a third of them so that only the pairs with r2
-    can fail.  rho stores no entry, since every slot is a table slot, so
-    only the rho' reps are changed."""
-    pres = _presentation(request, which)
-    F = pres.field
-    rep = _rep(pres, thin_pair_f9)
-    checks = (pc._check_rep, oracle_check_rep_generators, oracle_check_rep)
-    assert [_outcome(fn, rep) for fn in checks] == [("ok", None)] * 3
-    if rep.branch == "rho":
-        assert rep.lo == rep.slots_min and not any(rep.images.values())
-        return
-    assert all(s < rep.lo for m in rep.images.values() for s in m)
-    rng = random.Random(f"check-rep-{which}")
-    rows = pc._rows(rep.analysis)
-    stages = set()
-    generation_failures = second_failures = 0
-    for n in range(300):
-        second = n % 3 == 0
-        if second:
-            images = _second_generator_only(F, rng, rep, rows, rep.images)
-        else:
-            images = _corrupt(F, rng, rep.images)
-        bad = pc.RhoRep(
-            branch=rep.branch, k=rep.k, window=rep.window, slots_min=rep.slots_min,
-            lo=rep.lo, analysis=rep.analysis, images=images,
-        )
-        got = _outcome(pc._check_rep, bad)
-        assert [_outcome(fn, bad) for fn in checks[1:]] == [got, got]
-        stages.add(got[0])
-        second_failures += second and got[0] == "DimensionAnomaly"
-        if _outcome(oracle_generation_check, bad)[0] != "ok":
-            # _check_rep's comparison proves [N_d, N_1] = N_{d+1}
-            assert got[0] != "ok"
-            generation_failures += 1
-    assert "DimensionAnomaly" in stages
-    assert generation_failures > 0
-    assert second_failures > 0
-
-
-def _phi_args(monkeypatch, pres, pair, window=None):
-    """The arguments ``oracle_roundtrip`` passes to the phi check."""
-    seen = []
-    real = pc._phi_failure
-
-    def spy(*args):
-        seen.append(args)
-        return real(*args)
-
-    monkeypatch.setattr(pc, "_phi_failure", spy)
-    assert pc.oracle_roundtrip(pres, pair, window).iso
-    monkeypatch.undo()
-    (args,) = seen
-    return args
-
-
-def _full_phi(rep, phi):
-    """phi on every slot: its stored entries, and from rep.lo on x, y and
-    v_i acting on the basis rows, one ``bracket_vec`` per entry."""
-    an = rep.analysis
-    args = {0: (1, (1, 0, 0, 0)), 1: (1, (0, 0, 1, 0))}
-    full = {}
-    for i, m in phi.items():
-        d, t = args.get(i, (i, (1, 0)))
-        full[i] = dict(m)
-        for s in range(rep.lo, rep.window - d + 1):
-            full[i][s] = _e_of(an, s + d, pc.bracket_vec(an.pres, s, pc.basis(an, s)[0], d, t))
-    return full
-
-
-def _assert_matches_oracles(monkeypatch, pres, pair, window, rep):
-    """Every check of a round trip against its oracles, on a valid rep.
-
-    Also the two facts the round trip takes from lemmas instead of guards
-    (``_check_rep``, ``build_rho_prime``): the images of the rows of T_1
-    are F-independent already on the slot lo, and those rows lie in
-    span_F{X, Y}."""
-    images = _full_images(rep)
-    an = rep.analysis
-    p = an.field.p
-    assert span(p, [images[(1, r)][rep.lo] for r in (0, 1)], 2).dim == 2
-    gens = [sf.deg1_to_f4(an.pair.X), sf.deg1_to_f4(an.pair.Y)]
-    assert span(p, gens + list(pc.basis(an, 1)), 4).dim == span(p, gens, 4).dim == 2
-    assert images == oracle_table_images(rep.analysis, rep.k)
-    assert images == oracle_rho_images(rep.analysis, rep.k)
-    checks = (pc._check_rep, oracle_check_rep_generators, oracle_check_rep, oracle_generation_check)
-    assert [_outcome(fn, rep) for fn in checks] == [("ok", None)] * 4
-    usable = rec.usable_window(rep.window, rep.k)
-    r1, r2 = pc._rows(rep.analysis)
-    dims, extracted = oracle_extract(rep)
-    assert dims == {d: 2 if d == 1 else 1 for d in range(1, usable + 1)}
-    assert extracted == pc.apply_degree1_change(pc.quotient(pres, usable), r1, r2)
-    st, rep, usable, phi = _phi_args(monkeypatch, pres, pair, window)
-    full = _full_phi(rep, phi)
-    assert pc._phi_failure(st, rep, usable, phi) is None
-    assert oracle_phi_generators(st, rep, usable, full) is None
-    assert oracle_phi_failure(st, rep, usable, full) is None
-
-
-@pytest.mark.parametrize(
-    "which, branch, windows",
-    [
-        ("metabelian9_14", "rho_prime", (14, 10)),
-        ("metabelian25_14", "rho_prime", (14, 10)),
-        ("metabelian9_40", "rho_prime", (40, 27)),
-        ("metabelian25_40", "rho_prime", (40, 21)),
-        ("dev9_14", "rho", (14, 12)),
-        ("dev25_14", "rho", (14, 12)),
-    ],
-    ids=["metabelian9_14", "metabelian25_14", "metabelian9_40", "metabelian25_40", "dev9_14", "dev25_14"],
-)
-def test_images_and_generation_match_oracles(request, monkeypatch, thin_pair_f9, which, branch, windows):
-    """On both branches the images equal the per-entry and the full-table
-    ones, ``_check_rep`` and ``_phi_failure`` agree with their oracles on
-    every slot, N's presentation extracted from the maps is M's quotient in
-    the basis of T_1, and the [N_d, N_1] = N_{d+1} check that the round
-    trip does not make passes."""
-    pres = _presentation(request, which)
-    for window in windows:
-        rep = _rep(pres, thin_pair_f9, window)
-        assert rep.branch == branch
-        _assert_matches_oracles(monkeypatch, pres, thin_pair_f9, window, rep)
-
-
-@pytest.mark.parametrize("found", ["search4_12", "search9_12", "search25_12"])
-def test_images_match_oracle_with_scaled_rows(request, monkeypatch, thin_pair_f9, found):
-    """The same on the thin pairs of searched presentations, among
-    X = x + y, Y = mu*x + (mu + 1)*y and X = x + y, Y = mu*x + 2mu*y.  The
-    second has det(X, Y) = mu, so the basis row of T_2 is mu*v_2, not v_2;
-    the rho branch with k = 3 reads that row in slot 2 and as the argument
-    t."""
-    pres_list = request.getfixturevalue(found)
-    F = pres_list[0].field
-    scaled = sf.GeneratorPair((F.one, F.one), (F.mu, F.coerce((0, 2))))
-    reps = []
-    for pair in (thin_pair_f9, scaled):
-        count = 0
-        for pres in pres_list:
-            try:
-                rep = _rep(pres, pair)
-            except ThinLieError:
-                continue
-            reps.append((pres, pair, rep))
-            count += 1
-            if count == 6:
-                break
-    assert {"rho", "rho_prime"} == {rep.branch for _, _, rep in reps}
-    # over GF(9) no rep found here is a k = 3 rho with that row
-    assert (found != "search9_12") == any(
-        rep.slots_min == 2 and pc.basis(rep.analysis, 2) == ((0, 1),) for _, _, rep in reps
-    )
-    for pres, pair, rep in reps:
-        _assert_matches_oracles(monkeypatch, pres, pair, pres.class_n, rep)
 
 
 def oracle_detect_structure(analysis, window=None):
@@ -1670,271 +1115,6 @@ def test_detect_structure_matches_tail_scans(search4_12, search9_12, thin_pair_f
         "metabelian", "abelian-window", "insoluble-or-undetected",
         "WindowTooSmall", "PreconditionFailed",
     }
-
-
-# -- the round-trip phi map ----------------------------------------------------
-
-
-@pytest.mark.parametrize("which", ["dev9_14", "metabelian9_14", "metabelian25_14"])
-def test_phi_check_matches_all_pairs(request, monkeypatch, thin_pair_f9, which):
-    """``_phi_failure`` against the generator-pair and the all-pairs
-    oracles, which compare every slot, on 300 phi maps whose stored entries
-    are changed (one entry, a whole map scaled, or phi(y) changed with
-    every pair with x kept equal).  On rho nothing is stored, so nothing is
-    changed."""
-    pres = _presentation(request, which)
-    F = pres.field
-    st, rep, usable, phi = _phi_args(monkeypatch, pres, thin_pair_f9)
-    full = _full_phi(rep, phi)
-    assert pc._phi_failure(st, rep, usable, phi) is None
-    assert oracle_phi_generators(st, rep, usable, full) is None
-    assert oracle_phi_failure(st, rep, usable, full) is None
-    if rep.branch == "rho":
-        assert not any(phi.values())
-        return
-    rng = random.Random(f"phi-{which}")
-    failures = 0
-    units = ((F.one, F.zero), (F.zero, F.one))
-    second_failures = 0
-    for n in range(300):
-        mode = n % 3
-        if mode == 0:
-            wrong = _second_generator_only(F, rng, rep, units, phi)
-        elif mode == 1:
-            wrong = _corrupt(F, rng, phi)
-        else:
-            wrong = dict(phi)
-            idx = rng.choice(sorted(wrong))
-            wrong[idx] = _map_scale(F, _random_nonzero(F, rng), wrong[idx])
-        got = pc._phi_failure(st, rep, usable, wrong)
-        full = _full_phi(rep, wrong)
-        assert got == oracle_phi_generators(st, rep, usable, full)
-        assert got == oracle_phi_failure(st, rep, usable, full)
-        failures += got is not None
-        second_failures += mode == 0 and got is not None
-    assert failures > 0
-    assert second_failures > 0
-
-
-# -- iso_search ----------------------------------------------------------------
-
-
-def oracle_iso_search(pres_a, pres_b, window=None):
-    """The brute force ``iso_search`` replaced: every projective degree-1 map.
-
-    Maps are enumerated with the first nonzero coordinate normalized to 1,
-    in ``F.elements()`` order, and the first one ``oracle_extends``
-    certifies is returned.
-    """
-    if pres_a.field != pres_b.field:
-        raise PreconditionFailed("presentations live over different fields")
-    F = pres_a.field
-    window = min(pres_a.class_n, pres_b.class_n) if window is None else window
-    A = pc.quotient(pres_a, window) if pres_a.class_n != window else pres_a
-    B = pc.quotient(pres_b, window) if pres_b.class_n != window else pres_b
-    sta, stb = mc.tables(A), mc.tables(B)
-    elems = list(F.elements())
-
-    def is_canonical(quad) -> bool:
-        for c in quad:
-            if not F.is_zero(c):
-                return c == F.one
-        return False
-
-    for a1 in elems:
-        for b1 in elems:
-            for a2 in elems:
-                for b2 in elems:
-                    quad = (a1, b1, a2, b2)
-                    if not is_canonical(quad):
-                        continue
-                    det = F.sub(F.mul(a1, b2), F.mul(b1, a2))
-                    if F.is_zero(det):
-                        continue
-                    if oracle_extends(F, sta, stb, window, a1, b1, a2, b2):
-                        return pc.IsoResult(found=True, transform=((a1, b1), (a2, b2)))
-    return pc.IsoResult(found=False, transform=None)
-
-
-def oracle_iso_standard(pres_a, pres_b, window=None):
-    """The standard-form ``iso_search`` replaced, without its budget.
-
-    In standard coordinates a graded isomorphism fixes Ey, and also Ex when
-    a degree of A deviates (the centralizer lemma).  Each candidate
-    psi = [[1, b1], [0, b2]] (b1 = 0 when A deviates) is mapped back as
-    T_A^{-1} psi T_B, normalized, and certified by comparing the
-    base-changed chain of B with A's canonical chain; the key-least
-    certified map is returned.
-    """
-    if pres_a.field != pres_b.field:
-        raise PreconditionFailed("presentations live over different fields")
-    F = pres_a.field
-    window = min(pres_a.class_n, pres_b.class_n) if window is None else window
-    A = pc.quotient(pres_a, window) if pres_a.class_n != window else pres_a
-    B = pc.quotient(pres_b, window) if pres_b.class_n != window else pres_b
-    deviates = bool(mc.two_step_centralizers(A).deviations())
-    t_a = pc.standard_generators(A).transform
-    t_b = pc.standard_generators(B).transform
-    t_a_inv = [gg.solve(F, t_a, e) for e in _identity(F, 2)]
-    target = pc.apply_degree1_change(A, (F.one, F.zero), (F.zero, F.one)).adjoint
-    best = None
-    for b1 in [F.zero] if deviates else F.elements():
-        for b2 in F.elements():
-            if F.is_zero(b2):
-                continue
-            phi = oracle_mul(F, oracle_mul(F, t_a_inv, [[F.one, b1], [F.zero, b2]]), t_b)
-            quad = phi[0] + phi[1]
-            lead = F.inv(next(c for c in quad if not F.is_zero(c)))
-            quad = [F.mul(lead, c) for c in quad]
-            key = [F.key(c) for c in quad]
-            if (best is None or key < best[0]) and pc.apply_degree1_change(
-                B, (quad[0], quad[1]), (quad[2], quad[3])
-            ).adjoint == target:
-                best = (key, quad)
-    if best is None:
-        return pc.IsoResult(found=False, transform=None)
-    a1, b1, a2, b2 = best[1]
-    return pc.IsoResult(found=True, transform=((a1, b1), (a2, b2)))
-
-
-def _degree1_change(pres, rng):
-    """pres after a random invertible degree-1 base change."""
-    F = pres.field
-    elems = list(F.elements())
-    while True:
-        xp = (rng.choice(elems), rng.choice(elems))
-        yp = (rng.choice(elems), rng.choice(elems))
-        if not F.is_zero(F.sub(F.mul(xp[0], yp[1]), F.mul(xp[1], yp[0]))):
-            return pc.apply_degree1_change(pres, xp, yp)
-
-
-def _rescaled(pres, rng):
-    """pres with each pair multiplied by a random nonzero scalar: the same
-    algebra on the basis v_{i+1} rescaled, but with a non-canonical chain."""
-    F = pres.field
-    pairs = []
-    for a, b in pres.adjoint:
-        c = _random_nonzero(F, rng)
-        pairs.append((F.mul(c, a), F.mul(c, b)))
-    return mc.MaxClassPresentation(F, pres.class_n, tuple(pairs))
-
-
-def _iso_pairs(found, dev, rng, n_random, n):
-    """Random pairs, (P, standard form of P), P against a base change of P
-    on either side, the first (metabelian) presentation against random P,
-    base changes of the deviating oracle ``dev``, neighbours in search order
-    cut just above their first difference (so they differ in the last pair
-    only), and rescaled (non-canonical) presentations on either side."""
-    pairs = [tuple(rng.sample(found, 2)) for _ in range(n_random)]
-    for pres in rng.sample(found, n):
-        pairs.append((pres, pc.standard_generators(pres).presentation))
-    for pres in rng.sample(found, n):
-        pairs.append((pres, _degree1_change(pres, rng)))
-        pairs.append((_degree1_change(pres, rng), pres))
-    pairs += [(found[0], pres) for pres in rng.sample(found[1:], n)]
-    if dev is not None:
-        pairs.append((dev, _degree1_change(dev, rng)))
-        pairs.append((_degree1_change(dev, rng), _degree1_change(dev, rng)))
-    for a, b in list(zip(found, found[1:]))[:n]:
-        top = next(d for d in range(2, a.class_n) if a.pair(d) != b.pair(d)) + 1
-        if top >= 4:
-            pairs.append((pc.quotient(a, top), pc.quotient(b, top)))
-    for a, b in pairs[:n_random] + [(found[0], found[0])] + ([(dev, dev)] if dev else []):
-        pairs.append((_rescaled(a, rng), b))
-        pairs.append((a, _rescaled(b, rng)))
-        pairs.append((_rescaled(a, rng), _rescaled(_degree1_change(b, rng), rng)))
-    return pairs
-
-
-def test_iso_search_matches_all_pairs(request):
-    """Standard-form candidates against the brute force with all-pairs certification.
-
-    The oracle tries every degree-1 map and certifies it with the v-v
-    pairs too (``oracle_extends``); ``iso_search`` must give the same
-    ``found`` and the same transform, with isomorphic and non-isomorphic
-    pairs over every field.
-    """
-    cases = [  # (fixture, deviating oracle, random pairs, pairs of each other kind)
-        ("search9_12", None, 20, 10),
-        ("search4_12", None, 10, 6),
-        ("search9_14", "dev9_14", 10, 5),
-        ("search25_12", "dev25_12", 2, 2),
-    ]
-    inputs = []
-    for name, dev, n_random, n in cases:
-        rng = random.Random("iso-search" if name == "search9_12" else f"iso-{name}")
-        dev = request.getfixturevalue(dev) if dev else None
-        inputs.append(_iso_pairs(request.getfixturevalue(name), dev, rng, n_random, n))
-    fast = [[pc.iso_search(a, b) for a, b in pairs] for pairs in inputs]
-    for pairs, results in zip(inputs, fast):
-        for (a, b), f in zip(pairs, results):
-            s = oracle_iso_search(a, b)
-            assert f.found == s.found, (a.adjoint, b.adjoint)
-            assert f.transform == s.transform, (a.adjoint, b.adjoint)
-        assert any(f.found for f in results) and not all(f.found for f in results)
-
-
-def test_iso_search_matches_standard_forms():
-    """The linear solve against the standard-form loop over GF(49), where the
-    brute force is too slow: search results at class 16 (one metabelian,
-    the rest deviating at 14), their degree-1 changes and rescaled forms."""
-    F = make_ext_field(7, 0, 3)
-    found = mc.search_sequences(F, 16, 10**9)
-    pairs = _iso_pairs(found, None, random.Random("iso-49"), 10, 5)
-    results = [pc.iso_search(a, b) for a, b in pairs]
-    for (a, b), f in zip(pairs, results):
-        s = oracle_iso_standard(a, b)
-        assert f.found == s.found, (a.adjoint, b.adjoint)
-        assert f.transform == s.transform, (a.adjoint, b.adjoint)
-    assert any(f.found for f in results) and not all(f.found for f in results)
-
-
-def _iso_kernel(pres_a, pres_b):
-    """RREF basis and pivots of W: the maps Phi = (a1, b1, a2, b2) under which
-    B's point (phi_i(a1, b1) : phi_i(a2, b2)) is proportional to A's point
-    (a_i : b_i) at every degree i, each row read off the unit maps."""
-    F = pres_a.field
-    window = min(pres_a.class_n, pres_b.class_n)
-    sta = mc.tables(pc.quotient(pres_a, window))
-    stb = mc.tables(pc.quotient(pres_b, window))
-    units = _identity(F, 4)
-    rows = []
-    for i in range(2, window):
-        row = []
-        for a1, b1, a2, b2 in units:
-            px, py = pc.phi_at(stb, i, (a1, b1)), pc.phi_at(stb, i, (a2, b2))
-            row.append(F.sub(F.mul(px, sta.b[i]), F.mul(py, sta.a[i])))
-        rows.append(row)
-    rows = gg.span(F, oracle_rref(F, rows, 4)[3], 4).basis()
-    return rows, [next(j for j, c in enumerate(r) if not F.is_zero(c)) for r in rows]
-
-
-@pytest.mark.parametrize(
-    "name, dev",
-    [("search4_12", "dev4_12"), ("search9_12", "dev9_12"), ("search25_12", "dev25_12")],
-    ids=["4", "9", "25"],
-)
-def test_iso_walk_bound(request, name, dev):
-    """Whenever W holds a nonsingular map, the result's entries at W's pivots
-    (the free coordinates t, the leading 1 and the zeros before it) lie
-    among the 3 least-key elements of E; the seeded inputs reach dim W = 3
-    and a nonzero W whose every element is singular."""
-    found = request.getfixturevalue(name)
-    F = found[0].field
-    small = list(itertools.islice(F.elements(), 3))
-    rng = random.Random(f"walk-{name}")
-    dims, all_singular = set(), 0
-    for a, b in _iso_pairs(found, request.getfixturevalue(dev), rng, 10, 5):
-        basis, pivots = _iso_kernel(a, b)
-        res = pc.iso_search(a, b)
-        assert res.found == oracle_iso_standard(a, b).found, (a.adjoint, b.adjoint)
-        dims.add(len(basis))
-        if res.found:
-            quad = res.transform[0] + res.transform[1]
-            assert all(quad[j] in small for j in pivots), (a.adjoint, b.adjoint)
-        elif basis:
-            all_singular += 1
-    assert 3 in dims and all_singular
 
 
 # -- the subalgebra <X, Y> and the raw scan ------------------------------------
@@ -2198,105 +1378,6 @@ def test_f_planes(p, u, v):
 
 # -- the endomorphism field ------------------------------------------------------
 
-SCHUR_EXHAUSTIVE_LIMIT = 4096
-
-
-def _ring_elements(ring):
-    p = ring.field.p
-    for coords in itertools.product(range(p), repeat=ring.dim):
-        if any(coords):
-            yield coords
-
-
-def oracle_identify_field(ring):
-    """Verify the ring is a (commutative) field and name its isomorphism type.
-
-    Commutativity comes from the multiplication table; invertibility is
-    Schur's lemma made testable: every nonzero element must act with
-    nonzero determinant on every component in the window.  A ring of
-    dimension 2 with an irreducible quadratic minimal polynomial is the
-    field GF(p^2); the Galois-conjugate ambiguity of its identification
-    with the ambient extension is resolved by reading off the scalar by
-    which a distinguished root of the ambient quadratic acts.
-    """
-    F = ring.field
-    p = F.p
-    for i in range(ring.dim):
-        for j in range(i + 1, ring.dim):
-            if ring.mult_table[i][j] != ring.mult_table[j][i]:
-                raise pc.NotCommutative(
-                    f"basis elements {i} and {j} do not commute"
-                )
-    # Schur invertibility on every degree
-    exhaustive = p**ring.dim <= SCHUR_EXHAUSTIVE_LIMIT
-    elements = list(_ring_elements(ring)) if exhaustive else [
-        pc._lf_unit(ring.dim, k) for k in range(ring.dim)
-    ]
-    for coords in elements:
-        flat = ring.element_flat(coords)
-        for degree in range(pc.K0, ring.analysis.window + 1):
-            mat = pc._eval_forms(p, ring._symbolic[degree], flat)
-            if span(p, mat, len(mat)).dim < len(mat):
-                raise pc.NotAField(
-                    f"nonzero element {coords} is singular on degree {degree}"
-                )
-    if ring.dim == 1:
-        return pc.RingFieldId(**pc._FIELD_F)
-    if ring.dim != 2:
-        raise pc.NotAField(f"unexpected ring dimension {ring.dim}")
-    # canonical generator: first basis element outside F*identity
-    gen = None
-    for k in range(ring.dim):
-        cand = pc._lf_unit(ring.dim, k)
-        if span(p, [cand, ring.identity], ring.dim).dim > 1:
-            gen = cand
-            break
-    if gen is None:
-        raise pc.NotAField("ring has no element outside F*identity")
-    # minimal polynomial of the generator: g^2 = m1*1 + m2*g
-    g2 = ring.compose(gen, gen)
-    m1, m2 = solve(p, [ring.identity, gen], g2)
-    c1 = (-m2) % p
-    c0 = (-m1) % p
-    if not quadratic_is_irreducible(p, m2, m1):
-        raise pc.NotAField(f"minimal polynomial t^2 + {c1}t + {c0} is reducible")
-    # locate a root of the ambient quadratic t^2 - u t - v inside the ring
-    mu_abs = None
-    for coords in _ring_elements(ring):
-        if span(p, [coords, ring.identity], ring.dim).dim <= 1:
-            continue
-        sq = ring.compose(coords, coords)
-        want = tuple(
-            (F.u * a + F.v * b) % p for a, b in zip(coords, ring.identity)
-        )
-        if sq == want:
-            mu_abs = coords
-            break
-    if mu_abs is None:
-        raise pc.NotAField("no root of the ambient quadratic inside the ring")
-    sigma = pc.scalar_of_action(ring, mu_abs)
-    if sigma == F.mu:
-        embedding = "mu"
-        mu_hat = mu_abs
-    elif sigma == F.conj(F.mu):
-        embedding = "mu_conj"
-        mu_hat = tuple(
-            (F.u * i - a) % p for a, i in zip(mu_abs, ring.identity)
-        )
-    else:
-        raise DimensionAnomaly(f"root acts by {sigma}, not a conjugate of mu")
-    gen_sigma = pc.scalar_of_action(ring, gen)
-    return pc.RingFieldId(
-        dim=2,
-        min_poly=(c0, c1, 1),
-        is_field=True,
-        embedding=embedding,
-        generator=gen,
-        mu_hat=mu_hat,
-        sigma=gen_sigma,
-    )
-
-
 # (p, u, v, class) of the metabelian algebras; the others are fixtures
 _METABELIAN = {
     "metabelian4_10": (2, 1, 1, 10),
@@ -2322,279 +1403,7 @@ def _presentation(request, which):
     return request.getfixturevalue(which)
 
 
-@pytest.mark.parametrize(
-    "which, embeddings",
-    [
-        ("metabelian4_10", {"n/a", "mu_conj"}),
-        ("metabelian9_10", {"mu_conj"}),  # mu^2 = 2
-        ("metabelian9b_10", {"mu"}),  # mu^2 = mu + 1
-        ("metabelian25_10", {"mu"}),
-        ("dev9_14", {"mu_conj"}),
-        ("dev25_14", {"mu"}),
-    ],
-)
-def test_identify_field_matches_enumeration(request, which, embeddings):
-    """The ring solve against the ring enumeration: equal field, generator,
-    root and scalar on the ring of every non-degenerate normalized pair
-    (every raw pair over GF(4), so that the dimension-1 rings of maximal
-    pairs occur too), and the package's report is theirs.  The
-    enumeration runs on the propagated ring, whose basis, identity and
-    table must equal the bottom-degree solve's."""
-    pres = _presentation(request, which)
-    F = pres.field
-    pairs = pc.raw_pairs(F) if F.p == 2 else sf.normalized_pairs(F)
-    seen = set()
-    for g in pairs:
-        if g.is_degenerate(F):
-            continue
-        an = sf.generate_subalgebra(pres, g)
-        ring = pc.compute_grend0(an)
-        fid = pc.identify_field_of_ring(ring)
-        prop = pc.propagated_grend0(an)
-        assert pc.ring_fields(prop) == pc.ring_fields(ring), g
-        assert fid == oracle_identify_field(prop), g
-        assert endo.identify_field(an) == fid.report(), g
-        # E lies in End_0(L^3) of a thin L, so its field is quadratic
-        assert fid.dim == 2 or an.verdict.kind != "thin", g
-        seen.add(fid.embedding)
-    assert seen == embeddings
-
-
-def _replaced(record, **changes):
-    """A copy of ``record`` with the named fields changed."""
-    return type(record)(**{**vars(record), **changes})
-
-
-def _perturbed(ring, prop, rng):
-    """One product of the table replaced in the package ring and in the
-    propagated one, or one propagated form of ``prop`` replaced.  Returns
-    (package ring, or None when the perturbation is a form, propagated ring)."""
-    p = ring.field.p
-    if rng.random() < 0.2:
-        i, j = rng.sample(range(ring.dim), 2)
-        table = [list(row) for row in ring.mult_table]
-        table[i][j] = tuple(rng.randrange(p) for _ in range(ring.dim))
-        table = tuple(map(tuple, table))
-        return _replaced(ring, mult_table=table), _replaced(prop, mult_table=table)
-    degree = rng.randint(pc.K0, ring.analysis.window)
-    sym = [list(row) for row in prop._symbolic[degree]]
-    r, c = rng.randrange(len(sym)), rng.randrange(len(sym[0]))
-    sym[r][c] = tuple(rng.randrange(p) for _ in sym[r][c])
-    return None, _replaced(prop, _symbolic={**prop._symbolic, degree: sym})
-
-
-@pytest.mark.parametrize("which", ["metabelian9_10", "dev9_14"])
-def test_identify_field_failures_match(request, thin_pair_f9, which):
-    """Wherever the enumeration finds a zero divisor or a non-commuting
-    pair, so does the identification; where it accepts, the identification
-    gives the same FieldId or refuses an identity that does not act as I or
-    a generator that misses its minimal polynomial.  A perturbed table
-    reaches ``paper_checks.identify_field_of_ring``; a perturbed propagated
-    form reaches only the per-degree check
-    (``paper_checks.identify_field_per_degree``), since the bottom-degree
-    solve reads no degree above 3."""
-    pres = _presentation(request, which)
-    an = sf.generate_subalgebra(pres, thin_pair_f9)
-    ring = pc.compute_grend0(an)
-    prop = pc.propagated_grend0(an)
-    assert pc.ring_fields(prop) == pc.ring_fields(ring)
-    rng = random.Random(f"identify-field-{which}")
-    kinds = set()
-    for _ in range(300):
-        bad_ring, bad_prop = _perturbed(ring, prop, rng)
-        want = _outcome(oracle_identify_field, bad_prop)
-        if bad_ring is not None:
-            got = _outcome(pc.identify_field_of_ring, bad_ring)
-        else:
-            got = _outcome(pc.identify_field_per_degree, bad_prop)
-        kinds.add(want[0])
-        if want[0] in ("NotAField", "NotCommutative"):
-            assert got[0] == want[0], (want, got)
-        elif want[0] == "ok":
-            assert got == want or got[0] == "NotAField", (want, got)
-    assert {"NotAField", "NotCommutative", "ok"} <= kinds
-
-
-def test_schur_sees_non_basis_elements():
-    """At p = 67 the enumeration checked only the basis elements e0, e1;
-    the per-degree Schur check also refuses a singular e1 - e0."""
-    F = make_ext_field(67, 0, 66)
-    p = F.p
-    pair = sf.GeneratorPair(((1, 0), (1, 0)), ((0, 1), (1, 1)))
-    ring = pc.propagated_grend0(sf.generate_subalgebra(mc.make_metabelian(F, 6), pair))
-    assert ring.dim == 2
-    # forms phi_k on bottom matrices with phi_k(basis_j) = [k == j]
-    b0, b1 = ring.basis
-    i, j = next(
-        (i, j) for i, j in itertools.combinations(range(len(b0)), 2)
-        if (b0[i] * b1[j] - b0[j] * b1[i]) % p
-    )
-
-    def dual(target):
-        form = [0] * len(b0)
-        form[i], form[j] = solve(F.p, [(b0[i], b1[i]), (b0[j], b1[j])], target)
-        return form
-
-    phi0, phi1 = dual((1, 0)), dual((0, 1))
-    # e0 acts as I and e1 as diag(1, 2) on one degree, so e1 - e0 is singular
-    A, B = ((1, 0), (0, 1)), ((1, 0), (0, 2))
-    degree = pc.K0 + 1
-    sym = [
-        [tuple((a * x + b * y) % p for x, y in zip(phi0, phi1)) for a, b in zip(ra, rb)]
-        for ra, rb in zip(A, B)
-    ]
-    bad = _replaced(ring, _symbolic={**ring._symbolic, degree: sym})
-    assert bad.matrix_at((1, 0), degree) == [[1, 0], [0, 1]]
-    assert bad.matrix_at((0, 1), degree) == [[1, 0], [0, 2]]
-    assert bad.matrix_at((p - 1, 1), degree) == [[0, 0], [0, 1]]
-    assert _outcome(oracle_identify_field, bad)[0] == "ok"
-    with pytest.raises(pc.NotAField):
-        pc.identify_field_per_degree(bad)
-
-
 # -- endo: one linear-form step per degree --------------------------------------
-
-
-def _lf_zero(n):
-    return (0,) * n
-
-
-def _lf_add(p, a, b):
-    return tuple((x + y) % p for x, y in zip(a, b))
-
-
-def _lf_scale(p, c, a):
-    return tuple(c * x % p for x in a)
-
-
-def _gen_images(analysis, degree):
-    """[(row_index, gen_index, coords of [row, gen] in the L_{degree+1} basis)]."""
-    out = []
-    for r_idx, row in enumerate(pc.basis(analysis, degree)):
-        for g_idx, gen in enumerate((analysis.pair.X, analysis.pair.Y)):
-            img = pc.ad_gen(analysis.pres, degree, row, gen)
-            out.append((r_idx, g_idx, express(analysis, degree + 1, img)))
-    return out
-
-
-def oracle_solve_graded_maps(analysis, shift, k0, window):
-    """Solution space of graded degree-`shift` L-endomorphisms of the module.
-
-    Returns (kernel_rows, symbolic) where each kernel row is a flattened
-    bottom matrix V_{k0} -> V_{k0+shift} and symbolic[i] is the propagated
-    matrix at source degree i with linear-form entries.
-    """
-    p = analysis.field.p
-    dim_src = analysis.dim(k0)
-    dim_tgt = analysis.dim(k0 + shift)
-    n_unk = dim_src * dim_tgt
-    symbolic = {
-        k0: [
-            [pc._lf_unit(n_unk, r * dim_tgt + c) for c in range(dim_tgt)]
-            for r in range(dim_src)
-        ]
-    }
-    constraints = []
-    i = k0
-    while i + 1 + shift <= window:
-        src_imgs = _gen_images(analysis, i)  # spans V_{i+1}
-        tgt_imgs = _gen_images(analysis, i + shift)
-        tgt_lookup = {(r, g): v for r, g, v in tgt_imgs}
-        f_i = symbolic[i]
-        d_next = analysis.dim(i + 1)
-        d_next_tgt = analysis.dim(i + 1 + shift)
-        pairs = []
-        for r_idx, g_idx, in_vec in src_imgs:
-            out_vec = [_lf_zero(n_unk)] * d_next_tgt
-            for s in range(analysis.dim(i + shift)):
-                coeff_forms = f_i[r_idx][s]
-                tgt_vec = tgt_lookup[(s, g_idx)]
-                for j, c in enumerate(tgt_vec):
-                    if c:
-                        out_vec[j] = _lf_add(p, out_vec[j], _lf_scale(p, c, coeff_forms))
-            pairs.append((tuple(in_vec), out_vec))
-        # choose a spanning subset of the concrete input vectors
-        chooser = RowSpace(p, d_next)
-        selected = []
-        for idx, (in_vec, _) in enumerate(pairs):
-            if chooser.insert(in_vec):
-                selected.append(idx)
-        if len(selected) != d_next:
-            raise pc.CoveringFails(
-                f"[L_{i}, L_1] does not span L_{i + 1}; propagation is not forced"
-            )
-        sel_rows = [pairs[idx][0] for idx in selected]
-        inv = [solve(p, sel_rows, pc._lf_unit(d_next, j)) for j in range(d_next)]
-        f_next = []
-        for j in range(d_next):
-            acc = [_lf_zero(n_unk)] * d_next_tgt
-            for k, idx in enumerate(selected):
-                c = inv[j][k]
-                if c:
-                    for col in range(d_next_tgt):
-                        acc[col] = _lf_add(
-                            p, acc[col], _lf_scale(p, c, pairs[idx][1][col])
-                        )
-            f_next.append(acc)
-        symbolic[i + 1] = f_next
-        # consistency: every (input, output) pair must match the propagated map
-        for in_vec, out_vec in pairs:
-            for col in range(d_next_tgt):
-                acc = _lf_zero(n_unk)
-                for j, c in enumerate(in_vec):
-                    if c:
-                        acc = _lf_add(p, acc, _lf_scale(p, c, f_next[j][col]))
-                diff = tuple((a - b) % p for a, b in zip(acc, out_vec[col]))
-                if any(diff):
-                    constraints.append(diff)
-        i += 1
-    if constraints:
-        kernel_rows = [tuple(r) for r in oracle_rref(gg.BaseField(p), constraints, n_unk)[3]]
-    else:
-        kernel_rows = [pc._lf_unit(n_unk, k) for k in range(n_unk)]
-    return kernel_rows, symbolic
-
-
-_SOLVER_SAMPLE = 60
-
-
-@pytest.mark.parametrize(
-    "which",
-    [
-        "metabelian4_10",
-        "metabelian9_14",
-        "metabelian9b_12",
-        "dev9_14",
-        "metabelian25_14",
-        "metabelian49_10",
-        "dev25_14",
-    ],
-)
-def test_solver_matches_propagation_oracle(request, which):
-    """The one-step-per-degree solver against the per-operation propagation:
-    equal kernel rows, equal forms at every degree, or the same error, at
-    shift 0, on every non-degenerate pair (raw over GF(4), normalized
-    otherwise) or a seeded sample of them over GF(25)/GF(49)."""
-    pres = _presentation(request, which)
-    F = pres.field
-    pairs = [
-        g for g in (pc.raw_pairs(F) if F.p == 2 else sf.normalized_pairs(F))
-        if not g.is_degenerate(F)
-    ]
-    if F.p > 3:
-        pairs = random.Random(f"solver-{which}").sample(pairs, _SOLVER_SAMPLE)
-    amb = sf._Ambient(pres, pres.class_n)
-    for g in pairs:
-        an = sf._analyse(amb, g)
-        got = _outcome(pc.solve_graded_maps, an)
-        want = _outcome(oracle_solve_graded_maps, an, 0, pc.K0, an.window)
-        assert got == want, g
-
-
-def test_solver_matches_propagation_oracle_at_class_40(thin_pair_f9):
-    pres = _presentation(None, "metabelian9_40")
-    an = sf.generate_subalgebra(pres, thin_pair_f9)
-    assert pc.solve_graded_maps(an) == oracle_solve_graded_maps(an, 0, pc.K0, an.window)
 
 
 def test_grend0_brackets_each_degree_once(monkeypatch, thin_pair_f9):
@@ -2729,225 +1538,33 @@ def test_identify_field_closed_form_matches_ring(p):
     assert outcomes == {"n/a", "mu_conj", "DegenerateGenerators"} | ({"mu"} if p > 2 else set())
 
 
-# -- gf: one row reduction and one combination ---------------------------------
-
-
-def oracle_apply(field, rows, vec):
-    """The row-vector action vec . rows, one field operation at a time."""
-    assert len(vec) == len(rows)
-    out = [field.zero] * len(rows[0])
-    for c, row in zip(vec, rows):
-        if field.is_zero(c):
-            continue
-        for j, x in enumerate(row):
-            out[j] = field.add(out[j], field.mul(c, x))
-    return out
-
-
-def oracle_mul(field, a, b, ncols=None):
-    """The product a . b entry by entry; ``ncols`` is needed when b has no rows."""
-    ncols = len(b[0]) if ncols is None else ncols
-    out = []
-    for r in a:
-        row = []
-        for j in range(ncols):
-            acc = field.zero
-            for k in range(len(b)):
-                acc = field.add(acc, field.mul(r[k], b[k][j]))
-            row.append(acc)
-        out.append(row)
-    return out
-
-
-def oracle_rref(F, rows, ncols):
-    """Gauss-Jordan elimination of the whole matrix, pivot by pivot:
-    (rank, reduced rows, pivots, kernel rows)."""
-    rows = [list(r) for r in rows]
-    nrows = len(rows)
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        sel = None
-        for i in range(r, nrows):
-            if not F.is_zero(rows[i][c]):
-                sel = i
-                break
-        if sel is None:
-            continue
-        rows[r], rows[sel] = rows[sel], rows[r]
-        inv = F.inv(rows[r][c])
-        rows[r] = [F.mul(inv, x) for x in rows[r]]
-        for i in range(nrows):
-            if i != r and not F.is_zero(rows[i][c]):
-                f = rows[i][c]
-                rows[i] = [F.sub(x, F.mul(f, y)) for x, y in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    pivot_set = set(pivots)
-    kernel_rows = []
-    for j in range(ncols):
-        if j in pivot_set:
-            continue
-        vec = [F.zero] * ncols
-        vec[j] = F.one
-        for ri, pc in enumerate(pivots):
-            vec[pc] = F.neg(rows[ri][j])
-        kernel_rows.append(vec)
-    return r, rows, tuple(pivots), kernel_rows
-
-
-def oracle_solve(field, rows, vec):
-    """Coordinates read off the Gauss-Jordan form of the augmented columns."""
-    n = len(rows)
-    aug = [[r[j] for r in rows] + [x] for j, x in enumerate(vec)]
-    _, reduced, pivots, _ = oracle_rref(field, aug, n + 1)
-    if pivots != tuple(range(n)):
-        raise ValueError("rows are dependent or the vector is outside their span")
-    return [reduced[i][n] for i in range(n)]
-
-
-def _solve_outcome(fn, field, rows, vec):
-    try:
-        return ("ok", fn(field, rows, vec))
-    except ValueError as exc:
-        return ("ValueError", str(exc))
-
-
-_EXT = {2: (1, 1), 3: (0, 2), 5: (0, 2), 7: (0, 3)}
-
-
-def _random_matrix(field, rng, nrows, ncols, elems=None):
-    """Sparse random rows, a low-rank product, or rows with zero and
-    duplicate rows mixed in; entries are drawn from ``elems`` (default:
-    every element of the field)."""
-    elems = list(field.elements()) if elems is None else elems
-
-    def entry():
-        return field.zero if rng.random() < 0.4 else rng.choice(elems)
-
-    shape = rng.randrange(3)
-    if shape == 0:
-        return [[entry() for _ in range(ncols)] for _ in range(nrows)]
-    rank = rng.randint(0, min(nrows, ncols))
-    if shape == 1:
-        left = [[entry() for _ in range(rank)] for _ in range(nrows)]
-        right = [[entry() for _ in range(ncols)] for _ in range(rank)]
-        return oracle_mul(field, left, right, ncols)
-    rows = [[entry() for _ in range(ncols)] for _ in range(rank)]
-    while len(rows) < nrows:
-        duplicate = rows and rng.random() < 0.5
-        rows.append(list(rng.choice(rows)) if duplicate else [field.zero] * ncols)
-    rng.shuffle(rows)
-    return rows
-
-
 @pytest.mark.parametrize(
-    "p, ext",
-    [(2, False), (3, False), (7, False), (2, True), (3, True), (5, True), (7, True)],
-    ids=["2", "3", "7", "4", "9", "25", "49"],
+    "which, embeddings",
+    [
+        ("metabelian4_10", {"n/a", "mu_conj"}),
+        ("metabelian9_10", {"mu_conj"}),  # mu^2 = 2
+        ("metabelian9b_10", {"mu"}),  # mu^2 = mu + 1
+        ("metabelian25_10", {"mu"}),
+        ("dev9_14", {"mu_conj"}),
+        ("dev25_14", {"mu"}),
+    ],
 )
-def test_rref_and_solve_match_gauss_jordan(p, ext):
-    """``RowSpace`` and ``solve`` against Gauss-Jordan elimination: the
-    basis is the nonzero reduced rows, the kernel is the oracle's, and
-    ``solve`` gives equal coordinates or the same ValueError, on every
-    shape 1-6 x 1-6 and a tall 40 x 4.  The package kernel is over GF(p);
-    the GF(p^2) cases run its field-generic predecessor (``generic_gf``),
-    which the E-linear oracles use."""
-    field = make_ext_field(p, *_EXT[p]) if ext else gg.BaseField(p)
-    scalars, span_, solve_ = (field, gg.span, gg.solve) if ext else (p, span, solve)
-    rng = random.Random(f"gf-rref-{field}")
-    shapes = [(r, c) for r in range(1, 7) for c in range(1, 7)] + [(40, 4)]
-    solved = set()
-    for nrows, ncols in shapes:
-        for _ in range(6):
-            m = _random_matrix(field, rng, nrows, ncols)
-            rank, reduced, _, kernel = oracle_rref(field, m, ncols)
-            sp = span_(scalars, m, ncols)
-            assert sp.basis() == [tuple(r) for r in reduced[:rank]], m
-            assert sp.kernel() == [tuple(r) for r in kernel], m
-            rows = m[: rng.randint(1, nrows)]
-            if rng.random() < 0.5:
-                coeffs = [rng.choice(list(field.elements())) for _ in rows]
-                vec = oracle_apply(field, rows, coeffs)
-            else:
-                vec = _random_matrix(field, rng, 1, ncols)[0]
-            got = _solve_outcome(lambda _, r, v: solve_(scalars, r, v), field, rows, vec)
-            assert got == _solve_outcome(oracle_solve, field, rows, vec), (rows, vec)
-            solved.add(got[0])
-    assert solved == {"ok", "ValueError"}
+def test_identify_field_matches_ring_on_every_pair(request, which, embeddings):
+    """The closed form against the ring solve at the class, on every
+    non-degenerate normalized pair (every raw pair over GF(4), so that the
+    dimension-1 rings of maximal pairs occur too); both embeddings occur.
+    E lies in End_0(L^3) of a thin L, so there its field is quadratic."""
+    pres = _presentation(request, which)
+    F = pres.field
+    seen = set()
+    for g in pc.raw_pairs(F) if F.p == 2 else sf.normalized_pairs(F):
+        if g.is_degenerate(F):
+            continue
+        an = sf.generate_subalgebra(pres, g)
+        got = endo.identify_field(an)
+        assert got == _ring_report(an), g
+        assert got.dim == 2 or an.verdict.kind != "thin", g
+        seen.add(got.embedding)
+    assert seen == embeddings
 
 
-@pytest.mark.parametrize("p", [2, 3, 7, 1000003])
-def test_int_kernel_reduces_entries(p):
-    """Entries that are negative or >= p stand for their residues:
-    ``span``, ``basis``, ``kernel``, ``coords``, ``insert``'s return value
-    and ``solve`` (equal values or the same ValueError) agree with
-    Gauss-Jordan elimination on matrices with such entries mixed in, on
-    every shape 1-6 x 1-6 and a tall 40 x 4."""
-    field = gg.BaseField(p)
-    rng = random.Random(f"gf-unreduced-{p}")
-    elems = list(range(p)) if p < 10 else [1, 2, p - 1] + [rng.randrange(p) for _ in range(5)]
-
-    def unreduce(rows):
-        return [[x + p * rng.choice((-2, -1, 1, 2)) if rng.random() < 0.5 else x for x in r] for r in rows]
-
-    assert not RowSpace(p, 3).insert([p, -p, 2 * p])
-    shapes = [(r, c) for r in range(1, 7) for c in range(1, 7)] + [(40, 4)]
-    outcomes = set()
-    for nrows, ncols in shapes:
-        for _ in range(6):
-            m = unreduce(_random_matrix(field, rng, nrows, ncols, elems))
-            rank, reduced, _, kernel = oracle_rref(field, m, ncols)
-            sp = RowSpace(p, ncols)
-            grew = [sp.insert(row) for row in m]
-            ranks = [oracle_rref(field, m[:k], ncols)[0] for k in range(nrows + 1)]
-            assert grew == [b > a for a, b in zip(ranks, ranks[1:])], m
-            assert sp.basis() == [tuple(r) for r in reduced[:rank]], m
-            assert span(p, m, ncols).basis() == sp.basis(), m
-            assert sp.kernel() == [tuple(r) for r in kernel], m
-            rows = m[: rng.randint(1, nrows)]
-            if rng.random() < 0.5:
-                coeffs = [rng.choice(elems) for _ in rows]
-                vec = unreduce([oracle_apply(field, rows, coeffs)])[0]
-            else:
-                vec = unreduce(_random_matrix(field, rng, 1, ncols, elems))[0]
-            got = _solve_outcome(lambda _, r, v: solve(p, r, v), field, rows, vec)
-            assert got == _solve_outcome(oracle_solve, field, rows, vec), (rows, vec)
-            outcomes.add(got[0])
-            inside = unreduce([oracle_apply(field, m, [rng.choice(elems) for _ in m])])[0]
-            for v in (inside, vec):
-                want = _solve_outcome(oracle_solve, field, reduced[:rank], v)
-                try:
-                    assert ("ok", sp.coords(v)) == want, (m, v)
-                except ValueError:
-                    assert want[0] == "ValueError", (m, v)
-                outcomes.add(want[0])
-    assert outcomes == {"ok", "ValueError"}
-
-
-@pytest.mark.parametrize("p", [2, 3, 7, 1000003])
-def test_combine_and_product_match_entrywise(p):
-    """``int_kernel.combine`` and ``mat_mul`` against the entry-by-entry
-    vector-matrix and matrix products, on every shape 1-6 x 1-6 with about
-    40% zero entries, and on zero and all-(p - 1) matrices."""
-    field = gg.BaseField(p)
-    rng = random.Random(f"gf-combine-{p}")
-
-    def matrix(nrows, ncols):
-        return [
-            [0 if rng.random() < 0.4 else rng.randrange(p) for _ in range(ncols)]
-            for _ in range(nrows)
-        ]
-
-    for nrows in range(1, 7):
-        for ncols in range(1, 7):
-            cases = [matrix(nrows, ncols) for _ in range(4)]
-            cases += [[[0] * ncols] * nrows, [[p - 1] * ncols] * nrows]
-            for rows in cases:
-                for coeffs in (matrix(1, nrows)[0], [p - 1] * nrows):
-                    want = tuple(oracle_apply(field, rows, coeffs))
-                    assert combine(p, coeffs, rows) == want, (rows, coeffs)
-                left = matrix(rng.randint(1, 6), nrows)
-                assert mat_mul(p, left, rows) == oracle_mul(field, left, rows), (left, rows)

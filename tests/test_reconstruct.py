@@ -1,11 +1,12 @@
-"""Structure detection, the two representations, N, round trips, and isomorphisms.
+"""Structure detection, the two representations, N and the round trip.
 
 The representations are built by the oracle round trip
 (``paper_checks.build_rho``, ``build_rho_prime`` and
 ``oracle_roundtrip``), which ``verify_roundtrip`` replaced by a
 faithfulness scan of the structure table; ``test_roundtrip_matches_oracle``
-compares the two.  The isomorphism search is the test oracle
-``paper_checks.iso_search``.
+compares the two.  N's presentation is read off the maps by commutators
+(``oracle_extract``) and compared with the base change of M's quotient
+(``n_presentation``).
 """
 
 import json
@@ -19,29 +20,99 @@ import pytest
 import generic_gf as gg
 import paper_checks as pc
 from paper_checks import express
-from test_lemma import _outcome, oracle_extract
+from test_lemma import _outcome
 from thinlie import maxclass as mc
 from thinlie import reconstruct as rec
 from thinlie import subfield as sf
-from paper_checks import NotEStable, NotMetabelian
-from thinlie.errors import DivisionByZero, InvalidPresentation, PreconditionFailed
-from thinlie.gf import ExtField, make_ext_field
+from paper_checks import DimensionAnomaly, NotEStable, NotMetabelian
+from thinlie.errors import DivisionByZero, PreconditionFailed
+from thinlie.gf import make_ext_field
 
 
 GOLDEN = Path(__file__).parent / "golden"
 
 
-def _three_elements(monkeypatch):
-    """Make ExtField.elements fail when asked for a 4th element."""
-    elements = ExtField.elements
+def oracle_commutator(field, slots_min, window, m1, d1, m2, d2):
+    """The commutator [m1, m2] of two full shift maps on every slot it fills:
+    m1[s]*m2[s+d1] - m2[s]*m1[s+d2], a missing entry counting as 0."""
+    out = {}
+    for s in range(slots_min, window - d1 - d2 + 1):
+        first = field.zero
+        c1 = m1.get(s)
+        if c1 is not None:
+            c2 = m2.get(s + d1)
+            if c2 is not None:
+                first = field.mul(c1, c2)
+        second = field.zero
+        c2 = m2.get(s)
+        if c2 is not None:
+            c1b = m1.get(s + d2)
+            if c1b is not None:
+                second = field.mul(c2, c1b)
+        out[s] = field.sub(first, second)
+    return out
 
-    def capped(field):
-        for n, e in enumerate(elements(field)):
-            if n == 3:
-                raise AssertionError("iso_search enumerated a 4th element of E")
-            yield e
 
-    monkeypatch.setattr(ExtField, "elements", capped)
+def _full_images(rep):
+    """(degree, basis row) -> rho of that row on every slot."""
+    an = rep.analysis
+    return {
+        (d, r): pc.image(rep, d, r)
+        for d in range(1, rep.window - rep.slots_min + 1)
+        for r in range(an.dim(d))
+    }
+
+
+def _flat(F, rep, m):
+    return [m.get(s, F.zero) for s in range(rep.slots_min, rep.window + 1)]
+
+
+def _proportionality(F, m1, m2):
+    """e with m2 = e*m1 on the common domain, or None if m1 is zero."""
+    ref = next((s for s in sorted(m1) if not F.is_zero(m1[s])), None)
+    if ref is None:
+        return None
+    e = F.div(m2.get(ref, F.zero), m1[ref])
+    for s in sorted(set(m1) | set(m2)):
+        if m2.get(s, F.zero) != F.mul(e, m1.get(s, F.zero)):
+            raise DimensionAnomaly("maps are not proportional over the extension")
+    return e
+
+
+def oracle_extract(rep):
+    """N's dimensions and presentation computed on the maps: the
+    E-rank of each degree's flattened images, and the chain of N in
+    x_N = rho(r1), y_N = rho(r2) by commutators ([v, x_N] when nonzero,
+    else [v, y_N]), validated."""
+    an = rep.analysis
+    F = an.field
+    usable = rep.window - rep.k - 1
+    ncols = rep.window - rep.slots_min + 1
+    images = _full_images(rep)
+    dims = {}
+    for d in range(1, usable + 1):
+        sp = gg.RowSpace(F, ncols)
+        for r in range(an.dim(d)):
+            sp.insert(_flat(F, rep, images[(d, r)]))
+        dims[d] = sp.dim
+    x_map, y_map = images[(1, 0)], images[(1, 1)]
+    v = oracle_commutator(F, rep.slots_min, rep.window, y_map, 1, x_map, 1)  # v_2 = [y, x]
+    pairs = []
+    for deg in range(2, usable):
+        bx = oracle_commutator(F, rep.slots_min, rep.window, v, deg, x_map, 1)
+        by = oracle_commutator(F, rep.slots_min, rep.window, v, deg, y_map, 1)
+        if any(not F.is_zero(c) for c in bx.values()):
+            b = _proportionality(F, bx, by)
+            pairs.append((F.one, b if b is not None else F.zero))
+            v = bx
+        else:
+            pairs.append((F.zero, F.one))
+            v = by
+    extracted = mc.MaxClassPresentation(F, usable, tuple(pairs))
+    report = mc.validate(extracted)
+    if not report.ok:
+        raise DimensionAnomaly(f"extracted presentation fails Jacobi at {report.first_failure}")
+    return dims, extracted
 
 
 def n_presentation(rep):
@@ -402,77 +473,3 @@ def test_roundtrip_matches_oracle(f4, search9_14):
     assert seen["rho"] and seen["rho_prime"] and seen["WindowTooSmall"] and seen["PreconditionFailed"]
 
 
-class TestIsoSearch:
-    def test_swapped_metabelian(self, f9):
-        m = mc.make_metabelian(f9, 10)
-        swapped = mc.MaxClassPresentation(
-            f9, 10, tuple(((0, 0), (1, 0)) for _ in range(8))
-        )
-        res = pc.iso_search(m, swapped)
-        assert res.found
-        assert res.transform == ((f9.zero, f9.one), (f9.one, f9.zero))
-
-    def test_metabelian_vs_deviating(self, f9, dev9_14):
-        res = pc.iso_search(mc.make_metabelian(f9, 12), pc.quotient(dev9_14, 12))
-        assert not res.found
-
-    def test_roundtrip_crosscheck(self, dev9_14, thin_pair_f9):
-        an = sf.generate_subalgebra(dev9_14, thin_pair_f9, 14)
-        flags = rec.detect_structure(an)
-        rep = pc.build_rho(an, flags)
-        res = pc.iso_search(n_presentation(rep), pc.quotient(dev9_14, rec.usable_window(rep.window, rep.k)))
-        assert res.found
-
-    def test_no_budget(self, monkeypatch):
-        # metabelian GF(121) at class 24: 121*120 candidates x 24 once exceeded
-        # the 200,000 budget; the walk enumerates 3 elements of E
-        field = make_ext_field(11, 0, 10)
-        a = mc.make_metabelian(field, 24)
-        _three_elements(monkeypatch)
-        res = pc.iso_search(a, a)
-        assert res.found
-        assert res.transform == ((field.one, field.zero), (field.zero, field.one))
-
-    def test_large_prime(self, monkeypatch):
-        # GF(1000003^2): metabelian class 24 against itself and its x/y swap,
-        # and search results against a degree-1 change of each
-        met_field = make_ext_field(1000003, 1, 4)
-        met = mc.make_metabelian(met_field, 24)
-        swapped = mc.MaxClassPresentation(
-            met_field, 24, tuple((met_field.zero, met_field.one) for _ in range(22))
-        )
-        field = make_ext_field(1000003, 0, 2)
-        found = mc.search_sequences(field, 8, 3)
-        changed = [pc.apply_degree1_change(p, ((2, 1), (3, 0)), ((5, 7), (1, 0))) for p in found]
-        _three_elements(monkeypatch)
-        one, zero = met_field.one, met_field.zero
-        assert pc.iso_search(met, met).transform == ((one, zero), (zero, one))
-        assert pc.iso_search(met, swapped).transform == ((zero, one), (one, zero))
-        for p, q in zip(found, changed):
-            res = pc.iso_search(p, q)
-            assert res.found
-            (a1, b1), (a2, b2) = res.transform
-            assert pc.apply_degree1_change(q, (a1, b1), (a2, b2)).adjoint == (
-                pc.apply_degree1_change(p, (field.one, field.zero), (field.zero, field.one)).adjoint
-            )
-
-    def test_invalid_presentation(self, f9):
-        bad = mc.from_json(json.loads((GOLDEN / "bad6.json").read_text()), check=False)
-        good = mc.make_metabelian(f9, 6)
-        for a, b in ((bad, good), (good, bad)):
-            with pytest.raises(
-                InvalidPresentation, match=re.escape("Jacobi identity fails at triple ('v2', 'x', 'y')")
-            ):
-                pc.iso_search(a, b)
-
-    @pytest.mark.parametrize("p, u, v, class_n", [(5, 0, 2, 22), (7, 0, 3, 24)], ids=["25_22", "49_24"])
-    def test_metabelian_identity(self, p, u, v, class_n):
-        field = make_ext_field(p, u, v)
-        a = mc.make_metabelian(field, class_n)
-        res = pc.iso_search(a, a)
-        assert res.found
-        assert res.transform == ((field.one, field.zero), (field.zero, field.one))
-
-    def test_field_mismatch(self, f9, f4):
-        with pytest.raises(PreconditionFailed):
-            pc.iso_search(mc.make_metabelian(f9, 8), mc.make_metabelian(f4, 8))
