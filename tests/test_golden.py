@@ -36,12 +36,15 @@ free node takes the Tonelli-Shanks branch of ``ExtField.sqrt``.
 ``roundtrip`` of a GF(4) class-14 file whose kernel in degree 9 no cell
 of the window refutes (exit code 1), and of a class-20 file that extends
 it, at window 14 (exit code 1) and at window 16, where the kernel is
-refuted and the round trip succeeds.  Six guards: ``analyze`` with a
+refuted and the round trip succeeds.  Seven guards: ``analyze`` with a
 generator of three coordinates and ``check`` of a class-3 file
 (``class3.json``), both exit code 2, ``scan`` of a searched file
 that is not in standard form (exit code 1), ``analyze`` of an invalid
 file (``bad6.json``) and ``check`` of a file with a (0, 0) pair, both
-exit code 1, and ``check`` of a file one pair short (exit code 2).
+exit code 1, ``check`` of a file one pair short (exit code 2), and
+``roundtrip`` of the GF(4) class-16 file at window 5 on a thin pair,
+where the one bracket in the window, [v_2, v_3], is nonzero, so no
+abelian tail is confirmed and none is witnessed in T^3 (exit code 1).
 ``test_reachability`` runs these cases to show that every function of
 the package is one the CLI runs.  They run in a fresh
 directory with relative file names, because reports echo the input path.
@@ -168,6 +171,9 @@ CASES = [
     ("analyze-bad6", ["analyze", "bad6.json", "--X", "1,0,0,0", "--Y", "0,1,1,0"], 1),
     ("check-zero-pair", ["check", "zero-pair.json"], 1),
     ("check-short-adjoint", ["check", "short-adjoint.json"], 2),
+    # a thin pair at window 5, where only [v_2, v_3] is in the window and
+    # is nonzero: no abelian tail is confirmed and T^3 shows no bracket
+    ("roundtrip-gf4c16-xy-window5", ["roundtrip", "gf4c16-xy.json", "--X", "1,0,0,0", "--Y", "0,1,1,1", "--window", "5"], 1),
 ]
 
 
