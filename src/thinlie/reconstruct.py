@@ -36,7 +36,6 @@ if TYPE_CHECKING:
 class StructureFlags:
     metabelian: bool
     k: int  # T^k is the ideal the representation acts on
-    z_degree: int  # = k - 1
     detection: str  # "metabelian" | "abelian-window" | "insoluble-or-undetected"
 
 
@@ -62,16 +61,12 @@ def detect_structure(analysis: SubalgebraAnalysis) -> StructureFlags:
     window = analysis.window
     m = _top_bracket(tables(analysis.pres), window)
     if m < 2:
-        return StructureFlags(metabelian=True, k=2, z_degree=1, detection="metabelian")
+        return StructureFlags(metabelian=True, k=2, detection="metabelian")
     k = m + 1
     if 2 * k + 1 <= window:
-        return StructureFlags(
-            metabelian=False, k=k, z_degree=k - 1, detection="abelian-window"
-        )
+        return StructureFlags(metabelian=False, k=k, detection="abelian-window")
     if m >= 3:  # a nonzero bracket witnessed in T^3
-        return StructureFlags(
-            metabelian=False, k=3, z_degree=2, detection="insoluble-or-undetected"
-        )
+        return StructureFlags(metabelian=False, k=3, detection="insoluble-or-undetected")
     raise WindowTooSmall(
         "no abelian tail confirmed and no nonzero bracket witnessed in T^3"
     )

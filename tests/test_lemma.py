@@ -1085,16 +1085,12 @@ def oracle_detect_structure(analysis, window=None):
         )
 
     if tail_abelian(2):
-        return rec.StructureFlags(metabelian=True, k=2, z_degree=1, detection="metabelian")
+        return rec.StructureFlags(metabelian=True, k=2, detection="metabelian")
     for k in range(3, (window - 1) // 2 + 1):
         if tail_abelian(k):
-            return rec.StructureFlags(
-                metabelian=False, k=k, z_degree=k - 1, detection="abelian-window"
-            )
+            return rec.StructureFlags(metabelian=False, k=k, detection="abelian-window")
     if not tail_abelian(3):
-        return rec.StructureFlags(
-            metabelian=False, k=3, z_degree=2, detection="insoluble-or-undetected"
-        )
+        return rec.StructureFlags(metabelian=False, k=3, detection="insoluble-or-undetected")
     raise WindowTooSmall(
         "no abelian tail confirmed and no nonzero bracket witnessed in T^3"
     )

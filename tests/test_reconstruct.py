@@ -156,14 +156,14 @@ class TestDetectStructure:
         _, an = met_setup
         flags = rec.detect_structure(an)
         assert flags.metabelian
-        assert flags.k == 2 and flags.z_degree == 1
+        assert flags.k == 2
         assert flags.detection == "metabelian"
 
     def test_deviating_branch(self, dev_setup):
         _, an = dev_setup
         flags = rec.detect_structure(an)
         assert not flags.metabelian
-        assert flags.k >= 3 and flags.z_degree == flags.k - 1
+        assert flags.k >= 3
         assert flags.detection in ("abelian-window", "insoluble-or-undetected")
 
     def test_gated_on_thin(self, f9, maximal_pair):
@@ -187,8 +187,7 @@ class TestBuildRho:
         rep = pc.build_rho(an, flags)
         f = an.field
         # rho(z) sends the z-slot to [z, z] = 0
-        z_deg = flags.z_degree
-        z_img = pc.image(rep, z_deg, 0)
+        z_img = pc.image(rep, flags.k - 1, 0)
         assert f.is_zero(z_img[rep.slots_min])
 
     def test_grading(self, dev_setup):
@@ -260,9 +259,9 @@ def test_degree_below_extension_line_is_not_e_stable():
     assert an.verdict.kind == "rconstrained" and an.dim(3) == 1
     message = "component of degree 3 is not an extension line"
     with pytest.raises(NotEStable, match=message):
-        pc.build_rho_prime(an, rec.StructureFlags(True, 2, 1, "metabelian"))
+        pc.build_rho_prime(an, rec.StructureFlags(True, 2, "metabelian"))
     with pytest.raises(NotEStable, match=message):
-        pc.build_rho(an, rec.StructureFlags(False, 3, 2, "insoluble-or-undetected"))
+        pc.build_rho(an, rec.StructureFlags(False, 3, "insoluble-or-undetected"))
 
 
 class TestAssemble:

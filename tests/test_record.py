@@ -35,10 +35,8 @@ def test_positional_keyword_and_defaults(f9):
     assert pc.StandardForm(pres, m, False) == pc.StandardForm(
         presentation=pres, changed=False, transform=m
     )
-    flags = rec.StructureFlags(False, 3, 2, "abelian-window")
-    assert flags == rec.StructureFlags(
-        detection="abelian-window", z_degree=2, k=3, metabelian=False
-    )
+    flags = rec.StructureFlags(False, 3, "abelian-window")
+    assert flags == rec.StructureFlags(detection="abelian-window", k=3, metabelian=False)
     with pytest.raises(TypeError):
         sf.Verdict()
     with pytest.raises(TypeError):
