@@ -46,7 +46,6 @@ from .maxclass import (
     CentralizerSequence,
     MaxClassPresentation,
     ey_point,
-    is_standard,
     two_step_centralizers,
 )
 
@@ -137,16 +136,22 @@ class SubalgebraAnalysis:
 class _Ambient:
     """What the analysis of any pair reads from the presentation and window.
 
-    Built once per scan: the centralizer sequence, its distinct points C_i
-    for i = 2 .. window - 1, and the index of each C_i among them.
+    Built once per scan: the centralizer sequence (``centralizers``, or
+    computed here), its distinct points C_i for i = 2 .. window - 1, and
+    the index of each C_i among them.
     """
 
-    def __init__(self, pres: MaxClassPresentation, window: int):
+    def __init__(
+        self,
+        pres: MaxClassPresentation,
+        window: int,
+        centralizers: Optional[CentralizerSequence] = None,
+    ):
         if not 4 <= window <= pres.class_n:
             raise BadBound(f"window {window} not in [4, {pres.class_n}]")
         self.pres = pres
         self.window = window
-        self.centralizers = two_step_centralizers(pres)
+        self.centralizers = two_step_centralizers(pres) if centralizers is None else centralizers
         self.points = self.centralizers.distinct(window)
         self.slots = [self.points.index(self.centralizers.point(i)) for i in range(2, window)]
 
@@ -299,7 +304,9 @@ def _check_scan_budget(cost: int, unit: str, window: int) -> None:
 
 
 def count_thin_by_line_avoidance(
-    pres: MaxClassPresentation, window: Optional[int] = None
+    pres: MaxClassPresentation,
+    window: Optional[int] = None,
+    centralizers: Optional[CentralizerSequence] = None,
 ) -> int:
     """Count thin normalized pairs combinatorially, without generating L.
 
@@ -308,12 +315,14 @@ def count_thin_by_line_avoidance(
     occurring centralizer, the extension elements beta - lambda and
     delta - lambda*mu are F-independent.  The Ey condition holds for every
     normalized pair since (1, mu) is an F-independent pair.  Walks all q^2
-    pairs, so it is charged like the normalized ``scan``.
+    pairs, so it is charged like the normalized ``scan``.  ``centralizers``
+    is pres's centralizer sequence, computed here when not given.
     """
     F = pres.field
     window = pres.class_n if window is None else window
     _check_scan_budget(F.order**2, "pairs", window)
-    points = two_step_centralizers(pres).distinct(window)
+    seq = two_step_centralizers(pres) if centralizers is None else centralizers
+    points = seq.distinct(window)
     lams = [pt[1] for pt in points if pt != ey_point(F)]
     count = 0
     for be in F.elements():
@@ -345,16 +354,18 @@ def scan(
     the rest of the q^4 - 1.  Raises WindowTooLarge, before any pair is
     built, when the number of pairs or planes it keys (q^2 pairs normalized,
     (p^2 + 1)(p^2 + p + 1) planes raw) times the window exceeds SCAN_BUDGET.
+    The centralizer sequence is computed once, for all three.
     """
     F = pres.field
-    if not is_standard(pres):
+    seq = two_step_centralizers(pres)
+    if not seq.is_standard():
         raise NotStandardForm("scan expects a standard-form presentation")
     window = pres.class_n if window is None else window
     p, q = F.p, F.order
     count = q**4 - 1 if raw else q * q
     cost, unit = ((p * p + 1) * (p * p + p + 1), "planes") if raw else (count, "pairs")
     _check_scan_budget(cost, unit, window)
-    amb = _Ambient(pres, window)
+    amb = _Ambient(pres, window, seq)
     pairs = f_planes(F) if raw else normalized_pairs(F)
     # in raw mode |GL_2(F)|, the number of ordered bases of a plane
     weight = (q - 1) * (q - p) if raw else 1
@@ -379,7 +390,7 @@ def scan(
     thin_by_lines = None
     agree = None
     if not raw:
-        thin_by_lines = count_thin_by_line_avoidance(pres, window)
+        thin_by_lines = count_thin_by_line_avoidance(pres, window, seq)
         agree = thin_by_lines == counts["thin"]
     return ScanTable(
         window=window,

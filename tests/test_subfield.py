@@ -335,6 +335,23 @@ class TestScan:
         keys = {sf._d_key(amb, g) for g in sf.f_planes(f9) if not g.is_degenerate(f9)}
         assert 1 < len(calls) <= len(keys)
 
+    @pytest.mark.parametrize("raw", [False, True], ids=["normalized", "raw"])
+    def test_one_centralizer_pass(self, monkeypatch, dev9_14, raw):
+        """The standard-form check, the ambient and the line count share
+        one centralizer sequence; both module bindings are spied on."""
+        calls = []
+        real = mc.two_step_centralizers
+
+        def counting(pres):
+            calls.append(pres)
+            return real(pres)
+
+        monkeypatch.setattr(mc, "two_step_centralizers", counting)
+        monkeypatch.setattr(sf, "two_step_centralizers", counting)
+        t = sf.scan(dev9_14, 14, raw=raw)
+        assert len(calls) == 1
+        assert t.agree is (None if raw else True)
+
     def test_raw_mode_cross_validation(self, f4):
         # on the metabelian algebra a raw pair is thin iff the x-parts of the
         # generators are F-independent; count that combinatorially
