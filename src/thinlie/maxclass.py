@@ -532,6 +532,16 @@ def standardize(seq: CentralizerSequence) -> CentralizerSequence:
     different lines, so the matrix is invertible and no image is zero.
     Each image is normalized as ``two_step_centralizers`` does, so a
     standard sequence maps to itself.
+
+    Only the lines Ex' and Ey' are fixed, not the vectors: any s*x', t*y'
+    (s, t in E*) is standard too, and it maps a point (1 : lambda) to
+    (1 : lambda*s/t).  So C_2 and the first deviation read the same in
+    every basis of the same algebra, and which degrees share a point does
+    too, but a point after the first deviation that is neither Ex' nor Ey'
+    reads (1 : lambda) only up to that factor: it depends on the input
+    basis.  The golden case ``stats-gf4c16-xy`` shows it: a GF(4) class-16
+    algebra whose third point reads (1 : 1) as searched and (1 : mu) under
+    x' = x + y, y' = mu*x.
     """
     F = seq.field
     yp = seq.points[0]
@@ -588,7 +598,10 @@ def centralizer_stats(seq: CentralizerSequence) -> DiagnosticsReport:
     Purely diagnostic: a truncated presentation found by search need not
     extend to an infinite algebra, so pattern violations are reported,
     never rejected.  Requires the centralizers of a validated presentation
-    (``two_step_centralizers``) in standard form.
+    (``two_step_centralizers``) in standard form.  The occurrences, gaps
+    and flags of every entry do not depend on the basis, but the point of
+    an entry after the first deviation does, up to a factor in E* (see
+    ``standardize``).
     """
     if not seq.is_standard():
         raise NotStandardForm("centralizer_stats needs a standard-form presentation")
