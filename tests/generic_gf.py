@@ -4,9 +4,9 @@ test oracle.
 ``BaseField`` is GF(p) behind the same method-call field protocol as
 ``thinlie.gf.ExtField``, and ``RowSpace``, ``span`` and ``solve`` run over
 either field through that protocol.  The kernel of ``int_kernel`` works
-on ints mod p only; this slow predecessor is what its differential tests
-compare against, and the E-linear test code (the isomorphism search, the
-extraction of N from the maps, the GF(p^2) kernel cases) runs on it.
+on ints mod p only; the E-linear test code (the extraction of N from the
+maps, the GF(p^2) kernel cases of ``test_gf``) runs on this slow
+predecessor.
 """
 
 from __future__ import annotations

@@ -33,7 +33,7 @@ the copy that run the mutated line, fastest first; ``-x`` stops at the
 first failure.  A failure, an error or a timeout kills the mutant.
 ``--run`` keeps only the tests matching REGEX, and ``--only`` only the
 mutants that survived in an earlier KILLS.json.  KILLS.json maps each
-mutant id (``file:line:col:operator``) to its result and, for a kill, the
+mutant id (``file:line:col-end col:operator``) to its result and, for a kill, the
 first failing test.
 """
 
@@ -65,15 +65,19 @@ TRACE_ENV = "MUTATE_TRACE_OUT"
 
 
 class _Recorder:
-    """Line events in ``src/thinlie``, bucketed by the running test or fixture."""
+    """A pytest plugin: line events in ``src/thinlie``, bucketed by the
+    running test or fixture, written to ``path`` at the end of the session."""
 
-    def __init__(self, package: str):
+    def __init__(self, package: str, path: str):
         self.package = os.path.realpath(package) + os.sep
+        self.path = path
         self.buckets: dict = {}
         self.current = None
         self.fixtures: dict = {}
         self.seconds: dict = {}
         self._mine: dict = {}
+        threading.settrace(self._global)
+        sys.settrace(self._global)
 
     def switch(self, key) -> None:
         self.current = None if key is None else self.buckets.setdefault(key, set())
@@ -91,10 +95,6 @@ class _Recorder:
             self.current.add((self._mine[frame.f_code.co_filename], frame.f_lineno))
         return self._local
 
-    def start(self) -> None:
-        threading.settrace(self._global)
-        sys.settrace(self._global)
-
     def lines_of(self, nodeid: str) -> dict:
         seen = set(self.buckets.get(nodeid, ()))
         for name in self.fixtures.get(nodeid, ()):
@@ -104,53 +104,39 @@ class _Recorder:
             out.setdefault(file, []).append(line)
         return out
 
+    def pytest_runtest_logstart(self, nodeid, location):
+        self.seconds[nodeid] = time.perf_counter()
+        self.switch(nodeid)
 
-_recorder = None
+    def pytest_runtest_setup(self, item):
+        self.fixtures[item.nodeid] = list(item.fixturenames)
+
+    def pytest_fixture_setup(self, fixturedef, request):
+        self.switch(("fixture", fixturedef.argname))
+
+    def pytest_runtest_call(self, item):
+        self.switch(item.nodeid)
+
+    def pytest_runtest_logfinish(self, nodeid, location):
+        self.seconds[nodeid] = time.perf_counter() - self.seconds[nodeid]
+        self.switch(None)
+
+    def pytest_sessionfinish(self, session, exitstatus):
+        sys.settrace(None)
+        threading.settrace(None)
+        tests = {
+            nodeid: {"seconds": round(secs, 4), "lines": self.lines_of(nodeid)}
+            for nodeid, secs in self.seconds.items()
+        }
+        with open(self.path, "w", encoding="utf-8") as fh:
+            json.dump({"tests": tests}, fh, indent=1, sort_keys=True)
 
 
 def pytest_configure(config):
-    global _recorder
-    if os.environ.get(TRACE_ENV) and _recorder is None:
-        _recorder = _Recorder(str(Path(config.rootpath) / PACKAGE))
-        _recorder.start()
-
-
-def pytest_runtest_logstart(nodeid, location):
-    if _recorder:
-        _recorder.seconds[nodeid] = time.perf_counter()
-        _recorder.switch(nodeid)
-
-
-def pytest_runtest_setup(item):
-    if _recorder:
-        _recorder.fixtures[item.nodeid] = list(item.fixturenames)
-
-
-def pytest_fixture_setup(fixturedef, request):
-    if _recorder:
-        _recorder.switch(("fixture", fixturedef.argname))
-
-
-def pytest_runtest_call(item):
-    if _recorder:
-        _recorder.switch(item.nodeid)
-
-
-def pytest_runtest_logfinish(nodeid, location):
-    if _recorder:
-        _recorder.seconds[nodeid] = time.perf_counter() - _recorder.seconds[nodeid]
-        _recorder.switch(None)
-
-
-def pytest_sessionfinish(session, exitstatus):
-    if _recorder:
-        sys.settrace(None)
-        tests = {
-            nodeid: {"seconds": round(secs, 4), "lines": _recorder.lines_of(nodeid)}
-            for nodeid, secs in _recorder.seconds.items()
-        }
-        with open(os.environ[TRACE_ENV], "w", encoding="utf-8") as fh:
-            json.dump({"tests": tests}, fh, indent=1, sort_keys=True)
+    """Register the recorder when ``trace`` started this pytest."""
+    if os.environ.get(TRACE_ENV):
+        recorder = _Recorder(str(Path(config.rootpath) / PACKAGE), os.environ[TRACE_ENV])
+        config.pluginmanager.register(recorder, "mutate-recorder")
 
 
 def trace(out: str, pytest_args: list) -> int:
@@ -187,8 +173,10 @@ def _replace(data: bytes, starts: list, node, text: str) -> str:
 
 
 def mutants(source: str, lines=None):
-    """Yield (line, col, operator, mutated source) for each mutation site
-    whose node starts on one of ``lines`` (every line if None)."""
+    """Yield (line, "col-end col", operator, mutated source) for each
+    mutation site whose node starts on one of ``lines`` (every line if
+    None).  Nested nodes of one operator can start at the same column, so
+    a site is named by its span."""
     data = source.encode()
     starts = [0]
     for line in data.splitlines(keepends=True):
@@ -198,19 +186,20 @@ def mutants(source: str, lines=None):
     for node in ast.walk(tree):
         if id(node) in in_fstring or (lines is not None and getattr(node, "lineno", None) not in lines):
             continue
+        at = f"{getattr(node, 'col_offset', 0)}-{getattr(node, 'end_col_offset', 0)}"
         if isinstance(node, ast.Compare):
             for i, op in enumerate(node.ops):
                 new = copy.deepcopy(node)
                 new.ops[i] = FLIP[type(op)]()
-                yield node.lineno, node.col_offset, f"cmp{i}", _replace(data, starts, node, f"({ast.unparse(new)})")
+                yield node.lineno, at, f"cmp{i}", _replace(data, starts, node, f"({ast.unparse(new)})")
         elif isinstance(node, ast.Constant) and type(node.value) is int:
             text = str(node.value - 1 if node.value else 1)
-            yield node.lineno, node.col_offset, "int", _replace(data, starts, node, text)
+            yield node.lineno, at, "int", _replace(data, starts, node, text)
         elif isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mod) and _named_p(node.right):
-            yield node.lineno, node.col_offset, "mod", _replace(data, starts, node, f"({ast.unparse(node.left)})")
+            yield node.lineno, at, "mod", _replace(data, starts, node, f"({ast.unparse(node.left)})")
         elif isinstance(node, ast.BinOp) and isinstance(node.op, SWAP):
             new = ast.BinOp(node.right, node.op, node.left)
-            yield node.lineno, node.col_offset, "swap", _replace(data, starts, node, f"({ast.unparse(new)})")
+            yield node.lineno, at, "swap", _replace(data, starts, node, f"({ast.unparse(new)})")
 
 
 def _covered(cover: dict, pattern: str) -> dict:
@@ -229,8 +218,8 @@ def sites(cover: dict, pattern: str, tree: Path = ROOT) -> list:
     out = []
     for file, lines in sorted(_covered(cover, pattern).items()):
         source = (tree / PACKAGE / file).read_text(encoding="utf-8")
-        for line, col, op, text in mutants(source, lines):
-            out.append((f"{file}:{line}:{col}:{op}", file, line, text))
+        for line, at, op, text in mutants(source, lines):
+            out.append((f"{file}:{line}:{at}:{op}", file, line, text))
     return out
 
 

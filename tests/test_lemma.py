@@ -104,18 +104,6 @@ def _label(i: int) -> str:
     return "x" if i == 0 else "y" if i == 1 else f"v{i}"
 
 
-def _identity(field, n):
-    return [[field.one if i == j else field.zero for j in range(n)] for i in range(n)]
-
-
-def _random_nonzero(field, rng):
-    elems = list(field.elements())
-    while True:
-        e = rng.choice(elems)
-        if not field.is_zero(e):
-            return e
-
-
 # -- oracles: the generic bracket and the all-pairs loops ----------------------
 
 
@@ -1053,14 +1041,6 @@ def test_kernel_matches_oracles_at_large_p():
 
 
 # -- structure detection ----------------------------------------------------
-
-
-def _rep(pres, pair, window=None):
-    an = sf.generate_subalgebra(pres, pair, pres.class_n if window is None else window)
-    flags = rec.detect_structure(an)
-    if flags.metabelian:
-        return pc.build_rho_prime(an, flags)
-    return pc.build_rho(an, flags)
 
 
 def _outcome(fn, *args):
