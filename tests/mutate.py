@@ -30,7 +30,8 @@ copy's ``src`` and runs pytest there with ``PYTHONPATH`` at the copy's
 ``src``, so subprocess CLI tests see the mutant too.  The tests run are
 ``tests/test_golden.py`` and ``tests/test_cli.py`` first, then the tests of
 the copy that run the mutated line, fastest first; ``-x`` stops at the
-first failure.  A failure, an error or a timeout kills the mutant.
+first failure.  A failure, an error or a timeout kills the mutant; a
+mutant that no chosen test reaches is recorded as "no tests".
 ``--run`` keeps only the tests matching REGEX, and ``--only`` only the
 mutants that survived in an earlier KILLS.json.  KILLS.json maps each
 mutant id (``file:line:col-end col:operator``) to its result and, for a kill, the
@@ -286,6 +287,9 @@ def run(args) -> int:
 
     def one(site):
         mid, file, line, text = site
+        tests = tests_for(file, line)
+        if not tests:  # pytest given no test ids would run the whole suite
+            return record(mid, line, "no tests", None, None, 0.0)
         with lock:
             work = free.pop()
         target = work / PACKAGE / file
@@ -293,16 +297,18 @@ def run(args) -> int:
         target.write_text(text, encoding="utf-8")
         started = time.perf_counter()
         try:
-            code, out = _pytest(work, tests_for(file, line), args.timeout)
+            code, out = _pytest(work, tests, args.timeout)
         finally:
             target.write_text(original, encoding="utf-8")
             with lock:
                 free.append(work)
         failed = re.search(r"^(?:FAILED|ERROR) (\S+)", out, re.M)
         result = "timeout" if code is None else "survived" if code == 0 else "killed"
+        record(mid, line, result, failed.group(1) if failed else None, code, time.perf_counter() - started)
+
+    def record(mid, line, result, by, code, seconds):
         rec = {"line": line, "op": mid.rsplit(":", 1)[1].rstrip("0123456789"), "result": result,
-               "by": failed.group(1) if failed else None, "returncode": code,
-               "seconds": round(time.perf_counter() - started, 2)}
+               "by": by, "returncode": code, "seconds": round(seconds, 2)}
         with lock:
             results[mid] = rec
             done = len(results)
