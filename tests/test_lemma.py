@@ -74,6 +74,11 @@ same error.
 
 The round trip's oracle (``paper_checks.oracle_roundtrip``) is compared
 with ``reconstruct.verify_roundtrip`` in ``test_reconstruct``.
+
+The GF(p) kernel under the oracles (``int_kernel``: ``RowSpace``,
+``span``, ``solve``, ``combine`` and ``mat_mul``) is compared with
+Gauss-Jordan elimination and entry-by-entry products on entries that are
+negative or >= p, which stand for their residues.
 """
 
 import itertools
@@ -84,8 +89,9 @@ from pathlib import Path
 import pytest
 
 import dict_structure as ds
+import generic_gf as gg
 import paper_checks as pc
-from int_kernel import RowSpace, span
+from int_kernel import RowSpace, combine, mat_mul, solve, span
 from thinlie import endo
 from thinlie import maxclass as mc
 from thinlie import reconstruct as rec
@@ -1543,4 +1549,186 @@ def test_identify_field_matches_ring_on_every_pair(request, which, embeddings):
         seen.add(got.embedding)
     assert seen == embeddings
 
+# -- int_kernel: the oracles' GF(p) kernel against Gauss-Jordan elimination ----
 
+
+def oracle_apply(field, rows, vec):
+    """The row-vector action vec . rows, one field operation at a time."""
+    assert len(vec) == len(rows)
+    out = [field.zero] * len(rows[0])
+    for c, row in zip(vec, rows):
+        if field.is_zero(c):
+            continue
+        for j, x in enumerate(row):
+            out[j] = field.add(out[j], field.mul(c, x))
+    return out
+
+
+def oracle_mul(field, a, b, ncols=None):
+    """The product a . b entry by entry; ``ncols`` is needed when b has no rows."""
+    ncols = len(b[0]) if ncols is None else ncols
+    out = []
+    for r in a:
+        row = []
+        for j in range(ncols):
+            acc = field.zero
+            for k in range(len(b)):
+                acc = field.add(acc, field.mul(r[k], b[k][j]))
+            row.append(acc)
+        out.append(row)
+    return out
+
+
+def oracle_rref(F, rows, ncols):
+    """Gauss-Jordan elimination of the whole matrix, pivot by pivot:
+    (rank, reduced rows, pivots, kernel rows)."""
+    rows = [list(r) for r in rows]
+    nrows = len(rows)
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        sel = None
+        for i in range(r, nrows):
+            if not F.is_zero(rows[i][c]):
+                sel = i
+                break
+        if sel is None:
+            continue
+        rows[r], rows[sel] = rows[sel], rows[r]
+        inv = F.inv(rows[r][c])
+        rows[r] = [F.mul(inv, x) for x in rows[r]]
+        for i in range(nrows):
+            if i != r and not F.is_zero(rows[i][c]):
+                f = rows[i][c]
+                rows[i] = [F.sub(x, F.mul(f, y)) for x, y in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+        if r == nrows:
+            break
+    pivot_set = set(pivots)
+    kernel_rows = []
+    for j in range(ncols):
+        if j in pivot_set:
+            continue
+        vec = [F.zero] * ncols
+        vec[j] = F.one
+        for ri, pc in enumerate(pivots):
+            vec[pc] = F.neg(rows[ri][j])
+        kernel_rows.append(vec)
+    return r, rows, tuple(pivots), kernel_rows
+
+
+def oracle_solve(field, rows, vec):
+    """Coordinates read off the Gauss-Jordan form of the augmented columns."""
+    n = len(rows)
+    aug = [[r[j] for r in rows] + [x] for j, x in enumerate(vec)]
+    _, reduced, pivots, _ = oracle_rref(field, aug, n + 1)
+    if pivots != tuple(range(n)):
+        raise ValueError("rows are dependent or the vector is outside their span")
+    return [reduced[i][n] for i in range(n)]
+
+
+def _solve_outcome(fn, field, rows, vec):
+    try:
+        return ("ok", fn(field, rows, vec))
+    except ValueError as exc:
+        return ("ValueError", str(exc))
+
+
+def _random_matrix(field, rng, nrows, ncols, elems=None):
+    """Sparse random rows, a low-rank product, or rows with zero and
+    duplicate rows mixed in; entries are drawn from ``elems`` (default:
+    every element of the field)."""
+    elems = list(field.elements()) if elems is None else elems
+
+    def entry():
+        return field.zero if rng.random() < 0.4 else rng.choice(elems)
+
+    shape = rng.randrange(3)
+    if shape == 0:
+        return [[entry() for _ in range(ncols)] for _ in range(nrows)]
+    rank = rng.randint(0, min(nrows, ncols))
+    if shape == 1:
+        left = [[entry() for _ in range(rank)] for _ in range(nrows)]
+        right = [[entry() for _ in range(ncols)] for _ in range(rank)]
+        return oracle_mul(field, left, right, ncols)
+    rows = [[entry() for _ in range(ncols)] for _ in range(rank)]
+    while len(rows) < nrows:
+        duplicate = rows and rng.random() < 0.5
+        rows.append(list(rng.choice(rows)) if duplicate else [field.zero] * ncols)
+    rng.shuffle(rows)
+    return rows
+
+
+@pytest.mark.parametrize("p", [2, 3, 7, 1000003])
+def test_int_kernel_reduces_entries(p):
+    """Entries that are negative or >= p stand for their residues:
+    ``span``, ``basis``, ``kernel``, ``coords``, ``insert``'s return value
+    and ``solve`` (equal values or the same ValueError) agree with
+    Gauss-Jordan elimination on matrices with such entries mixed in, on
+    every shape 1-6 x 1-6 and a tall 40 x 4."""
+    field = gg.BaseField(p)
+    rng = random.Random(f"gf-unreduced-{p}")
+    elems = list(range(p)) if p < 10 else [1, 2, p - 1] + [rng.randrange(p) for _ in range(5)]
+
+    def unreduce(rows):
+        return [[x + p * rng.choice((-2, -1, 1, 2)) if rng.random() < 0.5 else x for x in r] for r in rows]
+
+    assert not RowSpace(p, 3).insert([p, -p, 2 * p])
+    shapes = [(r, c) for r in range(1, 7) for c in range(1, 7)] + [(40, 4)]
+    outcomes = set()
+    for nrows, ncols in shapes:
+        for _ in range(6):
+            m = unreduce(_random_matrix(field, rng, nrows, ncols, elems))
+            rank, reduced, _, kernel = oracle_rref(field, m, ncols)
+            sp = RowSpace(p, ncols)
+            grew = [sp.insert(row) for row in m]
+            ranks = [oracle_rref(field, m[:k], ncols)[0] for k in range(nrows + 1)]
+            assert grew == [b > a for a, b in zip(ranks, ranks[1:])], m
+            assert sp.basis() == [tuple(r) for r in reduced[:rank]], m
+            assert span(p, m, ncols).basis() == sp.basis(), m
+            assert sp.kernel() == [tuple(r) for r in kernel], m
+            rows = m[: rng.randint(1, nrows)]
+            if rng.random() < 0.5:
+                coeffs = [rng.choice(elems) for _ in rows]
+                vec = unreduce([oracle_apply(field, rows, coeffs)])[0]
+            else:
+                vec = unreduce(_random_matrix(field, rng, 1, ncols, elems))[0]
+            got = _solve_outcome(lambda _, r, v: solve(p, r, v), field, rows, vec)
+            assert got == _solve_outcome(oracle_solve, field, rows, vec), (rows, vec)
+            outcomes.add(got[0])
+            inside = unreduce([oracle_apply(field, m, [rng.choice(elems) for _ in m])])[0]
+            for v in (inside, vec):
+                want = _solve_outcome(oracle_solve, field, reduced[:rank], v)
+                try:
+                    assert ("ok", sp.coords(v)) == want, (m, v)
+                except ValueError:
+                    assert want[0] == "ValueError", (m, v)
+                outcomes.add(want[0])
+    assert outcomes == {"ok", "ValueError"}
+
+
+@pytest.mark.parametrize("p", [2, 3, 7, 1000003])
+def test_combine_and_product_match_entrywise(p):
+    """``int_kernel.combine`` and ``mat_mul`` against the entry-by-entry
+    vector-matrix and matrix products, on every shape 1-6 x 1-6 with about
+    40% zero entries, and on zero and all-(p - 1) matrices."""
+    field = gg.BaseField(p)
+    rng = random.Random(f"gf-combine-{p}")
+
+    def matrix(nrows, ncols):
+        return [
+            [0 if rng.random() < 0.4 else rng.randrange(p) for _ in range(ncols)]
+            for _ in range(nrows)
+        ]
+
+    for nrows in range(1, 7):
+        for ncols in range(1, 7):
+            cases = [matrix(nrows, ncols) for _ in range(4)]
+            cases += [[[0] * ncols] * nrows, [[p - 1] * ncols] * nrows]
+            for rows in cases:
+                for coeffs in (matrix(1, nrows)[0], [p - 1] * nrows):
+                    want = tuple(oracle_apply(field, rows, coeffs))
+                    assert combine(p, coeffs, rows) == want, (rows, coeffs)
+                left = matrix(rng.randint(1, 6), nrows)
+                assert mat_mul(p, left, rows) == oracle_mul(field, left, rows), (left, rows)
