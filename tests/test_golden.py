@@ -45,6 +45,10 @@ exit code 1, ``check`` of a file one pair short (exit code 2), and
 ``roundtrip`` of the GF(4) class-16 file at window 5 on a thin pair,
 where the one bracket in the window, [v_2, v_3], is nonzero, so no
 abelian tail is confirmed and none is witnessed in T^3 (exit code 1).
+``scan`` and ``scan --raw`` of two standard-form search results with
+more distinct centralizer points: the 218th presentation of GF(4) at
+class 24 (four points) and the 652nd of GF(25) at class 22 (three
+points), so a scan meets sublines through three of the points.
 ``test_reachability`` runs these cases to show that every function of
 the package is one the CLI runs.  They run in a fresh
 directory with relative file names, because reports echo the input path.
@@ -79,7 +83,9 @@ INPUTS = [
     "dev9mu-bad.json",
     "dev9mu-xy.json",
     "ex10.json",
+    "gf25c22-3pts.json",
     "gf4c16-xy.json",
+    "gf4c24-4pts.json",
     "short-adjoint.json",
     "zero-pair.json",
 ]
@@ -174,6 +180,13 @@ CASES = [
     # a thin pair at window 5, where only [v_2, v_3] is in the window and
     # is nonzero: no abelian tail is confirmed and T^3 shows no bracket
     ("roundtrip-gf4c16-xy-window5", ["roundtrip", "gf4c16-xy.json", "--X", "1,0,0,0", "--Y", "0,1,1,1", "--window", "5"], 1),
+    # standard-form search results with more than two distinct centralizer
+    # points, so some Baer subline of P^1(E) passes through three of them:
+    # GF(4) class 24 with four points, GF(25) class 22 with three
+    ("scan-gf4c24", ["scan", "gf4c24-4pts.json"], 0),
+    ("scan-raw-gf4c24", ["scan", "gf4c24-4pts.json", "--raw"], 0),
+    ("scan-gf25c22", ["scan", "gf25c22-3pts.json"], 0),
+    ("scan-raw-gf25c22", ["scan", "gf25c22-3pts.json", "--raw"], 0),
 ]
 
 
