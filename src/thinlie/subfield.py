@@ -29,10 +29,29 @@ C = E*(p0, p1), phi(alpha, beta) = alpha*p1 - beta*p0 is E-linear with
 kernel C, so dim_F(U \\cap C) = 2 - rank_F{phi(X), phi(Y)}, and for
 E-independent X and Y that rank is 1 or 2 (U is not inside the E-line C).
 So d is 1 where the 2x2 F-determinant of phi(X), phi(Y) vanishes and 0
-elsewhere.  L depends only on U, so a raw scan keys the F-planes
-of F^4 rather than the generator pairs; each plane has |GL_2(F)| ordered
-bases.  A verdict depends only on d (``_classify``), so a scan classifies
-once per key, the d-value at each distinct point.
+elsewhere.  A verdict depends only on d (``_classify``), so a scan
+classifies once per key, the d-value at each distinct point.
+
+A scan counts its keys without walking pairs, by the Baer-subline lemma.
+For E-independent X and Y, the E-lines of M_1 that U meets are the p + 1
+points [alpha*X + beta*Y], (alpha : beta) in P^1(F).  They are distinct,
+since U lies in no E-line, and they form a Baer subline B(U) of P^1(E):
+the image of P^1(F) under a Moebius map (Hirschfeld, *Projective
+Geometries over Finite Fields*).  So d = 1 at C exactly when C lies on
+B(U).  The planes c*U, c in E*, share the subline, and c*U = U iff c is
+in F*; so each subline comes from p + 1 E-independent planes.  Hence:
+
+* P^1(E) has (p^2 + 1)(p^2 + p)/(p + 1) = p(p^2 + 1) sublines, and
+  through 1, 2 or 3 distinct points pass p(p + 1), p + 1 and 1 of them;
+* a raw key S holds (p + 1)*|GL_2(F)|*N(S) pairs, where N(S) counts the
+  sublines that meet the distinct points exactly in S and |GL_2(F)| is
+  the number of ordered bases of a plane;
+* a plane has a normalized basis (x + beta*y, mu*x + delta*y) iff it
+  meets Ey in 0, and then exactly one; so a normalized key S holds
+  (p + 1)*N(S) pairs when Ey is not in S, and none when it is;
+* the E-dependent pairs make up the rest.
+
+``_subline_counts`` finds every N(S) in O(k^3) for k distinct points.
 """
 
 from __future__ import annotations
@@ -57,9 +76,12 @@ if TYPE_CHECKING:
 
     EPair = Tuple[EElem, EElem]  # coordinates (A, B) of A*x + B*y
 
-# Pairs or planes x window a scan may key: normalized pairs, or F-planes in
-# a raw scan.  Above every scan the tests and the benchmark run (the largest
-# is a normalized GF(49) scan, 2401 pairs x window 20).
+# The largest pairs or planes x window a scan accepts: q^2 normalized pairs,
+# or (p^2 + 1)(p^2 + p + 1) F-planes in a raw scan.  A scan counts sublines
+# and walks neither, so this bounds no work; it keeps which inputs a scan
+# refuses, with which exit code.  Above every scan the tests and the
+# benchmark run (the largest is a normalized GF(49) scan, 2401 pairs x
+# window 20).
 SCAN_BUDGET = 200_000
 
 
@@ -91,10 +113,6 @@ def pair_from_ints(field: ExtField, xs: Sequence[int], ys: Sequence[int]) -> Gen
 def deg1_to_f4(g: EPair) -> Tuple[int, int, int, int]:
     (a0, a1), (b0, b1) = g
     return (a0, a1, b0, b1)
-
-
-def f4_to_deg1(vec: Sequence[int]) -> EPair:
-    return ((vec[0], vec[1]), (vec[2], vec[3]))
 
 
 # -- analysis ----------------------------------------------------------------
@@ -156,8 +174,13 @@ class _Ambient:
         self.slots = [self.points.index(self.centralizers.point(i)) for i in range(2, window)]
 
 
+def _f_det(p: int, u: EElem, w: EElem) -> int:
+    """The 2x2 F-determinant of u and w as vectors of F^2."""
+    return (u[0] * w[1] - u[1] * w[0]) % p
+
+
 def _f_independent(field: ExtField, u: EElem, w: EElem) -> bool:
-    return (u[0] * w[1] - u[1] * w[0]) % field.p != 0
+    return _f_det(field.p, u, w) != 0
 
 
 def _d_key(amb: _Ambient, g: GeneratorPair) -> Tuple[int, ...]:
@@ -256,32 +279,62 @@ def _analyse(amb: _Ambient, g: GeneratorPair) -> SubalgebraAnalysis:
 # -- the scan ------------------------------------------------------------------
 
 
-def normalized_pairs(field: ExtField) -> List[GeneratorPair]:
-    """Canonical representatives X = x + beta*y, Y = mu*x + delta*y."""
-    out = []
-    for be in field.elements():
-        for de in field.elements():
-            out.append(GeneratorPair((field.one, be), (field.mu, de)))
-    return out
+def _f_class(p: int, c: EElem) -> int:
+    """The class of c != 0 in E*/F*: c0/c1 mod p, or p when c1 = 0."""
+    c0, c1 = c
+    return c0 * pow(c1, p - 2, p) % p if c1 else p
 
 
-def f_planes(field: ExtField) -> List[GeneratorPair]:
-    """Every F-plane of M_1 = F^4 once, as the pair of its two rref rows.
+def _subline_counts(field: ExtField, points: Sequence[EPair]) -> Dict[Tuple[int, ...], int]:
+    """N(S), keyed like ``_d_key``: the Baer sublines of P^1(E) that meet
+    the distinct ``points`` exactly in S, for every S with N(S) > 0.
 
-    A plane with pivot columns j < k has free entries in row X at the
-    columns after j other than k, and in row Y at the columns after k.
+    For i < j, z(P) = det(P, P_j)/det(P, P_i) is a Moebius map sending P_i
+    to infinity and P_j to 0, so the p + 1 sublines through both are
+    {0, infinity} + c*F*, one per class of c in E*/F*.  The other points
+    fall into groups by the class of z, which is that of
+    det(P, P_j)*conj(det(P, P_i)), and each group is one subline's.  A
+    subline through three or more points is recorded at its two smallest
+    indices; the counts of the module docstring give the rest.  O(k^3).
     """
-    out = []
-    for j, k in itertools.combinations(range(4), 2):
-        free = [(0, c) for c in range(j + 1, 4) if c != k]
-        free += [(1, c) for c in range(k + 1, 4)]
-        for values in itertools.product(range(field.p), repeat=len(free)):
-            rows = [[0] * 4, [0] * 4]
-            rows[0][j] = rows[1][k] = 1
-            for (r, c), x in zip(free, values):
-                rows[r][c] = x
-            out.append(GeneratorPair(f4_to_deg1(rows[0]), f4_to_deg1(rows[1])))
-    return out
+    F, p, k = field, field.p, len(points)
+    det = [[F.sub(F.mul(P[0], Q[1]), F.mul(P[1], Q[0])) for Q in points] for P in points]
+    conj = [[F.conj(d) for d in row] for row in det]
+    met: Dict[Tuple[int, ...], int] = {}
+    for i, j in itertools.combinations(range(k), 2):
+        groups: Dict[int, List[int]] = {}
+        for m in range(k):
+            if m != i and m != j:
+                groups.setdefault(_f_class(p, F.mul(det[m][j], conj[m][i])), []).append(m)
+        met[(i, j)] = p + 1 - len(groups)
+        for members in groups.values():
+            if members[0] > j:
+                met[(i, j, *members)] = 1
+    through = [p * (p + 1)] * k
+    for s, n in met.items():
+        for i in s:
+            through[i] -= n
+    for i, n in enumerate(through):
+        met[(i,)] = n
+    met[()] = p * (p * p + 1) - sum(met.values())
+    return {tuple(int(i in s) for i in range(k)): n for s, n in met.items() if n}
+
+
+def _key_counts(amb: _Ambient, raw: bool) -> Dict[Tuple[int, ...], int]:
+    """The E-independent pairs of a scan per d-key, read off the sublines.
+
+    A key S holds (p + 1)*|GL_2(F)|*N(S) raw pairs, or (p + 1)*N(S)
+    normalized ones when S misses Ey, which is ``amb.points[0]`` (C_2) in
+    standard form, and none when S holds it.
+    """
+    F = amb.pres.field
+    p = F.p
+    weight = (p + 1) * (p * p - 1) * (p * p - p) if raw else p + 1
+    return {
+        key: weight * n
+        for key, n in _subline_counts(F, amb.points).items()
+        if raw or not key[0]
+    }
 
 
 @record
@@ -303,37 +356,58 @@ def _check_scan_budget(cost: int, unit: str, window: int) -> None:
         )
 
 
+def _meet(p: int, line: Tuple[EElem, EElem], other: Tuple[EElem, EElem]) -> Optional[EElem]:
+    """The common point of two distinct affine F-lines a + F*u of E = F^2,
+    given as (a, u), or None if they are parallel."""
+    (a, u), (b, w) = line, other
+    den = _f_det(p, u, w)
+    if not den:
+        return None
+    s = _f_det(p, ((b[0] - a[0]) % p, (b[1] - a[1]) % p), w) * pow(den, p - 2, p) % p
+    return ((a[0] + s * u[0]) % p, (a[1] + s * u[1]) % p)
+
+
 def count_thin_by_line_avoidance(
     pres: MaxClassPresentation,
     window: Optional[int] = None,
     centralizers: Optional[CentralizerSequence] = None,
 ) -> int:
-    """Count thin normalized pairs combinatorially, without generating L.
+    """Count thin normalized pairs by affine lines, without the sublines.
 
     A normalized pair (beta, delta) is thin iff it is E-independent
     (delta != mu*beta) and, for every lambda with E(x + lambda*y) an
     occurring centralizer, the extension elements beta - lambda and
     delta - lambda*mu are F-independent.  The Ey condition holds for every
-    normalized pair since (1, mu) is an F-independent pair.  Walks all q^2
-    pairs, so it is charged like the normalized ``scan``.  ``centralizers``
-    is pres's centralizer sequence, computed here when not given.
+    normalized pair since (1, mu) is an F-independent pair.  So no pair
+    with beta = lambda is thin.  For any other beta, the delta that fail
+    at lambda form the affine F-line lambda*mu + F*(beta - lambda) of
+    E = F^2.  mu*beta lies on none of these lines, and two lambdas give
+    two distinct lines, since equal ones would put mu in F.  So beta has
+    q - 1 thin partners less the union of the lines: p points per line,
+    less m - 1 at each point where m >= 2 of them meet.  O(q*k^2) for k
+    points.  It refuses the inputs the normalized ``scan`` refuses
+    (q^2 pairs).  ``centralizers`` is pres's centralizer sequence,
+    computed here when not given.
     """
     F = pres.field
+    p, q = F.p, F.order
     window = pres.class_n if window is None else window
-    _check_scan_budget(F.order**2, "pairs", window)
+    _check_scan_budget(q * q, "pairs", window)
     seq = two_step_centralizers(pres) if centralizers is None else centralizers
     points = seq.distinct(window)
-    lams = [pt[1] for pt in points if pt != ey_point(F)]
+    lams = {pt[1] for pt in points if pt != ey_point(F)}
     count = 0
     for be in F.elements():
-        for de in F.elements():
-            if de == F.mul(F.mu, be):
-                continue
-            if all(
-                _f_independent(F, F.sub(be, lam), F.sub(de, F.mul(lam, F.mu)))
-                for lam in lams
-            ):
-                count += 1
+        if be in lams:
+            continue
+        lines = [(F.mul(lam, F.mu), F.sub(be, lam)) for lam in lams]
+        on: Dict[EElem, set] = {}
+        for (i, line), (j, other) in itertools.combinations(enumerate(lines), 2):
+            z = _meet(p, line, other)
+            if z is not None:
+                on.setdefault(z, set()).update((i, j))
+        covered = p * len(lines) - sum(len(through) - 1 for through in on.values())
+        count += q - 1 - covered
     return count
 
 
@@ -344,17 +418,19 @@ def scan(
 ) -> ScanTable:
     """Classify every canonical generator pair and tabulate the verdicts.
 
-    The pairs are counted by d-key (``_d_key``), and each key is
-    classified once, since a verdict depends on d alone.
+    The pairs are counted by d-key from the Baer sublines through the
+    centralizer points (``_key_counts``, the module docstring), without
+    walking them, and each key is classified once, since a verdict depends
+    on d alone.
 
     In normalized mode the direct thin count is cross-checked against the
     independent line-avoidance count; the two totals must agree exactly.
-    In raw mode each F-plane is keyed once and counted |GL_2(F)|
-    times, once per ordered basis (X, Y); the E-dependent pairs make up
-    the rest of the q^4 - 1.  Raises WindowTooLarge, before any pair is
-    built, when the number of pairs or planes it keys (q^2 pairs normalized,
-    (p^2 + 1)(p^2 + p + 1) planes raw) times the window exceeds SCAN_BUDGET.
-    The centralizer sequence is computed once, for all three.
+    In raw mode each E-independent F-plane counts |GL_2(F)| times, once
+    per ordered basis (X, Y); the E-dependent pairs make up the rest of
+    the q^4 - 1.  Raises WindowTooLarge when the number of pairs or planes
+    it stands for (q^2 pairs normalized, (p^2 + 1)(p^2 + p + 1) planes
+    raw) times the window exceeds SCAN_BUDGET.  The centralizer sequence
+    is computed once, for all three.
     """
     F = pres.field
     seq = two_step_centralizers(pres)
@@ -366,21 +442,10 @@ def scan(
     cost, unit = ((p * p + 1) * (p * p + p + 1), "planes") if raw else (count, "pairs")
     _check_scan_budget(cost, unit, window)
     amb = _Ambient(pres, window, seq)
-    pairs = f_planes(F) if raw else normalized_pairs(F)
-    # in raw mode |GL_2(F)|, the number of ordered bases of a plane
-    weight = (q - 1) * (q - p) if raw else 1
-
-    # pairs per d-key; each key is classified once below
-    keys: Dict[Tuple[int, ...], int] = {}
-    for g in pairs:
-        if g.is_degenerate(F):
-            continue
-        key = _d_key(amb, g)
-        keys[key] = keys.get(key, 0) + weight
 
     counts = {"thin": 0, "maximal": 0, "rconstrained": 0}
     gaps: Dict[str, int] = {}
-    for key, n in keys.items():
+    for key, n in _key_counts(amb, raw).items():
         v = _classify([key[k] for k in amb.slots], window)
         counts[v.kind] += n
         if v.kind == "rconstrained":

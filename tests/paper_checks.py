@@ -39,15 +39,22 @@ them by other means:
   (``space`` and ``express`` read vectors in it), which the package
   dropped because no subcommand reads a basis row: it keeps only the
   dimensions;
-* ``quotient``, ``image``, ``raw_pairs``, ``ad_gen`` and ``bracket_vec``
-  are the test-support truncation, the full image of a basis row under a
-  representation, every generator pair, and the bracket of homogeneous
-  elements in F-coordinates.
+* ``pair_walk_keys`` is the scan's walk over every normalized pair
+  (``normalized_pairs``) or every F-plane (``f_planes``), which
+  ``subfield._key_counts`` replaced by counting the Baer sublines through
+  the centralizer points, and ``line_avoidance_walk`` is the pair-by-pair
+  line-avoidance count that ``subfield.count_thin_by_line_avoidance``
+  replaced by counting affine lines;
+* ``quotient``, ``image``, ``raw_pairs``, ``ad_gen``, ``bracket_vec`` and
+  ``f4_to_deg1`` are the test-support truncation, the full image of a
+  basis row under a representation, every generator pair, the bracket of
+  homogeneous elements in F-coordinates, and a degree-1 element from its
+  F-coordinates.
 """
 
 from __future__ import annotations
 
-from itertools import chain, product
+from itertools import chain, combinations, product
 
 from int_kernel import RowSpace, combine, mat_mul, solve, span
 from thinlie import endo
@@ -163,6 +170,74 @@ def image(rep, d, r):
     return {s: F.mul(e, entry(d, s)) for s in slots}
 
 
+def f4_to_deg1(vec):
+    """The degree-1 element with F-coordinates (a0, a1, b0, b1): (A, B)."""
+    return ((vec[0], vec[1]), (vec[2], vec[3]))
+
+
+def normalized_pairs(field):
+    """Canonical representatives X = x + beta*y, Y = mu*x + delta*y."""
+    out = []
+    for be in field.elements():
+        for de in field.elements():
+            out.append(sf.GeneratorPair((field.one, be), (field.mu, de)))
+    return out
+
+
+def f_planes(field):
+    """Every F-plane of M_1 = F^4 once, as the pair of its two rref rows.
+
+    A plane with pivot columns j < k has free entries in row X at the
+    columns after j other than k, and in row Y at the columns after k.
+    """
+    out = []
+    for j, k in combinations(range(4), 2):
+        free = [(0, c) for c in range(j + 1, 4) if c != k]
+        free += [(1, c) for c in range(k + 1, 4)]
+        for values in product(range(field.p), repeat=len(free)):
+            rows = [[0] * 4, [0] * 4]
+            rows[0][j] = rows[1][k] = 1
+            for (r, c), x in zip(free, values):
+                rows[r][c] = x
+            out.append(sf.GeneratorPair(f4_to_deg1(rows[0]), f4_to_deg1(rows[1])))
+    return out
+
+
+def pair_walk_keys(amb, raw=False):
+    """The scan's pairs per d-key, by walking them: every E-independent
+    normalized pair, or every E-independent F-plane weighted by
+    |GL_2(F)|, keyed by ``subfield._d_key``.  This is the scan before
+    ``subfield._key_counts`` read the keys off the Baer sublines."""
+    F = amb.pres.field
+    weight = (F.order - 1) * (F.order - F.p) if raw else 1
+    keys = {}
+    for g in f_planes(F) if raw else normalized_pairs(F):
+        if not g.is_degenerate(F):
+            key = sf._d_key(amb, g)
+            keys[key] = keys.get(key, 0) + weight
+    return keys
+
+
+def line_avoidance_walk(pres, window=None, centralizers=None):
+    """``subfield.count_thin_by_line_avoidance`` pair by pair: the q^2
+    normalized pairs (beta, delta), each tested at every lambda."""
+    F = pres.field
+    window = pres.class_n if window is None else window
+    seq = mc.two_step_centralizers(pres) if centralizers is None else centralizers
+    lams = [pt[1] for pt in seq.distinct(window) if pt != mc.ey_point(F)]
+    count = 0
+    for be in F.elements():
+        for de in F.elements():
+            if de == F.mul(F.mu, be):
+                continue
+            if all(
+                sf._f_independent(F, F.sub(be, lam), F.sub(de, F.mul(lam, F.mu)))
+                for lam in lams
+            ):
+                count += 1
+    return count
+
+
 def raw_pairs(field):
     """Every generator pair but (0, 0), (0, 0), in ``field.elements()`` order."""
     elems = list(field.elements())
@@ -184,7 +259,7 @@ def ad_gen(pres, degree, vec, gen):
     if degree + 1 > pres.class_n:
         return (0, 0)
     if degree == 1:
-        (A, B), (al, be) = sf.f4_to_deg1(vec), gen
+        (A, B), (al, be) = f4_to_deg1(vec), gen
         return F.sub(F.mul(B, al), F.mul(A, be))  # [Ax+By, alpha x + beta y]
     return F.mul((vec[0], vec[1]), phi_at(mc.tables(pres), degree, gen))
 
@@ -200,9 +275,9 @@ def bracket_vec(pres, deg_u, u, deg_w, w):
     if deg_u + deg_w > pres.class_n:
         return (0, 0)
     if deg_w == 1:
-        return ad_gen(pres, deg_u, u, sf.f4_to_deg1(w))
+        return ad_gen(pres, deg_u, u, f4_to_deg1(w))
     if deg_u == 1:
-        img = ad_gen(pres, deg_w, w, sf.f4_to_deg1(u))
+        img = ad_gen(pres, deg_w, w, f4_to_deg1(u))
         return F.neg(img)
     cu = (u[0], u[1])
     cw = (w[0], w[1])
@@ -1207,7 +1282,7 @@ def _row_scalar(an, degree):
 
 def _rows(an):
     """The rows r1, r2 of T_1 as extension pairs (alpha, beta): alpha*x + beta*y."""
-    return [sf.f4_to_deg1(row) for row in basis(an, 1)]
+    return [f4_to_deg1(row) for row in basis(an, 1)]
 
 
 def _reader(rep, gens, low):
@@ -1348,7 +1423,7 @@ def build_rho_prime(analysis, flags):
     inv = rep.inv
     for r, t in enumerate(basis(an, 1)):
         alpha, _ = solve(F.p, [X4, Y4], t)
-        g = sf.f4_to_deg1(t)
+        g = f4_to_deg1(t)
         rep.images[r] = {1: (alpha % F.p, 0), 2: F.mul(F.mul(c, phi_at(st, 2, g)), inv[3])}
     for d in range(2, window):
         m = {1: F.neg(F.mul(phi_at(st, d, an.pair.Y), inv[d + 1]))}

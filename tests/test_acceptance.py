@@ -72,7 +72,7 @@ def test_criterion_3_exhaustive_equivalence(f4, f9, dev4_12, dev9_12):
     with _Timer("criterion 3: thin <=> covering+dims <=> line criterion", 60.0):
         disagreements = 0
         for field, pres in instances:
-            for g in sf.normalized_pairs(field):
+            for g in pc.normalized_pairs(field):
                 if g.is_degenerate(field):
                     continue
                 an = sf.generate_subalgebra(pres, g, 12)

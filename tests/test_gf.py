@@ -138,6 +138,25 @@ class TestArithmetic:
         a = (2, 3)
         assert f.mul(f.pow(a, -2), f.pow(a, 2)) == f.one
 
+    @pytest.mark.parametrize("p", PRIMES)
+    def test_scale_and_inv_reduce(self, p):
+        """``scale`` and ``inv`` return coordinates in [0, p) for scalars
+        c >= p and c < 0 and for unreduced inputs, equal to the result on
+        the reduced scalar and element."""
+        f = _field(p)
+        for a in f.elements():
+            for c in range(-2 * p, 3 * p):
+                got = f.scale(c, a)
+                assert all(0 <= x < p for x in got), (c, a)
+                assert got == f.mul((c % p, 0), a), (c, a)
+            for shift in ((p, 0), (0, p), (-p, 2 * p), (-3 * p, -p)):
+                raw = (a[0] + shift[0], a[1] + shift[1])
+                assert f.scale(p + 1, raw) == a
+                if not f.is_zero(a):
+                    got = f.inv(raw)
+                    assert all(0 <= x < p for x in got), raw
+                    assert got == f.inv(a), raw
+
 
 class TestRref:
     def test_identity(self):

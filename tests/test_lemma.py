@@ -53,12 +53,19 @@ is kept here as its oracle.
 the d-values by the dimension lemma (the ``subfield`` module docstring)
 and, for an E-dependent pair, off rank_F{X, Y} by its 2x2 minors
 (``subfield._f_rank``); each d-value is one F-determinant per distinct
-centralizer point (``subfield._d_key``), a raw ``scan`` classifies each
-F-plane of L_1 once, weighted by |GL_2(F)|, and ``scan`` classifies once
+centralizer point (``subfield._d_key``), and ``scan`` classifies once
 per d-key.  The degree-by-degree RowSpace generation (against the
 closed-form bases of ``paper_checks.bases``), the RowSpace rank, the
 RowSpace d-values (one span per degree) and the pair-by-pair scan, which
 classifies each pair through those d-values, are kept here as oracles.
+``scan`` reads its pairs per d-key off the Baer sublines through the
+centralizer points (``subfield._key_counts``), and its thin count off
+affine F-lines (``subfield.count_thin_by_line_avoidance``).  The walks
+they replaced (``paper_checks.pair_walk_keys`` over every normalized
+pair or F-plane, and ``paper_checks.line_avoidance_walk``) are compared
+with them on every searched presentation put in standard form and on
+constructed point sets over GF(9) and GF(25), where the sublines are
+also enumerated plane by plane.
 
 ``endo.identify_field`` reads End_0(L^3) and its field off dim L_3 and
 (p, u, v) (the closed form in the ``endo`` docstring).  The ring solve on
@@ -1168,7 +1175,7 @@ def oracle_scan(pres, window=None, raw=False):
     seq = mc.two_step_centralizers(pres)
     q = F.order
     count = q**4 - 1 if raw else q * q
-    pairs = list(pc.raw_pairs(F)) if raw else sf.normalized_pairs(F)
+    pairs = list(pc.raw_pairs(F)) if raw else pc.normalized_pairs(F)
 
     counts = {"thin": 0, "maximal": 0, "rconstrained": 0, "degenerate": 0}
     gaps = {}
@@ -1185,7 +1192,7 @@ def oracle_scan(pres, window=None, raw=False):
     thin_by_lines = None
     agree = None
     if not raw:
-        thin_by_lines = sf.count_thin_by_line_avoidance(pres, window)
+        thin_by_lines = pc.line_avoidance_walk(pres, window)
         agree = thin_by_lines == counts["thin"]
     return sf.ScanTable(
         window=window,
@@ -1225,7 +1232,7 @@ def test_generate_matches_rowspace(request, f9, which, raw, windows):
         else request.getfixturevalue(which)
     )
     F = pres.field
-    pairs = list(pc.raw_pairs(F)) if raw else sf.normalized_pairs(F)
+    pairs = list(pc.raw_pairs(F)) if raw else pc.normalized_pairs(F)
     kinds = set()
     for window in windows:
         amb = sf._Ambient(pres, window)
@@ -1270,14 +1277,14 @@ def test_d_key_matches_rowspace_on_every_raw_pair(dev25_14):
     amb = sf._Ambient(dev25_14, 14)
     gl2 = [m for m in itertools.product(range(p), repeat=4) if (m[0] * m[3] - m[1] * m[2]) % p]
     pairs = 0
-    for plane in sf.f_planes(F):
+    for plane in pc.f_planes(F):
         if plane.is_degenerate(F):
             continue
         r0, r1 = sf.deg1_to_f4(plane.X), sf.deg1_to_f4(plane.Y)
         want = oracle_d_values(span(p, [r0, r1], 4), amb.centralizers, 14)
         for a, b, c, d in gl2:
-            X = sf.f4_to_deg1([(a * s + b * t) % p for s, t in zip(r0, r1)])
-            Y = sf.f4_to_deg1([(c * s + d * t) % p for s, t in zip(r0, r1)])
+            X = pc.f4_to_deg1([(a * s + b * t) % p for s, t in zip(r0, r1)])
+            Y = pc.f4_to_deg1([(c * s + d * t) % p for s, t in zip(r0, r1)])
             key = sf._d_key(amb, sf.GeneratorPair(X, Y))
             assert tuple(key[k] for k in amb.slots) == want, (X, Y)
             pairs += 1
@@ -1286,7 +1293,7 @@ def test_d_key_matches_rowspace_on_every_raw_pair(dev25_14):
 
 def _rank_pair(p, x, y):
     """The closed-form rank_F{X, Y} and its RowSpace oracle for two F^4 rows."""
-    g = sf.GeneratorPair(sf.f4_to_deg1(x), sf.f4_to_deg1(y))
+    g = sf.GeneratorPair(pc.f4_to_deg1(x), pc.f4_to_deg1(y))
     return sf._f_rank(p, g), span(p, [x, y], 4).dim
 
 
@@ -1347,7 +1354,7 @@ def test_f_planes(p, u, v):
     ones, times |GL_2(F)| ordered bases each, are the |GL_2(E)| raw pairs
     that are not degenerate."""
     F = make_ext_field(p, u, v)
-    planes = sf.f_planes(F)
+    planes = pc.f_planes(F)
     rows = [(sf.deg1_to_f4(g.X), sf.deg1_to_f4(g.Y)) for g in planes]
     assert len(set(rows)) == len(rows)
     for pair in rows:
@@ -1356,6 +1363,119 @@ def test_f_planes(p, u, v):
     q = p * p
     independent = sum(1 for g in planes if not g.is_degenerate(F))
     assert independent * (p**2 - 1) * (p**2 - p) == (q**2 - 1) * (q**2 - q)
+
+
+# -- the scan in closed form: Baer sublines against the walks -----------------
+
+
+def _assert_scan_counts(amb):
+    """The subline key counts, in both modes, and the affine-line thin
+    count against the pair walks they replaced."""
+    for raw in (False, True):
+        assert sf._key_counts(amb, raw) == pc.pair_walk_keys(amb, raw), (amb.points, raw)
+    args = (amb.pres, amb.window, amb.centralizers)
+    assert sf.count_thin_by_line_avoidance(*args) == pc.line_avoidance_walk(*args), amb.points
+
+
+@pytest.mark.parametrize(
+    "which, sizes",
+    [
+        ("search4_12", {1, 2, 3}),
+        ("search4_24", {1, 2, 3, 4}),
+        ("search9_12", {1, 2}),
+        ("search9_14", {1, 2, 3}),
+        ("search25_12", {1, 2}),
+        ("search25_14", {1, 2}),
+    ],
+)
+def test_key_counts_match_pair_walk_on_searched(request, which, sizes):
+    """On every searched presentation, put in standard form by
+    ``maxclass.standardize`` of its centralizers, at every window.  The
+    counts depend on the distinct points alone, so each point set is
+    checked once; ``sizes`` are the numbers of points that occur."""
+    if which == "search4_24":
+        found = mc.search_sequences(make_ext_field(2, 1, 1), 24, 10**9)
+    else:
+        found = request.getfixturevalue(which)
+    seen = {}
+    for pres in found:
+        seq = mc.standardize(mc.two_step_centralizers(pres))
+        for window in range(4, pres.class_n + 1):
+            seen.setdefault(tuple(seq.distinct(window)), (pres, window, seq))
+    for pres, window, seq in seen.values():
+        _assert_scan_counts(sf._Ambient(pres, window, seq))
+    assert {len(points) for points in seen} == sizes
+
+
+def _all_sublines(F):
+    """Every Baer subline of P^1(E), by enumerating the F-planes: B(U) is
+    the set of normalized points of alpha*X + beta*Y, (alpha : beta) in
+    P^1(F), for each E-independent plane U = span_F{X, Y}."""
+    sublines = {}
+    for g in pc.f_planes(F):
+        if g.is_degenerate(F):
+            continue
+        on = set()
+        for a, b in [(1, t) for t in range(F.p)] + [(0, 1)]:
+            A = F.add(F.scale(a, g.X[0]), F.scale(b, g.Y[0]))
+            B = F.add(F.scale(a, g.X[1]), F.scale(b, g.Y[1]))
+            on.add(mc.ey_point(F) if F.is_zero(A) else (F.one, F.div(B, A)))
+        sublines[frozenset(on)] = sublines.get(frozenset(on), 0) + 1
+    p = F.p
+    assert {len(b) for b in sublines} == {p + 1}
+    assert set(sublines.values()) == {p + 1}
+    assert len(sublines) == p * (p * p + 1)
+    return list(sublines)
+
+
+def _constructed_point_sets(F, rng):
+    """Sets of 4-6 points with Ey first: random ones, and ones holding 4,
+    5 or 6 points of the subline P^1(F) = {Ey} + {(1 : t) : t in F}."""
+    ey = mc.ey_point(F)
+    others = [(F.one, lam) for lam in F.elements()]
+    sets = [[ey] + rng.sample(others, 3 + n % 3) for n in range(12)]
+    on_f = [(F.one, (t, 0)) for t in range(F.p)]
+    for k in (4, 5, 6):
+        base = on_f[: k - 1]
+        rest = [pt for pt in others if pt not in base]
+        sets.append([ey] + base + rng.sample(rest, k - 1 - len(base)))
+    return sets
+
+
+@pytest.mark.parametrize("p, u, v", [(3, 0, 2), (5, 0, 2)], ids=["9", "25"])
+def test_subline_counts_match_plane_enumeration(p, u, v):
+    """``subfield._subline_counts`` against the sublines enumerated plane
+    by plane, on constructed sets of 4-6 points (searches give such sets
+    only over GF(4)); on the same sets the scan's counts match the walks.
+    Sublines through 4 points, and through all p + 1 of P^1(F), occur."""
+    F = make_ext_field(p, u, v)
+    sublines = _all_sublines(F)
+    rng = random.Random(f"sublines-{p}")
+    largest = set()
+    for points in _constructed_point_sets(F, rng):
+        want = {}
+        for b in sublines:
+            key = tuple(int(pt in b) for pt in points)
+            want[key] = want.get(key, 0) + 1
+        got = sf._subline_counts(F, points)
+        assert got == want, points
+        largest.add(max(sum(key) for key in got))
+        class_n = len(points) + 2
+        seq = mc.CentralizerSequence(F, tuple(points))
+        _assert_scan_counts(sf._Ambient(mc.make_metabelian(F, class_n), class_n, seq))
+    assert 4 in largest and p + 1 in largest
+
+
+@pytest.mark.parametrize("p, u, v", [(2, 1, 1), (3, 0, 2), (5, 0, 2), (7, 0, 3)])
+def test_subline_counts_on_the_whole_line(p, u, v):
+    """With every point of P^1(E) given, each subline meets them in its
+    p + 1 points, and the p(p^2 + 1) sublines are all distinct keys."""
+    F = make_ext_field(p, u, v)
+    points = [mc.ey_point(F)] + [(F.one, lam) for lam in F.elements()]
+    got = sf._subline_counts(F, points)
+    assert set(got.values()) == {1}
+    assert {sum(key) for key in got} == {p + 1}
+    assert len(got) == p * (p * p + 1)
 
 
 # -- the endomorphism field ------------------------------------------------------
@@ -1459,7 +1579,7 @@ def test_closed_form_matches_propagation(request, which):
     F = pres.field
     rng = random.Random(f"closed-form-{which}")
     if which.startswith("metabelian"):
-        pairs = [g for g in sf.normalized_pairs(F) if not g.is_degenerate(F)]
+        pairs = [g for g in pc.normalized_pairs(F) if not g.is_degenerate(F)]
         if F.p > 3:
             pairs = rng.sample(pairs, _CLOSED_FORM_SAMPLE)
     elif F.p == 3:
@@ -1539,7 +1659,7 @@ def test_identify_field_matches_ring_on_every_pair(request, which, embeddings):
     pres = _presentation(request, which)
     F = pres.field
     seen = set()
-    for g in pc.raw_pairs(F) if F.p == 2 else sf.normalized_pairs(F):
+    for g in pc.raw_pairs(F) if F.p == 2 else pc.normalized_pairs(F):
         if g.is_degenerate(F):
             continue
         an = sf.generate_subalgebra(pres, g)

@@ -454,7 +454,7 @@ def test_roundtrip_matches_oracle(f4, search9_14):
     ]
     seen = Counter()
     for field, found in cases:
-        pairs = sf.normalized_pairs(field)
+        pairs = pc.normalized_pairs(field)
         for pres in filter(mc.is_standard, found):
             for pair in pairs:
                 for window in range(7, pres.class_n + 1):

@@ -250,7 +250,7 @@ class TestLineCriterion:
         assert sf.generate_subalgebra(dev9_12, g, 12).verdict.kind == "thin"
 
     def test_contract_with_classify(self, f9, dev9_12):
-        for g in sf.normalized_pairs(f9):
+        for g in pc.normalized_pairs(f9):
             if g.is_degenerate(f9):
                 continue
             res = pc.thin_line_criterion(dev9_12, g, 12)
@@ -285,7 +285,7 @@ class TestScan:
 
     def test_budget_covers_existing_scans(self):
         # (p, raw, window): the largest scans of the tests and the benchmark;
-        # a raw scan classifies the (p^2 + 1)(p^2 + p + 1) F-planes
+        # a raw scan is charged for the (p^2 + 1)(p^2 + p + 1) F-planes
         scans = ((5, False, 40), (7, False, 20), (5, False, 14), (3, True, 14), (5, True, 6))
         for p, raw, window in scans:
             cost = (p * p + 1) * (p * p + p + 1) if raw else p**4
@@ -312,7 +312,7 @@ class TestScan:
         assert t.thin_by_lines is None and t.agree is None
         avoiding = sum(
             1
-            for g in sf.f_planes(f9)
+            for g in pc.f_planes(f9)
             if not g.is_degenerate(f9) and pc.thin_line_criterion(dev9_14, g, 14).avoided
         )
         assert t.counts["thin"] == (3**2 - 1) * (3**2 - 3) * avoiding
@@ -332,7 +332,7 @@ class TestScan:
         del calls[:]
         sf.scan(dev9_14, 14, raw=True)
         amb = sf._Ambient(dev9_14, 14)
-        keys = {sf._d_key(amb, g) for g in sf.f_planes(f9) if not g.is_degenerate(f9)}
+        keys = {sf._d_key(amb, g) for g in pc.f_planes(f9) if not g.is_degenerate(f9)}
         assert 1 < len(calls) <= len(keys)
 
     @pytest.mark.parametrize("raw", [False, True], ids=["normalized", "raw"])
