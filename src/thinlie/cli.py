@@ -8,11 +8,19 @@ tables go to stderr.  Exit codes: 0 success, 1 mathematical-check failure,
 below 1, a scan over its budget, a coordinate outside [0, p) and p >= 2^64),
 file-schema or OS error (including a closed, broken or full stdout), or an
 interrupt.
+
+The command line follows argparse's rules: options and positionals in
+any order, the last occurrence of an option winning, ``--opt value``,
+``--opt=value`` and ``-oVALUE``, any unique prefix of a long option
+(``--win 12``), and ``--`` before positionals that begin with ``-``.  A
+usage error returns 2 after a ``usage:`` line and a ``thinlie <cmd>:
+error: ...`` line on stderr; ``-h``/``--help`` and ``--version`` write
+to stdout and return 0.  ``main`` returns every code and raises no
+``SystemExit``.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import sys
 
@@ -270,78 +278,320 @@ def cmd_stats(args) -> int:
 
 
 # -- argument parsing -----------------------------------------------------------
+#
+# The command line is parsed by hand, by the rules of the standard library's
+# argparse (Python 3.11) for the parser that ``tests/argparse_oracle.py``
+# keeps, and ``tests/test_argv.py`` checks the two against each other.
+# Each parser is a row (prog, usage, help body, actions), and an action is
+# (option strings, dest, kind, required, default).  The option strings of
+# a positional are empty.  A kind is a converter of one value (``str``,
+# ``int``, ``_parse_ext``), a tuple of choices, or one of the value-less
+# kinds "help", "version" and "store_true"; the top-level positional has
+# kind "parser" and takes the subcommand and every token after it.  The
+# help and usage text is argparse's at 80 columns.
+
+_HELP = (("-h", "--help"), None, "help", False, None)
+_NO_VALUE = ("help", "version", "store_true")
+_FILE = ((), "file", str, True, None)
+_WINDOW = (("--window",), "window", int, False, None)
+_FILE_BODY = "\npositional arguments:\n  file\n\noptions:\n  -h, --help  show this help message and exit\n"
+_PAIR_ACTIONS = (
+    _HELP,
+    _FILE,
+    (("--X",), "X", str, True, None),
+    (("--Y",), "Y", str, True, None),
+    _WINDOW,
+)
+_PAIR_BODY = (
+    "\npositional arguments:\n  file\n\noptions:\n"
+    "  -h, --help       show this help message and exit\n"
+    "  --X a0,a1,b0,b1\n  --Y a0,a1,b0,b1\n  --window WINDOW\n"
+)
+
+_TOP = (
+    "thinlie",
+    "usage: thinlie [-h] [--version]\n"
+    "               {build,check,analyze,endo,roundtrip,scan,stats} ...\n",
+    "\nExact computations with maximal-class Lie algebras over GF(p^2) and their\n"
+    "GF(p)-subalgebras.\n\n"
+    "positional arguments:\n"
+    "  {build,check,analyze,endo,roundtrip,scan,stats}\n"
+    "    build               write algebra files\n"
+    "    check               validate an algebra file\n"
+    "    analyze             classify the subalgebra generated by X and Y\n"
+    "    endo                degree-0 endomorphism ring of L^3\n"
+    "    roundtrip           rebuild N from a thin pair and compare\n"
+    "    scan                classify all normalized generator pairs (--raw: every\n"
+    "                        F-plane of L_1)\n"
+    "    stats               centralizer occurrence diagnostics\n\n"
+    "options:\n"
+    "  -h, --help            show this help message and exit\n"
+    "  --version             show program's version number and exit\n",
+    (_HELP, (("--version",), None, "version", False, None), ((), "command", "parser", True, None)),
+)
+
+_COMMANDS = {
+    "build": (
+        "thinlie build",
+        "usage: thinlie build [-h] --p P --ext v,u --class CLASS_N [--limit LIMIT]\n"
+        "                     [-o OUTPUT]\n"
+        "                     {metabelian,search}\n",
+        "\npositional arguments:\n  {metabelian,search}\n\noptions:\n"
+        "  -h, --help            show this help message and exit\n"
+        "  --p P                 prime modulus\n"
+        "  --ext v,u             defining quadratic mu^2 = u*mu + v\n"
+        "  --class CLASS_N\n  --limit LIMIT\n  -o OUTPUT, --output OUTPUT\n",
+        (
+            _HELP,
+            ((), "kind", ("metabelian", "search"), True, None),
+            (("--p",), "p", int, True, None),
+            (("--ext",), "ext", _parse_ext, True, None),
+            (("--class",), "class_n", int, True, None),
+            (("--limit",), "limit", int, False, 10),
+            (("-o", "--output"), "output", str, False, None),
+        ),
+    ),
+    "check": ("thinlie check", "usage: thinlie check [-h] file\n", _FILE_BODY, (_HELP, _FILE)),
+    "analyze": (
+        "thinlie analyze",
+        "usage: thinlie analyze [-h] --X a0,a1,b0,b1 --Y a0,a1,b0,b1 [--window WINDOW]\n"
+        "                       file\n",
+        _PAIR_BODY,
+        _PAIR_ACTIONS,
+    ),
+    "endo": (
+        "thinlie endo",
+        "usage: thinlie endo [-h] --X a0,a1,b0,b1 --Y a0,a1,b0,b1 [--window WINDOW]\n"
+        "                    file\n",
+        _PAIR_BODY,
+        _PAIR_ACTIONS,
+    ),
+    "roundtrip": (
+        "thinlie roundtrip",
+        "usage: thinlie roundtrip [-h] --X a0,a1,b0,b1 --Y a0,a1,b0,b1\n"
+        "                         [--window WINDOW]\n"
+        "                         file\n",
+        _PAIR_BODY,
+        _PAIR_ACTIONS,
+    ),
+    "scan": (
+        "thinlie scan",
+        "usage: thinlie scan [-h] [--window WINDOW] [--raw] file\n",
+        "\npositional arguments:\n  file\n\noptions:\n"
+        "  -h, --help       show this help message and exit\n"
+        "  --window WINDOW\n"
+        "  --raw            classify each F-plane of L_1 once and weight it by\n"
+        "                   |GL_2(F)|, its number of ordered bases (X, Y), instead of\n"
+        "                   the normalized pairs\n",
+        (_HELP, _FILE, _WINDOW, (("--raw",), "raw", "store_true", False, False)),
+    ),
+    "stats": ("thinlie stats", "usage: thinlie stats [-h] file\n", _FILE_BODY, (_HELP, _FILE)),
+}
 
 
-def build_parser() -> argparse.ArgumentParser:
-    top = argparse.ArgumentParser(
-        prog="thinlie",
-        description="Exact computations with maximal-class Lie algebras over GF(p^2) "
-        "and their GF(p)-subalgebras.",
-    )
-    top.add_argument("--version", action="version", version=f"thinlie {__version__}")
-    sub = top.add_subparsers(dest="command", required=True)
+class _Exit(Exception):
+    """Ends ``main`` with ``code`` once ``text`` is written: help and the
+    version on stdout, a usage error on stderr."""
 
-    b = sub.add_parser("build", help="write algebra files")
-    b.add_argument("kind", choices=["metabelian", "search"])
-    b.add_argument("--p", type=int, required=True, help="prime modulus")
-    b.add_argument(
-        "--ext",
-        type=_parse_ext,
-        required=True,
-        metavar="v,u",
-        help="defining quadratic mu^2 = u*mu + v",
-    )
-    b.add_argument("--class", dest="class_n", type=int, required=True)
-    b.add_argument("--limit", type=int, default=10)
-    b.add_argument("-o", "--output", default=None)
-    b.set_defaults(func=cmd_build)
+    def __init__(self, code: int, text: str):
+        super().__init__(code, text)
+        self.code = code
+        self.text = text
 
-    c = sub.add_parser("check", help="validate an algebra file")
-    c.add_argument("file")
-    c.set_defaults(func=cmd_check)
 
-    def add_pair_args(p):
-        p.add_argument("file")
-        p.add_argument("--X", required=True, metavar="a0,a1,b0,b1")
-        p.add_argument("--Y", required=True, metavar="a0,a1,b0,b1")
-        p.add_argument("--window", type=int, default=None)
+class _Args:
+    """The parsed command line: one attribute per dest."""
 
-    a = sub.add_parser("analyze", help="classify the subalgebra generated by X and Y")
-    add_pair_args(a)
-    a.set_defaults(func=cmd_analyze)
+    def __init__(self, fields: dict):
+        self.__dict__.update(fields)
 
-    e = sub.add_parser("endo", help="degree-0 endomorphism ring of L^3")
-    add_pair_args(e)
-    e.set_defaults(func=cmd_endo)
 
-    r = sub.add_parser("roundtrip", help="rebuild N from a thin pair and compare")
-    add_pair_args(r)
-    r.set_defaults(func=cmd_roundtrip)
+def _usage_error(parser: tuple, message: str) -> _Exit:
+    return _Exit(EXIT_USAGE, f"{parser[1]}{parser[0]}: error: {message}\n")
 
-    s = sub.add_parser(
-        "scan", help="classify all normalized generator pairs (--raw: every F-plane of L_1)"
-    )
-    s.add_argument("file")
-    s.add_argument("--window", type=int, default=None)
-    s.add_argument(
-        "--raw",
-        action="store_true",
-        help="classify each F-plane of L_1 once and weight it by |GL_2(F)|, "
-        "its number of ordered bases (X, Y), instead of the normalized pairs",
-    )
-    s.set_defaults(func=cmd_scan)
 
-    t = sub.add_parser("stats", help="centralizer occurrence diagnostics")
-    t.add_argument("file")
-    t.set_defaults(func=cmd_stats)
-    return top
+def _name(action: tuple) -> str:
+    return "/".join(action[0]) or action[1]
+
+
+def _negative_number(arg: str) -> bool:
+    """Whether ``arg`` matches ``^-\\d+$|^-\\d*\\.\\d+$``, whose ``$`` also
+    matches before a final newline."""
+    whole, dot, frac = (arg[1:-1] if arg.endswith("\n") else arg[1:]).partition(".")
+    return whole.isdecimal() and not dot or frac.isdecimal() and (not whole or whole.isdecimal())
+
+
+def _option_at(parser: tuple, options: dict, arg: str):
+    """None if ``arg`` is a positional token, else (action or None if no
+    option of ``parser`` matches, option string, value given in the token
+    or None)."""
+    if not arg or arg[0] != "-":
+        return None
+    if arg in options:
+        return options[arg], arg, None
+    if len(arg) == 1:
+        return None
+    name, eq, value = arg.partition("=")
+    if eq and name in options:
+        return options[name], name, value
+    if arg[1] == "-":  # a unique prefix of a long option, with "=value" or not
+        hits = [(options[s], s, value if eq else None) for s in options if s.startswith(name)]
+        if len(hits) > 1:
+            matches = ", ".join(s for _, s, _ in hits)
+            raise _usage_error(parser, f"ambiguous option: {arg} could match {matches}")
+        if hits:
+            return hits[0]
+    elif arg[:2] in options:  # -oVALUE
+        return options[arg[:2]], arg[:2], arg[2:]
+    if _negative_number(arg) or " " in arg:
+        return None
+    return None, arg, None
+
+
+def _parse_known(parser: tuple, argv: list) -> tuple:
+    """(fields, unrecognized tokens) of ``argv`` under ``parser``, by
+    argparse's ``parse_known_args``; raises ``_Exit`` for help, the version
+    and usage errors."""
+    actions = parser[3]
+    options = {s: action for action in actions for s in action[0]}
+    positional = next(action for action in actions if not action[0])
+    fields = {action[1]: action[4] for action in actions if action[1]}
+    # One mark per token: "O" for an option, "A" for an argument, "-" for
+    # the first "--", after which every token is an argument.
+    found, marks = {}, ""
+    for i, arg in enumerate(argv):
+        if "-" in marks:
+            marks += "A"
+        elif arg == "--":
+            marks += "-"
+        else:
+            hit = _option_at(parser, options, arg)
+            if hit is not None:
+                found[i] = hit
+            marks += "A" if hit is None else "O"
+    seen, extras = set(), []
+
+    def take(action, args):
+        seen.add(action)
+        kind = action[2]
+        if kind == "help":
+            raise _Exit(EXIT_OK, parser[1] + parser[2])
+        if kind == "version":
+            raise _Exit(EXIT_OK, f"thinlie {__version__}\n")
+        if kind == "store_true":
+            fields[action[1]] = True
+            return
+        if kind != "parser" and "--" in args:
+            args.remove("--")
+        if not args:  # "--opt=--": the "--" is dropped and [] stored
+            fields[action[1]] = []
+            return
+        value = args[0]
+        choices = tuple(_COMMANDS) if kind == "parser" else kind
+        if type(choices) is tuple:
+            if value not in choices:
+                listed = ", ".join(map(repr, choices))
+                raise _usage_error(
+                    parser, f"argument {_name(action)}: invalid choice: {value!r} (choose from {listed})"
+                )
+        else:
+            try:
+                value = kind(value)
+            except (TypeError, ValueError):
+                raise _usage_error(
+                    parser, f"argument {_name(action)}: invalid {kind.__name__} value: {value!r}"
+                ) from None
+        fields[action[1]] = value
+        if kind == "parser":
+            sub_fields, sub_extras = _parse_known(_COMMANDS[value], args[1:])
+            fields.update(sub_fields)
+            extras.extend(sub_extras)
+
+    def consume_positional(start):
+        if positional in seen:
+            return start
+        rest = marks[start:]
+        lead = len(rest) - len(rest.lstrip("-"))
+        if rest[lead : lead + 1] != "A":
+            return start
+        if positional[2] == "parser":
+            stop = len(argv)
+        else:
+            stop = start + lead + 1 + (rest[lead + 1 : lead + 2] == "-")
+        take(positional, argv[start:stop])
+        return stop
+
+    def consume_optional(start):
+        action, name, value = found[start]
+        if action is None:
+            extras.append(argv[start])
+            return start + 1
+        taken = []
+        while action[2] in _NO_VALUE and value is not None:
+            # -hX: -h, then -X with the rest of the token as its value
+            if name[1] == "-" or not value or "-" + value[0] not in options:
+                raise _usage_error(parser, f"argument {_name(action)}: ignored explicit argument {value!r}")
+            taken.append((action, []))
+            name = "-" + value[0]
+            action, value = options[name], value[1:] or None
+        stop = start + 1
+        if value is not None:
+            taken.append((action, [value]))
+        elif action[2] in _NO_VALUE:
+            taken.append((action, []))
+        elif marks[stop : stop + 1] == "A":
+            taken.append((action, [argv[stop]]))
+            stop += 1
+        else:
+            raise _usage_error(parser, f"argument {_name(action)}: expected one argument")
+        for action, args in taken:
+            take(action, args)
+        return stop
+
+    start, last = 0, max(found, default=-1)
+    while start <= last:
+        upcoming = min(i for i in found if i >= start)
+        if start != upcoming:
+            stop = consume_positional(start)
+            if stop > start:
+                start = stop
+                continue
+            extras.extend(argv[start:upcoming])
+            start = upcoming
+        start = consume_optional(start)
+    stop = consume_positional(start)
+    extras.extend(argv[stop:])
+    missing = [_name(action) for action in actions if action[3] and action not in seen]
+    if missing:
+        raise _usage_error(parser, "the following arguments are required: " + ", ".join(missing))
+    return fields, extras
+
+
+def _parse_args(argv: list) -> _Args:
+    fields, extras = _parse_known(_TOP, argv)
+    if extras:
+        raise _usage_error(_TOP, "unrecognized arguments: " + " ".join(extras))
+    return _Args(fields)
+
+
+def _write(stream, text: str) -> None:
+    """Write help or a usage error as argparse does: a closed or broken
+    stream is ignored."""
+    try:
+        stream.write(text)
+    except (AttributeError, OSError):
+        pass
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        args = _parse_args(sys.argv[1:] if argv is None else list(argv))
+    except _Exit as done:
+        _write(sys.stdout if done.code == EXIT_OK else sys.stderr, done.text)
+        return done.code
+    try:
+        # looked up by name here, so a replaced ``cmd_*`` is the one run
+        return globals()["cmd_" + args.command](args)
     except (
         SchemaError, ValueError, OSError, PreconditionFailed, BadBound, WindowTooLarge,
         NotPrime, ReduciblePolynomial,

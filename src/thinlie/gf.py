@@ -30,26 +30,31 @@ if TYPE_CHECKING:
     EElem = Tuple[int, int]
 
 
-def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin on the twelve prime bases 2 .. 37.
+# The first twelve primes: the bases of ``is_prime``.
+MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
-    No composite below 3.18 * 10^23 is a strong pseudoprime to all of
-    these bases, so the answer is exact for every n < 2^64.  Larger n
-    raise BadBound instead of getting an unproven answer.
+
+def is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin on the first twelve primes, ``MR_BASES``.
+
+    The smallest composite that is a strong pseudoprime to all of them is
+    psi_12 = 318665857834031151167461 > 2^64 (Sorenson and Webster,
+    "Strong pseudoprimes to twelve prime bases", Math. Comp. 86 (2017)),
+    so the answer is exact for every n < 2^64.  Larger n raise BadBound
+    instead of getting an unproven answer.
     """
     if n >= 1 << 64:
         raise BadBound(f"modulus {n} is not below 2^64, the bound of the primality test")
-    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
     if n < 2:
         return False
-    for b in bases:
+    for b in MR_BASES:
         if n % b == 0:
             return n == b
     d, s = n - 1, 0
     while d % 2 == 0:
         d //= 2
         s += 1
-    for b in bases:
+    for b in MR_BASES:
         x = pow(b, d, n)
         if x == 1 or x == n - 1:
             continue

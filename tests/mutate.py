@@ -5,9 +5,9 @@ prefix, so pytest does not collect it.  Three subcommands, run from the
 repository root::
 
     python tests/mutate.py trace COVER.json [PYTEST_ARGS...]
-    python tests/mutate.py sites COVER.json [--tests REGEX]
-    python tests/mutate.py run COVER.json KILLS.json [--tests REGEX] [--run REGEX]
-        [--only KILLS.json] [--tree DIR] [--timeout S] [--jobs N]
+    python tests/mutate.py sites COVER.json [--tests REGEX] [--changed REV]
+    python tests/mutate.py run COVER.json KILLS.json [--tests REGEX] [--changed REV]
+        [--run REGEX] [--only KILLS.json] [--tree DIR] [--timeout S] [--jobs N]
 
 ``trace`` runs pytest with this module as a plugin (``-p mutate``) and
 writes, for each test id, its wall time and the ``src/thinlie`` lines it
@@ -22,7 +22,11 @@ There are four operators: a flipped comparison (``<`` and ``>=``, ``>`` and
 int constant c replaced by c - 1 (0 by 1), a dropped ``% p`` (the right
 operand named ``p`` or ``.p``), and swapped operands of ``-``, ``//``, ``/``
 and ``**``.  A mutant replaces one node's source text in place, so no line
-number moves.  Nodes inside f-strings are left alone.
+number moves.  Nodes inside f-strings are left alone.  ``--changed REV``
+lists the mutants on the ``src/thinlie`` lines that ``git diff -U0 REV``
+adds or changes instead, whether a test runs them or not (a ``--tests``
+REGEX then keeps only the lines its tests run), so a change can record
+the kill set of its own lines.
 
 ``run`` copies the tree (default: this repository) to a temporary
 directory per job.  For each mutant it writes the mutated module into the
@@ -214,10 +218,43 @@ def _covered(cover: dict, pattern: str) -> dict:
     return out
 
 
-def sites(cover: dict, pattern: str, tree: Path = ROOT) -> list:
-    """[(mutant id, file, line, mutated source)] on the lines the matching tests run."""
+def changed_lines(diff: str) -> dict:
+    """file -> set of the lines of ``src/thinlie/file`` that a ``git diff
+    -U0`` adds or changes, numbered as in the new file."""
+    out: dict = {}
+    file = None
+    for line in diff.splitlines():
+        if line.startswith("+++ "):
+            path = line[4:]
+            prefix = f"b/{PACKAGE.as_posix()}/"
+            file = path[len(prefix):] if path.startswith(prefix) else None
+        elif line.startswith("@@ ") and file is not None:
+            new = line.split()[2]  # +start[,count]
+            start, _, count = new[1:].partition(",")
+            first = int(start)
+            out.setdefault(file, set()).update(range(first, first + int(count or 1)))
+    return out
+
+
+def git_changed(rev: str, tree: Path = ROOT) -> dict:
+    """``changed_lines`` of the diff from ``rev`` to the working tree."""
+    cmd = ["git", "diff", "-U0", "--no-color", "--no-ext-diff", "--src-prefix=a/",
+           "--dst-prefix=b/", rev, "--", str(PACKAGE)]
+    return changed_lines(subprocess.run(cmd, cwd=tree, capture_output=True, text=True, check=True).stdout)
+
+
+def sites(cover: dict, pattern: str, tree: Path = ROOT, changed=None) -> list:
+    """[(mutant id, file, line, mutated source)] on the lines the matching
+    tests run or, given ``changed`` (file -> lines), on those lines, kept
+    to the lines the matching tests run when ``pattern`` is not empty."""
+    lines_of = _covered(cover, pattern)
+    if changed is not None:
+        lines_of = {
+            file: lines & lines_of.get(file, set()) if pattern else lines
+            for file, lines in changed.items()
+        }
     out = []
-    for file, lines in sorted(_covered(cover, pattern).items()):
+    for file, lines in sorted(lines_of.items()):
         source = (tree / PACKAGE / file).read_text(encoding="utf-8")
         for line, at, op, text in mutants(source, lines):
             out.append((f"{file}:{line}:{at}:{op}", file, line, text))
@@ -253,7 +290,8 @@ def _copy(tree: Path, into: Path) -> Path:
 def run(args) -> int:
     cover = json.loads(Path(args.cover).read_text(encoding="utf-8"))
     tree = Path(args.tree).resolve()
-    todo = sites(cover, args.tests, tree)
+    changed = git_changed(args.changed, tree) if args.changed else None
+    todo = sites(cover, args.tests, tree, changed)
     if args.only:
         earlier = json.loads(Path(args.only).read_text(encoding="utf-8"))
         todo = [s for s in todo if earlier.get(s[0], {}).get("result") == "survived"]
@@ -339,10 +377,12 @@ def main(argv=None) -> int:
     p_sites = sub.add_parser("sites", help="list the mutants on the lines the chosen tests run")
     p_sites.add_argument("cover")
     p_sites.add_argument("--tests", default="")
+    p_sites.add_argument("--changed", help="only the lines changed since this git revision")
     p_run = sub.add_parser("run", help="run the tests against each mutant")
     p_run.add_argument("cover")
     p_run.add_argument("out")
     p_run.add_argument("--tests", default="", help="mutate the lines these tests run")
+    p_run.add_argument("--changed", help="mutate the lines changed since this git revision")
     p_run.add_argument("--run", default="", help="run only the tests matching this")
     p_run.add_argument("--only", help="only the mutants that survived in this KILLS.json")
     p_run.add_argument("--tree", default=str(ROOT))
@@ -353,7 +393,8 @@ def main(argv=None) -> int:
         return trace(args.out, args.pytest_args)
     if args.cmd == "sites":
         cover = json.loads(Path(args.cover).read_text(encoding="utf-8"))
-        for mid, *_ in sites(cover, args.tests):
+        changed = git_changed(args.changed) if args.changed else None
+        for mid, *_ in sites(cover, args.tests, ROOT, changed):
             print(mid)
         return 0
     return run(args)

@@ -88,14 +88,13 @@ class TestBuild:
         assert list(tmp_path.iterdir()) == []
 
     def test_ext_of_one_value_exits_2(self, tmp_path, capsys, monkeypatch):
-        # ``_parse_ext`` raises ValueError, which argparse reports as a usage error
+        # ``_parse_ext`` raises ValueError, which the parser reports as a
+        # usage error: ``main`` returns 2 and raises no SystemExit
         monkeypatch.chdir(tmp_path)
-        with pytest.raises(SystemExit) as exc:
-            main(["build", "metabelian", "--p", "3", "--ext", "2", "--class", "8"])
-        assert exc.value.code == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert "argument --ext: invalid _parse_ext value: '2'" in captured.err
+        code, out, err = run(capsys, "build", "metabelian", "--p", "3", "--ext", "2", "--class", "8")
+        assert code == 2
+        assert out == ""
+        assert "argument --ext: invalid _parse_ext value: '2'" in err
         assert list(tmp_path.iterdir()) == []
 
     def test_failed_search_keeps_written_files(self, tmp_path, capsys, monkeypatch):

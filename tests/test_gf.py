@@ -9,7 +9,7 @@ import pytest
 import generic_gf as gg
 from int_kernel import RowSpace, solve, span
 from thinlie.errors import BadBound, DivisionByZero, NotPrime, ReduciblePolynomial
-from thinlie.gf import is_prime, make_ext_field, quadratic_is_irreducible
+from thinlie.gf import MR_BASES, is_prime, make_ext_field, quadratic_is_irreducible
 
 PRIMES = [2, 3, 5]
 
@@ -71,6 +71,12 @@ class TestIsPrime:
         # 3215031751 = 151*751*28351 fools the bases 2, 3, 5, 7;
         # 3825123056546413051 = 149491*747451*34233211 fools 2 .. 23
         assert not is_prime(n)
+
+    def test_bases_are_the_first_twelve_primes(self):
+        """The bound psi_12 > 2^64 that ``is_prime`` cites is one for the
+        first twelve primes as bases, so a changed base fails here."""
+        first = [n for n in range(2, 40) if _is_prime_by_trial_division(n)][:12]
+        assert MR_BASES == tuple(first)
 
     def test_large_prime_is_fast(self):
         start = time.perf_counter()

@@ -48,7 +48,14 @@ abelian tail is confirmed and none is witnessed in T^3 (exit code 1).
 ``scan`` and ``scan --raw`` of two standard-form search results with
 more distinct centralizer points: the 218th presentation of GF(4) at
 class 24 (four points) and the 652nd of GF(25) at class 22 (three
-points), so a scan meets sublines through three of the points.
+points), so a scan meets sublines through three of the points.  The
+command line itself: ``scan --win 12`` (an abbreviated option, the
+``scan`` report), ``--version``, ``check -h``, and usage errors, each
+with exit code 2, a usage line and an error line: no arguments, a
+missing required option, a ``--class`` that is not an integer, an
+unknown ``build`` kind, an unknown option, an ambiguous (``--=12``) and
+an unknown (``--wn``) option prefix, an option without its value and a
+flag given a value.
 ``test_reachability`` runs these cases to show that every function of
 the package is one the CLI runs.  They run in a fresh
 directory with relative file names, because reports echo the input path.
@@ -187,6 +194,20 @@ CASES = [
     ("scan-raw-gf4c24", ["scan", "gf4c24-4pts.json", "--raw"], 0),
     ("scan-gf25c22", ["scan", "gf25c22-3pts.json"], 0),
     ("scan-raw-gf25c22", ["scan", "gf25c22-3pts.json", "--raw"], 0),
+    # the command line: an abbreviated option, the version, help, and
+    # usage errors (exit code 2 with a usage line and an error line)
+    ("scan-abbreviated", ["scan", "m.json", "--win", "12"], 0),
+    ("version", ["--version"], 0),
+    ("check-help", ["check", "-h"], 0),
+    ("no-arguments", [], 2),
+    ("analyze-missing-option", ["analyze", "m.json", "--X", "1,0,1,0"], 2),
+    ("build-class-not-int", ["build", "metabelian", "--p", "3", "--ext", "2,0", "--class", "4x"], 2),
+    ("build-bad-kind", ["build", "metabelain", "--p", "3", "--ext", "2,0", "--class", "8"], 2),
+    ("check-unknown-option", ["check", "m.json", "--verbose"], 2),
+    ("scan-ambiguous-prefix", ["scan", "m.json", "--=12"], 2),
+    ("scan-invalid-prefix", ["scan", "m.json", "--wn", "12"], 2),
+    ("build-option-without-value", ["build", "metabelian", "--p", "3", "--ext", "2,0", "--class"], 2),
+    ("scan-flag-with-value", ["scan", "m.json", "--raw=yes"], 2),
 ]
 
 
