@@ -6,10 +6,9 @@ the package.  ``record`` turns a class with annotated fields into a
 record of those fields, in order:
 
 * ``__init__`` takes them as parameters, positional or keyword, compiled
-  once per class; a class attribute is the field's default.  A field
-  whose default is ``cache()`` is a cache: it is no parameter, starts
-  at None, and ``__eq__`` and ``__repr__`` skip it.
-  ``__post_init__`` runs last if the class has one;
+  once per class; a class attribute is the field's default.
+  ``__post_init__`` runs last if the class has one, and an attribute it
+  sets that is no field is not compared or shown;
 * ``__eq__`` holds for records of the same class with equal fields;
 * ``__repr__`` reads ``Name(field=value, ...)``;
 * ``__hash__`` is None, so the record is unhashable, unless the class
@@ -20,38 +19,26 @@ record of those fields, in order:
 from operator import attrgetter
 
 
-class cache:
-    """Default of a cache field, which starts at None."""
-
-    __slots__ = ()
-
-
 def record(cls=None, *, frozen=False):
     """Make ``cls`` a record of its annotated fields; see the module docstring."""
     if cls is None:
         return lambda cls: record(cls, frozen=frozen)
     env = {}
-    params, body, shown = ["self"], [], []
-    for name in cls.__annotations__:
-        default = cls.__dict__.get(name)
-        if isinstance(default, cache):
-            delattr(cls, name)
-            value = "None"
+    params, body = ["self"], []
+    names = list(cls.__annotations__)
+    for name in names:
+        if name in cls.__dict__:
+            env[f"_dflt_{name}"] = cls.__dict__[name]
+            params.append(f"{name}=_dflt_{name}")
         else:
-            shown.append(name)
-            value = name
-            if name in cls.__dict__:
-                env[f"_dflt_{name}"] = default
-                params.append(f"{name}=_dflt_{name}")
-            else:
-                params.append(name)
-        body.append(f"_self_dict[{name!r}] = {value}" if frozen else f"self.{name} = {value}")
+            params.append(name)
+        body.append(f"_self_dict[{name!r}] = {name}" if frozen else f"self.{name} = {name}")
     if frozen:
         body.insert(0, "_self_dict = self.__dict__")
     if hasattr(cls, "__post_init__"):
         body.append("self.__post_init__()")
     exec(f"def __init__({', '.join(params)}):\n    " + "\n    ".join(body), env)
-    key = attrgetter(*shown)
+    key = attrgetter(*names)
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
@@ -59,7 +46,7 @@ def record(cls=None, *, frozen=False):
         return NotImplemented
 
     def __repr__(self):
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in shown)
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in names)
         return f"{self.__class__.__qualname__}({fields})"
 
     methods = {"__init__": env["__init__"], "__eq__": __eq__, "__repr__": __repr__}

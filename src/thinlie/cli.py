@@ -12,9 +12,11 @@ interrupt.
 The command line follows argparse's rules: options and positionals in
 any order, the last occurrence of an option winning, ``--opt value``,
 ``--opt=value`` and ``-oVALUE``, any unique prefix of a long option
-(``--win 12``), and ``--`` before positionals that begin with ``-``.  A
-usage error returns 2 after a ``usage:`` line and a ``thinlie <cmd>:
-error: ...`` line on stderr; ``-h``/``--help`` and ``--version`` write
+(``--win 12``), and ``--`` before positionals that begin with ``-``.
+Where argparse stores ``[]`` for an option given ``--`` in its own token
+(``--p=--``, ``-o--``), this parser refuses it as argparse refuses
+``--p --``.  A usage error returns 2 after a ``usage:`` line and a
+``thinlie <cmd>: error: ...`` line on stderr; ``-h``/``--help`` and ``--version`` write
 to stdout and return 0.  ``main`` returns every code and raises no
 ``SystemExit``.
 """
@@ -483,9 +485,8 @@ def _parse_known(parser: tuple, argv: list) -> tuple:
             return
         if kind != "parser" and "--" in args:
             args.remove("--")
-        if not args:  # "--opt=--": the "--" is dropped and [] stored
-            fields[action[1]] = []
-            return
+        if not args:  # "--opt=--": argparse drops the "--" and stores []
+            raise _usage_error(parser, f"argument {_name(action)}: expected one argument")
         value = args[0]
         choices = tuple(_COMMANDS) if kind == "parser" else kind
         if type(choices) is tuple:

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from itertools import takewhile
 
-from ._record import cache, record
+from ._record import record
 from .errors import (
     BadBound,
     InvalidPresentation,
@@ -61,7 +61,6 @@ class MaxClassPresentation:
     field: ExtField
     class_n: int
     adjoint: Tuple[Pair, ...]
-    _structure: Optional[_Structure] = cache()
 
     def __post_init__(self):
         if self.class_n < 4:
@@ -87,7 +86,7 @@ def _of_elements(field: ExtField, class_n: int, adjoint: Tuple[Pair, ...]) -> Ma
     number for ``class_n`` >= 4: built without ``__post_init__``, which
     would coerce every pair again."""
     pres = MaxClassPresentation.__new__(MaxClassPresentation)
-    pres.field, pres.class_n, pres.adjoint, pres._structure = field, class_n, adjoint, None
+    pres.field, pres.class_n, pres.adjoint = field, class_n, adjoint
     return pres
 
 
@@ -151,10 +150,10 @@ class _Structure:
 
     The cells are stored by total degree: ``rows[t][i]`` is the
     coefficient of [v_i, v_{t-i}] in v_t for 2 <= i < t/2, entries 0 and
-    1 of a row are zero, and ``rows[t]`` is None above top.  A push writes
-    one row and a retraction clears it.  Every cell that a push or a
-    Jacobi form of top degree t reads is in row t or t - 1, at an index
-    the degrees give.
+    1 of a row are zero, and ``rows[t]`` is None above top (and, in
+    ``validate``, below top - 1).  A push writes one row and a retraction
+    clears it.  Every cell that a push or a Jacobi form of top degree t
+    reads is in row t or t - 1, at an index the degrees give.
     """
 
     def __init__(self, field: ExtField, class_n: int):
@@ -166,17 +165,6 @@ class _Structure:
         self.rows: List[Optional[List[EElem]]] = [None] * (class_n + 1)
         # degree d -> (c^{-1}, g's coefficients) with v_{d+1} = c^{-1}*[v_d, g]
         self.step: Dict[int, Tuple[EElem, Dict[int, EElem]]] = {}
-
-    # -- coefficient lookups ------------------------------------------------
-
-    def get_vv(self, i: int, j: int) -> EElem:
-        """Coefficient of [v_i, v_j] in v_{i+j}, for i, j >= 2 (0 on overflow)."""
-        total = i + j
-        if i == j or total > self.top:
-            return self.field.zero
-        if i < j:
-            return self.rows[total][i]
-        return self.field.neg(self.rows[total][j])
 
     # -- incremental construction -------------------------------------------
 
@@ -398,7 +386,7 @@ def label(idx: int) -> str:
 
 
 def validate(pres: MaxClassPresentation) -> JacobiReport:
-    """Derive the full multiplication table and check Jacobi on it.
+    """Derive the multiplication table degree by degree and check Jacobi on it.
 
     Jacobi is checked on the triples with a generator, which implies it
     on every triple (``_Structure.open_triples``).  After the push of
@@ -424,8 +412,10 @@ def validate(pres: MaxClassPresentation) -> JacobiReport:
     and those of top t up to the failure, which on a pass is all
     (t >= 4) + 2*max(0, t//2 - 2) of them.
 
-    Raises ZeroPair when some adjoint pair is (0, 0).  On success the
-    derived table is cached on the presentation for later bracket calls.
+    Two rows are kept: row t + 1 is derived from row t alone, and the
+    forms of top t read rows t - 1 and t, so row t - 1 is cleared once top
+    t has passed.  The check holds O(n) cells, and nothing is stored on
+    the presentation.  Raises ZeroPair when some adjoint pair is (0, 0).
     """
     F = pres.field
     p, U, V = F.p, F.u, F.v
@@ -462,23 +452,8 @@ def validate(pres: MaxClassPresentation) -> JacobiReport:
                 fail = (label(max(u, w)), label(min(u, w)), label(g))
                 return JacobiReport(ok=False, first_failure=fail, triples_checked=checked + n)
         checked += (top >= 4) + 2 * max(0, top // 2 - 2)
-    pres._structure = st
+        rows[d] = None
     return JacobiReport(ok=True, first_failure=None, triples_checked=checked)
-
-
-def tables(pres: MaxClassPresentation) -> _Structure:
-    """The validated structure tables of a presentation (cached).
-
-    Invariant: ``_structure`` set => valid.  In the package only a
-    passing ``validate`` sets it.
-    """
-    if pres._structure is None:
-        report = validate(pres)
-        if not report.ok:
-            raise InvalidPresentation(
-                f"Jacobi identity fails at triple {report.first_failure}"
-            )
-    return pres._structure
 
 
 # ---------------------------------------------------------------------------
@@ -498,10 +473,11 @@ def two_step_centralizers(pres: MaxClassPresentation) -> CentralizerSequence:
     """The projective kernel of (alpha, beta) -> alpha*a_i + beta*b_i per degree.
 
     Points are normalized to (1 : lambda) whenever the kernel contains a
-    vector with nonzero x-part, else to (0 : 1) (the line Ey).
+    vector with nonzero x-part, else to (0 : 1) (the line Ey).  The points
+    are read off the pairs: the presentation is taken as validated, which
+    the loader (``from_json``) does.
     """
     F = pres.field
-    tables(pres)
     points = []
     for d in range(2, pres.class_n):
         a, b = pres.pair(d)

@@ -8,23 +8,24 @@ the maximal-class dimension pattern over E, and the ambient algebra maps
 onto it by a graded isomorphism.
 
 rho is the right adjoint action of T on an ad(T)-invariant subspace of
-the ambient algebra, so every entry of it is a cell of the validated
-structure table, and every homomorphism comparison is a Jacobi triple
-that the loader already checked (the slot lemma, ``verify_roundtrip``).
-What is left to decide is faithfulness: one scan of table cells per
-degree.  So the round trip builds no matrices.
+the ambient algebra, so every entry of it is a cell of the structure
+table, and every homomorphism comparison is a Jacobi triple that the
+loader already checked (the slot lemma, ``verify_roundtrip``).  What is
+left to decide is faithfulness: one scan of table cells per degree, on
+the rows up to the window, which are derived for a non-metabelian T
+only.  So the round trip builds no matrices.
 """
 
 from __future__ import annotations
 
 from ._record import record
 from .errors import PreconditionFailed, WindowTooSmall
-from .maxclass import MaxClassPresentation, tables
+from .maxclass import MaxClassPresentation, _Structure
 from .subfield import GeneratorPair, SubalgebraAnalysis, generate_subalgebra
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:
-    from typing import Optional
+    from typing import Optional, Tuple
 
 
 # ---------------------------------------------------------------------------
@@ -39,8 +40,12 @@ class StructureFlags:
     detection: str  # "metabelian" | "abelian-window" | "insoluble-or-undetected"
 
 
-def detect_structure(analysis: SubalgebraAnalysis) -> StructureFlags:
+def detect_structure(analysis: SubalgebraAnalysis) -> Tuple[StructureFlags, Optional[_Structure]]:
     """Decide the representation branch from bracket vanishing in the window.
+
+    Returns the flags and the rows up to the window that it derived, for
+    the faithfulness scan of ``verify_roundtrip`` (None when T is
+    metabelian).
 
     `metabelian` is an exhaustive [T_i, T_j] = 0 check for i, j >= 2.  For
     the non-metabelian case, k is the least bound whose tail T^k brackets
@@ -55,21 +60,45 @@ def detect_structure(analysis: SubalgebraAnalysis) -> StructureFlags:
     that is iff k > m.  So T is metabelian iff m < 2; otherwise the least
     k >= 3 with an abelian tail is m + 1, and a bracket in T^3 is
     witnessed iff m >= 3.
+
+    Metabelian-window lemma: m < 2 iff the centralizers C_2 .. C_{window-1}
+    are one point.  (=>) [v_2, v_j] = a_j*b_{j+1} - b_j*a_{j+1} (``extend``)
+    vanishes iff the nonzero pairs of degrees j and j + 1 are proportional,
+    that is iff C_j = C_{j+1}; this gives C_3 = .. = C_{window-1}, and
+    C_2 = C_3 holds in every valid presentation (``endo``).  (<=) Let y'
+    span the common C, so [M_i, y'] = 0 for i < window, and let x' span
+    another line of M_1, so M_{i+1} = [M_i, x'] for 2 <= i < window.
+    By induction on i, [M_i, M_j] = 0 for 2 <= i, j and i + j <= window:
+    M_2 = E*[y', x'], and Jacobi gives [M_j, [y', x']] = 0 from
+    [M_j, y'] = [M_{j+1}, y'] = 0; and [M_{i+1}, M_j] = [[M_i, x'], M_j]
+    lies in [M_i, M_{j+1}] + [[M_i, M_j], x'] = 0.  So the metabelian case
+    reads the points and no cell; otherwise the rows up to the window are
+    derived (``_derived_rows``).
     """
     if analysis.verdict.kind != "thin":
         raise PreconditionFailed("structure detection expects a thin subalgebra")
     window = analysis.window
-    m = _top_bracket(tables(analysis.pres), window)
-    if m < 2:
-        return StructureFlags(metabelian=True, k=2, detection="metabelian")
+    if len(analysis.centralizers.distinct(window)) == 1:
+        return StructureFlags(metabelian=True, k=2, detection="metabelian"), None
+    st = _derived_rows(analysis.pres, window)
+    m = _top_bracket(st, window)  # >= 2, by the metabelian-window lemma
     k = m + 1
     if 2 * k + 1 <= window:
-        return StructureFlags(metabelian=False, k=k, detection="abelian-window")
+        return StructureFlags(metabelian=False, k=k, detection="abelian-window"), st
     if m >= 3:  # a nonzero bracket witnessed in T^3
-        return StructureFlags(metabelian=False, k=3, detection="insoluble-or-undetected")
+        return StructureFlags(metabelian=False, k=3, detection="insoluble-or-undetected"), st
     raise WindowTooSmall(
         "no abelian tail confirmed and no nonzero bracket witnessed in T^3"
     )
+
+
+def _derived_rows(pres: MaxClassPresentation, window: int) -> _Structure:
+    """The cells of total degree <= window, pushed by ``extend`` with no
+    Jacobi check: the loader validated the presentation."""
+    st = _Structure(pres.field, window)
+    for d in range(2, window):
+        st.extend(d, pres.pair(d))
+    return st
 
 
 def _top_bracket(st, window: int) -> int:
@@ -155,9 +184,9 @@ def verify_roundtrip(
     [rho(t), rho(t')] - rho([t, t']) at slot s is then the coefficient of
     the Jacobi sum [[w_s, t], t'] - [[w_s, t'], t] - [w_s, [t, t']] of M,
     of total degree at most the window, which is zero because the loader
-    validated the table (``tables``).  So rho and phi are homomorphisms
-    wherever the truncation lets the maps compose: every report has
-    iso = true and first_failure = null.
+    validated the presentation (``maxclass.from_json``).  So rho and phi
+    are homomorphisms wherever the truncation lets the maps compose: every
+    report has iso = true and first_failure = null.
 
     Faithfulness.  In degree d >= 2 the rows of T_d are e*v_d for
     F-independent e, so their images are F-independent iff rho(v_d) != 0,
@@ -170,7 +199,8 @@ def verify_roundtrip(
     the entries of the rows r1, r2 of T_1 are e*phi_s(r1) and e*phi_s(r2)
     for one nonzero e, and these are F-independent because d_s = 0 and
     r1, r2 span the same F-plane as X, Y.  So only rho is scanned, in the
-    degrees d <= window - k.
+    degrees d <= window - k, on the rows up to the window that
+    ``detect_structure`` derived for the branch.
 
     A degree whose cells all vanish is no kernel that the window proves:
     the cells [v_s, v_d] with s + d above the window are not seen, and an
@@ -199,13 +229,13 @@ def verify_roundtrip(
         raise PreconditionFailed(
             f"round trip needs a thin pair, got {analysis.verdict.kind}"
         )
-    flags = detect_structure(analysis)
+    flags, st = detect_structure(analysis)
     k = flags.k
     if not flags.metabelian:
-        st = tables(pres)
-        F = pres.field
+        # [v_s, v_d] = +-rows[s + d][min(s, d)], and 0 for s = d
+        zero, rows = pres.field.zero, st.rows
         for d in range(2, window - k + 1):
-            if all(F.is_zero(st.get_vv(s, d)) for s in range(k - 1, window - d + 1)):
+            if all(s == d or rows[s + d][min(s, d)] == zero for s in range(k - 1, window - d + 1)):
                 raise WindowTooSmall(f"kernel in degree {d} not refuted within window {window}")
     return RoundtripReport(
         branch="rho_prime" if flags.metabelian else "rho",

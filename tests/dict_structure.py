@@ -341,8 +341,8 @@ def validate(pres):
     evaluated, but ``triples_checked`` counts the triples the chain lemma
     proves as checked too (``DictStructure.check_new``).
 
-    Raises ZeroPair when some adjoint pair is (0, 0).  Unlike
-    ``maxclass.validate``, it caches no table on the presentation.
+    Raises ZeroPair when some adjoint pair is (0, 0).  It keeps every
+    cell, where ``maxclass.validate`` keeps two rows.
     """
     st = DictStructure(pres.field, pres.class_n)
     checked = 0

@@ -13,8 +13,9 @@ repository root::
 writes, for each test id, its wall time and the ``src/thinlie`` lines it
 runs (``sys.settrace``).  The lines of a fixture's setup are credited to
 every test that names the fixture, since a module- or session-scoped
-fixture is set up only once.  Lines run at import or collection time are
-credited to no test, and subprocesses are not traced.
+fixture is set up only once.  Lines run outside any test and fixture, at
+import or collection time, go into one bucket, ``outside``.
+Subprocesses are not traced.
 
 ``sites`` lists the mutants on the lines that the tests matching REGEX run.
 There are four operators: a flipped comparison (``<`` and ``>=``, ``>`` and
@@ -34,7 +35,10 @@ copy's ``src`` and runs pytest there with ``PYTHONPATH`` at the copy's
 ``src``, so subprocess CLI tests see the mutant too.  The tests run are
 ``tests/test_golden.py`` and ``tests/test_cli.py`` first, then the tests of
 the copy that run the mutated line, fastest first; ``-x`` stops at the
-first failure.  A failure, an error or a timeout kills the mutant; a
+first failure.  A line in the ``outside`` bucket (a module constant, say)
+runs when its module is imported, so its mutant is given every test whose
+file imports that module, directly or through ``conftest.py``, the test
+helpers and the package (``importers``), fastest first too.  A failure, an error or a timeout kills the mutant; a
 mutant that no chosen test reaches is recorded as "no tests".
 ``--run`` keeps only the tests matching REGEX, and ``--only`` only the
 mutants that survived in an earlier KILLS.json.  KILLS.json maps each
@@ -77,7 +81,8 @@ class _Recorder:
         self.package = os.path.realpath(package) + os.sep
         self.path = path
         self.buckets: dict = {}
-        self.current = None
+        self.outside: set = set()
+        self.current = self.outside
         self.fixtures: dict = {}
         self.seconds: dict = {}
         self._mine: dict = {}
@@ -85,7 +90,7 @@ class _Recorder:
         sys.settrace(self._global)
 
     def switch(self, key) -> None:
-        self.current = None if key is None else self.buckets.setdefault(key, set())
+        self.current = self.outside if key is None else self.buckets.setdefault(key, set())
 
     def _global(self, frame, event, arg):
         name = frame.f_code.co_filename
@@ -96,7 +101,7 @@ class _Recorder:
         return self._local if mine else None
 
     def _local(self, frame, event, arg):
-        if event == "line" and self.current is not None:
+        if event == "line":
             self.current.add((self._mine[frame.f_code.co_filename], frame.f_lineno))
         return self._local
 
@@ -133,15 +138,20 @@ class _Recorder:
             nodeid: {"seconds": round(secs, 4), "lines": self.lines_of(nodeid)}
             for nodeid, secs in self.seconds.items()
         }
+        outside: dict = {}
+        for file, line in sorted(self.outside):
+            outside.setdefault(file, []).append(line)
         with open(self.path, "w", encoding="utf-8") as fh:
-            json.dump({"tests": tests}, fh, indent=1, sort_keys=True)
+            json.dump({"tests": tests, "outside": outside}, fh, indent=1, sort_keys=True)
 
 
-def pytest_configure(config):
-    """Register the recorder when ``trace`` started this pytest."""
+def pytest_load_initial_conftests(early_config, parser, args):
+    """Register the recorder when ``trace`` started this pytest: before
+    ``conftest.py`` is imported, so that the package's import-time lines
+    land in the ``outside`` bucket."""
     if os.environ.get(TRACE_ENV):
-        recorder = _Recorder(str(Path(config.rootpath) / PACKAGE), os.environ[TRACE_ENV])
-        config.pluginmanager.register(recorder, "mutate-recorder")
+        recorder = _Recorder(str(Path(early_config.rootpath) / PACKAGE), os.environ[TRACE_ENV])
+        early_config.pluginmanager.register(recorder, "mutate-recorder")
 
 
 def trace(out: str, pytest_args: list) -> int:
@@ -264,6 +274,64 @@ def sites(cover: dict, pattern: str, tree: Path = ROOT, changed=None) -> list:
 # -- run -----------------------------------------------------------------------
 
 
+def _imported(path: Path) -> set:
+    """The modules a file imports, by name: ``thinlie.gf`` for the
+    package's ``from .gf import ...`` and ``from thinlie import gf``, a
+    bare name for a module of ``tests/``."""
+    out = set()
+    package = path.parent.name == "thinlie"
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            out.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = "thinlie" + (f".{node.module}" if node.module else "") if node.level and package else node.module
+            out.add(base)
+            out.update(f"{base}.{alias.name}" for alias in node.names)
+    return out
+
+
+def importers(tree: Path) -> dict:
+    """test file (``tests/test_x.py``) -> the ``src/thinlie`` files it
+    imports, directly or through ``conftest.py``, other modules of
+    ``tests/`` and the package itself."""
+    files = {path.stem: path for path in (tree / "tests").glob("*.py")}
+    files.update({f"thinlie.{path.stem}": path for path in (tree / PACKAGE).glob("*.py")})
+    files["thinlie"] = files.pop("thinlie.__init__")
+    edges = {name: {m for m in _imported(path) if m in files} for name, path in files.items()}
+    for name in list(edges):
+        if name.startswith("thinlie."):
+            edges[name].add("thinlie")
+
+    def reach(start):
+        seen, todo = set(), [start]
+        while todo:
+            name = todo.pop()
+            if name not in seen:
+                seen.add(name)
+                todo.extend(edges[name])
+        return {files[m].name for m in seen if m == "thinlie" or m.startswith("thinlie.")}
+
+    return {
+        f"tests/{path.name}": reach(name) | reach("conftest")
+        for name, path in files.items() if path.name.startswith("test_")
+    }
+
+
+def tests_for(cover: dict, present: set, imports: dict, file: str, line: int, keep) -> list:
+    """The test ids a mutant of ``file`` at ``line`` runs: ``FIRST``, then
+    the tests in ``present`` that run the line or, for a line of the
+    ``outside`` bucket, whose file imports ``file``, fastest first; all of
+    them kept to the ids that ``keep`` (a compiled regex) finds."""
+    outside = line in cover.get("outside", {}).get(file, ())
+    chosen = sorted(
+        (rec["seconds"], nodeid)
+        for nodeid, rec in cover["tests"].items()
+        if nodeid in present and not nodeid.startswith(FIRST)
+        and (line in rec["lines"].get(file, ()) or outside and file in imports.get(nodeid.split("::")[0], ()))
+    )
+    return [t for t in FIRST if keep.search(t)] + [n for _, n in chosen if keep.search(n)]
+
+
 def _pytest(tree: Path, tests: list, timeout: float):
     """(returncode or None on timeout, output) of pytest -x on tests in tree."""
     env = dict(os.environ, PYTHONPATH=str(tree / "src"), PYTHONDONTWRITEBYTECODE="1")
@@ -302,16 +370,7 @@ def run(args) -> int:
         capture_output=True, text=True,
     ).stdout
     present = {line.strip() for line in listed.splitlines() if "::" in line}
-    by_line: dict = {}
-    for nodeid, rec in cover["tests"].items():
-        if nodeid in present and not nodeid.startswith(FIRST):
-            for file, lines in rec["lines"].items():
-                for line in lines:
-                    by_line.setdefault((file, line), []).append((rec["seconds"], nodeid))
-
-    def tests_for(file, line):
-        chosen = [t for t in FIRST if keep.search(t)]
-        return chosen + [n for _, n in sorted(by_line.get((file, line), [])) if keep.search(n)]
+    imports = importers(tree)
 
     scratch = Path(tempfile.mkdtemp(prefix="mutate-"))
     copies = [_copy(tree, scratch / str(j)) for j in range(args.jobs)]
@@ -325,7 +384,7 @@ def run(args) -> int:
 
     def one(site):
         mid, file, line, text = site
-        tests = tests_for(file, line)
+        tests = tests_for(cover, present, imports, file, line, keep)
         if not tests:  # pytest given no test ids would run the whole suite
             return record(mid, line, "no tests", None, None, 0.0)
         with lock:

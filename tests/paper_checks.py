@@ -10,8 +10,8 @@ them by other means:
   and r-constrained properties by brute force over every homogeneous
   element, under the budget ``BRUTE_FORCE_LIMIT``;
 * ``standard_generators`` base-changes a presentation to standard
-  generators by ``apply_degree1_change``, which rebuilds the pairs and the
-  table; ``maxclass.standardize`` replaced it by a map of the centralizer
+  generators by ``apply_degree1_change``, which rebuilds the pairs;
+  ``maxclass.standardize`` replaced it by a map of the centralizer
   points, and ``phi_at`` reads phi_d off either table layout;
 * ``thin_line_criterion`` decides thinness from centralizer data alone,
   and ``normalize_generators`` moves a pair into the normal form;
@@ -45,6 +45,9 @@ them by other means:
   the centralizer points, and ``line_avoidance_walk`` is the pair-by-pair
   line-avoidance count that ``subfield.count_thin_by_line_avoidance``
   replaced by counting affine lines;
+* ``table`` and ``vv`` are the whole structure table of a valid
+  presentation and its cell [v_i, v_j], which the package keeps only
+  while ``validate`` runs, two rows at a time;
 * ``quotient``, ``image``, ``raw_pairs``, ``ad_gen``, ``bracket_vec`` and
   ``f4_to_deg1`` are the test-support truncation, the full image of a
   basis row under a representation, every generator pair, the bracket of
@@ -54,6 +57,7 @@ them by other means:
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import chain, combinations, product
 
 from int_kernel import RowSpace, combine, mat_mul, solve, span
@@ -61,10 +65,11 @@ from thinlie import endo
 from thinlie import maxclass as mc
 from thinlie import reconstruct as rec
 from thinlie import subfield as sf
-from thinlie._record import cache, record
+from thinlie._record import record
 from thinlie.errors import (
     BadBound,
     DegenerateGenerators,
+    InvalidPresentation,
     NotStandardForm,
     PreconditionFailed,
     ThinLieError,
@@ -83,6 +88,32 @@ class DimensionAnomaly(ThinLieError):
 
 
 # -- test support ----------------------------------------------------------------
+
+
+@lru_cache(maxsize=256)
+def table(pres):
+    """The whole structure table of a valid presentation, for the oracles.
+
+    ``maxclass.validate`` keeps two rows and stores nothing, so this
+    validates, raises InvalidPresentation at the first failing triple, and
+    derives every row again (``reconstruct._derived_rows``).  Cached by
+    the presentation's fields.
+    """
+    report = mc.validate(pres)
+    if not report.ok:
+        raise InvalidPresentation(f"Jacobi identity fails at triple {report.first_failure}")
+    return rec._derived_rows(pres, pres.class_n)
+
+
+def vv(st, i, j):
+    """Coefficient of [v_i, v_j] in v_{i+j} in a ``table``, for i, j >= 2
+    (0 on overflow)."""
+    total = i + j
+    if i == j or total > st.top:
+        return st.field.zero
+    if i < j:
+        return st.rows[total][i]
+    return st.field.neg(st.rows[total][j])
 
 
 def _line(p, c):
@@ -116,7 +147,7 @@ def _bases(an):
     l1 = tuple(span(F.p, [sf.deg1_to_f4(g.X), sf.deg1_to_f4(g.Y)], 4).basis())
     if an.d is None:
         return (l1,) + ((),) * (window - 1)
-    st = mc.tables(an.pres)
+    st = table(an.pres)
     full = ((1, 0), (0, 1))
     c = _line(F.p, g.det(F))
     out = [l1, (c,)]
@@ -150,7 +181,7 @@ def express(an, degree, vec):
 def quotient(pres, class_n):
     """The class-``class_n`` truncation: the first class_n - 2 pairs.
 
-    The result is not validated; ``tables`` validates it on first use.
+    The result is not validated; ``table`` validates it.
     """
     if not 4 <= class_n <= pres.class_n:
         raise BadBound(f"quotient bound {class_n} not in [4, {pres.class_n}]")
@@ -261,7 +292,7 @@ def ad_gen(pres, degree, vec, gen):
     if degree == 1:
         (A, B), (al, be) = f4_to_deg1(vec), gen
         return F.sub(F.mul(B, al), F.mul(A, be))  # [Ax+By, alpha x + beta y]
-    return F.mul((vec[0], vec[1]), phi_at(mc.tables(pres), degree, gen))
+    return F.mul((vec[0], vec[1]), phi_at(table(pres), degree, gen))
 
 
 def bracket_vec(pres, deg_u, u, deg_w, w):
@@ -271,7 +302,7 @@ def bracket_vec(pres, deg_u, u, deg_w, w):
     F^2 coordinates of degree deg_u + deg_w (zero past the class bound).
     """
     F = pres.field
-    st = mc.tables(pres)
+    st = table(pres)
     if deg_u + deg_w > pres.class_n:
         return (0, 0)
     if deg_w == 1:
@@ -281,7 +312,7 @@ def bracket_vec(pres, deg_u, u, deg_w, w):
         return F.neg(img)
     cu = (u[0], u[1])
     cw = (w[0], w[1])
-    return F.mul(F.mul(cu, cw), st.get_vv(deg_u, deg_w))
+    return F.mul(F.mul(cu, cw), vv(st, deg_u, deg_w))
 
 
 # -- brute-force verifiers ---------------------------------------------------
@@ -398,16 +429,13 @@ def apply_degree1_change(pres, xp, yp):
     new chain is re-normalized canonically (v'_{i+1} = [v'_i, x'] when
     that bracket is nonzero, else [v'_i, y']).
 
-    The input is validated (``tables``), and the result describes the
+    The input is validated (``table``), and the result describes the
     same algebra in the basis x', y', v'_2 = [y', x'] = s_2*v_2,
-    v'_{i+1} = s_{i+1}*v_{i+1}, so the result satisfies Jacobi too.  Its
-    table is therefore derived by ``_Structure.extend`` alone, without
-    ``validate``'s Jacobi check: the cells extend derives are consequences
-    of the pairs and Jacobi, so they are the brackets of that algebra.
+    v'_{i+1} = s_{i+1}*v_{i+1}, so the result satisfies Jacobi too.
     This is the presentation ``maxclass.standardize`` avoids rebuilding.
     """
     F = pres.field
-    st = mc.tables(pres)
+    st = table(pres)
     a1, b1 = xp
     a2, b2 = yp
     det = F.sub(F.mul(b2, a1), F.mul(a2, b1))  # [y', x'] = det * v_2
@@ -424,11 +452,7 @@ def apply_degree1_change(pres, xp, yp):
         else:
             new_pairs.append((F.zero, F.one))
             s = q
-    out = mc.MaxClassPresentation(F, pres.class_n, tuple(new_pairs))
-    out._structure = mc._Structure(F, pres.class_n)
-    for d in range(2, pres.class_n):
-        out._structure.extend(d, out.pair(d))
-    return out
+    return mc.MaxClassPresentation(F, pres.class_n, tuple(new_pairs))
 
 
 @record
@@ -1265,10 +1289,10 @@ class RhoRep:
     lo: int  # the slots >= lo are read off the structure table
     analysis: object  # the SubalgebraAnalysis
     images: dict  # basis id -> {slot: entry} on the slots below lo
-    eps: dict = cache()  # basis(s)[0] = eps_s*v_s for lo <= s <= window
-    inv: dict = cache()  # eps_s^{-1}, one inversion per degree
 
     def __post_init__(self):
+        # not fields: eps[s] with basis(s)[0] = eps_s*v_s for lo <= s <= window,
+        # and inv[s] = eps_s^{-1}, one inversion per degree
         F = self.analysis.field
         self.eps = {s: _row_scalar(self.analysis, s) for s in range(self.lo, self.window + 1)}
         self.inv = {s: F.inv(e) for s, e in self.eps.items()}
@@ -1294,7 +1318,7 @@ def _reader(rep, gens, low):
     i >= 2 acts as v_i, with entry eps_s*[v_s, v_i]*eps_{s+i}^{-1}.
     """
     F = rep.analysis.field
-    st = mc.tables(rep.analysis.pres)
+    st = table(rep.analysis.pres)
     lo, eps, inv, mul = rep.lo, rep.eps, rep.inv, F.mul
 
     def entry(i, s):
@@ -1302,7 +1326,7 @@ def _reader(rep, gens, low):
             return low[i][s]
         if i < 2:
             return mul(mul(eps[s], phi_at(st, s, gens[i])), inv[s + 1])
-        return mul(mul(eps[s], st.get_vv(s, i)), inv[s + i])
+        return mul(mul(eps[s], vv(st, s, i)), inv[s + i])
 
     return entry
 
@@ -1318,7 +1342,7 @@ def _low_mismatch(rep, gens, entry):
     s + 1 + t > window are outside the commutator.
     """
     F = rep.analysis.field
-    st = mc.tables(rep.analysis.pres)
+    st = table(rep.analysis.pres)
     (a1, b1), (a2, b2) = gens
     det = F.sub(F.mul(b1, a2), F.mul(a1, b2))
 
@@ -1409,7 +1433,7 @@ def build_rho_prime(analysis, flags):
     F = an.field
     pres = an.pres
     window = an.window
-    st = mc.tables(pres)
+    st = table(pres)
     if not flags.metabelian:
         raise NotMetabelian("T has a nonzero bracket in T^2 within the window")
     _check_e_structure(an, 3)
@@ -1428,7 +1452,7 @@ def build_rho_prime(analysis, flags):
     for d in range(2, window):
         m = {1: F.neg(F.mul(phi_at(st, d, an.pair.Y), inv[d + 1]))}
         if 2 + d <= window:
-            m[2] = F.mul(F.mul(c, st.get_vv(2, d)), inv[d + 2])
+            m[2] = F.mul(F.mul(c, vv(st, 2, d)), inv[d + 2])
         rep.images[d] = m
     _check_rep(rep)
     return rep
@@ -1472,7 +1496,7 @@ def oracle_roundtrip(pres, g, window=None):
         raise PreconditionFailed(
             f"round trip needs a thin pair, got {analysis.verdict.kind}"
         )
-    flags = rec.detect_structure(analysis)
+    flags = rec.detect_structure(analysis)[0]
     if flags.metabelian:
         rep = build_rho_prime(analysis, flags)
     else:
@@ -1485,7 +1509,7 @@ def oracle_roundtrip(pres, g, window=None):
     phi = {i: rep.images[i] for i in range(2, usable + 1)}
     for i, (e1, e2) in enumerate(_inverse_rows(F, _rows(analysis))):
         phi[i] = {s: F.add(F.mul(e1, c), F.mul(e2, low1[s])) for s, c in low0.items()}
-    first_failure = _phi_failure(mc.tables(pres), rep, usable, phi)
+    first_failure = _phi_failure(table(pres), rep, usable, phi)
     return rec.RoundtripReport(
         branch=rep.branch,
         k=rep.k,

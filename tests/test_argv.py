@@ -12,8 +12,13 @@ Where argparse accepts an argv, ``main`` must dispatch to the same
 ``cmd_*`` with the same fields and write nothing; where argparse exits,
 ``main`` must return its exit code and write the same stdout and stderr.
 argparse wraps help and usage text to the terminal width and the CLI's
-text is fixed, so the oracle runs at ``COLUMNS=80``; there is no other
-difference.
+text is fixed, so the oracle runs at ``COLUMNS=80``.  There is one
+declared difference: argparse drops the ``--`` of a value option given
+``--`` in its own token (``--p=--``, ``-o--``) and stores ``[]``, which
+the commands then fail on, while ``main`` refuses it as argparse refuses
+``--p --``: exit code 2 and ``argument <opt>: expected one argument``.
+The oracle is run with exactly that change (``_declared_refusal``), and
+the argvs it changes are counted.
 
 ``test_no_argparse_in_a_cli_process`` runs ``check``, ``scan`` and
 ``--version`` in a fresh ``python -I -S`` process and requires that none
@@ -22,6 +27,7 @@ of ``argparse``, ``gettext``, ``locale`` or ``shutil`` is loaded.
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import functools
 import io
@@ -174,12 +180,33 @@ def recorded(monkeypatch):
     return calls
 
 
-def test_matches_argparse(recorded):
+def _declared_refusal(monkeypatch) -> list:
+    """Make argparse refuse a value option whose only value is ``--``, as
+    it refuses ``--opt --``; the returned list gains one entry per refusal."""
+    refused = []
+    get_values = argparse.ArgumentParser._get_values
+
+    def refusing(self, action, arg_strings):
+        if action.option_strings and action.nargs is None and arg_strings == ["--"]:
+            refused.append(action.dest)
+            raise argparse.ArgumentError(action, "expected one argument")
+        return get_values(self, action, arg_strings)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "_get_values", refusing)
+    return refused
+
+
+def test_matches_argparse(recorded, monkeypatch):
     parser = argparse_oracle.build_parser()
+    refused = _declared_refusal(monkeypatch)
     outcomes = set()
     assert len(corpus()) > 28000
     for argv in corpus():
+        before = len(refused)
         want = _run_oracle(parser, argv)
+        if len(refused) > before:
+            assert want[0] == 2 and want[2].endswith(": expected one argument\n"), argv
+            outcomes.add("declared refusal")
         got = _run_cli(argv, recorded)
         if want[0] is None:
             assert got == (0, "", "", want[3]), argv
@@ -192,7 +219,7 @@ def test_matches_argparse(recorded):
         "accepted", "exit 0", "the following arguments are required", "argument --ext",
         "argument --class", "argument kind", "argument command", "unrecognized arguments",
         "argument --p", "ambiguous option", "argument -h/--help", "argument --raw",
-        "argument -o/--output",
+        "argument -o/--output", "declared refusal",
     ]:
         assert kind in outcomes, (kind, sorted(outcomes))
 

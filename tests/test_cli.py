@@ -261,6 +261,25 @@ class TestBadInput:
         assert err.startswith("error: ")
         assert list(tmp_path.iterdir()) == [path]
 
+    @pytest.mark.parametrize(
+        "argv, option",
+        [
+            pytest.param(["build", "metabelian", "--p=--", "--ext", "2,0", "--class", "8"], "--p", id="p-eq"),
+            pytest.param(["build", "metabelian", *EXT, "--class", "8", "-o--"], "-o/--output", id="o-joined"),
+            pytest.param(["build", "search", *EXT, "--class", "8", "--out=--"], "-o/--output", id="output-prefix-eq"),
+            pytest.param(["roundtrip", "m.json", "--X", "1,0,1,0", "--Y=--"], "--Y", id="roundtrip-Y-eq"),
+        ],
+    )
+    def test_value_option_given_dashdash_exits_2(self, tmp_path, capsys, monkeypatch, argv, option):
+        """A value option whose token carries ``--`` as its value is a usage
+        error, as ``--p --`` is; nothing is run and nothing written."""
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("usage: thinlie ")
+        assert err.endswith(f": error: argument {option}: expected one argument\n")
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("command", ["build", "check"])
     def test_p_bound_named(self, tmp_path, capsys, command):
         p = 2**64 + 13

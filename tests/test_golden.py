@@ -54,8 +54,9 @@ command line itself: ``scan --win 12`` (an abbreviated option, the
 with exit code 2, a usage line and an error line: no arguments, a
 missing required option, a ``--class`` that is not an integer, an
 unknown ``build`` kind, an unknown option, an ambiguous (``--=12``) and
-an unknown (``--wn``) option prefix, an option without its value and a
-flag given a value.
+an unknown (``--wn``) option prefix, an option without its value, a
+flag given a value, and ``-o--``, an option given ``--`` as its value in
+its own token, which is refused as ``-o --`` is and writes no file.
 ``test_reachability`` runs these cases to show that every function of
 the package is one the CLI runs.  They run in a fresh
 directory with relative file names, because reports echo the input path.
@@ -208,6 +209,8 @@ CASES = [
     ("scan-invalid-prefix", ["scan", "m.json", "--wn", "12"], 2),
     ("build-option-without-value", ["build", "metabelian", "--p", "3", "--ext", "2,0", "--class"], 2),
     ("scan-flag-with-value", ["scan", "m.json", "--raw=yes"], 2),
+    # "--" as the value in the option's own token is refused as "-o --" is
+    ("build-output-given-dashdash", ["build", "metabelian", "--p", "3", "--ext", "2,0", "--class", "8", "-o--"], 2),
 ]
 
 

@@ -42,8 +42,8 @@ bench searches, on random tables, and at p = 1000003, where products of
 several-digit residues show a dropped or misplaced reduction; and
 ``validate``'s report (first failure and triples checked) is compared
 with Jacobi over the generic bracket on ``oracle_cells``.
-``paper_checks.apply_degree1_change`` derives its result's table without
-Jacobi checks; that table is compared with ``validate``'s.
+``paper_checks.apply_degree1_change``'s results pass ``validate``, and
+their tables hold the oracle's cells.
 
 ``reconstruct.detect_structure`` reads the largest degree i with a nonzero
 bracket [v_i, v_j] in the window once; the scan per tail T^k it replaced
@@ -484,8 +484,8 @@ def _table_key(st):
 
 @pytest.mark.parametrize("found", ["search4_12", "search9_12", "search25_12"])
 def test_derived_tables_match_validate(request, found):
-    """Extend-built base-changed tables equal the tables ``validate``
-    derives for the same pairs, which pass."""
+    """Base-changed presentations pass ``validate``, and their tables
+    (``paper_checks.table``) hold the cells of the dict oracle."""
     rng = random.Random(f"tables-{found}")
     for pres in request.getfixturevalue(found):
         parent = mc.MaxClassPresentation(pres.field, pres.class_n, pres.adjoint)
@@ -493,9 +493,8 @@ def test_derived_tables_match_validate(request, found):
         derived = [_degree1_change(parent, rng) for _ in range(2)]
         derived.append(_degree1_change(derived[rng.randrange(len(derived))], rng))
         for pres_d in derived:
-            fresh = mc.MaxClassPresentation(pres_d.field, pres_d.class_n, pres_d.adjoint)
-            assert mc.validate(fresh).ok
-            assert _table_key(pres_d._structure) == _table_key(fresh._structure)
+            assert mc.validate(pres_d).ok
+            assert _table_key(pc.table(pres_d)) == _table_key(ds.table(pres_d))
 
 
 def test_search_prefixes_match_exhaustive(f9):
@@ -1068,12 +1067,12 @@ def oracle_detect_structure(analysis, window=None):
     if analysis.verdict.kind != "thin":
         raise PreconditionFailed("structure detection expects a thin subalgebra")
     window = analysis.window if window is None else window
-    st = mc.tables(analysis.pres)
+    st = pc.table(analysis.pres)
     F = st.field
 
     def tail_abelian(k):
         return all(
-            F.is_zero(st.get_vv(i, j))
+            F.is_zero(pc.vv(st, i, j))
             for i in range(k, window) for j in range(i + 1, window - i + 1)
         )
 
@@ -1091,19 +1090,55 @@ def oracle_detect_structure(analysis, window=None):
 
 def test_detect_structure_matches_tail_scans(search4_12, search9_12, thin_pair_f9, rc_pair):
     """The largest nonzero bracket degree against one scan per tail, on
-    two pairs at every window; all five outcomes occur."""
-    outcomes = set()
+    two pairs at every window; all five outcomes occur.  Where the
+    centralizers in the window are more than one point, the flags come
+    from rows derived up to the window, and those rows hold the cells of
+    the whole table there; elsewhere no row is derived."""
+    outcomes, derived = set(), 0
     for pres in search4_12 + search9_12:
+        full = ds.cells(pc.table(pres))
         for pair in (thin_pair_f9, rc_pair):
             for window in range(4, pres.class_n + 1):
                 an = sf.generate_subalgebra(pres, pair, window)
                 got = _outcome(rec.detect_structure, an)
+                flags, st = got[1] if got[0] == "ok" else (None, None)
+                if flags is not None:
+                    got = ("ok", flags)
+                    assert (st is None) == flags.metabelian
                 assert got == _outcome(oracle_detect_structure, an), (pres.adjoint, pair, window)
                 outcomes.add(got[1].detection if got[0] == "ok" else got[0])
+                if st is not None:
+                    derived += 1
+                    assert st.top == window
+                    assert ds.cells(st) == {ij: c for ij, c in full.items() if sum(ij) <= window}
     assert outcomes == {
         "metabelian", "abelian-window", "insoluble-or-undetected",
         "WindowTooSmall", "PreconditionFailed",
     }
+    assert derived > 100
+
+
+@pytest.mark.parametrize(
+    "p, u, v, class_n, count, metabelian_count",
+    [(2, 1, 1, 14, 7535, 1295), (3, 0, 2, 14, 11000, 3620), (5, 0, 2, 12, 6084, 4784),
+     (7, 0, 3, 10, 350, 350)],
+    ids=["4_14", "9_14", "25_12", "49_10"],
+)
+def test_metabelian_window_lemma(p, u, v, class_n, count, metabelian_count):
+    """The metabelian-window lemma (``reconstruct.detect_structure``):
+    the cells [v_i, v_j], 2 <= i < j, i + j <= window, all vanish
+    (``_top_bracket`` < 2 on the whole table) iff C_2 .. C_{window-1} are
+    one point, on every searched presentation and every window 4 .. class.
+    The case counts are pinned, so no search can shrink unseen."""
+    cases = metabelian = 0
+    for pres in mc.search_sequences(make_ext_field(p, u, v), class_n, 10**9):
+        seq, st = mc.two_step_centralizers(pres), pc.table(pres)
+        for window in range(4, class_n + 1):
+            one = len(seq.distinct(window)) == 1
+            assert one == (rec._top_bracket(st, window) < 2), (pres.adjoint, window)
+            cases += 1
+            metabelian += one
+    assert (cases, metabelian) == (count, metabelian_count)
 
 
 # -- the subalgebra <X, Y> and the raw scan ------------------------------------
@@ -1137,7 +1172,7 @@ def oracle_generate_subalgebra(pres, g, window=None):
     window = pres.class_n if window is None else window
     if not 4 <= window <= pres.class_n:
         raise BadBound(f"window {window} not in [4, {pres.class_n}]")
-    mc.tables(pres)
+    pc.table(pres)
     seq = mc.two_step_centralizers(pres)
 
     l1 = RowSpace(F.p, 4)

@@ -2,6 +2,7 @@
 
 import random
 import sys
+import tracemalloc
 
 import pytest
 
@@ -69,9 +70,24 @@ class TestValidate:
             fresh = mc.MaxClassPresentation(pres.field, pres.class_n, pres.adjoint)
             assert mc.validate(fresh).ok
 
+    def test_keeps_two_rows(self, f9):
+        """``validate`` holds O(n) cells: at class 400 its peak allocation
+        is below 0.5 MiB, where the whole table (about 40,000 cells) takes
+        several MiB."""
+        pres = mc.make_metabelian(f9, 400)
+        tracemalloc.start()
+        try:
+            assert mc.validate(pres).ok
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**19, peak
+
     def test_invalid_gates_tables(self, f9):
+        bad = _mutated(f9)
+        assert not mc.validate(bad).ok
         with pytest.raises(InvalidPresentation):
-            mc.tables(_mutated(f9))
+            pc.table(bad)
 
     def test_evaluates_only_open_triples(self, monkeypatch, f9):
         """Only the triples the chain step does not prove are evaluated
@@ -273,9 +289,10 @@ class TestStats:
             mc.centralizer_stats(mc.two_step_centralizers(mc.MaxClassPresentation(f9, 10, pairs)))
 
     def test_gated_on_validity(self, f9):
-        """The centralizers the stats read come from a validated table."""
+        """The centralizers the stats read come from a file the loader
+        validates: an invalid one is refused before any point is read."""
         with pytest.raises(InvalidPresentation):
-            mc.centralizer_stats(mc.two_step_centralizers(_mutated(f9)))
+            mc.centralizer_stats(mc.two_step_centralizers(mc.from_json(mc.to_json(_mutated(f9)))))
 
 
 class TestSearch:
@@ -411,9 +428,9 @@ class TestQuotient:
         assert mc.validate(pc.quotient(dev9_14, 9)).ok
 
     def test_unvalidated_gate(self, f9, dev9_14):
-        """A quotient is not validated until ``tables`` is asked for, and
-        its tables fail exactly when the first failing Jacobi triple lies at
-        total degree <= the quotient bound."""
+        """A quotient is not validated when it is made, and it fails
+        ``validate`` (and ``table``) exactly when the first failing Jacobi
+        triple lies at total degree <= the quotient bound."""
         rng = random.Random("quotient-gate")
         elems = list(f9.elements())
         bad = [_mutated(f9)]
@@ -434,12 +451,13 @@ class TestQuotient:
             failing += top is not None
             for m in range(4, pres.class_n + 1):
                 q = pc.quotient(pres, m)
-                assert q._structure is None
-                if top is not None and top <= m:
+                fails = top is not None and top <= m
+                assert mc.validate(q).ok is not fails
+                if fails:
                     with pytest.raises(InvalidPresentation):
-                        mc.tables(q)
+                        pc.table(q)
                 else:
-                    assert mc.tables(q) is q._structure
+                    assert pc.table(q).top == m
         assert failing > 10
 
     def test_bad_bound(self, f9):

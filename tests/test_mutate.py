@@ -3,10 +3,13 @@
 Every mutant compiles, differs from the source and keeps its line count,
 each of the four operators occurs, and a line filter keeps only the sites
 on its lines, also when the lines are those a fixed ``git diff -U0``
-changes.  No test is run against a mutant here.
+changes.  The tests chosen for a mutant are those that run its line or,
+for a line run outside any test, those whose file imports its module.
+No test is run against a mutant here.
 """
 
 import ast
+import re
 from pathlib import Path
 
 import mutate
@@ -75,3 +78,40 @@ def test_changed_sites_are_on_changed_lines():
     cover = {"tests": {"t::a": {"seconds": 0.1, "lines": {"endo.py": lines[1:4]}}}}
     got = mutate.sites(cover, "t::a", changed=changed)
     assert {line for _, _, line, _ in got} == changed["endo.py"] & set(lines[1:4])
+
+
+def test_importers_follow_conftest_helpers_and_package():
+    imports = mutate.importers(mutate.ROOT)
+    assert "tests/test_mutate.py" in imports and "tests/conftest.py" not in imports
+    # conftest imports paper_checks, which imports maxclass; every module imports gf
+    assert imports["tests/test_gf.py"] >= {"__init__.py", "gf.py", "errors.py", "maxclass.py"}
+    assert "cli.py" in imports["tests/test_cli.py"]
+    assert "cli.py" in imports["tests/test_reachability.py"]  # through test_golden
+    assert "cli.py" not in imports["tests/test_gf.py"]
+
+
+def test_outside_lines_go_to_every_importing_test():
+    cover = {
+        "tests": {
+            "tests/test_golden.py::t": {"seconds": 0.1, "lines": {"gf.py": [5]}},
+            "tests/test_gf.py::slow": {"seconds": 2.0, "lines": {}},
+            "tests/test_gf.py::fast": {"seconds": 0.5, "lines": {}},
+            "tests/test_maxclass.py::runs": {"seconds": 1.0, "lines": {"maxclass.py": [7, 8]}},
+            "tests/test_maxclass.py::gone": {"seconds": 0.1, "lines": {"maxclass.py": [7]}},
+        },
+        "outside": {"gf.py": [5], "maxclass.py": [8]},
+    }
+    present = set(cover["tests"]) - {"tests/test_maxclass.py::gone"}
+    imports = {"tests/test_gf.py": {"gf.py"}, "tests/test_maxclass.py": {"gf.py", "maxclass.py"}}
+    every = re.compile("")
+
+    def chosen(file, line, keep=every):
+        return mutate.tests_for(cover, present, imports, file, line, keep)
+
+    first = list(mutate.FIRST)
+    gf_fast, gf_slow, runs = "tests/test_gf.py::fast", "tests/test_gf.py::slow", "tests/test_maxclass.py::runs"
+    assert chosen("gf.py", 5) == [*first, gf_fast, runs, gf_slow]
+    assert chosen("gf.py", 6) == first
+    assert chosen("maxclass.py", 7) == [*first, runs]
+    assert chosen("maxclass.py", 8) == [*first, runs]
+    assert chosen("gf.py", 5, re.compile("gf")) == [gf_fast, gf_slow]

@@ -1,21 +1,27 @@
 """The package is what the CLI runs.
 
 The golden cases (``test_golden.CASES``: every README example and the CLI
-branches no README example reaches) run under ``sys.setprofile``, and
+branches no README example reaches) run once under ``sys.settrace``, and
 every ``def`` in ``src/thinlie`` must be entered, apart from dunders and
 the entries of ``NOT_RUN``, each with its reason.  Code that only a test
 needs lives under ``tests/`` (``paper_checks`` and the oracles of
 ``test_lemma``), so a function that no subcommand reaches fails here.
 The comparison is exact: an entry of ``NOT_RUN`` that the cases enter,
-or that names no def, fails too.  Likewise every error class of
-``thinlie.errors`` but the base class must be named by some ``raise`` of
-the package, so a class whose last raise is deleted fails here.
+or that names no def, fails too.  The same run records the lines of the
+package it executes, and every ``raise`` statement must be among them,
+apart from the entries of ``NOT_RAISED``, keyed by (module, function,
+exception) and each with its reason; that comparison is exact as well.
+Likewise every error class of ``thinlie.errors`` but the base class must
+be named by some ``raise`` of the package, so a class whose last raise
+is deleted fails here.
 """
 
 import ast
 import os
 import sys
 from pathlib import Path
+
+import pytest
 
 import thinlie
 from test_golden import run_cases
@@ -27,6 +33,52 @@ NOT_RUN = {
     "_record.record": "runs at import time, once per record class, before any case",
     "maxclass.is_standard": "bench/make_oracles.py calls it; scan checks the"
     " standard form on the centralizer sequence it reuses",
+}
+
+# Every other raise of the package runs in some case.  An entry names the
+# test that trips the raise, or why no command line can.
+NOT_RAISED = {
+    ("_record", "record.__setattr__", "AttributeError"): "no command assigns to a frozen"
+    " record; test_record does",
+    ("_record", "record.__delattr__", "AttributeError"): "no command deletes a field of a"
+    " frozen record; test_record does",
+    ("cli", "_emit", "OSError"): "stdout closed at start-up, seen only in a child process"
+    " (test_cli TestUnwritableStdout)",
+    ("cli", "_load", "SchemaError"): "JSON nested too deeply (test_cli"
+    " test_deeply_nested_json_exits_2)",
+    ("cli", "_parse_ext", "ValueError"): "an --ext of one value (test_cli"
+    " test_ext_of_one_value_exits_2)",
+    ("gf", "is_prime", "BadBound"): "p >= 2^64 (test_cli test_p_bound_named)",
+    ("gf", "residue", "ValueError"): "a coordinate outside [0, p) (test_cli"
+    " test_schema_violations_exit_2, test_bound_out_of_range_exits_2)",
+    ("gf", "ExtField.__init__", "NotPrime"): "a composite p (test_cli test_non_prime_exits_2)",
+    ("gf", "ExtField.__init__", "ReduciblePolynomial"): "a reducible --ext (test_cli"
+    " test_reducible_ext_exits_2)",
+    ("gf", "ExtField.inv", "DivisionByZero"): "no command inverts 0; test_gf test_inv_zero does",
+    ("gf", "ExtField.quadratic_roots", "ValueError"): "free_children passes a nonzero minor;"
+    " test_gf passes the zero polynomial",
+    ("maxclass", "MaxClassPresentation.__post_init__", "ValueError"): "from_json checks the"
+    " number of pairs first; test_record test_presentation_gate builds one pair short",
+    ("maxclass", "centralizer_stats", "NotStandardForm"): "cmd_stats standardizes first;"
+    " test_maxclass test_gated_on_standard_form",
+    ("maxclass", "search_sequences", "BadBound"): "both raises: build search with --class 3"
+    " or --limit 0 (test_cli test_bound_out_of_range_exits_2)",
+    ("maxclass", "search_sequences", "WindowTooLarge"): "build search --class 30 (test_cli"
+    " test_bound_out_of_range_exits_2)",
+    ("maxclass", "_json_int", "TypeError"): "a non-integer field of an algebra file"
+    " (test_cli test_schema_violations_exit_2)",
+    ("maxclass", "from_json", "SchemaError"): "two of its four raises, a malformed field and a"
+    " malformed pair (test_cli test_schema_violations_exit_2)",
+    ("reconstruct", "detect_structure", "PreconditionFailed"): "verify_roundtrip checks for a thin"
+    " pair first; test_lemma test_detect_structure_matches_tail_scans",
+    ("reconstruct", "usable_window", "WindowTooSmall"): "roundtrip --window 4 to 6 (test_cli"
+    " test_small_window_exits_1)",
+    ("reconstruct", "verify_roundtrip", "PreconditionFailed"): "a round trip of a pair that is"
+    " not thin (test_cli test_maximal_pair_exits_2)",
+    ("subfield", "_Ambient.__init__", "BadBound"): "a --window out of range (test_cli"
+    " test_bound_out_of_range_exits_2)",
+    ("subfield", "_check_scan_budget", "WindowTooLarge"): "a scan over its budget (test_cli"
+    " test_scan_over_budget_exits_2)",
 }
 
 
@@ -60,48 +112,87 @@ def package_defs() -> dict:
     return out
 
 
-def entered_by_cases(workdir: Path) -> set:
-    """{(file, first line)} of every package function the golden cases enter."""
-    codes = set()
+@pytest.fixture(scope="module")
+def traced(tmp_path_factory) -> tuple:
+    """({(file, first line)} of every function the golden cases enter,
+    {(file, line)} of every package line they execute)."""
+    codes, lines, mine = set(), set(), {}
 
-    def profile(frame, event, arg):
-        if event == "call":
-            codes.add(frame.f_code)
+    def local(frame, event, arg):
+        if event == "line":
+            lines.add((mine[frame.f_code.co_filename], frame.f_lineno))
+        return local
 
-    sys.setprofile(profile)
+    def call(frame, event, arg):
+        codes.add(frame.f_code)
+        name = frame.f_code.co_filename
+        if name not in mine:
+            real = os.path.realpath(name)
+            mine[name] = real if Path(real).parent == SRC else None
+        return local if mine[name] else None
+
+    previous = sys.gettrace()  # ``tests/mutate.py trace`` has its own
+    sys.settrace(call)
     try:
-        run_cases(workdir)
+        run_cases(tmp_path_factory.mktemp("cases"))
     finally:
-        sys.setprofile(None)
-    return {(os.path.realpath(c.co_filename), c.co_firstlineno) for c in codes}
+        sys.settrace(previous)
+    return {(os.path.realpath(c.co_filename), c.co_firstlineno) for c in codes}, lines
 
 
-def test_every_def_is_entered(tmp_path):
+def test_every_def_is_entered(traced):
     defs = package_defs()
-    entered = entered_by_cases(tmp_path)
+    entered, _ = traced
     missed = sorted(
         name for key, name in defs.items() if key not in entered and not _is_dunder(name)
     )
     assert missed == sorted(NOT_RUN)
 
 
-def raised_names() -> set:
-    """The names the package's ``raise`` statements raise: ``raise E(...)``,
-    ``raise E`` and ``raise mod.E(...)`` all name E."""
-    out = set()
+def _raised_name(node: ast.Raise) -> str:
+    """The name a ``raise`` names: ``raise E(...)``, ``raise E`` and
+    ``raise mod.E(...)`` all name E, and a bare ``raise`` names nothing."""
+    if node.exc is None:
+        return ""
+    exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+    return exc.id if isinstance(exc, ast.Name) else exc.attr
+
+
+def package_raises() -> dict:
+    """{(file, line): (module, function, exception)} of every ``raise`` of
+    the package; the function is dotted as in ``package_defs``."""
+    out = {}
+
+    def visit(node, path, module, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, path, module, f"{prefix}.{child.name}" if prefix else child.name)
+            else:
+                if isinstance(child, ast.Raise):
+                    out[(path, child.lineno)] = (module, prefix, _raised_name(child))
+                visit(child, path, module, prefix)
+
     for path in sorted(SRC.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if isinstance(node, ast.Raise) and node.exc is not None:
-                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
-                if isinstance(exc, ast.Name):
-                    out.add(exc.id)
-                elif isinstance(exc, ast.Attribute):
-                    out.add(exc.attr)
+        visit(ast.parse(path.read_text(encoding="utf-8")), str(path), path.stem, "")
     return out
+
+
+def test_every_raise_is_reached(traced):
+    """A raise counts as reached when its line runs; each raise starts its
+    own line, so no other statement shares the line event.  A key of
+    ``NOT_RAISED`` is listed when any raise under it is not reached."""
+    _, lines = traced
+    raises = package_raises()
+    for path, line in raises:
+        text = Path(path).read_text(encoding="utf-8").splitlines()[line - 1]
+        assert text.lstrip().startswith("raise "), (path, line)
+    missed = {key for at, key in raises.items() if at not in lines}
+    assert sorted(missed) == sorted(NOT_RAISED)
 
 
 def test_every_error_is_raised():
     tree = ast.parse((SRC / "errors.py").read_text(encoding="utf-8"))
     classes = {node.name for node in tree.body if isinstance(node, ast.ClassDef)}
     assert "ThinLieError" in classes
-    assert sorted(classes - {"ThinLieError"} - raised_names()) == []
+    raised = {exception for _, _, exception in package_raises().values()}
+    assert sorted(classes - {"ThinLieError"} - raised) == []

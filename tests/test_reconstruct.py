@@ -129,7 +129,7 @@ def centralizers_match(pres, pair, window=None):
     standard form is an isomorphism invariant."""
     window = pres.class_n if window is None else window
     an = sf.generate_subalgebra(pres, pair, window)
-    flags = rec.detect_structure(an)
+    flags = rec.detect_structure(an)[0]
     if flags.metabelian:
         rep = pc.build_rho_prime(an, flags)
     else:
@@ -154,14 +154,14 @@ def dev_setup(dev9_14, thin_pair_f9):
 class TestDetectStructure:
     def test_metabelian_branch(self, met_setup):
         _, an = met_setup
-        flags = rec.detect_structure(an)
+        flags = rec.detect_structure(an)[0]
         assert flags.metabelian
         assert flags.k == 2
         assert flags.detection == "metabelian"
 
     def test_deviating_branch(self, dev_setup):
         _, an = dev_setup
-        flags = rec.detect_structure(an)
+        flags = rec.detect_structure(an)[0]
         assert not flags.metabelian
         assert flags.k >= 3
         assert flags.detection in ("abelian-window", "insoluble-or-undetected")
@@ -176,14 +176,14 @@ class TestDetectStructure:
 class TestBuildRho:
     def test_checks_pass(self, dev_setup):
         _, an = dev_setup
-        flags = rec.detect_structure(an)
+        flags = rec.detect_structure(an)[0]
         rep = pc.build_rho(an, flags)
         assert rep.branch == "rho"
         assert rep.slots_min == flags.k - 1
 
     def test_z_slot_killed_by_z(self, dev_setup):
         _, an = dev_setup
-        flags = rec.detect_structure(an)
+        flags = rec.detect_structure(an)[0]
         rep = pc.build_rho(an, flags)
         f = an.field
         # rho(z) sends the z-slot to [z, z] = 0
@@ -192,7 +192,7 @@ class TestBuildRho:
 
     def test_grading(self, dev_setup):
         _, an = dev_setup
-        flags = rec.detect_structure(an)
+        flags = rec.detect_structure(an)[0]
         rep = pc.build_rho(an, flags)
         # every slot is a table slot on rho, so nothing is stored
         assert rep.lo == rep.slots_min and not any(rep.images.values())
@@ -203,7 +203,7 @@ class TestBuildRho:
 
     def test_wrong_branch_rejected(self, met_setup):
         _, an = met_setup
-        flags = rec.detect_structure(an)
+        flags = rec.detect_structure(an)[0]
         with pytest.raises(PreconditionFailed):
             pc.build_rho(an, flags)
 
@@ -211,7 +211,7 @@ class TestBuildRho:
 class TestBuildRhoPrime:
     def test_checks_pass(self, met_setup):
         _, an = met_setup
-        rep = pc.build_rho_prime(an, rec.detect_structure(an))
+        rep = pc.build_rho_prime(an, rec.detect_structure(an)[0])
         assert rep.branch == "rho_prime"
         assert rep.slots_min == 1
         # only the two extension slots are stored, and only where the map reaches
@@ -221,7 +221,7 @@ class TestBuildRhoPrime:
 
     def test_x_and_y_slot_entries(self, met_setup, f9):
         _, an = met_setup
-        rep = pc.build_rho_prime(an, rec.detect_structure(an))
+        rep = pc.build_rho_prime(an, rec.detect_structure(an)[0])
         # decompose X and Y in the stored degree-1 basis rows
         X4 = sf.deg1_to_f4(an.pair.X)
         Y4 = sf.deg1_to_f4(an.pair.Y)
@@ -246,7 +246,7 @@ class TestBuildRhoPrime:
     def test_rejects_non_metabelian(self, dev_setup):
         _, an = dev_setup
         with pytest.raises(NotMetabelian):
-            pc.build_rho_prime(an, rec.detect_structure(an))
+            pc.build_rho_prime(an, rec.detect_structure(an)[0])
 
 
 def test_degree_below_extension_line_is_not_e_stable():
@@ -270,7 +270,7 @@ class TestAssemble:
 
     def test_metabelian_dims_and_extraction(self, met_setup, f9):
         m, an = met_setup
-        rep = pc.build_rho_prime(an, rec.detect_structure(an))
+        rep = pc.build_rho_prime(an, rec.detect_structure(an)[0])
         usable = rec.usable_window(rep.window, rep.k)
         assert usable == 14 - 2 - 1
         dims, extracted = oracle_extract(rep)
@@ -284,7 +284,7 @@ class TestAssemble:
 
     def test_deviating_extraction_valid(self, dev_setup):
         _, an = dev_setup
-        flags = rec.detect_structure(an)
+        flags = rec.detect_structure(an)[0]
         rep = pc.build_rho(an, flags)
         dims, extracted = oracle_extract(rep)
         assert extracted == n_presentation(rep)
@@ -293,7 +293,7 @@ class TestAssemble:
 
     def test_extension_bilinearity_of_bracket(self, met_setup, f9):
         _, an = met_setup
-        rep = pc.build_rho_prime(an, rec.detect_structure(an))
+        rep = pc.build_rho_prime(an, rec.detect_structure(an)[0])
         rng = random.Random(31)
         elems = list(f9.elements())
         for _ in range(40):
@@ -376,7 +376,7 @@ class TestRoundtrip:
         report = rec.verify_roundtrip(pres, thin_pair_f9)
         assert report.iso and calls == []
         an = sf.generate_subalgebra(pres, thin_pair_f9, pres.class_n)
-        flags = rec.detect_structure(an)
+        flags = rec.detect_structure(an)[0]
         build = pc.build_rho_prime if flags.metabelian else pc.build_rho
         rep = build(an, flags)
         assert rec.usable_window(rep.window, rep.k) == report.usable_window == n_presentation(rep).class_n
@@ -465,7 +465,7 @@ def test_roundtrip_matches_oracle(f4, search9_14):
                         want = ("WindowTooSmall", f"kernel in degree {d} not refuted within window {window}")
                         seen["unrefuted", field.p] += 1
                         assert got[0] == "WindowTooSmall"
-                        assert rec.detect_structure(sf.generate_subalgebra(pres, pair, window)).k == 3
+                        assert rec.detect_structure(sf.generate_subalgebra(pres, pair, window))[0].k == 3
                     assert got == want, (pres.adjoint, pair, window)
                     seen[got[1].branch if got[0] == "ok" else got[0]] += 1
     assert seen["unrefuted", 2] > 0 and seen["unrefuted", 3] > 0

@@ -4,7 +4,7 @@ The records (``StructureFlags``, ``GeneratorPair``, ``MaxClassPresentation``,
 ``Verdict``, ...) are plain classes with generated ``__init__``,
 ``__eq__`` and ``__repr__``.  These tests pin what the rest of the code
 uses of them: construction, defaults, the presentation gate, equality and
-repr without the cache fields, and which records are hashable.
+repr of the fields alone, and which records are hashable.
 """
 
 import os
@@ -45,11 +45,16 @@ def test_positional_keyword_and_defaults(f9):
         pc.StandardForm(pres, m, False, None)
 
 
-def test_cache_fields_start_empty(f9):
+def test_presentation_holds_its_three_fields(f9):
+    """A presentation holds its pairs and nothing else, also after
+    ``validate`` and the commands that read it."""
     pres = mc.make_metabelian(f9, 8)
-    assert mc.MaxClassPresentation(f9, 4, pres.adjoint[:2])._structure is None
-    with pytest.raises(TypeError):  # a cache field is no parameter
+    with pytest.raises(TypeError):
         mc.MaxClassPresentation(f9, 4, pres.adjoint[:2], None)
+    assert mc.validate(pres).ok
+    pair = sf.GeneratorPair((f9.one, f9.one), (f9.mu, f9.add(f9.one, f9.mu)))
+    rec.verify_roundtrip(pres, pair)
+    assert set(vars(pres)) == {"field", "class_n", "adjoint"}
 
 
 def test_presentation_gate(f9):
@@ -63,20 +68,19 @@ def test_presentation_gate(f9):
     assert isinstance(pres.adjoint, tuple) and pres.adjoint == pairs
 
 
-def test_cache_fields_not_compared_or_shown(f9):
+def test_non_field_attributes_not_compared_or_shown(f9):
     a = mc.make_metabelian(f9, 8)
     b = mc.make_metabelian(f9, 8)
-    mc.tables(a)
-    assert a._structure is not None and b._structure is None
+    a.note = "set after construction"
     assert a == b and hash(a) == hash(b)
     assert repr(a) == repr(b)
-    assert "_structure" not in repr(a)
+    assert "note" not in repr(a)
     assert repr(a).startswith("MaxClassPresentation(field=")
     assert "class_n=8" in repr(a)
 
     pair = sf.GeneratorPair((f9.one, f9.one), (f9.mu, f9.add(f9.one, f9.mu)))
     an = sf.generate_subalgebra(a, pair)
-    s, t = (pc.build_rho_prime(an, rec.detect_structure(an)) for _ in "st")
+    s, t = (pc.build_rho_prime(an, rec.detect_structure(an)[0]) for _ in "st")
     s.eps = {}
     assert s == t
     assert repr(s) == repr(t) and "eps" not in repr(s) and "inv=" not in repr(s)

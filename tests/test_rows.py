@@ -7,8 +7,8 @@ triples it checked in closed form.  The dict table with its per-triple
 ``jacobi``, its per-top ``check_new`` and the triple list ``new_triples``
 is the oracle ``dict_structure``; ``test_lemma`` checks the lemmas on it.
 Here the two layouts are compared: ``validate``'s reports on searched and
-perturbed presentations over GF(4), GF(9) and GF(25); the tables after
-``validate`` and after ``apply_degree1_change``; the cells, open triples,
+perturbed presentations over GF(4), GF(9) and GF(25); the tables of
+valid and of ``apply_degree1_change``'s presentations; the cells, open triples,
 lookups and search columns at every push of random tables and at every
 node of two searches, whose leaves are the search's output in order; the
 triple count; and ``reconstruct._top_bracket`` against the scan of every
@@ -73,7 +73,7 @@ def test_pushes_match_dict_table(p, u, v):
         assert_same_table(new, old)
         assert new.open_triples() == old.open_triples()
         degrees = range(2, new.top + 2)
-        assert [new.get_vv(i, j) for i in degrees for j in degrees] == [
+        assert [pc.vv(new, i, j) for i in degrees for j in degrees] == [
             old.get_vv(i, j) for i in degrees for j in degrees
         ]
         if new.top < new.class_n:
@@ -88,7 +88,8 @@ def test_validate_matches_dict_oracle(request, found):
     """``validate`` gives the oracle's report (ok, first failure, triples
     checked) on every searched presentation and on three perturbations of
     each, with one or two pairs redrawn, and raises ZeroPair where it
-    does.  A passing table is the oracle's; a failing one is not cached."""
+    does.  It stores nothing on the presentation, and a passing one's
+    table (``paper_checks.table``) is the oracle's."""
     rng = random.Random(f"validate-{found}")
     outcomes = set()
     for pres in request.getfixturevalue(found):
@@ -110,10 +111,9 @@ def test_validate_matches_dict_oracle(request, found):
                 outcomes.add("zero")
                 continue
             assert mc.validate(fresh) == want, adj
+            assert set(vars(fresh)) == {"field", "class_n", "adjoint"}
             if want.ok:
-                assert_same_table(fresh._structure, ds.table(fresh))
-            else:
-                assert fresh._structure is None
+                assert_same_table(pc.table(fresh), ds.table(fresh))
             outcomes.add(want.first_failure[0] if not want.ok else "ok")
     assert {"ok", "zero", "v2"} < outcomes and len(outcomes) > 6
 
@@ -133,7 +133,7 @@ def test_degree1_change_table_matches_dict_oracle(request, found):
                 continue
             out = pc.apply_degree1_change(pres, xp, yp)
             assert ds.validate(out).ok
-            assert_same_table(out._structure, ds.table(out))
+            assert_same_table(pc.table(out), ds.table(out))
 
 
 @pytest.mark.parametrize("p, u, v, class_n", [(2, 1, 1, 14), (3, 0, 2, 14)], ids=["4_14", "9_14"])
@@ -186,7 +186,7 @@ def test_top_bracket_matches_scan(search9_12, search25_12, dev9_14, dev25_14):
     the class, on searched and deviating presentations."""
     seen = set()
     for pres in [*search9_12, *search25_12[::7], dev9_14, dev25_14]:
-        st, old = mc.tables(pres), ds.table(pres)
+        st, old = pc.table(pres), ds.table(pres)
         for window in range(4, pres.class_n + 1):
             m = rec._top_bracket(st, window)
             assert m == pc.top_bracket_scan(old, window), (pres.adjoint, window)
