@@ -16,9 +16,9 @@ any order, the last occurrence of an option winning, ``--opt value``,
 Where argparse stores ``[]`` for an option given ``--`` in its own token
 (``--p=--``, ``-o--``), this parser refuses it as argparse refuses
 ``--p --``.  A usage error returns 2 after a ``usage:`` line and a
-``thinlie <cmd>: error: ...`` line on stderr; ``-h``/``--help`` and ``--version`` write
-to stdout and return 0.  ``main`` returns every code and raises no
-``SystemExit``.
+``thinlie <cmd>: error: ...`` line on stderr; ``-h``/``--help`` and
+``--version`` write to stdout and return 0.  ``main`` returns every code
+and raises no ``SystemExit``.
 """
 
 from __future__ import annotations

@@ -284,7 +284,9 @@ def _imported(path: Path) -> set:
         if isinstance(node, ast.Import):
             out.update(alias.name for alias in node.names)
         elif isinstance(node, ast.ImportFrom):
-            base = "thinlie" + (f".{node.module}" if node.module else "") if node.level and package else node.module
+            base = node.module
+            if node.level and package:  # from . import x, from .x import y
+                base = f"thinlie.{node.module}" if node.module else "thinlie"
             out.add(base)
             out.update(f"{base}.{alias.name}" for alias in node.names)
     return out
