@@ -38,8 +38,9 @@ the copy that run the mutated line, fastest first; ``-x`` stops at the
 first failure.  A line in the ``outside`` bucket (a module constant, say)
 runs when its module is imported, so its mutant is given every test whose
 file imports that module, directly or through ``conftest.py``, the test
-helpers and the package (``importers``), fastest first too.  A failure, an error or a timeout kills the mutant; a
-mutant that no chosen test reaches is recorded as "no tests".
+helpers and the package (``importers``), fastest first too.  A failure,
+an error or a timeout kills the mutant; a mutant that no chosen test
+reaches is recorded as "no tests".
 ``--run`` keeps only the tests matching REGEX, and ``--only`` only the
 mutants that survived in an earlier KILLS.json.  KILLS.json maps each
 mutant id (``file:line:col-end col:operator``) to its result and, for a kill, the
