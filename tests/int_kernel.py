@@ -1,4 +1,4 @@
-"""The GF(p) linear algebra of the tests.
+"""The linear algebra of the tests: GF(p), and GF(p^2) by restriction of scalars.
 
 The package eliminates no rows: it reads a subalgebra off its
 dimensions, and ``gf`` is field arithmetic only.  The oracles insert
@@ -7,6 +7,19 @@ count dimensions, solve for coordinates in independent rows, take right
 kernels, coordinates in a stored basis and membership, sum scaled rows
 and multiply matrices.  All of it is here, on one ``RowSpace``, so the
 oracles share one elimination.
+
+E-linear algebra runs here too, by restriction of scalars.  E = F + F*mu
+over F = GF(p), and e = e0 + e1*mu is stored as (e0, e1), so an E-row r of
+length n is the F-row flat(r) of length 2n.  The lemma: c*r = c0*r +
+c1*(mu*r), so the E-span of rows R is the F-span of flat(R) and
+flat(mu*R), the doubled rows (``doubled_rows``).  Hence rank_E(R) =
+rank_F / 2, w is in the E-span exactly when flat(w) is in the F-span, and
+c . R = w over E is the F-solve of the doubled rows against flat(w), with
+c_i = c[2i] + c[2i + 1]*mu.  The F dot product of flattened vectors is not
+the E-pairing, so the right kernel {x : A x = 0} of an E-matrix A is read
+through the transpose: x -> A x is the row map x -> x . A^T, whose F-matrix
+is the doubled rows of A^T, and its kernel is the right kernel of their
+transpose.
 """
 
 
@@ -139,3 +152,14 @@ def solve(p, rows, vec):
         raise ValueError("rows are dependent or the vector is outside their span")
     return [row[n] for row in sp._rows]
 
+
+
+def doubled_rows(field, rows):
+    """The F-rows flat(r) and flat(mu*r) of each E-row r, in that order:
+    the F-span of the output is the E-span of ``rows`` (the module
+    docstring).  ``field`` is the ``thinlie.gf.ExtField`` of the entries."""
+    out = []
+    for row in rows:
+        out.append(tuple(x for e in row for x in e))
+        out.append(tuple(x for e in row for x in field.mul(field.mu, e)))
+    return out

@@ -6,8 +6,7 @@ import time
 
 import pytest
 
-import generic_gf as gg
-from int_kernel import RowSpace, solve, span
+from int_kernel import RowSpace, doubled_rows, solve, span
 from thinlie.errors import BadBound, DivisionByZero, NotPrime, ReduciblePolynomial
 from thinlie.gf import MR_BASES, is_prime, make_ext_field, quadratic_is_irreducible
 
@@ -104,8 +103,6 @@ class TestArithmetic:
             f.inv(f.zero)
         with pytest.raises(DivisionByZero):
             f.inv((3, -3))  # zero, unreduced
-        with pytest.raises(DivisionByZero):
-            gg.BaseField(3).inv(0)
 
     @pytest.mark.parametrize("p", PRIMES)
     def test_field_axioms_random(self, p):
@@ -164,6 +161,14 @@ class TestArithmetic:
                     assert got == f.inv(a), raw
 
 
+def _e_kernel(f, rows):
+    """The right kernel of the E-rows as flattened F-vectors: x -> rows . x is
+    the row map x -> x . rows^T, whose F-matrix is the doubled rows of the
+    transpose, so the kernel is the right kernel of their transpose."""
+    doubled = doubled_rows(f, list(zip(*rows)))
+    return span(f.p, list(zip(*doubled)), 2 * len(rows[0])).kernel()
+
+
 class TestRref:
     def test_identity(self):
         sp = span(3, [[1, 0], [0, 1]], 2)
@@ -176,32 +181,34 @@ class TestRref:
         assert sp.kernel() == [(1, 0), (0, 1)]
 
     def test_extension_kernel(self):
-        # over GF(p^2) through the field-generic predecessor of the kernel
+        # over GF(p^2) by restriction of scalars (the ``int_kernel`` docstring)
         f = make_ext_field(3, 0, 2)
-        sp = gg.span(f, [[(1, 0), (0, 1)]], 2)  # row (1, mu)
-        assert sp.dim == 1
-        assert sp.kernel() == [((0, 2), (1, 0))]  # (-mu, 1) = (2mu, 1)
+        row = [(1, 0), (0, 1)]  # (1, mu)
+        assert span(3, doubled_rows(f, [row]), 4).dim == 2  # E-rank 1
+        kernel = _e_kernel(f, [row])
+        assert len(kernel) == 2  # so the kernel is one E-line,
+        assert span(3, kernel, 4).contains([0, 2, 1, 0])  # through (-mu, 1) = (2mu, 1)
+        assert _combination(f, [(0, 2), (1, 0)], [[e] for e in row]) == [f.zero]
 
     @pytest.mark.parametrize("p", PRIMES)
     def test_idempotent_and_rank_nullity(self, p):
-        # over GF(p^2) through the field-generic predecessor of the kernel
+        # over GF(p^2) by restriction of scalars (the ``int_kernel`` docstring)
         f = _field(p)
         rng = random.Random(777 + p)
         elems = list(f.elements())
         for _ in range(25):
             rows = [[rng.choice(elems) for _ in range(4)] for _ in range(3)]
-            sp = gg.span(f, rows, 4)
-            assert gg.span(f, sp.basis(), 4).basis() == sp.basis()
-            assert sp.dim + len(sp.kernel()) == 4
-            # kernel rows really are in the kernel
-            for k in sp.kernel():
-                img = [f.zero] * len(rows)
-                for i, row in enumerate(rows):
-                    acc = f.zero
-                    for x, y in zip(row, k):
-                        acc = f.add(acc, f.mul(x, y))
-                    img[i] = acc
-                assert all(f.is_zero(x) for x in img)
+            sp = span(p, doubled_rows(f, rows), 8)
+            # the F-span of the doubled rows is mu-stable: doubling its basis adds nothing
+            basis = [list(zip(r[::2], r[1::2])) for r in sp.basis()]
+            assert span(p, doubled_rows(f, basis), 8).basis() == sp.basis()
+            kernel = _e_kernel(f, rows)
+            assert sp.dim % 2 == len(kernel) % 2 == 0
+            assert sp.dim // 2 + len(kernel) // 2 == 4
+            # kernel rows really are in the kernel: rows . x = x . rows^T = 0
+            for k in kernel:
+                x = list(zip(k[::2], k[1::2]))
+                assert all(f.is_zero(e) for e in _combination(f, x, list(zip(*rows))))
 
 
 class TestRowSpace:
@@ -226,26 +233,37 @@ class TestRowSpace:
 
 # -- the solve kernel against exhaustive enumeration ---------------------------
 
-# The enumeration runs on the field protocol of ``generic_gf.BaseField``; the
-# GF(p) cases check the tests' kernel (``int_kernel``: ``span``, ``solve``
-# and the readers of its ``RowSpace``), GF(3^2) its field-generic
-# predecessor.
+# The enumeration runs on ints mod p for GF(p) and on the ExtField for
+# GF(3^2).  The GF(p) cases check the tests' kernel (``int_kernel``: ``span``,
+# ``solve`` and the readers of its ``RowSpace``); the GF(3^2) cases check the
+# same kernel on the doubled rows of the E-rows (the lemma of ``int_kernel``).
 KERNEL_FIELDS = {
-    "GF(2)": gg.BaseField(2),
-    "GF(3)": gg.BaseField(3),
-    "GF(5)": gg.BaseField(5),
+    "GF(2)": 2,
+    "GF(3)": 3,
+    "GF(5)": 5,
     "GF(3^2)": make_ext_field(3, 0, 2),
 }
 
 
-def _kernel(field):
-    """(scalars, span, solve) of the kernel under test for a KERNEL_FIELDS entry."""
-    if isinstance(field, gg.BaseField):
-        return field.p, span, solve
-    return field, gg.span, gg.solve
+def _scalars(field):
+    """(elements, zero, one) of a KERNEL_FIELDS entry."""
+    if isinstance(field, int):
+        return list(range(field)), 0, 1
+    return list(field.elements()), field.zero, field.one
+
+
+def _kernel_solve(field, rows, vec):
+    """c with c . rows = vec: ``solve`` over GF(p), and over E the F-solve of
+    the doubled rows read back in pairs."""
+    if isinstance(field, int):
+        return solve(field, rows, vec)
+    c = solve(field.p, doubled_rows(field, rows), doubled_rows(field, [vec])[0])
+    return list(zip(c[::2], c[1::2]))
 
 
 def _combination(field, coeffs, rows):
+    if isinstance(field, int):
+        return [sum(c * x for c, x in zip(coeffs, col)) % field for col in zip(*rows)]
     out = [field.zero] * len(rows[0])
     for c, row in zip(coeffs, rows):
         out = [field.add(o, field.mul(c, x)) for o, x in zip(out, row)]
@@ -257,20 +275,19 @@ def _coords_by_enumeration(field, rows, vec):
 
     For two rows this is the p^2 pair loop once used to solve vec = a*X + b*Y.
     """
-    vec = [field.coerce(x) for x in vec]
+    elems = _scalars(field)[0]
     return [
         list(c)
-        for c in itertools.product(list(field.elements()), repeat=len(rows))
-        if _combination(field, c, rows) == vec
+        for c in itertools.product(elems, repeat=len(rows))
+        if _combination(field, c, rows) == list(vec)
     ]
 
 
 def _independent_rows(field, rng, n, ncols):
-    elems = list(field.elements())
+    elems, zero, _ = _scalars(field)
     while True:
         rows = [[rng.choice(elems) for _ in range(ncols)] for _ in range(n)]
-        zero = [field.zero] * ncols
-        if _coords_by_enumeration(field, rows, zero) == [[field.zero] * n]:
+        if _coords_by_enumeration(field, rows, [zero] * ncols) == [[zero] * n]:
             return rows
 
 
@@ -278,9 +295,8 @@ class TestSolveKernel:
     @pytest.mark.parametrize("name", sorted(KERNEL_FIELDS))
     def test_solve_matches_enumeration(self, name):
         field = KERNEL_FIELDS[name]
-        scalars, _, solve_ = _kernel(field)
         rng = random.Random(f"solve-{name}")
-        elems = list(field.elements())
+        elems = _scalars(field)[0]
         outside = 0
         for _ in range(30):
             n = rng.randint(1, 3)
@@ -291,56 +307,59 @@ class TestSolveKernel:
             for vec in (inside, random_vec):
                 found = _coords_by_enumeration(field, rows, vec)
                 if found:
-                    assert [solve_(scalars, rows, vec)] == found
+                    assert [_kernel_solve(field, rows, vec)] == found
                 else:
                     outside += 1
                     with pytest.raises(ValueError):
-                        solve_(scalars, rows, vec)
+                        _kernel_solve(field, rows, vec)
         assert outside > 0
 
     @pytest.mark.parametrize("name", sorted(KERNEL_FIELDS))
     def test_pivot_coords_match_enumeration(self, name):
         field = KERNEL_FIELDS[name]
-        scalars, span_, _ = _kernel(field)
         rng = random.Random(f"coords-{name}")
-        elems = list(field.elements())
+        elems = _scalars(field)[0]
         outside = 0
         for _ in range(30):
             n = rng.randint(1, 3)
             ncols = rng.randint(n, 4)
-            sp = span_(scalars, _independent_rows(field, rng, n, ncols), ncols)
-            basis = [list(r) for r in sp.basis()]
+            rows = _independent_rows(field, rng, n, ncols)
+            if isinstance(field, int):
+                sp = span(field, rows, ncols)
+                basis, coords = [list(r) for r in sp.basis()], sp.coords
+            else:  # no E-basis is stored: coordinates in the rows are the E-solve
+                basis, coords = rows, lambda vec: _kernel_solve(field, rows, vec)
             inside = _combination(field, [rng.choice(elems) for _ in range(n)], basis)
             random_vec = [rng.choice(elems) for _ in range(ncols)]
             for vec in (inside, random_vec):
                 found = _coords_by_enumeration(field, basis, vec)
                 if found:
-                    assert [sp.coords(vec)] == found
+                    assert [coords(vec)] == found
                 else:
                     outside += 1
                     with pytest.raises(ValueError):
-                        sp.coords(vec)
+                        coords(vec)
         assert outside > 0
 
     @pytest.mark.parametrize("name", sorted(KERNEL_FIELDS))
     def test_dependent_rows_rejected(self, name):
         field = KERNEL_FIELDS[name]
-        scalars, _, solve_ = _kernel(field)
-        row = [field.one, field.zero, field.one]
+        _, zero, one = _scalars(field)
+        row = [one, zero, one]
         with pytest.raises(ValueError):
-            solve_(scalars, [row, row], row)
+            _kernel_solve(field, [row, row], row)
 
     @pytest.mark.parametrize("name", sorted(KERNEL_FIELDS))
     def test_inverse_times_matrix_is_identity(self, name):
         # an inverse is one solve per unit row, as in the endomorphism solver
         field = KERNEL_FIELDS[name]
-        scalars, _, solve_ = _kernel(field)
+        _, zero, one = _scalars(field)
         rng = random.Random(f"inverse-{name}")
         for _ in range(20):
             n = rng.randint(1, 3)
             rows = _independent_rows(field, rng, n, n)
-            ident = [[field.one if i == j else field.zero for j in range(n)] for i in range(n)]
-            inv = [solve_(scalars, rows, unit) for unit in ident]
+            ident = [[one if i == j else zero for j in range(n)] for i in range(n)]
+            inv = [_kernel_solve(field, rows, unit) for unit in ident]
             assert [_combination(field, row, rows) for row in inv] == ident
 
 

@@ -45,6 +45,12 @@ exit code 1, ``check`` of a file one pair short (exit code 2), and
 ``roundtrip`` of the GF(4) class-16 file at window 5 on a thin pair,
 where the one bracket in the window, [v_2, v_3], is nonzero, so no
 abelian tail is confirmed and none is witnessed in T^3 (exit code 1).
+Eleven guards that a ``test_cli`` case trips, with the exit code it
+asserts: ``build metabelian`` with a one-value ``--ext``, a composite p,
+a reducible ``--ext`` and p >= 2^64, ``build search`` at class 3, at
+limit 0 and at class 30, ``analyze`` at window 3 and with a coordinate
+outside [0, p), and ``roundtrip`` of a maximal pair, each exit code 2,
+and ``roundtrip`` at window 5, whose usable window is below 4 (exit code 1).
 ``scan`` and ``scan --raw`` of two standard-form search results with
 more distinct centralizer points: the 218th presentation of GF(4) at
 class 24 (four points) and the 652nd of GF(25) at class 22 (three
@@ -188,6 +194,21 @@ CASES = [
     # a thin pair at window 5, where only [v_2, v_3] is in the window and
     # is nonzero: no abelian tail is confirmed and T^3 shows no bracket
     ("roundtrip-gf4c16-xy-window5", ["roundtrip", "gf4c16-xy.json", "--X", "1,0,0,0", "--Y", "0,1,1,1", "--window", "5"], 1),
+    # guards that a test_cli case trips: a one-value --ext, a composite p, a
+    # reducible --ext, p >= 2^64, a window too small for the round trip,
+    # a round trip of a maximal pair, search bounds (class 3, limit 0,
+    # class 30), an analyze window below 4 and a coordinate outside [0, p)
+    ("build-ext-one-value", ["build", "metabelian", "--p", "3", "--ext", "2", "--class", "8"], 2),
+    ("build-p-not-prime", ["build", "metabelian", "--p", "9", "--ext", "2,0", "--class", "8"], 2),
+    ("build-ext-reducible", ["build", "metabelian", "--p", "3", "--ext", "1,0", "--class", "10"], 2),
+    ("build-p-beyond-2-64", ["build", "metabelian", "--p", str(2**64 + 13), "--ext", "2,0", "--class", "6"], 2),
+    ("roundtrip-window5", ["roundtrip", "m.json", *PAIR, "--window", "5"], 1),
+    ("roundtrip-maximal", ["roundtrip", "m.json", "--X", "1,0,0,0", "--Y", "0,0,1,0"], 2),
+    ("build-search-class3", ["build", "search", "--p", "3", "--ext", "2,0", "--class", "3"], 2),
+    ("build-search-limit0", ["build", "search", "--p", "3", "--ext", "2,0", "--class", "8", "--limit", "0"], 2),
+    ("build-search-class30", ["build", "search", "--p", "3", "--ext", "2,0", "--class", "30"], 2),
+    ("analyze-window3", ["analyze", "m.json", *PAIR, "--window", "3"], 2),
+    ("analyze-X-not-residue", ["analyze", "m.json", "--X", "7,0,1,0", "--Y", "0,1,1,1"], 2),
     # standard-form search results with more than two distinct centralizer
     # points, so some Baer subline of P^1(E) passes through three of them:
     # GF(4) class 24 with four points, GF(25) class 22 with three

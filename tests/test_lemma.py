@@ -84,8 +84,9 @@ with ``reconstruct.verify_roundtrip`` in ``test_reconstruct``.
 
 The GF(p) kernel under the oracles (``int_kernel``: ``RowSpace``,
 ``span``, ``solve``, ``combine`` and ``mat_mul``) is compared with
-Gauss-Jordan elimination and entry-by-entry products on entries that are
-negative or >= p, which stand for their residues.
+Gauss-Jordan elimination and entry-by-entry products on ints mod p, on
+entries that are negative or >= p, which stand for their residues; that
+reference uses nothing of ``int_kernel``.
 """
 
 import itertools
@@ -96,9 +97,8 @@ from pathlib import Path
 import pytest
 
 import dict_structure as ds
-import generic_gf as gg
 import paper_checks as pc
-from int_kernel import RowSpace, combine, mat_mul, solve, span
+from int_kernel import RowSpace, combine, doubled_rows, mat_mul, solve, span
 from thinlie import endo
 from thinlie import maxclass as mc
 from thinlie import reconstruct as rec
@@ -1144,20 +1144,12 @@ def test_metabelian_window_lemma(p, u, v, class_n, count, metabelian_count):
 # -- the subalgebra <X, Y> and the raw scan ------------------------------------
 
 
-def point_rows_f4(field, point):
-    """The F-plane of the E-line through alpha*x + beta*y, as two F^4 rows."""
-    al, be = point
-    return [
-        sf.deg1_to_f4((al, be)),
-        sf.deg1_to_f4((field.mul(field.mu, al), field.mul(field.mu, be))),
-    ]
-
-
 def oracle_d_values(l1, seq, window):
     """d_i = dim_F(C_i \\cap l1) for i = 2 .. window - 1, one span per degree."""
     out = []
     for i in range(2, window):
-        sp = span(l1.p, l1.basis() + point_rows_f4(seq.field, seq.point(i)), 4)
+        # the F-plane of the E-line through the point: its doubled rows
+        sp = span(l1.p, l1.basis() + doubled_rows(seq.field, [seq.point(i)]), 4)
         out.append(4 - sp.dim)
     return tuple(out)
 
@@ -1707,35 +1699,35 @@ def test_identify_field_matches_ring_on_every_pair(request, which, embeddings):
 # -- int_kernel: the oracles' GF(p) kernel against Gauss-Jordan elimination ----
 
 
-def oracle_apply(field, rows, vec):
-    """The row-vector action vec . rows, one field operation at a time."""
+def oracle_apply(p, rows, vec):
+    """The row-vector action vec . rows mod p, one entry at a time."""
     assert len(vec) == len(rows)
-    out = [field.zero] * len(rows[0])
+    out = [0] * len(rows[0])
     for c, row in zip(vec, rows):
-        if field.is_zero(c):
+        if c % p == 0:
             continue
         for j, x in enumerate(row):
-            out[j] = field.add(out[j], field.mul(c, x))
+            out[j] = (out[j] + c * x) % p
     return out
 
 
-def oracle_mul(field, a, b, ncols=None):
-    """The product a . b entry by entry; ``ncols`` is needed when b has no rows."""
+def oracle_mul(p, a, b, ncols=None):
+    """The product a . b mod p entry by entry; ``ncols`` is needed when b has no rows."""
     ncols = len(b[0]) if ncols is None else ncols
     out = []
     for r in a:
         row = []
         for j in range(ncols):
-            acc = field.zero
+            acc = 0
             for k in range(len(b)):
-                acc = field.add(acc, field.mul(r[k], b[k][j]))
+                acc = (acc + r[k] * b[k][j]) % p
             row.append(acc)
         out.append(row)
     return out
 
 
-def oracle_rref(F, rows, ncols):
-    """Gauss-Jordan elimination of the whole matrix, pivot by pivot:
+def oracle_rref(p, rows, ncols):
+    """Gauss-Jordan elimination mod p of the whole matrix, pivot by pivot:
     (rank, reduced rows, pivots, kernel rows)."""
     rows = [list(r) for r in rows]
     nrows = len(rows)
@@ -1744,18 +1736,18 @@ def oracle_rref(F, rows, ncols):
     for c in range(ncols):
         sel = None
         for i in range(r, nrows):
-            if not F.is_zero(rows[i][c]):
+            if rows[i][c] % p:
                 sel = i
                 break
         if sel is None:
             continue
         rows[r], rows[sel] = rows[sel], rows[r]
-        inv = F.inv(rows[r][c])
-        rows[r] = [F.mul(inv, x) for x in rows[r]]
+        inv = pow(rows[r][c], p - 2, p)
+        rows[r] = [inv * x % p for x in rows[r]]
         for i in range(nrows):
-            if i != r and not F.is_zero(rows[i][c]):
+            if i != r and rows[i][c] % p:
                 f = rows[i][c]
-                rows[i] = [F.sub(x, F.mul(f, y)) for x, y in zip(rows[i], rows[r])]
+                rows[i] = [(x - f * y) % p for x, y in zip(rows[i], rows[r])]
         pivots.append(c)
         r += 1
         if r == nrows:
@@ -1765,39 +1757,37 @@ def oracle_rref(F, rows, ncols):
     for j in range(ncols):
         if j in pivot_set:
             continue
-        vec = [F.zero] * ncols
-        vec[j] = F.one
+        vec = [0] * ncols
+        vec[j] = 1
         for ri, pc in enumerate(pivots):
-            vec[pc] = F.neg(rows[ri][j])
+            vec[pc] = -rows[ri][j] % p
         kernel_rows.append(vec)
     return r, rows, tuple(pivots), kernel_rows
 
 
-def oracle_solve(field, rows, vec):
+def oracle_solve(p, rows, vec):
     """Coordinates read off the Gauss-Jordan form of the augmented columns."""
     n = len(rows)
     aug = [[r[j] for r in rows] + [x] for j, x in enumerate(vec)]
-    _, reduced, pivots, _ = oracle_rref(field, aug, n + 1)
+    _, reduced, pivots, _ = oracle_rref(p, aug, n + 1)
     if pivots != tuple(range(n)):
         raise ValueError("rows are dependent or the vector is outside their span")
     return [reduced[i][n] for i in range(n)]
 
 
-def _solve_outcome(fn, field, rows, vec):
+def _solve_outcome(fn, p, rows, vec):
     try:
-        return ("ok", fn(field, rows, vec))
+        return ("ok", fn(p, rows, vec))
     except ValueError as exc:
         return ("ValueError", str(exc))
 
 
-def _random_matrix(field, rng, nrows, ncols, elems=None):
+def _random_matrix(p, rng, nrows, ncols, elems):
     """Sparse random rows, a low-rank product, or rows with zero and
-    duplicate rows mixed in; entries are drawn from ``elems`` (default:
-    every element of the field)."""
-    elems = list(field.elements()) if elems is None else elems
+    duplicate rows mixed in; entries are drawn from ``elems``."""
 
     def entry():
-        return field.zero if rng.random() < 0.4 else rng.choice(elems)
+        return 0 if rng.random() < 0.4 else rng.choice(elems)
 
     shape = rng.randrange(3)
     if shape == 0:
@@ -1806,11 +1796,11 @@ def _random_matrix(field, rng, nrows, ncols, elems=None):
     if shape == 1:
         left = [[entry() for _ in range(rank)] for _ in range(nrows)]
         right = [[entry() for _ in range(ncols)] for _ in range(rank)]
-        return oracle_mul(field, left, right, ncols)
+        return oracle_mul(p, left, right, ncols)
     rows = [[entry() for _ in range(ncols)] for _ in range(rank)]
     while len(rows) < nrows:
         duplicate = rows and rng.random() < 0.5
-        rows.append(list(rng.choice(rows)) if duplicate else [field.zero] * ncols)
+        rows.append(list(rng.choice(rows)) if duplicate else [0] * ncols)
     rng.shuffle(rows)
     return rows
 
@@ -1822,7 +1812,6 @@ def test_int_kernel_reduces_entries(p):
     and ``solve`` (equal values or the same ValueError) agree with
     Gauss-Jordan elimination on matrices with such entries mixed in, on
     every shape 1-6 x 1-6 and a tall 40 x 4."""
-    field = gg.BaseField(p)
     rng = random.Random(f"gf-unreduced-{p}")
     elems = list(range(p)) if p < 10 else [1, 2, p - 1] + [rng.randrange(p) for _ in range(5)]
 
@@ -1834,11 +1823,11 @@ def test_int_kernel_reduces_entries(p):
     outcomes = set()
     for nrows, ncols in shapes:
         for _ in range(6):
-            m = unreduce(_random_matrix(field, rng, nrows, ncols, elems))
-            rank, reduced, _, kernel = oracle_rref(field, m, ncols)
+            m = unreduce(_random_matrix(p, rng, nrows, ncols, elems))
+            rank, reduced, _, kernel = oracle_rref(p, m, ncols)
             sp = RowSpace(p, ncols)
             grew = [sp.insert(row) for row in m]
-            ranks = [oracle_rref(field, m[:k], ncols)[0] for k in range(nrows + 1)]
+            ranks = [oracle_rref(p, m[:k], ncols)[0] for k in range(nrows + 1)]
             assert grew == [b > a for a, b in zip(ranks, ranks[1:])], m
             assert sp.basis() == [tuple(r) for r in reduced[:rank]], m
             assert span(p, m, ncols).basis() == sp.basis(), m
@@ -1846,15 +1835,15 @@ def test_int_kernel_reduces_entries(p):
             rows = m[: rng.randint(1, nrows)]
             if rng.random() < 0.5:
                 coeffs = [rng.choice(elems) for _ in rows]
-                vec = unreduce([oracle_apply(field, rows, coeffs)])[0]
+                vec = unreduce([oracle_apply(p, rows, coeffs)])[0]
             else:
-                vec = unreduce(_random_matrix(field, rng, 1, ncols, elems))[0]
-            got = _solve_outcome(lambda _, r, v: solve(p, r, v), field, rows, vec)
-            assert got == _solve_outcome(oracle_solve, field, rows, vec), (rows, vec)
+                vec = unreduce(_random_matrix(p, rng, 1, ncols, elems))[0]
+            got = _solve_outcome(solve, p, rows, vec)
+            assert got == _solve_outcome(oracle_solve, p, rows, vec), (rows, vec)
             outcomes.add(got[0])
-            inside = unreduce([oracle_apply(field, m, [rng.choice(elems) for _ in m])])[0]
+            inside = unreduce([oracle_apply(p, m, [rng.choice(elems) for _ in m])])[0]
             for v in (inside, vec):
-                want = _solve_outcome(oracle_solve, field, reduced[:rank], v)
+                want = _solve_outcome(oracle_solve, p, reduced[:rank], v)
                 try:
                     assert ("ok", sp.coords(v)) == want, (m, v)
                 except ValueError:
@@ -1868,7 +1857,6 @@ def test_combine_and_product_match_entrywise(p):
     """``int_kernel.combine`` and ``mat_mul`` against the entry-by-entry
     vector-matrix and matrix products, on every shape 1-6 x 1-6 with about
     40% zero entries, and on zero and all-(p - 1) matrices."""
-    field = gg.BaseField(p)
     rng = random.Random(f"gf-combine-{p}")
 
     def matrix(nrows, ncols):
@@ -1883,7 +1871,7 @@ def test_combine_and_product_match_entrywise(p):
             cases += [[[0] * ncols] * nrows, [[p - 1] * ncols] * nrows]
             for rows in cases:
                 for coeffs in (matrix(1, nrows)[0], [p - 1] * nrows):
-                    want = tuple(oracle_apply(field, rows, coeffs))
+                    want = tuple(oracle_apply(p, rows, coeffs))
                     assert combine(p, coeffs, rows) == want, (rows, coeffs)
                 left = matrix(rng.randint(1, 6), nrows)
-                assert mat_mul(p, left, rows) == oracle_mul(field, left, rows), (left, rows)
+                assert mat_mul(p, left, rows) == oracle_mul(p, left, rows), (left, rows)

@@ -25,6 +25,8 @@ import pytest
 
 import thinlie
 from test_golden import run_cases
+from thinlie import maxclass as mc
+from thinlie.gf import make_ext_field
 
 SRC = Path(thinlie.__file__).resolve().parent
 
@@ -46,14 +48,6 @@ NOT_RAISED = {
     " (test_cli TestUnwritableStdout)",
     ("cli", "_load", "SchemaError"): "JSON nested too deeply (test_cli"
     " test_deeply_nested_json_exits_2)",
-    ("cli", "_parse_ext", "ValueError"): "an --ext of one value (test_cli"
-    " test_ext_of_one_value_exits_2)",
-    ("gf", "is_prime", "BadBound"): "p >= 2^64 (test_cli test_p_bound_named)",
-    ("gf", "residue", "ValueError"): "a coordinate outside [0, p) (test_cli"
-    " test_schema_violations_exit_2, test_bound_out_of_range_exits_2)",
-    ("gf", "ExtField.__init__", "NotPrime"): "a composite p (test_cli test_non_prime_exits_2)",
-    ("gf", "ExtField.__init__", "ReduciblePolynomial"): "a reducible --ext (test_cli"
-    " test_reducible_ext_exits_2)",
     ("gf", "ExtField.inv", "DivisionByZero"): "no command inverts 0; test_gf test_inv_zero does",
     ("gf", "ExtField.quadratic_roots", "ValueError"): "free_children passes a nonzero minor;"
     " test_gf passes the zero polynomial",
@@ -61,22 +55,12 @@ NOT_RAISED = {
     " number of pairs first; test_record test_presentation_gate builds one pair short",
     ("maxclass", "centralizer_stats", "NotStandardForm"): "cmd_stats standardizes first;"
     " test_maxclass test_gated_on_standard_form",
-    ("maxclass", "search_sequences", "BadBound"): "both raises: build search with --class 3"
-    " or --limit 0 (test_cli test_bound_out_of_range_exits_2)",
-    ("maxclass", "search_sequences", "WindowTooLarge"): "build search --class 30 (test_cli"
-    " test_bound_out_of_range_exits_2)",
     ("maxclass", "_json_int", "TypeError"): "a non-integer field of an algebra file"
     " (test_cli test_schema_violations_exit_2)",
     ("maxclass", "from_json", "SchemaError"): "two of its four raises, a malformed field and a"
     " malformed pair (test_cli test_schema_violations_exit_2)",
     ("reconstruct", "detect_structure", "PreconditionFailed"): "verify_roundtrip checks for a thin"
     " pair first; test_lemma test_detect_structure_matches_tail_scans",
-    ("reconstruct", "usable_window", "WindowTooSmall"): "roundtrip --window 4 to 6 (test_cli"
-    " test_small_window_exits_1)",
-    ("reconstruct", "verify_roundtrip", "PreconditionFailed"): "a round trip of a pair that is"
-    " not thin (test_cli test_maximal_pair_exits_2)",
-    ("subfield", "_Ambient.__init__", "BadBound"): "a --window out of range (test_cli"
-    " test_bound_out_of_range_exits_2)",
     ("subfield", "_check_scan_budget", "WindowTooLarge"): "a scan over its budget (test_cli"
     " test_scan_over_budget_exits_2)",
 }
@@ -112,10 +96,23 @@ def package_defs() -> dict:
     return out
 
 
-@pytest.fixture(scope="module")
-def traced(tmp_path_factory) -> tuple:
-    """({(file, first line)} of every function the golden cases enter,
-    {(file, line)} of every package line they execute)."""
+def _both(mine, theirs):
+    """A trace function that passes each event to both, each keeping the
+    local trace function it returns; either may be None."""
+    if theirs is None or mine is None:
+        return mine or theirs
+
+    def trace(frame, event, arg):
+        return _both(mine(frame, event, arg), theirs(frame, event, arg))
+
+    return trace
+
+
+def trace_package(run) -> tuple:
+    """Call ``run()`` under ``sys.settrace``: ({(file, first line)} of every
+    function it enters, {(file, line)} of every package line it executes).
+    A tracer already set (``tests/mutate.py trace`` sets one) sees every
+    event as well, and is set again afterwards."""
     codes, lines, mine = set(), set(), {}
 
     def local(frame, event, arg):
@@ -131,13 +128,40 @@ def traced(tmp_path_factory) -> tuple:
             mine[name] = real if Path(real).parent == SRC else None
         return local if mine[name] else None
 
-    previous = sys.gettrace()  # ``tests/mutate.py trace`` has its own
-    sys.settrace(call)
+    previous = sys.gettrace()
+    sys.settrace(_both(call, previous))
     try:
-        run_cases(tmp_path_factory.mktemp("cases"))
+        run()
     finally:
         sys.settrace(previous)
     return {(os.path.realpath(c.co_filename), c.co_firstlineno) for c in codes}, lines
+
+
+@pytest.fixture(scope="module")
+def traced(tmp_path_factory) -> tuple:
+    """``trace_package`` of the golden cases."""
+    return trace_package(lambda: run_cases(tmp_path_factory.mktemp("cases")))
+
+
+def test_outer_tracer_sees_the_package_lines():
+    """A tracer set before ``trace_package`` receives every package line
+    event while it runs, and is set again afterwards."""
+    seen = set()
+
+    def outer(frame, event, arg):
+        if event == "line" and Path(frame.f_code.co_filename).resolve().parent == SRC:
+            seen.add((os.path.realpath(frame.f_code.co_filename), frame.f_lineno))
+        return outer
+
+    previous = sys.gettrace()
+    both = _both(outer, previous)
+    sys.settrace(both)
+    try:
+        _, lines = trace_package(lambda: mc.validate(mc.make_metabelian(make_ext_field(3, 0, 2), 8)))
+        assert sys.gettrace() is both
+    finally:
+        sys.settrace(previous)
+    assert lines and seen == lines
 
 
 def test_every_def_is_entered(traced):

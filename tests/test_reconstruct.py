@@ -17,8 +17,8 @@ from pathlib import Path
 
 import pytest
 
-import generic_gf as gg
 import paper_checks as pc
+from int_kernel import doubled_rows, solve, span
 from paper_checks import express
 from test_lemma import _outcome
 from thinlie import maxclass as mc
@@ -81,7 +81,8 @@ def _proportionality(F, m1, m2):
 
 def oracle_extract(rep):
     """N's dimensions and presentation computed on the maps: the
-    E-rank of each degree's flattened images, and the chain of N in
+    E-rank of each degree's flattened images (half the F-rank of their
+    doubled rows, the lemma of ``int_kernel``), and the chain of N in
     x_N = rho(r1), y_N = rho(r2) by commutators ([v, x_N] when nonzero,
     else [v, y_N]), validated."""
     an = rep.analysis
@@ -91,10 +92,8 @@ def oracle_extract(rep):
     images = _full_images(rep)
     dims = {}
     for d in range(1, usable + 1):
-        sp = gg.RowSpace(F, ncols)
-        for r in range(an.dim(d)):
-            sp.insert(_flat(F, rep, images[(d, r)]))
-        dims[d] = sp.dim
+        rows = [_flat(F, rep, images[(d, r)]) for r in range(an.dim(d))]
+        dims[d] = span(F.p, doubled_rows(F, rows), 2 * ncols).dim // 2
     x_map, y_map = images[(1, 0)], images[(1, 1)]
     v = oracle_commutator(F, rep.slots_min, rep.window, y_map, 1, x_map, 1)  # v_2 = [y, x]
     pairs = []
@@ -405,9 +404,10 @@ class TestRoundtrip:
     )
     def test_degree1_inverse_matches_generic_solve(self, p, u, v):
         """``_inverse_rows``, the closed-form 2x2 inverse of the round
-        trip's degree-1 step, against the field-generic ``solve`` of each
-        unit row on 200 seeded E-independent row pairs; E-dependent rows
-        raise DivisionByZero."""
+        trip's degree-1 step, against the E-solve of each unit row (the
+        F-solve of the doubled rows, the lemma of ``int_kernel``) on 200
+        seeded E-independent row pairs; E-dependent rows raise
+        DivisionByZero."""
         F = make_ext_field(p, u, v)
         rng = random.Random(f"inverse-rows-{F}")
         elems = list(F.elements())
@@ -418,7 +418,11 @@ class TestRoundtrip:
             (a1, b1), (a2, b2) = rows
             if F.is_zero(F.sub(F.mul(a1, b2), F.mul(b1, a2))):
                 continue
-            want = [tuple(gg.solve(F, rows, unit)) for unit in units]
+            doubled = doubled_rows(F, rows)
+            want = []
+            for unit in units:
+                c = solve(F.p, doubled, doubled_rows(F, [unit])[0])
+                want.append(tuple(zip(c[::2], c[1::2])))
             assert pc._inverse_rows(F, rows) == want, rows
             checked += 1
         with pytest.raises(DivisionByZero):
