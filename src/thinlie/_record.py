@@ -12,17 +12,14 @@ record of those fields, in order:
 * ``__eq__`` holds for records of the same class with equal fields;
 * ``__repr__`` reads ``Name(field=value, ...)``;
 * ``__hash__`` is None, so the record is unhashable, unless the class
-  defines its own.  With ``frozen=True`` assignment raises
-  ``AttributeError`` and the hash is that of the fields' tuple.
+  defines its own.
 """
 
 from operator import attrgetter
 
 
-def record(cls=None, *, frozen=False):
+def record(cls):
     """Make ``cls`` a record of its annotated fields; see the module docstring."""
-    if cls is None:
-        return lambda cls: record(cls, frozen=frozen)
     env = {}
     params, body = ["self"], []
     names = list(cls.__annotations__)
@@ -32,9 +29,7 @@ def record(cls=None, *, frozen=False):
             params.append(f"{name}=_dflt_{name}")
         else:
             params.append(name)
-        body.append(f"_self_dict[{name!r}] = {name}" if frozen else f"self.{name} = {name}")
-    if frozen:
-        body.insert(0, "_self_dict = self.__dict__")
+        body.append(f"self.{name} = {name}")
     if hasattr(cls, "__post_init__"):
         body.append("self.__post_init__()")
     exec(f"def __init__({', '.join(params)}):\n    " + "\n    ".join(body), env)
@@ -50,18 +45,9 @@ def record(cls=None, *, frozen=False):
         return f"{self.__class__.__qualname__}({fields})"
 
     methods = {"__init__": env["__init__"], "__eq__": __eq__, "__repr__": __repr__}
-    if frozen:
-
-        def __setattr__(self, name, value):
-            raise AttributeError(f"cannot assign to field {name!r}")
-
-        def __delattr__(self, name):
-            raise AttributeError(f"cannot delete field {name!r}")
-
-        methods.update(__setattr__=__setattr__, __delattr__=__delattr__)
     for name, fn in methods.items():
         fn.__qualname__ = f"{cls.__qualname__}.{name}"
         setattr(cls, name, fn)
     if cls.__dict__.get("__hash__") is None:
-        cls.__hash__ = (lambda self: hash(key(self))) if frozen else None
+        cls.__hash__ = None
     return cls

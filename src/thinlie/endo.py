@@ -87,25 +87,17 @@ if TYPE_CHECKING:
 
 @record
 class FieldId:
-    """The End_0 report.
+    """The End_0 report: its fields, in order, are the report's keys.
 
     ``is_field`` is always true: by the lemma the ring is F or the field
-    F[m_mu].  The key is kept so that the report's schema and bytes stay
-    as they were.
+    F[m_mu].  The field stays because the golden reports and the
+    benchmark read the key.
     """
 
     dim: int
     min_poly: Optional[Tuple[int, int, int]]  # (c0, c1, 1) for t^2 + c1 t + c0
     is_field: bool
     embedding: str  # "mu" | "mu_conj" | "n/a"
-
-    def to_json(self) -> dict:
-        return {
-            "dim": self.dim,
-            "min_poly": list(self.min_poly) if self.min_poly else None,
-            "is_field": self.is_field,
-            "embedding": self.embedding,
-        }
 
 
 def identify_field(analysis: SubalgebraAnalysis) -> FieldId:

@@ -85,7 +85,7 @@ if TYPE_CHECKING:
 SCAN_BUDGET = 200_000
 
 
-@record(frozen=True)
+@record
 class GeneratorPair:
     """Two degree-1 elements X = alpha*x + beta*y and Y = gamma*x + delta*y."""
 

@@ -45,12 +45,14 @@ exit code 1, ``check`` of a file one pair short (exit code 2), and
 ``roundtrip`` of the GF(4) class-16 file at window 5 on a thin pair,
 where the one bracket in the window, [v_2, v_3], is nonzero, so no
 abelian tail is confirmed and none is witnessed in T^3 (exit code 1).
-Eleven guards that a ``test_cli`` case trips, with the exit code it
+Thirteen guards that a ``test_cli`` case trips, with the exit code it
 asserts: ``build metabelian`` with a one-value ``--ext``, a composite p,
 a reducible ``--ext`` and p >= 2^64, ``build search`` at class 3, at
 limit 0 and at class 30, ``analyze`` at window 3 and with a coordinate
-outside [0, p), and ``roundtrip`` of a maximal pair, each exit code 2,
-and ``roundtrip`` at window 5, whose usable window is below 4 (exit code 1).
+outside [0, p), ``roundtrip`` of a maximal pair, and ``check`` of a file
+whose class is a float and of one with a string coordinate in a pair,
+each exit code 2, and ``roundtrip`` at window 5, whose usable window is
+below 4 (exit code 1).
 ``scan`` and ``scan --raw`` of two standard-form search results with
 more distinct centralizer points: the 218th presentation of GF(4) at
 class 24 (four points) and the 652nd of GF(25) at class 22 (three
@@ -89,8 +91,10 @@ WRITTEN = GOLDEN / "written"
 
 # input files copied into the working directory before the cases run
 INPUTS = [
+    "adjoint-string.json",
     "bad6.json",
     "bad10.json",
+    "class-float.json",
     "class3.json",
     "dev25-xy.json",
     "dev9mu.json",
@@ -209,6 +213,10 @@ CASES = [
     ("build-search-class30", ["build", "search", "--p", "3", "--ext", "2,0", "--class", "30"], 2),
     ("analyze-window3", ["analyze", "m.json", *PAIR, "--window", "3"], 2),
     ("analyze-X-not-residue", ["analyze", "m.json", "--X", "7,0,1,0", "--Y", "0,1,1,1"], 2),
+    # a non-integer field and a pair with a string coordinate, both refused
+    # by maxclass._json_int inside from_json
+    ("check-class-float", ["check", "class-float.json"], 2),
+    ("check-adjoint-string", ["check", "adjoint-string.json"], 2),
     # standard-form search results with more than two distinct centralizer
     # points, so some Baer subline of P^1(E) passes through three of them:
     # GF(4) class 24 with four points, GF(25) class 22 with three

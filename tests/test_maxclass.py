@@ -117,6 +117,18 @@ class TestValidate:
         assert calls == want
         assert len(calls) == 343
 
+    @pytest.mark.parametrize("n", [1000, 2000])
+    def test_check_is_quadratic_in_the_class(self, f9, n):
+        """A passing check counts 1 + 2*max(0, t//2 - 2) triples at each
+        top 4 <= t <= n, about n^2/2 in all, so ``check`` does Theta(n^2)
+        work in the class and in the file size (README, "Inputs that drive
+        super-linear work").  Pinned by count, with no timing."""
+        report = mc.validate(mc.make_metabelian(f9, n))
+        assert report.ok
+        want = sum(1 + 2 * max(0, t // 2 - 2) for t in range(4, n + 1))
+        assert report.triples_checked == want
+        assert n * n // 2 - 3 * n < want < n * n // 2
+
 
 class TestBracket:
     """``subfield.bracket_vec`` is the one bracket of homogeneous elements."""

@@ -40,10 +40,6 @@ NOT_RUN = {
 # Every other raise of the package runs in some case.  An entry names the
 # test that trips the raise, or why no command line can.
 NOT_RAISED = {
-    ("_record", "record.__setattr__", "AttributeError"): "no command assigns to a frozen"
-    " record; test_record does",
-    ("_record", "record.__delattr__", "AttributeError"): "no command deletes a field of a"
-    " frozen record; test_record does",
     ("cli", "_emit", "OSError"): "stdout closed at start-up, seen only in a child process"
     " (test_cli TestUnwritableStdout)",
     ("cli", "_load", "SchemaError"): "JSON nested too deeply (test_cli"
@@ -55,10 +51,6 @@ NOT_RAISED = {
     " number of pairs first; test_record test_presentation_gate builds one pair short",
     ("maxclass", "centralizer_stats", "NotStandardForm"): "cmd_stats standardizes first;"
     " test_maxclass test_gated_on_standard_form",
-    ("maxclass", "_json_int", "TypeError"): "a non-integer field of an algebra file"
-    " (test_cli test_schema_violations_exit_2)",
-    ("maxclass", "from_json", "SchemaError"): "two of its four raises, a malformed field and a"
-    " malformed pair (test_cli test_schema_violations_exit_2)",
     ("reconstruct", "detect_structure", "PreconditionFailed"): "verify_roundtrip checks for a thin"
     " pair first; test_lemma test_detect_structure_matches_tail_scans",
     ("subfield", "_check_scan_budget", "WindowTooLarge"): "a scan over its budget (test_cli"
