@@ -7,9 +7,9 @@ keys are its record's fields in order: the results of ``check``, ``endo``,
 ``roundtrip`` and ``scan``, ``analyze``'s ``endo`` and each ``stats`` entry
 are ``vars`` of a record.  Human-readable tables go to stderr.  Exit
 codes: 0 success, 1 mathematical-check failure, 2 usage (including an
-out-of-range class or window bound, a search limit below 1, a scan over
-its budget, a coordinate outside [0, p) and p >= 2^64), file-schema or OS
-error (including a closed, broken or full stdout), or an interrupt.
+out-of-range class or window bound, a search limit below 1, a coordinate
+outside [0, p) and p >= 2^64), file-schema or OS error (including a
+closed, broken or full stdout), or an interrupt.
 
 The command line follows argparse's rules: options and positionals in
 any order, the last occurrence of an option winning, ``--opt value``,
@@ -164,8 +164,8 @@ def cmd_check(args) -> int:
 def _analysis_results(analysis: sf.SubalgebraAnalysis) -> dict:
     v = analysis.verdict
     return {
-        "dims": list(analysis.dims),
-        "d": list(analysis.d) if analysis.d is not None else None,
+        "dims": analysis.dims,
+        "d": analysis.d,
         "verdict": v.kind,
         "r_observed": v.r_observed,
         "t1": v.t1,

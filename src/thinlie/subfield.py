@@ -59,7 +59,7 @@ from __future__ import annotations
 import itertools
 
 from ._record import record
-from .errors import BadBound, NotStandardForm, WindowTooLarge
+from .errors import BadBound, NotStandardForm
 from .gf import ExtField
 from .maxclass import (
     CentralizerSequence,
@@ -75,15 +75,6 @@ if TYPE_CHECKING:
     from .gf import EElem
 
     EPair = Tuple[EElem, EElem]  # coordinates (A, B) of A*x + B*y
-
-# The largest pairs or planes x window a scan accepts: q^2 normalized pairs,
-# or (p^2 + 1)(p^2 + p + 1) F-planes in a raw scan.  A scan counts sublines
-# and walks neither, so this bounds no work; it keeps which inputs a scan
-# refuses, with which exit code.  Above every scan the tests and the
-# benchmark run (the largest is a normalized GF(49) scan, 2401 pairs x
-# window 20).
-SCAN_BUDGET = 200_000
-
 
 @record
 class GeneratorPair:
@@ -349,22 +340,29 @@ class ScanTable:
     agree: Optional[bool]
 
 
-def _check_scan_budget(cost: int, unit: str, window: int) -> None:
-    if cost * window > SCAN_BUDGET:
-        raise WindowTooLarge(
-            f"scan of {cost} {unit} x window {window} exceeds budget {SCAN_BUDGET}"
-        )
+def _circle(field: ExtField, a: EElem, b: EElem, c: EElem) -> Optional[Tuple[EElem, int]]:
+    """The circle N(x - z) = r through a, b and c, as (z, r), or None when
+    the three are collinear in E = F^2.
 
-
-def _meet(p: int, line: Tuple[EElem, EElem], other: Tuple[EElem, EElem]) -> Optional[EElem]:
-    """The common point of two distinct affine F-lines a + F*u of E = F^2,
-    given as (a, u), or None if they are parallel."""
-    (a, u), (b, w) = line, other
-    den = _f_det(p, u, w)
-    if not den:
+    N(x - z) = N(x) - Tr(x*conj(z)) + N(z), so the centre z solves
+    Tr((b - a)*conj(z)) = N(b) - N(a) and the same for c, a 2x2 F-system
+    in (z0, z1), as Tr(d*conj(z)) = (2*d0 + u*d1)*z0 + (u*d0 - 2*v*d1)*z1.
+    Its matrix is that of b - a and c - a times the Gram matrix of the
+    nondegenerate form Tr(x*conj(y)), so it is singular exactly when the
+    three are collinear.  r = N(a - z) != 0, as N vanishes only at 0.
+    """
+    F, p, u, v = field, field.p, field.u, field.v
+    rows = []
+    for w in (b, c):
+        d0, d1 = F.sub(w, a)
+        rows.append((2 * d0 + u * d1, u * d0 - 2 * v * d1, F.norm(w) - F.norm(a)))
+    (s0, s1, n), (t0, t1, m) = rows
+    det = (s0 * t1 - s1 * t0) % p
+    if not det:
         return None
-    s = _f_det(p, ((b[0] - a[0]) % p, (b[1] - a[1]) % p), w) * pow(den, p - 2, p) % p
-    return ((a[0] + s * u[0]) % p, (a[1] + s * u[1]) % p)
+    inv = pow(det, p - 2, p)
+    z = ((n * t1 - m * s1) * inv % p, (s0 * m - t0 * n) * inv % p)
+    return z, F.norm(F.sub(a, z))
 
 
 def count_thin_by_line_avoidance(
@@ -372,42 +370,85 @@ def count_thin_by_line_avoidance(
     window: Optional[int] = None,
     centralizers: Optional[CentralizerSequence] = None,
 ) -> int:
-    """Count thin normalized pairs by affine lines, without the sublines.
+    """Count thin normalized pairs by the lines and circles of E = AG(2, p).
 
-    A normalized pair (beta, delta) is thin iff it is E-independent
-    (delta != mu*beta) and, for every lambda with E(x + lambda*y) an
-    occurring centralizer, the extension elements beta - lambda and
-    delta - lambda*mu are F-independent.  The Ey condition holds for every
-    normalized pair since (1, mu) is an F-independent pair.  So no pair
-    with beta = lambda is thin.  For any other beta, the delta that fail
-    at lambda form the affine F-line lambda*mu + F*(beta - lambda) of
-    E = F^2.  mu*beta lies on none of these lines, and two lambdas give
-    two distinct lines, since equal ones would put mu in F.  So beta has
-    q - 1 thin partners less the union of the lines: p points per line,
-    less m - 1 at each point where m >= 2 of them meet.  O(q*k^2) for k
-    points.  It refuses the inputs the normalized ``scan`` refuses
-    (q^2 pairs).  ``centralizers`` is pres's centralizer sequence,
-    computed here when not given.
+    Let Lambda hold the k distinct lambda with E(x + lambda*y) an
+    occurring centralizer.  A normalized pair (beta, delta) is thin iff
+    it is E-independent (delta != mu*beta) and, for every lambda in
+    Lambda, beta - lambda and delta - lambda*mu are F-independent.  The Ey
+    condition holds for every normalized pair since (1, mu) is an
+    F-independent pair.  So no pair with beta in Lambda is thin.  For any
+    other beta, the delta that fail at lambda form the affine F-line
+    l_lambda = lambda*mu + F*(beta - lambda) of E = F^2.  mu*beta lies on
+    none of these lines, and two lambdas give two distinct lines, since
+    equal ones would put mu in F.  So beta has q - 1 - |U| thin partners,
+    U the union of the k lines.  By inclusion-exclusion, grouping the
+    sets of lines that meet by their common point z, through which m_z
+    lines pass, and as sum_{r >= 3} (-1)^(r+1)*C(m, r) = C(m - 1, 2),
+    |U| = p*k - P + sum_z C(m_z - 1, 2), P the number of meeting pairs.
+    Let Im(c0 + c1*mu) = c1, which is F-linear with kernel F, and L_ij
+    the affine F-line through lambda_i and lambda_j.
+
+    * Two lines are parallel iff beta - lambda_i and beta - lambda_j are
+      F-dependent, that is iff beta is on L_ij.
+    * delta is on l_lambda iff (delta - lambda*mu)*conj(beta - lambda) is
+      in F, that is, as Im(lambda*mu*conj(lambda)) = N(lambda), iff
+      Im(delta*conj(beta - lambda)) = Im(lambda*mu*conj(beta)) - N(lambda).
+      The left sides are F-linear forms in delta with the dependencies of
+      the beta - lambda, so lines concur iff every dependency
+      sum alpha_r*(beta - lambda_r) = 0 also holds for the right sides.
+    * If lambda_1, lambda_2, lambda_3 are not collinear, the beta - lambda_r
+      span F^2, and their one dependency gives beta = sum alpha_r*lambda_r
+      with sum alpha_r = 1.  Im is F-linear, so
+      sum alpha_r*Im(lambda_r*mu*conj(beta)) = N(beta), and the three
+      lines concur iff N(beta) = sum alpha_r*N(lambda_r) = A(beta), A the
+      affine map with A(lambda_r) = N(lambda_r).  As Tr(x*conj(y)) is
+      nondegenerate, A(x) = Tr(x*conj(z)) + N(z) - r for one z and r, so
+      N = A is the circle N(x - z) = r through the lambda_r (``_circle``):
+      the lines concur iff beta is on it.
+    * If lambda_r = a + t_r*w for distinct t_r, the lines never concur: if
+      beta is on that line too, they are parallel; otherwise the
+      dependency has sum alpha_r = sum alpha_r*t_r = 0, so
+      sum alpha_r*lambda_r = 0, and the right sides would need
+      sum alpha_r*N(lambda_r) = N(w)*sum alpha_r*t_r^2 = 0, as N on the
+      line is a quadratic in t with leading coefficient N(w) != 0; but
+      no nonzero alpha vanishes on 1, t and t^2 at three distinct t_r.
+    * So m >= 3 lines meet at z iff their lambdas lie on one circle
+      through beta: no three of them are collinear, and every lambda of
+      Lambda on that circle has its line through z, since a line meets a
+      circle in at most 2 points.  Each circle C holding m_C >= 3 points
+      of Lambda passes through p + 1 - m_C values beta outside Lambda, as
+      N maps E* onto F* with kernel of order p + 1.
+
+    Summing over the q - k values beta outside Lambda:
+
+      thin = (q - k)(q - 1 - p*k) + sum_{i<j} (q - k - p + |Lambda & L_ij|)
+             - sum_C C(m_C - 1, 2)*(p + 1 - m_C).
+
+    |Lambda & L_ij| is 2 plus the lambdas collinear with lambda_i and
+    lambda_j, so one pass over the triples of Lambda finds the collinear
+    ones, each in three of the L_ij, and, from the others, every circle
+    with its points.  O(k^3); no element of E is enumerated.
+    ``centralizers`` is pres's centralizer sequence, computed here when
+    not given.
     """
     F = pres.field
     p, q = F.p, F.order
     window = pres.class_n if window is None else window
-    _check_scan_budget(q * q, "pairs", window)
     seq = two_step_centralizers(pres) if centralizers is None else centralizers
-    points = seq.distinct(window)
-    lams = {pt[1] for pt in points if pt != ey_point(F)}
-    count = 0
-    for be in F.elements():
-        if be in lams:
-            continue
-        lines = [(F.mul(lam, F.mu), F.sub(be, lam)) for lam in lams]
-        on: Dict[EElem, set] = {}
-        for (i, line), (j, other) in itertools.combinations(enumerate(lines), 2):
-            z = _meet(p, line, other)
-            if z is not None:
-                on.setdefault(z, set()).update((i, j))
-        covered = p * len(lines) - sum(len(through) - 1 for through in on.values())
-        count += q - 1 - covered
+    lams = [pt[1] for pt in seq.distinct(window) if pt != ey_point(F)]
+    k = len(lams)
+    count = (q - k) * (q - 1 - p * k) + k * (k - 1) // 2 * (q - k - p + 2)
+    circles: Dict[Tuple[EElem, int], set] = {}
+    for triple in itertools.combinations(lams, 3):
+        circle = _circle(F, *triple)
+        if circle is None:
+            count += 3
+        else:
+            circles.setdefault(circle, set()).update(triple)
+    for on in circles.values():
+        m = len(on)
+        count -= (m - 1) * (m - 2) // 2 * (p + 1 - m)
     return count
 
 
@@ -427,20 +468,17 @@ def scan(
     independent line-avoidance count; the two totals must agree exactly.
     In raw mode each E-independent F-plane counts |GL_2(F)| times, once
     per ordered basis (X, Y); the E-dependent pairs make up the rest of
-    the q^4 - 1.  Raises WindowTooLarge when the number of pairs or planes
-    it stands for (q^2 pairs normalized, (p^2 + 1)(p^2 + p + 1) planes
-    raw) times the window exceeds SCAN_BUDGET.  The centralizer sequence
-    is computed once, for all three.
+    the q^4 - 1.  The key counts and the line-avoidance count each cost
+    O(k^3) for k distinct centralizer points, whatever p is, and neither
+    enumerates E.  The centralizer sequence is computed once, for all
+    three.
     """
-    F = pres.field
     seq = two_step_centralizers(pres)
     if not seq.is_standard():
         raise NotStandardForm("scan expects a standard-form presentation")
     window = pres.class_n if window is None else window
-    p, q = F.p, F.order
+    q = pres.field.order
     count = q**4 - 1 if raw else q * q
-    cost, unit = ((p * p + 1) * (p * p + p + 1), "planes") if raw else (count, "pairs")
-    _check_scan_budget(cost, unit, window)
     amb = _Ambient(pres, window, seq)
 
     counts = {"thin": 0, "maximal": 0, "rconstrained": 0}

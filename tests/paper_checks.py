@@ -42,9 +42,11 @@ them by other means:
 * ``pair_walk_keys`` is the scan's walk over every normalized pair
   (``normalized_pairs``) or every F-plane (``f_planes``), which
   ``subfield._key_counts`` replaced by counting the Baer sublines through
-  the centralizer points, and ``line_avoidance_walk`` is the pair-by-pair
-  line-avoidance count that ``subfield.count_thin_by_line_avoidance``
-  replaced by counting affine lines;
+  the centralizer points; ``line_avoidance_walk`` is the pair-by-pair
+  line-avoidance count that ``line_avoidance_loop`` replaced by counting
+  the affine lines met at each beta (``_meet``), and that loop over every
+  beta in E is what ``subfield.count_thin_by_line_avoidance`` replaced by
+  its closed form in the lines and circles through the centralizer points;
 * ``table`` and ``vv`` are the whole structure table of a valid
   presentation and its cell [v_i, v_j], which the package keeps only
   while ``validate`` runs, two rows at a time;
@@ -266,6 +268,42 @@ def line_avoidance_walk(pres, window=None, centralizers=None):
                 for lam in lams
             ):
                 count += 1
+    return count
+
+
+def _meet(p, line, other):
+    """The common point of two distinct affine F-lines a + F*u of E = F^2,
+    given as (a, u), or None if they are parallel."""
+    (a, u), (b, w) = line, other
+    den = sf._f_det(p, u, w)
+    if not den:
+        return None
+    s = sf._f_det(p, ((b[0] - a[0]) % p, (b[1] - a[1]) % p), w) * pow(den, p - 2, p) % p
+    return ((a[0] + s * u[0]) % p, (a[1] + s * u[1]) % p)
+
+
+def line_avoidance_loop(pres, window=None, centralizers=None):
+    """``subfield.count_thin_by_line_avoidance`` beta by beta: for each beta
+    outside Lambda, q - 1 less the union of the k lines
+    lambda*mu + F*(beta - lambda), p points per line less m - 1 at each
+    point where m >= 2 of them meet.  O(q*k^2)."""
+    F = pres.field
+    p, q = F.p, F.order
+    window = pres.class_n if window is None else window
+    seq = mc.two_step_centralizers(pres) if centralizers is None else centralizers
+    lams = {pt[1] for pt in seq.distinct(window) if pt != mc.ey_point(F)}
+    count = 0
+    for be in F.elements():
+        if be in lams:
+            continue
+        lines = [(F.mul(lam, F.mu), F.sub(be, lam)) for lam in lams]
+        on = {}
+        for (i, line), (j, other) in combinations(enumerate(lines), 2):
+            z = _meet(p, line, other)
+            if z is not None:
+                on.setdefault(z, set()).update((i, j))
+        covered = p * len(lines) - sum(len(through) - 1 for through in on.values())
+        count += q - 1 - covered
     return count
 
 

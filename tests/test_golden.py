@@ -29,7 +29,7 @@ report off (u, v) beyond mu^2 = 2: ``endo`` on metabelian files over
 GF(9) with mu^2 = mu + 1 ("mu", u != 0) and over GF(4) ("mu_conj"), and
 ``analyze`` of the p = 1000003 file at window 6 ("mu").  ``scan`` and
 ``scan --raw`` of ``dev9mu.json`` see more than one centralizer point,
-so the line-avoidance count tests F-independence and the d-values differ
+so the line-avoidance count has a line to count and the d-values differ
 between points; ``build search``
 over GF(9) at class 16 with limit 2 is the smallest search found whose
 free node takes the Tonelli-Shanks branch of ``ExtField.sqrt``.
@@ -56,8 +56,9 @@ below 4 (exit code 1).
 ``scan`` and ``scan --raw`` of two standard-form search results with
 more distinct centralizer points: the 218th presentation of GF(4) at
 class 24 (four points) and the 652nd of GF(25) at class 22 (three
-points), so a scan meets sublines through three of the points.  The
-command line itself: ``scan --win 12`` (an abbreviated option, the
+points), so a scan meets sublines through three of the points, and
+``scan`` and ``scan --raw`` of a metabelian GF(1000003^2) class-8 file,
+which answer without enumerating E.  The command line itself: ``scan --win 12`` (an abbreviated option, the
 ``scan`` report), ``--version``, ``check -h``, and usage errors, each
 with exit code 2, a usage line and an error line: no arguments, a
 missing required option, a ``--class`` that is not an integer, an
@@ -224,6 +225,11 @@ CASES = [
     ("scan-raw-gf4c24", ["scan", "gf4c24-4pts.json", "--raw"], 0),
     ("scan-gf25c22", ["scan", "gf25c22-3pts.json"], 0),
     ("scan-raw-gf25c22", ["scan", "gf25c22-3pts.json", "--raw"], 0),
+    # both scans of a metabelian algebra over GF(1000003^2), which count
+    # without enumerating E
+    ("build-metabelian-bigp-c8", ["build", "metabelian", "--p", "1000003", "--ext", "4,1", "--class", "8", "-o", "bigp8.json"], 0),
+    ("scan-bigp8", ["scan", "bigp8.json"], 0),
+    ("scan-raw-bigp8", ["scan", "bigp8.json", "--raw"], 0),
     # the command line: an abbreviated option, the version, help, and
     # usage errors (exit code 2 with a usage line and an error line)
     ("scan-abbreviated", ["scan", "m.json", "--win", "12"], 0),

@@ -60,12 +60,17 @@ RowSpace d-values (one span per degree) and the pair-by-pair scan, which
 classifies each pair through those d-values, are kept here as oracles.
 ``scan`` reads its pairs per d-key off the Baer sublines through the
 centralizer points (``subfield._key_counts``), and its thin count off
-affine F-lines (``subfield.count_thin_by_line_avoidance``).  The walks
-they replaced (``paper_checks.pair_walk_keys`` over every normalized
-pair or F-plane, and ``paper_checks.line_avoidance_walk``) are compared
-with them on every searched presentation put in standard form and on
-constructed point sets over GF(9) and GF(25), where the sublines are
-also enumerated plane by plane.
+the affine F-lines and circles through them
+(``subfield.count_thin_by_line_avoidance``).  The walks they replaced
+(``paper_checks.pair_walk_keys`` over every normalized pair or F-plane,
+``paper_checks.line_avoidance_loop`` over every beta in E, and
+``paper_checks.line_avoidance_walk`` over every normalized pair) are
+compared with them on every searched presentation put in standard form
+and on constructed point sets over GF(9) and GF(25), where the sublines
+are also enumerated plane by plane.  The thin count is also compared
+with the loop over every beta on constructed sets of lambdas for
+p <= 13: random sets, concyclic sets (the only ones with four or more
+lambdas on a circle) and collinear sets.
 
 ``endo.identify_field`` reads End_0(L^3) and its field off dim L_3 and
 (p, u, v) (the closed form in the ``endo`` docstring).  The ring solve on
@@ -1401,7 +1406,8 @@ def _assert_scan_counts(amb):
     for raw in (False, True):
         assert sf._key_counts(amb, raw) == pc.pair_walk_keys(amb, raw), (amb.points, raw)
     args = (amb.pres, amb.window, amb.centralizers)
-    assert sf.count_thin_by_line_avoidance(*args) == pc.line_avoidance_walk(*args), amb.points
+    thin = sf.count_thin_by_line_avoidance(*args)
+    assert thin == pc.line_avoidance_loop(*args) == pc.line_avoidance_walk(*args), amb.points
 
 
 @pytest.mark.parametrize(
@@ -1491,6 +1497,47 @@ def test_subline_counts_match_plane_enumeration(p, u, v):
         seq = mc.CentralizerSequence(F, tuple(points))
         _assert_scan_counts(sf._Ambient(mc.make_metabelian(F, class_n), class_n, seq))
     assert 4 in largest and p + 1 in largest
+
+
+def _lambda_sets(F, rng):
+    """Sets of lambdas: eight random ones of 0-7 points; for each m in
+    3 .. min(7, p + 1), m points of a random circle N(x - z) = r, alone
+    and with two random points more; and for each m in 2 .. min(6, p), m
+    points of a random affine F-line."""
+    E = list(F.elements())
+    p = F.p
+    sets = [rng.sample(E, rng.randrange(min(8, len(E) + 1))) for _ in range(8)]
+    for m in range(3, min(7, p + 1) + 1):
+        z, r = rng.choice(E), rng.randrange(1, p)
+        circle = [x for x in E if F.norm(F.sub(x, z)) == r]
+        assert len(circle) == p + 1
+        sets += [rng.sample(circle, m), rng.sample(circle, m) + rng.sample(E, 2)]
+    for m in range(2, min(6, p) + 1):
+        a, w = rng.choice(E), rng.choice([x for x in E if x != F.zero])
+        sets.append([F.add(a, F.scale(t, w)) for t in rng.sample(range(p), m)])
+    return [list(dict.fromkeys(lams)) for lams in sets]
+
+
+@pytest.mark.parametrize(
+    "p, u, v", [(2, 1, 1), (3, 0, 2), (5, 0, 2), (7, 0, 3), (11, 0, 10), (13, 0, 11)]
+)
+def test_line_count_matches_loop_on_constructed_sets(p, u, v):
+    """The closed form of ``subfield.count_thin_by_line_avoidance`` against
+    the loop over every beta, and for q <= 49 against the walk over every
+    normalized pair, on the sets of ``_lambda_sets``.  Searched
+    presentations have at most three lambdas, so only the concyclic sets
+    here put four or more on a circle, and only the constructed sets put
+    four or more on an affine F-line."""
+    F = make_ext_field(p, u, v)
+    rng = random.Random(f"line-count-{p}")
+    for lams in _lambda_sets(F, rng):
+        points = (mc.ey_point(F),) + tuple((F.one, lam) for lam in lams)
+        window = len(points) + 2
+        args = (mc.make_metabelian(F, max(4, window)), window, mc.CentralizerSequence(F, points))
+        thin = sf.count_thin_by_line_avoidance(*args)
+        assert thin == pc.line_avoidance_loop(*args), lams
+        if p <= 7:
+            assert thin == pc.line_avoidance_walk(*args), lams
 
 
 @pytest.mark.parametrize("p, u, v", [(2, 1, 1), (3, 0, 2), (5, 0, 2), (7, 0, 3)])

@@ -53,8 +53,6 @@ NOT_RAISED = {
     " test_maxclass test_gated_on_standard_form",
     ("reconstruct", "detect_structure", "PreconditionFailed"): "verify_roundtrip checks for a thin"
     " pair first; test_lemma test_detect_structure_matches_tail_scans",
-    ("subfield", "_check_scan_budget", "WindowTooLarge"): "a scan over its budget (test_cli"
-    " test_scan_over_budget_exits_2)",
 }
 
 

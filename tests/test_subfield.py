@@ -14,7 +14,7 @@ from int_kernel import RowSpace, combine
 from paper_checks import WindowTooLargeForBruteForce
 from thinlie import maxclass as mc
 from thinlie import subfield as sf
-from thinlie.errors import NotStandardForm, WindowTooLarge
+from thinlie.errors import NotStandardForm
 from thinlie.gf import ExtField, make_ext_field
 
 
@@ -283,20 +283,21 @@ class TestScan:
         assert t_dev.agree
         assert t_dev.counts["thin"] < t_met.counts["thin"]
 
-    def test_budget_covers_existing_scans(self):
-        # (p, raw, window): the largest scans of the tests and the benchmark;
-        # a raw scan is charged for the (p^2 + 1)(p^2 + p + 1) F-planes
-        scans = ((5, False, 40), (7, False, 20), (5, False, 14), (3, True, 14), (5, True, 6))
-        for p, raw, window in scans:
-            cost = (p * p + 1) * (p * p + p + 1) if raw else p**4
-            assert cost * window <= sf.SCAN_BUDGET
+    def test_scans_at_p11_window13(self):
+        # Facts known without the package: over GF(121), the q^4 - 1 raw
+        # pairs less the |GL_2(E)| E-independent ones are degenerate, as
+        # are the q normalized pairs (beta, mu*beta); a metabelian
+        # algebra's other q^2 - q normalized pairs are thin.
+        q = 121
         m = mc.make_metabelian(make_ext_field(11, 0, 10), 13)
-        assert sf.SCAN_BUDGET // 16226 + 1 == 13
-        with pytest.raises(WindowTooLarge, match="scan of 16226 planes x window 13"):
-            sf.scan(m, 13, raw=True)
+        raw = sf.scan(m, 13, raw=True)
+        assert raw.total == q**4 - 1
+        assert raw.counts["degenerate"] == q**4 - (q * q - 1) * (q * q - q) - 1
+        t = sf.scan(m, 13)
+        assert t.total == q * q and t.counts["degenerate"] == q
+        assert t.counts["thin"] == t.thin_by_lines == q * q - q and t.agree
 
     def test_raw_f25_within_budget(self, f25):
-        # 806 planes x 6 fit the budget; 390624 pairs x 6 would not
         t = sf.scan(mc.make_metabelian(f25, 6), 6, raw=True)
         q = 25
         assert t.total == q**4 - 1
@@ -423,11 +424,10 @@ class TestBruteForceGuard:
         with pytest.raises(WindowTooLargeForBruteForce, match=f"{self.P + 1} points"):
             pc.thin_line_criterion(self._big(), thin_pair_f9)
 
-    def test_line_count_refuses_over_scan_budget(self, monkeypatch):
+    def test_line_count_enumerates_nothing_at_large_p(self, monkeypatch):
         def refuse(field):
-            raise AssertionError("line count enumerated E before checking its budget")
+            raise AssertionError("line count enumerated E")
 
         monkeypatch.setattr(ExtField, "elements", refuse)
         q = self.P**2
-        with pytest.raises(WindowTooLarge, match=f"scan of {q * q} pairs x window 6"):
-            sf.count_thin_by_line_avoidance(self._big())
+        assert sf.count_thin_by_line_avoidance(self._big()) == q * q - q
