@@ -21,6 +21,12 @@ Where argparse stores ``[]`` for an option given ``--`` in its own token
 ``thinlie <cmd>: error: ...`` line on stderr; ``-h``/``--help`` and
 ``--version`` write to stdout and return 0.  ``main`` returns every code
 and raises no ``SystemExit``.
+
+Each ``thinlie`` call is a fresh process, so a command imports the layers
+it runs inside its ``cmd_*``: ``scan`` imports ``subfield``, ``analyze``
+and ``endo`` import ``subfield`` and ``endo``, ``roundtrip`` imports
+``reconstruct`` (which imports ``subfield``), and ``build``, ``check`` and
+``stats`` run on ``maxclass`` alone.
 """
 
 from __future__ import annotations
@@ -29,10 +35,7 @@ import json
 import sys
 
 from . import __version__
-from . import endo as endo_mod
 from . import maxclass as mc
-from . import reconstruct as rec
-from . import subfield as sf
 from .errors import (
     BadBound,
     NotPrime,
@@ -47,6 +50,8 @@ from .gf import make_ext_field, residue
 TYPE_CHECKING = False
 if TYPE_CHECKING:
     from typing import Optional, Sequence
+
+    from . import subfield as sf
 
 EXIT_OK = 0
 EXIT_MATH = 1
@@ -118,6 +123,8 @@ def _parse_gen(field, text: str):
 
 
 def _pair_from_args(field, xs: str, ys: str) -> sf.GeneratorPair:
+    from . import subfield as sf
+
     return sf.pair_from_ints(field, _parse_gen(field, xs), _parse_gen(field, ys))
 
 
@@ -187,6 +194,9 @@ def _print_analysis_table(analysis: sf.SubalgebraAnalysis) -> None:
 
 
 def cmd_analyze(args) -> int:
+    from . import endo as endo_mod
+    from . import subfield as sf
+
     pres = _load(args.file)
     g = _pair_from_args(pres.field, args.X, args.Y)
     analysis = sf.generate_subalgebra(pres, g, args.window)
@@ -199,6 +209,9 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_endo(args) -> int:
+    from . import endo as endo_mod
+    from . import subfield as sf
+
     pres = _load(args.file)
     g = _pair_from_args(pres.field, args.X, args.Y)
     analysis = sf.generate_subalgebra(pres, g, args.window)
@@ -211,6 +224,8 @@ def cmd_endo(args) -> int:
 
 
 def cmd_roundtrip(args) -> int:
+    from . import reconstruct as rec
+
     pres = _load(args.file)
     g = _pair_from_args(pres.field, args.X, args.Y)
     report = rec.verify_roundtrip(pres, g, args.window)
@@ -223,6 +238,8 @@ def cmd_roundtrip(args) -> int:
 
 
 def cmd_scan(args) -> int:
+    from . import subfield as sf
+
     pres = _load(args.file)
     table = sf.scan(pres, args.window, raw=args.raw)
     print(

@@ -335,7 +335,6 @@ class ScanTable:
     total: int
     counts: Dict[str, int]
     rconstrained_gaps: Dict[str, int]
-    thin_direct: int
     thin_by_lines: Optional[int]  # only computed in normalized mode
     agree: Optional[bool]
 
@@ -501,7 +500,6 @@ def scan(
         total=count,
         counts=counts,
         rconstrained_gaps=dict(sorted(gaps.items())),
-        thin_direct=counts["thin"],
         thin_by_lines=thin_by_lines,
         agree=agree,
     )

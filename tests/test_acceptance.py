@@ -251,4 +251,4 @@ def test_criterion_9_scan_consistency(f4, f9, dev9_12):
         ):
             table = sf.scan(pres, 12)
             assert table.agree
-            assert table.thin_direct == table.thin_by_lines
+            assert table.counts["thin"] == table.thin_by_lines

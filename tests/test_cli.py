@@ -553,7 +553,7 @@ class TestScan:
         assert code == 0
         res = out_json(out)["results"]
         assert res["agree"] is True
-        assert res["thin_direct"] == res["thin_by_lines"] == 72
+        assert res["counts"]["thin"] == res["thin_by_lines"] == 72
 
 
 class TestStats:

@@ -1232,7 +1232,6 @@ def oracle_scan(pres, window=None, raw=False):
         total=count,
         counts=counts,
         rconstrained_gaps=dict(sorted(gaps.items())),
-        thin_direct=counts["thin"],
         thin_by_lines=thin_by_lines,
         agree=agree,
     )

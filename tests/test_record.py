@@ -1,16 +1,23 @@
 """Record semantics the package relies on, and what ``import thinlie.cli`` loads.
 
 The records (``StructureFlags``, ``GeneratorPair``, ``MaxClassPresentation``,
-``Verdict``, ...) are plain classes with generated ``__init__``,
-``__eq__`` and ``__repr__``.  These tests pin what the rest of the code
-uses of them: construction, defaults, the presentation gate, equality and
-repr of the fields alone, which records are hashable, and that a report
-record holds its fields alone, in order, since the CLI writes ``vars`` of it.
+``Verdict``, ...) are plain classes whose ``__init__``, ``__eq__`` and
+``__repr__`` ``record`` makes without compiling code.  These tests pin
+what the rest of the code uses of them: construction, defaults, the
+presentation gate, equality and repr of the fields alone, which records
+are hashable, and that a report record holds its fields alone, in order,
+since the CLI writes ``vars`` of it.  The last tests pin what a
+``thinlie`` process loads: no module of ``dataclasses`` or ``typing``,
+and of the layers ``subfield``, ``endo`` and ``reconstruct`` only those
+its command runs.
 """
 
+import ast
+import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -22,6 +29,7 @@ from thinlie import subfield as sf
 from thinlie.errors import BadBound
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+LAYERS = ["thinlie.endo", "thinlie.reconstruct", "thinlie.subfield"]
 
 
 def test_positional_keyword_and_defaults(f9):
@@ -44,6 +52,40 @@ def test_positional_keyword_and_defaults(f9):
         sf.Verdict("thin", nonsense=1)
     with pytest.raises(TypeError):
         pc.StandardForm(pres, m, False, None)
+
+
+def test_init_refuses_bad_arguments():
+    """A field given by position and by keyword, more positionals than
+    fields and a missing field raise ``TypeError``, as a written
+    ``__init__`` would."""
+    with pytest.raises(TypeError, match="repeated field: kind"):
+        sf.Verdict("thin", kind="maximal")
+    with pytest.raises(TypeError, match="repeated field: r_observed"):
+        sf.Verdict("thin", 3, r_observed=3)
+    with pytest.raises(TypeError, match="takes 3 fields but 4"):
+        sf.Verdict("thin", None, None, None)
+    with pytest.raises(TypeError, match="missing field 'X'"):
+        sf.GeneratorPair(Y=(0, 0))
+
+
+def test_fields_set_in_field_order():
+    """The keyword order does not reach ``vars``, so neither does it reach
+    a report."""
+    assert list(vars(sf.Verdict(t1=5, kind="rconstrained"))) == ["kind", "r_observed", "t1"]
+    flags = rec.StructureFlags(detection="abelian-window", k=3, metabelian=False)
+    assert list(vars(flags)) == list(rec.StructureFlags.__annotations__)
+
+
+def test_package_compiles_no_code():
+    """No call of ``exec``, ``eval`` or ``compile`` is left in the package."""
+    calls = [
+        (path.name, node.lineno)
+        for path in sorted(Path(SRC, "thinlie").glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+        and node.func.id in ("exec", "eval", "compile")
+    ]
+    assert calls == []
 
 
 def test_presentation_holds_its_three_fields(f9):
@@ -158,14 +200,52 @@ def test_report_keys_are_the_record_fields(f9, dev9_14):
 
 def test_cli_import_skips_heavy_modules():
     """``import thinlie.cli`` in a fresh isolated interpreter loads none of
-    the modules that ``dataclasses`` and ``typing`` would pull in."""
+    the modules that ``dataclasses`` and ``typing`` would pull in, and
+    none of the layers that only some commands run."""
     code = (
         "import sys; sys.path.insert(0, sys.argv[1]); import thinlie.cli; "
         "print(' '.join(sorted(m for m in sys.argv[2:] if m in sys.modules)))"
     )
-    heavy = ["dataclasses", "inspect", "ast", "dis", "typing"]
+    heavy = ["dataclasses", "inspect", "ast", "dis", "typing", *LAYERS]
     out = subprocess.run(
         [sys.executable, "-I", "-S", "-c", code, SRC, *heavy],
         capture_output=True, text=True, check=True,
     )
     assert out.stdout.strip() == ""
+
+
+PAIR = ["--X", "1,0,1,0", "--Y", "0,1,1,1"]
+
+
+# each command's arguments on dev9_14 and the layers it loads
+COMMAND_LAYERS = {
+    "build": (["metabelian", "--p", "3", "--ext", "2,0", "--class", "8", "-o", "{out}"], []),
+    "check": (["{file}"], []),
+    "stats": (["{file}"], []),
+    "scan": (["{file}"], ["thinlie.subfield"]),
+    "analyze": (["{file}", *PAIR], ["thinlie.endo", "thinlie.subfield"]),
+    "endo": (["{file}", *PAIR], ["thinlie.endo", "thinlie.subfield"]),
+    "roundtrip": (["{file}", *PAIR], ["thinlie.reconstruct", "thinlie.subfield"]),
+}
+
+
+@pytest.mark.parametrize("command", COMMAND_LAYERS)
+def test_command_loads_only_its_layers(tmp_path, dev9_14, command):
+    """A fresh isolated process that runs ``cli.main`` on ``dev9_14`` and
+    succeeds loads exactly the layers its command runs; ``reconstruct``
+    builds on ``subfield``."""
+    args, loaded = COMMAND_LAYERS[command]
+    path = tmp_path / "dev9_14.json"
+    path.write_text(json.dumps(mc.to_json(dev9_14)), encoding="utf-8")
+    argv = [command, *(a.format(file=path, out=tmp_path / "m.json") for a in args)]
+    script = (
+        "import contextlib, io, sys; sys.path.insert(0, sys.argv[1]); import thinlie.cli as cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):\n"
+        "    code = cli.main(sys.argv[2:])\n"
+        f"print(code, *sorted(m for m in sys.modules if m in {LAYERS!r}))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-I", "-S", "-c", script, SRC, *argv],
+        capture_output=True, text=True, check=True,
+    )
+    assert out.stdout.split() == ["0", *loaded]

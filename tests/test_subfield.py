@@ -297,7 +297,7 @@ class TestScan:
         assert t.total == q * q and t.counts["degenerate"] == q
         assert t.counts["thin"] == t.thin_by_lines == q * q - q and t.agree
 
-    def test_raw_f25_within_budget(self, f25):
+    def test_raw_f25_total_and_degenerate(self, f25):
         t = sf.scan(mc.make_metabelian(f25, 6), 6, raw=True)
         q = 25
         assert t.total == q**4 - 1
