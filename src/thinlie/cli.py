@@ -70,11 +70,24 @@ def _report(command: str, inputs: dict, results: dict) -> str:
 
 def _emit(command: str, inputs: dict, results: dict) -> None:
     """Write the report and flush, so a closed, broken or full stdout raises
-    OSError here, inside ``main``, and not at interpreter exit."""
-    if sys.stdout is None:  # fd 1 was not open at start-up
+    OSError here, inside ``main``, and not at interpreter exit.  A failed
+    write closes the stream, which drops the report it still buffers: the
+    interpreter's exit flush then has nothing to write and cannot fail a
+    second time.  Closing ``sys.stdout`` leaves fd 1 open."""
+    stdout = sys.stdout
+    if stdout is None:  # fd 1 was not open at start-up
         raise OSError("stdout is closed")
-    sys.stdout.write(_report(command, inputs, results))
-    sys.stdout.flush()
+    written = False
+    try:
+        stdout.write(_report(command, inputs, results))
+        stdout.flush()
+        written = True
+    finally:
+        if not written:
+            try:
+                stdout.close()  # its flush fails as the one above did
+            except OSError:
+                pass
 
 
 def _load(path: str, check: bool = True) -> mc.MaxClassPresentation:
@@ -125,7 +138,7 @@ def _parse_gen(field, text: str):
 def _pair_from_args(field, xs: str, ys: str) -> sf.GeneratorPair:
     from . import subfield as sf
 
-    return sf.pair_from_ints(field, _parse_gen(field, xs), _parse_gen(field, ys))
+    return sf.pair_from_ints(_parse_gen(field, xs), _parse_gen(field, ys))
 
 
 # -- subcommands ---------------------------------------------------------------
@@ -254,17 +267,12 @@ def cmd_scan(args) -> int:
 
 
 def cmd_stats(args) -> int:
-    pres = _load(args.file)
-    seq = mc.two_step_centralizers(pres)
-    standardized = not seq.is_standard()
-    if standardized:
-        seq = mc.standardize(seq)
-    report = mc.centralizer_stats(seq)
+    report = mc.centralizer_stats(mc.two_step_centralizers(_load(args.file)))
     entries = [vars(e) for e in report.entries]
     _emit(
         "stats",
         {"file": args.file},
-        {"class": report.class_n, "standardized": standardized, "entries": entries},
+        {"class": report.class_n, "standardized": report.standardized, "entries": entries},
     )
     return EXIT_OK
 

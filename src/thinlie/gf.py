@@ -4,7 +4,11 @@ Scalars carry no wrapper objects: a prime-field element is an int in
 [0, p) and a quadratic-extension element is a pair ``(c0, c1)`` meaning
 ``c0 + c1*mu`` where ``mu**2 = u*mu + v``.  GF(p) has no field object:
 its arithmetic is Python's on ints mod p.  ``ExtField`` owns the
-extension arithmetic.
+extension arithmetic.  Its operations take residues and return residues:
+the coordinates enter the package through ``residue`` at the entry points
+(``maxclass.from_json``, ``cli.cmd_build`` and ``cli._parse_gen``), which
+refuse anything outside [0, p), and nothing is reduced into a field
+element afterwards.
 The one exception is the structure-table kernel of ``maxclass``
 (``_Structure.extend`` and ``linear_forms``, the Jacobi forms of
 ``validate``, and the search's ``projective_kernel`` and
@@ -88,16 +92,15 @@ def quadratic_is_irreducible(p: int, u: int, v: int) -> bool:
 class ExtField:
     """GF(p^2) presented as GF(p)[mu] / (mu^2 - u*mu - v).
 
-    Elements are pairs (c0, c1) with both coordinates reduced mod p.
-    p must be prime, and the defining quadratic t^2 - u*t - v irreducible
-    over GF(p); the constructor rejects anything else.
+    Elements are pairs (c0, c1) of residues in [0, p).  p must be prime,
+    u and v residues, and the defining quadratic t^2 - u*t - v irreducible
+    over GF(p); the constructor rejects a p that is not prime and a
+    reducible quadratic, and takes u and v as given.
     """
 
     def __init__(self, p: int, u: int, v: int):
         if not is_prime(p):
             raise NotPrime(f"modulus {p} is not prime")
-        u %= p
-        v %= p
         if not quadratic_is_irreducible(p, u, v):
             raise ReduciblePolynomial(f"t^2 - {u}*t - {v} has a root mod {p}")
         self.p = p
@@ -110,10 +113,6 @@ class ExtField:
     @property
     def order(self) -> int:
         return self.p * self.p
-
-    def coerce(self, e: EElem) -> EElem:
-        c0, c1 = e
-        return (c0 % self.p, c1 % self.p)
 
     def add(self, a: EElem, b: EElem) -> EElem:
         p = self.p

@@ -32,7 +32,6 @@ from .errors import (
     BadBound,
     InvalidPresentation,
     NotPrime,
-    NotStandardForm,
     ReduciblePolynomial,
     SchemaError,
     WindowTooLarge,
@@ -56,7 +55,12 @@ SEARCH_CLASS_LIMIT = 24
 
 @record
 class MaxClassPresentation:
-    """A class-n truncation given by its per-degree adjoint pairs."""
+    """A class-n truncation given by its per-degree adjoint pairs.
+
+    ``adjoint`` is a tuple of class_n - 2 pairs of field elements; the
+    loader (``from_json``) checks the count and every coordinate, and
+    ``make_metabelian`` and the search build them so.  Only the class
+    bound is checked here."""
 
     field: ExtField
     class_n: int
@@ -65,29 +69,12 @@ class MaxClassPresentation:
     def __post_init__(self):
         if self.class_n < 4:
             raise BadBound(f"class bound {self.class_n} < 4")
-        if len(self.adjoint) != self.class_n - 2:
-            raise ValueError(
-                f"need {self.class_n - 2} adjoint pairs, got {len(self.adjoint)}"
-            )
-        F = self.field
-        self.adjoint = tuple(
-            (F.coerce(a), F.coerce(b)) for a, b in self.adjoint
-        )
 
     def pair(self, degree: int) -> Pair:
         return self.adjoint[degree - 2]
 
     def __hash__(self):
         return hash((self.field, self.class_n, self.adjoint))
-
-
-def _of_elements(field: ExtField, class_n: int, adjoint: Tuple[Pair, ...]) -> MaxClassPresentation:
-    """A presentation of pairs that are field elements already, of the right
-    number for ``class_n`` >= 4: built without ``__post_init__``, which
-    would coerce every pair again."""
-    pres = MaxClassPresentation.__new__(MaxClassPresentation)
-    pres.field, pres.class_n, pres.adjoint = field, class_n, adjoint
-    return pres
 
 
 @record
@@ -556,6 +543,7 @@ class CentralizerStats:
 @record
 class DiagnosticsReport:
     class_n: int
+    standardized: bool
     entries: Tuple[CentralizerStats, ...]
 
 
@@ -573,14 +561,16 @@ def centralizer_stats(seq: CentralizerSequence) -> DiagnosticsReport:
 
     Purely diagnostic: a truncated presentation found by search need not
     extend to an infinite algebra, so pattern violations are reported,
-    never rejected.  Requires the centralizers of a validated presentation
-    (``two_step_centralizers``) in standard form.  The occurrences, gaps
-    and flags of every entry do not depend on the basis, but the point of
-    an entry after the first deviation does, up to a factor in E* (see
-    ``standardize``).
+    never rejected.  Takes the centralizers of a validated presentation
+    (``two_step_centralizers``) in any basis and reads them in standard
+    form: ``standardize`` maps a standard sequence to itself, so it is
+    applied to every input, and ``standardized`` says whether the input
+    was not standard.  The occurrences, gaps and flags of every entry do
+    not depend on the basis, but the point of an entry after the first
+    deviation does, up to a factor in E* (see ``standardize``).
     """
-    if not seq.is_standard():
-        raise NotStandardForm("centralizer_stats needs a standard-form presentation")
+    standardized = not seq.is_standard()
+    seq = standardize(seq)
     class_n = len(seq.points) + 2
     p = seq.field.p
     entries = []
@@ -598,7 +588,7 @@ def centralizer_stats(seq: CentralizerSequence) -> DiagnosticsReport:
                 gap_within_first=(max_gap <= occ[0]) if max_gap is not None else None,
             )
         )
-    return DiagnosticsReport(class_n=class_n, entries=tuple(entries))
+    return DiagnosticsReport(class_n=class_n, standardized=standardized, entries=tuple(entries))
 
 
 # ---------------------------------------------------------------------------
@@ -747,9 +737,8 @@ def search_sequences(
     leaves visits all of them.
     E is enumerated only lazily, when every child of a free node is a
     candidate or a leaf, so ``limit`` bounds the work at any q.  Nothing
-    is pushed at the last degree class_n - 1: a leaf is appended from the
-    stack, which is all it reads, and its pairs are field elements
-    already, so they are not coerced again (``_of_elements``).
+    is pushed at the last degree class_n - 1: a leaf is built from the
+    stack, which is all it reads.
 
     Children are visited in the order (1 : t) by ``F.key`` of t, then
     (0 : 1), so the output is in lexicographic order and the metabelian
@@ -823,12 +812,12 @@ def search_sequences(
             tuple((a, mul(gamma, b)) if a == one else (a, b) for a, b in pres.adjoint)
             for pres in block
         )
-        return sorted((_of_elements(field, class_n, adj) for adj in found), key=order)
+        return sorted((MaxClassPresentation(field, class_n, adj) for adj in found), key=order)
 
     def visit(d: int, stack: Tuple[Pair, ...], pair: Pair, cols: Optional[Columns]) -> None:
         stack += (pair,)
         if d + 1 == class_n:
-            out.append(_of_elements(field, class_n, stack))
+            out.append(MaxClassPresentation(field, class_n, stack))
         elif d + 2 == class_n and cols is not None:
             # its children are leaves: it reads its columns, not the table
             dfs(d + 1, stack, cols)
@@ -911,7 +900,7 @@ def from_json(obj: dict, check: bool = True) -> MaxClassPresentation:
             raise SchemaError(f"malformed adjoint pair {entry!r}: {exc}") from exc
     try:
         pres = MaxClassPresentation(field, class_n, tuple(pairs))
-    except (BadBound, ValueError) as exc:
+    except BadBound as exc:
         raise SchemaError(str(exc)) from exc
     if check:
         report = validate(pres)

@@ -45,7 +45,9 @@ def detect_structure(analysis: SubalgebraAnalysis) -> Tuple[StructureFlags, Opti
 
     Returns the flags and the rows up to the window that it derived, for
     the faithfulness scan of ``verify_roundtrip`` (None when T is
-    metabelian).
+    metabelian).  It is the one check that the round trip's pair is thin:
+    any other verdict raises PreconditionFailed, which ``roundtrip`` of a
+    maximal pair shows on the command line.
 
     `metabelian` is an exhaustive [T_i, T_j] = 0 check for i, j >= 2.  For
     the non-metabelian case, k is the least bound whose tail T^k brackets
@@ -75,8 +77,9 @@ def detect_structure(analysis: SubalgebraAnalysis) -> Tuple[StructureFlags, Opti
     reads the points and no cell; otherwise the rows up to the window are
     derived (``_derived_rows``).
     """
-    if analysis.verdict.kind != "thin":
-        raise PreconditionFailed("structure detection expects a thin subalgebra")
+    kind = analysis.verdict.kind
+    if kind != "thin":
+        raise PreconditionFailed(f"round trip needs a thin pair, got {kind}")
     window = analysis.window
     if len(analysis.centralizers.distinct(window)) == 1:
         return StructureFlags(metabelian=True, k=2, detection="metabelian"), None
@@ -154,6 +157,8 @@ def verify_roundtrip(
 ) -> RoundtripReport:
     """The round trip: thin subalgebra, branch, faithfulness, usable window.
 
+    ``detect_structure`` refuses a pair that is not thin.
+
     The endomorphism field is not computed: a thin verdict means d_2 = 0,
     so dim L_3 = 2, and End_0(L^3) is the quadratic field E by the lemma
     of ``endo``, which is what the rebuild starts from.  Nor is E-stability
@@ -216,12 +221,7 @@ def verify_roundtrip(
     change.
     """
     window = pres.class_n if window is None else window
-    analysis = generate_subalgebra(pres, g, window)
-    if analysis.verdict.kind != "thin":
-        raise PreconditionFailed(
-            f"round trip needs a thin pair, got {analysis.verdict.kind}"
-        )
-    flags, st = detect_structure(analysis)
+    flags, st = detect_structure(generate_subalgebra(pres, g, window))
     k = flags.k
     if not flags.metabelian:
         # [v_s, v_d] = +-rows[s + d][min(s, d)], and 0 for s = d

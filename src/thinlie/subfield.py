@@ -91,11 +91,10 @@ class GeneratorPair:
         return field.is_zero(self.det(field))
 
 
-def pair_from_ints(field: ExtField, xs: Sequence[int], ys: Sequence[int]) -> GeneratorPair:
-    """Build a pair from flat coordinates (a0, a1, b0, b1) per generator."""
-    cx = (field.coerce((xs[0], xs[1])), field.coerce((xs[2], xs[3])))
-    cy = (field.coerce((ys[0], ys[1])), field.coerce((ys[2], ys[3])))
-    return GeneratorPair(cx, cy)
+def pair_from_ints(xs: Sequence[int], ys: Sequence[int]) -> GeneratorPair:
+    """Build a pair from flat coordinates (a0, a1, b0, b1) per generator,
+    each a residue in [0, p) already (``cli._parse_gen`` checks them)."""
+    return GeneratorPair(((xs[0], xs[1]), (xs[2], xs[3])), ((ys[0], ys[1]), (ys[2], ys[3])))
 
 
 # -- coordinate plumbing -----------------------------------------------------
@@ -365,9 +364,7 @@ def _circle(field: ExtField, a: EElem, b: EElem, c: EElem) -> Optional[Tuple[EEl
 
 
 def count_thin_by_line_avoidance(
-    pres: MaxClassPresentation,
-    window: Optional[int] = None,
-    centralizers: Optional[CentralizerSequence] = None,
+    pres: MaxClassPresentation, window: int, centralizers: CentralizerSequence
 ) -> int:
     """Count thin normalized pairs by the lines and circles of E = AG(2, p).
 
@@ -428,14 +425,12 @@ def count_thin_by_line_avoidance(
     lambda_j, so one pass over the triples of Lambda finds the collinear
     ones, each in three of the L_ij, and, from the others, every circle
     with its points.  O(k^3); no element of E is enumerated.
-    ``centralizers`` is pres's centralizer sequence, computed here when
-    not given.
+    ``centralizers`` is pres's centralizer sequence, which ``scan`` has
+    computed already, and Lambda is read off its points below ``window``.
     """
     F = pres.field
     p, q = F.p, F.order
-    window = pres.class_n if window is None else window
-    seq = two_step_centralizers(pres) if centralizers is None else centralizers
-    lams = [pt[1] for pt in seq.distinct(window) if pt != ey_point(F)]
+    lams = [pt[1] for pt in centralizers.distinct(window) if pt != ey_point(F)]
     k = len(lams)
     count = (q - k) * (q - 1 - p * k) + k * (k - 1) // 2 * (q - k - p + 2)
     circles: Dict[Tuple[EElem, int], set] = {}

@@ -220,6 +220,7 @@ class TestBadInput:
             pytest.param("ext_min_poly", [5, 0], id="ext-not-residue"),
             pytest.param("adjoint", [[[4, 0], [0, 0]]] * 4, id="adjoint-not-residue"),
             pytest.param("adjoint", [[[1, 0], [-2, 0]]] * 4, id="adjoint-negative"),
+            pytest.param("ext_min_poly", [-1, 0], id="ext-negative"),
         ],
     )
     def test_schema_violations_exit_2(self, tmp_path, capsys, command, field, value):
@@ -246,6 +247,8 @@ class TestBadInput:
             pytest.param(["build", "search", *EXT, "--class", "8", "--limit", "-1", "-o", "{o}"], id="build-limit--1"),
             pytest.param(["analyze", "{f}", "--X", "7,0,1,0", "--Y", "0,1,1,1"], id="analyze-X-not-residue"),
             pytest.param(["endo", "{f}", "--X", "1,0,1,0", "--Y", "0,3,1,1"], id="endo-Y-not-residue"),
+            pytest.param(["analyze", "{f}", "--X=-1,0,1,0", "--Y", "0,1,1,1"], id="analyze-X-negative"),
+            pytest.param(["build", "metabelian", "--p", "3", "--ext=-1,0", "--class", "6", "-o", "{o}"], id="build-ext-negative"),
             pytest.param(["build", "metabelian", "--p", "3", "--ext", "5,0", "--class", "6", "-o", "{o}"], id="build-ext-not-residue"),
             pytest.param(["build", "metabelian", "--p", str(2**64 + 13), "--ext", "2,0", "--class", "6", "-o", "{o}"], id="build-p-beyond-2-64"),
         ],
@@ -409,9 +412,17 @@ class TestUnwritableStdout:
         return str(path)
 
     @staticmethod
-    def run_with_stdout(how, argv):
+    def run_with_stdout(how, argv, buffered=True):
+        """Run with stdout buffered, as in a user's shell, unless
+        ``buffered`` is false: a buffered report that fails to flush is
+        still in the buffer when the interpreter exits."""
         cmd = [sys.executable, "-m", "thinlie.cli", *argv]
-        kwargs = dict(stderr=subprocess.PIPE, text=True, timeout=10, env=_child_env())
+        env = _child_env()
+        if buffered:
+            env.pop("PYTHONUNBUFFERED", None)
+        else:
+            env["PYTHONUNBUFFERED"] = "1"
+        kwargs = dict(stderr=subprocess.PIPE, text=True, timeout=10, env=env)
         if how == "closed":
             return subprocess.run(["sh", "-c", 'exec "$@" 1>&-', "sh", *cmd], **kwargs)
         if how == "broken-pipe":
@@ -441,6 +452,18 @@ class TestUnwritableStdout:
         assert proc.returncode == 2, proc.stderr
         assert re.search(r"^error: ", proc.stderr, re.M), proc.stderr
         assert "Traceback" not in proc.stderr
+        assert "Exception ignored" not in proc.stderr
+
+    @pytest.mark.parametrize("how", ["broken-pipe", "dev-full"])
+    def test_unbuffered_exits_2(self, small_file, how):
+        """With ``PYTHONUNBUFFERED`` the write itself fails, and nothing is
+        left to flush at exit either."""
+        if how == "dev-full" and not os.path.exists("/dev/full"):
+            pytest.skip("no /dev/full on this system")
+        proc = self.run_with_stdout(how, ["check", small_file], buffered=False)
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr.startswith("error: "), proc.stderr
+        assert "Exception ignored" not in proc.stderr
 
 
 class TestInterrupt:

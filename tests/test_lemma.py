@@ -1070,7 +1070,7 @@ def _outcome(fn, *args):
 def oracle_detect_structure(analysis, window=None):
     """``detect_structure`` by one scan of the window per tail T^k."""
     if analysis.verdict.kind != "thin":
-        raise PreconditionFailed("structure detection expects a thin subalgebra")
+        raise PreconditionFailed(f"round trip needs a thin pair, got {analysis.verdict.kind}")
     window = analysis.window if window is None else window
     st = pc.table(analysis.pres)
     F = st.field

@@ -14,7 +14,6 @@ from thinlie import subfield as sf
 from thinlie.errors import (
     BadBound,
     InvalidPresentation,
-    NotStandardForm,
     SchemaError,
     WindowTooLarge,
     ZeroPair,
@@ -295,10 +294,19 @@ class TestStats:
         assert ex[0].occurrences == (6, 9, 12)
         assert ex[0].max_gap == 3 and ex[0].gap_within_first
 
-    def test_gated_on_standard_form(self, f9):
+    def test_standardizes_input_not_in_standard_form(self, f9, dev9_14):
+        """A sequence not in standard form is read in standard form and
+        flagged; a standard one is read as it is and not flagged."""
         pairs = tuple(((0, 0), (1, 0)) for _ in range(8))
-        with pytest.raises(NotStandardForm):
-            mc.centralizer_stats(mc.two_step_centralizers(mc.MaxClassPresentation(f9, 10, pairs)))
+        seq = mc.two_step_centralizers(mc.MaxClassPresentation(f9, 10, pairs))
+        assert not seq.is_standard()
+        report = mc.centralizer_stats(seq)
+        want = mc.centralizer_stats(mc.standardize(seq))
+        assert report.standardized and not want.standardized
+        assert (report.class_n, report.entries) == (want.class_n, want.entries)
+        for pres in (mc.make_metabelian(f9, 12), dev9_14):
+            seq = mc.two_step_centralizers(pres)
+            assert seq.is_standard() and not mc.centralizer_stats(seq).standardized
 
     def test_gated_on_validity(self, f9):
         """The centralizers the stats read come from a file the loader

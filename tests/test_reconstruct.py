@@ -253,7 +253,7 @@ def test_degree_below_extension_line_is_not_e_stable():
     r-constrained subalgebra of the ``analyze-rconstrained`` golden case,
     given the flags of either branch."""
     pres = mc.from_json(json.loads((GOLDEN / "dev9mu.json").read_text()))
-    pair = sf.pair_from_ints(pres.field, [0, 0, 1, 0], [1, 0, 0, 1])
+    pair = sf.pair_from_ints([0, 0, 1, 0], [1, 0, 0, 1])
     an = sf.generate_subalgebra(pres, pair)
     assert an.verdict.kind == "rconstrained" and an.dim(3) == 1
     message = "component of degree 3 is not an extension line"

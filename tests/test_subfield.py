@@ -430,4 +430,6 @@ class TestBruteForceGuard:
 
         monkeypatch.setattr(ExtField, "elements", refuse)
         q = self.P**2
-        assert sf.count_thin_by_line_avoidance(self._big()) == q * q - q
+        big = self._big()
+        seq = mc.two_step_centralizers(big)
+        assert sf.count_thin_by_line_avoidance(big, big.class_n, seq) == q * q - q
